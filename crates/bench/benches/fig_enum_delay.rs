@@ -19,8 +19,8 @@
 //! Setting `IVME_BENCH_QUICK=1` runs fewer trials/ε points (the CI row);
 //! `IVME_BENCH_JSON=path` additionally writes the measured metrics as a
 //! JSON file (namespaced under `"fig_enum_delay"`) so
-//! `examples/bench_diff.rs` regresses this bench uniformly with
-//! `fig_serving_tail`.
+//! `examples/bench_diff.rs` regresses this bench uniformly with the
+//! other namespaced benches.
 
 use std::time::Duration;
 
@@ -241,8 +241,8 @@ fn main() {
 
     // ------------------------------------------------------------------
     // Optional machine-readable output for examples/bench_diff.rs —
-    // namespaced so one combined baseline file can hold this bench and
-    // fig_serving_tail side by side.
+    // namespaced so one combined baseline file can hold several benches
+    // side by side.
     // ------------------------------------------------------------------
     if let Ok(path) = std::env::var("IVME_BENCH_JSON") {
         let (t_full, mtuples, t_first, hit_ns, miss_ns) =

@@ -1,5 +1,6 @@
 //! Durability cost and crash-recovery time for `ivme-server`
-//! (group-commit WAL, pipelined fsync, engine snapshots).
+//! (group-commit WAL, pipelined fsync, engine snapshots) — the sweeps
+//! `fig_ledger` does not run: every `--fsync` mode, and WAL length.
 //!
 //! Measured phases:
 //!
@@ -8,36 +9,20 @@
 //!    script granularity) against four servers: no data dir at all, and
 //!    `--fsync none|group|always`. What durability costs the write path,
 //!    mode by mode.
-//! 2. **Pipelined vs serial commit** (PR 8) — the same storm shape but
-//!    with 4 concurrent writer clients (disjoint tuple ranges), against
-//!    `--fsync group` twice: pipelined (default — the writer applies
-//!    round N+1 while the sync thread fsyncs round N) and
-//!    `--serial-commit` (flush barrier per round ≈ the PR 7 path). With
-//!    concurrent writers the next round is ready while the previous one
-//!    fsyncs, so the pipeline's overlap is measurable; a single
-//!    closed-loop writer would hide it (its own ack waits on the fsync).
-//! 3. **Recovery time vs WAL length** — with `--snapshot-every 0`
+//! 2. **Recovery time vs WAL length** — with `--snapshot-every 0`
 //!    (checkpoint only on clean shutdown) the whole history lives in the
 //!    WAL. Commit `W` rounds, hard-kill the server, and time the next
 //!    `Server::start` on the same dir: replay is the live admin/apply
 //!    path, so the cost scales with the replayed history.
-//! 4. **Parallel vs sequential replay** (PR 8) — recover the largest
-//!    phase-3 history twice: `--replay-threads 1` (serial scan + parse)
-//!    vs auto (CRC validation and command parsing fanned across cores;
-//!    application stays sequential either way). No gate — on a 1-core
-//!    box the honest ratio is ~1x.
-//! 5. **Recovery with checkpoints** — the same largest history with
+//! 3. **Recovery with checkpoints** — the same largest history with
 //!    periodic snapshots enabled: boot loads the newest snapshot and
 //!    replays only the tail, so recovery time decouples from history
 //!    length.
 //!
-//! Acceptance gates (`BENCH_PR8.json`): `--fsync group` write throughput
-//! within 2x of the no-WAL baseline (ratio >= 0.5x), armed only when
-//! `IVME_BENCH_DISK=1` says fsync hits a real disk; pipelined >= 1.2x
-//! serial under the 4-writer storm, armed when `IVME_BENCH_DISK=1` or
-//! the box has >= 2 cores (on 1 core with page-cache fsync there is
-//! nothing to overlap). Measured values are printed and recorded
-//! honestly either way.
+//! Acceptance gate: `--fsync group` write throughput within 2x of the
+//! no-WAL baseline (ratio >= 0.5x), armed only when `IVME_BENCH_DISK=1`
+//! says fsync hits a real disk. The measured value is printed and
+//! recorded honestly either way.
 //!
 //! Correctness anchors (asserted on every run): every storm is fully
 //! acked, the served count is unchanged after each balanced storm, and
@@ -146,15 +131,8 @@ fn stat_field(stats: &str, key: &str) -> u64 {
 /// distinct S-tuples outside the workload's domain — every pair restores
 /// the state, so the served count is an invariant the anchors can check.
 fn storm_scripts(batch: usize, rounds: usize) -> Vec<Script> {
-    storm_scripts_at(batch, rounds, 1000)
-}
-
-/// Like [`storm_scripts`] but over a caller-chosen tuple range, so
-/// several concurrent writers can storm disjoint keys (a shared range
-/// would let one writer's delete race another's insert and over-delete).
-fn storm_scripts_at(batch: usize, rounds: usize, base: i64) -> Vec<Script> {
     let tuples: Vec<Tuple> = (0..batch as i64)
-        .map(|j| Tuple::ints(&[base + j, base + 1000 + j]))
+        .map(|j| Tuple::ints(&[1000 + j, 2000 + j]))
         .collect();
     (0..rounds)
         .flat_map(|_| {
@@ -235,77 +213,9 @@ fn main() {
     }
 
     // ------------------------------------------------------------------
-    // Phase 2: pipelined vs serial group commit, 4 concurrent writers.
+    // Phase 2: recovery time vs WAL length (no checkpoints).
     // ------------------------------------------------------------------
-    const WRITERS: usize = 4;
-    let writer_scripts: Vec<Vec<Script>> = (0..WRITERS as i64)
-        .map(|w| storm_scripts_at(sh.batch, sh.rounds, 1000 + w * 10_000))
-        .collect();
-    println!(
-        "\n# phase 2 — pipelined vs serial group commit ({WRITERS} writers x {} scripts, --fsync group):",
-        2 * sh.rounds
-    );
-    let mut pipe_ups = [0f64; 2];
-    for (i, (label, pipeline)) in [("serial-commit", false), ("pipelined", true)]
-        .iter()
-        .enumerate()
-    {
-        let dir = bench_dir(&format!("pipe{i}"));
-        let server = Server::start(ServerConfig {
-            data_dir: Some(dir.clone()),
-            fsync: FsyncMode::Group,
-            snapshot_every: 0,
-            pipeline: *pipeline,
-            ..ServerConfig::default()
-        })
-        .expect("server start");
-        let addr = server.addr();
-        run_setup(addr, &wl);
-        let before = served_count(addr);
-        let report = drive(addr, 0, "count", 0, 0, &writer_scripts);
-        assert_eq!(report.write_errors, 0, "{label}: storm must be accepted");
-        assert_eq!(
-            served_count(addr),
-            before,
-            "{label}: balanced storm must not change the served state"
-        );
-        // Acks only come back once durable, so after a fully-acked storm
-        // the durable watermark can never be ahead of the published one.
-        let stats = Client::connect(addr).unwrap().expect_ok("stats");
-        assert!(
-            stat_field(&stats, "durable_epoch") <= stat_field(&stats, "wal_epoch"),
-            "{label}: {stats}"
-        );
-        pipe_ups[i] = report.updates_per_sec();
-        println!("{label:<14} {:>12.0} updates/s", pipe_ups[i]);
-        drop(server);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let pipelined_ratio = pipe_ups[1] / pipe_ups[0].max(1e-9);
-    let pipe_gate = disk || cores >= 2;
-    println!(
-        "# pipelined commit sustains {pipelined_ratio:.2}x serial on {cores} core(s) \
-         (gate: >= 1.2x, armed with IVME_BENCH_DISK=1 or >= 2 cores)"
-    );
-    if pipe_gate {
-        assert!(
-            pipelined_ratio >= 1.2,
-            "pipelined group commit must beat the serial flush-per-round path by >= 1.2x \
-             under concurrent writers, measured {pipelined_ratio:.2}x"
-        );
-        println!("# Acceptance: pipelining gate armed and met ({pipelined_ratio:.2}x >= 1.2x).");
-    } else {
-        println!(
-            "# Acceptance: pipelining gate NOT armed (1 core and no real disk: fsync returns \
-             from the page cache, so there is no latency to overlap); value recorded."
-        );
-    }
-
-    // ------------------------------------------------------------------
-    // Phase 3: recovery time vs WAL length (no checkpoints).
-    // ------------------------------------------------------------------
-    println!("\n# phase 3 — crash recovery, whole history in the WAL (--snapshot-every 0):");
+    println!("\n# phase 2 — crash recovery, whole history in the WAL (--snapshot-every 0):");
     let setup_rounds = wl.setup_script(1).lines().count() as u64;
     let mut recovery_ms: Vec<(usize, f64, u64)> = Vec::new();
     for &rounds in sh.recovery_rounds {
@@ -343,69 +253,13 @@ fn main() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    // ------------------------------------------------------------------
-    // Phase 4: parallel vs sequential WAL replay (largest history).
-    // ------------------------------------------------------------------
     let rounds = *sh.recovery_rounds.last().unwrap();
-    println!("\n# phase 4 — boot replay of the {rounds}-round WAL, --replay-threads 1 vs auto:");
-    let dir = bench_dir("replay");
-    let scripts = storm_scripts(sh.batch, rounds);
-    let (replay_count, replay_frames) = {
-        let server = start(Some(&dir), FsyncMode::None, 0);
-        let addr = server.addr();
-        run_setup(addr, &wl);
-        let report = drive(addr, 0, "count", 0, 0, std::slice::from_ref(&scripts));
-        assert_eq!(report.write_errors, 0);
-        (served_count(addr), setup_rounds + scripts.len() as u64)
-        // drop(server): hard kill, no final snapshot.
-    };
-    let mut replay_ms = [0f64; 2];
-    for (i, (label, threads)) in [("threads=1", 1usize), ("threads=auto", 0)]
-        .iter()
-        .enumerate()
-    {
-        let t0 = Instant::now();
-        let server = Server::start(ServerConfig {
-            data_dir: Some(dir.clone()),
-            fsync: FsyncMode::None,
-            snapshot_every: 0,
-            replay_threads: *threads,
-            ..ServerConfig::default()
-        })
-        .expect("server start");
-        replay_ms[i] = t0.elapsed().as_secs_f64() * 1e3;
-        let addr = server.addr();
-        assert_eq!(
-            served_count(addr),
-            replay_count,
-            "{label}: recovered count diverged"
-        );
-        let stats = Client::connect(addr).unwrap().expect_ok("stats");
-        assert_eq!(
-            stat_field(&stats, "recovered_groups"),
-            replay_frames,
-            "{label}: {stats}"
-        );
-        println!(
-            "{label:<13} recovery = {:>9.2} ms  ({:.0} frames/s)",
-            replay_ms[i],
-            replay_frames as f64 / (replay_ms[i] / 1e3).max(1e-9)
-        );
-        // drop(server): hard kill leaves the clean WAL intact for the
-        // next iteration (replay never rewrites an undamaged log).
-    }
-    let replay_ratio = replay_ms[0] / replay_ms[1].max(1e-9);
-    println!(
-        "# parallel replay front end runs at {replay_ratio:.2}x sequential (no gate: frame \
-         application is sequential either way, and a 1-core box honestly shows ~1x)"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
 
     // ------------------------------------------------------------------
-    // Phase 5: recovery with periodic checkpoints.
+    // Phase 3: recovery with periodic checkpoints.
     // ------------------------------------------------------------------
     println!(
-        "\n# phase 5 — same {rounds}-round history with --snapshot-every {}:",
+        "\n# phase 3 — same {rounds}-round history with --snapshot-every {}:",
         sh.snap_every
     );
     let dir = bench_dir("snap");
@@ -445,7 +299,6 @@ fn main() {
         let mut json = String::from("{\n  \"fig_recovery\": {\n");
         let _ = writeln!(json, "    \"quick\": {},", quick());
         let _ = writeln!(json, "    \"disk_gate_armed\": {disk},");
-        let _ = writeln!(json, "    \"pipeline_gate_armed\": {pipe_gate},");
         json.push_str("    \"metrics\": {\n");
         let _ = writeln!(json, "      \"write_nowal_updates_per_s\": {:.0},", ups[0]);
         let _ = writeln!(
@@ -465,20 +318,6 @@ fn main() {
         );
         let _ = writeln!(json, "      \"fsync_group_ratio\": {group_ratio:.3},");
         let _ = writeln!(json, "      \"fsync_always_ratio\": {always_ratio:.3},");
-        let _ = writeln!(
-            json,
-            "      \"write_group_serial_updates_per_s\": {:.0},",
-            pipe_ups[0]
-        );
-        let _ = writeln!(
-            json,
-            "      \"write_group_pipelined_updates_per_s\": {:.0},",
-            pipe_ups[1]
-        );
-        let _ = writeln!(json, "      \"pipelined_ratio\": {pipelined_ratio:.3},");
-        let _ = writeln!(json, "      \"replay_serial_ms\": {:.2},", replay_ms[0]);
-        let _ = writeln!(json, "      \"replay_parallel_ms\": {:.2},", replay_ms[1]);
-        let _ = writeln!(json, "      \"replay_parallel_ratio\": {replay_ratio:.3},");
         for (rounds, ms, frames) in &recovery_ms {
             let _ = writeln!(json, "      \"recovery_ms_rounds_{rounds}\": {ms:.2},");
             let _ = writeln!(json, "      \"recovery_frames_rounds_{rounds}\": {frames},");

@@ -10,8 +10,8 @@
 //!    bootstrap scan-and-ship path, end to end (scan, wire, parse,
 //!    apply, publish). Reported as frames/s over the full shipped
 //!    history.
-//! 2. **Steady-state lag under the write storm** — the fig_serving_tail
-//!    storm shape (4 concurrent writers, atomic insert/delete batch
+//! 2. **Steady-state lag under the write storm** — a group-commit storm
+//!    (4 concurrent writers, atomic insert/delete batch
 //!    pairs over disjoint ranges) against a primary with one live-tailing
 //!    replica. A sampler polls the replica's `replication_lag_frames`
 //!    throughout; reported are the peak and final lag plus the time the

@@ -1,9 +1,11 @@
 //! `ivme-bench` — shared measurement helpers for the experiment harness.
 //!
 //! Each `benches/fig*.rs` target regenerates one table or figure of the
-//! paper (see DESIGN.md's per-experiment index and EXPERIMENTS.md for the
-//! recorded outcomes). The helpers here provide consistent timing,
-//! delay-probing, and log-log slope fitting.
+//! paper, or sweeps one serving-stack dimension (see docs/ARCHITECTURE.md
+//! for the system being measured; the repository's end-to-end benchmark
+//! and its recorded outcomes are `fig_ledger/README.md`). The helpers
+//! here provide consistent timing, delay-probing, and log-log slope
+//! fitting.
 
 use std::time::{Duration, Instant};
 

@@ -15,7 +15,7 @@
 //!
 //! * **Lock-free reads via epoch snapshot publishing.** There is no lock
 //!   around the engine at all: the group-commit writer thread is the
-//!   *sole owner* of the mutable [`ShardedEngine`], and after every round
+//!   *sole owner* of the mutable `ShardedEngine`, and after every round
 //!   of state changes it publishes an immutable [`ServeSnapshot`] through
 //!   an epoch-stamped `Arc` cell ([`publish::Published`], the std-only
 //!   `arc-swap` pattern). Each connection keeps a cached handle; a read
@@ -29,7 +29,7 @@
 //!   O(touched components), not O(engine).
 //!
 //! * **Group-commit writes.** Update commands each submit their
-//!   consolidated [`DeltaBatch`] into a bounded channel and wait for the
+//!   consolidated `DeltaBatch` into a bounded channel and wait for the
 //!   ack. The writer thread drains the channel, coalesces everything
 //!   pending into a *single* merged batch, applies it through the
 //!   engine's existing prepare/apply split, **publishes the new
@@ -55,7 +55,7 @@
 //! rare, and serializing them through the writer keeps the engine
 //! single-owner with no lock anywhere in the crate. CSV file I/O stays on
 //! the connection thread; only the parsed rows travel through the
-//! channel. The server always builds a [`ShardedEngine`] (`.shards 1` by
+//! channel. The server always builds a `ShardedEngine` (`.shards 1` by
 //! default), so reads and group commits go down one audited path
 //! regardless of shard count. Staleness for a reader is bounded by the
 //! in-flight group: the previous snapshot stays valid until the writer
@@ -93,32 +93,41 @@
 //!   and serves the full read API at a bounded, observable staleness
 //!   epoch. See `docs/ARCHITECTURE.md` for the dataflow and
 //!   `docs/PROTOCOL.md` for the wire format.
+//!
+//! There is one of each moving part. Primary and replica serve through
+//! the same accept and connection loop (`conn`), parameterised only by
+//! where writes go; every published snapshot is built by the one
+//! `OwnedState::serve_snapshot` (`writer`, which also holds the
+//! group-commit loop); and boot recovery and the replica's apply thread
+//! replay WAL frames through the one `OwnedState::apply_frame`
+//! (`recovery`). This file keeps the configuration and the [`Server`]
+//! handle.
 
+mod conn;
 pub mod crc;
 pub mod publish;
+mod recovery;
 pub mod repl;
 pub mod snapshot;
 pub mod wal;
+mod writer;
 
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, SyncSender};
+use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
 
-use ivme_cli::proto::{self, Command};
-use ivme_cli::render;
-use ivme_core::{Database, DeltaBatch, EngineOptions, Mode, ShardedEngine, ShardedSnapshot};
-use ivme_data::Tuple;
-use ivme_query::{classify, Query};
-
-use publish::{Cached, DurTracker, Published};
-use snapshot::{SnapshotData, SnapshotWorker};
+pub use conn::{execute_read, DurInfo, ServeSnapshot, MAX_LINE};
+use conn::{Endpoint, ReplRole, WriteSink};
+use publish::DurTracker;
+use snapshot::SnapshotWorker;
 pub use wal::FsyncMode;
-use wal::{Wal, WalPipeline};
+use wal::WalPipeline;
+pub use writer::GroupInfo;
+use writer::{Durability, OwnedState, Request, Shared};
 
 /// Server tuning knobs. `Default` is sized for tests and local serving.
 #[derive(Clone, Debug)]
@@ -140,15 +149,6 @@ pub struct ServerConfig {
     /// Snapshot (and rotate the WAL) every N dirty commit rounds; 0 means
     /// only on clean shutdown, leaving the WAL to grow unboundedly.
     pub snapshot_every: u64,
-    /// Pipelined commit (the default): the writer applies round N+1 while
-    /// the sync thread fsyncs round N. `false` inserts a flush barrier
-    /// after every round — PR 7's serialized timing through the same code
-    /// path, kept for comparison benchmarks and debugging.
-    pub pipeline: bool,
-    /// Threads for the boot-time WAL replay front end (frame scanning,
-    /// CRC validation, command parsing; application stays sequential).
-    /// 0 — the default — means `available_parallelism`, capped at 8.
-    pub replay_threads: usize,
     /// Replication listener for log-shipping followers ([`repl`]);
     /// requires `data_dir` (followers bootstrap from the snapshot + WAL).
     /// `None` — the default — serves without replication.
@@ -170,8 +170,6 @@ impl Default for ServerConfig {
             data_dir: None,
             fsync: FsyncMode::Group,
             snapshot_every: 64,
-            pipeline: true,
-            replay_threads: 0,
             repl_listen: None,
             repl_queue_depth: 256,
             hooks: TestHooks::default(),
@@ -224,606 +222,6 @@ pub struct ServeStats {
     pub snapshots_published: u64,
 }
 
-/// The immutable state a read command dispatches against: the registered
-/// query, the evaluation mode, and — once `build` has run — the frozen
-/// engine view. A connection's command sees exactly one `ServeSnapshot`;
-/// the writer publishing a newer one never mutates an old one, so a read
-/// mid-enumeration can never observe a torn batch.
-pub struct ServeSnapshot {
-    query: Option<Query>,
-    mode: Mode,
-    view: Option<ShardedSnapshot>,
-    /// Live durability handle (`None` when serving memory-only). The
-    /// *counters* are not frozen with the view: `stats` samples the
-    /// shared tracker at read time, so a quiescent server converges to
-    /// `durable_epoch = wal_epoch, fsync_backlog = 0` instead of forever
-    /// displaying the backlog as it stood when the last round published.
-    dur: Option<DurHandle>,
-    /// Replication role (`None` when serving standalone): `stats` renders
-    /// follower/staleness counters from it, sampled at read time like
-    /// `dur`.
-    repl: Option<ReplRole>,
-}
-
-/// Which replication role this process serves in — embedded in every
-/// published [`ServeSnapshot`] so `stats` renders replication counters
-/// without any lock on the serving path.
-#[derive(Clone)]
-enum ReplRole {
-    /// A primary with a `--repl-listen` listener: the hub registry of
-    /// connected followers.
-    Primary(Arc<repl::ReplHub>),
-    /// A follower: the counters its apply thread maintains.
-    Replica(Arc<repl::ReplicaStats>),
-}
-
-impl ReplRole {
-    fn stats_lines(&self, out: &mut String) {
-        match self {
-            ReplRole::Primary(h) => h.stats_lines(out),
-            ReplRole::Replica(s) => s.stats_lines(out),
-        }
-    }
-}
-
-/// A [`ServeSnapshot`]'s window into the durability pipeline: the shared
-/// atomic tracker plus the boot-time replay count.
-#[derive(Clone)]
-struct DurHandle {
-    tracker: Arc<DurTracker>,
-    recovered_groups: u64,
-}
-
-impl DurHandle {
-    /// A coherent point-in-time sample. `durable` is read *before*
-    /// `inflight`: durable only ever chases inflight, so this order keeps
-    /// the reported `durable_epoch ≤ wal_epoch` even when a commit lands
-    /// between the two loads.
-    fn sample(&self) -> DurInfo {
-        let durable = self.tracker.durable();
-        let inflight = self.tracker.inflight().max(durable);
-        DurInfo {
-            wal_epoch: inflight,
-            durable_epoch: durable,
-            fsync_backlog: inflight - durable,
-            wal_frames: self.tracker.wal_frames(),
-            last_fsync_us: self.tracker.last_fsync_us(),
-            snapshot_in_progress: self.tracker.snapshot_in_progress(),
-            recovered_groups: self.recovered_groups,
-        }
-    }
-}
-
-/// The durability counters the `stats` command reports — a read-time
-/// sample of the shared [`DurTracker`], never a lock on the writer or
-/// sync thread. `durable_epoch ≤ wal_epoch` always holds.
-#[derive(Clone, Copy, Debug)]
-pub struct DurInfo {
-    /// Newest epoch handed to the WAL pipeline (its frames are published
-    /// and queued, possibly not yet on disk).
-    pub wal_epoch: u64,
-    /// Newest epoch the sync thread has made durable (= the epoch a
-    /// crash right now would recover to).
-    pub durable_epoch: u64,
-    /// Commit rounds applied and published but not yet durable
-    /// (`wal_epoch - durable_epoch`); none of them has been acked.
-    pub fsync_backlog: u64,
-    /// Frames in the current (post-rotation) log.
-    pub wal_frames: u64,
-    /// Wall time of the most recent fsync, microseconds.
-    pub last_fsync_us: u64,
-    /// A background snapshot is being serialized right now.
-    pub snapshot_in_progress: bool,
-    /// Distinct commit rounds replayed from the WAL at the last boot.
-    pub recovered_groups: u64,
-}
-
-impl ServeSnapshot {
-    fn view(&self) -> Result<&ShardedSnapshot, String> {
-        self.view.as_ref().ok_or_else(|| "run `build` first".into())
-    }
-
-    fn query(&self) -> Result<&Query, String> {
-        self.query
-            .as_ref()
-            .ok_or_else(|| "no query registered".into())
-    }
-}
-
-/// The writer thread's private, single-owner mutable state. Nothing else
-/// in the process can reach it — the rest of the server only ever sees
-/// the [`ServeSnapshot`]s it publishes.
-struct OwnedState {
-    query: Option<Query>,
-    epsilon: f64,
-    mode: Mode,
-    shards: usize,
-    staged: Database,
-    engine: Option<ShardedEngine>,
-    /// Epoch of the last published snapshot.
-    epoch: u64,
-    /// Durability machinery — `None` when serving memory-only.
-    dur: Option<Durability>,
-    /// Replication hub — `Some` when this server is a `--repl-listen`
-    /// primary; embedded in every published snapshot for `stats`.
-    repl: Option<Arc<repl::ReplHub>>,
-}
-
-/// The writer thread's handles into the durability pipeline. The open
-/// [`Wal`] itself lives on the sync thread; the snapshot serializer lives
-/// on its own thread; the writer only dispatches jobs and reads the
-/// shared [`DurTracker`].
-struct Durability {
-    /// Field order is drop order, and it matters: the snapshot worker
-    /// holds a sender into the WAL queue (it may still emit a `Rotate`),
-    /// so it must drain and join *before* the pipeline does.
-    snap: SnapshotWorker,
-    pipeline: WalPipeline,
-    /// Shared durability frontiers (inflight/durable epochs, broken flag).
-    tracker: Arc<DurTracker>,
-    snapshot_every: u64,
-    /// Dirty rounds since the last snapshot (drives the cadence).
-    rounds_since_snapshot: u64,
-    /// Distinct commit rounds replayed at boot (reported in `stats`).
-    recovered_groups: u64,
-    /// `--serial-commit`: flush-barrier after every round (PR 7 timing).
-    serial: bool,
-}
-
-impl OwnedState {
-    fn new() -> OwnedState {
-        OwnedState {
-            query: None,
-            epsilon: 0.5,
-            mode: Mode::Dynamic,
-            shards: 1,
-            staged: Database::new(),
-            engine: None,
-            epoch: 0,
-            dur: None,
-            repl: None,
-        }
-    }
-
-    /// The replication role to embed in published [`ServeSnapshot`]s.
-    fn repl_role(&self) -> Option<ReplRole> {
-        self.repl.as_ref().map(|h| ReplRole::Primary(Arc::clone(h)))
-    }
-
-    /// The live durability handle to embed in published
-    /// [`ServeSnapshot`]s (readers sample it at `stats` time).
-    fn dur_info(&self) -> Option<DurHandle> {
-        self.dur.as_ref().map(|d| DurHandle {
-            tracker: Arc::clone(&d.tracker),
-            recovered_groups: d.recovered_groups,
-        })
-    }
-
-    /// Executes one admin operation; `Ok` responses also mark the round
-    /// dirty so the caller republishes.
-    fn admin(&mut self, op: AdminOp) -> Result<String, String> {
-        use std::fmt::Write as _;
-        match op {
-            AdminOp::Query(q) => {
-                let c = classify(&q);
-                let mut out = String::new();
-                let _ = writeln!(out, "registered {q}");
-                let _ = writeln!(
-                    out,
-                    "w = {}, δ = {}, free-connex: {}, q-hierarchical: {}",
-                    c.static_width.unwrap(),
-                    c.dynamic_width.unwrap(),
-                    c.free_connex,
-                    c.q_hierarchical
-                );
-                self.query = Some(q);
-                self.engine = None;
-                Ok(out)
-            }
-            AdminOp::Epsilon(e) => {
-                self.epsilon = e;
-                Ok(format!("epsilon = {e}\n"))
-            }
-            AdminOp::Mode(m) => {
-                self.mode = m;
-                Ok(format!(
-                    "mode = {}\n",
-                    match m {
-                        Mode::Dynamic => "dynamic",
-                        Mode::Static => "static",
-                    }
-                ))
-            }
-            AdminOp::Shards(n) => {
-                self.shards = n;
-                let note = if self.engine.is_some() {
-                    " (takes effect on the next `build`)"
-                } else {
-                    ""
-                };
-                Ok(format!("shards = {n}{note}\n"))
-            }
-            AdminOp::Rows { relation, rows } => {
-                let n = rows.len();
-                for t in rows {
-                    self.staged.insert(&relation, t, 1);
-                }
-                Ok(if n == 1 {
-                    format!("staged 1 row into {relation}\n")
-                } else {
-                    format!("staged {n} rows into {relation}\n")
-                })
-            }
-            AdminOp::Build => {
-                let q = self.query.as_ref().ok_or("no query registered")?;
-                let opts = EngineOptions {
-                    epsilon: self.epsilon,
-                    mode: self.mode,
-                };
-                // Always sharded (S ≥ 1): one read/commit path per build.
-                let eng = ShardedEngine::new(q, &self.staged, opts, self.shards)
-                    .map_err(|e| e.to_string())?;
-                let msg = format!(
-                    "built: N = {}, {} shards (sizes {:?})\n",
-                    eng.db_size(),
-                    eng.num_shards(),
-                    eng.shard_sizes()
-                );
-                self.engine = Some(eng);
-                Ok(msg)
-            }
-        }
-    }
-
-    /// Dispatches a background snapshot when the cadence says so. The
-    /// writer's only cost is capturing [`SnapshotData`] (a structured
-    /// clone — no serialization, no I/O); the `SnapshotStarted` marker
-    /// sent down the WAL queue *before* the snapshot job makes the sync
-    /// thread start buffering the tail frames the eventual rotation must
-    /// preserve. At most one snapshot is in flight at a time — the
-    /// cadence check just waits for the current one.
-    fn maybe_dispatch_snapshot(&mut self, serve: (u64, u64, u64)) {
-        let due = match self.dur.as_ref() {
-            None => false,
-            Some(d) => {
-                !d.tracker.is_broken()
-                    && !d.tracker.snapshot_in_progress()
-                    && d.snapshot_every > 0
-                    && d.rounds_since_snapshot >= d.snapshot_every
-            }
-        };
-        if !due {
-            return;
-        }
-        let data = self.snapshot_data(serve);
-        let d = self.dur.as_mut().unwrap();
-        d.tracker.begin_snapshot();
-        if d.pipeline.send(wal::Job::SnapshotStarted).is_err() {
-            d.tracker.end_snapshot();
-            d.tracker.set_broken();
-            eprintln!("ivme-server: WAL sync thread is gone; continuing WITHOUT durability");
-            return;
-        }
-        if !d.snap.submit(data, None) {
-            let _ = d.pipeline.send(wal::Job::SnapshotAborted);
-            d.tracker.end_snapshot();
-            d.tracker.set_broken();
-            eprintln!("ivme-server: snapshot thread is gone; continuing WITHOUT durability");
-            return;
-        }
-        d.rounds_since_snapshot = 0;
-    }
-
-    /// Clean-shutdown checkpoint: same dispatch as the background path,
-    /// but waits for the install and the rotation to land before
-    /// returning. Callers have already drained the snapshot and WAL
-    /// queues, so at most this one snapshot is in flight.
-    fn final_snapshot(&mut self, serve: (u64, u64, u64)) {
-        let due = self.dur.as_ref().is_some_and(|d| !d.tracker.is_broken());
-        if !due {
-            return;
-        }
-        let data = self.snapshot_data(serve);
-        let d = self.dur.as_mut().unwrap();
-        d.tracker.begin_snapshot();
-        let (done_tx, done_rx) = mpsc::channel();
-        if d.pipeline.send(wal::Job::SnapshotStarted).is_err()
-            || !d.snap.submit(data, Some(done_tx))
-        {
-            d.tracker.end_snapshot();
-            return;
-        }
-        let _ = done_rx.recv();
-        // The install queued a `Rotate`; flush so the rotation is on disk
-        // before the shutdown ack promises "final snapshot written".
-        d.pipeline.flush();
-        d.rounds_since_snapshot = 0;
-    }
-
-    /// Captures the full state (config, staged rows, engine base
-    /// relations, cumulative counters) as serializable [`SnapshotData`].
-    fn snapshot_data(&self, serve: (u64, u64, u64)) -> SnapshotData {
-        let engine_stats = self.engine.as_ref().map_or((0, 0, 0), |e| {
-            let s = e.stats();
-            (s.updates, s.batches, s.misroutes)
-        });
-        SnapshotData {
-            epoch: self.epoch,
-            engine_stats,
-            serve_stats: serve,
-            epsilon: self.epsilon,
-            mode: self.mode,
-            shards: self.shards,
-            query: self.query.as_ref().map(|q| q.to_string()),
-            built: self.engine.is_some(),
-            staged: self.staged.clone(),
-            base: self
-                .engine
-                .as_ref()
-                .map(ShardedEngine::export_database)
-                .unwrap_or_default(),
-        }
-    }
-
-    /// Rebuilds the writer state from a loaded snapshot — the inverse of
-    /// [`OwnedState::snapshot_data`]. The engine is reconstructed by
-    /// re-preprocessing the exported base relations (same entry point as
-    /// a live `build`), then seeded with the persisted counters.
-    fn restore(&mut self, snap: SnapshotData) -> Result<(), String> {
-        self.epsilon = snap.epsilon;
-        self.mode = snap.mode;
-        self.shards = snap.shards;
-        self.staged = snap.staged;
-        self.epoch = snap.epoch;
-        self.query = match &snap.query {
-            None => None,
-            Some(q) => Some(ivme_query::parse_query(q).map_err(|e| e.to_string())?),
-        };
-        self.engine = None;
-        if snap.built {
-            let q = self
-                .query
-                .as_ref()
-                .ok_or("snapshot marked built but has no query")?;
-            let opts = EngineOptions {
-                epsilon: self.epsilon,
-                mode: self.mode,
-            };
-            let mut eng =
-                ShardedEngine::new(q, &snap.base, opts, self.shards).map_err(|e| e.to_string())?;
-            let (u, b, m) = snap.engine_stats;
-            eng.restore_stats(u, b, m);
-            self.engine = Some(eng);
-        }
-        Ok(())
-    }
-
-    fn apply_replayed(&mut self, batch: &DeltaBatch) -> Result<(), String> {
-        let eng = self
-            .engine
-            .as_mut()
-            .ok_or("WAL batch frame before any `build`")?;
-        eng.apply_delta_batch(batch).map_err(|e| e.to_string())
-    }
-}
-
-/// One operation decoded from a WAL frame, ready to apply.
-enum ReplayOp {
-    Admin(AdminOp),
-    Batch(DeltaBatch),
-}
-
-/// One WAL frame, fully parsed: what to apply at which epoch. Producing
-/// these is the CPU-bound half of replay (command parsing, tuple
-/// parsing, query parsing) and is trivially parallel per frame; applying
-/// them is stateful and stays sequential in epoch order.
-struct ReplayUnit {
-    epoch: u64,
-    /// The frame was a group-commit batch (seeds the serve counters).
-    batch_frame: bool,
-    ops: Vec<ReplayOp>,
-}
-
-/// Below this many frames the parallel replay parse stays serial.
-const PAR_REPLAY_MIN: usize = 64;
-
-/// Decodes one frame's command text into the operations it committed —
-/// the parse-only half of what live connections do. Frames are one
-/// committed unit each: a `.batch begin … commit` script, a run of
-/// `row` lines, or a single admin command. A CRC-valid frame that fails
-/// to parse is a logic error (it committed once), so the boot refuses to
-/// start rather than serving a diverged state.
-fn parse_replay_ops(text: &str) -> Result<Vec<ReplayOp>, String> {
-    let mut ops = Vec::new();
-    let mut pending: Option<DeltaBatch> = None;
-    for line in text.lines() {
-        let Some(cmd) = proto::parse_command(line)? else {
-            continue;
-        };
-        match cmd {
-            Command::BatchBegin => {
-                if pending.is_some() {
-                    return Err("nested `.batch begin` in WAL frame".into());
-                }
-                pending = Some(DeltaBatch::new());
-            }
-            Command::Update {
-                relation,
-                tuple,
-                delta,
-            } => match pending.as_mut() {
-                Some(b) => b.push(&relation, tuple, delta),
-                None => {
-                    let mut b = DeltaBatch::new();
-                    b.push(&relation, tuple, delta);
-                    ops.push(ReplayOp::Batch(b));
-                }
-            },
-            Command::BatchCommit => {
-                let b = pending.take().ok_or("`.batch commit` without begin")?;
-                ops.push(ReplayOp::Batch(b));
-            }
-            Command::Query(q) => ops.push(ReplayOp::Admin(AdminOp::Query(q))),
-            Command::Epsilon(e) => ops.push(ReplayOp::Admin(AdminOp::Epsilon(e))),
-            Command::Mode(m) => ops.push(ReplayOp::Admin(AdminOp::Mode(m))),
-            Command::Shards(n) => ops.push(ReplayOp::Admin(AdminOp::Shards(n))),
-            Command::Row { relation, tuple } => ops.push(ReplayOp::Admin(AdminOp::Rows {
-                relation,
-                rows: vec![tuple],
-            })),
-            Command::Build => ops.push(ReplayOp::Admin(AdminOp::Build)),
-            other => return Err(format!("unreplayable command in WAL: {other:?}")),
-        }
-    }
-    if pending.is_some() {
-        return Err("unterminated `.batch begin` in WAL frame".into());
-    }
-    Ok(ops)
-}
-
-/// Parses every frame newer than the snapshot into [`ReplayUnit`]s,
-/// fanning the parse across `threads` scoped threads for long logs.
-/// Output order (and the first error surfaced) is frame order either
-/// way.
-fn parse_replay_units(
-    frames: &[wal::Frame],
-    snap_epoch: u64,
-    threads: usize,
-) -> io::Result<Vec<ReplayUnit>> {
-    // Frames at or below the snapshot epoch were already checkpointed
-    // (the process died between the snapshot rename and the WAL
-    // rotation): skip, don't double-apply.
-    let keep: Vec<&wal::Frame> = frames.iter().filter(|f| f.epoch > snap_epoch).collect();
-    let parse_one = |f: &wal::Frame| -> io::Result<ReplayUnit> {
-        let ops = parse_replay_ops(&f.text)
-            .map_err(|e| invalid_data(format!("WAL replay failed at epoch {}: {e}", f.epoch)))?;
-        Ok(ReplayUnit {
-            epoch: f.epoch,
-            batch_frame: f.text.starts_with(".batch begin"),
-            ops,
-        })
-    };
-    if threads <= 1 || keep.len() < PAR_REPLAY_MIN {
-        return keep.into_iter().map(parse_one).collect();
-    }
-    let chunk = keep.len().div_ceil(threads);
-    let mut out: Vec<Option<io::Result<ReplayUnit>>> = Vec::new();
-    out.resize_with(keep.len(), || None);
-    std::thread::scope(|s| {
-        for (frame_chunk, out_chunk) in keep.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            s.spawn(move || {
-                for (f, slot) in frame_chunk.iter().zip(out_chunk.iter_mut()) {
-                    *slot = Some(parse_one(f));
-                }
-            });
-        }
-    });
-    out.into_iter().map(|r| r.unwrap()).collect()
-}
-
-/// Resolves `ServerConfig::replay_threads`: 0 means all available cores,
-/// capped — replay parsing saturates well before 8 threads.
-fn resolve_replay_threads(n: usize) -> usize {
-    if n != 0 {
-        return n;
-    }
-    std::thread::available_parallelism().map_or(1, |p| p.get().min(8))
-}
-
-/// State shared by the accept loop, connection threads, and the writer.
-struct Shared {
-    /// The bound address — the writer uses it to wake the blocking accept
-    /// loop with a throwaway connection on clean shutdown.
-    addr: SocketAddr,
-    published: Published<ServeSnapshot>,
-    shutdown: AtomicBool,
-    connections: AtomicU64,
-    group_commits: AtomicU64,
-    grouped_batches: AtomicU64,
-    group_retries: AtomicU64,
-    snapshots_published: AtomicU64,
-}
-
-/// Rare state-changing commands, serialized through the writer thread so
-/// the engine stays single-owner (file I/O happens before submission, on
-/// the connection thread).
-enum AdminOp {
-    Query(Query),
-    Epsilon(f64),
-    Mode(Mode),
-    Shards(usize),
-    Rows { relation: String, rows: Vec<Tuple> },
-    Build,
-}
-
-impl AdminOp {
-    /// The command text that replays this op — the WAL frame payload,
-    /// captured *before* `admin` consumes the op. Rendering reuses the
-    /// grammar's own canonical forms so replay parses exactly what a
-    /// connection would have sent.
-    fn wal_text(&self) -> String {
-        match self {
-            AdminOp::Query(q) => format!("query {q}"),
-            // f64 Display is the shortest round-tripping decimal in Rust,
-            // so the replayed epsilon is bit-identical.
-            AdminOp::Epsilon(e) => format!("epsilon {e}"),
-            AdminOp::Mode(Mode::Dynamic) => "mode dynamic".to_owned(),
-            AdminOp::Mode(Mode::Static) => "mode static".to_owned(),
-            AdminOp::Shards(n) => format!(".shards {n}"),
-            AdminOp::Rows { relation, rows } => {
-                let mut out = String::new();
-                for t in rows {
-                    out.push_str(&proto::row_line(relation, t));
-                    out.push('\n');
-                }
-                out
-            }
-            AdminOp::Build => "build".to_owned(),
-        }
-    }
-}
-
-/// One submission into the writer channel.
-enum Request {
-    /// A consolidated update batch and the channel to ack on.
-    Batch {
-        batch: DeltaBatch,
-        ack: mpsc::Sender<WriteAck>,
-    },
-    /// An admin operation and the channel its response rides back on.
-    Admin {
-        op: AdminOp,
-        ack: mpsc::Sender<Result<String, String>>,
-    },
-    /// A clean-shutdown request: the writer finishes the round, drains
-    /// what is still queued, fsyncs the WAL, writes a final snapshot,
-    /// stops the accept loop, and only then acks — nothing submitted
-    /// before the ack is lost.
-    Shutdown {
-        ack: mpsc::Sender<Result<String, String>>,
-    },
-}
-
-/// What the writer thread reports back per submitted batch.
-type WriteAck = Result<GroupInfo, String>;
-
-/// An ack the writer holds back until after the publish, so a client that
-/// sees its response is guaranteed to read its own write.
-enum PendingAck {
-    Write(mpsc::Sender<WriteAck>, WriteAck),
-    Admin(mpsc::Sender<Result<String, String>>, Result<String, String>),
-}
-
-/// Timing/shape of the group commit a batch rode in.
-#[derive(Clone, Copy, Debug)]
-pub struct GroupInfo {
-    /// Client batches coalesced into the commit.
-    pub group: usize,
-    /// Wall time of the engine apply (the whole group's, not this batch's
-    /// share).
-    pub apply_micros: u128,
-}
-
 /// A running server. Dropping it stops the accept loop and waits for the
 /// writer thread to exit — which happens once every open connection has
 /// disconnected — so no background thread is still touching the data dir
@@ -869,90 +267,19 @@ impl Server {
             ))),
             None => None,
         };
-        let mut state = OwnedState::new();
-        state.repl = hub.clone();
+        let mut state = OwnedState::new(hub.clone().map(ReplRole::Primary));
         // Serve-layer counters survive restarts too: seeded from the
         // snapshot, advanced by replay, then live.
         let mut serve_seed = (0u64, 0u64, 0u64);
         if let Some(dir) = &config.data_dir {
-            std::fs::create_dir_all(dir)?;
-            let (snap, warnings) = snapshot::load_latest(dir)?;
-            for w in &warnings {
-                eprintln!("ivme-server: {w}");
-            }
-            let snap_epoch = snap.as_ref().map_or(0, |s| s.epoch);
-            if let Some(s) = snap {
-                serve_seed = s.serve_stats;
-                state.restore(s).map_err(invalid_data)?;
-            }
-            let wal_path = dir.join("wal.log");
-            let replay_threads = resolve_replay_threads(config.replay_threads);
-            let (wal, recovered) = if wal_path.exists() {
-                Wal::open_threaded(&wal_path, replay_threads)?
-            } else {
-                (
-                    Wal::create(&wal_path, snap_epoch)?,
-                    wal::Recovered::default(),
-                )
-            };
-            if wal.base_epoch() > state.epoch {
-                return Err(invalid_data(format!(
-                    "WAL {} continues from epoch {} but the newest loadable snapshot is epoch {} — \
-                     refusing to serve a state with a gap",
-                    wal_path.display(),
-                    wal.base_epoch(),
-                    state.epoch
-                )));
-            }
-            if let Some(reason) = &recovered.truncated {
-                eprintln!("ivme-server: WAL damage: {reason}");
-            }
-            // Parse (parallel) then apply (sequential, epoch order).
-            let units = parse_replay_units(&recovered.frames, snap_epoch, replay_threads)?;
-            let mut groups = 0u64;
-            let mut last = state.epoch;
-            for ReplayUnit {
-                epoch,
-                batch_frame,
-                ops,
-            } in units
-            {
-                for op in ops {
-                    let res = match op {
-                        ReplayOp::Admin(op) => state.admin(op).map(|_| ()),
-                        ReplayOp::Batch(b) => state.apply_replayed(&b),
-                    };
-                    res.map_err(|e| {
-                        // A CRC-valid frame that fails replay is corruption
-                        // of a different kind (or a logic bug): refuse to
-                        // start rather than serve a diverged state.
-                        invalid_data(format!("WAL replay failed at epoch {epoch}: {e}"))
-                    })?;
-                }
-                if epoch != last {
-                    groups += 1;
-                    last = epoch;
-                }
-                if batch_frame {
-                    serve_seed.0 += 1; // one group commit…
-                    serve_seed.1 += 1; // …of (at least) one batch
-                }
-                state.epoch = epoch;
-            }
-            if groups > 0 {
-                eprintln!(
-                    "ivme-server: recovered {} commit round(s) ({} frame(s)) from {}",
-                    groups,
-                    wal.frames(),
-                    wal_path.display()
-                );
-            }
+            let rec = recovery::recover(dir, &mut state)?;
+            serve_seed = rec.serve_seed;
             // Both frontiers start at the recovered epoch: everything
             // replayed is on disk by definition. The WAL itself moves to
             // the sync thread; the writer keeps only job handles.
-            let tracker = Arc::new(DurTracker::new(state.epoch, wal.frames()));
+            let tracker = Arc::new(DurTracker::new(state.epoch, rec.wal.frames()));
             let pipeline = WalPipeline::start(
-                wal,
+                rec.wal,
                 config.fsync,
                 Arc::clone(&tracker),
                 config.hooks.sync_barrier.clone(),
@@ -970,8 +297,7 @@ impl Server {
                 tracker,
                 snapshot_every: config.snapshot_every,
                 rounds_since_snapshot: 0,
-                recovered_groups: groups,
-                serial: !config.pipeline,
+                recovered_groups: rec.groups,
             });
         }
         // Followers may connect from here on: recovery is complete, the
@@ -988,18 +314,8 @@ impl Server {
         };
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let initial = ServeSnapshot {
-            query: state.query.clone(),
-            mode: state.mode,
-            view: state.engine.as_ref().map(|e| e.snapshot(state.epoch)),
-            dur: state.dur_info(),
-            repl: state.repl_role(),
-        };
         let shared = Arc::new(Shared {
-            addr,
-            published: Published::new(initial),
-            shutdown: AtomicBool::new(false),
-            connections: AtomicU64::new(0),
+            endpoint: Arc::new(Endpoint::new(addr, state.serve_snapshot(state.epoch))),
             group_commits: AtomicU64::new(serve_seed.0),
             grouped_batches: AtomicU64::new(serve_seed.1),
             group_retries: AtomicU64::new(serve_seed.2),
@@ -1011,15 +327,13 @@ impl Server {
             let group_limit = config.group_limit.max(1);
             std::thread::Builder::new()
                 .name("ivme-group-commit".into())
-                .spawn(move || writer_loop(rx, shared, group_limit, state))?
+                .spawn(move || writer::writer_loop(rx, shared, group_limit, state))?
         };
-        let accept_handle = {
-            let shared = Arc::clone(&shared);
-            let tx = tx.clone();
-            std::thread::Builder::new()
-                .name("ivme-accept".into())
-                .spawn(move || accept_loop(listener, shared, tx))?
-        };
+        let accept_handle = conn::spawn_accept_loop(
+            listener,
+            Arc::clone(&shared.endpoint),
+            WriteSink::Writer(tx.clone()),
+        )?;
         Ok(Server {
             addr,
             shared,
@@ -1049,7 +363,7 @@ impl Server {
     /// Server-layer counters (connections, group-commit shapes).
     pub fn serve_stats(&self) -> ServeStats {
         ServeStats {
-            connections: self.shared.connections.load(Ordering::Relaxed),
+            connections: self.shared.endpoint.connections.load(Ordering::Relaxed),
             group_commits: self.shared.group_commits.load(Ordering::Relaxed),
             grouped_batches: self.shared.grouped_batches.load(Ordering::Relaxed),
             group_retries: self.shared.group_retries.load(Ordering::Relaxed),
@@ -1064,25 +378,11 @@ impl Server {
     /// `shutdown` command.
     pub fn shutdown(&mut self) -> Result<String, String> {
         let tx = self.tx.as_ref().ok_or("server is shutting down")?;
-        let (ack_tx, ack_rx) = mpsc::channel();
-        send_request(tx, Request::Shutdown { ack: ack_tx })?;
-        let res = ack_rx
-            .recv()
-            .map_err(|_| "server is shutting down".to_owned())?;
-        // The writer broke out of its loop before acking, so both joins
-        // return promptly even while connections linger.
-        if let Some(h) = self.accept_handle.take() {
-            let _ = h.join();
-        }
-        drop(self.tx.take());
-        if let Some(h) = self.writer_handle.take() {
-            let _ = h.join();
-        }
-        // Disconnect followers last, so everything the final rounds
-        // committed was offered to them first.
-        if let Some(r) = self.repl.as_mut() {
-            r.stop();
-        }
+        let res = writer::call(tx, |ack| Request::Shutdown { ack });
+        // The writer closed the endpoint and broke out of its loop before
+        // acking, so `stop`'s joins return promptly even while
+        // connections linger.
+        self.stop();
         res
     }
 
@@ -1090,7 +390,7 @@ impl Server {
     /// [`Server::shutdown`], a client's `shutdown` command, or
     /// [`Server::stop`]).
     pub fn is_shutdown(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
+        self.shared.endpoint.is_closed()
     }
 
     /// Stops accepting new connections, then waits for the writer thread
@@ -1102,10 +402,7 @@ impl Server {
     /// server instance touches the data dir after `stop` returns, so a
     /// successor can recover from the same dir immediately.
     pub fn stop(&mut self) {
-        if !self.shared.shutdown.swap(true, Ordering::SeqCst) {
-            // Wake the blocking `accept` with a throwaway connection.
-            let _ = TcpStream::connect(self.addr);
-        }
+        self.shared.endpoint.close();
         if let Some(h) = self.accept_handle.take() {
             let _ = h.join();
         }
@@ -1119,6 +416,8 @@ impl Server {
         if let Some(h) = self.writer_handle.take() {
             let _ = h.join();
         }
+        // Disconnect followers last, so everything the final rounds
+        // committed was offered to them first.
         if let Some(r) = self.repl.as_mut() {
             r.stop();
         }
@@ -1140,604 +439,17 @@ impl Drop for Server {
     }
 }
 
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>, tx: SyncSender<Request>) {
-    for stream in listener.incoming() {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        shared.connections.fetch_add(1, Ordering::Relaxed);
-        let shared = Arc::clone(&shared);
-        let tx = tx.clone();
-        let _ = std::thread::Builder::new()
-            .name("ivme-conn".into())
-            .spawn(move || {
-                let _ = handle_connection(stream, shared, tx);
-            });
-    }
-    // `tx` drops here (and per-connection clones as clients leave); the
-    // writer thread exits when the channel has no senders left.
-}
-
-// ----------------------------------------------------------------------
-// Group-commit writer: sole owner of the engine, publisher of snapshots
-// ----------------------------------------------------------------------
-
-fn writer_loop(
-    rx: Receiver<Request>,
-    shared: Arc<Shared>,
-    group_limit: usize,
-    mut state: OwnedState,
-) {
-    while let Ok(first) = rx.recv() {
-        let mut reqs = vec![first];
-        while reqs.len() < group_limit {
-            match rx.try_recv() {
-                Ok(r) => reqs.push(r),
-                Err(_) => break,
-            }
-        }
-        let mut shutdown_acks = process_round(reqs, &mut state, &shared);
-        if shutdown_acks.is_empty() {
-            continue;
-        }
-        // ---- clean shutdown ----
-        // Drain and commit whatever else was already queued: a request
-        // submitted before the shutdown ack is never dropped on the floor.
-        let mut rest = Vec::new();
-        while let Ok(r) = rx.try_recv() {
-            rest.push(r);
-        }
-        if !rest.is_empty() {
-            shutdown_acks.extend(process_round(rest, &mut state, &shared));
-        }
-        if let Some(d) = state.dur.as_ref() {
-            // Drain the background lanes in dependency order: any
-            // in-flight snapshot installs (and queues its rotation), then
-            // the WAL queue processes every pending commit, the rotation,
-            // and a final fsync.
-            d.snap.barrier();
-            d.pipeline.flush();
-        }
-        state.final_snapshot(serve_counters(&shared));
-        shared.shutdown.store(true, Ordering::SeqCst);
-        // Wake the blocking accept with a throwaway connection so the
-        // accept loop observes the flag and exits.
-        let _ = TcpStream::connect(shared.addr);
-        let msg = if state.dur.is_some() {
-            "shutting down: channel drained, WAL synced, final snapshot written\n"
-        } else {
-            "shutting down: channel drained (no data dir — nothing persisted)\n"
-        };
-        for ack in shutdown_acks {
-            let _ = ack.send(Ok(msg.to_owned()));
-        }
-        break;
-        // Exiting without a shutdown request (channel closed: the Server
-        // and every connection are gone) is the abrupt path — no final
-        // snapshot, deliberately. Committed rounds are already durable in
-        // the WAL; writing a snapshot here would also make in-process
-        // "kill" tests meaninglessly gentle.
-    }
-}
-
-/// One writer round: processes the drained requests in arrival order —
-/// maximal runs of consecutive batches become one group commit each,
-/// admin ops are serialization points between runs — then persists the
-/// round's WAL frames, publishes the new snapshot, and fans out the
-/// held-back acks. Shutdown requests found in the round are returned to
-/// the caller ([`writer_loop`] runs the shutdown sequence).
-fn process_round(
-    reqs: Vec<Request>,
-    state: &mut OwnedState,
-    shared: &Shared,
-) -> Vec<mpsc::Sender<Result<String, String>>> {
-    let mut acks: Vec<PendingAck> = Vec::with_capacity(reqs.len());
-    let mut shutdown_acks = Vec::new();
-    let mut dirty = false;
-    let mut frames: Vec<String> = Vec::new();
-    let mut run: Vec<(DeltaBatch, mpsc::Sender<WriteAck>)> = Vec::new();
-    for req in reqs {
-        match req {
-            Request::Batch { batch, ack } => run.push((batch, ack)),
-            Request::Admin { op, ack } => {
-                commit_run(&mut run, state, shared, &mut acks, &mut dirty, &mut frames);
-                // Capture the replay text before `admin` consumes the op;
-                // it becomes a WAL frame only if the op succeeds.
-                let text = op.wal_text();
-                let res = state.admin(op);
-                if res.is_ok() {
-                    dirty = true;
-                    frames.push(text);
-                }
-                acks.push(PendingAck::Admin(ack, res));
-            }
-            Request::Shutdown { ack } => shutdown_acks.push(ack),
-        }
-    }
-    commit_run(&mut run, state, shared, &mut acks, &mut dirty, &mut frames);
-    // Publish, then hand the round to the sync thread *with its acks* —
-    // in that order. The publish before the hand-off is the
-    // read-your-writes promise; the sync thread running the acks only
-    // after the fsync is the durability promise. The writer is then free
-    // to apply the next round while this one's fsync is in flight.
-    // Rejected-only rounds publish (and log) nothing — readers cannot
-    // tell a rejection happened.
-    if dirty {
-        let epoch = state.epoch + 1;
-        let log = state
-            .dur
-            .as_ref()
-            .is_some_and(|d| !d.tracker.is_broken() && !frames.is_empty());
-        if log {
-            // Advertise the new inflight frontier before the publish so
-            // any read against the new snapshot already sees it.
-            state.dur.as_ref().unwrap().tracker.set_inflight(epoch);
-        }
-        shared.published.publish(ServeSnapshot {
-            query: state.query.clone(),
-            mode: state.mode,
-            view: state.engine.as_ref().map(|e| e.snapshot(epoch)),
-            dur: state.dur_info(),
-            repl: state.repl_role(),
-        });
-        state.epoch = epoch;
-        shared.snapshots_published.fetch_add(1, Ordering::Relaxed);
-        if log {
-            let d = state.dur.as_mut().unwrap();
-            let pending = std::mem::take(&mut acks);
-            let release: wal::Release = Box::new(move || release_acks(pending));
-            match d.pipeline.send(wal::Job::Commit {
-                epoch,
-                frames: std::mem::take(&mut frames),
-                release,
-            }) {
-                Ok(()) => {
-                    d.rounds_since_snapshot += 1;
-                    if d.serial {
-                        // --serial-commit: reinstate PR 7's timing by
-                        // waiting for this round's fsync before the next.
-                        d.pipeline.flush();
-                    }
-                }
-                Err(job) => {
-                    eprintln!(
-                        "ivme-server: WAL sync thread is gone; continuing WITHOUT durability"
-                    );
-                    d.tracker.set_broken();
-                    if let wal::Job::Commit { release, .. } = job {
-                        release();
-                    }
-                }
-            }
-        }
-    }
-    // Rounds that logged nothing ack here; logged rounds ack from the
-    // sync thread after their fsync (`acks` is empty then).
-    release_acks(acks);
-    // Checkpoint cadence runs after the hand-off: the WAL queue already
-    // holds everything a crash needs, so the snapshot is off the ack
-    // path — and off the writer thread entirely.
-    state.maybe_dispatch_snapshot(serve_counters(shared));
-    shutdown_acks
-}
-
-/// Fans a round's held-back acks out to their waiting clients.
-fn release_acks(acks: Vec<PendingAck>) {
-    for ack in acks {
-        match ack {
-            PendingAck::Write(tx, res) => {
-                let _ = tx.send(res);
-            }
-            PendingAck::Admin(tx, res) => {
-                let _ = tx.send(res);
-            }
-        }
-    }
-}
-
-/// The serve-layer counters a snapshot persists.
-fn serve_counters(shared: &Shared) -> (u64, u64, u64) {
-    (
-        shared.group_commits.load(Ordering::Relaxed),
-        shared.grouped_batches.load(Ordering::Relaxed),
-        shared.group_retries.load(Ordering::Relaxed),
-    )
-}
-
 fn invalid_data(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-/// Applies one run of consecutive client batches as a single group
-/// commit (with per-member replay if the merged batch rejects), emptying
-/// `run`. Acks are deferred into `acks`; `dirty` is set if anything
-/// committed; each *committed unit* pushes its replay script into
-/// `frames` (one WAL frame per unit).
-///
-/// Frames record what *committed*, after the apply — not what was
-/// submitted. The distinction matters on the fallback path: a merged
-/// group validates on its **net** delta (one member's over-delete can be
-/// cancelled by another member's insert), so replaying the raw member
-/// batches sequentially could reject a member that the merged commit
-/// accepted. Logging the merged batch on group success and each
-/// surviving member on fallback makes replay bit-exact by construction.
-fn commit_run(
-    run: &mut Vec<(DeltaBatch, mpsc::Sender<WriteAck>)>,
-    state: &mut OwnedState,
-    shared: &Shared,
-    acks: &mut Vec<PendingAck>,
-    dirty: &mut bool,
-    frames: &mut Vec<String>,
-) {
-    if run.is_empty() {
-        return;
-    }
-    let members = std::mem::take(run);
-    let Some(eng) = state.engine.as_mut() else {
-        for (_, ack) in members {
-            acks.push(PendingAck::Write(ack, Err("run `build` first".to_owned())));
-        }
-        return;
-    };
-    shared.group_commits.fetch_add(1, Ordering::Relaxed);
-    shared
-        .grouped_batches
-        .fetch_add(members.len() as u64, Ordering::Relaxed);
-    if members.len() == 1 {
-        let (batch, ack) = members.into_iter().next().unwrap();
-        let t0 = Instant::now();
-        let res = eng
-            .apply_delta_batch(&batch)
-            .map(|()| GroupInfo {
-                group: 1,
-                apply_micros: t0.elapsed().as_micros(),
-            })
-            .map_err(|e| e.to_string());
-        if res.is_ok() {
-            *dirty = true;
-            frames.push(proto::batch_lines(&batch));
-        }
-        acks.push(PendingAck::Write(ack, res));
-        return;
-    }
-    // Coalesce the whole run into one batch: one validation pass, one
-    // maintenance round, one snapshot publish for the entire group.
-    let mut merged = DeltaBatch::new();
-    for (b, _) in &members {
-        for rel in b.relations() {
-            merged.extend_relation(rel, b.deltas(rel).map(|(t, d)| (t.clone(), d)));
-        }
-    }
-    let t0 = Instant::now();
-    match eng.apply_delta_batch(&merged) {
-        Ok(()) => {
-            *dirty = true;
-            frames.push(proto::batch_lines(&merged));
-            let info = GroupInfo {
-                group: members.len(),
-                apply_micros: t0.elapsed().as_micros(),
-            };
-            for (_, ack) in members {
-                acks.push(PendingAck::Write(ack, Ok(info)));
-            }
-        }
-        Err(_) => {
-            // Some member poisoned the group; the failed merged apply
-            // mutated nothing (prepare/apply split), so replay the
-            // members individually in arrival order — only offenders
-            // see an error.
-            shared.group_retries.fetch_add(1, Ordering::Relaxed);
-            for (batch, ack) in members {
-                let t0 = Instant::now();
-                let res = eng
-                    .apply_delta_batch(&batch)
-                    .map(|()| GroupInfo {
-                        group: 1,
-                        apply_micros: t0.elapsed().as_micros(),
-                    })
-                    .map_err(|e| e.to_string());
-                if res.is_ok() {
-                    *dirty = true;
-                    frames.push(proto::batch_lines(&batch));
-                }
-                acks.push(PendingAck::Write(ack, res));
-            }
-        }
-    }
-}
-
-// ----------------------------------------------------------------------
-// Connection handling
-// ----------------------------------------------------------------------
-
-/// Places one request into the bounded writer channel. Blocks on a full
-/// queue (back-pressure) without busy-waiting; `send` only fails when the
-/// writer thread is gone, which means shutdown.
-fn send_request(tx: &SyncSender<Request>, req: Request) -> Result<(), String> {
-    if let Err(e) = tx.try_send(req) {
-        match e {
-            TrySendError::Full(req) => tx
-                .send(req)
-                .map_err(|_| "server is shutting down".to_owned())?,
-            TrySendError::Disconnected(_) => return Err("server is shutting down".to_owned()),
-        }
-    }
-    Ok(())
-}
-
-/// Submits one batch to the writer thread and waits for its ack.
-fn submit(tx: &SyncSender<Request>, batch: DeltaBatch) -> Result<GroupInfo, String> {
-    let (ack_tx, ack_rx) = mpsc::channel();
-    send_request(tx, Request::Batch { batch, ack: ack_tx })?;
-    ack_rx
-        .recv()
-        .map_err(|_| "server is shutting down".to_owned())?
-}
-
-/// Submits one admin op to the writer thread and waits for its response.
-fn admin(tx: &SyncSender<Request>, op: AdminOp) -> Result<String, String> {
-    let (ack_tx, ack_rx) = mpsc::channel();
-    send_request(tx, Request::Admin { op, ack: ack_tx })?;
-    ack_rx
-        .recv()
-        .map_err(|_| "server is shutting down".to_owned())?
-}
-
-/// Borrowing parse of an `insert`/`delete` line for the staging hot path:
-/// `Some((relation, tuple-or-parse-error, ±1))` when the line is an update
-/// command, `None` for anything else (which then goes through
-/// [`proto::parse_command`] as usual).
-fn parse_staged_update(line: &str) -> Option<(&str, Result<Tuple, String>, i64)> {
-    let line = line.trim();
-    let (verb, rest) = line.split_once(char::is_whitespace)?;
-    let delta = match verb {
-        "insert" => 1,
-        "delete" => -1,
-        _ => return None,
-    };
-    let (rel, csv) = rest.trim().split_once(char::is_whitespace)?;
-    Some((rel, proto::parse_tuple(csv), delta))
-}
-
-fn handle_connection(
-    stream: TcpStream,
-    shared: Arc<Shared>,
-    tx: SyncSender<Request>,
-) -> io::Result<()> {
-    stream.set_nodelay(true)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    // Per-connection `.batch` staging area — mirrors the shell's.
-    let mut pending: Option<DeltaBatch> = None;
-    // Per-connection snapshot handle: refreshed (one atomic load) per
-    // read command, re-cloned only when the writer has published since.
-    let mut cache = shared.published.cache();
-    let mut line = String::new();
-    loop {
-        // Flush buffered responses before a read that could block: a
-        // pipelining client gets its acks in one burst once the server
-        // catches up, a closed-loop client gets each ack immediately.
-        if reader.buffer().is_empty() {
-            writer.flush()?;
-        }
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            break;
-        }
-        // Hot path for batch staging: while a `.batch` is open, an
-        // `insert`/`delete` line goes straight into the pending batch
-        // without allocating a `Command` (its owned relation string) or
-        // formatting the interactive staging message — submitting a batch
-        // of k updates is k pipelined lines, and this path is what keeps
-        // group-commit throughput within reach of raw `apply_delta_batch`.
-        // Semantics are identical to the `Command::Update` route below
-        // (same `parse_tuple`, same staging), only the ack is empty.
-        if let Some(batch) = pending.as_mut() {
-            if let Some((rel, tuple, delta)) = parse_staged_update(&line) {
-                match tuple {
-                    Ok(t) => {
-                        batch.push(rel, t, delta);
-                        proto::write_ok(&mut writer, "")?;
-                    }
-                    Err(e) => proto::write_err(&mut writer, &e)?,
-                }
-                continue;
-            }
-        }
-        let cmd = match proto::parse_command(&line) {
-            Ok(Some(c)) => c,
-            Ok(None) => {
-                proto::write_ok(&mut writer, "")?;
-                continue;
-            }
-            Err(e) => {
-                proto::write_err(&mut writer, &e)?;
-                continue;
-            }
-        };
-        let quit = matches!(cmd, Command::Quit);
-        match execute(cmd, &shared, &mut cache, &tx, &mut pending) {
-            Ok(out) => proto::write_ok(&mut writer, &out)?,
-            Err(e) => proto::write_err(&mut writer, &e)?,
-        }
-        if quit {
-            break;
-        }
-    }
-    writer.flush()
-}
-
-/// Executes one command. Reads refresh the connection's snapshot handle
-/// and dispatch lock-free through [`execute_read`]; writes and admin
-/// commands travel the writer channel.
-fn execute(
-    cmd: Command,
-    shared: &Shared,
-    cache: &mut Cached<ServeSnapshot>,
-    tx: &SyncSender<Request>,
-    pending: &mut Option<DeltaBatch>,
-) -> Result<String, String> {
-    match cmd {
-        Command::Quit => Ok("bye\n".to_owned()),
-        Command::Help => Ok(proto::HELP.to_owned()),
-        Command::Shutdown => {
-            let (ack_tx, ack_rx) = mpsc::channel();
-            send_request(tx, Request::Shutdown { ack: ack_tx })?;
-            ack_rx
-                .recv()
-                .map_err(|_| "server is shutting down".to_owned())?
-        }
-
-        // ---- admin/setup: serialized through the writer thread ----
-        Command::Query(q) => admin(tx, AdminOp::Query(q)),
-        Command::Epsilon(e) => admin(tx, AdminOp::Epsilon(e)),
-        Command::Mode(m) => admin(tx, AdminOp::Mode(m)),
-        Command::Shards(n) => admin(tx, AdminOp::Shards(n)),
-        Command::Row { relation, tuple } => admin(
-            tx,
-            AdminOp::Rows {
-                relation,
-                rows: vec![tuple],
-            },
-        ),
-        Command::Load { relation, path } => {
-            // File I/O on the connection thread — the server reads its own
-            // disk; only the parsed rows travel to the writer.
-            let rows = proto::load_csv(&path)?;
-            admin(tx, AdminOp::Rows { relation, rows })
-        }
-        Command::Build => admin(tx, AdminOp::Build),
-
-        // ---- writes: group-commit channel ----
-        Command::Update {
-            relation,
-            tuple,
-            delta,
-        } => {
-            if let Some(batch) = pending.as_mut() {
-                // `handle_connection`'s staging hot path intercepts the
-                // `insert`/`delete` shapes while a batch is open; the
-                // general `update <rel> <delta> <csv>` verb (and any
-                // future caller of `execute`) stages here, with the same
-                // empty ack as the hot path.
-                batch.push(&relation, tuple, delta);
-                return Ok(String::new());
-            }
-            let mut batch = DeltaBatch::new();
-            batch.push(&relation, tuple, delta);
-            submit(tx, batch)?;
-            Ok(String::new())
-        }
-        Command::BulkLoad { relation, path } => {
-            let mut batch = DeltaBatch::new();
-            for t in proto::load_csv(&path)? {
-                batch.insert(&relation, t);
-            }
-            let n = batch.cardinality();
-            let info = submit(tx, batch)?;
-            let secs = info.apply_micros as f64 / 1e6;
-            Ok(format!(
-                "applied batch of {n} rows into {relation} in {:.3}ms ({:.0} rows/s, group of {})\n",
-                secs * 1e3,
-                n as f64 / secs.max(1e-9),
-                info.group
-            ))
-        }
-        Command::BatchBegin => {
-            if pending.is_some() {
-                return Err("a batch is already open (`.batch commit|abort`)".into());
-            }
-            shared.published.refresh(cache).view()?;
-            *pending = Some(DeltaBatch::new());
-            Ok("batch open: insert/delete now stage until `.batch commit`\n".to_owned())
-        }
-        Command::BatchCommit => {
-            let batch = pending.take().ok_or("no open batch (`.batch begin`)")?;
-            let (card, net) = (batch.cardinality(), batch.distinct_len());
-            match submit(tx, batch) {
-                Ok(info) => {
-                    let secs = info.apply_micros as f64 / 1e6;
-                    Ok(format!(
-                        "committed {card} updates ({net} net entries) in {:.3}ms ({:.0} updates/s, group of {})\n",
-                        secs * 1e3,
-                        card as f64 / secs.max(1e-9),
-                        info.group
-                    ))
-                }
-                Err(e) => Err(format!("batch rejected (engine unchanged): {e}")),
-            }
-        }
-        Command::BatchAbort => {
-            let batch = pending.take().ok_or("no open batch (`.batch begin`)")?;
-            Ok(format!(
-                "aborted batch of {} staged updates\n",
-                batch.cardinality()
-            ))
-        }
-        Command::BatchStatus => match pending {
-            Some(b) => Ok(format!(
-                "open batch: {} updates, {} net entries\n",
-                b.cardinality(),
-                b.distinct_len()
-            )),
-            None => Ok("no open batch\n".to_owned()),
-        },
-
-        // ---- reads: lock-free against the published snapshot ----
-        cmd => execute_read(cmd, shared.published.refresh(cache)),
-    }
-}
-
-/// Executes one read command against an immutable [`ServeSnapshot`].
-///
-/// This is the whole read dispatch path, and its signature is the
-/// lock-freedom proof: it sees `&ServeSnapshot` — no `RwLock`, no
-/// `Mutex`, no channel, not even the [`Server`] — so a read command
-/// cannot acquire a lock no matter what the rest of the crate does.
-/// Formatting is shared with the REPL ([`ivme_cli::render`]), so shell
-/// transcripts and server transcripts stay byte-identical.
-pub fn execute_read(cmd: Command, snap: &ServeSnapshot) -> Result<String, String> {
-    match cmd {
-        Command::List { limit } => Ok(render::render_list(snap.view()?, limit)),
-        Command::Get(t) => render::render_get(snap.view()?, snap.query()?, &t),
-        Command::Page { offset, limit } => Ok(render::render_page(snap.view()?, offset, limit)),
-        Command::Count => Ok(render::render_count(snap.view()?)),
-        Command::Stats => {
-            let mut out = render::render_stats(snap.view()?);
-            if let Some(d) = snap.dur.as_ref().map(DurHandle::sample) {
-                use std::fmt::Write as _;
-                let _ = writeln!(
-                    out,
-                    "wal_epoch = {}, durable_epoch = {}, fsync_backlog = {}, wal_frames = {}, \
-                     last_fsync_us = {}, snapshot_in_progress = {}, recovered_groups = {}",
-                    d.wal_epoch,
-                    d.durable_epoch,
-                    d.fsync_backlog,
-                    d.wal_frames,
-                    d.last_fsync_us,
-                    u8::from(d.snapshot_in_progress),
-                    d.recovered_groups
-                );
-            }
-            if let Some(r) = snap.repl.as_ref() {
-                r.stats_lines(&mut out);
-            }
-            Ok(out)
-        }
-        Command::Classify => Ok(format!("{:#?}\n", classify(snap.query()?))),
-        Command::Plan => {
-            let plan = ivme_plan::compile(snap.query()?, snap.mode).map_err(|e| e.to_string())?;
-            Ok(plan.render())
-        }
-        // Non-read commands never reach here: `execute` matches them
-        // first. Report rather than panic for direct callers.
-        _ => Err("not a read command".to_owned()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use std::io::{BufReader, BufWriter, Write};
+    use std::net::TcpStream;
+
+    use ivme_cli::proto;
+
     use super::*;
 
     /// A tiny blocking client for the tests: sends one line, reads one
@@ -1974,56 +686,6 @@ mod tests {
         let stats = c.ok("stats");
         assert!(stats.contains("shards = 3"), "{stats}");
         assert!(stats.contains("shard 2: N ="), "{stats}");
-    }
-
-    #[test]
-    fn read_dispatch_needs_only_an_immutable_snapshot() {
-        // The acceptance check for "no lock acquisition on the read
-        // path": build a ServeSnapshot by hand — no server, no channel,
-        // no lock — then run every read command through the exact
-        // dispatch function the connection threads use. After `drop(eng)`
-        // the engine (and every Mutex inside its merge cache) is gone;
-        // the snapshot keeps serving.
-        let mut db = Database::new();
-        db.insert("R", Tuple::ints(&[1, 10]), 1);
-        db.insert("R", Tuple::ints(&[2, 10]), 1);
-        db.insert("S", Tuple::ints(&[10, 5]), 1);
-        let q = ivme_query::parse_query("Q(A,C) :- R(A,B), S(B,C)").unwrap();
-        let eng = ShardedEngine::new(&q, &db, EngineOptions::dynamic(0.5), 2).unwrap();
-        let snap = ServeSnapshot {
-            query: Some(q),
-            mode: Mode::Dynamic,
-            view: Some(eng.snapshot(3)),
-            dur: None,
-            repl: None,
-        };
-        drop(eng);
-        assert_eq!(execute_read(Command::Count, &snap).unwrap(), "2\n");
-        let list = execute_read(Command::List { limit: 10 }, &snap).unwrap();
-        assert!(list.contains("(2 tuples)"), "{list}");
-        assert_eq!(
-            execute_read(Command::Get(Tuple::ints(&[1, 5])), &snap).unwrap(),
-            "(1, 5) x1\n"
-        );
-        let page = execute_read(
-            Command::Page {
-                offset: 0,
-                limit: 1,
-            },
-            &snap,
-        )
-        .unwrap();
-        assert!(page.contains("(1 tuples at offset 0)"), "{page}");
-        let stats = execute_read(Command::Stats, &snap).unwrap();
-        assert!(stats.contains("snapshot_epoch = 3"), "{stats}");
-        assert!(execute_read(Command::Classify, &snap).is_ok());
-        assert!(execute_read(Command::Plan, &snap).is_ok());
-        assert!(execute_read(Command::Build, &snap).is_err());
-        // Sharing snapshots across connection threads needs no lock
-        // wrapper — checked at compile time.
-        const fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<ServeSnapshot>();
-        assert_send_sync::<Published<ServeSnapshot>>();
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! ```text
 //! ivme-server [--addr 127.0.0.1:7143] [--queue-depth 128] [--group-limit 64]
 //!             [--data-dir DIR] [--fsync none|group|always] [--snapshot-every N]
-//!             [--serial-commit] [--replay-threads N] [--repl-listen HOST:PORT]
+//!             [--repl-listen HOST:PORT]
 //! ivme-server replica PRIMARY:PORT [--listen 127.0.0.1:7145]
 //! ```
 //!
@@ -89,18 +89,12 @@ fn main() {
                     die("--snapshot-every must be an integer (0 = only on shutdown)")
                 })
             }
-            "--serial-commit" => config.pipeline = false,
-            "--replay-threads" => {
-                config.replay_threads = value("--replay-threads")
-                    .parse()
-                    .unwrap_or_else(|_| die("--replay-threads must be an integer (0 = auto)"))
-            }
             "--repl-listen" => config.repl_listen = Some(value("--repl-listen")),
             "--help" | "-h" => {
                 println!(
                     "usage: ivme-server [--addr HOST:PORT] [--queue-depth N] [--group-limit N]\n\
                      \x20                  [--data-dir DIR] [--fsync none|group|always] [--snapshot-every N]\n\
-                     \x20                  [--serial-commit] [--replay-threads N] [--repl-listen HOST:PORT]\n\
+                     \x20                  [--repl-listen HOST:PORT]\n\
                      \x20      ivme-server replica PRIMARY:PORT [--listen HOST:PORT]"
                 );
                 return;

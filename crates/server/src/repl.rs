@@ -33,12 +33,12 @@
 //! [`Replica`] runs three thread groups: a *stream* thread that dials
 //! the primary (capped exponential backoff, resuming from the applied
 //! frontier in its `hello`), a single *apply* thread that owns an
-//! [`OwnedState`](crate) and pushes every received frame through the
-//! same parse/apply path WAL recovery uses, publishing an epoch-stamped
-//! [`ServeSnapshot`] per round, and the serving
-//! listener, whose connections answer every read command via
-//! [`execute_read`](crate::execute_read) and refuse writes/admin with a
-//! redirect error naming the primary. The apply thread dedups with the
+//! `OwnedState` and pushes every received frame through the replayer
+//! WAL recovery uses (`OwnedState::apply_frame`), publishing an
+//! epoch-stamped [`ServeSnapshot`](crate::ServeSnapshot) per round, and
+//! the serving listener — the same accept and connection loop a primary
+//! runs, with a write sink that refuses writes/admin with a redirect
+//! error naming the primary. The apply thread dedups with the
 //! same `(epoch, frames)` cursor as the primary's sender, so replays
 //! after a reconnect are idempotent; its acks flow back over the same
 //! socket as best-effort progress reports (`stats` on the primary shows
@@ -58,13 +58,12 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use ivme_cli::proto::{self, Command, ReplHeader};
+use ivme_cli::proto::{self, ReplHeader};
 
-use crate::publish::Published;
+use crate::conn::{self, Endpoint, ReplRole, WriteSink};
 use crate::wal::BarrierHook;
-use crate::{
-    invalid_data, parse_replay_ops, snapshot, wal, OwnedState, ReplRole, ReplayOp, ServeSnapshot,
-};
+use crate::writer::OwnedState;
+use crate::{invalid_data, snapshot, wal};
 
 /// Upper bound on a single replicated payload (snapshot or frame) — the
 /// same "a length beyond this is corruption, not an allocation request"
@@ -635,9 +634,9 @@ enum Event {
 }
 
 struct ReplicaShared {
-    addr: SocketAddr,
-    published: Published<ServeSnapshot>,
-    shutdown: AtomicBool,
+    /// The serving listener's half — the same [`Endpoint`] a primary's
+    /// connections serve from.
+    endpoint: Arc<Endpoint>,
     stats: Arc<ReplicaStats>,
 }
 
@@ -664,16 +663,9 @@ impl Replica {
         let listener = TcpListener::bind(&config.listen)?;
         let addr = listener.local_addr()?;
         let stats = Arc::new(ReplicaStats::new(config.primary.clone()));
+        let state = OwnedState::new(Some(ReplRole::Replica(Arc::clone(&stats))));
         let shared = Arc::new(ReplicaShared {
-            addr,
-            published: Published::new(ServeSnapshot {
-                query: None,
-                mode: ivme_core::Mode::Dynamic,
-                view: None,
-                dur: None,
-                repl: Some(ReplRole::Replica(Arc::clone(&stats))),
-            }),
-            shutdown: AtomicBool::new(false),
+            endpoint: Arc::new(Endpoint::new(addr, state.serve_snapshot(0))),
             stats,
         });
         let ack_sock: Arc<Mutex<Option<TcpStream>>> = Arc::new(Mutex::new(None));
@@ -691,27 +683,15 @@ impl Replica {
             let ack_sock = Arc::clone(&ack_sock);
             std::thread::Builder::new()
                 .name("ivme-replica-apply".into())
-                .spawn(move || apply_loop(shared, rx, ack_sock))?
+                .spawn(move || apply_loop(shared, state, rx, ack_sock))?
         };
-        let accept_handle = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("ivme-replica-accept".into())
-                .spawn(move || {
-                    for stream in listener.incoming() {
-                        if shared.shutdown.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        let Ok(stream) = stream else { continue };
-                        let shared = Arc::clone(&shared);
-                        let _ = std::thread::Builder::new()
-                            .name("ivme-replica-conn".into())
-                            .spawn(move || {
-                                let _ = replica_connection(stream, shared);
-                            });
-                    }
-                })?
-        };
+        // Primary and replica serve through the same loop; only the sink
+        // differs — here every write is refused with a redirect.
+        let accept_handle = conn::spawn_accept_loop(
+            listener,
+            Arc::clone(&shared.endpoint),
+            WriteSink::Redirect(config.primary),
+        )?;
         Ok(Replica {
             addr,
             shared,
@@ -734,16 +714,14 @@ impl Replica {
 
     /// Whether [`Replica::stop`] (or a client's `shutdown`) has run.
     pub fn is_shutdown(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
+        self.shared.endpoint.is_closed()
     }
 
     /// Stops serving and disconnects from the primary; joins every
     /// thread, so nothing of this replica touches its sockets after the
     /// call returns.
     pub fn stop(&mut self) {
-        if !self.shared.shutdown.swap(true, Ordering::SeqCst) {
-            let _ = TcpStream::connect(self.addr);
-        }
+        self.shared.endpoint.close();
         // Unblock the stream thread if it sits in a read on the primary
         // connection.
         if let Some(s) = self.ack_sock.lock().unwrap().take() {
@@ -776,7 +754,7 @@ fn stream_loop(
     ack_sock: Arc<Mutex<Option<TcpStream>>>,
 ) {
     let mut backoff = Duration::from_millis(100);
-    while !shared.shutdown.load(Ordering::SeqCst) {
+    while !shared.endpoint.is_closed() {
         match TcpStream::connect(&primary) {
             Ok(stream) => {
                 backoff = Duration::from_millis(100);
@@ -788,7 +766,7 @@ fn stream_loop(
                     // The apply thread is gone: we are shutting down.
                     Err(PumpEnd::Closed) => return,
                     Err(PumpEnd::Io(e)) => {
-                        if !shared.shutdown.load(Ordering::SeqCst) {
+                        if !shared.endpoint.is_closed() {
                             eprintln!("ivme replica: connection to primary lost: {e}");
                         }
                     }
@@ -802,7 +780,7 @@ fn stream_loop(
         // Sleep in small slices so `stop()` never waits out a full
         // backoff interval.
         let mut remaining = backoff;
-        while !remaining.is_zero() && !shared.shutdown.load(Ordering::SeqCst) {
+        while !remaining.is_zero() && !shared.endpoint.is_closed() {
             let slice = remaining.min(Duration::from_millis(50));
             std::thread::sleep(slice);
             remaining -= slice;
@@ -847,7 +825,7 @@ fn pump_stream(
     *ack_sock.lock().unwrap() = Some(stream);
     let mut line = String::new();
     loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
+        if shared.endpoint.is_closed() {
             return Ok(());
         }
         line.clear();
@@ -918,8 +896,12 @@ fn read_payload(reader: &mut BufReader<TcpStream>, len: usize) -> io::Result<Str
 /// The replica's writer-equivalent: sole owner of an [`OwnedState`],
 /// applying bootstrap snapshots and streamed rounds through the same
 /// parse/apply path WAL recovery uses, publishing after every event.
-fn apply_loop(shared: Arc<ReplicaShared>, rx: Receiver<Event>, ack: Arc<Mutex<Option<TcpStream>>>) {
-    let mut state = OwnedState::new();
+fn apply_loop(
+    shared: Arc<ReplicaShared>,
+    mut state: OwnedState,
+    rx: Receiver<Event>,
+    ack: Arc<Mutex<Option<TcpStream>>>,
+) {
     // The authoritative dedup cursor (the stats atomics mirror it).
     let mut cur_epoch = 0u64;
     let mut cur_frames = 0u64;
@@ -958,7 +940,7 @@ fn apply_loop(shared: Arc<ReplicaShared>, rx: Receiver<Event>, ack: Arc<Mutex<Op
                 }
                 let mut failed = false;
                 for f in &frames[skip.min(frames.len())..] {
-                    if let Err(e) = apply_frame(&mut state, f) {
+                    if let Err(e) = state.apply_frame(f) {
                         eprintln!(
                             "ivme replica: frame at epoch {epoch} failed to apply ({e}); \
                              freezing at epoch {cur_epoch} — reconnect will not help, \
@@ -986,7 +968,7 @@ fn apply_loop(shared: Arc<ReplicaShared>, rx: Receiver<Event>, ack: Arc<Mutex<Op
                     "ivme replica: primary requested a reset — dropping local state and \
                      re-bootstrapping"
                 );
-                state = OwnedState::new();
+                state = OwnedState::new(Some(ReplRole::Replica(Arc::clone(&shared.stats))));
                 cur_epoch = 0;
                 cur_frames = 0;
                 shared.stats.received_frames.store(0, Ordering::Relaxed);
@@ -1001,96 +983,14 @@ fn apply_loop(shared: Arc<ReplicaShared>, rx: Receiver<Event>, ack: Arc<Mutex<Op
             .stats
             .applied_epoch_frames
             .store(cur_frames, Ordering::Release);
-        shared.published.publish(ServeSnapshot {
-            query: state.query.clone(),
-            mode: state.mode,
-            view: state.engine.as_ref().map(|e| e.snapshot(state.epoch)),
-            dur: None,
-            repl: Some(ReplRole::Replica(Arc::clone(&shared.stats))),
-        });
+        shared
+            .endpoint
+            .published
+            .publish(state.serve_snapshot(state.epoch));
         // Best-effort progress report to the primary.
         if let Some(s) = ack.lock().unwrap().as_mut() {
             let total = shared.stats.applied_frames.load(Ordering::Relaxed);
             let _ = writeln!(s, "{}", proto::repl_ack_line(cur_epoch, total));
         }
     }
-}
-
-/// Applies one WAL frame's command text — the exact parse/apply pair
-/// boot-time recovery uses.
-fn apply_frame(state: &mut OwnedState, text: &str) -> Result<(), String> {
-    for op in parse_replay_ops(text)? {
-        match op {
-            ReplayOp::Admin(op) => {
-                state.admin(op)?;
-            }
-            ReplayOp::Batch(b) => state.apply_replayed(&b)?,
-        }
-    }
-    Ok(())
-}
-
-/// One serving connection on a replica: reads dispatch through
-/// [`crate::execute_read`] against the published snapshot, writes and
-/// admin commands are refused with a redirect naming the primary.
-fn replica_connection(stream: TcpStream, shared: Arc<ReplicaShared>) -> io::Result<()> {
-    stream.set_nodelay(true)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    let mut cache = shared.published.cache();
-    let mut line = String::new();
-    loop {
-        if reader.buffer().is_empty() {
-            writer.flush()?;
-        }
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            break;
-        }
-        let cmd = match proto::parse_command(&line) {
-            Ok(Some(c)) => c,
-            Ok(None) => {
-                proto::write_ok(&mut writer, "")?;
-                continue;
-            }
-            Err(e) => {
-                proto::write_err(&mut writer, &e)?;
-                continue;
-            }
-        };
-        match cmd {
-            Command::Quit => {
-                proto::write_ok(&mut writer, "bye\n")?;
-                break;
-            }
-            Command::Help => proto::write_ok(&mut writer, proto::HELP)?,
-            Command::Shutdown => {
-                if !shared.shutdown.swap(true, Ordering::SeqCst) {
-                    let _ = TcpStream::connect(shared.addr);
-                }
-                proto::write_ok(&mut writer, "replica shutting down\n")?;
-                break;
-            }
-            cmd @ (Command::List { .. }
-            | Command::Get(_)
-            | Command::Page { .. }
-            | Command::Count
-            | Command::Stats
-            | Command::Classify
-            | Command::Plan) => {
-                match crate::execute_read(cmd, shared.published.refresh(&mut cache)) {
-                    Ok(out) => proto::write_ok(&mut writer, &out)?,
-                    Err(e) => proto::write_err(&mut writer, &e)?,
-                }
-            }
-            _ => proto::write_err(
-                &mut writer,
-                &format!(
-                    "read-only replica: writes and admin commands must go to the primary at {}",
-                    shared.stats.primary
-                ),
-            )?,
-        }
-    }
-    writer.flush()
 }

@@ -62,15 +62,9 @@
 //! sign of damage — a truncated header-or-body, an absurd length, a CRC
 //! mismatch, invalid UTF-8, or a non-monotonic epoch — then truncates the
 //! file back to the last valid frame boundary and reports what it cut.
-//! The scan is split so it can fan out: a sequential boundary walk (length
-//! fields only) finds candidate frames, CRC + UTF-8 validation runs in
-//! parallel chunks ([`Wal::open_threaded`]), and a final sequential pass
-//! enforces epoch monotonicity and cuts at the earliest failure — the
-//! same earliest-damage semantics as the serial scan, at a fraction of
-//! the wall time for long logs. A crash mid-append (the expected failure)
-//! loses at most the unacked tail; a flipped bit mid-file loses the
-//! suffix from the damaged frame on, never panics, and never serves a
-//! half-parsed frame.
+//! A crash mid-append (the expected failure) loses at most the unacked
+//! tail; a flipped bit mid-file loses the suffix from the damaged frame
+//! on, never panics, and never serves a half-parsed frame.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -95,10 +89,6 @@ const FRAME_PREFIX: usize = 16;
 /// batch; a "length" beyond it is treated as corruption, not an
 /// allocation request.
 const MAX_FRAME: u32 = 1 << 30;
-
-/// Below this many frames the parallel validation pass stays serial —
-/// thread spawn overhead would swamp the CRC work.
-const PAR_MIN_FRAMES: usize = 128;
 
 /// When the writer calls `fsync` on the log.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -211,28 +201,16 @@ impl Wal {
         })
     }
 
-    /// Opens an existing log, scanning and validating every frame
-    /// serially. See [`Wal::open_threaded`] for the parallel front end.
-    pub fn open(path: &Path) -> io::Result<(Wal, Recovered)> {
-        Wal::open_threaded(path, 1)
-    }
-
     /// Opens an existing log, scanning and validating every frame.
     /// Damage truncates the file back to the last valid frame boundary
     /// (see the module docs); a bad *header* is an error instead — a log
     /// whose provenance is unreadable should stop the boot, not be
     /// silently discarded.
-    ///
-    /// `threads > 1` fans the CRC/UTF-8 validation of candidate frames
-    /// out across that many scoped threads. The boundary walk and the
-    /// epoch-monotonicity check stay sequential, so the result — frames
-    /// kept, truncation point, damage reason — is identical to the serial
-    /// scan for every input, damaged or not.
-    pub fn open_threaded(path: &Path, threads: usize) -> io::Result<(Wal, Recovered)> {
+    pub fn open(path: &Path) -> io::Result<(Wal, Recovered)> {
         let mut file = OpenOptions::new().read(true).write(true).open(path)?;
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
-        let scan = scan_bytes(path, &bytes, threads)?;
+        let scan = scan_bytes(path, &bytes)?;
         let truncated = if scan.cut < bytes.len() {
             let reason = format!(
                 "{}: {} — truncating {} damaged byte(s) at offset {}, keeping {} valid frame(s)",
@@ -362,7 +340,7 @@ impl Wal {
     }
 }
 
-/// What the three-pass frame scan found in a byte image of a log.
+/// What the frame scan found in a byte image of a log.
 struct Scan {
     base_epoch: u64,
     frames: Vec<Frame>,
@@ -376,11 +354,12 @@ struct Scan {
     last_epoch: u64,
 }
 
-/// The three scan passes shared by [`Wal::open_threaded`] (which then
-/// repairs damage in place) and the read-only [`scan`]: a sequential
-/// boundary walk over the length fields, parallel CRC/UTF-8 validation,
-/// and a sequential epoch-monotonicity pass with earliest-failure cut.
-fn scan_bytes(path: &Path, bytes: &[u8], threads: usize) -> io::Result<Scan> {
+/// The frame scan shared by [`Wal::open`] (which then repairs damage in
+/// place) and the read-only [`scan`]: walk the frames in order and stop
+/// at the first that is torn, absurdly long, fails its CRC, is not UTF-8
+/// or moves the epoch backwards — a bad frame invalidates everything
+/// after it.
+fn scan_bytes(path: &Path, bytes: &[u8]) -> io::Result<Scan> {
     if bytes.len() < HEADER_LEN as usize || &bytes[..8] != WAL_MAGIC {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -388,18 +367,13 @@ fn scan_bytes(path: &Path, bytes: &[u8], threads: usize) -> io::Result<Scan> {
         ));
     }
     let base_epoch = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-
-    // Pass 1 (sequential): walk the length fields to find candidate
-    // frame boundaries. Cheap — it reads 4 bytes per frame.
-    let mut spans: Vec<(usize, usize)> = Vec::new();
+    let mut frames = Vec::new();
+    let mut last_epoch = base_epoch;
     let mut pos = HEADER_LEN as usize;
     let mut damage: Option<String> = None;
-    while pos < bytes.len() {
-        if bytes.len() - pos < FRAME_PREFIX {
-            // A bare prefix fragment: the expected crash-mid-append
-            // shape (torn tail, no reason recorded).
-            break;
-        }
+    // A bare prefix fragment or a payload cut short is the expected
+    // crash-mid-append shape: a torn tail, no reason recorded.
+    while bytes.len() - pos >= FRAME_PREFIX {
         let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
         if len > MAX_FRAME {
             damage = Some(format!("absurd frame length {len}"));
@@ -407,45 +381,52 @@ fn scan_bytes(path: &Path, bytes: &[u8], threads: usize) -> io::Result<Scan> {
         }
         let end = pos + FRAME_PREFIX + len as usize;
         if end > bytes.len() {
-            // Payload cut short: torn tail.
             break;
         }
-        spans.push((pos, end));
-        pos = end;
-    }
-
-    // Pass 2 (parallel): CRC + UTF-8 validation of every candidate.
-    let decoded = validate_spans(bytes, &spans, threads);
-
-    // Pass 3 (sequential): epoch monotonicity plus earliest-failure
-    // truncation — a bad frame invalidates everything after it, even
-    // candidates that validated in pass 2.
-    let mut frames = Vec::with_capacity(spans.len());
-    let mut last_epoch = base_epoch;
-    let mut cut = pos;
-    for (i, res) in decoded.into_iter().enumerate() {
-        let why = match res {
-            Ok(frame) => {
-                if frame.epoch >= last_epoch {
-                    last_epoch = frame.epoch;
-                    frames.push(frame);
-                    continue;
-                }
-                format!("epoch went backwards ({last_epoch} -> {})", frame.epoch)
+        match decode_frame(&bytes[pos..end]) {
+            Ok(frame) if frame.epoch >= last_epoch => {
+                last_epoch = frame.epoch;
+                frames.push(frame);
+                pos = end;
             }
-            Err(why) => why,
-        };
-        damage = Some(why);
-        cut = spans[i].0;
-        break;
+            Ok(frame) => {
+                damage = Some(format!(
+                    "epoch went backwards ({last_epoch} -> {})",
+                    frame.epoch
+                ));
+                break;
+            }
+            Err(why) => {
+                damage = Some(why);
+                break;
+            }
+        }
     }
     Ok(Scan {
         base_epoch,
         frames,
-        cut,
+        cut: pos,
         damage,
         last_epoch,
     })
+}
+
+/// CRC + UTF-8 validation of one length-delimited frame (prefix and
+/// payload).
+fn decode_frame(frame: &[u8]) -> Result<Frame, String> {
+    let crc_stored = u32::from_le_bytes(frame[4..8].try_into().unwrap());
+    let epoch = u64::from_le_bytes(frame[8..16].try_into().unwrap());
+    let crc = crc32(&frame[8..]);
+    if crc != crc_stored {
+        return Err(format!("CRC mismatch ({crc:08x} != {crc_stored:08x})"));
+    }
+    match std::str::from_utf8(&frame[FRAME_PREFIX..]) {
+        Ok(text) => Ok(Frame {
+            epoch,
+            text: text.to_owned(),
+        }),
+        Err(_) => Err("frame payload is not UTF-8".to_owned()),
+    }
 }
 
 /// Read-only scan of a WAL file: the valid frames and the base epoch,
@@ -461,54 +442,8 @@ fn scan_bytes(path: &Path, bytes: &[u8], threads: usize) -> io::Result<Scan> {
 /// between the file and the channel).
 pub fn scan(path: &Path) -> io::Result<(u64, Vec<Frame>)> {
     let bytes = std::fs::read(path)?;
-    let scan = scan_bytes(path, &bytes, 1)?;
+    let scan = scan_bytes(path, &bytes)?;
     Ok((scan.base_epoch, scan.frames))
-}
-
-/// CRC + UTF-8 validation of every candidate span, fanned out across
-/// `threads` scoped threads when the log is long enough to pay for them.
-/// Per-frame results are independent, so chunked fan-out is trivially
-/// deterministic; ordering decisions stay with the caller.
-fn validate_spans(
-    bytes: &[u8],
-    spans: &[(usize, usize)],
-    threads: usize,
-) -> Vec<Result<Frame, String>> {
-    let decode_one = |&(start, end): &(usize, usize)| -> Result<Frame, String> {
-        let crc_stored = u32::from_le_bytes(bytes[start + 4..start + 8].try_into().unwrap());
-        let epoch = u64::from_le_bytes(bytes[start + 8..start + 16].try_into().unwrap());
-        let mut crc = Crc32::new();
-        crc.update(&bytes[start + 8..end]);
-        if crc.finish() != crc_stored {
-            return Err(format!(
-                "CRC mismatch ({:08x} != {crc_stored:08x})",
-                crc.finish()
-            ));
-        }
-        match std::str::from_utf8(&bytes[start + FRAME_PREFIX..end]) {
-            Ok(text) => Ok(Frame {
-                epoch,
-                text: text.to_owned(),
-            }),
-            Err(_) => Err("frame payload is not UTF-8".to_owned()),
-        }
-    };
-    if threads <= 1 || spans.len() < PAR_MIN_FRAMES {
-        return spans.iter().map(decode_one).collect();
-    }
-    let chunk = spans.len().div_ceil(threads);
-    let mut out: Vec<Option<Result<Frame, String>>> = Vec::new();
-    out.resize_with(spans.len(), || None);
-    std::thread::scope(|s| {
-        for (span_chunk, out_chunk) in spans.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            s.spawn(move || {
-                for (span, slot) in span_chunk.iter().zip(out_chunk.iter_mut()) {
-                    *slot = Some(decode_one(span));
-                }
-            });
-        }
-    });
-    out.into_iter().map(|r| r.unwrap()).collect()
 }
 
 /// fsyncs the directory containing `path`, making a just-renamed file's
@@ -837,50 +772,6 @@ mod tests {
             }
         }
         std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn threaded_open_agrees_with_serial_on_clean_and_damaged_logs() {
-        // Enough frames to clear PAR_MIN_FRAMES so the parallel path
-        // actually runs, then compare against the serial scan on the
-        // clean log and on a bit-flipped copy.
-        let path = tmp("par_clean");
-        let mut w = Wal::create(&path, 0).unwrap();
-        for i in 0..400u64 {
-            w.append(i + 1, &format!("insert R {i},{}\n", i * 7))
-                .unwrap();
-        }
-        drop(w);
-        let clean = std::fs::read(&path).unwrap();
-        let (w_ser, ser) = Wal::open(&path).unwrap();
-        let (w_par, par) = Wal::open_threaded(&path, 4).unwrap();
-        assert_eq!(ser.frames, par.frames);
-        assert_eq!(ser.frames.len(), 400);
-        assert!(par.truncated.is_none());
-        assert_eq!(w_ser.last_epoch(), w_par.last_epoch());
-        assert_eq!(w_ser.frames(), w_par.frames());
-        drop(w_ser);
-        drop(w_par);
-        // Flip a byte in the middle: both scans must cut at the same
-        // frame with the same reason.
-        let mut damaged = clean.clone();
-        let mid = damaged.len() / 2;
-        damaged[mid] ^= 0x40;
-        let p_ser = tmp("par_dmg_ser");
-        let p_par = tmp("par_dmg_par");
-        std::fs::write(&p_ser, &damaged).unwrap();
-        std::fs::write(&p_par, &damaged).unwrap();
-        let (_, ser) = Wal::open(&p_ser).unwrap();
-        let (_, par) = Wal::open_threaded(&p_par, 4).unwrap();
-        assert_eq!(ser.frames, par.frames);
-        assert_eq!(ser.truncated.is_some(), par.truncated.is_some());
-        assert_eq!(
-            std::fs::metadata(&p_ser).unwrap().len(),
-            std::fs::metadata(&p_par).unwrap().len()
-        );
-        for p in [path, p_ser, p_par] {
-            std::fs::remove_file(&p).unwrap();
-        }
     }
 
     #[test]

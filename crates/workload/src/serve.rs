@@ -5,8 +5,8 @@
 //! issuing the next request — writers at *script* granularity: a whole
 //! pipelined batch script goes out in one burst, then all its acks are
 //! read), and reports read-latency percentiles plus write throughput.
-//! This is the measurement harness behind `fig_serving_tail` and the
-//! loopback concurrency test; it knows nothing about the engine — it
+//! This is the measurement harness behind `fig_recovery`,
+//! `fig_replication` and the loopback concurrency test; it knows nothing about the engine — it
 //! speaks only the wire protocol ([`ivme_cli::proto`]).
 
 use std::io::{BufReader, BufWriter, Write};

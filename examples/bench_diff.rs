@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run --release --example bench_diff -- BENCH_PR6.json target/bench_head.json
-//! cargo run --release --example bench_diff -- BENCH_PR6.json head_tail.json fig_serving_tail
+//! cargo run --release --example bench_diff -- BENCH_PR10.json head_enum.json fig_enum_delay
 //! ```
 //!
 //! Walks both documents, matches numeric leaves by their `a.b.c` path, and
