@@ -84,7 +84,10 @@ fn run_local() {
         };
         match shell.execute(&line) {
             Ok(Some(out)) => print!("{out}"),
-            Ok(None) => break,
+            Ok(None) => {
+                print!("{}", proto::BYE);
+                break;
+            }
             Err(e) => println!("error: {e}"),
         }
         print!("> ");

@@ -2,8 +2,9 @@
 //!
 //! One line of the `ivme` command language parses into one [`Command`];
 //! the REPL ([`crate::Shell`]) and the `ivme-server` connection handler
-//! both dispatch on this type, so the two front ends cannot drift apart:
-//! a script that works in the shell works over a socket verbatim.
+//! both run it through [`crate::session`], so the two front ends cannot
+//! drift apart: a script that works in the shell works over a socket
+//! verbatim.
 //!
 //! The module also defines the wire framing the server and client speak
 //! (see [`write_ok`] / [`read_response`]): requests are single command
@@ -25,6 +26,8 @@ use std::io::{self, BufRead, Write};
 use ivme_core::Mode;
 use ivme_data::{Tuple, Value};
 use ivme_query::{classify, parse_query, Query};
+
+use crate::session::AdminOp;
 
 /// One parsed command line. The grammar is documented in [`HELP`].
 #[derive(Clone, Debug)]
@@ -324,6 +327,33 @@ pub fn batch_lines(batch: &ivme_data::DeltaBatch) -> String {
     out
 }
 
+impl AdminOp {
+    /// The command text that replays this op — the WAL frame payload,
+    /// captured *before* [`Session::admin`](crate::session::Session::admin)
+    /// consumes the op. Rendering reuses the grammar's own canonical
+    /// forms so replay parses exactly what a connection would have sent.
+    pub fn wal_text(&self) -> String {
+        match self {
+            AdminOp::Query(q) => format!("query {q}"),
+            // f64 Display is the shortest round-tripping decimal in Rust,
+            // so the replayed epsilon is bit-identical.
+            AdminOp::Epsilon(e) => format!("epsilon {e}"),
+            AdminOp::Mode(Mode::Dynamic) => "mode dynamic".to_owned(),
+            AdminOp::Mode(Mode::Static) => "mode static".to_owned(),
+            AdminOp::Shards(n) => format!(".shards {n}"),
+            AdminOp::Rows { relation, rows } => {
+                let mut out = String::new();
+                for t in rows {
+                    out.push_str(&row_line(relation, t));
+                    out.push('\n');
+                }
+                out
+            }
+            AdminOp::Build => "build".to_owned(),
+        }
+    }
+}
+
 // ----------------------------------------------------------------------
 // Wire framing
 // ----------------------------------------------------------------------
@@ -542,6 +572,9 @@ pub fn parse_repl_ack(line: &str) -> Result<(u64, u64), String> {
     };
     Ok((num("epoch")?, num("frames")?))
 }
+
+/// The `quit` reply shared by every front end.
+pub const BYE: &str = "bye\n";
 
 /// The `help` text shared by every front end.
 pub const HELP: &str = "\

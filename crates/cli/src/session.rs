@@ -1,0 +1,549 @@
+//! The one interpreter of the command grammar.
+//!
+//! [`crate::proto`] says what a line *is*; this module says what a command
+//! *does* to engine state and what it answers. The shell, the server's
+//! writer thread, a replica's apply thread and WAL recovery all run
+//! commands through the four types here, so a reply is written once:
+//!
+//! * [`Step::of`] classifies a parsed [`Command`] with an exhaustive
+//!   `match`: a new variant is a compile error in this one place.
+//! * [`Session`] owns the engine — always a [`ShardedEngine`], `.shards 1`
+//!   by default — and its configuration; it executes admin ops and
+//!   applies committed batches.
+//! * [`Staging`] is the `.batch` staging area; [`Staging::execute`] runs
+//!   every write verb and hands each batch that is due to the caller's
+//!   `apply` — a direct [`Session::apply`] in the shell and in replay, a
+//!   submit-and-wait over the writer channel on a connection.
+//! * [`ReadView`] is the frozen state the seven read verbs dispatch
+//!   against, formatted by [`render`].
+
+use std::fmt::Write as _;
+
+use ivme_core::{
+    Database, DeltaBatch, EngineOptions, Mode, ShardedEngine, ShardedSnapshot, Update,
+};
+use ivme_data::Tuple;
+use ivme_query::{classify, Query};
+
+use crate::proto::Command;
+use crate::render;
+
+/// The reply to any verb that needs a built engine before `build` ran.
+pub const NOT_BUILT: &str = "run `build` first";
+const NO_QUERY: &str = "no query registered";
+
+/// What a parsed [`Command`] is, to every front end.
+pub enum Step {
+    /// Changes configuration or staged rows, or builds the engine.
+    Admin(AdminOp),
+    /// An update, a bulk load, or a `.batch` verb: goes through a
+    /// [`Staging`].
+    Write(Write),
+    /// One of the seven read verbs, for [`ReadView::execute`].
+    Read(Command),
+    /// `help`, `quit`, `shutdown`: answered by the front end's own loop.
+    Help,
+    Quit,
+    Shutdown,
+}
+
+/// The rare state-changing commands. A server serializes them through
+/// its writer thread so the engine stays single-owner, and logs
+/// [`AdminOp::wal_text`] for replay.
+#[derive(Debug)]
+pub enum AdminOp {
+    Query(Query),
+    Epsilon(f64),
+    Mode(Mode),
+    Shards(usize),
+    Rows { relation: String, rows: Vec<Tuple> },
+    Build,
+}
+
+/// The write verbs, as [`Staging::execute`] takes them.
+pub enum Write {
+    /// `insert` / `delete` / `update`: stages while a batch is open,
+    /// otherwise applies as a batch of one.
+    Update(Update),
+    /// `.load`: the CSV's rows, applied as one timed batch.
+    Load {
+        relation: String,
+        rows: Vec<Tuple>,
+    },
+    /// `.batch begin`, `commit`, `abort` and `status`.
+    Begin,
+    Commit,
+    Abort,
+    Status,
+}
+
+impl Step {
+    /// Classifies `cmd`. `load_csv` is how this caller reads the file a
+    /// `load` / `.load` names: [`proto::load_csv`](crate::proto::load_csv)
+    /// in the shell and on a primary's connection thread (the server
+    /// reads its own disk; only parsed rows travel on), the redirect on a
+    /// replica and a refusal in WAL replay — neither ever opens a path.
+    pub fn of(
+        cmd: Command,
+        load_csv: impl FnOnce(&str) -> Result<Vec<Tuple>, String>,
+    ) -> Result<Step, String> {
+        Ok(match cmd {
+            Command::Query(q) => Step::Admin(AdminOp::Query(q)),
+            Command::Epsilon(e) => Step::Admin(AdminOp::Epsilon(e)),
+            Command::Mode(m) => Step::Admin(AdminOp::Mode(m)),
+            Command::Shards(n) => Step::Admin(AdminOp::Shards(n)),
+            Command::Row { relation, tuple } => Step::Admin(AdminOp::Rows {
+                relation,
+                rows: vec![tuple],
+            }),
+            Command::Load { relation, path } => Step::Admin(AdminOp::Rows {
+                relation,
+                rows: load_csv(&path)?,
+            }),
+            Command::Build => Step::Admin(AdminOp::Build),
+            Command::Update {
+                relation,
+                tuple,
+                delta,
+            } => Step::Write(Write::Update(Update::new(relation, tuple, delta))),
+            Command::BulkLoad { relation, path } => Step::Write(Write::Load {
+                relation,
+                rows: load_csv(&path)?,
+            }),
+            Command::BatchBegin => Step::Write(Write::Begin),
+            Command::BatchCommit => Step::Write(Write::Commit),
+            Command::BatchAbort => Step::Write(Write::Abort),
+            Command::BatchStatus => Step::Write(Write::Status),
+            Command::List { .. }
+            | Command::Get(_)
+            | Command::Page { .. }
+            | Command::Count
+            | Command::Stats
+            | Command::Classify
+            | Command::Plan => Step::Read(cmd),
+            Command::Help => Step::Help,
+            Command::Quit => Step::Quit,
+            Command::Shutdown => Step::Shutdown,
+        })
+    }
+}
+
+/// The mutable state the grammar acts on: configuration, staged rows and
+/// — once `build` has run — the engine. Single-owner wherever it lives
+/// (the shell, a server's writer thread, a replica's apply thread).
+pub struct Session {
+    query: Option<Query>,
+    /// ε and mode (`epsilon`, `mode`) and shard count (`.shards N`) of the
+    /// next `build`.
+    opts: EngineOptions,
+    shards: usize,
+    staged: Database,
+    engine: Option<ShardedEngine>,
+}
+
+impl Default for Session {
+    /// A fresh pre-`query` state: ε = 0.5, dynamic mode, one shard.
+    fn default() -> Session {
+        Session {
+            query: None,
+            opts: EngineOptions::dynamic(0.5),
+            shards: 1,
+            staged: Database::new(),
+            engine: None,
+        }
+    }
+}
+
+impl Session {
+    /// Rebuilds a session from checkpointed state — the inverse of the
+    /// accessors below. `base` carries the built engine's base relations
+    /// and cumulative `(updates, batches, misroutes)` when `build` had
+    /// run: the engine is rebuilt by re-preprocessing them (the entry
+    /// point of a live `build`), then seeded with the counters.
+    pub fn restore(
+        query: Option<Query>,
+        opts: EngineOptions,
+        shards: usize,
+        staged: Database,
+        base: Option<(&Database, (u64, u64, u64))>,
+    ) -> Result<Session, String> {
+        let mut session = Session {
+            query,
+            opts,
+            shards,
+            staged,
+            engine: None,
+        };
+        if let Some((base, (updates, batches, misroutes))) = base {
+            let mut eng = session.build(base)?;
+            eng.restore_stats(updates, batches, misroutes);
+            session.engine = Some(eng);
+        }
+        Ok(session)
+    }
+
+    pub fn query(&self) -> Option<&Query> {
+        self.query.as_ref()
+    }
+
+    pub fn options(&self) -> EngineOptions {
+        self.opts
+    }
+
+    pub fn shards(&self) -> usize {
+        self.shards
+    }
+
+    /// Rows staged via `row` / `load` — what the next `build` builds from.
+    pub fn staged(&self) -> &Database {
+        &self.staged
+    }
+
+    /// The built engine, for checkpoints and per-shard diagnostics.
+    pub fn engine(&self) -> Option<&ShardedEngine> {
+        self.engine.as_ref()
+    }
+
+    pub fn is_built(&self) -> bool {
+        self.engine.is_some()
+    }
+
+    /// Always sharded (S ≥ 1): one read and commit path per build.
+    fn build(&self, db: &Database) -> Result<ShardedEngine, String> {
+        let q = self.query.as_ref().ok_or(NO_QUERY)?;
+        ShardedEngine::new(q, db, self.opts, self.shards).map_err(|e| e.to_string())
+    }
+
+    /// Executes one admin operation and returns its reply.
+    pub fn admin(&mut self, op: AdminOp) -> Result<String, String> {
+        match op {
+            AdminOp::Query(q) => {
+                let c = classify(&q);
+                let mut out = String::new();
+                let _ = writeln!(out, "registered {q}");
+                let _ = writeln!(
+                    out,
+                    "w = {}, δ = {}, free-connex: {}, q-hierarchical: {}",
+                    c.static_width.unwrap(),
+                    c.dynamic_width.unwrap(),
+                    c.free_connex,
+                    c.q_hierarchical
+                );
+                self.query = Some(q);
+                self.engine = None;
+                Ok(out)
+            }
+            AdminOp::Epsilon(e) => {
+                self.opts.epsilon = e;
+                Ok(format!("epsilon = {e}\n"))
+            }
+            AdminOp::Mode(m) => {
+                self.opts.mode = m;
+                Ok(format!(
+                    "mode = {}\n",
+                    match m {
+                        Mode::Dynamic => "dynamic",
+                        Mode::Static => "static",
+                    }
+                ))
+            }
+            AdminOp::Shards(n) => {
+                self.shards = n;
+                let note = if self.engine.is_some() {
+                    " (takes effect on the next `build`)"
+                } else {
+                    ""
+                };
+                Ok(format!("shards = {n}{note}\n"))
+            }
+            AdminOp::Rows { relation, rows } => {
+                let n = rows.len();
+                for t in rows {
+                    self.staged.insert(&relation, t, 1);
+                }
+                Ok(if n == 1 {
+                    format!("staged 1 row into {relation}\n")
+                } else {
+                    format!("staged {n} rows into {relation}\n")
+                })
+            }
+            AdminOp::Build => {
+                let eng = self.build(&self.staged)?;
+                let msg = format!(
+                    "built: N = {}, {} shards (sizes {:?})\n",
+                    eng.db_size(),
+                    eng.num_shards(),
+                    eng.shard_sizes()
+                );
+                self.engine = Some(eng);
+                Ok(msg)
+            }
+        }
+    }
+
+    /// Applies one consolidated batch atomically: it commits whole, or
+    /// the engine is unchanged and the engine's reason comes back.
+    pub fn apply(&mut self, batch: &DeltaBatch) -> Result<(), String> {
+        self.engine
+            .as_mut()
+            .ok_or(NOT_BUILT)?
+            .apply_delta_batch(batch)
+            .map_err(|e| e.to_string())
+    }
+
+    /// Freezes the current state for reads, stamped `epoch` (echoed by
+    /// `stats` as `snapshot_epoch`).
+    pub fn read_view(&self, epoch: u64) -> ReadView {
+        ReadView {
+            query: self.query.clone(),
+            mode: self.opts.mode,
+            view: self.engine.as_ref().map(|e| e.snapshot(epoch)),
+        }
+    }
+}
+
+/// How a batch handed to [`Staging::execute`]'s `apply` went in: the
+/// time to report, and the size of the group commit it rode in where
+/// there is one.
+#[derive(Default)]
+pub struct Applied {
+    pub secs: f64,
+    pub group: Option<usize>,
+}
+
+impl Applied {
+    /// ` in 0.412ms (155340 updates/s[, group of 3])\n` for `n` `unit`s.
+    fn timing(self, n: usize, unit: &str) -> String {
+        let group = self
+            .group
+            .map_or_else(String::new, |g| format!(", group of {g}"));
+        format!(
+            " in {:.3}ms ({:.0} {unit}/s{group})\n",
+            self.secs * 1e3,
+            n as f64 / self.secs.max(1e-9)
+        )
+    }
+}
+
+/// The `.batch` staging area: one per shell, per connection and per
+/// replayed WAL frame.
+#[derive(Default)]
+pub struct Staging(Option<DeltaBatch>);
+
+impl Staging {
+    /// The open batch, if any — what a connection's allocation-free
+    /// staging path pushes into.
+    pub fn open_mut(&mut self) -> Option<&mut DeltaBatch> {
+        self.0.as_mut()
+    }
+
+    pub fn is_open(&self) -> bool {
+        self.0.is_some()
+    }
+
+    fn take(&mut self) -> Result<DeltaBatch, String> {
+        self.0
+            .take()
+            .ok_or_else(|| "no open batch (`.batch begin`)".to_owned())
+    }
+
+    /// Executes one write verb and returns its reply. A batch that is due
+    /// — an update outside a `.batch`, a `.load`, a `.batch commit` — is
+    /// handed to `apply`; staged updates ack empty. `built` says whether
+    /// a `.batch begin` may open.
+    pub fn execute(
+        &mut self,
+        write: Write,
+        built: bool,
+        apply: impl FnOnce(DeltaBatch) -> Result<Applied, String>,
+    ) -> Result<String, String> {
+        match write {
+            Write::Update(u) => {
+                match self.0.as_mut() {
+                    Some(batch) => batch.push(&u.relation, u.tuple, u.delta),
+                    None => {
+                        let mut batch = DeltaBatch::new();
+                        batch.push(&u.relation, u.tuple, u.delta);
+                        apply(batch)?;
+                    }
+                }
+                Ok(String::new())
+            }
+            Write::Load { relation, rows } => {
+                let mut batch = DeltaBatch::new();
+                batch.extend_relation(&relation, rows.into_iter().map(|t| (t, 1)));
+                let n = batch.cardinality();
+                let applied = apply(batch)?;
+                Ok(format!(
+                    "applied batch of {n} rows into {relation}{}",
+                    applied.timing(n, "rows")
+                ))
+            }
+            Write::Begin => {
+                if self.0.is_some() {
+                    return Err("a batch is already open (`.batch commit|abort`)".into());
+                }
+                if !built {
+                    return Err(NOT_BUILT.into());
+                }
+                self.0 = Some(DeltaBatch::new());
+                Ok("batch open: insert/delete now stage until `.batch commit`\n".to_owned())
+            }
+            Write::Commit => {
+                let batch = self.take()?;
+                let (card, net) = (batch.cardinality(), batch.distinct_len());
+                match apply(batch) {
+                    Ok(applied) => Ok(format!(
+                        "committed {card} updates ({net} net entries){}",
+                        applied.timing(card, "updates")
+                    )),
+                    Err(e) => Err(format!("batch rejected (engine unchanged): {e}")),
+                }
+            }
+            Write::Abort => Ok(format!(
+                "aborted batch of {} staged updates\n",
+                self.take()?.cardinality()
+            )),
+            Write::Status => Ok(match &self.0 {
+                Some(b) => format!(
+                    "open batch: {} updates, {} net entries\n",
+                    b.cardinality(),
+                    b.distinct_len()
+                ),
+                None => "no open batch\n".to_owned(),
+            }),
+        }
+    }
+}
+
+/// The immutable state a read command dispatches against: the registered
+/// query, the evaluation mode, and — once `build` has run — the frozen
+/// engine view. No engine, no lock, no `&mut`: a published `ReadView`
+/// serves any number of reader threads.
+pub struct ReadView {
+    pub query: Option<Query>,
+    pub mode: Mode,
+    pub view: Option<ShardedSnapshot>,
+}
+
+impl ReadView {
+    fn view(&self) -> Result<&ShardedSnapshot, String> {
+        self.view.as_ref().ok_or_else(|| NOT_BUILT.to_owned())
+    }
+
+    fn query(&self) -> Result<&Query, String> {
+        self.query.as_ref().ok_or_else(|| NO_QUERY.to_owned())
+    }
+
+    /// The one dispatch of the seven read verbs, formatted by [`render`].
+    pub fn execute(&self, cmd: Command) -> Result<String, String> {
+        match cmd {
+            Command::List { limit } => Ok(render::render_list(self.view()?, limit)),
+            Command::Get(t) => render::render_get(self.view()?, self.query()?, &t),
+            Command::Page { offset, limit } => Ok(render::render_page(self.view()?, offset, limit)),
+            Command::Count => Ok(render::render_count(self.view()?)),
+            Command::Stats => Ok(render::render_stats(self.view()?)),
+            Command::Classify => Ok(format!("{:#?}\n", classify(self.query()?))),
+            Command::Plan => {
+                let plan =
+                    ivme_plan::compile(self.query()?, self.mode).map_err(|e| e.to_string())?;
+                Ok(plan.render())
+            }
+            // [`Step::of`] routes only the seven verbs above here; report
+            // rather than panic for direct callers.
+            _ => Err("not a read command".to_owned()),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::proto;
+
+    /// Replays frame text the way WAL recovery does: admin ops as they
+    /// come, batches through a [`Staging`], files and everything else
+    /// refused.
+    fn replay(text: &str) -> Result<(Vec<AdminOp>, Vec<DeltaBatch>), String> {
+        let (mut ops, mut batches) = (Vec::new(), Vec::new());
+        let mut staging = Staging::default();
+        for line in text.lines() {
+            let cmd = proto::parse_command(line)?.expect("a command");
+            match Step::of(cmd, |_| Err("no files here".to_owned()))? {
+                Step::Admin(op) => ops.push(op),
+                Step::Write(w @ (Write::Update(_) | Write::Begin | Write::Commit)) => {
+                    staging.execute(w, true, |b| {
+                        batches.push(b);
+                        Ok(Applied::default())
+                    })?;
+                }
+                _ => return Err(format!("unreplayable: {line}")),
+            }
+        }
+        if staging.is_open() {
+            return Err("unterminated".to_owned());
+        }
+        Ok((ops, batches))
+    }
+
+    #[test]
+    fn logged_text_replays_to_the_ops_that_wrote_it() {
+        // commit-is-replayable rests on this round trip: what the writer
+        // logs (`wal_text`, `batch_lines`) classifies back to what it ran.
+        let q = ivme_query::parse_query("Q(A,C) :- R(A,B), S(B,C)").unwrap();
+        let ops = [
+            AdminOp::Query(q),
+            AdminOp::Epsilon(0.25),
+            AdminOp::Mode(Mode::Static),
+            AdminOp::Shards(3),
+            AdminOp::Rows {
+                relation: "R".to_owned(),
+                rows: vec![Tuple::ints(&[1, 10]), Tuple::ints(&[2, 10])],
+            },
+            AdminOp::Build,
+        ];
+        for op in &ops {
+            // One op back per line (a `Rows` op logs one `row` line per
+            // row), each rendering the text it was parsed from.
+            let (back, batches) = replay(&op.wal_text()).unwrap();
+            assert!(batches.is_empty());
+            assert_eq!(back.len(), op.wal_text().lines().count());
+            let text: Vec<String> = back.iter().map(AdminOp::wal_text).collect();
+            assert_eq!(text.concat(), op.wal_text());
+        }
+        let mut batch = DeltaBatch::new();
+        batch.insert("R", Tuple::ints(&[3, 10]));
+        batch.push("S", Tuple::ints(&[10, 5]), -3);
+        batch.insert("S", Tuple::ints(&[10, 6]));
+        batch.delete("S", Tuple::ints(&[10, 6])); // nets to nothing
+        let (ops, batches) = replay(&proto::batch_lines(&batch)).unwrap();
+        assert!(ops.is_empty());
+        assert_eq!(batches.len(), 1);
+        assert_eq!(batches[0].to_updates(), batch.to_updates());
+        // A bare update is a batch of one.
+        let (_, batches) = replay("delete R 3,10").unwrap();
+        let alone = [Update::delete("R", Tuple::ints(&[3, 10]))];
+        assert_eq!(batches[0].to_updates(), alone);
+    }
+
+    #[test]
+    fn replay_refuses_what_a_frame_can_never_hold() {
+        // Nested and unterminated `.batch`, a commit without a begin.
+        assert!(replay(".batch begin\n.batch begin\n").is_err());
+        assert!(replay(".batch begin\ninsert R 1,2\n").is_err());
+        assert!(replay(".batch commit\n").is_err());
+        // Reads, loop verbs and the interactive `.batch` verbs.
+        for line in ["count", "stats", "help", "quit", "shutdown", ".batch abort"] {
+            assert!(replay(line).is_err(), "{line}");
+        }
+        // File verbs never reach the disk: the caller's loader refuses.
+        for line in ["load R /etc/hostname", ".load R /etc/hostname"] {
+            assert_eq!(replay(line).unwrap_err(), "no files here");
+        }
+        // A rejected batch surfaces as a refusal, with the engine's reason.
+        let err = Staging(Some(DeltaBatch::new()))
+            .execute(Write::Commit, true, |_| Err("R(9, 9): -1".to_owned()))
+            .unwrap_err();
+        assert_eq!(err, "batch rejected (engine unchanged): R(9, 9): -1");
+    }
+}

@@ -1,112 +1,42 @@
 //! The `ivme` shell interpreter.
 //!
-//! A tiny line-oriented command language around [`IvmEngine`]:
+//! A tiny line-oriented command language around a local [`Session`];
+//! [`proto::HELP`] lists it. While a `.batch` is open, `insert`/`delete`
+//! stage into the pending batch instead of applying immediately;
+//! `.batch commit` applies the consolidated batch atomically and reports
+//! the apply time, so batched throughput is demoable interactively.
 //!
-//! ```text
-//! query Q(A,C) :- R(A,B), S(B,C)    register the query
-//! epsilon 0.5                        set ε (before `build`)
-//! mode dynamic|static                set the evaluation mode
-//! .shards 4                          hash-partition the next build over N shards
-//! load R path.csv                    stage rows for relation R
-//! row R 1,2                          stage a single row
-//! build                              compile + preprocess (sharded when .shards > 1)
-//! insert R 1,2                       single-tuple insert
-//! delete R 1,2                       single-tuple delete
-//! .load R path.csv                   bulk-load a CSV as ONE batch (timed)
-//! .batch begin|commit|abort          stage inserts/deletes, apply atomically
-//! list [k]                           enumerate (first k) result tuples
-//! get 1,2                            point-look-up one result tuple (multiplicity)
-//! page 100 20                        one result page: skip 100, list 20
-//! count                              number of distinct result tuples
-//! stats                              maintenance counters and sizes
-//! classify                           class membership and widths
-//! plan                               print the compiled view trees
-//! help | quit
-//! ```
-//!
-//! While a `.batch` is open, `insert`/`delete` stage into the pending
-//! [`DeltaBatch`] instead of applying immediately; `.batch commit` applies
-//! the consolidated batch atomically through [`IvmEngine::apply_batch`]'s
-//! delta-batch entry point and reports the apply time, so batched
-//! throughput is demoable interactively.
-//!
-//! The interpreter is I/O-agnostic (writes to any `io::Write`) so the unit
-//! tests drive it with string scripts.
-//!
-//! Command-line parsing lives in [`crate::proto`] — shared with the
-//! `ivme-server` network front end, so the REPL and the wire protocol
-//! speak exactly one language. This module owns only the *local*
-//! execution of a parsed [`Command`] against an in-process engine.
+//! Parsing lives in [`crate::proto`] and the meaning of every command in
+//! [`crate::session`] — both shared with the `ivme-server` network front
+//! end, so a shell transcript and a server transcript of one script are
+//! the same bytes at every shard count. This module owns only what is
+//! local to a REPL: wall-clock timing of the writes it applies, the
+//! per-shard engine diagnostics `stats` appends, and the `shutdown`
+//! refusal.
 
 use std::fmt::Write as _;
+use std::time::Instant;
 
-use ivme_core::{Database, DeltaBatch, EngineOptions, IvmEngine, Mode, ShardedEngine};
-use ivme_data::Tuple;
-use ivme_query::{classify, Query};
-
-use crate::proto::{self, load_csv, Command};
-use crate::render;
+use crate::proto::{self, Command};
+use crate::session::{Applied, Session, Staging, Step};
 
 pub use crate::proto::parse_tuple;
 
-/// A built engine: plain, or hash-partitioned over `S > 1` shards.
-enum BuiltEngine {
-    Single(Box<IvmEngine>),
-    Sharded(ShardedEngine),
-}
-
-impl BuiltEngine {
-    fn apply_update(&mut self, rel: &str, t: Tuple, delta: i64) -> Result<(), String> {
-        match self {
-            BuiltEngine::Single(e) => e.apply_update(rel, t, delta).map_err(|e| e.to_string()),
-            BuiltEngine::Sharded(e) => e.apply_update(rel, t, delta).map_err(|e| e.to_string()),
-        }
-    }
-
-    fn apply_delta_batch(&mut self, b: &DeltaBatch) -> Result<(), String> {
-        match self {
-            BuiltEngine::Single(e) => e.apply_delta_batch(b).map_err(|e| e.to_string()),
-            BuiltEngine::Sharded(e) => e.apply_delta_batch(b).map_err(|e| e.to_string()),
-        }
-    }
-}
-
 /// Interpreter state.
+#[derive(Default)]
 pub struct Shell {
-    query: Option<Query>,
-    epsilon: f64,
-    mode: Mode,
-    /// Shard count used by the next `build` (`.shards N`).
-    shards: usize,
-    staged: Database,
-    engine: Option<BuiltEngine>,
+    session: Session,
     /// Open `.batch` staging area, if any.
-    pending: Option<DeltaBatch>,
-    /// Commit counter: bumped per applied write (and per build). Sharded
-    /// reads go through [`ShardedEngine::snapshot`] stamped with this
-    /// epoch — the same read view the server publishes — so the REPL and
-    /// the network front end share one read path ([`crate::render`]).
+    staging: Staging,
+    /// Commit counter, bumped per state change exactly as a server bumps
+    /// its publish epoch: reads go through [`Session::read_view`] stamped
+    /// with it — the same read view the server publishes.
     epoch: u64,
-}
-
-impl Default for Shell {
-    fn default() -> Self {
-        Shell::new()
-    }
 }
 
 impl Shell {
     pub fn new() -> Shell {
-        Shell {
-            query: None,
-            epsilon: 0.5,
-            mode: Mode::Dynamic,
-            shards: 1,
-            staged: Database::new(),
-            engine: None,
-            pending: None,
-            epoch: 0,
-        }
+        Shell::default()
     }
 
     /// Executes one command line; returns the output text, or `Err` with a
@@ -119,276 +49,47 @@ impl Shell {
         }
     }
 
-    /// Executes one parsed [`Command`] against the local engine. This is
-    /// the REPL's half of the shared grammar; the server executes the same
-    /// commands through its writer thread and published snapshots.
+    /// Executes one parsed [`Command`] against the local session, through
+    /// the interpreter the server runs the same commands through.
     pub fn run(&mut self, cmd: Command) -> Result<String, String> {
-        match cmd {
-            // `Quit` is handled by `execute`; treated as a no-op here so
-            // programmatic callers never see a phantom output.
-            Command::Quit => Ok(String::new()),
-            Command::Shutdown => {
+        match Step::of(cmd, proto::load_csv)? {
+            Step::Quit => Ok(proto::BYE.to_owned()),
+            Step::Help => Ok(proto::HELP.to_owned()),
+            Step::Shutdown => {
                 Err("shutdown is a server-side command (the REPL has no durable state)".into())
             }
-            Command::Help => Ok(proto::HELP.to_owned()),
-            Command::Query(q) => {
-                let c = classify(&q);
-                let mut out = String::new();
-                let _ = writeln!(out, "registered {q}");
-                let _ = writeln!(
-                    out,
-                    "w = {}, δ = {}, free-connex: {}, q-hierarchical: {}",
-                    c.static_width.unwrap(),
-                    c.dynamic_width.unwrap(),
-                    c.free_connex,
-                    c.q_hierarchical
-                );
-                self.query = Some(q);
-                self.engine = None;
-                Ok(out)
-            }
-            Command::Epsilon(e) => {
-                self.epsilon = e;
-                Ok(format!("epsilon = {e}\n"))
-            }
-            Command::Mode(m) => {
-                self.mode = m;
-                Ok(format!(
-                    "mode = {}\n",
-                    match m {
-                        Mode::Dynamic => "dynamic",
-                        Mode::Static => "static",
-                    }
-                ))
-            }
-            Command::Load { relation, path } => {
-                let rows = load_csv(&path)?;
-                let n = rows.len();
-                for t in rows {
-                    self.staged.insert(&relation, t, 1);
-                }
-                Ok(format!("staged {n} rows into {relation}\n"))
-            }
-            Command::Row { relation, tuple } => {
-                self.staged.insert(&relation, tuple, 1);
-                Ok(format!("staged 1 row into {relation}\n"))
-            }
-            Command::Shards(n) => {
-                self.shards = n;
-                let note = if self.engine.is_some() {
-                    " (takes effect on the next `build`)"
-                } else {
-                    ""
-                };
-                Ok(format!("shards = {n}{note}\n"))
-            }
-            Command::Build => {
-                let q = self.query.as_ref().ok_or("no query registered")?;
-                let opts = EngineOptions {
-                    epsilon: self.epsilon,
-                    mode: self.mode,
-                };
-                if self.shards > 1 {
-                    let eng = ShardedEngine::new(q, &self.staged, opts, self.shards)
-                        .map_err(|e| e.to_string())?;
-                    let msg = format!(
-                        "built: N = {}, {} shards (sizes {:?})\n",
-                        eng.db_size(),
-                        eng.num_shards(),
-                        eng.shard_sizes()
-                    );
-                    self.engine = Some(BuiltEngine::Sharded(eng));
+            Step::Admin(op) => self.session.admin(op).inspect(|_| self.epoch += 1),
+            Step::Write(write) => self
+                .staging
+                .execute(write, self.session.is_built(), |batch| {
+                    let t0 = Instant::now();
+                    self.session.apply(&batch)?;
                     self.epoch += 1;
-                    return Ok(msg);
-                }
-                let eng = IvmEngine::new(q, &self.staged, opts).map_err(|e| e.to_string())?;
-                let msg = format!(
-                    "built: N = {}, {} views, θ = {:.2}\n",
-                    eng.db_size(),
-                    eng.num_views(),
-                    eng.theta()
-                );
-                self.engine = Some(BuiltEngine::Single(Box::new(eng)));
-                self.epoch += 1;
-                Ok(msg)
-            }
-            Command::Update {
-                relation,
-                tuple,
-                delta,
-            } => {
-                if let Some(batch) = self.pending.as_mut() {
-                    batch.push(&relation, tuple, delta);
-                    return Ok(format!(
-                        "staged ({} updates, {} net entries pending)\n",
-                        batch.cardinality(),
-                        batch.distinct_len()
-                    ));
-                }
-                let eng = self.engine.as_mut().ok_or("run `build` first")?;
-                eng.apply_update(&relation, tuple, delta)?;
-                self.epoch += 1;
-                Ok(String::new())
-            }
-            Command::BulkLoad { relation, path } => {
-                let eng = self.engine.as_mut().ok_or("run `build` first")?;
-                let mut batch = DeltaBatch::new();
-                for t in load_csv(&path)? {
-                    batch.insert(&relation, t);
-                }
-                let t0 = std::time::Instant::now();
-                eng.apply_delta_batch(&batch)?;
-                self.epoch += 1;
-                let dt = t0.elapsed();
-                Ok(format!(
-                    "applied batch of {} rows into {relation} in {:.3}ms ({:.0} rows/s)\n",
-                    batch.cardinality(),
-                    dt.as_secs_f64() * 1e3,
-                    batch.cardinality() as f64 / dt.as_secs_f64().max(1e-9)
-                ))
-            }
-            Command::BatchBegin => {
-                if self.pending.is_some() {
-                    return Err("a batch is already open (`.batch commit|abort`)".into());
-                }
-                self.engine.as_ref().ok_or("run `build` first")?;
-                self.pending = Some(DeltaBatch::new());
-                Ok("batch open: insert/delete now stage until `.batch commit`\n".to_owned())
-            }
-            Command::BatchCommit => {
-                let batch = self
-                    .pending
-                    .take()
-                    .ok_or("no open batch (`.batch begin`)")?;
-                let eng = self.engine.as_mut().ok_or("run `build` first")?;
-                let t0 = std::time::Instant::now();
-                match eng.apply_delta_batch(&batch) {
-                    Ok(()) => {
-                        self.epoch += 1;
-                        let dt = t0.elapsed();
-                        Ok(format!(
-                            "committed {} updates ({} net entries) in {:.3}ms ({:.0} updates/s)\n",
-                            batch.cardinality(),
-                            batch.distinct_len(),
-                            dt.as_secs_f64() * 1e3,
-                            batch.cardinality() as f64 / dt.as_secs_f64().max(1e-9)
-                        ))
-                    }
-                    Err(e) => Err(format!("batch rejected (engine unchanged): {e}")),
-                }
-            }
-            Command::BatchAbort => {
-                let batch = self
-                    .pending
-                    .take()
-                    .ok_or("no open batch (`.batch begin`)")?;
-                Ok(format!(
-                    "aborted batch of {} staged updates\n",
-                    batch.cardinality()
-                ))
-            }
-            Command::BatchStatus => match &self.pending {
-                Some(b) => Ok(format!(
-                    "open batch: {} updates, {} net entries\n",
-                    b.cardinality(),
-                    b.distinct_len()
-                )),
-                None => Ok("no open batch\n".to_owned()),
-            },
-            Command::List { limit } => match self.engine.as_ref().ok_or("run `build` first")? {
-                BuiltEngine::Single(eng) => {
-                    let mut out = String::new();
-                    let mut shown = 0;
-                    for (t, m) in eng.enumerate().take(limit) {
-                        let _ = writeln!(out, "{t} x{m}");
-                        shown += 1;
-                    }
-                    let _ = writeln!(out, "({shown} tuples)");
-                    Ok(out)
-                }
-                BuiltEngine::Sharded(eng) => {
-                    Ok(render::render_list(&eng.snapshot(self.epoch), limit))
-                }
-            },
-            Command::Get(t) => {
-                let q = self.query.as_ref().ok_or("no query registered")?;
-                match self.engine.as_ref().ok_or("run `build` first")? {
-                    BuiltEngine::Single(eng) => {
-                        if t.arity() != q.free.arity() {
-                            return Err(format!(
-                                "tuple {t} has arity {}, but the result schema {:?} has arity {}",
-                                t.arity(),
-                                q.free,
-                                q.free.arity()
-                            ));
-                        }
-                        let m = eng.multiplicity(&t);
-                        Ok(if m == 0 {
-                            format!("{t} not in result\n")
-                        } else {
-                            format!("{t} x{m}\n")
-                        })
-                    }
-                    BuiltEngine::Sharded(eng) => {
-                        render::render_get(&eng.snapshot(self.epoch), q, &t)
+                    Ok(Applied {
+                        secs: t0.elapsed().as_secs_f64(),
+                        group: None,
+                    })
+                }),
+            Step::Read(cmd) => {
+                let stats = matches!(cmd, Command::Stats);
+                let mut out = self.session.read_view(self.epoch).execute(cmd)?;
+                // The paper-facing sizes live in the engine, not in the
+                // frozen view: append them per shard, as a server appends
+                // its durability lines.
+                if let (true, Some(eng)) = (stats, self.session.engine()) {
+                    for s in 0..eng.num_shards() {
+                        let e = eng.shard(s);
+                        let _ = writeln!(
+                            out,
+                            "shard {s}: M = {}, θ = {:.2}, views = {}, aux space = {}",
+                            e.threshold_base(),
+                            e.theta(),
+                            e.num_views(),
+                            e.aux_space()
+                        );
                     }
                 }
-            }
-            Command::Page { offset, limit } => {
-                match self.engine.as_ref().ok_or("run `build` first")? {
-                    BuiltEngine::Single(eng) => {
-                        let mut out = String::new();
-                        let page = eng.enumerate_page(offset, limit);
-                        for (t, m) in &page {
-                            let _ = writeln!(out, "{t} x{m}");
-                        }
-                        let _ = writeln!(out, "({} tuples at offset {offset})", page.len());
-                        Ok(out)
-                    }
-                    BuiltEngine::Sharded(eng) => Ok(render::render_page(
-                        &eng.snapshot(self.epoch),
-                        offset,
-                        limit,
-                    )),
-                }
-            }
-            Command::Count => match self.engine.as_ref().ok_or("run `build` first")? {
-                BuiltEngine::Single(eng) => Ok(format!("{}\n", eng.count_distinct())),
-                BuiltEngine::Sharded(eng) => Ok(render::render_count(&eng.snapshot(self.epoch))),
-            },
-            Command::Stats => {
-                let eng = self.engine.as_ref().ok_or("run `build` first")?;
-                match eng {
-                    BuiltEngine::Single(eng) => {
-                        let s = eng.stats();
-                        Ok(format!(
-                            "N = {}, M = {}, θ = {:.2}, views = {}, aux space = {}\n\
-                             updates = {}, batches = {}, major rebalances = {}, minor rebalances = {}\n",
-                            eng.db_size(),
-                            eng.threshold_base(),
-                            eng.theta(),
-                            eng.num_views(),
-                            eng.aux_space(),
-                            s.updates,
-                            s.batches,
-                            s.major_rebalances,
-                            s.minor_rebalances
-                        ))
-                    }
-                    BuiltEngine::Sharded(eng) => {
-                        Ok(render::render_stats(&eng.snapshot(self.epoch)))
-                    }
-                }
-            }
-            Command::Classify => {
-                let q = self.query.as_ref().ok_or("no query registered")?;
-                let c = classify(q);
-                Ok(format!("{c:#?}\n"))
-            }
-            Command::Plan => {
-                let q = self.query.as_ref().ok_or("no query registered")?;
-                let plan = ivme_plan::compile(q, self.mode).map_err(|e| e.to_string())?;
-                Ok(plan.render())
+                Ok(out)
             }
         }
     }
@@ -396,6 +97,8 @@ impl Shell {
 
 #[cfg(test)]
 mod tests {
+    use ivme_data::Tuple;
+
     use super::*;
 
     fn run(shell: &mut Shell, script: &[&str]) -> String {

@@ -501,12 +501,7 @@ impl ShardedEngine {
     /// [`IvmEngine::result_sorted`], fed from the merge cache (no
     /// re-enumeration on a quiescent engine).
     pub fn result_sorted(&self) -> Vec<(Tuple, i64)> {
-        let comps = self.merged_components();
-        let views: Vec<crate::enumerate::ComponentSlice<'_>> = comps
-            .iter()
-            .map(|c| (c.positions.as_slice(), c.tuples.as_slice()))
-            .collect();
-        sorted_product(&views, self.query.free.arity())
+        result_sorted(&self.merged_components(), self.query.free.arity())
     }
 
     /// Number of distinct result tuples: the product of the per-component
@@ -514,11 +509,7 @@ impl ShardedEngine {
     /// so the Cartesian product never needs to be walked. O(#components)
     /// when the merge cache is warm.
     pub fn count_distinct(&self) -> usize {
-        let comps = self.merged_components();
-        if comps.is_empty() {
-            return 0;
-        }
-        comps.iter().map(|c| c.tuples.len()).product()
+        count_distinct(&self.merged_components())
     }
 
     /// Multiplicity of one fully-specified result tuple: per component,
@@ -570,11 +561,7 @@ impl ShardedEngine {
     /// Page boundaries are stable until the next update that touches the
     /// engine invalidates the affected components.
     pub fn enumerate_page(&self, offset: usize, limit: usize) -> Vec<(Tuple, i64)> {
-        let mut it = self.enumerate();
-        if !it.seek(offset) {
-            return Vec::new();
-        }
-        it.take(limit).collect()
+        self.enumerate().page(offset, limit)
     }
 
     /// Validates every shard's internal invariants — test support.
@@ -612,6 +599,25 @@ struct MergedComponent {
     /// view (`ShardedSnapshot::multiplicity` cannot walk the view trees —
     /// the engine has moved on).
     index: FxHashMap<Tuple, i64>,
+}
+
+/// Distinct result tuples: the product of the per-component distinct
+/// counts. The one body behind the engine's and the snapshot's method, as
+/// are [`result_sorted`] and [`MergedResultIter::page`].
+fn count_distinct(comps: &[Arc<MergedComponent>]) -> usize {
+    if comps.is_empty() {
+        return 0;
+    }
+    comps.iter().map(|c| c.tuples.len()).product()
+}
+
+/// The full result, materialized component-wise and sorted.
+fn result_sorted(comps: &[Arc<MergedComponent>], free_arity: usize) -> Vec<(Tuple, i64)> {
+    let views: Vec<crate::enumerate::ComponentSlice<'_>> = comps
+        .iter()
+        .map(|c| (c.positions.as_slice(), c.tuples.as_slice()))
+        .collect();
+    sorted_product(&views, free_arity)
 }
 
 /// An immutable, self-contained view of a [`ShardedEngine`]'s result at
@@ -683,10 +689,7 @@ impl ShardedSnapshot {
 
     /// Number of distinct result tuples in the frozen result.
     pub fn count_distinct(&self) -> usize {
-        if self.comps.is_empty() {
-            return 0;
-        }
-        self.comps.iter().map(|c| c.tuples.len()).product()
+        count_distinct(&self.comps)
     }
 
     /// Multiplicity of one fully-specified result tuple in the frozen
@@ -720,21 +723,12 @@ impl ShardedSnapshot {
     /// [`ShardedEngine::enumerate_page`]. Page boundaries are stable for
     /// the lifetime of the snapshot by construction.
     pub fn enumerate_page(&self, offset: usize, limit: usize) -> Vec<(Tuple, i64)> {
-        let mut it = self.enumerate();
-        if !it.seek(offset) {
-            return Vec::new();
-        }
-        it.take(limit).collect()
+        self.enumerate().page(offset, limit)
     }
 
     /// Collects and sorts the frozen result — test/bench helper.
     pub fn result_sorted(&self) -> Vec<(Tuple, i64)> {
-        let views: Vec<crate::enumerate::ComponentSlice<'_>> = self
-            .comps
-            .iter()
-            .map(|c| (c.positions.as_slice(), c.tuples.as_slice()))
-            .collect();
-        sorted_product(&views, self.free_arity)
+        result_sorted(&self.comps, self.free_arity)
     }
 }
 
@@ -800,6 +794,15 @@ impl MergedResultIter {
             rem /= n;
         }
         true
+    }
+
+    /// One page from this fresh iterator: seeks to `offset`, collects up
+    /// to `limit`.
+    fn page(mut self, offset: usize, limit: usize) -> Vec<(Tuple, i64)> {
+        if !self.seek(offset) {
+            return Vec::new();
+        }
+        self.take(limit).collect()
     }
 }
 

@@ -2,11 +2,13 @@
 //! command dispatch that primary and replica share.
 //!
 //! A connection is a read-line → parse → dispatch → `ok`/`err` loop over
-//! the endpoint's [`Published`] snapshot. Reads ([`execute_read`]) never
-//! leave this module's lock-free path; what a state-changing verb does is
-//! decided by the [`WriteSink`] alone — a primary submits it to the
-//! group-commit writer and waits for the ack, a replica answers with a
-//! redirect naming its primary. Nothing else differs between the roles.
+//! the endpoint's [`Published`] snapshot. What a command means is
+//! [`ivme_cli::session`]'s business; this module decides only where it
+//! runs. Reads ([`execute_read`]) never leave the lock-free path; where a
+//! state-changing verb goes is decided by the [`WriteSink`] alone — a
+//! primary submits it to the group-commit writer and waits for the ack, a
+//! replica answers with a redirect naming its primary. Nothing else
+//! differs between the roles.
 
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -16,14 +18,12 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use ivme_cli::proto::{self, Command};
-use ivme_cli::render;
-use ivme_core::{DeltaBatch, Mode, ShardedSnapshot};
+use ivme_cli::session::{Applied, ReadView, Staging, Step};
 use ivme_data::Tuple;
-use ivme_query::{classify, Query};
 
 use crate::publish::{Cached, DurTracker, Published};
 use crate::repl;
-use crate::writer::{call, AdminOp, GroupInfo, Request};
+use crate::writer::{call, Request};
 
 /// Upper bound on one client command line, newline included. Far above
 /// any real command; a client that streams past it without a newline is
@@ -31,15 +31,26 @@ use crate::writer::{call, AdminOp, GroupInfo, Request};
 /// buffer is bounded no matter what the peer sends.
 pub const MAX_LINE: usize = 1 << 20;
 
-/// The immutable state a read command dispatches against: the registered
-/// query, the evaluation mode, and — once `build` has run — the frozen
-/// engine view. A connection's command sees exactly one `ServeSnapshot`;
-/// the writer publishing a newer one never mutates an old one, so a read
+/// Reads one line into `line`, at most [`MAX_LINE`] bytes of it, so no
+/// socket — client or replication — can grow a read buffer without
+/// limit. `Ok(None)` when the peer streamed past the bound without a
+/// newline (every caller then drops it), `Ok(Some(0))` at EOF.
+pub(crate) fn read_bounded_line(
+    reader: &mut impl BufRead,
+    line: &mut String,
+) -> io::Result<Option<usize>> {
+    line.clear();
+    let n = reader.by_ref().take(MAX_LINE as u64).read_line(line)?;
+    Ok((n < MAX_LINE || line.ends_with('\n')).then_some(n))
+}
+
+/// The immutable state a read command dispatches against: the frozen
+/// [`ReadView`] plus this process's durability and replication handles.
+/// A connection's command sees exactly one `ServeSnapshot`; the writer
+/// publishing a newer one never mutates an old one, so a read
 /// mid-enumeration can never observe a torn batch.
 pub struct ServeSnapshot {
-    pub(crate) query: Option<Query>,
-    pub(crate) mode: Mode,
-    pub(crate) view: Option<ShardedSnapshot>,
+    pub(crate) read: ReadView,
     /// Live durability handle (`None` when serving memory-only). The
     /// *counters* are not frozen with the view: `stats` samples the
     /// shared tracker at read time, so a quiescent server converges to
@@ -123,18 +134,6 @@ pub struct DurInfo {
     pub snapshot_in_progress: bool,
     /// Distinct commit rounds replayed from the WAL at the last boot.
     pub recovered_groups: u64,
-}
-
-impl ServeSnapshot {
-    fn view(&self) -> Result<&ShardedSnapshot, String> {
-        self.view.as_ref().ok_or_else(|| "run `build` first".into())
-    }
-
-    fn query(&self) -> Result<&Query, String> {
-        self.query
-            .as_ref()
-            .ok_or_else(|| "no query registered".into())
-    }
 }
 
 /// What a serving listener shares with its connections: the published
@@ -239,16 +238,6 @@ pub(crate) fn spawn_accept_loop(
         })
 }
 
-/// Submits one batch to the writer thread and waits for its ack.
-fn submit(tx: &SyncSender<Request>, batch: DeltaBatch) -> Result<GroupInfo, String> {
-    call(tx, |ack| Request::Batch { batch, ack })
-}
-
-/// Submits one admin op to the writer thread and waits for its response.
-fn admin(tx: &SyncSender<Request>, op: AdminOp) -> Result<String, String> {
-    call(tx, |ack| Request::Admin { op, ack })
-}
-
 /// Borrowing parse of an `insert`/`delete` line for the staging hot path:
 /// `Some((relation, tuple-or-parse-error, ±1))` when the line is an update
 /// command, `None` for anything else (which then goes through
@@ -269,9 +258,9 @@ fn serve_connection(stream: TcpStream, endpoint: &Endpoint, sink: &WriteSink) ->
     stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
-    // Per-connection `.batch` staging area — mirrors the shell's. Only a
+    // Per-connection `.batch` staging area — the shell's type. Only a
     // `Writer` sink ever opens one.
-    let mut pending: Option<DeltaBatch> = None;
+    let mut pending = Staging::default();
     // Per-connection snapshot handle: refreshed (one atomic load) per
     // read command, re-cloned only when a newer snapshot was published.
     let mut cache = endpoint.published.cache();
@@ -283,13 +272,11 @@ fn serve_connection(stream: TcpStream, endpoint: &Endpoint, sink: &WriteSink) ->
         if reader.buffer().is_empty() {
             writer.flush()?;
         }
-        line.clear();
-        let n = (&mut reader).take(MAX_LINE as u64).read_line(&mut line)?;
-        if n == 0 {
-            break;
-        }
-        if n == MAX_LINE && !line.ends_with('\n') {
+        let Some(n) = read_bounded_line(&mut reader, &mut line)? else {
             proto::write_err(&mut writer, "line too long")?;
+            break;
+        };
+        if n == 0 {
             break;
         }
         // Hot path for batch staging: while a `.batch` is open, an
@@ -299,8 +286,8 @@ fn serve_connection(stream: TcpStream, endpoint: &Endpoint, sink: &WriteSink) ->
         // of k updates is k pipelined lines, and this path is what keeps
         // group-commit throughput within reach of raw `apply_delta_batch`.
         // Semantics are identical to the `Command::Update` route below
-        // (same `parse_tuple`, same staging), only the ack is empty.
-        if let Some(batch) = pending.as_mut() {
+        // (same `parse_tuple`, same staging, same empty ack).
+        if let Some(batch) = pending.open_mut() {
             if let Some((rel, tuple, delta)) = parse_staged_update(&line) {
                 match tuple {
                     Ok(t) => {
@@ -344,188 +331,77 @@ fn serve_connection(stream: TcpStream, endpoint: &Endpoint, sink: &WriteSink) ->
 
 /// Executes one command. Reads refresh the connection's snapshot handle
 /// and dispatch lock-free through [`execute_read`]; everything that
-/// changes state goes where the sink says.
+/// changes state goes where the sink says: admin ops and every batch a
+/// write verb makes due ride the writer channel and wait for the ack.
 fn execute(
     cmd: Command,
     endpoint: &Endpoint,
     cache: &mut Cached<ServeSnapshot>,
     sink: &WriteSink,
-    pending: &mut Option<DeltaBatch>,
+    pending: &mut Staging,
 ) -> Result<String, String> {
-    match cmd {
-        Command::Quit => Ok("bye\n".to_owned()),
-        Command::Help => Ok(proto::HELP.to_owned()),
-        Command::Shutdown => sink.shutdown(endpoint),
-        Command::List { .. }
-        | Command::Get(_)
-        | Command::Page { .. }
-        | Command::Count
-        | Command::Stats
-        | Command::Classify
-        | Command::Plan => execute_read(cmd, endpoint.published.refresh(cache)),
-        cmd => execute_write(cmd, sink.writer()?, endpoint, cache, pending),
+    // File I/O on the connection thread — the server reads its own disk;
+    // only the parsed rows travel to the writer. A replica redirects
+    // before it opens anything.
+    let load_csv = |path: &str| sink.writer().and_then(|_| proto::load_csv(path));
+    match Step::of(cmd, load_csv)? {
+        Step::Quit => Ok(proto::BYE.to_owned()),
+        Step::Help => Ok(proto::HELP.to_owned()),
+        Step::Shutdown => sink.shutdown(endpoint),
+        Step::Read(cmd) => execute_read(cmd, endpoint.published.refresh(cache)),
+        Step::Admin(op) => call(sink.writer()?, |ack| Request::Admin { op, ack }),
+        Step::Write(write) => {
+            let tx = sink.writer()?;
+            let built = endpoint.published.refresh(cache).read.view.is_some();
+            pending.execute(write, built, |batch| {
+                let info = call(tx, |ack| Request::Batch { batch, ack })?;
+                Ok(Applied {
+                    secs: info.apply_micros as f64 / 1e6,
+                    group: Some(info.group),
+                })
+            })
+        }
     }
 }
 
-/// Executes one admin, write or `.batch` command against the writer
-/// channel `tx` — reached only through a [`WriteSink::Writer`].
-fn execute_write(
-    cmd: Command,
-    tx: &SyncSender<Request>,
-    endpoint: &Endpoint,
-    cache: &mut Cached<ServeSnapshot>,
-    pending: &mut Option<DeltaBatch>,
-) -> Result<String, String> {
-    match cmd {
-        // ---- admin/setup: serialized through the writer thread ----
-        Command::Query(q) => admin(tx, AdminOp::Query(q)),
-        Command::Epsilon(e) => admin(tx, AdminOp::Epsilon(e)),
-        Command::Mode(m) => admin(tx, AdminOp::Mode(m)),
-        Command::Shards(n) => admin(tx, AdminOp::Shards(n)),
-        Command::Row { relation, tuple } => admin(
-            tx,
-            AdminOp::Rows {
-                relation,
-                rows: vec![tuple],
-            },
-        ),
-        Command::Load { relation, path } => {
-            // File I/O on the connection thread — the server reads its own
-            // disk; only the parsed rows travel to the writer.
-            let rows = proto::load_csv(&path)?;
-            admin(tx, AdminOp::Rows { relation, rows })
-        }
-        Command::Build => admin(tx, AdminOp::Build),
-
-        // ---- writes: group-commit channel ----
-        Command::Update {
-            relation,
-            tuple,
-            delta,
-        } => {
-            if let Some(batch) = pending.as_mut() {
-                // `serve_connection`'s staging hot path intercepts the
-                // `insert`/`delete` shapes while a batch is open; the
-                // general `update <rel> <delta> <csv>` verb stages here,
-                // with the same empty ack as the hot path.
-                batch.push(&relation, tuple, delta);
-                return Ok(String::new());
-            }
-            let mut batch = DeltaBatch::new();
-            batch.push(&relation, tuple, delta);
-            submit(tx, batch)?;
-            Ok(String::new())
-        }
-        Command::BulkLoad { relation, path } => {
-            let mut batch = DeltaBatch::new();
-            for t in proto::load_csv(&path)? {
-                batch.insert(&relation, t);
-            }
-            let n = batch.cardinality();
-            let info = submit(tx, batch)?;
-            let secs = info.apply_micros as f64 / 1e6;
-            Ok(format!(
-                "applied batch of {n} rows into {relation} in {:.3}ms ({:.0} rows/s, group of {})\n",
-                secs * 1e3,
-                n as f64 / secs.max(1e-9),
-                info.group
-            ))
-        }
-        Command::BatchBegin => {
-            if pending.is_some() {
-                return Err("a batch is already open (`.batch commit|abort`)".into());
-            }
-            endpoint.published.refresh(cache).view()?;
-            *pending = Some(DeltaBatch::new());
-            Ok("batch open: insert/delete now stage until `.batch commit`\n".to_owned())
-        }
-        Command::BatchCommit => {
-            let batch = pending.take().ok_or("no open batch (`.batch begin`)")?;
-            let (card, net) = (batch.cardinality(), batch.distinct_len());
-            match submit(tx, batch) {
-                Ok(info) => {
-                    let secs = info.apply_micros as f64 / 1e6;
-                    Ok(format!(
-                        "committed {card} updates ({net} net entries) in {:.3}ms ({:.0} updates/s, group of {})\n",
-                        secs * 1e3,
-                        card as f64 / secs.max(1e-9),
-                        info.group
-                    ))
-                }
-                Err(e) => Err(format!("batch rejected (engine unchanged): {e}")),
-            }
-        }
-        Command::BatchAbort => {
-            let batch = pending.take().ok_or("no open batch (`.batch begin`)")?;
-            Ok(format!(
-                "aborted batch of {} staged updates\n",
-                batch.cardinality()
-            ))
-        }
-        Command::BatchStatus => match pending {
-            Some(b) => Ok(format!(
-                "open batch: {} updates, {} net entries\n",
-                b.cardinality(),
-                b.distinct_len()
-            )),
-            None => Ok("no open batch\n".to_owned()),
-        },
-        // Reads and the verbs every role answers itself never reach
-        // here: `execute` matches them first.
-        _ => Err("not a write command".to_owned()),
-    }
-}
-
-/// Executes one read command against an immutable [`ServeSnapshot`].
+/// Executes one read command against an immutable [`ServeSnapshot`]:
+/// [`ReadView::execute`] — the dispatch and the formatting the REPL uses,
+/// so shell transcripts and server transcripts stay byte-identical — plus
+/// the durability and replication lines this process appends to `stats`.
 ///
-/// This is the whole read dispatch path, and its signature is the
-/// lock-freedom proof: it sees `&ServeSnapshot` — no `RwLock`, no
-/// `Mutex`, no channel, not even the [`Server`](crate::Server) — so a
-/// read command cannot acquire a lock no matter what the rest of the
-/// crate does. Formatting is shared with the REPL ([`ivme_cli::render`]),
-/// so shell transcripts and server transcripts stay byte-identical.
+/// This is the whole read path, and its signature is the lock-freedom
+/// proof: it sees `&ServeSnapshot` — no `RwLock`, no `Mutex`, no channel,
+/// not even the [`Server`](crate::Server) — so a read command cannot
+/// acquire a lock no matter what the rest of the crate does.
 pub fn execute_read(cmd: Command, snap: &ServeSnapshot) -> Result<String, String> {
-    match cmd {
-        Command::List { limit } => Ok(render::render_list(snap.view()?, limit)),
-        Command::Get(t) => render::render_get(snap.view()?, snap.query()?, &t),
-        Command::Page { offset, limit } => Ok(render::render_page(snap.view()?, offset, limit)),
-        Command::Count => Ok(render::render_count(snap.view()?)),
-        Command::Stats => {
-            let mut out = render::render_stats(snap.view()?);
-            if let Some(d) = snap.dur.as_ref().map(DurHandle::sample) {
-                use std::fmt::Write as _;
-                let _ = writeln!(
-                    out,
-                    "wal_epoch = {}, durable_epoch = {}, fsync_backlog = {}, wal_frames = {}, \
-                     last_fsync_us = {}, snapshot_in_progress = {}, recovered_groups = {}",
-                    d.wal_epoch,
-                    d.durable_epoch,
-                    d.fsync_backlog,
-                    d.wal_frames,
-                    d.last_fsync_us,
-                    u8::from(d.snapshot_in_progress),
-                    d.recovered_groups
-                );
-            }
-            if let Some(r) = snap.repl.as_ref() {
-                r.stats_lines(&mut out);
-            }
-            Ok(out)
+    let stats = matches!(cmd, Command::Stats);
+    let mut out = snap.read.execute(cmd)?;
+    if stats {
+        if let Some(d) = snap.dur.as_ref().map(DurHandle::sample) {
+            use std::fmt::Write as _;
+            let _ = writeln!(
+                out,
+                "wal_epoch = {}, durable_epoch = {}, fsync_backlog = {}, wal_frames = {}, \
+                 last_fsync_us = {}, snapshot_in_progress = {}, recovered_groups = {}",
+                d.wal_epoch,
+                d.durable_epoch,
+                d.fsync_backlog,
+                d.wal_frames,
+                d.last_fsync_us,
+                u8::from(d.snapshot_in_progress),
+                d.recovered_groups
+            );
         }
-        Command::Classify => Ok(format!("{:#?}\n", classify(snap.query()?))),
-        Command::Plan => {
-            let plan = ivme_plan::compile(snap.query()?, snap.mode).map_err(|e| e.to_string())?;
-            Ok(plan.render())
+        if let Some(r) = snap.repl.as_ref() {
+            r.stats_lines(&mut out);
         }
-        // Non-read commands never reach here: `execute` matches them
-        // first. Report rather than panic for direct callers.
-        _ => Err("not a read command".to_owned()),
     }
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
-    use ivme_core::{Database, EngineOptions, ShardedEngine};
+    use ivme_core::{Database, EngineOptions, Mode, ShardedEngine};
 
     use super::*;
 
@@ -544,9 +420,11 @@ mod tests {
         let q = ivme_query::parse_query("Q(A,C) :- R(A,B), S(B,C)").unwrap();
         let eng = ShardedEngine::new(&q, &db, EngineOptions::dynamic(0.5), 2).unwrap();
         let snap = ServeSnapshot {
-            query: Some(q),
-            mode: Mode::Dynamic,
-            view: Some(eng.snapshot(3)),
+            read: ReadView {
+                query: Some(q),
+                mode: Mode::Dynamic,
+                view: Some(eng.snapshot(3)),
+            },
             dur: None,
             repl: None,
         };

@@ -94,14 +94,15 @@
 //!   epoch. See `docs/ARCHITECTURE.md` for the dataflow and
 //!   `docs/PROTOCOL.md` for the wire format.
 //!
-//! There is one of each moving part. Primary and replica serve through
-//! the same accept and connection loop (`conn`), parameterised only by
-//! where writes go; every published snapshot is built by the one
-//! `OwnedState::serve_snapshot` (`writer`, which also holds the
-//! group-commit loop); and boot recovery and the replica's apply thread
-//! replay WAL frames through the one `OwnedState::apply_frame`
-//! (`recovery`). This file keeps the configuration and the [`Server`]
-//! handle.
+//! There is one of each moving part. What a command does and answers is
+//! written once, in [`ivme_cli::session`], the interpreter the shell runs
+//! too. Primary and replica serve through the same accept and connection
+//! loop (`conn`), parameterised only by where writes go; every published
+//! snapshot is built by the one `OwnedState::serve_snapshot` (`writer`,
+//! which also holds the group-commit loop); and boot recovery and the
+//! replica's apply thread replay WAL frames through the one
+//! `OwnedState::apply_frame` (`recovery`). This file keeps the
+//! configuration and the [`Server`] handle.
 
 mod conn;
 pub mod crc;

@@ -1,100 +1,54 @@
 //! Replay: decoding WAL frames back into the operations they committed,
 //! applying them, and the boot-time recovery built on both.
 //!
-//! A frame's payload is `proto` command text, so replay goes through the
-//! same admin/apply code that produced the frame live. There is exactly
-//! one replayer — [`OwnedState::apply_frame`] — and two callers: boot
-//! recovery ([`recover`], frames read back from `wal.log`) and a
-//! replica's apply thread (the same frames, streamed by the primary).
+//! A frame's payload is `proto` command text, so replay runs it through
+//! the interpreter that produced the frame live ([`ivme_cli::session`]).
+//! There is exactly one replayer — [`OwnedState::apply_frame`] — and two
+//! callers: boot recovery ([`recover`], frames read back from `wal.log`)
+//! and a replica's apply thread (the same frames, streamed by the
+//! primary).
 
 use std::io;
 use std::path::Path;
 
-use ivme_cli::proto::{self, Command};
-use ivme_core::DeltaBatch;
+use ivme_cli::proto;
+use ivme_cli::session::{Applied, Staging, Step, Write};
 
 use crate::snapshot;
 use crate::wal::{self, Wal};
-use crate::writer::{AdminOp, OwnedState};
-
-/// One operation decoded from a WAL frame, ready to apply.
-enum ReplayOp {
-    Admin(AdminOp),
-    Batch(DeltaBatch),
-}
-
-/// Decodes one frame's command text into the operations it committed —
-/// the parse-only half of what live connections do. Frames are one
-/// committed unit each: a `.batch begin … commit` script, a run of
-/// `row` lines, or a single admin command. A CRC-valid frame that fails
-/// to parse is a logic error (it committed once), so the boot refuses to
-/// start rather than serving a diverged state.
-fn parse_replay_ops(text: &str) -> Result<Vec<ReplayOp>, String> {
-    let mut ops = Vec::new();
-    let mut pending: Option<DeltaBatch> = None;
-    for line in text.lines() {
-        let Some(cmd) = proto::parse_command(line)? else {
-            continue;
-        };
-        match cmd {
-            Command::BatchBegin => {
-                if pending.is_some() {
-                    return Err("nested `.batch begin` in WAL frame".into());
-                }
-                pending = Some(DeltaBatch::new());
-            }
-            Command::Update {
-                relation,
-                tuple,
-                delta,
-            } => match pending.as_mut() {
-                Some(b) => b.push(&relation, tuple, delta),
-                None => {
-                    let mut b = DeltaBatch::new();
-                    b.push(&relation, tuple, delta);
-                    ops.push(ReplayOp::Batch(b));
-                }
-            },
-            Command::BatchCommit => {
-                let b = pending.take().ok_or("`.batch commit` without begin")?;
-                ops.push(ReplayOp::Batch(b));
-            }
-            Command::Query(q) => ops.push(ReplayOp::Admin(AdminOp::Query(q))),
-            Command::Epsilon(e) => ops.push(ReplayOp::Admin(AdminOp::Epsilon(e))),
-            Command::Mode(m) => ops.push(ReplayOp::Admin(AdminOp::Mode(m))),
-            Command::Shards(n) => ops.push(ReplayOp::Admin(AdminOp::Shards(n))),
-            Command::Row { relation, tuple } => ops.push(ReplayOp::Admin(AdminOp::Rows {
-                relation,
-                rows: vec![tuple],
-            })),
-            Command::Build => ops.push(ReplayOp::Admin(AdminOp::Build)),
-            other => return Err(format!("unreplayable command in WAL: {other:?}")),
-        }
-    }
-    if pending.is_some() {
-        return Err("unterminated `.batch begin` in WAL frame".into());
-    }
-    Ok(ops)
-}
+use crate::writer::OwnedState;
 
 impl OwnedState {
-    /// Applies one WAL frame's command text. A CRC-valid frame that
-    /// fails here is a logic error or corruption of a different kind (it
-    /// committed once): boot refuses to start and a replica freezes,
-    /// rather than serve a diverged state.
+    /// Applies one WAL frame's command text, line by line, through the
+    /// interpreter that produced it live. Frames are one committed unit
+    /// each: a `.batch begin … commit` script, a run of `row` lines, or a
+    /// single admin command — anything else in a frame is refused. A
+    /// CRC-valid frame that fails here is a logic error or corruption of
+    /// a different kind (it committed once): boot refuses to start and a
+    /// replica freezes, rather than serve a diverged state.
     pub(crate) fn apply_frame(&mut self, text: &str) -> Result<(), String> {
-        for op in parse_replay_ops(text)? {
-            match op {
-                ReplayOp::Admin(op) => {
-                    self.admin(op)?;
+        let mut staging = Staging::default();
+        for line in text.lines() {
+            let Some(cmd) = proto::parse_command(line)? else {
+                continue;
+            };
+            let refuse = || format!("unreplayable command in WAL: {}", line.trim());
+            // Frames never name files: the loader refuses before any path
+            // is opened.
+            match Step::of(cmd, |_| Err(refuse()))? {
+                Step::Admin(op) => {
+                    self.session.admin(op)?;
                 }
-                ReplayOp::Batch(b) => self
-                    .engine
-                    .as_mut()
-                    .ok_or("WAL batch frame before any `build`")?
-                    .apply_delta_batch(&b)
-                    .map_err(|e| e.to_string())?,
+                Step::Write(w @ (Write::Update(_) | Write::Begin | Write::Commit)) => {
+                    staging.execute(w, self.session.is_built(), |batch| {
+                        self.session.apply(&batch).map(|()| Applied::default())
+                    })?;
+                }
+                _ => return Err(refuse()),
             }
+        }
+        if staging.is_open() {
+            return Err("unterminated `.batch begin` in WAL frame".into());
         }
         Ok(())
     }

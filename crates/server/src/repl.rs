@@ -49,7 +49,7 @@
 //! sequence produces — never a torn round, never a rolled-back write
 //! (frames are broadcast only after their durability point).
 
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -60,7 +60,7 @@ use std::time::Duration;
 
 use ivme_cli::proto::{self, ReplHeader};
 
-use crate::conn::{self, Endpoint, ReplRole, WriteSink};
+use crate::conn::{self, read_bounded_line, Endpoint, ReplRole, WriteSink};
 use crate::wal::BarrierHook;
 use crate::writer::OwnedState;
 use crate::{invalid_data, snapshot, wal};
@@ -391,8 +391,8 @@ fn serve_follower(
     stream.set_read_timeout(Some(Duration::from_secs(10)))?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
-        return Ok(());
+    if read_bounded_line(&mut reader, &mut line)?.unwrap_or(0) == 0 {
+        return Ok(()); // EOF, or an over-long line: drop the peer
     }
     let (hello_epoch, hello_frames) = proto::parse_repl_hello(&line).map_err(invalid_data)?;
     stream.set_read_timeout(None)?;
@@ -514,13 +514,12 @@ fn ack_loop(
 ) {
     let mut line = String::new();
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => {
+        match read_bounded_line(&mut reader, &mut line) {
+            Ok(None | Some(0)) | Err(_) => {
                 let _ = reader.get_ref().shutdown(std::net::Shutdown::Both);
                 return;
             }
-            Ok(_) => {
+            Ok(Some(_)) => {
                 if let Ok((epoch, frames)) = proto::parse_repl_ack(&line) {
                     acked_epoch.store(epoch, Ordering::Relaxed);
                     acked_frames.store(frames, Ordering::Relaxed);
@@ -828,9 +827,8 @@ fn pump_stream(
         if shared.endpoint.is_closed() {
             return Ok(());
         }
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            return Ok(());
+        if read_bounded_line(&mut reader, &mut line)?.unwrap_or(0) == 0 {
+            return Ok(()); // EOF, or an over-long line: reconnect
         }
         let header = proto::parse_repl_header(&line).map_err(invalid_data)?;
         match header {
@@ -840,10 +838,11 @@ fn pump_stream(
                     .map_err(|_| PumpEnd::Closed)?;
             }
             ReplHeader::Round { epoch, frames } => {
-                let mut texts = Vec::with_capacity(frames);
+                // `frames` is the peer's claim: reserve for a plausible
+                // round and let the vector grow as frames really arrive.
+                let mut texts = Vec::with_capacity(frames.min(1024));
                 for _ in 0..frames {
-                    line.clear();
-                    if reader.read_line(&mut line)? == 0 {
+                    if read_bounded_line(&mut reader, &mut line)?.unwrap_or(0) == 0 {
                         return Err(PumpEnd::Io(io::Error::new(
                             io::ErrorKind::UnexpectedEof,
                             "stream closed mid-round",

@@ -16,9 +16,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use ivme_cli::proto;
-use ivme_core::{Database, DeltaBatch, EngineOptions, Mode, ShardedEngine};
-use ivme_data::Tuple;
-use ivme_query::{classify, Query};
+use ivme_cli::session::{AdminOp, Session, NOT_BUILT};
+use ivme_core::{DeltaBatch, EngineOptions, ShardedEngine};
 
 use crate::conn::{DurHandle, Endpoint, ReplRole, ServeSnapshot};
 use crate::publish::DurTracker;
@@ -40,12 +39,9 @@ pub(crate) struct Shared {
 /// in the process can reach it — the rest of the server only ever sees
 /// the [`ServeSnapshot`]s it publishes.
 pub(crate) struct OwnedState {
-    query: Option<Query>,
-    epsilon: f64,
-    mode: Mode,
-    shards: usize,
-    staged: Database,
-    pub(crate) engine: Option<ShardedEngine>,
+    /// The engine and its configuration, behind the interpreter the
+    /// shell runs the same commands through.
+    pub(crate) session: Session,
     /// Epoch of the last published snapshot.
     pub(crate) epoch: u64,
     /// Durability machinery — `None` when serving memory-only.
@@ -77,12 +73,7 @@ pub(crate) struct Durability {
 impl OwnedState {
     pub(crate) fn new(repl: Option<ReplRole>) -> OwnedState {
         OwnedState {
-            query: None,
-            epsilon: 0.5,
-            mode: Mode::Dynamic,
-            shards: 1,
-            staged: Database::new(),
-            engine: None,
+            session: Session::default(),
             epoch: 0,
             dur: None,
             repl,
@@ -96,90 +87,12 @@ impl OwnedState {
     /// `stats` time.
     pub(crate) fn serve_snapshot(&self, epoch: u64) -> ServeSnapshot {
         ServeSnapshot {
-            query: self.query.clone(),
-            mode: self.mode,
-            view: self.engine.as_ref().map(|e| e.snapshot(epoch)),
+            read: self.session.read_view(epoch),
             dur: self.dur.as_ref().map(|d| DurHandle {
                 tracker: Arc::clone(&d.tracker),
                 recovered_groups: d.recovered_groups,
             }),
             repl: self.repl.clone(),
-        }
-    }
-
-    /// Executes one admin operation; `Ok` responses also mark the round
-    /// dirty so the caller republishes.
-    pub(crate) fn admin(&mut self, op: AdminOp) -> Result<String, String> {
-        use std::fmt::Write as _;
-        match op {
-            AdminOp::Query(q) => {
-                let c = classify(&q);
-                let mut out = String::new();
-                let _ = writeln!(out, "registered {q}");
-                let _ = writeln!(
-                    out,
-                    "w = {}, δ = {}, free-connex: {}, q-hierarchical: {}",
-                    c.static_width.unwrap(),
-                    c.dynamic_width.unwrap(),
-                    c.free_connex,
-                    c.q_hierarchical
-                );
-                self.query = Some(q);
-                self.engine = None;
-                Ok(out)
-            }
-            AdminOp::Epsilon(e) => {
-                self.epsilon = e;
-                Ok(format!("epsilon = {e}\n"))
-            }
-            AdminOp::Mode(m) => {
-                self.mode = m;
-                Ok(format!(
-                    "mode = {}\n",
-                    match m {
-                        Mode::Dynamic => "dynamic",
-                        Mode::Static => "static",
-                    }
-                ))
-            }
-            AdminOp::Shards(n) => {
-                self.shards = n;
-                let note = if self.engine.is_some() {
-                    " (takes effect on the next `build`)"
-                } else {
-                    ""
-                };
-                Ok(format!("shards = {n}{note}\n"))
-            }
-            AdminOp::Rows { relation, rows } => {
-                let n = rows.len();
-                for t in rows {
-                    self.staged.insert(&relation, t, 1);
-                }
-                Ok(if n == 1 {
-                    format!("staged 1 row into {relation}\n")
-                } else {
-                    format!("staged {n} rows into {relation}\n")
-                })
-            }
-            AdminOp::Build => {
-                let q = self.query.as_ref().ok_or("no query registered")?;
-                let opts = EngineOptions {
-                    epsilon: self.epsilon,
-                    mode: self.mode,
-                };
-                // Always sharded (S ≥ 1): one read/commit path per build.
-                let eng = ShardedEngine::new(q, &self.staged, opts, self.shards)
-                    .map_err(|e| e.to_string())?;
-                let msg = format!(
-                    "built: N = {}, {} shards (sizes {:?})\n",
-                    eng.db_size(),
-                    eng.num_shards(),
-                    eng.shard_sizes()
-                );
-                self.engine = Some(eng);
-                Ok(msg)
-            }
         }
     }
 
@@ -251,98 +164,47 @@ impl OwnedState {
     /// Captures the full state (config, staged rows, engine base
     /// relations, cumulative counters) as serializable [`SnapshotData`].
     fn snapshot_data(&self, serve: (u64, u64, u64)) -> SnapshotData {
-        let engine_stats = self.engine.as_ref().map_or((0, 0, 0), |e| {
-            let s = e.stats();
-            (s.updates, s.batches, s.misroutes)
+        let s = &self.session;
+        let engine_stats = s.engine().map_or((0, 0, 0), |e| {
+            let st = e.stats();
+            (st.updates, st.batches, st.misroutes)
         });
         SnapshotData {
             epoch: self.epoch,
             engine_stats,
             serve_stats: serve,
-            epsilon: self.epsilon,
-            mode: self.mode,
-            shards: self.shards,
-            query: self.query.as_ref().map(|q| q.to_string()),
-            built: self.engine.is_some(),
-            staged: self.staged.clone(),
-            base: self
-                .engine
-                .as_ref()
+            epsilon: s.options().epsilon,
+            mode: s.options().mode,
+            shards: s.shards(),
+            query: s.query().map(|q| q.to_string()),
+            built: s.is_built(),
+            staged: s.staged().clone(),
+            base: s
+                .engine()
                 .map(ShardedEngine::export_database)
                 .unwrap_or_default(),
         }
     }
 
     /// Rebuilds the writer state from a loaded snapshot — the inverse of
-    /// [`OwnedState::snapshot_data`]. The engine is reconstructed by
-    /// re-preprocessing the exported base relations (same entry point as
-    /// a live `build`), then seeded with the persisted counters.
+    /// [`OwnedState::snapshot_data`], through [`Session::restore`].
     pub(crate) fn restore(&mut self, snap: SnapshotData) -> Result<(), String> {
-        self.epsilon = snap.epsilon;
-        self.mode = snap.mode;
-        self.shards = snap.shards;
-        self.staged = snap.staged;
-        self.epoch = snap.epoch;
-        self.query = match &snap.query {
+        let query = match &snap.query {
             None => None,
             Some(q) => Some(ivme_query::parse_query(q).map_err(|e| e.to_string())?),
         };
-        self.engine = None;
-        if snap.built {
-            let q = self
-                .query
-                .as_ref()
-                .ok_or("snapshot marked built but has no query")?;
-            let opts = EngineOptions {
-                epsilon: self.epsilon,
-                mode: self.mode,
-            };
-            let mut eng =
-                ShardedEngine::new(q, &snap.base, opts, self.shards).map_err(|e| e.to_string())?;
-            let (u, b, m) = snap.engine_stats;
-            eng.restore_stats(u, b, m);
-            self.engine = Some(eng);
-        }
+        self.session = Session::restore(
+            query,
+            EngineOptions {
+                epsilon: snap.epsilon,
+                mode: snap.mode,
+            },
+            snap.shards,
+            snap.staged,
+            snap.built.then_some((&snap.base, snap.engine_stats)),
+        )?;
+        self.epoch = snap.epoch;
         Ok(())
-    }
-}
-
-/// Rare state-changing commands, serialized through the writer thread so
-/// the engine stays single-owner (file I/O happens before submission, on
-/// the connection thread).
-pub(crate) enum AdminOp {
-    Query(Query),
-    Epsilon(f64),
-    Mode(Mode),
-    Shards(usize),
-    Rows { relation: String, rows: Vec<Tuple> },
-    Build,
-}
-
-impl AdminOp {
-    /// The command text that replays this op — the WAL frame payload,
-    /// captured *before* `admin` consumes the op. Rendering reuses the
-    /// grammar's own canonical forms so replay parses exactly what a
-    /// connection would have sent.
-    fn wal_text(&self) -> String {
-        match self {
-            AdminOp::Query(q) => format!("query {q}"),
-            // f64 Display is the shortest round-tripping decimal in Rust,
-            // so the replayed epsilon is bit-identical.
-            AdminOp::Epsilon(e) => format!("epsilon {e}"),
-            AdminOp::Mode(Mode::Dynamic) => "mode dynamic".to_owned(),
-            AdminOp::Mode(Mode::Static) => "mode static".to_owned(),
-            AdminOp::Shards(n) => format!(".shards {n}"),
-            AdminOp::Rows { relation, rows } => {
-                let mut out = String::new();
-                for t in rows {
-                    out.push_str(&proto::row_line(relation, t));
-                    out.push('\n');
-                }
-                out
-            }
-            AdminOp::Build => "build".to_owned(),
-        }
     }
 }
 
@@ -488,7 +350,7 @@ fn process_round(
                 // Capture the replay text before `admin` consumes the op;
                 // it becomes a WAL frame only if the op succeeds.
                 let text = op.wal_text();
-                let res = state.admin(op);
+                let res = state.session.admin(op);
                 if res.is_ok() {
                     dirty = true;
                     frames.push(text);
@@ -603,12 +465,12 @@ fn commit_run(
         return;
     }
     let members = std::mem::take(run);
-    let Some(eng) = state.engine.as_mut() else {
+    if !state.session.is_built() {
         for (_, ack) in members {
-            acks.push(PendingAck::Write(ack, Err("run `build` first".to_owned())));
+            acks.push(PendingAck::Write(ack, Err(NOT_BUILT.to_owned())));
         }
         return;
-    };
+    }
     shared.group_commits.fetch_add(1, Ordering::Relaxed);
     shared
         .grouped_batches
@@ -616,13 +478,10 @@ fn commit_run(
     if members.len() == 1 {
         let (batch, ack) = members.into_iter().next().unwrap();
         let t0 = Instant::now();
-        let res = eng
-            .apply_delta_batch(&batch)
-            .map(|()| GroupInfo {
-                group: 1,
-                apply_micros: t0.elapsed().as_micros(),
-            })
-            .map_err(|e| e.to_string());
+        let res = state.session.apply(&batch).map(|()| GroupInfo {
+            group: 1,
+            apply_micros: t0.elapsed().as_micros(),
+        });
         if res.is_ok() {
             *dirty = true;
             frames.push(proto::batch_lines(&batch));
@@ -639,7 +498,7 @@ fn commit_run(
         }
     }
     let t0 = Instant::now();
-    match eng.apply_delta_batch(&merged) {
+    match state.session.apply(&merged) {
         Ok(()) => {
             *dirty = true;
             frames.push(proto::batch_lines(&merged));
@@ -659,13 +518,10 @@ fn commit_run(
             shared.group_retries.fetch_add(1, Ordering::Relaxed);
             for (batch, ack) in members {
                 let t0 = Instant::now();
-                let res = eng
-                    .apply_delta_batch(&batch)
-                    .map(|()| GroupInfo {
-                        group: 1,
-                        apply_micros: t0.elapsed().as_micros(),
-                    })
-                    .map_err(|e| e.to_string());
+                let res = state.session.apply(&batch).map(|()| GroupInfo {
+                    group: 1,
+                    apply_micros: t0.elapsed().as_micros(),
+                });
                 if res.is_ok() {
                     *dirty = true;
                     frames.push(proto::batch_lines(&batch));

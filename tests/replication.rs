@@ -9,7 +9,8 @@
 //! reordered application would be caught mid-flight, not just at
 //! convergence.
 
-use std::net::SocketAddr;
+use std::io::{ErrorKind, Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -20,7 +21,7 @@ use ivme::data::Tuple;
 use ivme::query::parse_query;
 use ivme::workload::{parse_listing, poll_stat, wait_for_epoch, Client, RecoveryWorkload};
 use ivme_server::repl::{Replica, ReplicaConfig};
-use ivme_server::{Server, ServerConfig, TestHooks};
+use ivme_server::{Server, ServerConfig, TestHooks, MAX_LINE};
 
 fn temp_dir(name: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("ivme_repl_{}_{name}", std::process::id()));
@@ -406,6 +407,54 @@ fn a_slow_follower_is_disconnected_and_never_delays_primary_acks() {
     assert_eq!(listing(raddr), oracle(&wl, K));
     let stats = c.expect_ok("stats");
     assert!(stats.contains("repl_followers = 1"), "{stats}");
+
+    drop(c);
+    drop(replica);
+    drop(primary);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The replication listener reads `hello` and `ack` lines from whoever
+/// reaches it, so those reads are bounded like a client's: a peer that
+/// streams past `MAX_LINE` without a newline is dropped instead of
+/// growing a buffer for as long as it cares to send.
+#[test]
+fn a_newline_free_stream_into_the_replication_listener_is_dropped() {
+    let wl = RecoveryWorkload::generate(0xB0B, 14, 8, 3);
+    let dir = temp_dir("hostile");
+    let primary = start_primary(&dir, 0);
+    let repl_addr = primary.repl_addr().unwrap();
+    let mut c = Client::connect(primary.addr()).unwrap();
+    run_script(&mut c, &wl.setup_script(2));
+
+    // More than the limit, and never a newline. The listener stops
+    // reading at the limit, so the tail of this write may fail — fine.
+    let mut hostile = TcpStream::connect(repl_addr).unwrap();
+    let _ = hostile.write_all(&vec![b'h'; MAX_LINE + 4096]);
+    // Dropped means EOF, or a reset for the unread tail — promptly, not
+    // when the handshake timeout of an unbounded read expires.
+    hostile
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    if let Err(e) = hostile.read_to_end(&mut Vec::new()) {
+        assert!(
+            !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+            "the listener kept reading past MAX_LINE: {e}"
+        );
+    }
+
+    // The primary is unharmed: commits still ack, and a real follower
+    // still bootstraps and converges.
+    for k in 0..wl.batches.len() {
+        run_script(&mut c, &wl.batch_script(k));
+    }
+    let replica = start_replica(repl_addr);
+    let target = primary_epoch(&mut c);
+    assert!(
+        wait_for_epoch(replica.addr(), target, Duration::from_secs(30)),
+        "a follower must still converge after the hostile peer"
+    );
+    assert_eq!(listing(replica.addr()), oracle(&wl, wl.batches.len()));
 
     drop(c);
     drop(replica);

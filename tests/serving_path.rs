@@ -1,8 +1,11 @@
 //! Primary and replica serve through one connection loop, parameterised
-//! only by where writes go. These tests pin what the merge must keep:
-//! the same script gets byte-identical read replies from a primary and
-//! its converged replica, every state-changing verb on the replica is a
-//! redirect naming the primary, and the loop's read buffer is bounded.
+//! only by where writes go, and the shell runs the same commands through
+//! the same interpreter (`ivme_cli::session`). These tests pin what the
+//! merges must keep: the same script gets byte-identical read replies
+//! from a primary and its converged replica, every state-changing verb on
+//! the replica is a redirect naming the primary, a local `Shell` fed the
+//! script answers every line as the primary does — at two shards and at
+//! one — and the loop's read buffer is bounded.
 
 use std::collections::BTreeSet;
 use std::io::{BufReader, Read, Write};
@@ -11,6 +14,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use ivme::cli::proto::{self, Command};
+use ivme::cli::Shell;
 use ivme::workload::{stat_field, wait_for_epoch, Client};
 use ivme_server::repl::{Replica, ReplicaConfig};
 use ivme_server::{Server, ServerConfig, MAX_LINE};
@@ -64,18 +68,53 @@ fn variant(c: &Command) -> &'static str {
     }
 }
 
-/// The part of a `stats` payload both roles render from the engine view;
-/// the durability and replication lines after it are role-specific.
+/// The part of a `stats` payload every role renders from the engine view;
+/// the durability and replication lines after it, and the shell's
+/// per-shard engine diagnostics (`shard 0: M = …`), are role-specific.
 fn engine_lines(stats: &str) -> Vec<&str> {
     stats
         .lines()
-        .take_while(|l| !l.starts_with("wal_epoch") && !l.starts_with("repl"))
+        .filter(|l| !l.starts_with("wal_epoch") && !l.starts_with("repl"))
+        .filter(|l| !(l.starts_with("shard ") && l.contains(": M = ")))
         .collect()
+}
+
+/// A reply with what legitimately differs between a shell and a server
+/// removed: the wall-clock tail of the `.load` / `.batch commit` lines
+/// (`in …ms (… /s[, group of N])`) and the role-specific `stats` lines.
+fn normalised(reply: &str) -> Vec<&str> {
+    engine_lines(reply)
+        .into_iter()
+        .map(|l| match l.rfind(" in ") {
+            Some(i) if l.starts_with("applied batch of") || l.starts_with("committed ") => &l[..i],
+            _ => l,
+        })
+        .collect()
+}
+
+/// The shell's reply to one line, framed as a connection frames it: a
+/// blank line is an empty `ok`, a parse error an `err`.
+fn shell_reply(shell: &mut Shell, line: &str) -> Result<String, String> {
+    match proto::parse_command(line)? {
+        None => Ok(String::new()),
+        Some(cmd) => shell.run(cmd),
+    }
 }
 
 #[test]
 fn one_script_against_a_primary_and_its_converged_replica() {
-    let dir = temp_dir("table");
+    one_script_three_ways(2);
+}
+
+/// At the default shard count too: there the shell's `built:` and
+/// `stats` replies used to come from an engine arm of its own.
+#[test]
+fn the_script_at_one_shard_gets_the_same_replies_from_shell_and_server() {
+    one_script_three_ways(1);
+}
+
+fn one_script_three_ways(shards: usize) {
+    let dir = temp_dir(&format!("table_{shards}"));
     let (csv_s, csv_bulk) = (dir.join("s.csv"), dir.join("bulk.csv"));
     std::fs::write(&csv_s, "10,5\n").unwrap();
     std::fs::write(&csv_bulk, "10,6\n").unwrap();
@@ -94,12 +133,13 @@ fn one_script_against_a_primary_and_its_converged_replica() {
 
     let load = format!("load S {}", csv_s.display());
     let bulk = format!(".load S {}", csv_bulk.display());
+    let shards_line = format!(".shards {shards}");
     use Kind::{Loop, Read, Write};
     let table: Vec<(&str, Kind)> = vec![
         ("query Q(A,C) :- R(A,B), S(B,C)", Write),
         ("epsilon 0.5", Write),
         ("mode dynamic", Write),
-        (".shards 2", Write),
+        (&shards_line, Write),
         ("row R 1,10", Write),
         (&load, Write),
         ("build", Write),
@@ -134,6 +174,7 @@ fn one_script_against_a_primary_and_its_converged_replica() {
 
     let mut pc = Client::connect(primary.addr()).unwrap();
     let mut rc = Client::connect(replica.addr()).unwrap();
+    let mut shell = Shell::new();
     for (line, kind) in &table {
         if *kind == Read {
             // Converge first: the replica must have applied everything
@@ -148,6 +189,14 @@ fn one_script_against_a_primary_and_its_converged_replica() {
         }
         let p = pc.request(line).expect("primary connection must survive");
         let r = rc.request(line).expect("replica connection must survive");
+        // The shell performs the primary's operations in the primary's
+        // order, so even `list`/`page` order and `snapshot_epoch` agree.
+        let sh = shell_reply(&mut shell, line);
+        assert_eq!(
+            p.as_deref().map(normalised),
+            sh.as_deref().map(normalised),
+            "S={shards}: shell and primary disagree on `{line}`"
+        );
         match kind {
             Write => {
                 assert!(p.is_ok(), "primary refused `{line}`: {p:?}");
@@ -182,6 +231,9 @@ fn one_script_against_a_primary_and_its_converged_replica() {
     let mut pc = Client::connect(primary.addr()).unwrap();
     assert!(pc.expect_ok("shutdown").starts_with("shutting down: "));
     assert!(primary.is_shutdown());
+    // The one verb a shell answers differently: it has nothing to stop.
+    let err = shell_reply(&mut shell, "shutdown").unwrap_err();
+    assert!(err.contains("server-side command"), "{err}");
     covered.insert(variant(&Command::Shutdown));
     assert_eq!(covered.len(), 23, "the script must take every Command");
 
