@@ -1,26 +1,15 @@
-//! The serving read path (PR 4): full-result enumeration throughput,
-//! first-tuple delay, point-lookup latency, paging, and the sharded merge
-//! cache, on the OMv acceptance instance (`Q(A) :- R(A,B), S(B)`, k = 1000
-//! sparse matrix, full vector loaded).
+//! The read path: full-result enumeration throughput, first-tuple delay,
+//! point-lookup latency and paging on `IvmEngine`, and the sharded merge
+//! cache behind `ShardedEngine::snapshot`, on the OMv acceptance instance
+//! (`Q(A) :- R(A,B), S(B)`, k = 1000 sparse matrix, full vector loaded).
 //!
-//! Two acceptance gates guard this path:
+//! One acceptance gate is armed here: `snapshot(k).enumerate()` on a
+//! quiescent sharded engine must be ≥ 10× faster than the first (cold,
+//! cache-invalidated) call at the widest measured shard count — freezing
+//! is a pure version comparison plus `Arc` clone when nothing changed, so
+//! the ratio is machine-independent enough to assert on every run.
 //!
-//! * **Recorded** (`BENCH_PR4.json`): full-enumeration throughput on the
-//!   OMv k = 1000 result must be ≥ 1.5× the PR 3 head. The before/after
-//!   numbers are measured with this harness and recorded in the JSON —
-//!   a runtime assertion cannot compare against code that no longer
-//!   exists.
-//! * **Armed here**: repeated `ShardedEngine::enumerate` on a quiescent
-//!   engine must be ≥ 10× faster than the first (cold, cache-invalidated)
-//!   call at the widest measured shard count — the merge cache is a pure
-//!   version comparison plus `Arc` clone when nothing changed, so the
-//!   ratio is machine-independent enough to assert on every run.
-//!
-//! Setting `IVME_BENCH_QUICK=1` runs fewer trials/ε points (the CI row);
-//! `IVME_BENCH_JSON=path` additionally writes the measured metrics as a
-//! JSON file (namespaced under `"fig_enum_delay"`) so
-//! `examples/bench_diff.rs` regresses this bench uniformly with the
-//! other namespaced benches.
+//! Setting `IVME_BENCH_QUICK=1` runs fewer trials/ε points (the CI row).
 
 use std::time::Duration;
 
@@ -62,8 +51,6 @@ fn main() {
         "eps", "tuples", "full enum", "Mtuples/s", "first", "lookup hit", "lookup miss"
     );
     let eps_grid: &[f64] = if quick() { &[0.5] } else { &[0.25, 0.5, 0.75] };
-    // Metrics at ε = 0.5 (always in the grid), for IVME_BENCH_JSON.
-    let mut mid_eps: Option<(Duration, f64, Duration, f64, f64)> = None;
     for &eps in eps_grid {
         let mut eng =
             IvmEngine::from_sql("Q(A) :- R(A,B), S(B)", &db, EngineOptions::dynamic(eps)).unwrap();
@@ -89,7 +76,7 @@ fn main() {
             }
         }
 
-        // Full-result enumeration throughput (the ≥1.5× recorded gate).
+        // Full-result enumeration throughput.
         let (count, t_full) = best_of(trials, || eng.enumerate().count());
         // First-tuple delay.
         let (_, t_first) = best_of(trials, || eng.enumerate().next().unwrap());
@@ -111,15 +98,6 @@ fn main() {
             s
         });
         assert_eq!(miss_sum, 0, "eps={eps}: absent rows must have mult 0");
-        if eps == 0.5 {
-            mid_eps = Some((
-                t_full,
-                count as f64 / t_full.as_secs_f64() / 1e6,
-                t_first,
-                t_hit.as_secs_f64() * 1e9 / n as f64,
-                t_miss.as_secs_f64() * 1e9 / n as f64,
-            ));
-        }
         println!(
             "{:<8} {:>10} {:>12} {:>12.2} {:>12} {:>12} {:>12}",
             eps,
@@ -133,8 +111,8 @@ fn main() {
     }
 
     // ------------------------------------------------------------------
-    // Paging seek cost: single-component queries pay O(offset); the
-    // sharded (cached) pager below pays O(1).
+    // Paging seek cost: single-component queries pay O(offset); a frozen
+    // snapshot's pager below pays O(1).
     // ------------------------------------------------------------------
     let eng = {
         let mut e =
@@ -150,11 +128,11 @@ fn main() {
     );
 
     // ------------------------------------------------------------------
-    // Sharded merge cache: cold (first call after an update) vs repeated
-    // enumeration on a quiescent engine. The ≥10× gate is armed at the
-    // widest shard count.
+    // Sharded merge cache: cold (first snapshot after an update) vs
+    // repeated snapshots of a quiescent engine. The ≥10× gate is armed at
+    // the widest shard count.
     // ------------------------------------------------------------------
-    println!("\n# ShardedEngine::enumerate: cold (cache invalidated) vs cached (quiescent):");
+    println!("\n# ShardedEngine::snapshot().enumerate(): cold (cache invalidated) vs cached (quiescent):");
     println!(
         "{:<8} {:>12} {:>12} {:>10} {:>14} {:>12}",
         "shards", "cold", "cached", "speedup", "page(900,50)", "count"
@@ -165,7 +143,6 @@ fn main() {
         None => vec![1, 4],
     };
     let mut widest: Option<(usize, f64)> = None;
-    let mut widest_metrics: Option<(Duration, Duration, Duration, Duration)> = None;
     for &shards in &shard_grid {
         let mut eng = ShardedEngine::from_sql(
             "Q(A) :- R(A,B), S(B)",
@@ -177,19 +154,20 @@ fn main() {
         eng.apply_delta_batch(&inst.vector_batch(0)).unwrap();
         // Correctness anchors: cross-shard merge, paging, and lookups all
         // agree with the unsharded engine.
-        let full: Vec<(Tuple, i64)> = eng.enumerate().collect();
+        let snap = eng.snapshot(0);
+        let full: Vec<(Tuple, i64)> = snap.enumerate().collect();
         {
             let mut rows: Vec<i64> = full.iter().map(|(t, _)| t.get(0).as_int()).collect();
             rows.sort_unstable();
             assert_eq!(rows, expected, "S={shards}: sharded enumeration diverged");
             assert_eq!(
-                eng.enumerate_page(700, 50).as_slice(),
+                snap.enumerate_page(700, 50).as_slice(),
                 &full[700..750],
                 "S={shards}: sharded paging diverged"
             );
             for (t, m) in &full {
                 assert_eq!(
-                    eng.multiplicity(t),
+                    snap.multiplicity(t),
                     *m,
                     "S={shards}: sharded lookup diverged"
                 );
@@ -197,22 +175,22 @@ fn main() {
         }
         // Cold: every sample first dirties one component via a touch
         // update (insert + retract of one vector row in two batches), then
-        // times the re-merging enumeration.
+        // times the re-merging snapshot and its enumeration.
         let mut cold = Duration::MAX;
-        for _ in 0..trials {
+        for k in 0..trials as u64 {
             eng.apply_update("S", Tuple::ints(&[0]), 1).unwrap();
             eng.apply_update("S", Tuple::ints(&[0]), -1).unwrap();
-            let (c, t) = time_once(|| eng.enumerate().count());
+            let (c, t) = time_once(|| eng.snapshot(k).enumerate().count());
             assert_eq!(c, full.len());
             cold = cold.min(t);
         }
         // Cached: no updates in between.
-        let (c, cached) = best_of(trials, || eng.enumerate().count());
+        let (c, cached) = best_of(trials, || eng.snapshot(0).enumerate().count());
         assert_eq!(c, full.len());
         let speedup = cold.as_secs_f64() / cached.as_secs_f64().max(1e-12);
-        let (page, t_page) = best_of(trials, || eng.enumerate_page(900, 50));
+        let (page, t_page) = best_of(trials, || eng.snapshot(0).enumerate_page(900, 50));
         assert_eq!(page.len(), 50);
-        let (_, t_count) = best_of(trials, || eng.count_distinct());
+        let (_, t_count) = best_of(trials, || eng.snapshot(0).count_distinct());
         println!(
             "{:<8} {:>12} {:>12} {:>9.1}x {:>14} {:>12}",
             shards,
@@ -224,7 +202,6 @@ fn main() {
         );
         if widest.is_none_or(|(s, _)| shards >= s) {
             widest = Some((shards, speedup));
-            widest_metrics = Some((cold, cached, t_page, t_count));
         }
     }
     if let Some((s, speedup)) = widest {
@@ -237,34 +214,5 @@ fn main() {
             "\n# Acceptance: cached sharded enumerate is >=10x the cold call at S={s} \
              ({speedup:.1}x)."
         );
-    }
-
-    // ------------------------------------------------------------------
-    // Optional machine-readable output for examples/bench_diff.rs —
-    // namespaced so one combined baseline file can hold several benches
-    // side by side.
-    // ------------------------------------------------------------------
-    if let Ok(path) = std::env::var("IVME_BENCH_JSON") {
-        let (t_full, mtuples, t_first, hit_ns, miss_ns) =
-            mid_eps.expect("eps grid always contains 0.5");
-        let (s, speedup) = widest.expect("shard grid is never empty");
-        let (cold, cached, t_spage, t_count) = widest_metrics.unwrap();
-        let json = format!(
-            "{{\n  \"fig_enum_delay\": {{\n    \"quick\": {},\n    \"widest_shards\": {s},\n    \"metrics\": {{\n      \"full_enum_us\": {:.1},\n      \"enum_mtuples_per_s\": {:.2},\n      \"first_tuple_ns\": {:.0},\n      \"lookup_hit_ns\": {:.1},\n      \"lookup_miss_ns\": {:.1},\n      \"page_900_50_unsharded_us\": {:.1},\n      \"sharded_cold_enum_us\": {:.1},\n      \"sharded_cached_enum_us\": {:.1},\n      \"sharded_cache_speedup\": {:.1},\n      \"sharded_page_900_50_us\": {:.2},\n      \"sharded_count_us\": {:.2}\n    }}\n  }}\n}}\n",
-            quick(),
-            t_full.as_secs_f64() * 1e6,
-            mtuples,
-            t_first.as_secs_f64() * 1e9,
-            hit_ns,
-            miss_ns,
-            t_page.as_secs_f64() * 1e6,
-            cold.as_secs_f64() * 1e6,
-            cached.as_secs_f64() * 1e6,
-            speedup,
-            t_spage.as_secs_f64() * 1e6,
-            t_count.as_secs_f64() * 1e6,
-        );
-        std::fs::write(&path, json).expect("write IVME_BENCH_JSON");
-        println!("# metrics written to {path}");
     }
 }

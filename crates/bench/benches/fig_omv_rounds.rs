@@ -251,7 +251,11 @@ fn main() {
                 eng.apply_delta_batch(&retract).unwrap();
             }
         }
-        let mut rows: Vec<i64> = eng.enumerate().map(|(t, _)| t.get(0).as_int()).collect();
+        let mut rows: Vec<i64> = eng
+            .snapshot(0)
+            .enumerate()
+            .map(|(t, _)| t.get(0).as_int())
+            .collect();
         rows.sort_unstable();
         assert_eq!(rows, inst.expected_product(0), "S={shards} diverged");
         if shards == 1 {

@@ -6,9 +6,9 @@
 //!
 //! 1. **fsync cost** — the same group-commit write storm (atomic
 //!    insert/delete batch pairs over loopback, one writer, closed loop at
-//!    script granularity) against four servers: no data dir at all, and
-//!    `--fsync none|group|always`. What durability costs the write path,
-//!    mode by mode.
+//!    script granularity) against three servers: no data dir at all, and
+//!    `--fsync none|group`. What durability costs the write path, mode by
+//!    mode.
 //! 2. **Recovery time vs WAL length** — with `--snapshot-every 0`
 //!    (checkpoint only on clean shutdown) the whole history lives in the
 //!    WAL. Commit `W` rounds, hard-kill the server, and time the next
@@ -29,9 +29,7 @@
 //! every recovery replays exactly the expected number of WAL frames and
 //! commit rounds and serves the same count as before the kill.
 //!
-//! `IVME_BENCH_QUICK=1` shrinks the grids (CI); `IVME_BENCH_JSON=path`
-//! writes the metrics (namespaced under `"fig_recovery"`) for
-//! `examples/bench_diff.rs`.
+//! `IVME_BENCH_QUICK=1` shrinks the grids (CI).
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -159,18 +157,17 @@ fn main() {
     // Phase 1: write throughput per fsync mode.
     // ------------------------------------------------------------------
     let scripts = storm_scripts(sh.batch, sh.rounds);
-    let modes: [(&str, Option<FsyncMode>); 4] = [
+    let modes: [(&str, Option<FsyncMode>); 3] = [
         ("no-wal", None),
         ("fsync=none", Some(FsyncMode::None)),
         ("fsync=group", Some(FsyncMode::Group)),
-        ("fsync=always", Some(FsyncMode::Always)),
     ];
     println!(
         "\n# phase 1 — group-commit write storm ({} updates/script x {} scripts):",
         sh.batch,
         scripts.len()
     );
-    let mut ups = [0f64; 4];
+    let mut ups = [0f64; 3];
     for (i, (label, mode)) in modes.iter().enumerate() {
         let dir = bench_dir(&format!("mode{i}"));
         let server = match mode {
@@ -193,9 +190,8 @@ fn main() {
         let _ = std::fs::remove_dir_all(&dir);
     }
     let group_ratio = ups[2] / ups[0].max(1e-9);
-    let always_ratio = ups[3] / ups[0].max(1e-9);
     println!(
-        "# fsync=group sustains {group_ratio:.2}x the no-WAL path, fsync=always {always_ratio:.2}x \
+        "# fsync=group sustains {group_ratio:.2}x the no-WAL path \
          (gate: group >= 0.5x, armed only with IVME_BENCH_DISK=1)"
     );
     if disk {
@@ -217,7 +213,7 @@ fn main() {
     // ------------------------------------------------------------------
     println!("\n# phase 2 — crash recovery, whole history in the WAL (--snapshot-every 0):");
     let setup_rounds = wl.setup_script(1).lines().count() as u64;
-    let mut recovery_ms: Vec<(usize, f64, u64)> = Vec::new();
+    let mut full_ms = 0.0;
     for &rounds in sh.recovery_rounds {
         let dir = bench_dir(&format!("rec{rounds}"));
         let scripts = storm_scripts(sh.batch, rounds);
@@ -248,7 +244,7 @@ fn main() {
             "rounds = {rounds:<5} frames = {expect_frames:<6} recovery = {ms:>9.2} ms  ({:.0} frames/s)",
             expect_frames as f64 / (ms / 1e3).max(1e-9)
         );
-        recovery_ms.push((rounds, ms, expect_frames));
+        full_ms = ms;
         drop(server);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -283,49 +279,10 @@ fn main() {
         replayed < 2 * sh.snap_every,
         "checkpoints must bound the replayed tail: {stats}"
     );
-    let full_ms = recovery_ms.last().unwrap().1;
     println!(
         "recovery = {snap_ms:.2} ms, {replayed} round(s) replayed past the snapshot \
          (vs {full_ms:.2} ms replaying all {rounds} rounds)"
     );
     drop(server);
     let _ = std::fs::remove_dir_all(&dir);
-
-    // ------------------------------------------------------------------
-    // Optional machine-readable output for examples/bench_diff.rs.
-    // ------------------------------------------------------------------
-    if let Ok(path) = std::env::var("IVME_BENCH_JSON") {
-        use std::fmt::Write as _;
-        let mut json = String::from("{\n  \"fig_recovery\": {\n");
-        let _ = writeln!(json, "    \"quick\": {},", quick());
-        let _ = writeln!(json, "    \"disk_gate_armed\": {disk},");
-        json.push_str("    \"metrics\": {\n");
-        let _ = writeln!(json, "      \"write_nowal_updates_per_s\": {:.0},", ups[0]);
-        let _ = writeln!(
-            json,
-            "      \"write_fsync_none_updates_per_s\": {:.0},",
-            ups[1]
-        );
-        let _ = writeln!(
-            json,
-            "      \"write_fsync_group_updates_per_s\": {:.0},",
-            ups[2]
-        );
-        let _ = writeln!(
-            json,
-            "      \"write_fsync_always_updates_per_s\": {:.0},",
-            ups[3]
-        );
-        let _ = writeln!(json, "      \"fsync_group_ratio\": {group_ratio:.3},");
-        let _ = writeln!(json, "      \"fsync_always_ratio\": {always_ratio:.3},");
-        for (rounds, ms, frames) in &recovery_ms {
-            let _ = writeln!(json, "      \"recovery_ms_rounds_{rounds}\": {ms:.2},");
-            let _ = writeln!(json, "      \"recovery_frames_rounds_{rounds}\": {frames},");
-        }
-        let _ = writeln!(json, "      \"snapshot_recovery_ms\": {snap_ms:.2},");
-        let _ = writeln!(json, "      \"snapshot_replayed_rounds\": {replayed}");
-        json.push_str("    }\n  }\n}\n");
-        std::fs::write(&path, json).expect("write IVME_BENCH_JSON");
-        println!("# metrics written to {path}");
-    }
 }

@@ -25,7 +25,7 @@
 //!    per-endpoint load on the primary alone. Replicas are converged
 //!    before the row runs and every endpoint must serve the same count.
 //!
-//! Acceptance gate (`BENCH_PR10.json`): fleet aggregate read throughput
+//! Acceptance gate: fleet aggregate read throughput
 //! at least 1.5x primary-only, armed only with 4+ cores — closed-loop
 //! readers are latency-bound until the CPUs saturate, and on a 1-core
 //! box all three processes time-share one core, so the honest ratio is
@@ -35,9 +35,7 @@
 //! acked, each converged replica serves exactly the primary's count, and
 //! no replica ever reports `replica_broken`.
 //!
-//! `IVME_BENCH_QUICK=1` shrinks the grids (CI); `IVME_BENCH_JSON=path`
-//! writes the metrics (namespaced under `"fig_replication"`) for
-//! `examples/bench_diff.rs`.
+//! `IVME_BENCH_QUICK=1` shrinks the grids (CI).
 
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
@@ -185,7 +183,6 @@ fn main() {
     // Phase 1: catch-up throughput vs WAL length.
     // ------------------------------------------------------------------
     println!("\n# phase 1 — fresh-replica catch-up vs WAL length (--snapshot-every 0):");
-    let mut catchup: Vec<(usize, f64, u64)> = Vec::new();
     for &rounds in sh.catchup_rounds {
         let dir = bench_dir(&format!("catchup{rounds}"));
         let primary = start_primary(&dir, 0);
@@ -207,7 +204,6 @@ fn main() {
             secs * 1e3,
             frames as f64 / secs.max(1e-9)
         );
-        catchup.push((rounds, secs * 1e3, frames));
         drop(replica);
         drop(primary);
         let _ = std::fs::remove_dir_all(&dir);
@@ -328,32 +324,4 @@ fn main() {
     drop(replicas);
     drop(primary);
     let _ = std::fs::remove_dir_all(&dir);
-
-    // ------------------------------------------------------------------
-    // Optional machine-readable output for examples/bench_diff.rs.
-    // ------------------------------------------------------------------
-    if let Ok(path) = std::env::var("IVME_BENCH_JSON") {
-        use std::fmt::Write as _;
-        let mut json = String::from("{\n  \"fig_replication\": {\n");
-        let _ = writeln!(json, "    \"quick\": {},", quick());
-        let _ = writeln!(json, "    \"scaling_gate_armed\": {gate},");
-        json.push_str("    \"metrics\": {\n");
-        for (rounds, ms, frames) in &catchup {
-            let _ = writeln!(json, "      \"catchup_ms_rounds_{rounds}\": {ms:.2},");
-            let _ = writeln!(json, "      \"catchup_frames_rounds_{rounds}\": {frames},");
-        }
-        let _ = writeln!(
-            json,
-            "      \"storm_updates_per_s\": {storm_updates_per_s:.0},"
-        );
-        let _ = writeln!(json, "      \"lag_peak_frames\": {peak_lag},");
-        let _ = writeln!(json, "      \"lag_end_frames\": {end_lag},");
-        let _ = writeln!(json, "      \"lag_drain_ms\": {drain_ms:.2},");
-        let _ = writeln!(json, "      \"read_solo_per_s\": {solo_rps:.0},");
-        let _ = writeln!(json, "      \"read_fleet_per_s\": {fleet_rps:.0},");
-        let _ = writeln!(json, "      \"read_scaling_ratio\": {scaling:.3}");
-        json.push_str("    }\n  }\n}\n");
-        std::fs::write(&path, json).expect("write IVME_BENCH_JSON");
-        println!("# metrics written to {path}");
-    }
 }

@@ -23,7 +23,7 @@
 
 use std::io::{self, BufRead, Write};
 
-use ivme_core::Mode;
+use ivme_core::{Mode, MAX_SHARDS};
 use ivme_data::{Tuple, Value};
 use ivme_query::{classify, parse_query, Query};
 
@@ -38,7 +38,7 @@ pub enum Command {
     Epsilon(f64),
     /// `mode dynamic|static`
     Mode(Mode),
-    /// `.shards <n ≥ 1>`
+    /// `.shards <n>`, `1 ≤ n ≤` [`MAX_SHARDS`]
     Shards(usize),
     /// `load <rel> <path.csv>` — stage a CSV before `build`.
     Load { relation: String, path: String },
@@ -123,9 +123,11 @@ pub fn parse_command(line: &str) -> Result<Option<Command>, String> {
         ".shards" => {
             let n: usize = rest
                 .parse()
-                .map_err(|_| format!("usage: .shards <n ≥ 1> (got `{rest}`)"))?;
-            if n == 0 {
-                return Err("shard count must be at least 1".into());
+                .map_err(|_| format!("usage: .shards <1..{MAX_SHARDS}> (got `{rest}`)"))?;
+            if !(1..=MAX_SHARDS).contains(&n) {
+                return Err(format!(
+                    "shard count must be between 1 and {MAX_SHARDS} (got {n})"
+                ));
             }
             Command::Shards(n)
         }
@@ -582,7 +584,7 @@ commands:
   query <datalog>        register a hierarchical query (Q(A,C) :- R(A,B), S(B,C))
   epsilon <0..1>         set the trade-off knob (default 0.5)
   mode dynamic|static    set the evaluation mode (default dynamic)
-  .shards <n>            hash-partition the next build over n shards (default 1);
+  .shards <n>            hash-partition the next build over n shards (1..64, default 1);
                          updates validate across all shards, then apply in parallel
   load <rel> <csv path>  stage rows for a relation
   row <rel> <v1,v2,...>  stage one row
@@ -664,6 +666,15 @@ mod tests {
         assert!(parse_command("epsilon 2").is_err());
         assert!(parse_command("mode sideways").is_err());
         assert!(parse_command(".shards 0").is_err());
+        // The bound is what keeps an outside `.shards` from exhausting the
+        // writer's threads at `build`; the help text states it.
+        assert!(parse_command(&format!(".shards {MAX_SHARDS}")).is_ok());
+        let err = parse_command(".shards 100000").unwrap_err();
+        assert!(
+            err.contains(&format!("between 1 and {MAX_SHARDS}")),
+            "{err}"
+        );
+        assert!(HELP.contains(&format!("(1..{MAX_SHARDS}, default 1)")));
         assert!(parse_command(".batch frobnicate").is_err());
         assert!(parse_command("page 0").is_err());
         assert!(parse_command("frobnicate").is_err());

@@ -293,11 +293,11 @@ impl Session {
 
     /// Freezes the current state for reads, stamped `epoch` (echoed by
     /// `stats` as `snapshot_epoch`).
-    pub fn read_view(&self, epoch: u64) -> ReadView {
+    pub fn read_view(&mut self, epoch: u64) -> ReadView {
         ReadView {
             query: self.query.clone(),
             mode: self.opts.mode,
-            view: self.engine.as_ref().map(|e| e.snapshot(epoch)),
+            view: self.engine.as_mut().map(|e| e.snapshot(epoch)),
         }
     }
 }

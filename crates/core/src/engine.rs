@@ -18,9 +18,7 @@ use ivme_query::{NotHierarchical, Query};
 use ivme_data::Value;
 
 use crate::database::Database;
-use crate::enumerate::{
-    sorted_product, ComponentSlice, EnumNode, EnumScratch, OwnedComponent, ResultIter,
-};
+use crate::enumerate::{EnumNode, EnumScratch, ResultIter};
 use crate::runtime::Runtime;
 
 /// Engine construction options.
@@ -100,7 +98,7 @@ impl fmt::Display for UpdateError {
 
 impl std::error::Error for UpdateError {}
 
-/// Maintenance counters (used by the benchmark harness and EXPERIMENTS.md).
+/// Maintenance counters (reported by `stats` and the benchmark harnesses).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Single-tuple updates processed (a batch of cardinality k counts k).
@@ -352,11 +350,6 @@ impl IvmEngine {
         self.comp_versions[ci]
     }
 
-    /// Number of distinct result tuples of component `ci` alone.
-    pub fn component_count(&self, ci: usize) -> usize {
-        self.enumerate_component(ci).count()
-    }
-
     /// Distinct base relation sizes — one entry per relation symbol
     /// (repeated-atom copies counted once), for diagnostics and the CLI's
     /// per-shard `stats`.
@@ -387,27 +380,10 @@ impl IvmEngine {
     }
 
     /// Collects and sorts the full result — test/bench helper.
-    ///
-    /// Materializes each component's distinct result once, sorts the
-    /// components (`O(Σ |C_i| log |C_i|)`), and emits the cross-component
-    /// product in order — the final `O(P log P)` sort of the assembled
-    /// product runs only when the components' free variables interleave
-    /// (see `sorted_product`). Shared with
-    /// [`ShardedEngine::result_sorted`](crate::ShardedEngine::result_sorted).
     pub fn result_sorted(&self) -> Vec<(Tuple, i64)> {
-        let comps: Vec<OwnedComponent> = (0..self.enums.len())
-            .map(|ci| {
-                (
-                    self.component_out_positions(ci).to_vec(),
-                    self.enumerate_component(ci).collect(),
-                )
-            })
-            .collect();
-        let views: Vec<ComponentSlice<'_>> = comps
-            .iter()
-            .map(|(p, t)| (p.as_slice(), t.as_slice()))
-            .collect();
-        sorted_product(&views, self.query.free.arity())
+        let mut out: Vec<(Tuple, i64)> = self.enumerate().collect();
+        out.sort_unstable();
+        out
     }
 
     /// Number of distinct result tuples: the product over components of
@@ -467,13 +443,7 @@ impl IvmEngine {
 
     /// Multiplicity of `seg` (the values of component `ci`'s free
     /// variables, in [`IvmEngine::component_out_positions`] order) within
-    /// that component's result: the sum of the stateless tree lookups —
-    /// the per-shard building block of
-    /// [`ShardedEngine::multiplicity`](crate::ShardedEngine::multiplicity).
-    pub fn component_multiplicity(&self, ci: usize, seg: &[Value]) -> i64 {
-        self.component_multiplicity_with(ci, seg, &mut EnumScratch::new())
-    }
-
+    /// that component's result: the sum of the stateless tree lookups.
     fn component_multiplicity_with(
         &self,
         ci: usize,

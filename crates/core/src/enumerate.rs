@@ -1043,7 +1043,7 @@ impl<'e> ResultIter<'e> {
     /// costs at most `O(Σ_i |C_i|)` — for multi-component queries an
     /// exponential improvement over walking `offset` product tuples. With
     /// a single component the decomposition degenerates to skipping
-    /// `offset` tuples (`O(offset)`); see the README's paging notes.
+    /// `offset` tuples (`O(offset)`).
     ///
     /// Returns `false` (and exhausts the iterator) when `offset` is past
     /// the end of the result.
@@ -1116,96 +1116,4 @@ impl<'e> Iterator for ResultIter<'e> {
         // straight into the (inline up to INLINE_ARITY) representation.
         Some(self.current())
     }
-}
-
-// ---------------------------------------------------------------------
-// Sorted materialization shared by both engines
-// ---------------------------------------------------------------------
-
-/// Whether `positions` is exactly `0..arity` in order.
-fn is_identity_positions(positions: &[usize], arity: usize) -> bool {
-    positions.len() == arity && positions.iter().enumerate().all(|(i, &p)| i == p)
-}
-
-/// One component's materialized distinct result, borrowed: the positions
-/// of its variables within the free schema, and its tuples.
-pub(crate) type ComponentSlice<'a> = (&'a [usize], &'a [(Tuple, i64)]);
-
-/// Owned form of [`ComponentSlice`], as collected by the engines.
-pub(crate) type OwnedComponent = (Vec<usize>, Vec<(Tuple, i64)>);
-
-/// Materializes the sorted query result from per-component distinct-tuple
-/// lists (`(positions within the free schema, tuples)` pairs) — the code
-/// path shared by [`IvmEngine::result_sorted`](crate::IvmEngine::result_sorted)
-/// and [`ShardedEngine::result_sorted`](crate::ShardedEngine::result_sorted).
-///
-/// Each component is argsorted **once** (`O(|C_i| log |C_i|)`), leaving the
-/// caller's (possibly cached) component vectors untouched. When the
-/// components' position sets form contiguous ascending blocks, the
-/// cross-component odometer emits in lexicographic order directly and the
-/// final `O(P log P)` sort of the full product is skipped; interleaved
-/// position sets fall back to sorting the assembled result.
-pub(crate) fn sorted_product(comps: &[ComponentSlice<'_>], arity: usize) -> Vec<(Tuple, i64)> {
-    if comps.is_empty() || comps.iter().any(|(_, ts)| ts.is_empty()) {
-        return Vec::new();
-    }
-    let orders: Vec<Vec<u32>> = comps
-        .iter()
-        .map(|(_, ts)| {
-            let mut ord: Vec<u32> = (0..ts.len() as u32).collect();
-            ord.sort_unstable_by(|&a, &b| ts[a as usize].0.cmp(&ts[b as usize].0));
-            ord
-        })
-        .collect();
-    // One component covering the whole free schema: its sorted distinct
-    // tuples *are* the sorted result.
-    if comps.len() == 1 && is_identity_positions(comps[0].0, arity) {
-        let ts = comps[0].1;
-        return orders[0].iter().map(|&i| ts[i as usize].clone()).collect();
-    }
-    // Emit the product most-significant-block first: order components by
-    // their leading position and check whether the blocks are contiguous —
-    // if so the odometer output is already lexicographically sorted.
-    let mut by_block: Vec<usize> = (0..comps.len()).collect();
-    by_block.sort_by_key(|&c| comps[c].0.first().copied().unwrap_or(usize::MAX));
-    let mut expected = 0usize;
-    let mut blocks_contiguous = true;
-    for &c in &by_block {
-        for &p in comps[c].0 {
-            if p != expected {
-                blocks_contiguous = false;
-            }
-            expected += 1;
-        }
-    }
-    blocks_contiguous &= expected == arity;
-    let total: usize = comps.iter().map(|(_, ts)| ts.len()).product();
-    let mut out = Vec::with_capacity(total);
-    let mut buf = vec![Value::Int(0); arity];
-    let mut picks = vec![0usize; comps.len()];
-    'outer: loop {
-        let mut mult = 1i64;
-        for (rank, &c) in by_block.iter().enumerate() {
-            let (pos, ts) = comps[c];
-            let (t, m) = &ts[orders[c][picks[rank]] as usize];
-            mult *= m;
-            for (i, &p) in pos.iter().enumerate() {
-                buf[p] = t.get(i).clone();
-            }
-        }
-        out.push((Tuple::from_slice(&buf), mult));
-        // Odometer, least significant block (last in `by_block`) fastest.
-        for rank in (0..picks.len()).rev() {
-            picks[rank] += 1;
-            if picks[rank] < comps[by_block[rank]].1.len() {
-                continue 'outer;
-            }
-            picks[rank] = 0;
-        }
-        break;
-    }
-    if !blocks_contiguous {
-        out.sort_unstable();
-    }
-    out
 }

@@ -16,8 +16,10 @@
 //! * **sharded parallel** evaluation through [`ShardedEngine`], which
 //!   hash-partitions the database on each component's canonical root
 //!   variable into `S` fully independent runtimes, materializes and
-//!   maintains them concurrently, and merges enumeration per component
-//!   (see [`sharded`] for why the root variable makes this sound).
+//!   maintains them concurrently, and freezes the per-component merged
+//!   result into a [`ShardedSnapshot`] — the one surface a sharded result
+//!   is read from (see [`sharded`] for why the root variable makes this
+//!   sound).
 //!
 //! # The batched delta pipeline
 //!
@@ -89,7 +91,7 @@ pub use enumerate::{ComponentIter, EnumScratch, ResultIter};
 pub use ivme_data::{DeltaBatch, ShardRouter, Update};
 pub use ivme_plan::Mode;
 pub use oracle::brute_force;
-pub use sharded::{MergedResultIter, ShardedEngine, ShardedSnapshot};
+pub use sharded::{MergedResultIter, ShardedEngine, ShardedSnapshot, MAX_SHARDS};
 
 #[cfg(test)]
 mod tests;

@@ -20,13 +20,19 @@
 //!   whole tuple — and applies the per-shard sub-batches concurrently.
 //!   Each shard propagates through its own `PropScratch` arena, so
 //!   parallelism adds no allocation to the zero-allocation hot path.
-//! * **Enumeration** merges per shard and per component: a component's
+//! * **Reads** go through one door: [`ShardedEngine::snapshot`] freezes
+//!   the result into a [`ShardedSnapshot`], and every read — enumerate,
+//!   count, lookup, page — is answered by that snapshot, never by the
+//!   engine. Freezing merges per shard and per component: a component's
 //!   result is the bag-union over shards (same tuple from two shards —
 //!   possible only when the root variable is projected away — has its
 //!   multiplicities summed), and the full result is the Cartesian product
 //!   over components of those merged unions. Merging per *component* (not
 //!   per shard result) is what keeps multi-component queries correct: a
-//!   product of unions is not a union of products.
+//!   product of unions is not a union of products. The cost of the one
+//!   door: a point lookup on a sharded engine pays the merge of the
+//!   components touched since the last snapshot; the paper's own
+//!   `O(N^{1−ε})` tree lookup is [`IvmEngine::multiplicity`].
 //!
 //! # How atomic validation is preserved
 //!
@@ -46,7 +52,7 @@
 //! single shard ([`ShardedEngine::num_shards`] reports the effective
 //! count).
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use ivme_data::fx::FxHashMap;
 use ivme_data::{DeltaBatch, Route, ShardRouter, Tuple, Update, Value};
@@ -56,23 +62,26 @@ use crate::database::Database;
 use crate::engine::{
     EngineError, EngineOptions, EngineStats, IvmEngine, PreparedBatch, UpdateError,
 };
-use crate::enumerate::sorted_product;
+
+/// Upper bound on the shard count. [`ShardedEngine::new`] spawns one
+/// scoped thread per shard, and the count reaches it from client commands
+/// (`.shards n`) and snapshot files, so it must not be able to exhaust the
+/// process's threads.
+pub const MAX_SHARDS: usize = 64;
 
 /// `S` independent [`IvmEngine`]s over a hash-partitioned database.
 pub struct ShardedEngine {
     query: Query,
     router: ShardRouter,
     shards: Vec<IvmEngine>,
-    /// Per-component cross-shard merge cache (see
-    /// [`ShardedEngine::enumerate`]): each slot holds the merged distinct
+    /// Per-component cross-shard merge cache behind
+    /// [`ShardedEngine::snapshot`]: each slot holds the merged distinct
     /// result of one component together with the per-shard component
     /// versions it was built from. `apply_prepared` bumps a shard's
     /// component version only when a batch touches one of the component's
-    /// relations, so on a quiescent or partially-updated engine repeated
-    /// reads re-merge only the components that actually changed. One
-    /// mutex **per component** (not one global lock): two readers warming
-    /// different components never serialize on each other.
-    merge_cache: Vec<Mutex<Option<CachedMerge>>>,
+    /// relations, so successive snapshots re-merge only the components
+    /// that actually changed.
+    merge_cache: Vec<Option<CachedMerge>>,
     /// Batches applied through this engine (per-shard counters see only
     /// their sub-batches).
     batches: u64,
@@ -83,8 +92,9 @@ pub struct ShardedEngine {
 impl ShardedEngine {
     /// Compiles `query`, hash-partitions `db` into `num_shards` shards on
     /// each component's root variable, and preprocesses every shard in
-    /// parallel. `num_shards` is clamped to ≥ 1; queries with a relation
-    /// symbol that cannot be routed consistently fall back to one shard.
+    /// parallel. `num_shards` is clamped to `1..=`[`MAX_SHARDS`]; queries
+    /// with a relation symbol that cannot be routed consistently fall back
+    /// to one shard.
     pub fn new(
         query: &Query,
         db: &Database,
@@ -117,7 +127,7 @@ impl ShardedEngine {
             query: query.clone(),
             router,
             shards: built,
-            merge_cache: (0..ncomp).map(|_| Mutex::new(None)).collect(),
+            merge_cache: (0..ncomp).map(|_| None).collect(),
             batches: 0,
             updates: 0,
         })
@@ -144,7 +154,7 @@ impl ShardedEngine {
         num_shards: usize,
     ) -> Result<ShardRouter, EngineError> {
         let plan = ivme_plan::compile(query, opts.mode).map_err(EngineError::NotHierarchical)?;
-        let mut router = ShardRouter::new(num_shards.max(1));
+        let mut router = ShardRouter::new(num_shards.clamp(1, MAX_SHARDS));
         let mut consistent = true;
         'components: for comp in &plan.components {
             match comp.root_var {
@@ -399,31 +409,20 @@ impl ShardedEngine {
     }
 
     // ------------------------------------------------------------------
-    // Enumeration and serving reads
+    // Freezing: the one read door
     // ------------------------------------------------------------------
 
-    /// The merged (cross-shard) result of every component, served from the
-    /// merge cache. A component is re-merged only when some shard's
-    /// version for it moved since the cached merge was built; on a
-    /// quiescent engine this is a per-component version comparison plus an
-    /// `Arc` clone — `O(#components)`, not `O(result)`.
-    fn merged_components(&self) -> Vec<Arc<MergedComponent>> {
-        let ncomp = self.shards[0].num_components();
-        (0..ncomp).map(|ci| self.merged_component(ci)).collect()
-    }
-
-    /// One component's merged result, through its own cache slot. Locking
-    /// is per component, so concurrent readers warming different
-    /// components proceed in parallel; readers of an unchanged component
-    /// pay a version compare plus an `Arc` clone.
-    fn merged_component(&self, ci: usize) -> Arc<MergedComponent> {
+    /// One component's merged (cross-shard) result, through its cache
+    /// slot: re-merged only when some shard's version for it moved since
+    /// the cached merge was built, otherwise a version compare plus an
+    /// `Arc` clone.
+    fn merged_component(&mut self, ci: usize) -> Arc<MergedComponent> {
         let versions: Vec<u64> = self
             .shards
             .iter()
             .map(|s| s.component_version(ci))
             .collect();
-        let mut slot = self.merge_cache[ci].lock().unwrap();
-        if let Some(c) = &*slot {
+        if let Some(c) = &self.merge_cache[ci] {
             if c.versions == versions {
                 return Arc::clone(&c.merged);
             }
@@ -444,124 +443,40 @@ impl ShardedEngine {
             tuples,
             index: acc,
         });
-        *slot = Some(CachedMerge {
+        self.merge_cache[ci] = Some(CachedMerge {
             versions,
             merged: Arc::clone(&merged),
         });
         merged
     }
 
-    /// Captures an immutable, self-contained read view of the current
-    /// result: every read entry point of the engine
-    /// (enumerate/count/multiplicity/page/result_sorted) plus the stats
-    /// the serving layer reports, answerable without the engine and
-    /// without any locking. Built from the merge cache, so the cost is
-    /// `O(Σ changed |C_i|)` — components untouched since the last
-    /// snapshot are shared by `Arc` clone, not rebuilt.
+    /// Freezes the current result into an immutable, self-contained
+    /// [`ShardedSnapshot`] — the engine's only read door. The snapshot
+    /// answers enumerate/count/multiplicity/page/result_sorted plus the
+    /// stats the serving layer reports, without the engine and without
+    /// any locking. Built from the merge cache, so the cost is
+    /// `O(Σ changed |C_i|)`: components untouched since the last snapshot
+    /// are shared by `Arc` clone, not rebuilt, and a quiescent engine pays
+    /// `O(#components)`. Freezing is something only the engine's single
+    /// owner does, hence `&mut self`.
     ///
     /// `epoch` is caller-assigned (the serving layer's publish counter,
     /// the shell's refresh counter); it is echoed by
     /// [`ShardedSnapshot::epoch`] and surfaced in `stats` output so
     /// clients can observe snapshot turnover.
-    pub fn snapshot(&self, epoch: u64) -> ShardedSnapshot {
+    pub fn snapshot(&mut self, epoch: u64) -> ShardedSnapshot {
+        let comps = (0..self.merge_cache.len())
+            .map(|ci| self.merged_component(ci))
+            .collect();
         ShardedSnapshot {
             epoch,
             free_arity: self.query.free.arity(),
-            comps: self.merged_components(),
+            comps,
             stats: self.stats(),
             db_size: self.db_size(),
             shard_sizes: self.shard_sizes(),
             shard_relation_sizes: self.shard_relation_sizes(),
         }
-    }
-
-    /// Enumerates the distinct result tuples with their multiplicities.
-    ///
-    /// Per component, the per-shard [`ComponentIter`](crate::enumerate::ComponentIter)s
-    /// are chained and merged (duplicate tuples — possible when the root
-    /// variable is bound — have their multiplicities summed); the full
-    /// result is the odometer product across the merged components.
-    /// Merging per *component* (not per shard result) keeps
-    /// multi-component queries correct: a product of unions is not a union
-    /// of products.
-    ///
-    /// The merged components live in a version-checked cache shared by all
-    /// read entry points: the first call after a batch re-merges exactly
-    /// the components the batch touched (`O(Σ changed |C_i|)`), and
-    /// repeated calls on a quiescent engine iterate the cached vectors
-    /// directly — no per-shard enumeration, no hashing. First-tuple
-    /// latency is therefore `O(Σ changed component results)` (cold) or
-    /// `O(1)` (cached), vs the unsharded engine's `O(N^{1−ε})` delay.
-    pub fn enumerate(&self) -> MergedResultIter {
-        MergedResultIter::new(self.merged_components(), self.query.free.arity())
-    }
-
-    /// Collects and sorts the full result — test/bench helper. Shares the
-    /// component-wise sorted materialization with
-    /// [`IvmEngine::result_sorted`], fed from the merge cache (no
-    /// re-enumeration on a quiescent engine).
-    pub fn result_sorted(&self) -> Vec<(Tuple, i64)> {
-        result_sorted(&self.merged_components(), self.query.free.arity())
-    }
-
-    /// Number of distinct result tuples: the product of the per-component
-    /// distinct counts — the merged components are already deduplicated,
-    /// so the Cartesian product never needs to be walked. O(#components)
-    /// when the merge cache is warm.
-    pub fn count_distinct(&self) -> usize {
-        count_distinct(&self.merged_components())
-    }
-
-    /// Multiplicity of one fully-specified result tuple: per component,
-    /// the stateless top-down tree lookups are summed across shards (a
-    /// tuple can live in several shards only when the root variable is
-    /// projected away), then multiplied across components. Never consults
-    /// the merge cache and never enumerates — `O(S)` point lookups.
-    /// Wrong-arity tuples are never in the result and report 0.
-    pub fn multiplicity(&self, tuple: &Tuple) -> i64 {
-        if tuple.arity() != self.query.free.arity() {
-            return 0;
-        }
-        let ncomp = self.shards[0].num_components();
-        let mut seg: Vec<Value> = Vec::new();
-        let mut total = 1i64;
-        for ci in 0..ncomp {
-            seg.clear();
-            seg.extend(
-                self.shards[0]
-                    .component_out_positions(ci)
-                    .iter()
-                    .map(|&p| tuple.get(p).clone()),
-            );
-            let m: i64 = self
-                .shards
-                .iter()
-                .map(|s| s.component_multiplicity(ci, &seg))
-                .sum();
-            if m == 0 {
-                return 0;
-            }
-            total *= m;
-        }
-        total
-    }
-
-    /// Whether `tuple` is in the current result (a point lookup, not a
-    /// scan).
-    pub fn contains(&self, tuple: &Tuple) -> bool {
-        self.multiplicity(tuple) != 0
-    }
-
-    /// One page of the result in enumeration order: skips `offset`, then
-    /// collects up to `limit`.
-    ///
-    /// Pages are served from the cached merged components, so the seek is
-    /// a mixed-radix index computation straight into the cached vectors —
-    /// `O(#components)`, independent of `offset` (after the cold merge).
-    /// Page boundaries are stable until the next update that touches the
-    /// engine invalidates the affected components.
-    pub fn enumerate_page(&self, offset: usize, limit: usize) -> Vec<(Tuple, i64)> {
-        self.enumerate().page(offset, limit)
     }
 
     /// Validates every shard's internal invariants — test support.
@@ -577,11 +492,11 @@ impl ShardedEngine {
 // The serving layer (`ivme-server`) publishes `ShardedSnapshot`s across
 // reader threads and the group-commit writer owns the `ShardedEngine`
 // itself, so `Send + Sync` is load-bearing API: every field is owned
-// data, the merge cache is per-component `Mutex`es of `Arc`'d merged
-// components, and nothing holds `Rc`/`RefCell`/raw pointers. This
-// assertion turns an accidental future regression (e.g. an `Rc` slipping
-// into the enumeration machinery) into a compile error here instead of a
-// trait-bound error three crates away.
+// data, the merge cache holds `Arc`'d merged components, and nothing
+// holds `Rc`/`RefCell`/raw pointers. This assertion turns an accidental
+// future regression (e.g. an `Rc` slipping into the enumeration
+// machinery) into a compile error here instead of a trait-bound error
+// three crates away.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<ShardedEngine>();
@@ -601,25 +516,6 @@ struct MergedComponent {
     index: FxHashMap<Tuple, i64>,
 }
 
-/// Distinct result tuples: the product of the per-component distinct
-/// counts. The one body behind the engine's and the snapshot's method, as
-/// are [`result_sorted`] and [`MergedResultIter::page`].
-fn count_distinct(comps: &[Arc<MergedComponent>]) -> usize {
-    if comps.is_empty() {
-        return 0;
-    }
-    comps.iter().map(|c| c.tuples.len()).product()
-}
-
-/// The full result, materialized component-wise and sorted.
-fn result_sorted(comps: &[Arc<MergedComponent>], free_arity: usize) -> Vec<(Tuple, i64)> {
-    let views: Vec<crate::enumerate::ComponentSlice<'_>> = comps
-        .iter()
-        .map(|c| (c.positions.as_slice(), c.tuples.as_slice()))
-        .collect();
-    sorted_product(&views, free_arity)
-}
-
 /// An immutable, self-contained view of a [`ShardedEngine`]'s result at
 /// one commit point: the lock-free serving read surface.
 ///
@@ -628,8 +524,8 @@ fn result_sorted(comps: &[Arc<MergedComponent>], free_arity: usize) -> Vec<(Tupl
 /// reader threads can serve `enumerate`/`count_distinct`/`multiplicity`/
 /// `enumerate_page`/`result_sorted` from one snapshot while the writer
 /// mutates the engine and publishes fresh snapshots. A snapshot is
-/// **frozen**: it answers every read exactly as the engine did at capture
-/// time, forever, regardless of how many batches commit after it.
+/// **frozen**: it answers every read with the result as of capture time,
+/// forever, regardless of how many batches commit after it.
 ///
 /// Capture is cheap ([`ShardedEngine::snapshot`]): components untouched
 /// since the previous capture are shared between snapshots by `Arc`
@@ -681,15 +577,22 @@ impl ShardedSnapshot {
         &self.shard_relation_sizes
     }
 
-    /// Enumerates the frozen result — same iterator machinery as
-    /// [`ShardedEngine::enumerate`], fed from the snapshot's own `Arc`s.
+    /// Enumerates the frozen result's distinct tuples with their
+    /// multiplicities: the odometer product across the merged components,
+    /// iterating the snapshot's own `Arc`'d vectors directly — no
+    /// per-shard enumeration, no hashing, `O(1)` to the first tuple.
     pub fn enumerate(&self) -> MergedResultIter {
         MergedResultIter::new(self.comps.clone(), self.free_arity)
     }
 
-    /// Number of distinct result tuples in the frozen result.
+    /// Number of distinct result tuples in the frozen result: the product
+    /// of the per-component distinct counts — the merged components are
+    /// already deduplicated, so the Cartesian product is never walked.
     pub fn count_distinct(&self) -> usize {
-        count_distinct(&self.comps)
+        if self.comps.is_empty() {
+            return 0;
+        }
+        self.comps.iter().map(|c| c.tuples.len()).product()
     }
 
     /// Multiplicity of one fully-specified result tuple in the frozen
@@ -718,17 +621,20 @@ impl ShardedSnapshot {
         self.multiplicity(tuple) != 0
     }
 
-    /// One page of the frozen result in enumeration order — the
-    /// `O(#components)` mixed-radix seek of
-    /// [`ShardedEngine::enumerate_page`]. Page boundaries are stable for
-    /// the lifetime of the snapshot by construction.
+    /// One page of the frozen result in enumeration order: skips `offset`,
+    /// then collects up to `limit`. The seek is a mixed-radix index
+    /// computation straight into the merged vectors — `O(#components)`,
+    /// independent of `offset`. Page boundaries are stable for the
+    /// lifetime of the snapshot by construction.
     pub fn enumerate_page(&self, offset: usize, limit: usize) -> Vec<(Tuple, i64)> {
         self.enumerate().page(offset, limit)
     }
 
     /// Collects and sorts the frozen result — test/bench helper.
     pub fn result_sorted(&self) -> Vec<(Tuple, i64)> {
-        result_sorted(&self.comps, self.free_arity)
+        let mut out: Vec<(Tuple, i64)> = self.enumerate().collect();
+        out.sort_unstable();
+        out
     }
 }
 
@@ -849,5 +755,55 @@ impl Iterator for MergedResultIter {
             }
         }
         Some((Tuple::from_slice(&self.buf), mult))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::oracle::brute_force;
+
+    /// The deterministic form of what `fig_enum_delay` can only time:
+    /// successive snapshots share every component no batch touched, and a
+    /// held snapshot keeps answering with the result it froze.
+    #[test]
+    fn successive_snapshots_share_untouched_components() {
+        let q = ivme_query::parse_query("Q(A,C) :- R(A,B), S(C)").unwrap();
+        let mut db = Database::new();
+        db.insert_ints("R", &[&[1, 10], &[2, 20], &[3, 30]]);
+        db.insert_ints("S", &[&[7], &[8]]);
+        let mut eng = ShardedEngine::new(&q, &db, EngineOptions::dynamic(0.5), 2).unwrap();
+        assert_eq!(eng.num_shards(), 2);
+
+        // Quiescent engine: every component is shared.
+        let first = eng.snapshot(0);
+        let second = eng.snapshot(1);
+        assert_eq!(first.comps.len(), 2);
+        for (a, b) in first.comps.iter().zip(&second.comps) {
+            assert!(Arc::ptr_eq(a, b));
+        }
+        let before = first.result_sorted();
+        assert_eq!(before, brute_force(&q, &db));
+
+        // A batch into S only: R's component is shared, S's is re-merged.
+        let s_comp = (0..2)
+            .find(|&ci| eng.shard(0).component_out_positions(ci) == [1])
+            .expect("S(C) emits free position 1");
+        let mut batch = DeltaBatch::new();
+        batch.push("S", Tuple::ints(&[9]), 1);
+        eng.apply_delta_batch(&batch).unwrap();
+        db.apply("S", Tuple::ints(&[9]), 1);
+        let third = eng.snapshot(2);
+        assert!(Arc::ptr_eq(
+            &second.comps[1 - s_comp],
+            &third.comps[1 - s_comp]
+        ));
+        assert!(!Arc::ptr_eq(&second.comps[s_comp], &third.comps[s_comp]));
+        assert_eq!(third.result_sorted(), brute_force(&q, &db));
+
+        // The older snapshots still enumerate the older result.
+        assert_eq!(first.result_sorted(), before);
+        assert_eq!(second.result_sorted(), before);
+        assert_eq!(before.len() + 3, third.count_distinct());
     }
 }

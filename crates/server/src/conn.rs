@@ -411,14 +411,14 @@ mod tests {
         // path": build a ServeSnapshot by hand — no server, no channel,
         // no lock — then run every read command through the exact
         // dispatch function the connection threads use. After `drop(eng)`
-        // the engine (and every Mutex inside its merge cache) is gone;
-        // the snapshot keeps serving.
+        // the engine (and its merge cache) is gone; the snapshot keeps
+        // serving from the `Arc`s it holds.
         let mut db = Database::new();
         db.insert("R", Tuple::ints(&[1, 10]), 1);
         db.insert("R", Tuple::ints(&[2, 10]), 1);
         db.insert("S", Tuple::ints(&[10, 5]), 1);
         let q = ivme_query::parse_query("Q(A,C) :- R(A,B), S(B,C)").unwrap();
-        let eng = ShardedEngine::new(&q, &db, EngineOptions::dynamic(0.5), 2).unwrap();
+        let mut eng = ShardedEngine::new(&q, &db, EngineOptions::dynamic(0.5), 2).unwrap();
         let snap = ServeSnapshot {
             read: ReadView {
                 query: Some(q),

@@ -1,8 +1,8 @@
 //! `ivme-server` — a concurrent multi-client serving layer for IVM^ε.
 //!
-//! The serving read path (PR 4) gives quiescent readers ~O(1) cached
-//! merges, ~100ns point lookups, and O(#components) page seeks. This
-//! crate puts a network front end on the engine, std-only
+//! A frozen `ShardedSnapshot` answers point lookups with a hash probe
+//! per component and page seeks in O(#components). This crate puts a
+//! network front end on the engine and serves those snapshots, std-only
 //! (`std::net::TcpListener` plus threads; the build environment is
 //! offline, so no async runtime):
 //!
@@ -23,10 +23,10 @@
 //!   only when a newer snapshot exists — and dispatches against the
 //!   frozen view ([`execute_read`]). Readers never contend with the
 //!   writer or each other: read tail latency is independent of write
-//!   storms. Snapshots are cheap to produce because they reuse the PR 4
-//!   per-component merge cache — unchanged components are `Arc` clones,
-//!   only components the commit touched re-merge, so publishing is
-//!   O(touched components), not O(engine).
+//!   storms. Snapshots are cheap to produce because they reuse the
+//!   engine's per-component merge cache — unchanged components are `Arc`
+//!   clones, only components the commit touched re-merge, so publishing
+//!   is O(touched components), not O(engine).
 //!
 //! * **Group-commit writes.** Update commands each submit their
 //!   consolidated `DeltaBatch` into a bounded channel and wait for the

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! ivme-server [--addr 127.0.0.1:7143] [--queue-depth 128] [--group-limit 64]
-//!             [--data-dir DIR] [--fsync none|group|always] [--snapshot-every N]
+//!             [--data-dir DIR] [--fsync none|group] [--snapshot-every N]
 //!             [--repl-listen HOST:PORT]
 //! ivme-server replica PRIMARY:PORT [--listen 127.0.0.1:7145]
 //! ```
@@ -17,7 +17,7 @@
 //! With `--repl-listen` the server additionally streams committed WAL
 //! frames to follower processes started with the `replica` subcommand;
 //! see `docs/PROTOCOL.md` for the wire format and the README's
-//! "Running a replicated deployment" guide for operations.
+//! quickstart for the two command lines of a replicated deployment.
 
 use ivme_server::repl::{Replica, ReplicaConfig};
 use ivme_server::{FsyncMode, Server, ServerConfig};
@@ -93,7 +93,7 @@ fn main() {
             "--help" | "-h" => {
                 println!(
                     "usage: ivme-server [--addr HOST:PORT] [--queue-depth N] [--group-limit N]\n\
-                     \x20                  [--data-dir DIR] [--fsync none|group|always] [--snapshot-every N]\n\
+                     \x20                  [--data-dir DIR] [--fsync none|group] [--snapshot-every N]\n\
                      \x20                  [--repl-listen HOST:PORT]\n\
                      \x20      ivme-server replica PRIMARY:PORT [--listen HOST:PORT]"
                 );

@@ -662,7 +662,7 @@ impl Replica {
         let listener = TcpListener::bind(&config.listen)?;
         let addr = listener.local_addr()?;
         let stats = Arc::new(ReplicaStats::new(config.primary.clone()));
-        let state = OwnedState::new(Some(ReplRole::Replica(Arc::clone(&stats))));
+        let mut state = OwnedState::new(Some(ReplRole::Replica(Arc::clone(&stats))));
         let shared = Arc::new(ReplicaShared {
             endpoint: Arc::new(Endpoint::new(addr, state.serve_snapshot(0))),
             stats,

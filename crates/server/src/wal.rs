@@ -33,7 +33,7 @@
 //! insert) where sequential replay of the raw member batches would reject
 //! a member, so only the units that actually committed are deterministic
 //! to replay. The durability point is therefore fsync-before-ack: an
-//! acked write is on disk (in `group`/`always` mode), an unacked write
+//! acked write is on disk (in `group` mode), an unacked write
 //! may be lost with the process — the same contract the ack already
 //! carried for visibility.
 //!
@@ -99,8 +99,6 @@ pub enum FsyncMode {
     /// One fsync per committed group, after all of the round's frames —
     /// durability amortized exactly like the group-commit round itself.
     Group,
-    /// fsync after every frame. The strictest (and slowest) setting.
-    Always,
 }
 
 impl FsyncMode {
@@ -109,8 +107,7 @@ impl FsyncMode {
         match s {
             "none" => Ok(FsyncMode::None),
             "group" => Ok(FsyncMode::Group),
-            "always" => Ok(FsyncMode::Always),
-            other => Err(format!("unknown fsync mode `{other}` (none|group|always)")),
+            other => Err(format!("unknown fsync mode `{other}` (none|group)")),
         }
     }
 
@@ -118,7 +115,6 @@ impl FsyncMode {
         match self {
             FsyncMode::None => "none",
             FsyncMode::Group => "group",
-            FsyncMode::Always => "always",
         }
     }
 }
@@ -668,9 +664,6 @@ fn sync_loop(
 fn append_round(wal: &mut Wal, mode: FsyncMode, epoch: u64, frames: &[String]) -> io::Result<()> {
     for f in frames {
         wal.append(epoch, f)?;
-        if matches!(mode, FsyncMode::Always) {
-            wal.sync()?;
-        }
     }
     if matches!(mode, FsyncMode::Group) {
         wal.sync()?;

@@ -85,7 +85,7 @@ impl OwnedState {
     /// round and the replica's apply thread all publish through it.
     /// Readers sample the embedded durability and replication handles at
     /// `stats` time.
-    pub(crate) fn serve_snapshot(&self, epoch: u64) -> ServeSnapshot {
+    pub(crate) fn serve_snapshot(&mut self, epoch: u64) -> ServeSnapshot {
         ServeSnapshot {
             read: self.session.read_view(epoch),
             dur: self.dur.as_ref().map(|d| DurHandle {
@@ -464,6 +464,24 @@ fn commit_run(
     if run.is_empty() {
         return;
     }
+    /// One batch as its own committed unit: a run of one, or a member of
+    /// a poisoned group.
+    fn apply_alone(
+        batch: &DeltaBatch,
+        state: &mut OwnedState,
+        dirty: &mut bool,
+        frames: &mut Vec<String>,
+    ) -> WriteAck {
+        let t0 = Instant::now();
+        state.session.apply(batch)?;
+        let apply_micros = t0.elapsed().as_micros();
+        *dirty = true;
+        frames.push(proto::batch_lines(batch));
+        Ok(GroupInfo {
+            group: 1,
+            apply_micros,
+        })
+    }
     let members = std::mem::take(run);
     if !state.session.is_built() {
         for (_, ack) in members {
@@ -477,16 +495,10 @@ fn commit_run(
         .fetch_add(members.len() as u64, Ordering::Relaxed);
     if members.len() == 1 {
         let (batch, ack) = members.into_iter().next().unwrap();
-        let t0 = Instant::now();
-        let res = state.session.apply(&batch).map(|()| GroupInfo {
-            group: 1,
-            apply_micros: t0.elapsed().as_micros(),
-        });
-        if res.is_ok() {
-            *dirty = true;
-            frames.push(proto::batch_lines(&batch));
-        }
-        acks.push(PendingAck::Write(ack, res));
+        acks.push(PendingAck::Write(
+            ack,
+            apply_alone(&batch, state, dirty, frames),
+        ));
         return;
     }
     // Coalesce the whole run into one batch: one validation pass, one
@@ -517,16 +529,10 @@ fn commit_run(
             // see an error.
             shared.group_retries.fetch_add(1, Ordering::Relaxed);
             for (batch, ack) in members {
-                let t0 = Instant::now();
-                let res = state.session.apply(&batch).map(|()| GroupInfo {
-                    group: 1,
-                    apply_micros: t0.elapsed().as_micros(),
-                });
-                if res.is_ok() {
-                    *dirty = true;
-                    frames.push(proto::batch_lines(&batch));
-                }
-                acks.push(PendingAck::Write(ack, res));
+                acks.push(PendingAck::Write(
+                    ack,
+                    apply_alone(&batch, state, dirty, frames),
+                ));
             }
         }
     }

@@ -1,8 +1,7 @@
 //! Profiling driver for the engine hot paths on the OMv instance at ε = ½.
 //!
 //! Default (write) mode: 3000 alternating k = 1000 vector load/retract
-//! batches on one engine — the loop behind the `steady_state_profile_loop`
-//! entry of `BENCH_PR2.json`. Run it under a sampling profiler (e.g.
+//! batches on one engine. Run it under a sampling profiler (e.g.
 //! `gprofng collect app`) to see where batched maintenance time goes
 //! without the twin-engine cache interference of the `fig_omv_rounds`
 //! harness.

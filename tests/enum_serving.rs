@@ -1,10 +1,10 @@
-//! Serving read-path equivalence suite (PR 4).
+//! Serving read-path equivalence suite.
 //!
 //! Randomized interleavings of `apply_delta_batch` with the read APIs —
 //! `enumerate`, `enumerate_page`, `multiplicity`/`contains`,
 //! `count_distinct`, `result_sorted` — on both `IvmEngine` and
-//! `ShardedEngine` (S ∈ {1, 2, 4}), checked against brute force after
-//! every round. The interleaving specifically exercises the sharded
+//! `ShardedEngine::snapshot` (S ∈ {1, 2, 4}), checked against brute force
+//! after every round. The interleaving specifically exercises the sharded
 //! engine's merge cache: reads *between* updates hit the cache, reads
 //! *after* updates must see the invalidation, including
 //!
@@ -20,7 +20,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use ivme_core::{
-    brute_force, Database, DeltaBatch, EngineOptions, IvmEngine, ShardedEngine, Update,
+    brute_force, Database, DeltaBatch, EngineOptions, IvmEngine, ShardedEngine, ShardedSnapshot,
+    Update,
 };
 use ivme_data::Tuple;
 use ivme_query::parse_query;
@@ -135,8 +136,8 @@ fn randomized_interleaved_reads_match_brute_force() {
                 // A read before the update warms the sharded merge cache,
                 // so the post-update read below exercises invalidation.
                 if round % 2 == 1 {
-                    let _ = sharded.enumerate().count();
-                    let _ = sharded.enumerate_page(1, 3);
+                    let _ = sharded.snapshot(0).enumerate().count();
+                    let _ = sharded.snapshot(0).enumerate_page(1, 3);
                 }
                 // Mixed batch: random relations (often only a strict
                 // subset — on multi-component queries a partial-component
@@ -186,23 +187,26 @@ fn randomized_interleaved_reads_match_brute_force() {
                     &oracle,
                     &mut rng,
                     free_arity,
-                    ShardedEngine::result_sorted,
-                    |e: &ShardedEngine| e.enumerate().collect(),
-                    ShardedEngine::enumerate_page,
-                    ShardedEngine::count_distinct,
-                    |e: &ShardedEngine, t: &Tuple| e.multiplicity(t),
-                    &sharded,
+                    ShardedSnapshot::result_sorted,
+                    |e: &ShardedSnapshot| e.enumerate().collect(),
+                    ShardedSnapshot::enumerate_page,
+                    ShardedSnapshot::count_distinct,
+                    |e: &ShardedSnapshot, t: &Tuple| e.multiplicity(t),
+                    &sharded.snapshot(0),
                 );
                 // contains agrees with multiplicity on a sample.
                 if let Some((t, _)) = oracle.first() {
-                    assert!(plain.contains(t) && sharded.contains(t), "{src}");
+                    assert!(
+                        plain.contains(t) && sharded.snapshot(0).contains(t),
+                        "{src}"
+                    );
                 }
                 // Wrong-arity probes are never in the result: report 0,
                 // never panic (serving layers forward untrusted tuples).
                 let bad = random_tuple(&mut rng, free_arity + 1, 6);
                 assert_eq!(plain.multiplicity(&bad), 0, "{src}");
-                assert_eq!(sharded.multiplicity(&bad), 0, "{src}");
-                assert!(!plain.contains(&bad) && !sharded.contains(&bad));
+                assert_eq!(sharded.snapshot(0).multiplicity(&bad), 0, "{src}");
+                assert!(!plain.contains(&bad) && !sharded.snapshot(0).contains(&bad));
             }
             sharded.check_consistency().unwrap();
         }
@@ -223,7 +227,7 @@ fn partial_component_update_invalidates_only_that_component() {
     assert_eq!(plain.num_components(), 2);
     let v0 = (plain.component_version(0), plain.component_version(1));
     // Warm the merge cache, then update only S (component 1).
-    assert_eq!(sharded.count_distinct(), 4);
+    assert_eq!(sharded.snapshot(0).count_distinct(), 4);
     plain.insert("S", Tuple::ints(&[9])).unwrap();
     sharded.insert("S", Tuple::ints(&[9])).unwrap();
     db.apply("S", Tuple::ints(&[9]), 1);
@@ -237,8 +241,8 @@ fn partial_component_update_invalidates_only_that_component() {
         v0.1 + 1,
         "touched component version must bump"
     );
-    assert_eq!(sharded.result_sorted(), brute_force(&q, &db));
-    assert_eq!(sharded.count_distinct(), 6);
+    assert_eq!(sharded.snapshot(0).result_sorted(), brute_force(&q, &db));
+    assert_eq!(sharded.snapshot(0).count_distinct(), 6);
     assert_eq!(plain.result_sorted(), brute_force(&q, &db));
     // And the other way round: touch only R (component 0).
     let v1 = (plain.component_version(0), plain.component_version(1));
@@ -247,13 +251,13 @@ fn partial_component_update_invalidates_only_that_component() {
     db.apply("R", Tuple::ints(&[2, 11]), -1);
     assert_eq!(plain.component_version(0), v1.0 + 1);
     assert_eq!(plain.component_version(1), v1.1);
-    assert_eq!(sharded.result_sorted(), brute_force(&q, &db));
+    assert_eq!(sharded.snapshot(0).result_sorted(), brute_force(&q, &db));
     assert_eq!(
-        sharded.multiplicity(&Tuple::ints(&[1, 9])),
+        sharded.snapshot(0).multiplicity(&Tuple::ints(&[1, 9])),
         1,
         "fresh S row visible through the point lookup"
     );
-    assert_eq!(sharded.multiplicity(&Tuple::ints(&[2, 9])), 0);
+    assert_eq!(sharded.snapshot(0).multiplicity(&Tuple::ints(&[2, 9])), 0);
 }
 
 #[test]
@@ -270,7 +274,7 @@ fn reads_survive_major_rebalance() {
     for shards in [1usize, 2, 4] {
         let mut plain = IvmEngine::new(&q, &db, opts).unwrap();
         let mut sharded = ShardedEngine::new(&q, &db, opts, shards).unwrap();
-        let _ = sharded.enumerate().count(); // warm the merge cache
+        let _ = sharded.snapshot(0).enumerate().count(); // warm the merge cache
         let mut wdb = db.clone();
         let majors_before = plain.stats().major_rebalances;
         let mut batch = Vec::new();
@@ -291,12 +295,15 @@ fn reads_survive_major_rebalance() {
         );
         let oracle = brute_force(&q, &wdb);
         assert_eq!(plain.result_sorted(), oracle, "S={shards}");
-        assert_eq!(sharded.result_sorted(), oracle, "S={shards}");
-        let full: Vec<(Tuple, i64)> = sharded.enumerate().collect();
-        assert_eq!(sharded.enumerate_page(10, 7), full[10..17].to_vec());
+        assert_eq!(sharded.snapshot(0).result_sorted(), oracle, "S={shards}");
+        let full: Vec<(Tuple, i64)> = sharded.snapshot(0).enumerate().collect();
+        assert_eq!(
+            sharded.snapshot(0).enumerate_page(10, 7),
+            full[10..17].to_vec()
+        );
         for (t, m) in &oracle {
             assert_eq!(plain.multiplicity(t), *m);
-            assert_eq!(sharded.multiplicity(t), *m);
+            assert_eq!(sharded.snapshot(0).multiplicity(t), *m);
         }
     }
 }

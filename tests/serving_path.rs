@@ -271,3 +271,23 @@ fn an_overlong_line_is_refused_and_the_server_keeps_serving() {
     let mut fresh = Client::connect(server.addr()).unwrap();
     assert_eq!(fresh.expect_ok("count"), "1\n");
 }
+
+/// `.shards` comes from outside and `build` spawns a thread per shard on
+/// the writer — the one thread that can apply a write.
+#[test]
+fn an_out_of_range_shard_count_is_refused_and_the_writer_keeps_serving() {
+    let server = Server::start(ServerConfig::default()).unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    c.expect_ok("query Q(A,C) :- R(A,B), S(B,C)");
+    let err = c.request(".shards 100000").unwrap().unwrap_err();
+    assert!(err.contains("between 1 and 64"), "{err}");
+    for line in ["row R 1,10", "row S 10,5"] {
+        c.expect_ok(line);
+    }
+    assert!(c.expect_ok("build").contains("1 shards"));
+    for line in [".batch begin", "insert R 2,10"] {
+        c.expect_ok(line);
+    }
+    assert!(c.expect_ok(".batch commit").starts_with("committed "));
+    assert_eq!(c.expect_ok("count"), "2\n");
+}

@@ -75,11 +75,15 @@ fn randomized_workloads_match_unsharded_engine() {
                 assert_eq!(sharded.num_shards(), shards, "{src}");
             }
             assert_eq!(
-                sharded.result_sorted(),
+                sharded.snapshot(0).result_sorted(),
                 plain.result_sorted(),
                 "{src} S={shards}: preprocessing diverged"
             );
-            assert_eq!(sharded.result_sorted(), brute_force(&q, &db), "{src}");
+            assert_eq!(
+                sharded.snapshot(0).result_sorted(),
+                brute_force(&q, &db),
+                "{src}"
+            );
             // Mixed update rounds: single tuples and batches, enumerating
             // mid-run after every round.
             for round in 0..8 {
@@ -119,12 +123,16 @@ fn randomized_workloads_match_unsharded_engine() {
                     }
                 }
                 assert_eq!(
-                    sharded.result_sorted(),
+                    sharded.snapshot(0).result_sorted(),
                     plain.result_sorted(),
                     "{src} S={shards} round {round}"
                 );
             }
-            assert_eq!(sharded.result_sorted(), brute_force(&q, &db), "{src}");
+            assert_eq!(
+                sharded.snapshot(0).result_sorted(),
+                brute_force(&q, &db),
+                "{src}"
+            );
             sharded.check_consistency().unwrap();
             assert_eq!(sharded.db_size(), plain.db_size(), "{src} S={shards}");
             assert_eq!(sharded.shard_sizes().iter().sum::<usize>(), plain.db_size());
@@ -199,7 +207,7 @@ fn unknown_relation_and_arity_reject_atomically() {
     db.insert_ints("R", &[&[1, 10], &[2, 11]]);
     db.insert_ints("S", &[&[10, 7], &[11, 8]]);
     let mut eng = ShardedEngine::new(&q, &db, EngineOptions::dynamic(0.5), 3).unwrap();
-    let before = eng.result_sorted();
+    let before = eng.snapshot(0).result_sorted();
     let mut bad = DeltaBatch::new();
     bad.push("R", Tuple::ints(&[3, 10]), 1);
     bad.push("Mystery", Tuple::ints(&[1]), 1);
@@ -214,7 +222,7 @@ fn unknown_relation_and_arity_reject_atomically() {
         eng.apply_delta_batch(&bad).unwrap_err(),
         ivme_core::UpdateError::Arity(_)
     ));
-    assert_eq!(eng.result_sorted(), before);
+    assert_eq!(eng.snapshot(0).result_sorted(), before);
 }
 
 #[test]
@@ -229,12 +237,12 @@ fn nullary_atoms_pin_to_shard_zero_and_stay_correct() {
     let plain = IvmEngine::new(&q, &db, opts).unwrap();
     let mut sharded = ShardedEngine::new(&q, &db, opts, 4).unwrap();
     assert_eq!(sharded.shard_of("S", &Tuple::empty()), Some(0));
-    assert_eq!(sharded.result_sorted(), plain.result_sorted());
+    assert_eq!(sharded.snapshot(0).result_sorted(), plain.result_sorted());
     // Deleting one copy of S() halves nothing; deleting both empties Q.
     sharded.delete("S", Tuple::empty()).unwrap();
-    assert_eq!(sharded.count_distinct(), 20);
+    assert_eq!(sharded.snapshot(0).count_distinct(), 20);
     sharded.delete("S", Tuple::empty()).unwrap();
-    assert_eq!(sharded.count_distinct(), 0);
+    assert_eq!(sharded.snapshot(0).count_distinct(), 0);
 }
 
 #[test]
@@ -254,7 +262,7 @@ fn batch_api_and_stats_counters() {
     let s = eng.stats();
     assert_eq!(s.updates, 4, "cardinality counted at the sharded level");
     assert_eq!(s.batches, 1);
-    assert_eq!(eng.count_distinct(), 2);
+    assert_eq!(eng.snapshot(0).count_distinct(), 2);
     // Zero deltas are no-ops and stay out of the counters, as unsharded.
     eng.apply_update("S", Tuple::ints(&[10]), 0).unwrap();
     assert_eq!(eng.stats().updates, 4);
