@@ -13,7 +13,7 @@
 
 use std::time::Duration;
 
-use ivme_bench::{fmt_dur, fmt_ns, shards_from_env, time_once};
+use ivme_bench::{fmt_dur, fmt_ns, time_once};
 use ivme_core::{Database, EngineOptions, IvmEngine, ShardedEngine};
 use ivme_data::Tuple;
 use ivme_workload::OmvInstance;
@@ -137,13 +137,8 @@ fn main() {
         "{:<8} {:>12} {:>12} {:>10} {:>14} {:>12}",
         "shards", "cold", "cached", "speedup", "page(900,50)", "count"
     );
-    let shard_grid: Vec<usize> = match shards_from_env() {
-        Some(s) if s > 1 => vec![1, s],
-        Some(_) => vec![1],
-        None => vec![1, 4],
-    };
     let mut widest: Option<(usize, f64)> = None;
-    for &shards in &shard_grid {
+    for shards in [1, 4] {
         let mut eng = ShardedEngine::from_sql(
             "Q(A) :- R(A,B), S(B)",
             &db,

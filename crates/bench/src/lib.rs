@@ -18,14 +18,6 @@ pub fn time_once<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     (v, t0.elapsed())
 }
 
-/// Shard-count override for the sharded bench rows: `IVME_SHARDS=n`
-/// benches shard counts `{1, n}` (the single-shard baseline plus the
-/// requested width) instead of the default `{1, 2, 4}` grid. Unparseable
-/// values are ignored (the default grid runs).
-pub fn shards_from_env() -> Option<usize> {
-    std::env::var("IVME_SHARDS").ok()?.parse().ok()
-}
-
 /// Statistics of per-item delays (in nanoseconds).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DelayStats {

@@ -5,9 +5,6 @@
 //! ivme client <addr>      connect to an ivme-server and run the same
 //!                         REPL over TCP (stdin lines -> command lines,
 //!                         framed responses -> stdout)
-//! ivme replica <primary>  run a read-only log-shipping follower of an
-//!                         ivme-server started with --repl-listen
-//!                         (delegates to the ivme-server binary)
 //! ```
 //!
 //! In client mode errors are printed as `error: <msg>` on stdout, exactly
@@ -34,37 +31,9 @@ fn main() {
                 std::process::exit(1);
             }
         }
-        Some("replica") => run_replica(&args[1..]),
-        Some("--help" | "-h") => {
-            println!("usage: ivme [client <host:port> | replica <host:port> [--listen HOST:PORT]]");
-        }
+        Some("--help" | "-h") => println!("usage: ivme [client <host:port>]"),
         Some(other) => {
-            eprintln!(
-                "unknown argument `{other}` \
-                 (usage: ivme [client <host:port> | replica <host:port>])"
-            );
-            std::process::exit(2);
-        }
-    }
-}
-
-/// `ivme replica …` delegates to the `ivme-server` binary (where the
-/// replication runtime lives — the server crate depends on this one, not
-/// the other way around): first a sibling of this executable, then PATH.
-fn run_replica(args: &[String]) -> ! {
-    let sibling = std::env::current_exe()
-        .ok()
-        .and_then(|p| p.parent().map(|d| d.join("ivme-server")))
-        .filter(|p| p.exists());
-    let program = sibling.unwrap_or_else(|| "ivme-server".into());
-    let status = std::process::Command::new(&program)
-        .arg("replica")
-        .args(args)
-        .status();
-    match status {
-        Ok(s) => std::process::exit(s.code().unwrap_or(1)),
-        Err(e) => {
-            eprintln!("error: cannot run {}: {e}", program.display());
+            eprintln!("unknown argument `{other}` (usage: ivme [client <host:port>])");
             std::process::exit(2);
         }
     }

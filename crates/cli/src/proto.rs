@@ -426,27 +426,26 @@ fn trimmed_lines(payload: &str) -> impl Iterator<Item = &str> {
 // Replication wire protocol
 // ----------------------------------------------------------------------
 //
-// The primary→replica log stream (PR 10) is line-oriented like the
-// client protocol, with binary payloads announced by a length header —
-// see docs/PROTOCOL.md for the normative spec. The verbs live here, next
+// The primary→replica log stream is line-oriented like the client
+// protocol, with binary payloads announced by a length header — see
+// docs/PROTOCOL.md §4 for the normative spec. The verbs live here, next
 // to the command grammar, because every replicated payload *is* command
 // text of that grammar (WAL frames) or the snapshot file format built on
 // it: a third-party follower needs nothing beyond this module's
 // vocabulary. Handshake (follower → primary):
 //
 // ```text
-// hello <version> <epoch> <frames>
+// hello <version> <epoch>
 // ```
 //
-// — resume after `<frames>` frames of round `<epoch>`. Primary →
-// follower messages (each header on its own line, payload bytes
-// immediately after where a length is announced):
+// — every round through `<epoch>` is applied; send what is newer.
+// Primary → follower messages (each header on its own line, payload
+// bytes immediately after where a length is announced):
 //
 // ```text
 // snapshot <epoch> <len>   then <len> bytes: a snapshot-<epoch>.ivme file
-// round <epoch> <n>        then n frame messages belonging to one commit round
+// round <epoch> <n>        then n frame messages: one whole commit round
 // frame <len>              then <len> bytes: one WAL frame's command text
-// rebase <epoch>           WAL rotated onto a snapshot at <epoch> (informational)
 // reset                    follower state is unusable: drop it, reconnect fresh
 // ```
 //
@@ -459,48 +458,55 @@ fn trimmed_lines(payload: &str) -> impl Iterator<Item = &str> {
 
 /// Replication protocol version spoken by [`repl_hello_line`]. A primary
 /// refuses (closes on) a hello with any other version.
-pub const REPL_VERSION: u64 = 1;
+pub const REPL_VERSION: u64 = 2;
 
 /// One primary→follower stream message header.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReplHeader {
     /// A snapshot file (`snapshot-<epoch>.ivme` bytes) follows.
     Snapshot { epoch: u64, len: usize },
-    /// `frames` frame messages of commit round `epoch` follow.
+    /// The `frames` frame messages of commit round `epoch` follow — all
+    /// of them: a round is never split across messages.
     Round { epoch: u64, frames: usize },
-    /// The primary's WAL rotated onto a snapshot at `epoch`.
-    Rebase { epoch: u64 },
     /// The follower's resume point no longer exists on the primary (e.g.
     /// the primary recovered to an older epoch): discard local state and
     /// reconnect from scratch.
     Reset,
 }
 
-/// Renders the follower's handshake line: resume after `frames` frames
-/// of round `epoch` (both 0 for a fresh follower).
-pub fn repl_hello_line(epoch: u64, frames: u64) -> String {
-    format!("hello {REPL_VERSION} {epoch} {frames}")
+/// The next whitespace-separated field of a replication line, as a
+/// decimal number.
+fn repl_num<'a>(
+    fields: &mut impl Iterator<Item = &'a str>,
+    what: &str,
+    line: &str,
+) -> Result<u64, String> {
+    fields
+        .next()
+        .and_then(|v| v.parse().ok())
+        .ok_or_else(|| format!("bad {what} in replication line `{}`", line.trim()))
 }
 
-/// Parses a handshake line into `(epoch, frames)`, rejecting unknown
+/// Renders the follower's handshake line: every round through `epoch` is
+/// applied (0 for a fresh follower).
+pub fn repl_hello_line(epoch: u64) -> String {
+    format!("hello {REPL_VERSION} {epoch}")
+}
+
+/// Parses a handshake line into the follower's epoch, rejecting unknown
 /// protocol versions.
-pub fn parse_repl_hello(line: &str) -> Result<(u64, u64), String> {
+pub fn parse_repl_hello(line: &str) -> Result<u64, String> {
     let mut it = line.split_whitespace();
     if it.next() != Some("hello") {
         return Err(format!("expected `hello ...`, got `{}`", line.trim()));
     }
-    let mut num = |what: &str| -> Result<u64, String> {
-        it.next()
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| format!("bad {what} in hello line `{}`", line.trim()))
-    };
-    let version = num("version")?;
+    let version = repl_num(&mut it, "version", line)?;
     if version != REPL_VERSION {
         return Err(format!(
             "unsupported replication protocol version {version} (speaking {REPL_VERSION})"
         ));
     }
-    Ok((num("epoch")?, num("frames")?))
+    repl_num(&mut it, "epoch", line)
 }
 
 /// Renders one stream message header line.
@@ -508,21 +514,15 @@ pub fn repl_header_line(h: &ReplHeader) -> String {
     match h {
         ReplHeader::Snapshot { epoch, len } => format!("snapshot {epoch} {len}"),
         ReplHeader::Round { epoch, frames } => format!("round {epoch} {frames}"),
-        ReplHeader::Rebase { epoch } => format!("rebase {epoch}"),
         ReplHeader::Reset => "reset".to_owned(),
     }
 }
 
 /// Parses one stream message header line.
 pub fn parse_repl_header(line: &str) -> Result<ReplHeader, String> {
-    let line = line.trim();
     let mut it = line.split_whitespace();
     let verb = it.next().ok_or("empty replication header")?;
-    let mut num = |what: &str| -> Result<u64, String> {
-        it.next()
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| format!("bad {what} in replication header `{line}`"))
-    };
+    let mut num = |what| repl_num(&mut it, what, line);
     match verb {
         "snapshot" => Ok(ReplHeader::Snapshot {
             epoch: num("epoch")?,
@@ -531,9 +531,6 @@ pub fn parse_repl_header(line: &str) -> Result<ReplHeader, String> {
         "round" => Ok(ReplHeader::Round {
             epoch: num("epoch")?,
             frames: num("frame count")? as usize,
-        }),
-        "rebase" => Ok(ReplHeader::Rebase {
-            epoch: num("epoch")?,
         }),
         "reset" => Ok(ReplHeader::Reset),
         other => Err(format!("unknown replication header verb `{other}`")),
@@ -567,12 +564,10 @@ pub fn parse_repl_ack(line: &str) -> Result<(u64, u64), String> {
     if it.next() != Some("ack") {
         return Err(format!("expected `ack ...`, got `{}`", line.trim()));
     }
-    let mut num = |what: &str| -> Result<u64, String> {
-        it.next()
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| format!("bad {what} in ack line `{}`", line.trim()))
-    };
-    Ok((num("epoch")?, num("frames")?))
+    Ok((
+        repl_num(&mut it, "epoch", line)?,
+        repl_num(&mut it, "frames", line)?,
+    ))
 }
 
 /// The `quit` reply shared by every front end.
@@ -737,23 +732,25 @@ mod tests {
 
     #[test]
     fn replication_verbs_round_trip() {
-        assert_eq!(repl_hello_line(42, 3), "hello 1 42 3");
-        assert_eq!(parse_repl_hello("hello 1 42 3").unwrap(), (42, 3));
-        assert!(parse_repl_hello("hello 2 42 3")
+        assert_eq!(repl_hello_line(42), "hello 2 42");
+        assert_eq!(parse_repl_hello("hello 2 42").unwrap(), 42);
+        // A v1 follower (frame-granular cursor) is refused, not guessed at.
+        assert!(parse_repl_hello("hello 1 42 3")
             .unwrap_err()
             .contains("version"));
-        assert!(parse_repl_hello("howdy 1 42 3").is_err());
+        assert!(parse_repl_hello("hello 2").is_err());
+        assert!(parse_repl_hello("howdy 2 42").is_err());
         for h in [
             ReplHeader::Snapshot { epoch: 9, len: 120 },
             ReplHeader::Round {
                 epoch: 10,
                 frames: 2,
             },
-            ReplHeader::Rebase { epoch: 11 },
             ReplHeader::Reset,
         ] {
             assert_eq!(parse_repl_header(&repl_header_line(&h)).unwrap(), h);
         }
+        assert!(parse_repl_header("rebase 11").is_err());
         assert!(parse_repl_header("round ten 2").is_err());
         assert!(parse_repl_header("frobnicate 1").is_err());
         assert_eq!(parse_repl_frame(&repl_frame_line(17)).unwrap(), 17);

@@ -1,108 +1,44 @@
-//! `ivme-server` — a concurrent multi-client serving layer for IVM^ε.
-//!
-//! A frozen `ShardedSnapshot` answers point lookups with a hash probe
-//! per component and page seeks in O(#components). This crate puts a
-//! network front end on the engine and serves those snapshots, std-only
-//! (`std::net::TcpListener` plus threads; the build environment is
-//! offline, so no async runtime):
+//! `ivme-server` — a concurrent multi-client serving layer for IVM^ε,
+//! std-only (`std::net::TcpListener` plus threads; the build environment
+//! is offline, so no async runtime).
 //!
 //! * **One language.** Connections speak the newline-delimited command
-//!   grammar of the REPL ([`ivme_cli::proto`]): any script that works in
-//!   the shell works over a socket, and the CLI's `client` mode is a
-//!   transparent remote REPL. Responses are framed `ok <n>` + `n` payload
-//!   lines or `err <msg>`, so clients can pipeline requests (the batch
-//!   submission path writes a whole script before reading acks).
+//!   grammar of the shell ([`ivme_cli::proto`]); responses are framed
+//!   `ok <n>` + `n` payload lines or `err <msg>`, so clients can pipeline.
+//! * **Lock-free reads.** The group-commit writer thread is the sole
+//!   owner of the mutable `ShardedEngine`; after every round it publishes
+//!   an immutable [`ServeSnapshot`] through an epoch-stamped `Arc` cell
+//!   ([`publish::Published`]) and connections read from the snapshot they
+//!   hold ([`execute_read`]). Publishing is not free: the engine re-merges
+//!   every result component the round touched, `O(|component|)` per commit
+//!   (the ledger's `core.snapshot_us_per_round` and
+//!   `core.snapshot_tuples_per_round`; it dominates `twopath-publish`).
+//! * **Group-commit writes.** The writer coalesces pending batches into
+//!   one merged batch, applies it, publishes, and only then are the acks
+//!   released — a client that has seen its ack reads its own write. A
+//!   poisoned group falls back to per-member replay, so only offenders see
+//!   an error and a rejected batch publishes nothing.
+//! * **Durability.** With `--data-dir` every committed unit is a
+//!   CRC-checksummed [`wal`] frame of `proto` command text, appended and
+//!   fsynced by a dedicated sync thread that releases the round's acks
+//!   afterwards; a background thread checkpoints into [`snapshot`] files
+//!   and the log rotates onto them. Boot loads the newest valid snapshot
+//!   and replays the log's tail.
+//! * **Log-shipping read replicas.** With `--repl-listen` the primary
+//!   streams durable commit rounds to follower processes ([`repl`]), which
+//!   apply them through the replay step recovery uses and serve the full
+//!   read API.
 //!
-//! * **Lock-free reads via epoch snapshot publishing.** There is no lock
-//!   around the engine at all: the group-commit writer thread is the
-//!   *sole owner* of the mutable `ShardedEngine`, and after every round
-//!   of state changes it publishes an immutable [`ServeSnapshot`] through
-//!   an epoch-stamped `Arc` cell ([`publish::Published`], the std-only
-//!   `arc-swap` pattern). Each connection keeps a cached handle; a read
-//!   command refreshes it — one atomic epoch load, plus an `Arc` clone
-//!   only when a newer snapshot exists — and dispatches against the
-//!   frozen view ([`execute_read`]). Readers never contend with the
-//!   writer or each other: read tail latency is independent of write
-//!   storms. Snapshots are cheap to produce because they reuse the
-//!   engine's per-component merge cache — unchanged components are `Arc`
-//!   clones, only components the commit touched re-merge, so publishing
-//!   is O(touched components), not O(engine).
-//!
-//! * **Group-commit writes.** Update commands each submit their
-//!   consolidated `DeltaBatch` into a bounded channel and wait for the
-//!   ack. The writer thread drains the channel, coalesces everything
-//!   pending into a *single* merged batch, applies it through the
-//!   engine's existing prepare/apply split, **publishes the new
-//!   snapshot**, and only then fans the acks back — so a client that has
-//!   seen its ack is guaranteed to see its own write on the next read
-//!   (read-your-writes), and what readers observe is always a committed
-//!   prefix of the group-commit order. `W` concurrent writers cost one
-//!   maintenance round instead of `W`.
-//!
-//! * **Atomic rejection, per client.** A merged group can be poisoned by
-//!   one client's over-delete even though every other member is valid, so
-//!   a failed group apply falls back to applying the member batches
-//!   individually, in arrival order: valid members commit, offenders get
-//!   their own engine error back. (The engine's own prepare/apply split
-//!   guarantees the failed *merged* attempt mutated nothing, which is
-//!   what makes the retry sound.) Clients therefore observe exactly the
-//!   semantics of the single-threaded shell: their batch either applies
-//!   atomically or is rejected with the engine unchanged — and a rejected
-//!   batch publishes nothing.
-//!
-//! Admin/setup commands (`query`, `row`, `load`, `build`, `epsilon`,
-//! `mode`, `.shards`) ride the same channel as `AdminOp`s — they are
-//! rare, and serializing them through the writer keeps the engine
-//! single-owner with no lock anywhere in the crate. CSV file I/O stays on
-//! the connection thread; only the parsed rows travel through the
-//! channel. The server always builds a `ShardedEngine` (`.shards 1` by
-//! default), so reads and group commits go down one audited path
-//! regardless of shard count. Staleness for a reader is bounded by the
-//! in-flight group: the previous snapshot stays valid until the writer
-//! publishes the next, there is never a window where reads block or see
-//! partial state.
-
-//! * **Durability (PR 7), pipelined (PR 8).** With `--data-dir` every
-//!   committed unit is appended to a CRC-checksummed write-ahead log
-//!   ([`wal`]) — frames carry the same `proto` command text connections
-//!   send, so replay goes through the audited live apply path — with one
-//!   fsync per group-commit round (`--fsync group`), and the state is
-//!   periodically checkpointed into an atomically renamed snapshot
-//!   ([`snapshot`]) that lets the log rotate. Boot loads the newest valid
-//!   snapshot and replays the log's tail; a torn or bit-flipped WAL tail
-//!   is truncated at the last valid frame, never served partially.
-//!
-//!   The commit path is a two-stage pipeline: the writer applies and
-//!   *publishes* round N+1 while a dedicated sync thread appends and
-//!   fsyncs round N, and each round's acks ride to the sync thread as a
-//!   closure it runs only after that round's fsync. Both promises
-//!   survive the split — publish-before-ack (read-your-writes) because
-//!   the writer publishes before it hands the round over, and
-//!   no-acked-write-lost because the hand-off, not the writer, releases
-//!   the acks. Snapshots moved off the writer thread entirely: the
-//!   writer captures its state (a cheap structured clone) and a
-//!   background snapshot thread serializes and installs it, with WAL
-//!   rotation deferred until the install and frames committed meanwhile
-//!   preserved across the rotation — so a commit round never waits on
-//!   snapshot serialization, and `--fsync group` costs one *overlapped*
-//!   fsync per round instead of a serialized one.
-//!
-//! * **Log-shipping read replicas (PR 10).** With `--repl-listen` the
-//!   primary streams committed WAL frames to follower processes
-//!   ([`repl`]); each follower applies them through the same replay path
-//!   and serves the full read API at a bounded, observable staleness
-//!   epoch. See `docs/ARCHITECTURE.md` for the dataflow and
-//!   `docs/PROTOCOL.md` for the wire format.
-//!
-//! There is one of each moving part. What a command does and answers is
-//! written once, in [`ivme_cli::session`], the interpreter the shell runs
-//! too. Primary and replica serve through the same accept and connection
-//! loop (`conn`), parameterised only by where writes go; every published
-//! snapshot is built by the one `OwnedState::serve_snapshot` (`writer`,
-//! which also holds the group-commit loop); and boot recovery and the
-//! replica's apply thread replay WAL frames through the one
-//! `OwnedState::apply_frame` (`recovery`). This file keeps the
-//! configuration and the [`Server`] handle.
+//! The dataflow, the invariant table and what each `--fsync` mode buys
+//! are in `docs/ARCHITECTURE.md`; the byte formats in `docs/PROTOCOL.md`;
+//! what each layer costs in `fig_ledger`'s traced runs. There is one of
+//! each moving part: what a command does and answers is written once, in
+//! [`ivme_cli::session`]; primary and replica serve through the same
+//! accept and connection loop (`conn`); every published snapshot is built
+//! by the one `OwnedState::serve_snapshot` (`writer`, which also holds the
+//! group-commit loop); and boot recovery and the replica's apply thread
+//! replay rounds through the one `OwnedState::apply_round` (`recovery`).
+//! This file keeps the configuration and the [`Server`] handle.
 
 mod conn;
 pub mod crc;
@@ -135,13 +71,8 @@ use writer::{Durability, OwnedState, Request, Shared};
 pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port (see [`Server::addr`]).
     pub addr: String,
-    /// Bounded depth of the write-submission channel: back-pressure for
-    /// writers when the group-commit thread falls behind.
-    pub queue_depth: usize,
-    /// Maximum client requests coalesced into one writer round.
-    pub group_limit: usize,
     /// Durability directory (WAL + snapshots). `None` serves from memory
-    /// only, exactly as before PR 7.
+    /// only.
     pub data_dir: Option<PathBuf>,
     /// When the WAL is fsynced relative to acks (ignored without a data
     /// dir). `Group` — the default — is one fsync per commit round, so
@@ -166,8 +97,6 @@ impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".to_owned(),
-            queue_depth: 128,
-            group_limit: 64,
             data_dir: None,
             fsync: FsyncMode::Group,
             snapshot_every: 64,
@@ -309,6 +238,7 @@ impl Server {
                 l,
                 Arc::clone(h),
                 config.data_dir.clone().expect("checked above"),
+                state.epoch,
                 config.hooks.repl_barrier.clone(),
             )?),
             _ => None,
@@ -322,13 +252,12 @@ impl Server {
             group_retries: AtomicU64::new(serve_seed.2),
             snapshots_published: AtomicU64::new(state.epoch),
         });
-        let (tx, rx) = mpsc::sync_channel::<Request>(config.queue_depth);
+        let (tx, rx) = mpsc::sync_channel::<Request>(writer::QUEUE_DEPTH);
         let writer_handle = {
             let shared = Arc::clone(&shared);
-            let group_limit = config.group_limit.max(1);
             std::thread::Builder::new()
                 .name("ivme-group-commit".into())
-                .spawn(move || writer::writer_loop(rx, shared, group_limit, state))?
+                .spawn(move || writer::writer_loop(rx, shared, state))?
         };
         let accept_handle = conn::spawn_accept_loop(
             listener,

@@ -1,9 +1,8 @@
 //! The `ivme-server` binary: serve the IVM^ε engine over TCP.
 //!
 //! ```text
-//! ivme-server [--addr 127.0.0.1:7143] [--queue-depth 128] [--group-limit 64]
-//!             [--data-dir DIR] [--fsync none|group] [--snapshot-every N]
-//!             [--repl-listen HOST:PORT]
+//! ivme-server [--addr 127.0.0.1:7143] [--data-dir DIR] [--fsync none|group]
+//!             [--snapshot-every N] [--repl-listen HOST:PORT]
 //! ivme-server replica PRIMARY:PORT [--listen 127.0.0.1:7145]
 //! ```
 //!
@@ -14,8 +13,8 @@
 //! the `shutdown` command) trigger a clean shutdown — drain, fsync,
 //! final snapshot — instead of dropping in-flight work.
 //!
-//! With `--repl-listen` the server additionally streams committed WAL
-//! frames to follower processes started with the `replica` subcommand;
+//! With `--repl-listen` the server additionally streams committed
+//! rounds to follower processes started with the `replica` subcommand;
 //! see `docs/PROTOCOL.md` for the wire format and the README's
 //! quickstart for the two command lines of a replicated deployment.
 
@@ -70,16 +69,6 @@ fn main() {
         };
         match arg.as_str() {
             "--addr" => config.addr = value("--addr"),
-            "--queue-depth" => {
-                config.queue_depth = value("--queue-depth")
-                    .parse()
-                    .unwrap_or_else(|_| die("--queue-depth must be a positive integer"))
-            }
-            "--group-limit" => {
-                config.group_limit = value("--group-limit")
-                    .parse()
-                    .unwrap_or_else(|_| die("--group-limit must be a positive integer"))
-            }
             "--data-dir" => config.data_dir = Some(value("--data-dir").into()),
             "--fsync" => {
                 config.fsync = FsyncMode::parse(&value("--fsync")).unwrap_or_else(|e| die(&e))
@@ -92,9 +81,8 @@ fn main() {
             "--repl-listen" => config.repl_listen = Some(value("--repl-listen")),
             "--help" | "-h" => {
                 println!(
-                    "usage: ivme-server [--addr HOST:PORT] [--queue-depth N] [--group-limit N]\n\
-                     \x20                  [--data-dir DIR] [--fsync none|group] [--snapshot-every N]\n\
-                     \x20                  [--repl-listen HOST:PORT]\n\
+                    "usage: ivme-server [--addr HOST:PORT] [--data-dir DIR] [--fsync none|group]\n\
+                     \x20                  [--snapshot-every N] [--repl-listen HOST:PORT]\n\
                      \x20      ivme-server replica PRIMARY:PORT [--listen HOST:PORT]"
                 );
                 return;

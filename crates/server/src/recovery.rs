@@ -1,12 +1,13 @@
 //! Replay: decoding WAL frames back into the operations they committed,
-//! applying them, and the boot-time recovery built on both.
+//! applying them a commit round at a time, and the boot-time recovery
+//! built on both.
 //!
 //! A frame's payload is `proto` command text, so replay runs it through
 //! the interpreter that produced the frame live ([`ivme_cli::session`]).
-//! There is exactly one replayer — [`OwnedState::apply_frame`] — and two
-//! callers: boot recovery ([`recover`], frames read back from `wal.log`)
-//! and a replica's apply thread (the same frames, streamed by the
-//! primary).
+//! There is exactly one replay step — [`OwnedState::apply_round`] — and
+//! two callers: boot recovery ([`recover`], rounds read back from
+//! `wal.log`) and a replica's apply thread (the same rounds, streamed by
+//! the primary).
 
 use std::io;
 use std::path::Path;
@@ -19,6 +20,21 @@ use crate::wal::{self, Wal};
 use crate::writer::OwnedState;
 
 impl OwnedState {
+    /// Replays one commit round: every frame in order, then the epoch.
+    /// On an error the epoch stays where it was — the state is then
+    /// between two rounds and must not be published.
+    pub(crate) fn apply_round<'a>(
+        &mut self,
+        epoch: u64,
+        frames: impl IntoIterator<Item = &'a str>,
+    ) -> Result<(), String> {
+        for text in frames {
+            self.apply_frame(text)?;
+        }
+        self.epoch = epoch;
+        Ok(())
+    }
+
     /// Applies one WAL frame's command text, line by line, through the
     /// interpreter that produced it live. Frames are one committed unit
     /// each: a `.batch begin … commit` script, a run of `row` lines, or a
@@ -26,7 +42,7 @@ impl OwnedState {
     /// CRC-valid frame that fails here is a logic error or corruption of
     /// a different kind (it committed once): boot refuses to start and a
     /// replica freezes, rather than serve a diverged state.
-    pub(crate) fn apply_frame(&mut self, text: &str) -> Result<(), String> {
+    fn apply_frame(&mut self, text: &str) -> Result<(), String> {
         let mut staging = Staging::default();
         for line in text.lines() {
             let Some(cmd) = proto::parse_command(line)? else {
@@ -104,21 +120,20 @@ pub(crate) fn recover(dir: &Path, state: &mut OwnedState) -> io::Result<Recovery
         eprintln!("ivme-server: WAL damage: {reason}");
     }
     let mut groups = 0u64;
-    // Frames at or below the snapshot epoch were already checkpointed
+    // Rounds at or below the snapshot epoch were already checkpointed
     // (the process died between the snapshot rename and the WAL
-    // rotation): skip, don't double-apply.
-    for f in log.frames.iter().filter(|f| f.epoch > snap_epoch) {
-        state.apply_frame(&f.text).map_err(|e| {
-            crate::invalid_data(format!("WAL replay failed at epoch {}: {e}", f.epoch))
-        })?;
-        if f.epoch != state.epoch {
-            groups += 1;
-        }
-        if f.text.starts_with(".batch begin") {
-            serve_seed.0 += 1; // one group commit…
-            serve_seed.1 += 1; // …of (at least) one batch
-        }
-        state.epoch = f.epoch;
+    // rotation): skip, don't double-apply. A crash-torn last round is
+    // simply a shorter round.
+    for round in wal::rounds(&log.frames).filter(|r| r[0].epoch > snap_epoch) {
+        let epoch = round[0].epoch;
+        state
+            .apply_round(epoch, round.iter().map(|f| f.text.as_str()))
+            .map_err(|e| crate::invalid_data(format!("WAL replay failed at epoch {epoch}: {e}")))?;
+        groups += 1;
+        let is_batch = |f: &&wal::Frame| f.text.starts_with(".batch begin");
+        let batches = round.iter().filter(is_batch).count() as u64;
+        serve_seed.0 += batches; // one group commit per batch frame…
+        serve_seed.1 += batches; // …of (at least) one batch
     }
     if groups > 0 {
         eprintln!(

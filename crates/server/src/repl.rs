@@ -1,6 +1,11 @@
-//! Log-shipping replication: a primary that streams committed WAL
-//! frames to follower processes, each serving the full lock-free read
-//! API with a bounded, observable staleness epoch.
+//! Log-shipping replication: a primary that streams committed rounds to
+//! follower processes, each serving the full lock-free read API with a
+//! bounded, observable staleness epoch.
+//!
+//! The unit of replication is the **commit round** — what the writer
+//! publishes under one epoch and the sync thread makes durable together.
+//! Each side keeps one cursor, an epoch: a round is shipped, and applied,
+//! whole or not at all.
 //!
 //! # Primary side
 //!
@@ -15,39 +20,39 @@
 //! a [`TestHooks::repl_barrier`](crate::TestHooks) freeze).
 //!
 //! Bootstrap is the subtle half. The per-follower handler **registers
-//! with the hub first**, then takes a read-only [`wal::scan`] of the log
-//! and loads the newest snapshot bytes. That ordering closes the gap by
-//! construction: any committed round either finished its append before
-//! the scan read the file (so the scan has it) or was broadcast after
-//! the registration (so the queue has it) — possibly both, which is why
-//! the sender keeps a cursor `(epoch, frames sent within that epoch)`
-//! and drops duplicates at frame granularity. A torn tail in the scan
-//! (an append racing the read) is equally harmless: the torn round's
-//! broadcast is on the queue. Scanning the WAL *before* loading the
-//! snapshot leans on the snapshot worker's install-before-rotate order —
-//! whatever base epoch the scanned log continues from, a snapshot at
-//! least that new is already on disk.
+//! with the hub first** — learning `fanned`, the newest epoch the hub had
+//! fanned out by then, under the lock `broadcast_round` holds — then
+//! takes a read-only [`wal::scan`] of the log and loads the newest
+//! snapshot bytes. Every round `≤ fanned` finished its append before the
+//! registration, so the scan reads it whole (or a snapshot covers it);
+//! every round `> fanned` is fanned out after the registration and
+//! reaches the queue whole. The bootstrap therefore ships exactly the
+//! scanned rounds `≤ fanned` (`bootstrap_rounds`) and ignores the scanned
+//! tail beyond — which an append racing the read may have left torn, or
+//! complete frames short of its round. Scanning the WAL *before* loading
+//! the snapshot leans on the snapshot worker's install-before-rotate
+//! order — whatever base epoch the scanned log continues from, a snapshot
+//! at least that new is already on disk.
 //!
 //! # Follower side
 //!
 //! [`Replica`] runs three thread groups: a *stream* thread that dials
 //! the primary (capped exponential backoff, resuming from the applied
-//! frontier in its `hello`), a single *apply* thread that owns an
-//! `OwnedState` and pushes every received frame through the replayer
-//! WAL recovery uses (`OwnedState::apply_frame`), publishing an
+//! epoch in its `hello`), a single *apply* thread that owns an
+//! `OwnedState` and pushes every received round through the replay step
+//! WAL recovery uses (`OwnedState::apply_round`), publishing an
 //! epoch-stamped [`ServeSnapshot`](crate::ServeSnapshot) per round, and
 //! the serving listener — the same accept and connection loop a primary
 //! runs, with a write sink that refuses writes/admin with a redirect
-//! error naming the primary. The apply thread dedups with the
-//! same `(epoch, frames)` cursor as the primary's sender, so replays
-//! after a reconnect are idempotent; its acks flow back over the same
-//! socket as best-effort progress reports (`stats` on the primary shows
-//! them per follower).
+//! error naming the primary. The apply thread drops any round whose
+//! epoch is not newer than its state's, so redelivery after a reconnect
+//! is idempotent; its acks flow back over the same socket as best-effort
+//! progress reports (`stats` on the primary shows them per follower).
 //!
 //! The staleness contract is the prefix property, one hop out: a replica
-//! always serves the state some prefix of the primary's committed frame
-//! sequence produces — never a torn round, never a rolled-back write
-//! (frames are broadcast only after their durability point).
+//! always serves the state some prefix of the primary's committed rounds
+//! produces — never a torn round, never a rolled-back write (rounds are
+//! broadcast only after their durability point).
 
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -80,45 +85,53 @@ const REPLICA_QUEUE: usize = 1024;
 // Primary: the hub and the per-follower handlers
 // ----------------------------------------------------------------------
 
-/// One message fanned from the WAL sync thread to a follower sender.
-enum Feed {
-    Round {
-        epoch: u64,
-        frames: Arc<Vec<String>>,
-    },
-    Rebase {
-        epoch: u64,
-    },
+/// One durable round, fanned from the WAL sync thread to a follower
+/// sender.
+type Round = (u64, Arc<Vec<String>>);
+
+/// One follower's progress, written by its sender and ack-reader threads
+/// and sampled by the primary's `stats`.
+#[derive(Default)]
+struct Progress {
+    acked_epoch: AtomicU64,
+    acked_frames: AtomicU64,
+    sent_frames: AtomicU64,
 }
 
 struct FollowerEntry {
     id: u64,
     peer: String,
-    tx: SyncSender<Feed>,
-    acked_epoch: Arc<AtomicU64>,
-    acked_frames: Arc<AtomicU64>,
-    sent_frames: Arc<AtomicU64>,
+    tx: SyncSender<Round>,
+    progress: Arc<Progress>,
 }
 
-/// What [`ReplHub::register`] hands a follower handler: its queue end
-/// plus the shared counters the `stats` command reads.
+/// What [`ReplHub::register`] hands a follower handler: its queue end,
+/// its progress counters, and what the hub had fanned out before it.
 struct FollowerReg {
     id: u64,
-    rx: Receiver<Feed>,
-    acked_epoch: Arc<AtomicU64>,
-    acked_frames: Arc<AtomicU64>,
-    sent_frames: Arc<AtomicU64>,
+    rx: Receiver<Round>,
+    progress: Arc<Progress>,
+    /// Newest epoch fanned out before this registration: rounds through
+    /// it are whole in the data dir, every later one arrives on `rx`.
+    fanned: u64,
+}
+
+/// What the followers lock guards: the registry, and the fan-out
+/// frontier a registration must read atomically with joining it.
+#[derive(Default)]
+struct Fanout {
+    fanned: u64,
+    followers: Vec<FollowerEntry>,
 }
 
 /// The primary's registry of connected followers — written by handler
 /// threads (register/deregister), fanned into by the WAL sync thread,
-/// sampled by `stats`. The only lock is around the follower list itself,
-/// held for a `try_send` per follower: the sync thread can never block
-/// here.
+/// sampled by `stats`. The only lock is the one around the registry, held
+/// for a `try_send` per follower: the sync thread can never block here.
 pub struct ReplHub {
     addr: SocketAddr,
     queue_depth: usize,
-    followers: Mutex<Vec<FollowerEntry>>,
+    fanout: Mutex<Fanout>,
     next_id: AtomicU64,
     closed: AtomicBool,
 }
@@ -128,7 +141,7 @@ impl ReplHub {
         ReplHub {
             addr,
             queue_depth: queue_depth.max(1),
-            followers: Mutex::new(Vec::new()),
+            fanout: Mutex::default(),
             next_id: AtomicU64::new(1),
             closed: AtomicBool::new(false),
         }
@@ -141,7 +154,7 @@ impl ReplHub {
 
     /// Connected followers right now.
     pub fn follower_count(&self) -> usize {
-        self.followers.lock().unwrap().len()
+        self.fanout.lock().unwrap().followers.len()
     }
 
     /// Registers a follower before its bootstrap scan (see the module
@@ -152,48 +165,44 @@ impl ReplHub {
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = mpsc::sync_channel(self.queue_depth);
-        let entry = FollowerEntry {
-            id,
-            peer,
-            tx,
-            acked_epoch: Arc::new(AtomicU64::new(0)),
-            acked_frames: Arc::new(AtomicU64::new(0)),
-            sent_frames: Arc::new(AtomicU64::new(0)),
-        };
-        let reg = FollowerReg {
-            id,
-            rx,
-            acked_epoch: Arc::clone(&entry.acked_epoch),
-            acked_frames: Arc::clone(&entry.acked_frames),
-            sent_frames: Arc::clone(&entry.sent_frames),
-        };
-        let mut fs = self.followers.lock().unwrap();
+        let progress = Arc::new(Progress::default());
+        let mut fan = self.fanout.lock().unwrap();
         if self.closed.load(Ordering::SeqCst) {
             return None; // closed while we were building the entry
         }
-        fs.push(entry);
-        Some(reg)
+        fan.followers.push(FollowerEntry {
+            id,
+            peer,
+            tx,
+            progress: Arc::clone(&progress),
+        });
+        Some(FollowerReg {
+            id,
+            rx,
+            progress,
+            fanned: fan.fanned,
+        })
     }
 
     fn deregister(&self, id: u64) {
-        self.followers.lock().unwrap().retain(|f| f.id != id);
+        let mut fan = self.fanout.lock().unwrap();
+        fan.followers.retain(|f| f.id != id);
     }
 
-    /// Fans one durable round out to every follower queue. Called on the
-    /// WAL sync thread; never blocks — a follower whose bounded queue is
+    /// Fans one durable round out to every follower queue, and records
+    /// it as fanned for the registrations that follow. Called on the WAL
+    /// sync thread; never blocks — a follower whose bounded queue is
     /// full (or whose sender thread is gone) is dropped from the
     /// registry, which closes its queue and, transitively, its socket.
     pub(crate) fn broadcast_round(&self, epoch: u64, frames: &[String]) {
-        let mut fs = self.followers.lock().unwrap();
-        if fs.is_empty() {
+        let mut fan = self.fanout.lock().unwrap();
+        fan.fanned = epoch;
+        if fan.followers.is_empty() {
             return;
         }
         let payload = Arc::new(frames.to_vec());
-        fs.retain(|f| {
-            match f.tx.try_send(Feed::Round {
-                epoch,
-                frames: Arc::clone(&payload),
-            }) {
+        fan.followers
+            .retain(|f| match f.tx.try_send((epoch, Arc::clone(&payload))) {
                 Ok(()) => true,
                 Err(e) => {
                     let why = match e {
@@ -206,46 +215,36 @@ impl ReplHub {
                     );
                     false
                 }
-            }
-        });
-    }
-
-    /// Tells every follower the WAL rotated onto a snapshot at `epoch`
-    /// (informational — connected followers already hold those rounds).
-    pub(crate) fn broadcast_rebase(&self, epoch: u64) {
-        self.followers
-            .lock()
-            .unwrap()
-            .retain(|f| f.tx.try_send(Feed::Rebase { epoch }).is_ok());
+            });
     }
 
     /// Closes the hub: no new registrations, every follower queue drops
     /// (sender threads drain and exit, closing their sockets).
     fn close(&self) {
         self.closed.store(true, Ordering::SeqCst);
-        self.followers.lock().unwrap().clear();
+        self.fanout.lock().unwrap().followers.clear();
     }
 
     /// The primary's `stats` lines: follower count plus one line per
     /// follower with its acked frontier and in-flight frame lag.
     pub(crate) fn stats_lines(&self, out: &mut String) {
         use std::fmt::Write as _;
-        let fs = self.followers.lock().unwrap();
+        let fan = self.fanout.lock().unwrap();
         let _ = writeln!(
             out,
             "repl_listen = {}, repl_followers = {}",
             self.addr,
-            fs.len()
+            fan.followers.len()
         );
-        for f in fs.iter() {
-            let sent = f.sent_frames.load(Ordering::Relaxed);
-            let acked = f.acked_frames.load(Ordering::Relaxed);
+        for f in &fan.followers {
+            let sent = f.progress.sent_frames.load(Ordering::Relaxed);
+            let acked = f.progress.acked_frames.load(Ordering::Relaxed);
             let _ = writeln!(
                 out,
                 "repl_follower {} {}: acked_epoch = {}, lag_frames = {}",
                 f.id,
                 f.peer,
-                f.acked_epoch.load(Ordering::Relaxed),
+                f.progress.acked_epoch.load(Ordering::Relaxed),
                 sent.saturating_sub(acked)
             );
         }
@@ -271,14 +270,18 @@ impl ReplListener {
 
     /// Spawns the accept loop. `dir` is the data directory the follower
     /// handlers bootstrap from (scan `wal.log`, ship the newest
-    /// snapshot); `barrier` is the test-only per-round freeze hook, run
-    /// on the follower *sender* thread.
+    /// snapshot) and `recovered` the epoch boot recovery rebuilt from it —
+    /// every round through it is whole on disk, so the hub starts out
+    /// with it fanned; `barrier` is the test-only per-round freeze hook,
+    /// run on the follower *sender* thread.
     pub fn start(
         listener: TcpListener,
         hub: Arc<ReplHub>,
         dir: PathBuf,
+        recovered: u64,
         barrier: Option<BarrierHook>,
     ) -> io::Result<ReplListener> {
+        hub.fanout.lock().unwrap().fanned = recovered;
         let accept_hub = Arc::clone(&hub);
         let handle = std::thread::Builder::new()
             .name("ivme-repl-accept".into())
@@ -321,63 +324,51 @@ impl Drop for ReplListener {
     }
 }
 
-/// The sender's dedup cursor: frames of epochs `< epoch`, plus the first
-/// `frames` frames of round `epoch`, have been shipped. `u64::MAX`
-/// frames means "all of that round" (the follower holds a snapshot at
-/// that epoch, which by construction covers the whole round).
-struct SendCursor {
-    epoch: u64,
-    frames: u64,
+/// The rounds a bootstrap ships out of a scan of the live log: newer than
+/// the follower's `cursor`, and no newer than `fanned` — the scan may
+/// have raced the append of anything beyond, and the queue delivers those
+/// rounds whole.
+fn bootstrap_rounds(
+    frames: &[wal::Frame],
+    cursor: u64,
+    fanned: u64,
+) -> impl Iterator<Item = (u64, Vec<String>)> + '_ {
+    wal::rounds(frames)
+        .filter(move |r| cursor < r[0].epoch && r[0].epoch <= fanned)
+        .map(|r| (r[0].epoch, r.iter().map(|f| f.text.clone()).collect()))
 }
 
-/// Ships the not-yet-sent suffix of one round through `w`, advancing the
-/// cursor. Duplicate deliveries (a round both scanned from the file and
-/// received from the queue) reduce to a no-op here.
+/// Ships one whole round through `w` and moves the cursor to it — unless
+/// the follower already holds it (`epoch` is not newer than the cursor).
 fn send_round(
     w: &mut BufWriter<TcpStream>,
-    cursor: &mut SendCursor,
+    cursor: &mut u64,
     epoch: u64,
     frames: &[String],
     sent_frames: &AtomicU64,
 ) -> io::Result<()> {
-    if epoch < cursor.epoch {
+    if epoch <= *cursor {
         return Ok(());
     }
-    let skip = if epoch == cursor.epoch {
-        usize::try_from(cursor.frames).unwrap_or(usize::MAX)
-    } else {
-        0
+    let header = ReplHeader::Round {
+        epoch,
+        frames: frames.len(),
     };
-    if skip < frames.len() {
-        let send = &frames[skip..];
-        writeln!(
-            w,
-            "{}",
-            proto::repl_header_line(&ReplHeader::Round {
-                epoch,
-                frames: send.len(),
-            })
-        )?;
-        for f in send {
-            writeln!(w, "{}", proto::repl_frame_line(f.len()))?;
-            w.write_all(f.as_bytes())?;
-        }
-        w.flush()?;
-        sent_frames.fetch_add(send.len() as u64, Ordering::Relaxed);
+    writeln!(w, "{}", proto::repl_header_line(&header))?;
+    for f in frames {
+        writeln!(w, "{}", proto::repl_frame_line(f.len()))?;
+        w.write_all(f.as_bytes())?;
     }
-    cursor.frames = if epoch == cursor.epoch {
-        cursor.frames.max(frames.len() as u64)
-    } else {
-        frames.len() as u64
-    };
-    cursor.epoch = epoch;
+    w.flush()?;
+    sent_frames.fetch_add(frames.len() as u64, Ordering::Relaxed);
+    *cursor = epoch;
     Ok(())
 }
 
 /// One follower connection, start to finish: handshake, register,
 /// bootstrap (snapshot + scanned WAL tail), then live tailing of the
-/// hub queue. The paired ack-reader thread shares only the two acked
-/// atomics and dies with the socket.
+/// hub queue. The paired ack-reader thread shares only the follower's
+/// progress counters and dies with the socket.
 fn serve_follower(
     stream: TcpStream,
     hub: Arc<ReplHub>,
@@ -394,7 +385,7 @@ fn serve_follower(
     if read_bounded_line(&mut reader, &mut line)?.unwrap_or(0) == 0 {
         return Ok(()); // EOF, or an over-long line: drop the peer
     }
-    let (hello_epoch, hello_frames) = proto::parse_repl_hello(&line).map_err(invalid_data)?;
+    let hello_epoch = proto::parse_repl_hello(&line).map_err(invalid_data)?;
     stream.set_read_timeout(None)?;
     let peer = stream
         .peer_addr()
@@ -402,18 +393,17 @@ fn serve_follower(
     let mut writer = BufWriter::new(stream);
 
     // Register BEFORE scanning: from here on, every durable round is
-    // either in the file the scan reads or in our queue (or both — the
-    // cursor drops duplicates).
+    // either whole in the file the scan reads (`≤ reg.fanned`) or on our
+    // queue (`> reg.fanned`).
     let Some(reg) = hub.register(peer) else {
         return Ok(()); // hub closed: shutting down
     };
-    let acked_epoch = Arc::clone(&reg.acked_epoch);
-    let acked_frames = Arc::clone(&reg.acked_frames);
+    let progress = Arc::clone(&reg.progress);
     let _ = std::thread::Builder::new()
         .name("ivme-repl-ack".into())
-        .spawn(move || ack_loop(reader, acked_epoch, acked_frames));
+        .spawn(move || ack_loop(reader, progress));
 
-    let res = follower_stream(&mut writer, &reg, &dir, hello_epoch, hello_frames, barrier);
+    let res = follower_stream(&mut writer, &reg, &dir, hello_epoch, barrier);
     hub.deregister(reg.id);
     // The ack-reader thread holds a clone of this socket; dropping the
     // writer alone would leave the connection half-alive and the follower
@@ -430,13 +420,10 @@ fn follower_stream(
     reg: &FollowerReg,
     dir: &Path,
     hello_epoch: u64,
-    hello_frames: u64,
     barrier: Option<BarrierHook>,
 ) -> io::Result<()> {
-    let mut cursor = SendCursor {
-        epoch: hello_epoch,
-        frames: hello_frames,
-    };
+    // Every round through `cursor` is on the follower.
+    let mut cursor = hello_epoch;
     // Scan first, snapshot second (see module docs for the ordering
     // argument). The scan is read-only: it never repairs the live log.
     let (wal_base, frames) = wal::scan(&dir.join("wal.log"))?;
@@ -452,7 +439,7 @@ fn follower_stream(
         return writer.flush();
     }
     if let Some((snap_epoch, text)) = snap {
-        if snap_epoch > cursor.epoch {
+        if snap_epoch > cursor {
             writeln!(
                 writer,
                 "{}",
@@ -463,42 +450,20 @@ fn follower_stream(
             )?;
             writer.write_all(text.as_bytes())?;
             writer.flush()?;
-            // The snapshot covers all of round `snap_epoch`.
-            cursor.epoch = snap_epoch;
-            cursor.frames = u64::MAX;
+            cursor = snap_epoch;
         }
     }
-    // Ship the scanned tail, one round per distinct epoch.
-    let mut i = 0;
-    while i < frames.len() {
-        let epoch = frames[i].epoch;
-        let mut j = i;
-        while j < frames.len() && frames[j].epoch == epoch {
-            j += 1;
-        }
-        let texts: Vec<String> = frames[i..j].iter().map(|f| f.text.clone()).collect();
-        send_round(writer, &mut cursor, epoch, &texts, &reg.sent_frames)?;
-        i = j;
+    let sent = &reg.progress.sent_frames;
+    for (epoch, texts) in bootstrap_rounds(&frames, cursor, reg.fanned) {
+        send_round(writer, &mut cursor, epoch, &texts, sent)?;
     }
     // Live tail: rounds the sync thread fans out, until the socket dies
     // or the hub drops us (queue overflow or shutdown).
-    while let Ok(feed) = reg.rx.recv() {
-        match feed {
-            Feed::Round { epoch, frames } => {
-                if let Some(b) = &barrier {
-                    b(epoch);
-                }
-                send_round(writer, &mut cursor, epoch, &frames, &reg.sent_frames)?;
-            }
-            Feed::Rebase { epoch } => {
-                writeln!(
-                    writer,
-                    "{}",
-                    proto::repl_header_line(&ReplHeader::Rebase { epoch })
-                )?;
-                writer.flush()?;
-            }
+    while let Ok((epoch, frames)) = reg.rx.recv() {
+        if let Some(b) = &barrier {
+            b(epoch);
         }
+        send_round(writer, &mut cursor, epoch, &frames, sent)?;
     }
     Ok(())
 }
@@ -507,11 +472,7 @@ fn follower_stream(
 /// An ack EOF means the follower is gone: the loop shuts the socket down
 /// fully so the paired sender thread's next write fails fast instead of
 /// buffering into a dead connection.
-fn ack_loop(
-    mut reader: BufReader<TcpStream>,
-    acked_epoch: Arc<AtomicU64>,
-    acked_frames: Arc<AtomicU64>,
-) {
+fn ack_loop(mut reader: BufReader<TcpStream>, progress: Arc<Progress>) {
     let mut line = String::new();
     loop {
         match read_bounded_line(&mut reader, &mut line) {
@@ -521,8 +482,8 @@ fn ack_loop(
             }
             Ok(Some(_)) => {
                 if let Ok((epoch, frames)) = proto::parse_repl_ack(&line) {
-                    acked_epoch.store(epoch, Ordering::Relaxed);
-                    acked_frames.store(frames, Ordering::Relaxed);
+                    progress.acked_epoch.store(epoch, Ordering::Relaxed);
+                    progress.acked_frames.store(frames, Ordering::Relaxed);
                 }
             }
         }
@@ -556,14 +517,11 @@ impl Default for ReplicaConfig {
 pub struct ReplicaStats {
     primary: String,
     applied_epoch: AtomicU64,
-    /// Frames applied within `applied_epoch` (`u64::MAX` = all of it, set
-    /// by a snapshot restore) — the second half of the resume handshake.
-    applied_epoch_frames: AtomicU64,
     applied_frames: AtomicU64,
     received_frames: AtomicU64,
     primary_epoch_seen: AtomicU64,
     connected: AtomicBool,
-    /// A frame failed to apply: the replica serves its last good state
+    /// A round failed to apply: the replica serves its last good state
     /// and stops consuming the stream (divergence is loud, not silent).
     broken: AtomicBool,
 }
@@ -573,7 +531,6 @@ impl ReplicaStats {
         ReplicaStats {
             primary,
             applied_epoch: AtomicU64::new(0),
-            applied_epoch_frames: AtomicU64::new(0),
             applied_frames: AtomicU64::new(0),
             received_frames: AtomicU64::new(0),
             primary_epoch_seen: AtomicU64::new(0),
@@ -590,13 +547,6 @@ impl ReplicaStats {
     /// Whether the stream thread currently holds a live connection.
     pub fn connected(&self) -> bool {
         self.connected.load(Ordering::Acquire)
-    }
-
-    /// Frames applied within the current epoch — the second half of the
-    /// resume handshake. `u64::MAX` encodes "all of it" (snapshot
-    /// restore).
-    fn applied_frames_in_epoch(&self) -> u64 {
-        self.applied_epoch_frames.load(Ordering::Acquire)
     }
 
     /// The replica's `stats` line (see docs/PROTOCOL.md).
@@ -813,12 +763,11 @@ fn pump_stream(
     let mut reader = BufReader::new(stream.try_clone()?);
     {
         let mut w = stream.try_clone()?;
-        // The applied frontier is read from the stats the apply thread
+        // The applied epoch is read from the stats the apply thread
         // maintains; it can lag reality (events still queued) but never
-        // lead it, and the apply thread dedups redelivery either way.
-        let epoch = shared.stats.applied_epoch.load(Ordering::Acquire);
-        let frames = shared.stats.applied_frames_in_epoch();
-        writeln!(w, "{}", proto::repl_hello_line(epoch, frames))?;
+        // lead it, and the apply thread drops redelivered rounds.
+        let epoch = shared.stats.applied_epoch();
+        writeln!(w, "{}", proto::repl_hello_line(epoch))?;
         w.flush()?;
     }
     *ack_sock.lock().unwrap() = Some(stream);
@@ -831,6 +780,10 @@ fn pump_stream(
             return Ok(()); // EOF, or an over-long line: reconnect
         }
         let header = proto::parse_repl_header(&line).map_err(invalid_data)?;
+        if let ReplHeader::Snapshot { epoch, .. } | ReplHeader::Round { epoch, .. } = header {
+            let seen = &shared.stats.primary_epoch_seen;
+            seen.fetch_max(epoch, Ordering::AcqRel);
+        }
         match header {
             ReplHeader::Snapshot { epoch, len } => {
                 let text = read_payload(&mut reader, len)?;
@@ -853,10 +806,6 @@ fn pump_stream(
                 }
                 shared
                     .stats
-                    .primary_epoch_seen
-                    .fetch_max(epoch, Ordering::AcqRel);
-                shared
-                    .stats
                     .received_frames
                     .fetch_add(texts.len() as u64, Ordering::Relaxed);
                 tx.send(Event::Round {
@@ -865,102 +814,74 @@ fn pump_stream(
                 })
                 .map_err(|_| PumpEnd::Closed)?;
             }
-            ReplHeader::Rebase { epoch } => {
-                shared
-                    .stats
-                    .primary_epoch_seen
-                    .fetch_max(epoch, Ordering::AcqRel);
-            }
             ReplHeader::Reset => {
                 tx.send(Event::Reset).map_err(|_| PumpEnd::Closed)?;
                 // Reconnect from scratch; the apply thread has (or will
                 // have) cleared the resume point by then — redelivered
-                // rounds dedup regardless.
+                // rounds are dropped regardless.
                 return Ok(());
             }
         }
     }
 }
 
-/// Reads exactly `len` UTF-8 payload bytes.
-fn read_payload(reader: &mut BufReader<TcpStream>, len: usize) -> io::Result<String> {
+/// Reads exactly `len` UTF-8 payload bytes. `len` is the peer's claim:
+/// the buffer grows as bytes really arrive, never ahead of them.
+fn read_payload(reader: &mut impl Read, len: usize) -> io::Result<String> {
     if len > MAX_PAYLOAD {
         return Err(invalid_data(format!("absurd payload length {len}")));
     }
-    let mut buf = vec![0u8; len];
-    reader.read_exact(&mut buf)?;
+    let mut buf = Vec::new();
+    reader.take(len as u64).read_to_end(&mut buf)?;
+    if buf.len() != len {
+        return Err(io::ErrorKind::UnexpectedEof.into());
+    }
     String::from_utf8(buf).map_err(|_| invalid_data("payload is not UTF-8"))
 }
 
 /// The replica's writer-equivalent: sole owner of an [`OwnedState`],
 /// applying bootstrap snapshots and streamed rounds through the same
-/// parse/apply path WAL recovery uses, publishing after every event.
+/// replay step WAL recovery uses, publishing after every event.
+/// `state.epoch` is the one cursor: an event not newer than it is dropped
+/// whole, a newer round is applied whole, and nothing is published in
+/// between.
 fn apply_loop(
     shared: Arc<ReplicaShared>,
     mut state: OwnedState,
     rx: Receiver<Event>,
     ack: Arc<Mutex<Option<TcpStream>>>,
 ) {
-    // The authoritative dedup cursor (the stats atomics mirror it).
-    let mut cur_epoch = 0u64;
-    let mut cur_frames = 0u64;
     while let Ok(ev) = rx.recv() {
         if shared.stats.broken.load(Ordering::Acquire) {
             continue; // diverged: drain without applying, serve last good state
         }
         match ev {
             Event::Snapshot { epoch, text } => {
-                if epoch <= cur_epoch {
+                if epoch <= state.epoch {
                     continue;
                 }
-                match snapshot::parse(&text).and_then(|d| state.restore(d)) {
-                    Ok(()) => {
-                        cur_epoch = state.epoch;
-                        cur_frames = u64::MAX;
-                    }
-                    Err(e) => {
-                        eprintln!("ivme replica: bootstrap snapshot failed to load: {e}");
-                        shared.stats.broken.store(true, Ordering::Release);
-                        continue;
-                    }
+                if let Err(e) = snapshot::parse(&text).and_then(|d| state.restore(d)) {
+                    eprintln!("ivme replica: bootstrap snapshot failed to load: {e}");
+                    shared.stats.broken.store(true, Ordering::Release);
+                    continue;
                 }
             }
             Event::Round { epoch, frames } => {
-                if epoch < cur_epoch {
+                if epoch <= state.epoch {
                     continue;
                 }
-                let skip = if epoch == cur_epoch {
-                    usize::try_from(cur_frames).unwrap_or(usize::MAX)
-                } else {
-                    0
-                };
-                if skip >= frames.len() && epoch == cur_epoch {
+                if let Err(e) = state.apply_round(epoch, frames.iter().map(String::as_str)) {
+                    eprintln!(
+                        "ivme replica: round {epoch} failed to apply ({e}); freezing at \
+                         epoch {} — reconnect will not help, restart the replica to \
+                         re-bootstrap",
+                        state.epoch
+                    );
+                    shared.stats.broken.store(true, Ordering::Release);
                     continue;
                 }
-                let mut failed = false;
-                for f in &frames[skip.min(frames.len())..] {
-                    if let Err(e) = state.apply_frame(f) {
-                        eprintln!(
-                            "ivme replica: frame at epoch {epoch} failed to apply ({e}); \
-                             freezing at epoch {cur_epoch} — reconnect will not help, \
-                             restart the replica to re-bootstrap"
-                        );
-                        shared.stats.broken.store(true, Ordering::Release);
-                        failed = true;
-                        break;
-                    }
-                    shared.stats.applied_frames.fetch_add(1, Ordering::Relaxed);
-                    cur_frames = if epoch == cur_epoch {
-                        cur_frames.saturating_add(1)
-                    } else {
-                        1
-                    };
-                    cur_epoch = epoch;
-                }
-                if failed {
-                    continue;
-                }
-                state.epoch = epoch;
+                let applied = &shared.stats.applied_frames;
+                applied.fetch_add(frames.len() as u64, Ordering::Relaxed);
             }
             Event::Reset => {
                 eprintln!(
@@ -968,8 +889,6 @@ fn apply_loop(
                      re-bootstrapping"
                 );
                 state = OwnedState::new(Some(ReplRole::Replica(Arc::clone(&shared.stats))));
-                cur_epoch = 0;
-                cur_frames = 0;
                 shared.stats.received_frames.store(0, Ordering::Relaxed);
                 shared.stats.applied_frames.store(0, Ordering::Relaxed);
             }
@@ -977,11 +896,7 @@ fn apply_loop(
         shared
             .stats
             .applied_epoch
-            .store(cur_epoch, Ordering::Release);
-        shared
-            .stats
-            .applied_epoch_frames
-            .store(cur_frames, Ordering::Release);
+            .store(state.epoch, Ordering::Release);
         shared
             .endpoint
             .published
@@ -989,7 +904,56 @@ fn apply_loop(
         // Best-effort progress report to the primary.
         if let Some(s) = ack.lock().unwrap().as_mut() {
             let total = shared.stats.applied_frames.load(Ordering::Relaxed);
-            let _ = writeln!(s, "{}", proto::repl_ack_line(cur_epoch, total));
+            let _ = writeln!(s, "{}", proto::repl_ack_line(state.epoch, total));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn frame(epoch: u64, text: &str) -> wal::Frame {
+        wal::Frame {
+            epoch,
+            text: text.to_owned(),
+        }
+    }
+
+    /// The scan of a live log can catch round 2 between two of its
+    /// appends. What was fanned out before the registration decides what
+    /// the scan may be trusted for — not what the scan happens to hold.
+    #[test]
+    fn bootstrap_ships_only_rounds_fanned_out_before_the_registration() {
+        let scanned = [frame(1, "a"), frame(2, "b")];
+        let ship = |cursor, fanned| -> Vec<(u64, Vec<String>)> {
+            bootstrap_rounds(&scanned, cursor, fanned).collect()
+        };
+        // Round 2 was still being appended (its broadcast is on the
+        // queue, whole): the scanned part of it stays home.
+        assert_eq!(ship(0, 1), [(1, vec!["a".to_owned()])]);
+        assert_eq!(
+            ship(0, 2),
+            [(1, vec!["a".to_owned()]), (2, vec!["b".to_owned()])]
+        );
+        // A follower (or a snapshot) already at round 1 needs only 2.
+        assert_eq!(ship(1, 2), [(2, vec!["b".to_owned()])]);
+        assert!(ship(2, 2).is_empty());
+        // Frames of one round travel together.
+        let scanned = [frame(3, "x"), frame(3, "y"), frame(4, "z")];
+        let got: Vec<_> = bootstrap_rounds(&scanned, 0, 3).collect();
+        assert_eq!(got, [(3, vec!["x".to_owned(), "y".to_owned()])]);
+    }
+
+    #[test]
+    fn a_payload_is_read_as_it_arrives_not_allocated_as_announced() {
+        let mut ten: &[u8] = b"0123456789";
+        let err = read_payload(&mut ten, MAX_PAYLOAD).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        let mut ten: &[u8] = b"0123456789";
+        assert_eq!(read_payload(&mut ten, 4).unwrap(), "0123");
+        assert_eq!(ten, b"456789");
+        let err = read_payload(&mut ten, MAX_PAYLOAD + 1).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 }

@@ -127,6 +127,12 @@ pub struct Frame {
     pub text: String,
 }
 
+/// Splits scanned frames into commit rounds: maximal runs sharing an
+/// epoch (the scan guarantees epochs never decrease).
+pub fn rounds(frames: &[Frame]) -> impl Iterator<Item = &[Frame]> {
+    frames.chunk_by(|a, b| a.epoch == b.epoch)
+}
+
 /// What [`Wal::open`] found: the replayable frames plus a description of
 /// any damaged tail it truncated away.
 #[derive(Default)]
@@ -431,11 +437,12 @@ fn decode_frame(frame: &[u8]) -> Result<Frame, String> {
 ///
 /// This is the replication bootstrap's view of the primary's log. It is
 /// safe to run *concurrently with the live sync thread appending*: an
-/// append in progress at read time shows up as a torn tail and stops the
-/// scan at the last complete frame, and the round being appended reaches
-/// the follower through the live broadcast channel instead (the follower
-/// handler registers with the hub *before* scanning, so nothing falls
-/// between the file and the channel).
+/// append in progress at read time shows up as a torn tail — or, between
+/// two frames of one round, as a round missing its last frames — so the
+/// bootstrap ships only the rounds the hub had already fanned out when
+/// the follower registered, and the round being appended reaches the
+/// follower whole through the live broadcast channel instead (see
+/// [`crate::repl`]).
 pub fn scan(path: &Path) -> io::Result<(u64, Vec<Frame>)> {
     let bytes = std::fs::read(path)?;
     let scan = scan_bytes(path, &bytes)?;
@@ -504,10 +511,10 @@ pub(crate) struct WalPipeline {
 
 impl WalPipeline {
     /// Moves `wal` onto a dedicated sync thread and returns the handle.
-    /// With a `hub`, every durable round (and every rotation) is also
-    /// fanned out to connected replication followers — from this thread,
-    /// *after* the round's durability point, so a follower can never see
-    /// a commit the primary could still lose.
+    /// With a `hub`, every durable round is also fanned out to connected
+    /// replication followers — from this thread, *after* the round's
+    /// durability point, so a follower can never see a commit the primary
+    /// could still lose.
     pub fn start(
         wal: Wal,
         mode: FsyncMode,
@@ -620,12 +627,7 @@ fn sync_loop(
                     continue;
                 }
                 match wal.rotate(base_epoch, &keep) {
-                    Ok(()) => {
-                        tracker.record_rotate(wal.frames());
-                        if let Some(h) = &hub {
-                            h.broadcast_rebase(base_epoch);
-                        }
-                    }
+                    Ok(()) => tracker.record_rotate(wal.frames()),
                     Err(e) => {
                         eprintln!(
                             "ivme-server: WAL rotation failed ({e}); continuing WITHOUT \

@@ -5,7 +5,7 @@
 //! owns one, and so does a replica's apply thread — and the two methods
 //! everything else goes through are [`OwnedState::serve_snapshot`] (the
 //! one place a snapshot is built for publishing) and
-//! [`OwnedState::apply_frame`] (the one WAL replayer, in `recovery`).
+//! [`OwnedState::apply_round`] (the one WAL replay step, in `recovery`).
 //! [`writer_loop`] drains the request channel into rounds;
 //! `process_round` applies, publishes, hands the round's frames and acks
 //! to the WAL pipeline, and dispatches background checkpoints.
@@ -271,15 +271,17 @@ pub struct GroupInfo {
 // Group-commit writer: sole owner of the engine, publisher of snapshots
 // ----------------------------------------------------------------------
 
-pub(crate) fn writer_loop(
-    rx: Receiver<Request>,
-    shared: Arc<Shared>,
-    group_limit: usize,
-    mut state: OwnedState,
-) {
+/// Bounded depth of the write-submission channel: back-pressure for
+/// writers when the group-commit thread falls behind.
+pub(crate) const QUEUE_DEPTH: usize = 128;
+
+/// Maximum client requests coalesced into one writer round.
+const GROUP_LIMIT: usize = 64;
+
+pub(crate) fn writer_loop(rx: Receiver<Request>, shared: Arc<Shared>, mut state: OwnedState) {
     while let Ok(first) = rx.recv() {
         let mut reqs = vec![first];
-        while reqs.len() < group_limit {
+        while reqs.len() < GROUP_LIMIT {
             match rx.try_recv() {
                 Ok(r) => reqs.push(r),
                 Err(_) => break,
