@@ -12,7 +12,7 @@
 
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::SyncSender;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -21,8 +21,7 @@ use ivme_cli::proto::{self, Command};
 use ivme_cli::session::{Applied, ReadView, Staging, Step};
 use ivme_data::Tuple;
 
-use crate::publish::{Cached, DurTracker, Published};
-use crate::repl;
+use crate::publish::{Cached, Published, Status};
 use crate::writer::{call, Request};
 
 /// Upper bound on one client command line, newline included. Far above
@@ -30,6 +29,17 @@ use crate::writer::{call, Request};
 /// answered `err line too long` and disconnected, so a connection's read
 /// buffer is bounded no matter what the peer sends.
 pub const MAX_LINE: usize = 1 << 20;
+
+/// Upper bound on connections served at once, one thread each: the accept
+/// loop answers the next one `err too many connections` and closes it
+/// without spawning.
+pub const MAX_CONNECTIONS: usize = 1024;
+
+/// Admission control: whether one more connection may be served while
+/// `live` are open.
+fn admits(live: usize) -> bool {
+    live < MAX_CONNECTIONS
+}
 
 /// Reads one line into `line`, at most [`MAX_LINE`] bytes of it, so no
 /// socket — client or replication — can grow a read buffer without
@@ -45,115 +55,45 @@ pub(crate) fn read_bounded_line(
 }
 
 /// The immutable state a read command dispatches against: the frozen
-/// [`ReadView`] plus this process's durability and replication handles.
-/// A connection's command sees exactly one `ServeSnapshot`; the writer
-/// publishing a newer one never mutates an old one, so a read
+/// [`ReadView`] plus this process's [`Status`], which `stats` samples at
+/// read time. A connection's command sees exactly one `ServeSnapshot`;
+/// the writer publishing a newer one never mutates an old one, so a read
 /// mid-enumeration can never observe a torn batch.
 pub struct ServeSnapshot {
     pub(crate) read: ReadView,
-    /// Live durability handle (`None` when serving memory-only). The
-    /// *counters* are not frozen with the view: `stats` samples the
-    /// shared tracker at read time, so a quiescent server converges to
-    /// `durable_epoch = wal_epoch, fsync_backlog = 0` instead of forever
-    /// displaying the backlog as it stood when the last round published.
-    pub(crate) dur: Option<DurHandle>,
-    /// Replication role (`None` when serving standalone): `stats` renders
-    /// follower/staleness counters from it, sampled at read time like
-    /// `dur`.
-    pub(crate) repl: Option<ReplRole>,
-}
-
-/// Which replication role this process serves in — embedded in every
-/// published [`ServeSnapshot`] so `stats` renders replication counters
-/// without any lock on the serving path.
-#[derive(Clone)]
-pub(crate) enum ReplRole {
-    /// A primary with a `--repl-listen` listener: the hub registry of
-    /// connected followers.
-    Primary(Arc<repl::ReplHub>),
-    /// A follower: the counters its apply thread maintains.
-    Replica(Arc<repl::ReplicaStats>),
-}
-
-impl ReplRole {
-    fn stats_lines(&self, out: &mut String) {
-        match self {
-            ReplRole::Primary(h) => h.stats_lines(out),
-            ReplRole::Replica(s) => s.stats_lines(out),
-        }
-    }
-}
-
-/// A [`ServeSnapshot`]'s window into the durability pipeline: the shared
-/// atomic tracker plus the boot-time replay count.
-#[derive(Clone)]
-pub(crate) struct DurHandle {
-    pub(crate) tracker: Arc<DurTracker>,
-    pub(crate) recovered_groups: u64,
-}
-
-impl DurHandle {
-    /// A coherent point-in-time sample. `durable` is read *before*
-    /// `inflight`: durable only ever chases inflight, so this order keeps
-    /// the reported `durable_epoch ≤ wal_epoch` even when a commit lands
-    /// between the two loads.
-    fn sample(&self) -> DurInfo {
-        let durable = self.tracker.durable();
-        let inflight = self.tracker.inflight().max(durable);
-        DurInfo {
-            wal_epoch: inflight,
-            durable_epoch: durable,
-            fsync_backlog: inflight - durable,
-            wal_frames: self.tracker.wal_frames(),
-            last_fsync_us: self.tracker.last_fsync_us(),
-            snapshot_in_progress: self.tracker.snapshot_in_progress(),
-            recovered_groups: self.recovered_groups,
-        }
-    }
-}
-
-/// The durability counters the `stats` command reports — a read-time
-/// sample of the shared [`DurTracker`], never a lock on the writer or
-/// sync thread. `durable_epoch ≤ wal_epoch` always holds.
-#[derive(Clone, Copy, Debug)]
-pub struct DurInfo {
-    /// Newest epoch handed to the WAL pipeline (its frames are published
-    /// and queued, possibly not yet on disk).
-    pub wal_epoch: u64,
-    /// Newest epoch the sync thread has made durable (= the epoch a
-    /// crash right now would recover to).
-    pub durable_epoch: u64,
-    /// Commit rounds applied and published but not yet durable
-    /// (`wal_epoch - durable_epoch`); none of them has been acked.
-    pub fsync_backlog: u64,
-    /// Frames in the current (post-rotation) log.
-    pub wal_frames: u64,
-    /// Wall time of the most recent fsync, microseconds.
-    pub last_fsync_us: u64,
-    /// A background snapshot is being serialized right now.
-    pub snapshot_in_progress: bool,
-    /// Distinct commit rounds replayed from the WAL at the last boot.
-    pub recovered_groups: u64,
+    pub(crate) status: Arc<Status>,
 }
 
 /// What a serving listener shares with its connections: the published
-/// snapshot cell, and the flag + address that stop the accept loop.
+/// snapshot cell, the process's [`Status`], and the flag + address that
+/// stop the accept loop.
 pub(crate) struct Endpoint {
     addr: SocketAddr,
     pub(crate) published: Published<ServeSnapshot>,
     closed: AtomicBool,
-    /// Connections accepted since start.
-    pub(crate) connections: AtomicU64,
+    pub(crate) status: Arc<Status>,
 }
 
 impl Endpoint {
-    pub(crate) fn new(addr: SocketAddr, initial: ServeSnapshot) -> Endpoint {
+    pub(crate) fn new(addr: SocketAddr, status: Arc<Status>, read: ReadView) -> Endpoint {
+        let initial = ServeSnapshot {
+            read,
+            status: Arc::clone(&status),
+        };
         Endpoint {
             addr,
             published: Published::new(initial),
             closed: AtomicBool::new(false),
-            connections: AtomicU64::new(0),
+            status,
         }
+    }
+
+    /// Publishes `read` as the current [`ServeSnapshot`] — the one place a
+    /// snapshot is built for publishing: every writer round and the
+    /// replica's apply thread go through it.
+    pub(crate) fn publish(&self, read: ReadView) {
+        let status = Arc::clone(&self.status);
+        self.published.publish(ServeSnapshot { read, status });
     }
 
     pub(crate) fn is_closed(&self) -> bool {
@@ -208,8 +148,9 @@ impl WriteSink {
     }
 }
 
-/// Spawns the accept loop: one `ivme-conn` thread per client, each
-/// running [`serve_connection`] with its own clone of `sink`.
+/// Spawns the accept loop: one `ivme-conn` thread per admitted client (at
+/// most [`MAX_CONNECTIONS`] at once), each running [`serve_connection`]
+/// with its own clone of `sink`.
 pub(crate) fn spawn_accept_loop(
     listener: TcpListener,
     endpoint: Arc<Endpoint>,
@@ -223,14 +164,27 @@ pub(crate) fn spawn_accept_loop(
                     break;
                 }
                 let Ok(stream) = stream else { continue };
-                endpoint.connections.fetch_add(1, Ordering::Relaxed);
-                let endpoint = Arc::clone(&endpoint);
+                // Only this thread raises `live`, so the check cannot be
+                // overtaken by another admission.
+                let status = &endpoint.status;
+                if !admits(status.live.load(Ordering::Relaxed)) {
+                    let _ = proto::write_err(&mut &stream, "too many connections");
+                    continue;
+                }
+                status.live.fetch_add(1, Ordering::Relaxed);
+                status.connections.fetch_add(1, Ordering::Relaxed);
+                let conn_endpoint = Arc::clone(&endpoint);
                 let sink = sink.clone();
-                let _ = std::thread::Builder::new()
-                    .name("ivme-conn".into())
-                    .spawn(move || {
-                        let _ = serve_connection(stream, &endpoint, &sink);
-                    });
+                let spawned =
+                    std::thread::Builder::new()
+                        .name("ivme-conn".into())
+                        .spawn(move || {
+                            let _ = serve_connection(stream, &conn_endpoint, &sink);
+                            conn_endpoint.status.live.fetch_sub(1, Ordering::Relaxed);
+                        });
+                if spawned.is_err() {
+                    status.live.fetch_sub(1, Ordering::Relaxed);
+                }
             }
             // `sink` drops here (and per-connection clones as clients
             // leave); a primary's writer thread exits when the channel
@@ -377,24 +331,7 @@ pub fn execute_read(cmd: Command, snap: &ServeSnapshot) -> Result<String, String
     let stats = matches!(cmd, Command::Stats);
     let mut out = snap.read.execute(cmd)?;
     if stats {
-        if let Some(d) = snap.dur.as_ref().map(DurHandle::sample) {
-            use std::fmt::Write as _;
-            let _ = writeln!(
-                out,
-                "wal_epoch = {}, durable_epoch = {}, fsync_backlog = {}, wal_frames = {}, \
-                 last_fsync_us = {}, snapshot_in_progress = {}, recovered_groups = {}",
-                d.wal_epoch,
-                d.durable_epoch,
-                d.fsync_backlog,
-                d.wal_frames,
-                d.last_fsync_us,
-                u8::from(d.snapshot_in_progress),
-                d.recovered_groups
-            );
-        }
-        if let Some(r) = snap.repl.as_ref() {
-            r.stats_lines(&mut out);
-        }
+        snap.status.stats_lines(&mut out);
     }
     Ok(out)
 }
@@ -425,8 +362,7 @@ mod tests {
                 mode: Mode::Dynamic,
                 view: Some(eng.snapshot(3)),
             },
-            dur: None,
-            repl: None,
+            status: Arc::default(),
         };
         drop(eng);
         assert_eq!(execute_read(Command::Count, &snap).unwrap(), "2\n");
@@ -455,5 +391,13 @@ mod tests {
         const fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<ServeSnapshot>();
         assert_send_sync::<Published<ServeSnapshot>>();
+    }
+
+    #[test]
+    fn admission_stops_exactly_at_the_bound() {
+        assert!(admits(0));
+        assert!(admits(MAX_CONNECTIONS - 1));
+        assert!(!admits(MAX_CONNECTIONS));
+        assert!(!admits(usize::MAX));
     }
 }

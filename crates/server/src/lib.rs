@@ -34,11 +34,14 @@
 //! what each layer costs in `fig_ledger`'s traced runs. There is one of
 //! each moving part: what a command does and answers is written once, in
 //! [`ivme_cli::session`]; primary and replica serve through the same
-//! accept and connection loop (`conn`); every published snapshot is built
-//! by the one `OwnedState::serve_snapshot` (`writer`, which also holds the
-//! group-commit loop); and boot recovery and the replica's apply thread
-//! replay rounds through the one `OwnedState::apply_round` (`recovery`).
-//! This file keeps the configuration and the [`Server`] handle.
+//! accept and connection loop and publish through the one
+//! `Endpoint::publish` (`conn`); the writer talks to the durability lane
+//! through `commit`, `checkpoint` and `flush` and obeys its one failure
+//! rule (`writer`, [`wal`]); one [`publish::Status`] per process is what
+//! `stats` and [`Server::serve_stats`] report from; and boot recovery and
+//! the replica's apply thread replay rounds through the one
+//! `OwnedState::apply_round` (`recovery`). This file keeps the
+//! configuration and the [`Server`] handle.
 
 mod conn;
 pub mod crc;
@@ -52,19 +55,18 @@ mod writer;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-pub use conn::{execute_read, DurInfo, ServeSnapshot, MAX_LINE};
-use conn::{Endpoint, ReplRole, WriteSink};
-use publish::DurTracker;
+pub use conn::{execute_read, ServeSnapshot, MAX_CONNECTIONS, MAX_LINE};
+use conn::{Endpoint, WriteSink};
+use publish::{DurTracker, ReplRole, Status};
 use snapshot::SnapshotWorker;
 pub use wal::FsyncMode;
 use wal::WalPipeline;
 pub use writer::GroupInfo;
-use writer::{Durability, OwnedState, Request, Shared};
+use writer::{Durability, OwnedState, Request};
 
 /// Server tuning knobs. `Default` is sized for tests and local serving.
 #[derive(Clone, Debug)]
@@ -107,24 +109,27 @@ impl Default for ServerConfig {
     }
 }
 
+/// A test-only barrier hook: called with the epoch about to be processed.
+pub type Hook = Arc<dyn Fn(u64) + Send + Sync>;
+
 /// Barrier hooks the durability tests inject to freeze a background
-/// thread at a precise point. Both are `None` in production; neither is
+/// thread at a precise point. All are `None` in production; none is
 /// ever called on the writer thread.
 #[derive(Clone, Default)]
 pub struct TestHooks {
     /// Runs on the sync thread with the round's epoch, *before* any of
     /// its frames reach the file — a panicking hook simulates a crash
     /// between publish and fsync.
-    pub sync_barrier: Option<Arc<dyn Fn(u64) + Send + Sync>>,
+    pub sync_barrier: Option<Hook>,
     /// Runs on the snapshot thread with the snapshot's epoch, before any
     /// serialization — a blocking hook simulates an arbitrarily slow
     /// snapshot.
-    pub snapshot_barrier: Option<Arc<dyn Fn(u64) + Send + Sync>>,
+    pub snapshot_barrier: Option<Hook>,
     /// Runs on a replication follower's *sender* thread with each round's
     /// epoch, before the round is written to the socket — a blocking hook
     /// simulates an arbitrarily slow follower (its bounded queue fills;
     /// the sync thread disconnects it and is never delayed).
-    pub repl_barrier: Option<Arc<dyn Fn(u64) + Send + Sync>>,
+    pub repl_barrier: Option<Hook>,
 }
 
 impl std::fmt::Debug for TestHooks {
@@ -140,7 +145,7 @@ impl std::fmt::Debug for TestHooks {
 /// Counters the server layer adds on top of the engine's own stats.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ServeStats {
-    /// Connections accepted since start.
+    /// Connections admitted since start.
     pub connections: u64,
     /// Group commits performed by the writer thread.
     pub group_commits: u64,
@@ -158,7 +163,7 @@ pub struct ServeStats {
 /// after the drop returns.
 pub struct Server {
     addr: SocketAddr,
-    shared: Arc<Shared>,
+    endpoint: Arc<Endpoint>,
     accept_handle: Option<JoinHandle<()>>,
     writer_handle: Option<JoinHandle<()>>,
     /// The server's own handle into the writer channel — what
@@ -197,19 +202,19 @@ impl Server {
             ))),
             None => None,
         };
-        let mut state = OwnedState::new(hub.clone().map(ReplRole::Primary));
-        // Serve-layer counters survive restarts too: seeded from the
-        // snapshot, advanced by replay, then live.
-        let mut serve_seed = (0u64, 0u64, 0u64);
+        let mut state = OwnedState::default();
+        let mut status = Status {
+            repl: hub.clone().map(ReplRole::Primary),
+            ..Status::default()
+        };
         if let Some(dir) = &config.data_dir {
-            let rec = recovery::recover(dir, &mut state)?;
-            serve_seed = rec.serve_seed;
+            let (wal, recovered_groups) = recovery::recover(dir, &mut state, &mut status)?;
             // Both frontiers start at the recovered epoch: everything
             // replayed is on disk by definition. The WAL itself moves to
             // the sync thread; the writer keeps only job handles.
-            let tracker = Arc::new(DurTracker::new(state.epoch, rec.wal.frames()));
+            let tracker = Arc::new(DurTracker::new(state.epoch, wal.frames(), recovered_groups));
             let pipeline = WalPipeline::start(
-                rec.wal,
+                wal,
                 config.fsync,
                 Arc::clone(&tracker),
                 config.hooks.sync_barrier.clone(),
@@ -221,23 +226,22 @@ impl Server {
                 Arc::clone(&tracker),
                 config.hooks.snapshot_barrier.clone(),
             )?;
+            status.dur = Some(tracker);
             state.dur = Some(Durability {
                 snap,
                 pipeline,
-                tracker,
                 snapshot_every: config.snapshot_every,
                 rounds_since_snapshot: 0,
-                recovered_groups: rec.groups,
             });
         }
         // Followers may connect from here on: recovery is complete, the
         // WAL and snapshots are consistent on disk, and live rounds now
         // flow through the hub.
-        let repl = match (repl_listener, &hub) {
-            (Some(l), Some(h)) => Some(repl::ReplListener::start(
+        let repl = match (repl_listener, &hub, &config.data_dir) {
+            (Some(l), Some(h), Some(dir)) => Some(repl::ReplListener::start(
                 l,
                 Arc::clone(h),
-                config.data_dir.clone().expect("checked above"),
+                dir.clone(),
                 state.epoch,
                 config.hooks.repl_barrier.clone(),
             )?),
@@ -245,28 +249,27 @@ impl Server {
         };
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let shared = Arc::new(Shared {
-            endpoint: Arc::new(Endpoint::new(addr, state.serve_snapshot(state.epoch))),
-            group_commits: AtomicU64::new(serve_seed.0),
-            grouped_batches: AtomicU64::new(serve_seed.1),
-            group_retries: AtomicU64::new(serve_seed.2),
-            snapshots_published: AtomicU64::new(state.epoch),
-        });
+        *status.snapshots_published.get_mut() = state.epoch;
+        let endpoint = Arc::new(Endpoint::new(
+            addr,
+            Arc::new(status),
+            state.session.read_view(state.epoch),
+        ));
         let (tx, rx) = mpsc::sync_channel::<Request>(writer::QUEUE_DEPTH);
         let writer_handle = {
-            let shared = Arc::clone(&shared);
+            let endpoint = Arc::clone(&endpoint);
             std::thread::Builder::new()
                 .name("ivme-group-commit".into())
-                .spawn(move || writer::writer_loop(rx, shared, state))?
+                .spawn(move || writer::writer_loop(rx, &endpoint, state))?
         };
         let accept_handle = conn::spawn_accept_loop(
             listener,
-            Arc::clone(&shared.endpoint),
+            Arc::clone(&endpoint),
             WriteSink::Writer(tx.clone()),
         )?;
         Ok(Server {
             addr,
-            shared,
+            endpoint,
             accept_handle: Some(accept_handle),
             writer_handle: Some(writer_handle),
             tx: Some(tx),
@@ -292,13 +295,7 @@ impl Server {
 
     /// Server-layer counters (connections, group-commit shapes).
     pub fn serve_stats(&self) -> ServeStats {
-        ServeStats {
-            connections: self.shared.endpoint.connections.load(Ordering::Relaxed),
-            group_commits: self.shared.group_commits.load(Ordering::Relaxed),
-            grouped_batches: self.shared.grouped_batches.load(Ordering::Relaxed),
-            group_retries: self.shared.group_retries.load(Ordering::Relaxed),
-            snapshots_published: self.shared.snapshots_published.load(Ordering::Relaxed),
-        }
+        self.endpoint.status.serve_stats()
     }
 
     /// Requests a clean shutdown through the writer thread: every
@@ -320,7 +317,7 @@ impl Server {
     /// [`Server::shutdown`], a client's `shutdown` command, or
     /// [`Server::stop`]).
     pub fn is_shutdown(&self) -> bool {
-        self.shared.endpoint.is_closed()
+        self.endpoint.is_closed()
     }
 
     /// Stops accepting new connections, then waits for the writer thread
@@ -332,7 +329,7 @@ impl Server {
     /// server instance touches the data dir after `stop` returns, so a
     /// successor can recover from the same dir immediately.
     pub fn stop(&mut self) {
-        self.shared.endpoint.close();
+        self.endpoint.close();
         if let Some(h) = self.accept_handle.take() {
             let _ = h.join();
         }

@@ -18,14 +18,96 @@
 //! slot lock, so a reader that observes epoch `e` and then takes the slow
 //! path can never read back a value older than `e` (no ABA between the
 //! load and the clone).
+//!
+//! Beside the cell lives what the process publishes about itself:
+//! [`Status`], the one handle `stats` and `Server::serve_stats` read,
+//! with the [`DurTracker`] frontiers and the replication role in it.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+
+use crate::repl;
+use crate::ServeStats;
+
+/// What this process reports about itself: one per process, shared by
+/// the writer (or a replica's apply thread), every connection and the
+/// [`Server`](crate::Server) handle, and embedded in every published
+/// [`ServeSnapshot`](crate::ServeSnapshot). Nothing here is frozen with a
+/// snapshot: `stats` samples it at read time, so a quiescent server
+/// converges to `durable_epoch = wal_epoch, fsync_backlog = 0`.
+#[derive(Default)]
+pub struct Status {
+    /// Connections admitted since start.
+    pub(crate) connections: AtomicU64,
+    /// Connections being served right now (bounded by
+    /// [`MAX_CONNECTIONS`](crate::MAX_CONNECTIONS)).
+    pub(crate) live: AtomicUsize,
+    pub(crate) group_commits: AtomicU64,
+    pub(crate) grouped_batches: AtomicU64,
+    pub(crate) group_retries: AtomicU64,
+    pub(crate) snapshots_published: AtomicU64,
+    /// The durability frontiers (`None` when serving memory-only).
+    pub(crate) dur: Option<Arc<DurTracker>>,
+    /// The replication role (`None` when serving standalone).
+    pub(crate) repl: Option<ReplRole>,
+}
+
+impl Status {
+    /// The serve-layer counters as a plain copy.
+    pub(crate) fn serve_stats(&self) -> ServeStats {
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        ServeStats {
+            connections: load(&self.connections),
+            group_commits: load(&self.group_commits),
+            grouped_batches: load(&self.grouped_batches),
+            group_retries: load(&self.group_retries),
+            snapshots_published: load(&self.snapshots_published),
+        }
+    }
+
+    /// The durability and replication lines this process appends to
+    /// `stats` (see docs/PROTOCOL.md). `durable` is read *before*
+    /// `inflight`: durable only ever chases inflight, so this order keeps
+    /// the reported `durable_epoch ≤ wal_epoch` even when a commit lands
+    /// between the two loads.
+    pub(crate) fn stats_lines(&self, out: &mut String) {
+        use std::fmt::Write as _;
+        if let Some(t) = &self.dur {
+            let durable = t.durable();
+            let inflight = t.inflight().max(durable);
+            let _ = writeln!(
+                out,
+                "wal_epoch = {inflight}, durable_epoch = {durable}, fsync_backlog = {}, \
+                 wal_frames = {}, last_fsync_us = {}, snapshot_in_progress = {}, \
+                 recovered_groups = {}",
+                inflight - durable,
+                t.wal_frames(),
+                t.last_fsync_us(),
+                u8::from(t.snapshot_in_progress()),
+                t.recovered_groups
+            );
+        }
+        match &self.repl {
+            Some(ReplRole::Primary(h)) => h.stats_lines(out),
+            Some(ReplRole::Replica(s)) => s.stats_lines(out),
+            None => {}
+        }
+    }
+}
+
+/// Which replication role this process serves in.
+pub(crate) enum ReplRole {
+    /// A primary with a `--repl-listen` listener: the hub registry of
+    /// connected followers.
+    Primary(Arc<repl::ReplHub>),
+    /// A follower: the counters its apply thread maintains.
+    Replica(Arc<repl::ReplicaStats>),
+}
 
 /// Shared durability frontier counters — how the writer thread, the WAL
 /// sync thread, and the snapshot thread expose their progress to each
-/// other (and, frozen into each published snapshot, to `stats`) without
-/// any of them taking a lock.
+/// other (and, through [`Status`], to `stats`) without any of them taking
+/// a lock.
 ///
 /// Two epochs matter once commit is pipelined: `inflight` is the newest
 /// epoch the writer has *handed to the log* (its frames are published and
@@ -44,21 +126,25 @@ pub struct DurTracker {
     last_fsync_us: AtomicU64,
     /// A background snapshot is being serialized/installed right now.
     snapshotting: AtomicBool,
-    /// Durability I/O failed; the server serves on (loudly) without it.
-    broken: AtomicBool,
+    /// The log failed (append, fsync, rotation, or its thread is gone):
+    /// the server refuses writes until it is restarted.
+    lost: AtomicBool,
+    /// Distinct commit rounds replayed from the WAL at boot.
+    recovered_groups: u64,
 }
 
 impl DurTracker {
     /// Both frontiers start at the recovered epoch: everything replayed
     /// at boot is by definition already on disk.
-    pub fn new(epoch: u64, wal_frames: u64) -> DurTracker {
+    pub fn new(epoch: u64, wal_frames: u64, recovered_groups: u64) -> DurTracker {
         DurTracker {
             inflight: AtomicU64::new(epoch),
             durable: AtomicU64::new(epoch),
             wal_frames: AtomicU64::new(wal_frames),
             last_fsync_us: AtomicU64::new(0),
             snapshotting: AtomicBool::new(false),
-            broken: AtomicBool::new(false),
+            lost: AtomicBool::new(false),
+            recovered_groups,
         }
     }
 
@@ -108,12 +194,12 @@ impl DurTracker {
         self.snapshotting.load(Ordering::Acquire)
     }
 
-    pub fn set_broken(&self) {
-        self.broken.store(true, Ordering::Release);
+    pub fn set_lost(&self) {
+        self.lost.store(true, Ordering::Release);
     }
 
-    pub fn is_broken(&self) -> bool {
-        self.broken.load(Ordering::Acquire)
+    pub fn is_lost(&self) -> bool {
+        self.lost.load(Ordering::Acquire)
     }
 }
 
@@ -256,5 +342,27 @@ mod tests {
             stop.store(true, Ordering::Relaxed);
         });
         assert_eq!(p.epoch(), 2000);
+    }
+
+    #[test]
+    fn stats_lines_render_the_documented_durability_line() {
+        let mut out = String::new();
+        Status::default().stats_lines(&mut out);
+        assert_eq!(out, "", "a memory-only, standalone server adds nothing");
+        let tracker = DurTracker::new(5, 3, 2);
+        tracker.set_inflight(7);
+        tracker.record_durable(6, 4, 120);
+        tracker.begin_snapshot();
+        let status = Status {
+            dur: Some(Arc::new(tracker)),
+            ..Status::default()
+        };
+        status.stats_lines(&mut out);
+        // docs/PROTOCOL.md documents this line; ci.yml greps it.
+        assert_eq!(
+            out,
+            "wal_epoch = 7, durable_epoch = 6, fsync_backlog = 1, wal_frames = 4, \
+             last_fsync_us = 120, snapshot_in_progress = 1, recovered_groups = 2\n"
+        );
     }
 }

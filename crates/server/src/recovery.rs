@@ -15,6 +15,7 @@ use std::path::Path;
 use ivme_cli::proto;
 use ivme_cli::session::{Applied, Staging, Step, Write};
 
+use crate::publish::Status;
 use crate::snapshot;
 use crate::wal::{self, Wal};
 use crate::writer::OwnedState;
@@ -70,32 +71,30 @@ impl OwnedState {
     }
 }
 
-/// What [`recover`] hands back: the log, open and positioned for
-/// appends, plus the counters replay re-derived.
-pub(crate) struct Recovery {
-    pub(crate) wal: Wal,
-    /// Distinct commit rounds replayed (`recovered_groups` in `stats`).
-    pub(crate) groups: u64,
-    /// Serve-layer counters (group commits, grouped batches, retries):
-    /// seeded from the snapshot, advanced by replay.
-    pub(crate) serve_seed: (u64, u64, u64),
-}
-
 /// Crash recovery, run synchronously before the listener binds: restore
 /// the newest valid snapshot in `dir` into `state`, then replay the WAL
 /// frames newer than it, in epoch order. A damaged WAL tail is truncated
 /// at the last valid frame; a gap between snapshot and log, or a frame
-/// that fails to apply, refuses the boot.
-pub(crate) fn recover(dir: &Path, state: &mut OwnedState) -> io::Result<Recovery> {
+/// that fails to apply, refuses the boot. Returns the log, open for
+/// appends, and the number of commit rounds replayed (`recovered_groups`
+/// in `stats`); the serve-layer counters in `status` are seeded from the
+/// snapshot and advanced by the replay — cumulative across restarts.
+pub(crate) fn recover(
+    dir: &Path,
+    state: &mut OwnedState,
+    status: &mut Status,
+) -> io::Result<(Wal, u64)> {
     std::fs::create_dir_all(dir)?;
     let (snap, warnings) = snapshot::load_latest(dir)?;
     for w in &warnings {
         eprintln!("ivme-server: {w}");
     }
     let snap_epoch = snap.as_ref().map_or(0, |s| s.epoch);
-    let mut serve_seed = (0u64, 0u64, 0u64);
     if let Some(s) = snap {
-        serve_seed = s.serve_stats;
+        let (commits, batches, retries) = s.serve_stats;
+        *status.group_commits.get_mut() = commits;
+        *status.grouped_batches.get_mut() = batches;
+        *status.group_retries.get_mut() = retries;
         state.restore(s).map_err(crate::invalid_data)?;
     }
     let wal_path = dir.join("wal.log");
@@ -130,10 +129,11 @@ pub(crate) fn recover(dir: &Path, state: &mut OwnedState) -> io::Result<Recovery
             .apply_round(epoch, round.iter().map(|f| f.text.as_str()))
             .map_err(|e| crate::invalid_data(format!("WAL replay failed at epoch {epoch}: {e}")))?;
         groups += 1;
+        // One group commit of (at least) one batch per batch frame.
         let is_batch = |f: &&wal::Frame| f.text.starts_with(".batch begin");
         let batches = round.iter().filter(is_batch).count() as u64;
-        serve_seed.0 += batches; // one group commit per batch frame…
-        serve_seed.1 += batches; // …of (at least) one batch
+        *status.group_commits.get_mut() += batches;
+        *status.grouped_batches.get_mut() += batches;
     }
     if groups > 0 {
         eprintln!(
@@ -143,9 +143,5 @@ pub(crate) fn recover(dir: &Path, state: &mut OwnedState) -> io::Result<Recovery
             wal_path.display()
         );
     }
-    Ok(Recovery {
-        wal,
-        groups,
-        serve_seed,
-    })
+    Ok((wal, groups))
 }

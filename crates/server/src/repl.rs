@@ -65,10 +65,10 @@ use std::time::Duration;
 
 use ivme_cli::proto::{self, ReplHeader};
 
-use crate::conn::{self, read_bounded_line, Endpoint, ReplRole, WriteSink};
-use crate::wal::BarrierHook;
+use crate::conn::{self, read_bounded_line, Endpoint, WriteSink};
+use crate::publish::{ReplRole, Status};
 use crate::writer::OwnedState;
-use crate::{invalid_data, snapshot, wal};
+use crate::{invalid_data, snapshot, wal, Hook};
 
 /// Upper bound on a single replicated payload (snapshot or frame) — the
 /// same "a length beyond this is corruption, not an allocation request"
@@ -279,7 +279,7 @@ impl ReplListener {
         hub: Arc<ReplHub>,
         dir: PathBuf,
         recovered: u64,
-        barrier: Option<BarrierHook>,
+        barrier: Option<Hook>,
     ) -> io::Result<ReplListener> {
         hub.fanout.lock().unwrap().fanned = recovered;
         let accept_hub = Arc::clone(&hub);
@@ -373,7 +373,7 @@ fn serve_follower(
     stream: TcpStream,
     hub: Arc<ReplHub>,
     dir: PathBuf,
-    barrier: Option<BarrierHook>,
+    barrier: Option<Hook>,
 ) -> io::Result<()> {
     stream.set_nodelay(true)?;
     // A throwaway connection (e.g. the shutdown wake-up) must not pin
@@ -420,14 +420,15 @@ fn follower_stream(
     reg: &FollowerReg,
     dir: &Path,
     hello_epoch: u64,
-    barrier: Option<BarrierHook>,
+    barrier: Option<Hook>,
 ) -> io::Result<()> {
     // Every round through `cursor` is on the follower.
     let mut cursor = hello_epoch;
     // Scan first, snapshot second (see module docs for the ordering
     // argument). The scan is read-only: it never repairs the live log.
     let (wal_base, frames) = wal::scan(&dir.join("wal.log"))?;
-    let snap = snapshot::load_latest_raw(dir)?;
+    // The boot path has already warned about any file skipped here.
+    let snap = snapshot::load(dir, &mut Vec::new())?.map(|(data, text)| (data.epoch, text));
     let tip = frames.last().map_or_else(
         || wal_base.max(snap.as_ref().map_or(0, |s| s.0)),
         |f| f.epoch,
@@ -612,9 +613,13 @@ impl Replica {
         let listener = TcpListener::bind(&config.listen)?;
         let addr = listener.local_addr()?;
         let stats = Arc::new(ReplicaStats::new(config.primary.clone()));
-        let mut state = OwnedState::new(Some(ReplRole::Replica(Arc::clone(&stats))));
+        let status = Arc::new(Status {
+            repl: Some(ReplRole::Replica(Arc::clone(&stats))),
+            ..Status::default()
+        });
+        let mut state = OwnedState::default();
         let shared = Arc::new(ReplicaShared {
-            endpoint: Arc::new(Endpoint::new(addr, state.serve_snapshot(0))),
+            endpoint: Arc::new(Endpoint::new(addr, status, state.session.read_view(0))),
             stats,
         });
         let ack_sock: Arc<Mutex<Option<TcpStream>>> = Arc::new(Mutex::new(None));
@@ -888,7 +893,7 @@ fn apply_loop(
                     "ivme replica: primary requested a reset — dropping local state and \
                      re-bootstrapping"
                 );
-                state = OwnedState::new(Some(ReplRole::Replica(Arc::clone(&shared.stats))));
+                state = OwnedState::default();
                 shared.stats.received_frames.store(0, Ordering::Relaxed);
                 shared.stats.applied_frames.store(0, Ordering::Relaxed);
             }
@@ -899,8 +904,7 @@ fn apply_loop(
             .store(state.epoch, Ordering::Release);
         shared
             .endpoint
-            .published
-            .publish(state.serve_snapshot(state.epoch));
+            .publish(state.session.read_view(state.epoch));
         // Best-effort progress report to the primary.
         if let Some(s) = ack.lock().unwrap().as_mut() {
             let total = shared.stats.applied_frames.load(Ordering::Relaxed);

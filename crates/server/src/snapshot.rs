@@ -22,8 +22,9 @@
 //! the real name. Loading tries newest-first and skips (with a warning)
 //! any snapshot that fails its CRC or parse, so one bad file degrades to
 //! the previous checkpoint instead of a refused boot.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
@@ -33,7 +34,7 @@ use ivme_core::{Database, Mode};
 
 use crate::crc::crc32;
 use crate::publish::DurTracker;
-use crate::wal::{self, sync_dir};
+use crate::{wal, Hook};
 
 /// First line of every snapshot file.
 pub const SNAP_MAGIC: &str = "IVMESNAP1";
@@ -107,7 +108,7 @@ fn render_db(out: &mut String, keyword: &str, db: &Database) {
     }
 }
 
-/// Serializes `data` and atomically installs it as
+/// Serializes `data` and atomically installs it (`wal::install`) as
 /// `snapshot-<epoch>.ivme`. Returns the final path.
 pub fn write(dir: &Path, data: &SnapshotData) -> io::Result<PathBuf> {
     use std::fmt::Write as _;
@@ -138,12 +139,7 @@ pub fn write(dir: &Path, data: &SnapshotData) -> io::Result<PathBuf> {
 
     let path = snapshot_path(dir, data.epoch);
     let tmp = dir.join(format!("snapshot-{}.ivme.tmp", data.epoch));
-    let mut f = std::fs::File::create(&tmp)?;
-    f.write_all(out.as_bytes())?;
-    f.sync_all()?;
-    drop(f);
-    std::fs::rename(&tmp, &path)?;
-    sync_dir(&path)?;
+    wal::install(&path, &tmp, out.as_bytes())?;
     Ok(path)
 }
 
@@ -246,27 +242,41 @@ fn triple(s: &str) -> Result<(u64, u64, u64), String> {
     Ok((next()?, next()?, next()?))
 }
 
-/// Loads the newest parseable snapshot in `dir`, newest-first by epoch.
-/// Returns the snapshot (if any survives validation) and a warning line
-/// for every file that had to be skipped.
-pub fn load_latest(dir: &Path) -> io::Result<(Option<SnapshotData>, Vec<String>)> {
+/// The one directory listing: the epochs of the snapshot files in `dir`,
+/// newest first, and the temp files interrupted writes left behind.
+fn list(dir: &Path) -> io::Result<(Vec<u64>, Vec<PathBuf>)> {
     let mut epochs: Vec<u64> = Vec::new();
+    let mut temps = Vec::new();
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
-        if let Some(e) = parse_snapshot_name(&entry.file_name().to_string_lossy()) {
+        let name = entry.file_name().to_string_lossy().into_owned();
+        if name.starts_with("snapshot-") && name.ends_with(".ivme.tmp") {
+            temps.push(entry.path());
+        } else if let Some(e) = parse_snapshot_name(&name) {
             epochs.push(e);
         }
     }
     epochs.sort_unstable_by(|a, b| b.cmp(a));
-    let mut warnings = Vec::new();
-    for epoch in epochs {
+    Ok((epochs, temps))
+}
+
+/// The one loader: the newest snapshot in `dir` that passes validation
+/// (CRC first, then the parse, then filename against internal epoch),
+/// together with the on-disk text it validated — what the replication
+/// bootstrap ships to a follower verbatim. Every newer file that had to
+/// be skipped adds a line to `warnings`.
+pub(crate) fn load(
+    dir: &Path,
+    warnings: &mut Vec<String>,
+) -> io::Result<Option<(SnapshotData, String)>> {
+    for epoch in list(dir)?.0 {
         let path = snapshot_path(dir, epoch);
         let attempt = std::fs::read_to_string(&path)
             .map_err(|e| e.to_string())
-            .and_then(|text| parse(&text));
+            .and_then(|text| Ok((parse(&text)?, text)));
         match attempt {
-            Ok(data) if data.epoch == epoch => return Ok((Some(data), warnings)),
-            Ok(data) => warnings.push(format!(
+            Ok(found) if found.0.epoch == epoch => return Ok(Some(found)),
+            Ok((data, _)) => warnings.push(format!(
                 "{}: internal epoch {} disagrees with filename — skipping",
                 path.display(),
                 data.epoch
@@ -274,72 +284,39 @@ pub fn load_latest(dir: &Path) -> io::Result<(Option<SnapshotData>, Vec<String>)
             Err(e) => warnings.push(format!("{}: {e} — skipping", path.display())),
         }
     }
-    Ok((None, warnings))
+    Ok(None)
 }
 
-/// Loads the newest valid snapshot as its raw on-disk text (plus its
-/// epoch) — what the replication bootstrap ships to a connecting
-/// follower verbatim. Validation is the same CRC-first parse as
-/// [`load_latest`]; files that fail are skipped silently here (the boot
-/// path has already warned about them).
-pub fn load_latest_raw(dir: &Path) -> io::Result<Option<(u64, String)>> {
-    let mut epochs: Vec<u64> = Vec::new();
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        if let Some(e) = parse_snapshot_name(&entry.file_name().to_string_lossy()) {
-            epochs.push(e);
-        }
-    }
-    epochs.sort_unstable_by(|a, b| b.cmp(a));
-    for epoch in epochs {
-        if let Ok(text) = std::fs::read_to_string(snapshot_path(dir, epoch)) {
-            if parse(&text).is_ok_and(|d| d.epoch == epoch) {
-                return Ok(Some((epoch, text)));
-            }
-        }
-    }
-    Ok(None)
+/// Loads the newest parseable snapshot in `dir`, newest-first by epoch.
+/// Returns the snapshot (if any survives validation) and a warning line
+/// for every file that had to be skipped.
+pub fn load_latest(dir: &Path) -> io::Result<(Option<SnapshotData>, Vec<String>)> {
+    let mut warnings = Vec::new();
+    let found = load(dir, &mut warnings)?;
+    Ok((found.map(|(data, _)| data), warnings))
 }
 
 /// Deletes all but the newest `keep` snapshots, plus any stale temp files
 /// from interrupted writes. Damaged old snapshots are deleted too —
 /// `load_latest` has already chosen a good one by the time this runs.
 pub fn prune(dir: &Path, keep: usize) -> io::Result<()> {
-    let mut epochs: Vec<u64> = Vec::new();
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name().to_string_lossy().into_owned();
-        if name.starts_with("snapshot-") && name.ends_with(".ivme.tmp") {
-            let _ = std::fs::remove_file(entry.path());
-        } else if let Some(e) = parse_snapshot_name(&name) {
-            epochs.push(e);
-        }
-    }
-    epochs.sort_unstable_by(|a, b| b.cmp(a));
-    for &epoch in epochs.iter().skip(keep) {
-        let _ = std::fs::remove_file(snapshot_path(dir, epoch));
+    let (epochs, temps) = list(dir)?;
+    let old = epochs.iter().skip(keep).map(|&e| snapshot_path(dir, e));
+    for path in temps.into_iter().chain(old) {
+        let _ = std::fs::remove_file(path);
     }
     Ok(())
 }
 
 // ----------------------------------------------------------------------
-// The background snapshot thread (PR 8)
+// The background snapshot thread
 // ----------------------------------------------------------------------
 
-/// Test-only hook (`TestHooks` in the crate root): called with the
-/// snapshot's epoch before any serialization work — a blocking hook
-/// simulates an arbitrarily slow snapshot.
-pub(crate) type SnapHook = Arc<dyn Fn(u64) + Send + Sync>;
-
-pub(crate) enum SnapJob {
-    /// Serialize + install one snapshot; signal `done` (if present) after
-    /// the install attempt and the rotation message are finished.
-    Write {
-        data: Box<SnapshotData>,
-        done: Option<mpsc::Sender<()>>,
-    },
-    /// Pure barrier: signals once every previously queued job has run.
-    Barrier(mpsc::Sender<()>),
+/// One checkpoint job: serialize + install `data`, queue the rotation,
+/// then signal `done` (if present).
+struct SnapJob {
+    data: Box<SnapshotData>,
+    done: Option<mpsc::Sender<()>>,
 }
 
 /// Writer-side handle to the snapshot thread. The writer captures a
@@ -347,13 +324,15 @@ pub(crate) enum SnapJob {
 /// serialization) and submits it; the expensive work — rendering the
 /// canonical text, CRC, temp-file write, fsync, rename, prune — all
 /// happens here, off the commit path. After a successful install the
-/// thread sends [`wal::Job::Rotate`] down the WAL pipeline, which holds
-/// the buffered tail frames (see [`crate::wal`]); on failure it sends
-/// `SnapshotAborted` and marks the tracker broken, so a snapshot that
-/// cannot land never silently truncates the log that still covers it.
+/// thread sends [`wal::Job::Rotate`] down the WAL queue — install before
+/// rotate, so a log is never rotated onto a snapshot that is not on disk.
+/// A checkpoint that cannot land is not a log failure (the log still
+/// holds everything): it warns, queues no rotation, and the next cadence
+/// tries again.
 pub(crate) struct SnapshotWorker {
-    tx: Option<mpsc::Sender<SnapJob>>,
+    tx: mpsc::Sender<SnapJob>,
     handle: Option<JoinHandle<()>>,
+    tracker: Arc<DurTracker>,
 }
 
 impl SnapshotWorker {
@@ -361,41 +340,37 @@ impl SnapshotWorker {
         dir: PathBuf,
         wal_tx: mpsc::Sender<wal::Job>,
         tracker: Arc<DurTracker>,
-        hook: Option<SnapHook>,
+        hook: Option<Hook>,
     ) -> io::Result<SnapshotWorker> {
         let (tx, rx) = mpsc::channel();
+        let thread_tracker = Arc::clone(&tracker);
         let handle = std::thread::Builder::new()
             .name("ivme-snapshot".into())
-            .spawn(move || snapshot_loop(dir, rx, wal_tx, tracker, hook))?;
+            .spawn(move || snapshot_loop(&dir, rx, wal_tx, &thread_tracker, hook))?;
         Ok(SnapshotWorker {
-            tx: Some(tx),
+            tx,
             handle: Some(handle),
+            tracker,
         })
     }
 
-    /// Queues one snapshot; `false` if the thread is gone.
-    pub fn submit(&self, data: SnapshotData, done: Option<mpsc::Sender<()>>) -> bool {
-        self.tx
-            .as_ref()
-            .expect("snapshot worker running")
-            .send(SnapJob::Write {
-                data: Box::new(data),
-                done,
-            })
-            .is_ok()
+    /// Whether a submitted snapshot has not finished yet
+    /// (`snapshot_in_progress` in `stats`).
+    pub fn busy(&self) -> bool {
+        self.tracker.snapshot_in_progress()
     }
 
-    /// Waits until every previously submitted snapshot has been processed.
-    /// Returns `false` if the thread is gone.
-    pub fn barrier(&self) -> bool {
-        let (done_tx, done_rx) = mpsc::channel();
-        let sent = self
-            .tx
-            .as_ref()
-            .expect("snapshot worker running")
-            .send(SnapJob::Barrier(done_tx))
-            .is_ok();
-        sent && done_rx.recv().is_ok()
+    /// Queues one snapshot; `done` is signalled after its install attempt
+    /// — and, the queue being FIFO, after every earlier one's. `false` if
+    /// the thread is gone.
+    pub fn submit(&self, data: SnapshotData, done: Option<mpsc::Sender<()>>) -> bool {
+        self.tracker.begin_snapshot();
+        let data = Box::new(data);
+        let sent = self.tx.send(SnapJob { data, done }).is_ok();
+        if !sent {
+            self.tracker.end_snapshot();
+        }
+        sent
     }
 }
 
@@ -404,7 +379,8 @@ impl Drop for SnapshotWorker {
     /// `WalPipeline` (field order in `Durability` guarantees it): this
     /// thread holds a WAL-queue sender and may still emit a `Rotate`.
     fn drop(&mut self) {
-        drop(self.tx.take());
+        // Close the queue by swapping in a dead sender.
+        self.tx = mpsc::channel().0;
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
@@ -412,54 +388,40 @@ impl Drop for SnapshotWorker {
 }
 
 fn snapshot_loop(
-    dir: PathBuf,
+    dir: &Path,
     rx: mpsc::Receiver<SnapJob>,
     wal_tx: mpsc::Sender<wal::Job>,
-    tracker: Arc<DurTracker>,
-    hook: Option<SnapHook>,
+    tracker: &DurTracker,
+    hook: Option<Hook>,
 ) {
-    while let Ok(job) = rx.recv() {
-        match job {
-            SnapJob::Write { data, done } => {
-                if let Some(h) = &hook {
-                    h(data.epoch);
-                }
-                match write(&dir, &data) {
-                    Ok(_) => {
-                        // Rotation is processed by the sync thread, which
-                        // has been buffering the tail since the
-                        // `SnapshotStarted` marker the writer sent ahead
-                        // of this snapshot.
-                        let _ = wal_tx.send(wal::Job::Rotate {
-                            base_epoch: data.epoch,
-                        });
-                        if let Err(e) = prune(&dir, 2) {
-                            eprintln!("ivme-server: snapshot prune failed ({e})");
-                        }
-                    }
-                    Err(e) => {
-                        eprintln!(
-                            "ivme-server: background snapshot at epoch {} failed ({e}); \
-                             the WAL can no longer rotate — continuing WITHOUT durability",
-                            data.epoch
-                        );
-                        tracker.set_broken();
-                        let _ = wal_tx.send(wal::Job::SnapshotAborted);
-                    }
-                }
-                tracker.end_snapshot();
-                if let Some(done) = done {
-                    let _ = done.send(());
+    while let Ok(SnapJob { data, done }) = rx.recv() {
+        if let Some(h) = &hook {
+            h(data.epoch);
+        }
+        match write(dir, &data) {
+            Ok(_) => {
+                let _ = wal_tx.send(wal::Job::Rotate {
+                    base_epoch: data.epoch,
+                });
+                if let Err(e) = prune(dir, 2) {
+                    eprintln!("ivme-server: snapshot prune failed ({e})");
                 }
             }
-            SnapJob::Barrier(done) => {
-                let _ = done.send(());
-            }
+            Err(e) => eprintln!(
+                "ivme-server: warning: checkpoint at epoch {} failed ({e}); the log is left \
+                 as it is and the next checkpoint tries again",
+                data.epoch
+            ),
+        }
+        tracker.end_snapshot();
+        if let Some(done) = done {
+            let _ = done.send(());
         }
     }
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use ivme_data::Tuple;
@@ -600,6 +562,40 @@ mod tests {
         assert!(matches!(loaded.mode, Mode::Static));
         assert_eq!(loaded.staged.rows("R"), vec![(Tuple::ints(&[1]), 1)]);
         assert_eq!(loaded.base.total_rows(), 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_checkpoint_that_cannot_land_queues_no_rotation_and_loses_nothing() {
+        let dir = tmp_dir("cannot_land");
+        std::fs::remove_dir_all(&dir).unwrap();
+        let (wal_tx, wal_rx) = mpsc::channel();
+        let tracker = Arc::new(DurTracker::new(0, 0, 0));
+        let worker =
+            SnapshotWorker::start(dir.clone(), wal_tx, Arc::clone(&tracker), None).unwrap();
+        let submit_and_wait = |epoch| {
+            let (done, done_rx) = mpsc::channel();
+            assert!(worker.submit(demo_data(epoch), Some(done)));
+            done_rx.recv().unwrap();
+            assert!(!worker.busy());
+        };
+        // The data dir is gone, so the temp file cannot be created: the
+        // log is left alone and keeps accepting commits.
+        submit_and_wait(7);
+        assert!(wal_rx.try_recv().is_err(), "no Rotate for a failed install");
+        assert!(
+            !tracker.is_lost(),
+            "a failed checkpoint is not a log failure"
+        );
+        // The next cadence tries again, and this one lands.
+        std::fs::create_dir_all(&dir).unwrap();
+        submit_and_wait(9);
+        assert!(matches!(
+            wal_rx.try_recv(),
+            Ok(wal::Job::Rotate { base_epoch: 9 })
+        ));
+        assert_eq!(load_latest(&dir).unwrap().0.unwrap().epoch, 9);
+        drop(worker);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -37,24 +37,29 @@
 //! may be lost with the process — the same contract the ack already
 //! carried for visibility.
 //!
-//! # The pipeline (PR 8)
+//! # The pipeline
 //!
-//! Appending and fsyncing no longer happen on the writer thread at all.
-//! `WalPipeline` owns the open [`Wal`] on a dedicated sync thread; the
-//! writer hands each committed round over as a `Job::Commit` carrying
-//! the frames *and* the round's held-back acks (as a boxed release
-//! closure), then immediately starts applying the next round. The sync
-//! thread appends, fsyncs per the [`FsyncMode`], and only then runs the
-//! release — so the fsync of group N overlaps the apply of group N+1
-//! while every ack still waits for its durability point. The same queue
-//! carries snapshot-rotation control messages: a `Job::SnapshotStarted`
-//! marker makes the sync thread buffer every later frame in memory, and
-//! the `Job::Rotate` that follows a successful snapshot install rewrites
-//! the log as `header(snapshot epoch) + buffered tail` — frames committed
-//! while the snapshot was being written survive the rotation, atomically,
-//! at every crash point. I/O errors never kill the server: the sync
-//! thread marks the shared tracker broken, the writer stops queueing, and
-//! serving degrades (loudly) to memory-only — exactly PR 7's contract.
+//! Appending and fsyncing happen on a dedicated sync thread, the log's
+//! only appender: `WalPipeline` moves the open [`Wal`] onto it, and the
+//! writer hands each committed round over as a `Job::Commit` carrying the
+//! frames *and* the round's held-back acks (as a boxed release closure),
+//! then immediately starts applying the next round. The sync thread
+//! appends, fsyncs per the [`FsyncMode`], and only then runs the release —
+//! so the fsync of group N overlaps the apply of group N+1 while every ack
+//! still waits for its durability point. The same queue carries the
+//! `Job::Rotate` the snapshot thread sends after an install: it arrives
+//! between appends, so the file is quiescent and already holds every frame
+//! a rotation must keep, and [`Wal::rotate`] reads them back from the log
+//! itself.
+//!
+//! # The failure rule
+//!
+//! Durability is *lost* when an append, an fsync or a rotation fails, or
+//! when the sync thread is gone. The sync thread marks the shared tracker
+//! and releases that round, and every round already queued behind it,
+//! with `durable = false` — their clients read an `err`, never an `ok` —
+//! and the writer refuses every later write until the server is
+//! restarted (reads keep being served). A failed log never acks.
 //!
 //! # Recovery
 //!
@@ -65,6 +70,7 @@
 //! A crash mid-append (the expected failure) loses at most the unacked
 //! tail; a flipped bit mid-file loses the suffix from the damaged frame
 //! on, never panics, and never serves a half-parsed frame.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -75,6 +81,7 @@ use std::time::Instant;
 
 pub use crate::crc::{crc32, Crc32};
 use crate::publish::DurTracker;
+use crate::{invalid_data, Hook};
 
 /// File magic: 8 bytes, version-suffixed.
 pub const WAL_MAGIC: &[u8; 8] = b"IVMEWAL1";
@@ -108,13 +115,6 @@ impl FsyncMode {
             "none" => Ok(FsyncMode::None),
             "group" => Ok(FsyncMode::Group),
             other => Err(format!("unknown fsync mode `{other}` (none|group)")),
-        }
-    }
-
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            FsyncMode::None => "none",
-            FsyncMode::Group => "group",
         }
     }
 }
@@ -169,31 +169,42 @@ fn encode_frame(buf: &mut Vec<u8>, epoch: u64, payload: &[u8]) {
     buf.extend_from_slice(payload);
 }
 
+/// The one atomic install, shared with [`crate::snapshot`]: write `bytes`
+/// to the sibling `tmp`, fsync it, rename it over `path`, fsync the
+/// directory (Linux allows opening one read-only for exactly this) so the
+/// rename itself is durable. Every crash point leaves either the old
+/// complete file or the new complete one under the real name.
+pub(crate) fn install(path: &Path, tmp: &Path, bytes: &[u8]) -> io::Result<()> {
+    let mut file = File::create(tmp)?;
+    file.write_all(bytes)?;
+    file.sync_all()?;
+    std::fs::rename(tmp, path)?;
+    match path.parent().filter(|dir| !dir.as_os_str().is_empty()) {
+        Some(dir) => File::open(dir)?.sync_all(),
+        None => Ok(()),
+    }
+}
+
+/// Installs `header(base_epoch) + kept` (whole, validated frames) as the
+/// log at `path` and reopens it, through the final path, for appends.
+fn install_log(path: &Path, base_epoch: u64, kept: &[u8]) -> io::Result<File> {
+    let mut out = Vec::with_capacity(HEADER_LEN as usize + kept.len());
+    out.extend_from_slice(WAL_MAGIC);
+    out.extend_from_slice(&base_epoch.to_le_bytes());
+    out.extend_from_slice(kept);
+    install(path, &path.with_extension("tmp"), &out)?;
+    let mut file = OpenOptions::new().read(true).write(true).open(path)?;
+    file.seek(SeekFrom::End(0))?;
+    Ok(file)
+}
+
 impl Wal {
-    /// Creates a fresh log at `path` continuing from `base_epoch`,
-    /// replacing any existing file atomically (write a sibling temp file,
-    /// fsync it, rename over). Used both for first boot and for the
-    /// truncate-after-snapshot rotation: if the process dies between the
-    /// snapshot rename and this rotation, the old log's frames are all
-    /// `≤ base_epoch` and replay skips them.
+    /// Creates a fresh, empty log at `path` continuing from `base_epoch`,
+    /// replacing any existing file atomically — a rotation with nothing
+    /// kept.
     pub fn create(path: &Path, base_epoch: u64) -> io::Result<Wal> {
-        let tmp = path.with_extension("tmp");
-        let mut file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(&tmp)?;
-        file.write_all(WAL_MAGIC)?;
-        file.write_all(&base_epoch.to_le_bytes())?;
-        file.sync_all()?;
-        std::fs::rename(&tmp, path)?;
-        sync_dir(path)?;
-        // Reopen through the final path so the handle survives the rename
-        // on platforms where it would not.
-        let mut file = OpenOptions::new().read(true).write(true).open(path)?;
-        file.seek(SeekFrom::End(0))?;
         Ok(Wal {
-            file,
+            file: install_log(path, base_epoch, &[])?,
             path: path.to_owned(),
             base_epoch,
             frames: 0,
@@ -234,7 +245,7 @@ impl Wal {
             path: path.to_owned(),
             base_epoch: scan.base_epoch,
             frames: scan.frames.len() as u64,
-            last_epoch: scan.last_epoch,
+            last_epoch: scan.frames.last().map_or(scan.base_epoch, |f| f.epoch),
             last_fsync_us: 0,
             buf: Vec::new(),
         };
@@ -268,11 +279,6 @@ impl Wal {
         self.last_fsync_us
     }
 
-    /// The log's path (rotation rewrites it in place).
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Appends one frame. Epochs must be non-decreasing (frames of one
     /// commit round share the round's epoch). Not yet durable: call
     /// [`Wal::sync`] per the configured [`FsyncMode`].
@@ -300,46 +306,53 @@ impl Wal {
     }
 
     /// Rotates the log to continue from `base_epoch` (a just-installed
-    /// snapshot's epoch), preserving `tail` — frames committed *while*
-    /// the snapshot was being written, whose epochs exceed the snapshot's.
-    /// The replacement is built as a sibling temp file (header + surviving
-    /// tail frames), fsynced, and renamed over the old log, so every crash
-    /// point leaves either the old complete log or the new complete one.
-    pub fn rotate(&mut self, base_epoch: u64, tail: &[(u64, String)]) -> io::Result<()> {
-        let tmp = self.path.with_extension("tmp");
-        let mut out = Vec::with_capacity(HEADER_LEN as usize);
-        out.extend_from_slice(WAL_MAGIC);
-        out.extend_from_slice(&base_epoch.to_le_bytes());
+    /// snapshot's epoch), keeping the frames the snapshot does not cover —
+    /// those committed *while* it was being written — by reading them
+    /// back from the log itself: the caller is its only appender, so the
+    /// file is quiescent and holds all of them. Epochs never decrease, so
+    /// the covered frames are a prefix, skipped by frame headers alone;
+    /// every kept frame is re-validated and the suffix installed as raw
+    /// bytes. A walk that does not end exactly at end-of-file, or a bad
+    /// kept frame, is an error that leaves the old file untouched —
+    /// never a shorter log.
+    pub fn rotate(&mut self, base_epoch: u64) -> io::Result<()> {
+        let bytes = std::fs::read(&self.path)?;
+        header(&self.path, &bytes)?;
+        let bad = |why: String| invalid_data(format!("{}: {why}", self.path.display()));
+        let mut pos = HEADER_LEN as usize;
+        let mut keep_from = None;
         let mut frames = 0u64;
         let mut last_epoch = base_epoch;
-        let mut buf = std::mem::take(&mut self.buf);
-        for (epoch, text) in tail {
-            if *epoch <= base_epoch {
-                continue; // already covered by the snapshot
+        while let Some((end, epoch)) = frame_bounds(&bytes, pos).map_err(bad)? {
+            if keep_from.is_some() || epoch > base_epoch {
+                let (epoch, _) = decode_frame(&bytes[pos..end]).map_err(bad)?;
+                if epoch < last_epoch {
+                    return Err(bad(format!(
+                        "epoch went backwards ({last_epoch} -> {epoch})"
+                    )));
+                }
+                keep_from.get_or_insert(pos);
+                frames += 1;
+                last_epoch = epoch;
             }
-            encode_frame(&mut buf, *epoch, text.as_bytes());
-            out.extend_from_slice(&buf);
-            frames += 1;
-            last_epoch = *epoch;
+            pos = end;
         }
-        self.buf = buf;
-        let mut file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(&tmp)?;
-        file.write_all(&out)?;
-        file.sync_all()?;
-        std::fs::rename(&tmp, &self.path)?;
-        sync_dir(&self.path)?;
-        let mut file = OpenOptions::new().read(true).write(true).open(&self.path)?;
-        file.seek(SeekFrom::End(0))?;
-        self.file = file;
+        if pos != bytes.len() {
+            return Err(bad(format!("torn frame at offset {pos}")));
+        }
+        self.file = install_log(&self.path, base_epoch, &bytes[keep_from.unwrap_or(pos)..])?;
         self.base_epoch = base_epoch;
         self.frames = frames;
         self.last_epoch = last_epoch;
         Ok(())
     }
+}
+
+/// The `N` little-endian bytes at `at` (which the caller has bounded).
+fn le<const N: usize>(bytes: &[u8], at: usize) -> [u8; N] {
+    let mut le = [0; N];
+    le.copy_from_slice(&bytes[at..at + N]);
+    le
 }
 
 /// What the frame scan found in a byte image of a log.
@@ -352,8 +365,33 @@ struct Scan {
     /// Why the scan stopped early, when a reason beyond a bare torn tail
     /// is known.
     damage: Option<String>,
-    /// Epoch of the newest valid frame (the base epoch for an empty log).
-    last_epoch: u64,
+}
+
+/// The base epoch in a log image's header, or why it is not a log.
+fn header(path: &Path, bytes: &[u8]) -> io::Result<u64> {
+    if bytes.len() < HEADER_LEN as usize || &bytes[..8] != WAL_MAGIC {
+        return Err(invalid_data(format!(
+            "{}: not an IVMEWAL1 file",
+            path.display()
+        )));
+    }
+    Ok(u64::from_le_bytes(le(bytes, 8)))
+}
+
+/// The header arithmetic every walk over a log image shares: the frame
+/// starting at `pos` as `(end offset, epoch)`, unvalidated. `Ok(None)`
+/// when less than a whole frame is left — the clean end of the file, or
+/// the expected crash-mid-append shape; `Err` for an absurd length.
+fn frame_bounds(bytes: &[u8], pos: usize) -> Result<Option<(usize, u64)>, String> {
+    if bytes.len() - pos < FRAME_PREFIX {
+        return Ok(None);
+    }
+    let len = u32::from_le_bytes(le(bytes, pos));
+    if len > MAX_FRAME {
+        return Err(format!("absurd frame length {len}"));
+    }
+    let end = pos + FRAME_PREFIX + len as usize;
+    Ok((end <= bytes.len()).then(|| (end, u64::from_le_bytes(le(bytes, pos + 8)))))
 }
 
 /// The frame scan shared by [`Wal::open`] (which then repairs damage in
@@ -362,40 +400,29 @@ struct Scan {
 /// or moves the epoch backwards — a bad frame invalidates everything
 /// after it.
 fn scan_bytes(path: &Path, bytes: &[u8]) -> io::Result<Scan> {
-    if bytes.len() < HEADER_LEN as usize || &bytes[..8] != WAL_MAGIC {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("{}: not an IVMEWAL1 file", path.display()),
-        ));
-    }
-    let base_epoch = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
+    let base_epoch = header(path, bytes)?;
     let mut frames = Vec::new();
     let mut last_epoch = base_epoch;
     let mut pos = HEADER_LEN as usize;
+    // A torn tail records no reason.
     let mut damage: Option<String> = None;
-    // A bare prefix fragment or a payload cut short is the expected
-    // crash-mid-append shape: a torn tail, no reason recorded.
-    while bytes.len() - pos >= FRAME_PREFIX {
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
-        if len > MAX_FRAME {
-            damage = Some(format!("absurd frame length {len}"));
-            break;
-        }
-        let end = pos + FRAME_PREFIX + len as usize;
-        if end > bytes.len() {
-            break;
-        }
-        match decode_frame(&bytes[pos..end]) {
-            Ok(frame) if frame.epoch >= last_epoch => {
-                last_epoch = frame.epoch;
-                frames.push(frame);
+    loop {
+        let frame = match frame_bounds(bytes, pos) {
+            Ok(Some((end, _))) => decode_frame(&bytes[pos..end]).map(|f| (end, f)),
+            Ok(None) => break,
+            Err(why) => Err(why),
+        };
+        match frame {
+            Ok((end, (epoch, text))) if epoch >= last_epoch => {
+                last_epoch = epoch;
+                frames.push(Frame {
+                    epoch,
+                    text: text.to_owned(),
+                });
                 pos = end;
             }
-            Ok(frame) => {
-                damage = Some(format!(
-                    "epoch went backwards ({last_epoch} -> {})",
-                    frame.epoch
-                ));
+            Ok((_, (epoch, _))) => {
+                damage = Some(format!("epoch went backwards ({last_epoch} -> {epoch})"));
                 break;
             }
             Err(why) => {
@@ -409,24 +436,19 @@ fn scan_bytes(path: &Path, bytes: &[u8]) -> io::Result<Scan> {
         frames,
         cut: pos,
         damage,
-        last_epoch,
     })
 }
 
 /// CRC + UTF-8 validation of one length-delimited frame (prefix and
-/// payload).
-fn decode_frame(frame: &[u8]) -> Result<Frame, String> {
-    let crc_stored = u32::from_le_bytes(frame[4..8].try_into().unwrap());
-    let epoch = u64::from_le_bytes(frame[8..16].try_into().unwrap());
+/// payload): its epoch and command text.
+fn decode_frame(frame: &[u8]) -> Result<(u64, &str), String> {
+    let crc_stored = u32::from_le_bytes(le(frame, 4));
     let crc = crc32(&frame[8..]);
     if crc != crc_stored {
         return Err(format!("CRC mismatch ({crc:08x} != {crc_stored:08x})"));
     }
     match std::str::from_utf8(&frame[FRAME_PREFIX..]) {
-        Ok(text) => Ok(Frame {
-            epoch,
-            text: text.to_owned(),
-        }),
+        Ok(text) => Ok((u64::from_le_bytes(le(frame, 8)), text)),
         Err(_) => Err("frame payload is not UTF-8".to_owned()),
     }
 }
@@ -449,35 +471,17 @@ pub fn scan(path: &Path) -> io::Result<(u64, Vec<Frame>)> {
     Ok((scan.base_epoch, scan.frames))
 }
 
-/// fsyncs the directory containing `path`, making a just-renamed file's
-/// directory entry durable (Linux allows opening a directory read-only
-/// for exactly this).
-pub fn sync_dir(path: &Path) -> io::Result<()> {
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            File::open(dir)?.sync_all()?;
-        }
-    }
-    Ok(())
-}
-
 // ----------------------------------------------------------------------
 // The commit pipeline: a dedicated sync thread owns the Wal
 // ----------------------------------------------------------------------
 
-/// Runs a round's held-back acks once its durability point is reached
-/// (or once durability is knowingly abandoned — degraded mode acks too,
-/// exactly as PR 7's broken-WAL path did).
-pub(crate) type Release = Box<dyn FnOnce() + Send>;
-
-/// A test-only barrier hook (`TestHooks` in the crate root): called with
-/// the epoch about to be processed, *before* any byte reaches the file.
-pub(crate) type BarrierHook = Arc<dyn Fn(u64) + Send + Sync>;
+/// Runs a round's held-back acks with the round's outcome: `true` once
+/// its durability point is reached, `false` when durability was lost
+/// first — the acks then carry an `err`, never `ok`.
+pub(crate) type Release = Box<dyn FnOnce(bool) + Send>;
 
 /// What travels from the writer (and the snapshot thread) to the sync
-/// thread. One mpsc queue gives causal ordering for free: the
-/// `SnapshotStarted` marker a writer sends before dispatching a snapshot
-/// is dequeued before any commit the writer sends after it.
+/// thread, in one FIFO queue.
 pub(crate) enum Job {
     /// One committed round: append the frames at `epoch`, fsync per mode,
     /// then run `release` (the round's acks).
@@ -486,15 +490,8 @@ pub(crate) enum Job {
         frames: Vec<String>,
         release: Release,
     },
-    /// A background snapshot was just dispatched: start buffering every
-    /// later frame in memory so the rotation that follows the install can
-    /// carry them into the fresh log.
-    SnapshotStarted,
-    /// The snapshot failed; stop buffering (the log keeps growing, which
-    /// is safe — it still holds everything).
-    SnapshotAborted,
     /// A snapshot at `base_epoch` was installed: rewrite the log as
-    /// `header(base_epoch) + buffered tail`.
+    /// `header(base_epoch) + the frames past it`.
     Rotate { base_epoch: u64 },
     /// fsync now regardless of mode, then signal. Doubles as a barrier:
     /// when the signal comes back, every previously queued job has run.
@@ -505,8 +502,9 @@ pub(crate) enum Job {
 /// and joins the thread — which first drains every queued job, so an
 /// in-process stop loses nothing that was handed over.
 pub(crate) struct WalPipeline {
-    tx: Option<mpsc::Sender<Job>>,
+    tx: mpsc::Sender<Job>,
     handle: Option<JoinHandle<()>>,
+    tracker: Arc<DurTracker>,
 }
 
 impl WalPipeline {
@@ -519,54 +517,89 @@ impl WalPipeline {
         wal: Wal,
         mode: FsyncMode,
         tracker: Arc<DurTracker>,
-        hook: Option<BarrierHook>,
+        hook: Option<Hook>,
         hub: Option<Arc<crate::repl::ReplHub>>,
     ) -> io::Result<WalPipeline> {
         let (tx, rx) = mpsc::channel();
+        let thread_tracker = Arc::clone(&tracker);
         let handle = std::thread::Builder::new()
             .name("ivme-wal-sync".into())
-            .spawn(move || sync_loop(wal, mode, rx, tracker, hook, hub))?;
+            .spawn(move || sync_loop(wal, mode, rx, &thread_tracker, hook, hub))?;
         Ok(WalPipeline {
-            tx: Some(tx),
+            tx,
             handle: Some(handle),
+            tracker,
         })
     }
 
-    /// Enqueues a job; gives it back if the sync thread is gone (it
-    /// panicked or its queue closed) so the caller can degrade.
-    pub fn send(&self, job: Job) -> Result<(), Job> {
-        match self.tx.as_ref().expect("pipeline running").send(job) {
-            Ok(()) => Ok(()),
-            Err(mpsc::SendError(job)) => Err(job),
-        }
+    /// Whether durability is lost (see the module docs).
+    pub fn lost(&self) -> bool {
+        self.tracker.is_lost()
     }
 
-    /// A sender clone for the snapshot thread (`Rotate`/`SnapshotAborted`).
+    /// Advertises `epoch` as handed to the log — before the publish, so
+    /// any read against the new snapshot already sees it in `wal_epoch`.
+    pub fn begin(&self, epoch: u64) {
+        self.tracker.set_inflight(epoch);
+    }
+
+    /// Hands one committed round over. `false` when the sync thread is
+    /// gone: durability is lost from here on, and the round is released
+    /// as not durable.
+    pub fn commit(&self, epoch: u64, frames: Vec<String>, release: Release) -> bool {
+        let job = Job::Commit {
+            epoch,
+            frames,
+            release,
+        };
+        let Err(mpsc::SendError(job)) = self.tx.send(job) else {
+            return true;
+        };
+        eprintln!("ivme-server: the WAL sync thread is gone; durability lost — refusing writes");
+        self.tracker.set_lost();
+        if let Job::Commit { release, .. } = job {
+            release(false);
+        }
+        false
+    }
+
+    /// A sender clone for the snapshot thread's `Rotate`.
     pub fn sender(&self) -> mpsc::Sender<Job> {
-        self.tx.as_ref().expect("pipeline running").clone()
+        self.tx.clone()
     }
 
     /// Queues a `Flush` and waits for it: on return every job enqueued
     /// before this call has been processed and the log is fsynced.
     /// Returns `false` if the sync thread is gone.
     pub fn flush(&self) -> bool {
-        let (done_tx, done_rx) = mpsc::channel();
-        if self.send(Job::Flush { done: done_tx }).is_err() {
-            return false;
-        }
-        done_rx.recv().is_ok()
+        let (done, done_rx) = mpsc::channel();
+        self.tx.send(Job::Flush { done }).is_ok() && done_rx.recv().is_ok()
     }
 }
 
 impl Drop for WalPipeline {
     fn drop(&mut self) {
-        drop(self.tx.take());
+        // Close the queue by swapping in a dead sender; the thread drains
+        // what was handed over and exits (a panicked one yields an `Err`).
+        self.tx = mpsc::channel().0;
         if let Some(h) = self.handle.take() {
-            // The thread drains its queue before exiting; a panicked
-            // thread (fault injection) just yields an Err we ignore.
             let _ = h.join();
         }
     }
+}
+
+/// Runs one log operation under the failure rule: skipped once durability
+/// is lost, and an error loses it. `true` when `op` ran and succeeded.
+fn attempt(tracker: &DurTracker, what: &str, op: impl FnOnce() -> io::Result<()>) -> bool {
+    if tracker.is_lost() {
+        return false;
+    }
+    let res = op();
+    if let Err(e) = &res {
+        eprintln!("ivme-server: WAL {what} failed ({e}); durability lost — refusing writes");
+        tracker.set_lost();
+    }
+    res.is_ok()
 }
 
 /// The sync thread: sole owner of the [`Wal`] after boot.
@@ -574,13 +607,10 @@ fn sync_loop(
     mut wal: Wal,
     mode: FsyncMode,
     rx: mpsc::Receiver<Job>,
-    tracker: Arc<DurTracker>,
-    hook: Option<BarrierHook>,
+    tracker: &DurTracker,
+    hook: Option<Hook>,
     hub: Option<Arc<crate::repl::ReplHub>>,
 ) {
-    // Frames appended while a background snapshot is being serialized;
-    // `Rotate` carries them into the fresh log.
-    let mut tail: Option<Vec<(u64, String)>> = None;
     while let Ok(job) = rx.recv() {
         match job {
             Job::Commit {
@@ -588,72 +618,32 @@ fn sync_loop(
                 frames,
                 release,
             } => {
-                if tracker.is_broken() {
-                    release();
-                    continue;
-                }
-                if let Some(h) = &hook {
-                    h(epoch);
-                }
-                match append_round(&mut wal, mode, epoch, &frames) {
-                    Ok(()) => {
-                        // Fan the durable round out to followers — a
-                        // bounded `try_send` per follower, never a block:
-                        // a follower that cannot keep up is disconnected
-                        // here rather than allowed to stall commits.
-                        if let Some(h) = &hub {
-                            h.broadcast_round(epoch, &frames);
-                        }
-                        if let Some(t) = tail.as_mut() {
-                            t.extend(frames.into_iter().map(|f| (epoch, f)));
-                        }
-                        tracker.record_durable(epoch, wal.frames(), wal.last_fsync_us());
+                let durable = attempt(tracker, "append", || {
+                    if let Some(h) = &hook {
+                        h(epoch);
                     }
-                    Err(e) => {
-                        eprintln!(
-                            "ivme-server: WAL write failed ({e}); continuing WITHOUT durability — \
-                             commits from here on will not survive a crash"
-                        );
-                        tracker.set_broken();
+                    append_round(&mut wal, mode, epoch, &frames)
+                });
+                if durable {
+                    // Fan the durable round out to followers — a bounded
+                    // `try_send` per follower, never a block: a follower
+                    // that cannot keep up is disconnected here rather
+                    // than allowed to stall commits.
+                    if let Some(h) = &hub {
+                        h.broadcast_round(epoch, &frames);
                     }
+                    tracker.record_durable(epoch, wal.frames(), wal.last_fsync_us());
                 }
-                release();
+                release(durable);
             }
-            Job::SnapshotStarted => tail = Some(Vec::new()),
-            Job::SnapshotAborted => tail = None,
             Job::Rotate { base_epoch } => {
-                let keep = tail.take().unwrap_or_default();
-                if tracker.is_broken() {
-                    continue;
-                }
-                match wal.rotate(base_epoch, &keep) {
-                    Ok(()) => tracker.record_rotate(wal.frames()),
-                    Err(e) => {
-                        eprintln!(
-                            "ivme-server: WAL rotation failed ({e}); continuing WITHOUT \
-                             durability — the log can no longer rotate"
-                        );
-                        tracker.set_broken();
-                    }
+                if attempt(tracker, "rotation", || wal.rotate(base_epoch)) {
+                    tracker.record_rotate(wal.frames());
                 }
             }
             Job::Flush { done } => {
-                if !tracker.is_broken() {
-                    match wal.sync() {
-                        Ok(()) => {
-                            tracker.record_durable(
-                                wal.last_epoch(),
-                                wal.frames(),
-                                wal.last_fsync_us(),
-                            );
-                        }
-                        Err(e) => {
-                            eprintln!(
-                                "ivme-server: WAL fsync failed ({e}); continuing WITHOUT durability"
-                            );
-                            tracker.set_broken();
-                        }
-                    }
+                if attempt(tracker, "fsync", || wal.sync()) {
+                    tracker.record_durable(wal.last_epoch(), wal.frames(), wal.last_fsync_us());
                 }
                 let _ = done.send(());
             }
@@ -674,6 +664,7 @@ fn append_round(wal: &mut Wal, mode: FsyncMode, epoch: u64, frames: &[String]) -
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 
@@ -806,21 +797,24 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
-    #[test]
-    fn rotation_preserves_the_tail_committed_during_a_snapshot() {
-        let path = tmp("rotate_tail");
+    /// A synced log of one frame per epoch in `epochs`.
+    fn log_of(name: &str, epochs: std::ops::RangeInclusive<u64>) -> (PathBuf, Wal) {
+        let path = tmp(name);
         let mut w = Wal::create(&path, 0).unwrap();
-        // Frames 1..=5 are covered by a snapshot at epoch 5; frames 6 and
-        // 7 landed while the snapshot was being written and must survive.
-        for e in 1..=7u64 {
+        for e in epochs {
             w.append(e, &format!("insert R {e},{e}\n")).unwrap();
         }
         w.sync().unwrap();
-        let tail: Vec<(u64, String)> = (5..=7)
-            .map(|e| (e, format!("insert R {e},{e}\n")))
-            .collect();
-        // Epoch 5 in the tail is ≤ base and must be dropped, not doubled.
-        w.rotate(5, &tail).unwrap();
+        (path, w)
+    }
+
+    #[test]
+    fn rotation_preserves_the_tail_committed_during_a_snapshot() {
+        // Frames 1..=5 are covered by a snapshot at epoch 5; frames 6 and
+        // 7 landed while the snapshot was being written and must survive
+        // — read back from the log itself.
+        let (path, mut w) = log_of("rotate_tail", 1..=7);
+        w.rotate(5).unwrap();
         assert_eq!(w.base_epoch(), 5);
         assert_eq!(w.frames(), 2);
         assert_eq!(w.last_epoch(), 7);
@@ -833,6 +827,58 @@ mod tests {
         assert!(rec.truncated.is_none());
         let epochs: Vec<u64> = rec.frames.iter().map(|f| f.epoch).collect();
         assert_eq!(epochs, [6, 7, 8]);
+        assert_eq!(rec.frames[0].text, "insert R 6,6\n");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn rotation_past_the_last_epoch_leaves_an_empty_appendable_log() {
+        for base in [3u64, 9] {
+            let (path, mut w) = log_of(&format!("rotate_all_{base}"), 1..=3);
+            w.rotate(base).unwrap();
+            assert_eq!(
+                (w.base_epoch(), w.frames(), w.last_epoch()),
+                (base, 0, base)
+            );
+            assert_eq!(std::fs::metadata(&path).unwrap().len(), HEADER_LEN);
+            w.append(base + 1, "insert S 1\n").unwrap();
+            drop(w);
+            let (w, rec) = Wal::open(&path).unwrap();
+            assert_eq!(w.base_epoch(), base);
+            assert!(rec.truncated.is_none());
+            assert_eq!(rec.frames.len(), 1);
+            std::fs::remove_file(&path).unwrap();
+        }
+    }
+
+    #[test]
+    fn rotation_refuses_a_damaged_kept_suffix_and_leaves_the_log_untouched() {
+        let (path, mut w) = log_of("rotate_damage", 1..=4);
+        let clean = std::fs::read(&path).unwrap();
+        let frame_len = (clean.len() - HEADER_LEN as usize) / 4;
+        // One flipped payload bit in the frame of epoch `e`.
+        let flipped = |e: usize| {
+            let mut bytes = clean.clone();
+            bytes[HEADER_LEN as usize + (e - 1) * frame_len + FRAME_PREFIX + 3] ^= 0x10;
+            bytes
+        };
+        // In a kept frame, or with the final frame torn, rotating would
+        // lose an acked write: it fails, the file stays byte-identical.
+        for damaged in [flipped(3), clean[..clean.len() - 5].to_vec()] {
+            std::fs::write(&path, &damaged).unwrap();
+            assert!(w.rotate(2).is_err());
+            assert_eq!(std::fs::read(&path).unwrap(), damaged);
+            assert_eq!((w.base_epoch(), w.frames()), (0, 4));
+        }
+        // In a *covered* frame it does not matter: the snapshot holds
+        // that content and the frame is dropped anyway.
+        std::fs::write(&path, flipped(1)).unwrap();
+        w.rotate(2).unwrap();
+        drop(w);
+        let (_, rec) = Wal::open(&path).unwrap();
+        assert!(rec.truncated.is_none());
+        let epochs: Vec<u64> = rec.frames.iter().map(|f| f.epoch).collect();
+        assert_eq!(epochs, [3, 4]);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -866,20 +912,18 @@ mod tests {
         use std::sync::atomic::{AtomicU64, Ordering};
         let path = tmp("pipeline");
         let wal = Wal::create(&path, 0).unwrap();
-        let tracker = Arc::new(DurTracker::new(0, 0));
+        let tracker = Arc::new(DurTracker::new(0, 0, 0));
         let released = Arc::new(AtomicU64::new(0));
         let p =
             WalPipeline::start(wal, FsyncMode::Group, Arc::clone(&tracker), None, None).unwrap();
         for e in 1..=3u64 {
             let released = Arc::clone(&released);
-            p.send(Job::Commit {
-                epoch: e,
-                frames: vec![format!("insert R {e},{e}\n")],
-                release: Box::new(move || {
-                    released.fetch_add(1, Ordering::SeqCst);
-                }),
-            })
-            .unwrap_or_else(|_| panic!("sync thread gone"));
+            let frames = vec![format!("insert R {e},{e}\n")];
+            let release: Release = Box::new(move |durable| {
+                assert!(durable);
+                released.fetch_add(1, Ordering::SeqCst);
+            });
+            assert!(p.commit(e, frames, release), "sync thread gone");
         }
         assert!(p.flush(), "flush barrier");
         assert_eq!(released.load(Ordering::SeqCst), 3);

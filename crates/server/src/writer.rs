@@ -1,43 +1,35 @@
-//! The group-commit writer: sole owner of the mutable engine, publisher
-//! of every [`ServeSnapshot`].
+//! The group-commit writer: sole owner of the mutable engine.
 //!
 //! [`OwnedState`] is the single-owner state — a primary's writer thread
-//! owns one, and so does a replica's apply thread — and the two methods
-//! everything else goes through are [`OwnedState::serve_snapshot`] (the
-//! one place a snapshot is built for publishing) and
-//! [`OwnedState::apply_round`] (the one WAL replay step, in `recovery`).
-//! [`writer_loop`] drains the request channel into rounds;
-//! `process_round` applies, publishes, hands the round's frames and acks
-//! to the WAL pipeline, and dispatches background checkpoints.
+//! owns one, and so does a replica's apply thread; what it publishes goes
+//! through `Endpoint::publish` (`conn`) and what it replays through
+//! [`OwnedState::apply_round`] (`recovery`). [`writer_loop`] drains the
+//! request channel into rounds; `process_round` applies and publishes,
+//! then talks to the durability lane through three calls: `commit` hands
+//! the round's frames and held-back acks to the log, `checkpoint` hands a
+//! captured state to the snapshot thread, `flush` drains both at
+//! shutdown. One failure rule: once the log has failed
+//! (`WalPipeline::lost`), every write is refused before it touches the
+//! session — see [`crate::wal`].
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
-use std::sync::Arc;
 use std::time::Instant;
 
 use ivme_cli::proto;
 use ivme_cli::session::{AdminOp, Session, NOT_BUILT};
 use ivme_core::{DeltaBatch, EngineOptions, ShardedEngine};
 
-use crate::conn::{DurHandle, Endpoint, ReplRole, ServeSnapshot};
-use crate::publish::DurTracker;
+use crate::conn::Endpoint;
+use crate::publish::Status;
 use crate::snapshot::{SnapshotData, SnapshotWorker};
-use crate::wal::{self, WalPipeline};
-
-/// State shared by the [`Server`](crate::Server) handle and the writer.
-pub(crate) struct Shared {
-    /// The serving listener's half: the writer publishes into it and
-    /// closes it on clean shutdown.
-    pub(crate) endpoint: Arc<Endpoint>,
-    pub(crate) group_commits: AtomicU64,
-    pub(crate) grouped_batches: AtomicU64,
-    pub(crate) group_retries: AtomicU64,
-    pub(crate) snapshots_published: AtomicU64,
-}
+use crate::wal::WalPipeline;
 
 /// The writer thread's private, single-owner mutable state. Nothing else
 /// in the process can reach it — the rest of the server only ever sees
-/// the [`ServeSnapshot`]s it publishes.
+/// the snapshots it publishes.
+#[derive(Default)]
 pub(crate) struct OwnedState {
     /// The engine and its configuration, behind the interpreter the
     /// shell runs the same commands through.
@@ -46,148 +38,47 @@ pub(crate) struct OwnedState {
     pub(crate) epoch: u64,
     /// Durability machinery — `None` when serving memory-only.
     pub(crate) dur: Option<Durability>,
-    /// Replication role — `Some` on a `--repl-listen` primary and on a
-    /// replica; embedded in every published snapshot for `stats`.
-    repl: Option<ReplRole>,
 }
 
-/// The writer thread's handles into the durability pipeline. The open
-/// [`wal::Wal`] itself lives on the sync thread; the snapshot serializer lives
-/// on its own thread; the writer only dispatches jobs and reads the
-/// shared [`DurTracker`].
+/// The writer thread's handles into the durability lane. The open
+/// [`crate::wal::Wal`] itself lives on the sync thread; the snapshot serializer
+/// lives on its own thread; the writer only hands jobs over.
 pub(crate) struct Durability {
     /// Field order is drop order, and it matters: the snapshot worker
     /// holds a sender into the WAL queue (it may still emit a `Rotate`),
     /// so it must drain and join *before* the pipeline does.
     pub(crate) snap: SnapshotWorker,
     pub(crate) pipeline: WalPipeline,
-    /// Shared durability frontiers (inflight/durable epochs, broken flag).
-    pub(crate) tracker: Arc<DurTracker>,
     pub(crate) snapshot_every: u64,
-    /// Dirty rounds since the last snapshot (drives the cadence).
+    /// Rounds handed to the log since the last checkpoint was dispatched
+    /// (drives the cadence).
     pub(crate) rounds_since_snapshot: u64,
-    /// Distinct commit rounds replayed at boot (reported in `stats`).
-    pub(crate) recovered_groups: u64,
 }
 
 impl OwnedState {
-    pub(crate) fn new(repl: Option<ReplRole>) -> OwnedState {
-        OwnedState {
-            session: Session::default(),
-            epoch: 0,
-            dur: None,
-            repl,
-        }
-    }
-
-    /// Freezes the current state as the [`ServeSnapshot`] to publish at
-    /// `epoch` — the one place a snapshot is built: boot, every writer
-    /// round and the replica's apply thread all publish through it.
-    /// Readers sample the embedded durability and replication handles at
-    /// `stats` time.
-    pub(crate) fn serve_snapshot(&mut self, epoch: u64) -> ServeSnapshot {
-        ServeSnapshot {
-            read: self.session.read_view(epoch),
-            dur: self.dur.as_ref().map(|d| DurHandle {
-                tracker: Arc::clone(&d.tracker),
-                recovered_groups: d.recovered_groups,
-            }),
-            repl: self.repl.clone(),
-        }
-    }
-
-    /// Dispatches a background snapshot when the cadence says so. The
-    /// writer's only cost is capturing [`SnapshotData`] (a structured
-    /// clone — no serialization, no I/O); the `SnapshotStarted` marker
-    /// sent down the WAL queue *before* the snapshot job makes the sync
-    /// thread start buffering the tail frames the eventual rotation must
-    /// preserve. At most one snapshot is in flight at a time — the
-    /// cadence check just waits for the current one.
-    fn maybe_dispatch_snapshot(&mut self, serve: (u64, u64, u64)) {
-        let due = match self.dur.as_ref() {
-            None => false,
-            Some(d) => {
-                !d.tracker.is_broken()
-                    && !d.tracker.snapshot_in_progress()
-                    && d.snapshot_every > 0
-                    && d.rounds_since_snapshot >= d.snapshot_every
-            }
+    /// Hands a checkpoint of the current state to the snapshot thread.
+    /// The writer's only cost is capturing [`SnapshotData`] (a structured
+    /// clone — no serialization, no I/O). With `wait` (clean shutdown) it
+    /// returns once the install attempt — and, the queue being FIFO,
+    /// every earlier one — has finished.
+    fn checkpoint(&mut self, status: &Status, wait: bool) {
+        let Some(d) = self.dur.as_mut().filter(|d| !d.pipeline.lost()) else {
+            return;
         };
-        if !due {
-            return;
-        }
-        let data = self.snapshot_data(serve);
-        let d = self.dur.as_mut().unwrap();
-        d.tracker.begin_snapshot();
-        if d.pipeline.send(wal::Job::SnapshotStarted).is_err() {
-            d.tracker.end_snapshot();
-            d.tracker.set_broken();
-            eprintln!("ivme-server: WAL sync thread is gone; continuing WITHOUT durability");
-            return;
-        }
-        if !d.snap.submit(data, None) {
-            let _ = d.pipeline.send(wal::Job::SnapshotAborted);
-            d.tracker.end_snapshot();
-            d.tracker.set_broken();
-            eprintln!("ivme-server: snapshot thread is gone; continuing WITHOUT durability");
+        let data = snapshot_data(&self.session, self.epoch, status);
+        let (done, done_rx) = mpsc::channel();
+        if !d.snap.submit(data, wait.then_some(done)) {
+            eprintln!("ivme-server: warning: the snapshot thread is gone; no checkpoint taken");
             return;
         }
         d.rounds_since_snapshot = 0;
-    }
-
-    /// Clean-shutdown checkpoint: same dispatch as the background path,
-    /// but waits for the install and the rotation to land before
-    /// returning. Callers have already drained the snapshot and WAL
-    /// queues, so at most this one snapshot is in flight.
-    fn final_snapshot(&mut self, serve: (u64, u64, u64)) {
-        let due = self.dur.as_ref().is_some_and(|d| !d.tracker.is_broken());
-        if !due {
-            return;
-        }
-        let data = self.snapshot_data(serve);
-        let d = self.dur.as_mut().unwrap();
-        d.tracker.begin_snapshot();
-        let (done_tx, done_rx) = mpsc::channel();
-        if d.pipeline.send(wal::Job::SnapshotStarted).is_err()
-            || !d.snap.submit(data, Some(done_tx))
-        {
-            d.tracker.end_snapshot();
-            return;
-        }
-        let _ = done_rx.recv();
-        // The install queued a `Rotate`; flush so the rotation is on disk
-        // before the shutdown ack promises "final snapshot written".
-        d.pipeline.flush();
-        d.rounds_since_snapshot = 0;
-    }
-
-    /// Captures the full state (config, staged rows, engine base
-    /// relations, cumulative counters) as serializable [`SnapshotData`].
-    fn snapshot_data(&self, serve: (u64, u64, u64)) -> SnapshotData {
-        let s = &self.session;
-        let engine_stats = s.engine().map_or((0, 0, 0), |e| {
-            let st = e.stats();
-            (st.updates, st.batches, st.misroutes)
-        });
-        SnapshotData {
-            epoch: self.epoch,
-            engine_stats,
-            serve_stats: serve,
-            epsilon: s.options().epsilon,
-            mode: s.options().mode,
-            shards: s.shards(),
-            query: s.query().map(|q| q.to_string()),
-            built: s.is_built(),
-            staged: s.staged().clone(),
-            base: s
-                .engine()
-                .map(ShardedEngine::export_database)
-                .unwrap_or_default(),
+        if wait {
+            let _ = done_rx.recv();
         }
     }
 
     /// Rebuilds the writer state from a loaded snapshot — the inverse of
-    /// [`OwnedState::snapshot_data`], through [`Session::restore`].
+    /// [`snapshot_data`], through [`Session::restore`].
     pub(crate) fn restore(&mut self, snap: SnapshotData) -> Result<(), String> {
         let query = match &snap.query {
             None => None,
@@ -205,6 +96,31 @@ impl OwnedState {
         )?;
         self.epoch = snap.epoch;
         Ok(())
+    }
+}
+
+/// Captures the full state (config, staged rows, engine base relations,
+/// cumulative counters) as serializable [`SnapshotData`].
+fn snapshot_data(s: &Session, epoch: u64, status: &Status) -> SnapshotData {
+    let engine_stats = s.engine().map_or((0, 0, 0), |e| {
+        let st = e.stats();
+        (st.updates, st.batches, st.misroutes)
+    });
+    let c = status.serve_stats();
+    SnapshotData {
+        epoch,
+        engine_stats,
+        serve_stats: (c.group_commits, c.grouped_batches, c.group_retries),
+        epsilon: s.options().epsilon,
+        mode: s.options().mode,
+        shards: s.shards(),
+        query: s.query().map(|q| q.to_string()),
+        built: s.is_built(),
+        staged: s.staged().clone(),
+        base: s
+            .engine()
+            .map(ShardedEngine::export_database)
+            .unwrap_or_default(),
     }
 }
 
@@ -278,7 +194,13 @@ pub(crate) const QUEUE_DEPTH: usize = 128;
 /// Maximum client requests coalesced into one writer round.
 const GROUP_LIMIT: usize = 64;
 
-pub(crate) fn writer_loop(rx: Receiver<Request>, shared: Arc<Shared>, mut state: OwnedState) {
+/// What a write answers once durability is lost (see [`crate::wal`]):
+/// refused up front, or released by a log that could not make it durable.
+const LOST: &str =
+    "durability lost: the write-ahead log failed and nothing more can be made durable; \
+     restart the server";
+
+pub(crate) fn writer_loop(rx: Receiver<Request>, endpoint: &Endpoint, mut state: OwnedState) {
     while let Ok(first) = rx.recv() {
         let mut reqs = vec![first];
         while reqs.len() < GROUP_LIMIT {
@@ -287,7 +209,7 @@ pub(crate) fn writer_loop(rx: Receiver<Request>, shared: Arc<Shared>, mut state:
                 Err(_) => break,
             }
         }
-        let mut shutdown_acks = process_round(reqs, &mut state, &shared);
+        let mut shutdown_acks = process_round(reqs, &mut state, endpoint);
         if shutdown_acks.is_empty() {
             continue;
         }
@@ -299,23 +221,23 @@ pub(crate) fn writer_loop(rx: Receiver<Request>, shared: Arc<Shared>, mut state:
             rest.push(r);
         }
         if !rest.is_empty() {
-            shutdown_acks.extend(process_round(rest, &mut state, &shared));
+            shutdown_acks.extend(process_round(rest, &mut state, endpoint));
         }
-        if let Some(d) = state.dur.as_ref() {
-            // Drain the background lanes in dependency order: any
-            // in-flight snapshot installs (and queues its rotation), then
-            // the WAL queue processes every pending commit, the rotation,
-            // and a final fsync.
-            d.snap.barrier();
-            d.pipeline.flush();
-        }
-        state.final_snapshot(serve_counters(&shared));
-        shared.endpoint.close();
-        let msg = if state.dur.is_some() {
-            "shutting down: channel drained, WAL synced, final snapshot written\n"
-        } else {
-            "shutting down: channel drained (no data dir — nothing persisted)\n"
+        // Drain the background lanes in dependency order: the final
+        // checkpoint (behind any still in flight) installs and queues its
+        // rotation, then the WAL queue processes every pending commit,
+        // the rotations, and a final fsync.
+        state.checkpoint(&endpoint.status, true);
+        let persisted = state
+            .dur
+            .as_ref()
+            .map(|d| d.pipeline.flush() && !d.pipeline.lost());
+        let msg = match persisted {
+            None => "shutting down: channel drained (no data dir — nothing persisted)\n",
+            Some(true) => "shutting down: channel drained, WAL synced, final snapshot written\n",
+            Some(false) => "shutting down: durability was lost — no final snapshot\n",
         };
+        endpoint.close();
         for ack in shutdown_acks {
             let _ = ack.send(Ok(msg.to_owned()));
         }
@@ -330,31 +252,42 @@ pub(crate) fn writer_loop(rx: Receiver<Request>, shared: Arc<Shared>, mut state:
 
 /// One writer round: processes the drained requests in arrival order —
 /// maximal runs of consecutive batches become one group commit each,
-/// admin ops are serialization points between runs — then persists the
-/// round's WAL frames, publishes the new snapshot, and fans out the
-/// held-back acks. Shutdown requests found in the round are returned to
-/// the caller ([`writer_loop`] runs the shutdown sequence).
+/// admin ops are serialization points between runs — then publishes the
+/// new snapshot, hands the round's WAL frames to the log together with
+/// the held-back acks, and checks the checkpoint cadence. Shutdown
+/// requests found in the round are returned to the caller
+/// ([`writer_loop`] runs the shutdown sequence).
 fn process_round(
     reqs: Vec<Request>,
     state: &mut OwnedState,
-    shared: &Shared,
+    endpoint: &Endpoint,
 ) -> Vec<mpsc::Sender<Result<String, String>>> {
+    let status = &*endpoint.status;
     let mut acks: Vec<PendingAck> = Vec::with_capacity(reqs.len());
     let mut shutdown_acks = Vec::new();
-    let mut dirty = false;
+    // One WAL frame per committed unit; non-empty iff the round changed
+    // the state.
     let mut frames: Vec<String> = Vec::new();
     let mut run: Vec<(DeltaBatch, mpsc::Sender<WriteAck>)> = Vec::new();
+    // The failure rule: once the log has failed, every write is refused
+    // before it touches the session.
+    let lost = state.dur.as_ref().is_some_and(|d| d.pipeline.lost());
     for req in reqs {
         match req {
+            Request::Batch { ack, .. } if lost => {
+                acks.push(PendingAck::Write(ack, Err(LOST.to_owned())));
+            }
+            Request::Admin { ack, .. } if lost => {
+                acks.push(PendingAck::Admin(ack, Err(LOST.to_owned())));
+            }
             Request::Batch { batch, ack } => run.push((batch, ack)),
             Request::Admin { op, ack } => {
-                commit_run(&mut run, state, shared, &mut acks, &mut dirty, &mut frames);
+                commit_run(&mut run, state, status, &mut acks, &mut frames);
                 // Capture the replay text before `admin` consumes the op;
                 // it becomes a WAL frame only if the op succeeds.
                 let text = op.wal_text();
                 let res = state.session.admin(op);
                 if res.is_ok() {
-                    dirty = true;
                     frames.push(text);
                 }
                 acks.push(PendingAck::Admin(ack, res));
@@ -362,7 +295,7 @@ fn process_round(
             Request::Shutdown { ack } => shutdown_acks.push(ack),
         }
     }
-    commit_run(&mut run, state, shared, &mut acks, &mut dirty, &mut frames);
+    commit_run(&mut run, state, status, &mut acks, &mut frames);
     // Publish, then hand the round to the sync thread *with its acks* —
     // in that order. The publish before the hand-off is the
     // read-your-writes promise; the sync thread running the acks only
@@ -370,83 +303,56 @@ fn process_round(
     // to apply the next round while this one's fsync is in flight.
     // Rejected-only rounds publish (and log) nothing — readers cannot
     // tell a rejection happened.
-    if dirty {
+    if !frames.is_empty() {
         let epoch = state.epoch + 1;
-        let log = state
-            .dur
-            .as_ref()
-            .is_some_and(|d| !d.tracker.is_broken() && !frames.is_empty());
-        if log {
-            // Advertise the new inflight frontier before the publish so
-            // any read against the new snapshot already sees it.
-            state.dur.as_ref().unwrap().tracker.set_inflight(epoch);
+        if let Some(d) = &state.dur {
+            d.pipeline.begin(epoch);
         }
-        shared
-            .endpoint
-            .published
-            .publish(state.serve_snapshot(epoch));
+        endpoint.publish(state.session.read_view(epoch));
         state.epoch = epoch;
-        shared.snapshots_published.fetch_add(1, Ordering::Relaxed);
-        if log {
-            let d = state.dur.as_mut().unwrap();
+        status.snapshots_published.fetch_add(1, Ordering::Relaxed);
+        if let Some(d) = state.dur.as_mut() {
+            // Logged rounds ack from the sync thread, after their fsync.
             let pending = std::mem::take(&mut acks);
-            let release: wal::Release = Box::new(move || release_acks(pending));
-            match d.pipeline.send(wal::Job::Commit {
-                epoch,
-                frames: std::mem::take(&mut frames),
-                release,
-            }) {
-                Ok(()) => d.rounds_since_snapshot += 1,
-                Err(job) => {
-                    eprintln!(
-                        "ivme-server: WAL sync thread is gone; continuing WITHOUT durability"
-                    );
-                    d.tracker.set_broken();
-                    if let wal::Job::Commit { release, .. } = job {
-                        release();
-                    }
-                }
+            let release = Box::new(move |durable| release_acks(pending, durable));
+            if d.pipeline.commit(epoch, frames, release) {
+                d.rounds_since_snapshot += 1;
             }
         }
     }
-    // Rounds that logged nothing ack here; logged rounds ack from the
-    // sync thread after their fsync (`acks` is empty then).
-    release_acks(acks);
+    // What was not handed to the log acks here.
+    release_acks(acks, true);
     // Checkpoint cadence runs after the hand-off: the WAL queue already
     // holds everything a crash needs, so the snapshot is off the ack
-    // path — and off the writer thread entirely.
-    state.maybe_dispatch_snapshot(serve_counters(shared));
+    // path. One still in flight just postpones the next.
+    let due = |d: &Durability| {
+        d.snapshot_every > 0 && d.rounds_since_snapshot >= d.snapshot_every && !d.snap.busy()
+    };
+    if state.dur.as_ref().is_some_and(due) {
+        state.checkpoint(status, false);
+    }
     shutdown_acks
 }
 
-/// Fans a round's held-back acks out to their waiting clients.
-fn release_acks(acks: Vec<PendingAck>) {
+/// Fans a round's held-back acks out to their waiting clients. A round
+/// the log could not make `durable` answers [`LOST`] instead: it is
+/// published but unacked, which a crash may take.
+fn release_acks(acks: Vec<PendingAck>, durable: bool) {
+    fn send<T>(tx: mpsc::Sender<Result<T, String>>, res: Result<T, String>, durable: bool) {
+        let _ = tx.send(if durable { res } else { Err(LOST.to_owned()) });
+    }
     for ack in acks {
         match ack {
-            PendingAck::Write(tx, res) => {
-                let _ = tx.send(res);
-            }
-            PendingAck::Admin(tx, res) => {
-                let _ = tx.send(res);
-            }
+            PendingAck::Write(tx, res) => send(tx, res, durable),
+            PendingAck::Admin(tx, res) => send(tx, res, durable),
         }
     }
-}
-
-/// The serve-layer counters a snapshot persists.
-fn serve_counters(shared: &Shared) -> (u64, u64, u64) {
-    (
-        shared.group_commits.load(Ordering::Relaxed),
-        shared.grouped_batches.load(Ordering::Relaxed),
-        shared.group_retries.load(Ordering::Relaxed),
-    )
 }
 
 /// Applies one run of consecutive client batches as a single group
 /// commit (with per-member replay if the merged batch rejects), emptying
-/// `run`. Acks are deferred into `acks`; `dirty` is set if anything
-/// committed; each *committed unit* pushes its replay script into
-/// `frames` (one WAL frame per unit).
+/// `run`. Acks are deferred into `acks`; each *committed unit* pushes its
+/// replay script into `frames` (one WAL frame per unit).
 ///
 /// Frames record what *committed*, after the apply — not what was
 /// submitted. The distinction matters on the fallback path: a merged
@@ -458,9 +364,8 @@ fn serve_counters(shared: &Shared) -> (u64, u64, u64) {
 fn commit_run(
     run: &mut Vec<(DeltaBatch, mpsc::Sender<WriteAck>)>,
     state: &mut OwnedState,
-    shared: &Shared,
+    status: &Status,
     acks: &mut Vec<PendingAck>,
-    dirty: &mut bool,
     frames: &mut Vec<String>,
 ) {
     if run.is_empty() {
@@ -471,13 +376,11 @@ fn commit_run(
     fn apply_alone(
         batch: &DeltaBatch,
         state: &mut OwnedState,
-        dirty: &mut bool,
         frames: &mut Vec<String>,
     ) -> WriteAck {
         let t0 = Instant::now();
         state.session.apply(batch)?;
         let apply_micros = t0.elapsed().as_micros();
-        *dirty = true;
         frames.push(proto::batch_lines(batch));
         Ok(GroupInfo {
             group: 1,
@@ -491,18 +394,17 @@ fn commit_run(
         }
         return;
     }
-    shared.group_commits.fetch_add(1, Ordering::Relaxed);
-    shared
+    status.group_commits.fetch_add(1, Ordering::Relaxed);
+    status
         .grouped_batches
         .fetch_add(members.len() as u64, Ordering::Relaxed);
-    if members.len() == 1 {
-        let (batch, ack) = members.into_iter().next().unwrap();
-        acks.push(PendingAck::Write(
-            ack,
-            apply_alone(&batch, state, dirty, frames),
-        ));
-        return;
-    }
+    let members = match <[_; 1]>::try_from(members) {
+        Ok([(batch, ack)]) => {
+            acks.push(PendingAck::Write(ack, apply_alone(&batch, state, frames)));
+            return;
+        }
+        Err(members) => members,
+    };
     // Coalesce the whole run into one batch: one validation pass, one
     // maintenance round, one snapshot publish for the entire group.
     let mut merged = DeltaBatch::new();
@@ -514,7 +416,6 @@ fn commit_run(
     let t0 = Instant::now();
     match state.session.apply(&merged) {
         Ok(()) => {
-            *dirty = true;
             frames.push(proto::batch_lines(&merged));
             let info = GroupInfo {
                 group: members.len(),
@@ -529,12 +430,9 @@ fn commit_run(
             // mutated nothing (prepare/apply split), so replay the
             // members individually in arrival order — only offenders
             // see an error.
-            shared.group_retries.fetch_add(1, Ordering::Relaxed);
+            status.group_retries.fetch_add(1, Ordering::Relaxed);
             for (batch, ack) in members {
-                acks.push(PendingAck::Write(
-                    ack,
-                    apply_alone(&batch, state, dirty, frames),
-                ));
+                acks.push(PendingAck::Write(ack, apply_alone(&batch, state, frames)));
             }
         }
     }
