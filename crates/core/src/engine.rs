@@ -18,7 +18,9 @@ use ivme_query::{NotHierarchical, Query};
 use ivme_data::Value;
 
 use crate::database::Database;
-use crate::enumerate::{EnumNode, EnumScratch, ResultIter};
+use crate::enumerate::{
+    count_component, product_size, ComponentIter, EnumNode, EnumScratch, ResultIter,
+};
 use crate::runtime::Runtime;
 
 /// Engine construction options.
@@ -323,12 +325,15 @@ impl IvmEngine {
         self.enums.len()
     }
 
-    /// Enumerates the result of component `ci` alone: distinct tuples over
-    /// the component's free variables with their total multiplicities.
-    /// The building block of sharded enumeration — component results union
-    /// across shards, the full result is the product across components.
-    pub fn enumerate_component(&self, ci: usize) -> crate::enumerate::ComponentIter<'_> {
-        crate::enumerate::ComponentIter::new(&self.rt, &self.enums[ci], self.query.free.arity())
+    /// Drains component `ci`'s view trees as a **bag**: every `(tuple,
+    /// multiplicity)` occurrence over the component's free variables
+    /// exactly once, with no lookups — a tuple that several trees or heavy
+    /// buckets produce is emitted once per producer, and the consumer
+    /// sums. The building block of [`ShardedEngine`](crate::ShardedEngine)'s
+    /// freeze: occurrences sum across trees, buckets and shards, the full
+    /// result is the product across components.
+    pub fn drain_component(&self, ci: usize) -> ComponentIter<'_> {
+        ComponentIter::new(&self.rt, &self.enums[ci], self.query.free.arity())
     }
 
     /// Positions, within the query's free schema, of the variables emitted
@@ -387,15 +392,17 @@ impl IvmEngine {
     }
 
     /// Number of distinct result tuples: the product over components of
-    /// their distinct counts (component results are deduplicated by the
-    /// Union, so the cross-component product is never walked).
+    /// their distinct counts (each counted through the deduplicating
+    /// Union [`IvmEngine::enumerate`] runs, so the cross-component product
+    /// is never walked), saturating at `usize::MAX`.
     pub fn count_distinct(&self) -> usize {
-        if self.enums.is_empty() {
-            return 0;
-        }
-        (0..self.enums.len())
-            .map(|ci| self.enumerate_component(ci).count())
-            .product()
+        let mut buf = vec![Value::Int(0); self.query.free.arity()];
+        let mut scratch = EnumScratch::new();
+        product_size(
+            self.enums
+                .iter()
+                .map(|trees| count_component(&self.rt, trees, &mut buf, &mut scratch)),
+        )
     }
 
     // ------------------------------------------------------------------

@@ -18,6 +18,27 @@
 //! shared buffer indexed by the query's free schema, so tuples assemble
 //! without repeated re-projection.
 //!
+//! # The two consumers of a union
+//!
+//! A `Union` — over a component's trees, or over the heavy buckets of an
+//! indicator node — is opened in one of two forms, chosen by the caller of
+//! the whole enumeration and handed down as a plain argument:
+//!
+//! * **Deduplicating** ([`ResultIter`]: `IvmEngine::enumerate`,
+//!   `enumerate_page`, `count_distinct`). Fig. 15 as printed: `O(#parts)`
+//!   membership lookups per emitted tuple suppress duplicates *without
+//!   materializing* anything. At an indicator node `#parts` is the number
+//!   of heavy keys, at most `N^{1−ε}` — this is the paper's enumeration
+//!   delay (Prop. 22), and the bound this form keeps.
+//! * **Bag** ([`ComponentIter`]: `IvmEngine::drain_component`). The parts
+//!   are drained one after another and every occurrence is emitted; the
+//!   consumer ([`ShardedEngine::snapshot`](crate::ShardedEngine::snapshot))
+//!   is building a hash map of the result anyway, and its `+= m` is the
+//!   dedup. No lookup is ever made; the total is `O(Σ_i |T_i|)`, never
+//!   more than the `#parts · |distinct|` the lookups would have cost. This
+//!   form keeps no delay bound — between two *distinct* tuples it may emit
+//!   up to `#parts − 1` repeats — and needs none.
+//!
 //! # The zero-clone serving discipline
 //!
 //! The paper's constant-delay guarantee is only as good as the constant,
@@ -59,6 +80,9 @@ enum SVal {
 #[derive(Default)]
 pub struct EnumScratch {
     pool: Vec<Vec<Value>>,
+    /// `EnumNode::lookup` calls made with this scratch — the read path's
+    /// deterministic work count (`tests/paper_bounds.rs`).
+    lookups: u64,
 }
 
 impl EnumScratch {
@@ -285,6 +309,7 @@ impl EnumNode {
         seg: &[Value],
         scratch: &mut EnumScratch,
     ) -> i64 {
+        scratch.lookups += 1;
         match &self.kind {
             EnumKind::Covering => self.storage(rt).get(&self.assemble_s(ctx, seg)),
             EnumKind::Directory {
@@ -419,6 +444,8 @@ pub(crate) enum NodeIter<'e> {
         scan: Scan,
         cur: Option<&'e Tuple>,
         prod: Option<Product<'e>>,
+        /// Handed to the product opened per scanned tuple.
+        dedup: bool,
     },
     Buckets {
         node: &'e EnumNode,
@@ -427,7 +454,14 @@ pub(crate) enum NodeIter<'e> {
 }
 
 impl<'e> NodeIter<'e> {
-    pub(crate) fn open(node: &'e EnumNode, rt: &'e Runtime, ctx: &Tuple) -> NodeIter<'e> {
+    /// `dedup` picks the form of every union opened at or below this
+    /// node (see [`Union`]).
+    pub(crate) fn open(
+        node: &'e EnumNode,
+        rt: &'e Runtime,
+        ctx: &Tuple,
+        dedup: bool,
+    ) -> NodeIter<'e> {
         match &node.kind {
             EnumKind::Covering => NodeIter::Covering {
                 node,
@@ -438,6 +472,7 @@ impl<'e> NodeIter<'e> {
                 scan: Scan::open(node, ctx),
                 cur: None,
                 prod: None,
+                dedup,
             },
             EnumKind::Buckets {
                 ind,
@@ -471,13 +506,13 @@ impl<'e> NodeIter<'e> {
                 let parts: Vec<BucketPart<'e>> = hs
                     .into_iter()
                     .map(|h| {
-                        let prod = Product::open(children, rt, h);
+                        let prod = Product::open(children, rt, h, dedup);
                         BucketPart { node, h, prod }
                     })
                     .collect();
                 NodeIter::Buckets {
                     node,
-                    union: Union::new(parts, true),
+                    union: Union::new(parts, true, dedup),
                 }
             }
         }
@@ -537,6 +572,7 @@ impl<'e> NodeIter<'e> {
                 scan,
                 cur,
                 prod,
+                dedup,
             } => loop {
                 if cur.is_none() {
                     let (t, _m) = scan.next(node.storage(rt))?;
@@ -546,7 +582,7 @@ impl<'e> NodeIter<'e> {
                     let EnumKind::Directory { children, .. } = &node.kind else {
                         unreachable!()
                     };
-                    *prod = Some(Product::open(children, rt, t));
+                    *prod = Some(Product::open(children, rt, t, *dedup));
                     *cur = Some(t);
                 }
                 match prod.as_mut().unwrap().next(rt, buf, scratch) {
@@ -577,6 +613,8 @@ impl<'e> NodeIter<'e> {
 pub(crate) struct Product<'e> {
     children: &'e [EnumNode],
     ctx: &'e Tuple,
+    /// Remembered for the children the odometer re-opens.
+    dedup: bool,
     kids: Vec<NodeIter<'e>>,
     mults: Vec<i64>,
     primed: bool,
@@ -584,14 +622,20 @@ pub(crate) struct Product<'e> {
 }
 
 impl<'e> Product<'e> {
-    pub(crate) fn open(children: &'e [EnumNode], rt: &'e Runtime, ctx: &'e Tuple) -> Product<'e> {
+    pub(crate) fn open(
+        children: &'e [EnumNode],
+        rt: &'e Runtime,
+        ctx: &'e Tuple,
+        dedup: bool,
+    ) -> Product<'e> {
         let kids = children
             .iter()
-            .map(|c| NodeIter::open(c, rt, ctx))
+            .map(|c| NodeIter::open(c, rt, ctx, dedup))
             .collect();
         Product {
             children,
             ctx,
+            dedup,
             kids,
             mults: vec![0; children.len()],
             primed: false,
@@ -637,7 +681,7 @@ impl<'e> Product<'e> {
                 }
                 None => {
                     // Reset child i and move to its predecessor.
-                    self.kids[i] = NodeIter::open(&self.children[i], rt, self.ctx);
+                    self.kids[i] = NodeIter::open(&self.children[i], rt, self.ctx, self.dedup);
                     match self.kids[i].next(rt, buf, scratch) {
                         Some(m) => self.mults[i] = m,
                         None => {
@@ -730,13 +774,25 @@ impl<'e> UnionPart<'e> for BucketPart<'e> {
     }
 }
 
-/// The Union algorithm (Fig. 15, after Durand–Strozecki): enumerates the
-/// distinct tuples of `T_1 ∪ ... ∪ T_n` with their total multiplicity,
-/// with O(n) lookups per emitted tuple. The winning segment lives in the
-/// shared buffer; a union only keeps an owned copy (`last`, value copies —
-/// never a hashed `Tuple`) when an enclosing product may need to replay it.
+/// The union `T_1 ∪ ... ∪ T_n` of parts over the same output positions,
+/// in one of two forms fixed when it is opened:
+///
+/// * `dedup` — the Union algorithm (Fig. 15, after Durand–Strozecki):
+///   the distinct tuples with their total multiplicity, with O(n) lookups
+///   per emitted tuple.
+/// * bag — the parts drained one after another, every `(tuple,
+///   multiplicity)` occurrence exactly once and no lookup at all; a tuple
+///   living in `k` parts comes out `k` times and whoever consumes the
+///   stream sums.
+///
+/// The winning segment lives in the shared buffer; a union only keeps an
+/// owned copy (`last`, value copies — never a hashed `Tuple`) when an
+/// enclosing product may need to replay it.
 pub(crate) struct Union<P> {
     parts: Vec<P>,
+    dedup: bool,
+    /// Bag form: the part being drained.
+    at: usize,
     /// The parts' shared output positions (owned so candidate staging does
     /// not borrow `parts`).
     positions: Vec<usize>,
@@ -752,7 +808,7 @@ pub(crate) struct Union<P> {
 }
 
 impl<P> Union<P> {
-    pub(crate) fn new<'x>(parts: Vec<P>, track_last: bool) -> Union<P>
+    pub(crate) fn new<'x>(parts: Vec<P>, track_last: bool, dedup: bool) -> Union<P>
     where
         P: UnionPart<'x>,
     {
@@ -762,6 +818,8 @@ impl<P> Union<P> {
             .unwrap_or_default();
         Union {
             parts,
+            dedup,
+            at: 0,
             positions,
             cand: Vec::new(),
             last: Vec::new(),
@@ -778,6 +836,30 @@ impl<P> Union<P> {
         out.extend(positions.iter().map(|&p| buf[p].clone()));
     }
 
+    /// The bag form of [`Union::next`]: advance the current part, on
+    /// exhaustion move to the next.
+    fn next_bag<'e>(
+        &mut self,
+        rt: &'e Runtime,
+        buf: &mut [Value],
+        scratch: &mut EnumScratch,
+    ) -> Option<i64>
+    where
+        P: UnionPart<'e>,
+    {
+        while let Some(part) = self.parts.get_mut(self.at) {
+            if let Some(m) = part.next_seg(rt, buf, scratch) {
+                if self.track_last {
+                    Self::stage(&self.positions, buf, &mut self.last);
+                    self.has_last = true;
+                }
+                return Some(m);
+            }
+            self.at += 1;
+        }
+        None
+    }
+
     pub(crate) fn next<'e>(
         &mut self,
         rt: &'e Runtime,
@@ -787,6 +869,9 @@ impl<P> Union<P> {
     where
         P: UnionPart<'e>,
     {
+        if !self.dedup {
+            return self.next_bag(rt, buf, scratch);
+        }
         let n = self.parts.len();
         if n == 0 {
             return None;
@@ -881,33 +966,64 @@ impl<'e> UnionPart<'e> for TreePart<'e> {
     }
 }
 
-/// Opens the Union over one component's view trees. Trees whose root
+/// Opens the union over one component's view trees, in the form `dedup`
+/// picks (handed down to every union inside the trees). Trees whose root
 /// storage is empty contribute nothing to the union (and every lookup into
 /// them would return 0), so they are pruned up front — on unskewed data
 /// this collapses the union to the single live tree and the per-tuple
 /// cross-part lookups vanish entirely.
-fn open_component<'e>(rt: &'e Runtime, trees: &'e [EnumNode]) -> Union<TreePart<'e>> {
+fn open_component<'e>(rt: &'e Runtime, trees: &'e [EnumNode], dedup: bool) -> Union<TreePart<'e>> {
     Union::new(
         trees
             .iter()
             .filter(|node| !node.storage(rt).is_empty())
             .map(|node| TreePart {
                 node,
-                iter: NodeIter::open(node, rt, &Tuple::empty()),
+                iter: NodeIter::open(node, rt, &Tuple::empty(), dedup),
             })
             .collect(),
         false,
+        dedup,
     )
 }
 
-/// Iterator over the result of **one** connected component: the distinct
-/// tuples over the component's free variables (in free-schema order, see
-/// [`IvmEngine::component_out_positions`](crate::IvmEngine::component_out_positions))
-/// with their total multiplicities — the Union across the component's view
-/// trees, without the cross-component product. This is the unit a
-/// [`ShardedEngine`](crate::ShardedEngine) merges across shards: component
-/// results union over shards (summing multiplicities), while the full query
-/// result is the product over components of those unions.
+/// Number of distinct tuples in one component's result: one walk of its
+/// deduplicating union. `buf` (free-schema sized) is clobbered.
+pub(crate) fn count_component(
+    rt: &Runtime,
+    trees: &[EnumNode],
+    buf: &mut [Value],
+    scratch: &mut EnumScratch,
+) -> usize {
+    let mut u = open_component(rt, trees, true);
+    let mut n = 0usize;
+    while u.next(rt, buf, scratch).is_some() {
+        n += 1;
+    }
+    n
+}
+
+/// Size of the Cartesian product of components with the given result
+/// sizes — what `count` reports — saturating at `usize::MAX` (five
+/// components of 8,000 tuples already exceed it). No component at all is
+/// an empty result.
+pub(crate) fn product_size(sizes: impl IntoIterator<Item = usize>) -> usize {
+    sizes.into_iter().reduce(usize::saturating_mul).unwrap_or(0)
+}
+
+/// The **bag drain** of one connected component: every `(tuple,
+/// multiplicity)` occurrence in the component's view trees exactly once —
+/// trees one after another, at every indicator node the live heavy keys'
+/// products one after another — over the component's free variables (in
+/// free-schema order, see
+/// [`IvmEngine::component_out_positions`](crate::IvmEngine::component_out_positions)),
+/// without the cross-component product and without a single lookup. A
+/// tuple produced by `k` trees or heavy buckets is emitted `k` times;
+/// summing the multiplicities per tuple gives the component's result.
+/// This is the unit a [`ShardedEngine`](crate::ShardedEngine) merges
+/// across shards: its hash-merge sums over shards, trees and buckets in
+/// one pass, so the walk costs `O(Σ occurrences)` and carries no delay
+/// bound — the delay-bounded, deduplicating path is [`ResultIter`].
 pub struct ComponentIter<'e> {
     rt: &'e Runtime,
     union: Union<TreePart<'e>>,
@@ -921,11 +1037,16 @@ impl<'e> ComponentIter<'e> {
     pub(crate) fn new(rt: &'e Runtime, trees: &'e [EnumNode], free_arity: usize) -> Self {
         ComponentIter {
             rt,
-            union: open_component(rt, trees),
+            union: open_component(rt, trees, false),
             positions: trees[0].out_positions.clone(),
             buf: vec![Value::Int(0); free_arity],
             scratch: EnumScratch::new(),
         }
+    }
+
+    /// Lookups performed so far — always 0: the drain never looks up.
+    pub fn lookups(&self) -> u64 {
+        self.scratch.lookups
     }
 }
 
@@ -961,7 +1082,7 @@ impl<'e> ResultIter<'e> {
     pub(crate) fn new(rt: &'e Runtime, enums: &'e [Vec<EnumNode>], free_arity: usize) -> Self {
         let comps: Vec<Union<TreePart<'e>>> = enums
             .iter()
-            .map(|trees| open_component(rt, trees))
+            .map(|trees| open_component(rt, trees, true))
             .collect();
         let n = comps.len();
         ResultIter {
@@ -976,6 +1097,14 @@ impl<'e> ResultIter<'e> {
             emit_current: false,
             dead: false,
         }
+    }
+
+    /// Stateless tree lookups (`EnumNode::lookup` calls, the recursive
+    /// ones included) made so far by this iterator's unions — the work
+    /// the `O(N^{1−ε})` delay bound is about; 0 while every union has a
+    /// single live part.
+    pub fn lookups(&self) -> u64 {
+        self.scratch.lookups
     }
 
     /// Advances the underlying state by one result tuple (priming on the
@@ -1018,7 +1147,7 @@ impl<'e> ResultIter<'e> {
                     return true;
                 }
                 None => {
-                    self.comps[i] = open_component(self.rt, &self.enums[i]);
+                    self.comps[i] = open_component(self.rt, &self.enums[i], true);
                     match self.comps[i].next(self.rt, &mut self.buf, &mut self.scratch) {
                         Some(m) => self.comp_mults[i] = m,
                         None => {
@@ -1061,11 +1190,7 @@ impl<'e> ResultIter<'e> {
                 // Every more significant digit is 0 — no count needed.
                 break;
             }
-            let mut n = 0usize;
-            let mut u = open_component(self.rt, &self.enums[i]);
-            while u.next(self.rt, &mut self.buf, &mut self.scratch).is_some() {
-                n += 1;
-            }
+            let n = count_component(self.rt, &self.enums[i], &mut self.buf, &mut self.scratch);
             if n == 0 {
                 self.dead = true;
                 return false;
@@ -1115,5 +1240,49 @@ impl<'e> Iterator for ResultIter<'e> {
         // `buf` holds exactly the free variables in schema order; clone it
         // straight into the (inline up to INLINE_ARITY) representation.
         Some(self.current())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeMap;
+
+    use ivme_data::Tuple;
+
+    use crate::{Database, EngineOptions, IvmEngine};
+
+    /// The two forms of a `Union` over the same overlapping parts: at
+    /// ε = 0 every join value of the two-path is heavy, so the component is
+    /// one tree whose indicator node unions one part per `B` value, and
+    /// neighbouring parts share `(A, C)` pairs.
+    #[test]
+    fn bag_union_emits_every_occurrence_and_sums_to_the_dedup_union() {
+        let mut db = Database::new();
+        for b in 0..6i64 {
+            for k in 0..4i64 {
+                db.insert("R", Tuple::ints(&[b + k, b]), 1 + k % 2);
+                db.insert("S", Tuple::ints(&[b, b + k]), 1);
+            }
+        }
+        let eng = IvmEngine::from_sql("Q(A,C) :- R(A,B), S(B,C)", &db, EngineOptions::dynamic(0.0))
+            .unwrap();
+        assert_eq!((eng.heavy_keys(), eng.light_tuples()), (6, 0));
+
+        let mut drain = eng.drain_component(0);
+        let bag: Vec<(Tuple, i64)> = drain.by_ref().collect();
+        // Σ|T_i|: each part is a 4 × 4 product.
+        assert_eq!(bag.len(), 6 * 16);
+        assert_eq!(drain.lookups(), 0);
+        let mut summed: BTreeMap<Tuple, i64> = BTreeMap::new();
+        for (t, m) in bag {
+            *summed.entry(t).or_insert(0) += m;
+        }
+
+        let mut dedup = eng.enumerate();
+        let mut distinct: Vec<(Tuple, i64)> = dedup.by_ref().collect();
+        distinct.sort_unstable();
+        assert!(distinct.len() < 6 * 16, "the parts overlap");
+        assert!(dedup.lookups() > 0, "the Union algorithm pays lookups");
+        assert_eq!(summed.into_iter().collect::<Vec<_>>(), distinct);
     }
 }

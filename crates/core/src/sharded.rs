@@ -23,10 +23,18 @@
 //! * **Reads** go through one door: [`ShardedEngine::snapshot`] freezes
 //!   the result into a [`ShardedSnapshot`], and every read — enumerate,
 //!   count, lookup, page — is answered by that snapshot, never by the
-//!   engine. Freezing merges per shard and per component: a component's
-//!   result is the bag-union over shards (same tuple from two shards —
-//!   possible only when the root variable is projected away — has its
-//!   multiplicities summed), and the full result is the Cartesian product
+//!   engine. Freezing merges per component: a component's result is the
+//!   **bag-union over shards, view trees and heavy buckets** — every
+//!   shard's trees are drained as a bag
+//!   ([`IvmEngine::drain_component`]: each occurrence once, no lookups)
+//!   into one hash map whose `+= m` is the only dedup there is. The same
+//!   tuple arrives more than once when two shards hold it (possible only
+//!   when the root variable is projected away), when a light and a heavy
+//!   tree both produce it, or when several heavy keys do; the map sums.
+//!   That costs `O(Σ occurrences)` per touched component, and the paper's
+//!   Union algorithm — whose per-tuple lookups exist to dedup *without*
+//!   materializing — stays on the path that does not materialize,
+//!   [`IvmEngine::enumerate`]. The full result is the Cartesian product
 //!   over components of those merged unions. Merging per *component* (not
 //!   per shard result) is what keeps multi-component queries correct: a
 //!   product of unions is not a union of products. The cost of the one
@@ -62,6 +70,7 @@ use crate::database::Database;
 use crate::engine::{
     EngineError, EngineOptions, EngineStats, IvmEngine, PreparedBatch, UpdateError,
 };
+use crate::enumerate::product_size;
 
 /// Upper bound on the shard count. [`ShardedEngine::new`] spawns one
 /// scoped thread per shard, and the count reaches it from client commands
@@ -412,10 +421,18 @@ impl ShardedEngine {
     // Freezing: the one read door
     // ------------------------------------------------------------------
 
-    /// One component's merged (cross-shard) result, through its cache
-    /// slot: re-merged only when some shard's version for it moved since
-    /// the cached merge was built, otherwise a version compare plus an
-    /// `Arc` clone.
+    /// One component's merged result, through its cache slot: re-merged
+    /// only when some shard's version for it moved since the cached merge
+    /// was built, otherwise a version compare plus an `Arc` clone.
+    ///
+    /// The merge is a bag-union over shards, trees and heavy buckets:
+    /// every occurrence [`IvmEngine::drain_component`] emits is summed
+    /// into the map, `O(Σ occurrences)` with no tree lookup. The map must
+    /// grow from empty on every merge: the snapshot's enumeration order is
+    /// the map's iteration order, which depends on its capacity history,
+    /// and shell, primary and replica have to page identically
+    /// (`tests/serving_path.rs`) — so no pre-sizing from the previous
+    /// merge.
     fn merged_component(&mut self, ci: usize) -> Arc<MergedComponent> {
         let versions: Vec<u64> = self
             .shards
@@ -429,7 +446,7 @@ impl ShardedEngine {
         }
         let mut acc: FxHashMap<Tuple, i64> = FxHashMap::default();
         for shard in &self.shards {
-            for (t, m) in shard.enumerate_component(ci) {
+            for (t, m) in shard.drain_component(ci) {
                 *acc.entry(t).or_insert(0) += m;
             }
         }
@@ -454,11 +471,14 @@ impl ShardedEngine {
     /// [`ShardedSnapshot`] — the engine's only read door. The snapshot
     /// answers enumerate/count/multiplicity/page/result_sorted plus the
     /// stats the serving layer reports, without the engine and without
-    /// any locking. Built from the merge cache, so the cost is
-    /// `O(Σ changed |C_i|)`: components untouched since the last snapshot
-    /// are shared by `Arc` clone, not rebuilt, and a quiescent engine pays
-    /// `O(#components)`. Freezing is something only the engine's single
-    /// owner does, hence `&mut self`.
+    /// any locking. Built from the merge cache, so the cost is the bag
+    /// drain of the changed components, `O(Σ changed occurrences(C_i))` —
+    /// a tuple counts once per shard, tree and heavy key producing it:
+    /// components untouched since the last snapshot are shared by `Arc`
+    /// clone, not rebuilt, and a quiescent engine pays `O(#components)`.
+    /// Enumeration order within a component is the merge map's iteration
+    /// order. Freezing is something only the engine's single owner does,
+    /// hence `&mut self`.
     ///
     /// `epoch` is caller-assigned (the serving layer's publish counter,
     /// the shell's refresh counter); it is echoed by
@@ -587,12 +607,10 @@ impl ShardedSnapshot {
 
     /// Number of distinct result tuples in the frozen result: the product
     /// of the per-component distinct counts — the merged components are
-    /// already deduplicated, so the Cartesian product is never walked.
+    /// already deduplicated, so the Cartesian product is never walked —
+    /// saturating at `usize::MAX`.
     pub fn count_distinct(&self) -> usize {
-        if self.comps.is_empty() {
-            return 0;
-        }
-        self.comps.iter().map(|c| c.tuples.len()).product()
+        product_size(self.comps.iter().map(|c| c.tuples.len()))
     }
 
     /// Multiplicity of one fully-specified result tuple in the frozen
@@ -805,5 +823,35 @@ mod tests {
         assert_eq!(first.result_sorted(), before);
         assert_eq!(second.result_sorted(), before);
         assert_eq!(before.len() + 3, third.count_distinct());
+    }
+
+    /// 40,000 rows any client can load make a result of 8000⁵ ≈ 3.3·10¹⁹
+    /// tuples — more than `usize::MAX`. `count` saturates instead of
+    /// wrapping (release) or panicking (debug), and a page deep inside
+    /// the product is still served.
+    #[test]
+    fn count_saturates_when_the_product_of_components_overflows() {
+        let mut db = Database::new();
+        for rel in ["R", "S", "T", "U", "V"] {
+            for i in 0..8_000 {
+                db.insert(rel, Tuple::ints(&[i]), 1);
+            }
+        }
+        let src = "Q(A,B,C,D,E) :- R(A), S(B), T(C), U(D), V(E)";
+        let opts = EngineOptions::dynamic(0.5);
+        let plain = IvmEngine::from_sql(src, &db, opts).unwrap();
+        assert_eq!(plain.count_distinct(), usize::MAX);
+        let snap = ShardedEngine::from_sql(src, &db, opts, 2)
+            .unwrap()
+            .snapshot(0);
+        assert_eq!(snap.count_distinct(), usize::MAX);
+
+        let deep = usize::MAX / 2 + 12_345;
+        let page = snap.enumerate_page(deep, 3);
+        assert_eq!(page.len(), 3);
+        for (t, m) in &page {
+            assert_eq!((plain.multiplicity(t), *m), (1, 1));
+        }
+        assert_eq!(plain.enumerate_page(deep, 3).len(), 3);
     }
 }

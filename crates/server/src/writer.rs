@@ -265,9 +265,10 @@ fn process_round(
     let status = &*endpoint.status;
     let mut acks: Vec<PendingAck> = Vec::with_capacity(reqs.len());
     let mut shutdown_acks = Vec::new();
-    // One WAL frame per committed unit; non-empty iff the round changed
-    // the state.
-    let mut frames: Vec<String> = Vec::new();
+    let mut round = Round {
+        changed: false,
+        frames: state.dur.is_some().then(Vec::new),
+    };
     let mut run: Vec<(DeltaBatch, mpsc::Sender<WriteAck>)> = Vec::new();
     // The failure rule: once the log has failed, every write is refused
     // before it touches the session.
@@ -282,20 +283,21 @@ fn process_round(
             }
             Request::Batch { batch, ack } => run.push((batch, ack)),
             Request::Admin { op, ack } => {
-                commit_run(&mut run, state, status, &mut acks, &mut frames);
-                // Capture the replay text before `admin` consumes the op;
-                // it becomes a WAL frame only if the op succeeds.
-                let text = op.wal_text();
+                commit_run(&mut run, state, status, &mut acks, &mut round);
+                // Capture the replay text before `admin` consumes the op
+                // (`Some` exactly when `committed` will ask for it); it
+                // becomes a WAL frame only if the op succeeds.
+                let text = round.frames.is_some().then(|| op.wal_text());
                 let res = state.session.admin(op);
                 if res.is_ok() {
-                    frames.push(text);
+                    round.committed(|| text.unwrap_or_default());
                 }
                 acks.push(PendingAck::Admin(ack, res));
             }
             Request::Shutdown { ack } => shutdown_acks.push(ack),
         }
     }
-    commit_run(&mut run, state, status, &mut acks, &mut frames);
+    commit_run(&mut run, state, status, &mut acks, &mut round);
     // Publish, then hand the round to the sync thread *with its acks* —
     // in that order. The publish before the hand-off is the
     // read-your-writes promise; the sync thread running the acks only
@@ -303,7 +305,7 @@ fn process_round(
     // to apply the next round while this one's fsync is in flight.
     // Rejected-only rounds publish (and log) nothing — readers cannot
     // tell a rejection happened.
-    if !frames.is_empty() {
+    if round.changed {
         let epoch = state.epoch + 1;
         if let Some(d) = &state.dur {
             d.pipeline.begin(epoch);
@@ -311,7 +313,7 @@ fn process_round(
         endpoint.publish(state.session.read_view(epoch));
         state.epoch = epoch;
         status.snapshots_published.fetch_add(1, Ordering::Relaxed);
-        if let Some(d) = state.dur.as_mut() {
+        if let (Some(d), Some(frames)) = (state.dur.as_mut(), round.frames) {
             // Logged rounds ack from the sync thread, after their fsync.
             let pending = std::mem::take(&mut acks);
             let release = Box::new(move |durable| release_acks(pending, durable));
@@ -334,6 +336,26 @@ fn process_round(
     shutdown_acks
 }
 
+/// What a writer round has committed so far.
+struct Round {
+    /// Whether any unit committed, i.e. the round changed the state.
+    changed: bool,
+    /// One WAL frame per committed unit. `None` on a memory-only server:
+    /// without a log nobody reads the text, so none is rendered.
+    frames: Option<Vec<String>>,
+}
+
+impl Round {
+    /// Records one committed unit, rendering its replay `text` only for a
+    /// log.
+    fn committed(&mut self, text: impl FnOnce() -> String) {
+        self.changed = true;
+        if let Some(frames) = &mut self.frames {
+            frames.push(text());
+        }
+    }
+}
+
 /// Fans a round's held-back acks out to their waiting clients. A round
 /// the log could not make `durable` answers [`LOST`] instead: it is
 /// published but unacked, which a crash may take.
@@ -351,8 +373,8 @@ fn release_acks(acks: Vec<PendingAck>, durable: bool) {
 
 /// Applies one run of consecutive client batches as a single group
 /// commit (with per-member replay if the merged batch rejects), emptying
-/// `run`. Acks are deferred into `acks`; each *committed unit* pushes its
-/// replay script into `frames` (one WAL frame per unit).
+/// `run`. Acks are deferred into `acks`; each *committed unit* is recorded
+/// in `round` with its replay script (one WAL frame per unit).
 ///
 /// Frames record what *committed*, after the apply — not what was
 /// submitted. The distinction matters on the fallback path: a merged
@@ -366,22 +388,18 @@ fn commit_run(
     state: &mut OwnedState,
     status: &Status,
     acks: &mut Vec<PendingAck>,
-    frames: &mut Vec<String>,
+    round: &mut Round,
 ) {
     if run.is_empty() {
         return;
     }
     /// One batch as its own committed unit: a run of one, or a member of
     /// a poisoned group.
-    fn apply_alone(
-        batch: &DeltaBatch,
-        state: &mut OwnedState,
-        frames: &mut Vec<String>,
-    ) -> WriteAck {
+    fn apply_alone(batch: &DeltaBatch, state: &mut OwnedState, round: &mut Round) -> WriteAck {
         let t0 = Instant::now();
         state.session.apply(batch)?;
         let apply_micros = t0.elapsed().as_micros();
-        frames.push(proto::batch_lines(batch));
+        round.committed(|| proto::batch_lines(batch));
         Ok(GroupInfo {
             group: 1,
             apply_micros,
@@ -400,7 +418,7 @@ fn commit_run(
         .fetch_add(members.len() as u64, Ordering::Relaxed);
     let members = match <[_; 1]>::try_from(members) {
         Ok([(batch, ack)]) => {
-            acks.push(PendingAck::Write(ack, apply_alone(&batch, state, frames)));
+            acks.push(PendingAck::Write(ack, apply_alone(&batch, state, round)));
             return;
         }
         Err(members) => members,
@@ -416,7 +434,7 @@ fn commit_run(
     let t0 = Instant::now();
     match state.session.apply(&merged) {
         Ok(()) => {
-            frames.push(proto::batch_lines(&merged));
+            round.committed(|| proto::batch_lines(&merged));
             let info = GroupInfo {
                 group: members.len(),
                 apply_micros: t0.elapsed().as_micros(),
@@ -432,7 +450,7 @@ fn commit_run(
             // see an error.
             status.group_retries.fetch_add(1, Ordering::Relaxed);
             for (batch, ack) in members {
-                acks.push(PendingAck::Write(ack, apply_alone(&batch, state, frames)));
+                acks.push(PendingAck::Write(ack, apply_alone(&batch, state, round)));
             }
         }
     }

@@ -10,13 +10,74 @@
 //! loop full enumerations and point lookups (`multiplicity`) so a profiler
 //! sees where steady-state read time goes (`cargo run --release
 //! --example profile_omv -- --read`).
+//!
+//! `--publish [eps] [shards]` mode (default ½ and 1): what a commit costs
+//! after the apply — a Zipf-skewed two-path with a result the size of the
+//! ledger's (480 rows per relation plus the stream, ~22k tuples), a
+//! seeded stream of 64-update batches applied forward and then retracted
+//! in reverse through `ShardedEngine::apply_delta_batch`, and a
+//! `snapshot()` after every batch. Prints apply and snapshot µs/round,
+//! tuples/round and the heavy keys, so a change to the publish path is
+//! iterated in seconds.
 
-use ivme_core::{Database, EngineOptions, IvmEngine};
+use std::time::{Duration, Instant};
+
+use ivme_core::{Database, DeltaBatch, EngineOptions, IvmEngine, ShardedEngine};
 use ivme_data::Tuple;
-use ivme_workload::OmvInstance;
+use ivme_workload::{chunk_stream, two_path_db, update_stream, OmvInstance};
+
+/// The `--publish` loop.
+fn publish(eps: f64, shards: usize) {
+    let db = two_path_db(480, 240, 1.0, 7);
+    let opts = EngineOptions::dynamic(eps);
+    let mut eng = ShardedEngine::from_sql("Q(A,C) :- R(A,B), S(B,C)", &db, opts, shards).unwrap();
+    let ops = update_stream(64 * 64, &[("R", 2), ("S", 2)], 240, 1.0, 0.25, 11);
+    let forward = chunk_stream(&ops, 64);
+    let retract = forward.iter().rev().map(|b| {
+        let mut inv = DeltaBatch::new();
+        for rel in b.relations() {
+            inv.extend_relation(rel, b.deltas(rel).map(|(t, d)| (t.clone(), -d)));
+        }
+        inv
+    });
+    let palindrome: Vec<DeltaBatch> = forward.iter().cloned().chain(retract).collect();
+    let (mut t_apply, mut t_snap) = (Duration::ZERO, Duration::ZERO);
+    let (mut rounds, mut tuples, mut heavy) = (0u64, 0usize, 0usize);
+    for _ in 0..3 {
+        for batch in &palindrome {
+            let t0 = Instant::now();
+            eng.apply_delta_batch(batch).unwrap();
+            t_apply += t0.elapsed();
+            rounds += 1;
+            let t0 = Instant::now();
+            let snap = eng.snapshot(rounds);
+            t_snap += t0.elapsed();
+            tuples += snap.count_distinct();
+            heavy += (0..eng.num_shards())
+                .map(|s| eng.shard(s).heavy_keys())
+                .sum::<usize>();
+        }
+    }
+    let per_round = |d: Duration| d.as_secs_f64() * 1e6 / rounds as f64;
+    println!(
+        "eps {eps}, {} shard(s), {rounds} rounds of 64 updates: apply {:.0} us/round, \
+         snapshot {:.0} us/round, {} tuples/round, {} heavy keys",
+        eng.num_shards(),
+        per_round(t_apply),
+        per_round(t_snap),
+        tuples / rounds as usize,
+        heavy / rounds as usize,
+    );
+}
 
 fn main() {
-    let read_mode = std::env::args().any(|a| a == "--read");
+    let args: Vec<String> = std::env::args().collect();
+    if let Some(i) = args.iter().position(|a| a == "--publish") {
+        let eps = args.get(i + 1).map_or(0.5, |a| a.parse().expect("eps"));
+        let shards = args.get(i + 2).map_or(1, |a| a.parse().expect("shards"));
+        return publish(eps, shards);
+    }
+    let read_mode = args.iter().any(|a| a == "--read");
     let inst = OmvInstance::sparse_acceptance(1000);
     let mut db = Database::new();
     for t in inst.matrix_tuples() {

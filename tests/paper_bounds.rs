@@ -1,7 +1,7 @@
 //! The paper's asymptotic bounds as deterministic gates: counts of stored
-//! tuples fitted over a small `N` grid, no wall clock, so they arm on any
-//! machine. (ROADMAP item 3 adds the work counters — touches per update
-//! and per `next()` — that the time bounds need.)
+//! tuples fitted over a small `N` grid and counts of enumeration lookups,
+//! no wall clock, so they arm on any machine. (ROADMAP item 3 adds the
+//! update-side work counters the update-time bound needs.)
 
 use ivme_bench::loglog_slope;
 use ivme_core::{EngineOptions, IvmEngine};
@@ -38,4 +38,51 @@ fn aux_space_and_heavy_keys_stay_within_the_papers_space_bound() {
             "eps {eps}: aux space grows as N^{slope:.2}, bound N^{bound}: {points:?}"
         );
     }
+}
+
+/// Delay. The enumeration delay `O(N^{1−ε})` (Prop. 22) is the Union
+/// algorithm's lookups: per emitted tuple, one membership probe per other
+/// part, and an indicator node has one part per heavy key. Counted, not
+/// timed, on the Zipf-skewed two-path: every `next()` of
+/// `IvmEngine::enumerate` costs at least one and at most `C · heavy_keys()`
+/// stateless tree lookups while there are heavy keys (measured: at most
+/// 6.5 per heavy key for `N` up to `2^13`), none at ε = 1 where the single
+/// tree is fully materialized, and fewer in total as ε grows. The bag
+/// drain behind `ShardedEngine::snapshot` needs no delay bound and pays
+/// no lookup at any ε — it emits the duplicates instead.
+#[test]
+fn enumeration_lookups_per_tuple_follow_the_heavy_keys_and_the_drain_makes_none() {
+    const C: u64 = 8;
+    let n = 1usize << 10;
+    let db = two_path_db(n / 2, n / 8, 1.0, 7);
+    let mut totals = Vec::new();
+    for eps in [0.0, 0.5, 1.0] {
+        let opts = EngineOptions::dynamic(eps);
+        let eng = IvmEngine::from_sql("Q(A,C) :- R(A,B), S(B,C)", &db, opts).unwrap();
+        let heavy = eng.heavy_keys() as u64;
+        assert_eq!(heavy > 0, eps < 1.0, "eps {eps}: the instance is skewed");
+
+        let mut it = eng.enumerate();
+        let (mut emitted, mut before) = (0usize, 0u64);
+        while it.next().is_some() {
+            let step = it.lookups() - before;
+            before = it.lookups();
+            emitted += 1;
+            assert!(
+                step <= C * heavy && (heavy == 0 || step >= 1),
+                "eps {eps}: {step} lookups for tuple {emitted}, {heavy} heavy keys"
+            );
+        }
+        totals.push(it.lookups());
+
+        let mut drain = eng.drain_component(0);
+        let occurrences = drain.by_ref().count();
+        assert!(occurrences >= emitted, "eps {eps}: the drain skips nothing");
+        assert_eq!(occurrences > emitted, heavy > 0, "eps {eps}: duplicates");
+        assert_eq!(drain.lookups(), 0, "eps {eps}: the drain never looks up");
+    }
+    assert!(
+        totals[0] > totals[1] && totals[1] > totals[2] && totals[2] == 0,
+        "total lookups must fall as ε grows: {totals:?}"
+    );
 }
