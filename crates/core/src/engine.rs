@@ -19,7 +19,7 @@ use ivme_data::Value;
 
 use crate::database::Database;
 use crate::enumerate::{
-    count_component, product_size, ComponentIter, EnumNode, EnumScratch, ResultIter,
+    count_component, drain_component, product_size, EnumNode, EnumScratch, ResultIter,
 };
 use crate::runtime::Runtime;
 
@@ -325,15 +325,16 @@ impl IvmEngine {
         self.enums.len()
     }
 
-    /// Drains component `ci`'s view trees as a **bag**: every `(tuple,
-    /// multiplicity)` occurrence over the component's free variables
-    /// exactly once, with no lookups — a tuple that several trees or heavy
-    /// buckets produce is emitted once per producer, and the consumer
-    /// sums. The building block of [`ShardedEngine`](crate::ShardedEngine)'s
-    /// freeze: occurrences sum across trees, buckets and shards, the full
-    /// result is the product across components.
-    pub fn drain_component(&self, ci: usize) -> ComponentIter<'_> {
-        ComponentIter::new(&self.rt, &self.enums[ci], self.query.free.arity())
+    /// Pushes every `(tuple, multiplicity)` occurrence in component `ci`'s
+    /// view trees into `sink`, each exactly once and with no lookups — a
+    /// tuple that several trees or heavy buckets produce arrives once per
+    /// producer, and the sink sums. A bag, never a result: the building
+    /// block of [`ShardedEngine`](crate::ShardedEngine)'s freeze, where
+    /// occurrences sum across trees, buckets and shards and the full
+    /// result is the product across components. The order of occurrences
+    /// is a function of the engine's apply history alone.
+    pub fn drain_component(&self, ci: usize, sink: impl FnMut(Tuple, i64)) {
+        drain_component(&self.rt, &self.enums[ci], self.query.free.arity(), sink)
     }
 
     /// Positions, within the query's free schema, of the variables emitted

@@ -18,26 +18,28 @@
 //! shared buffer indexed by the query's free schema, so tuples assemble
 //! without repeated re-projection.
 //!
-//! # The two consumers of a union
+//! # One union form, and a separate push drain
 //!
 //! A `Union` — over a component's trees, or over the heavy buckets of an
-//! indicator node — is opened in one of two forms, chosen by the caller of
-//! the whole enumeration and handed down as a plain argument:
+//! indicator node — has one form, Fig. 15 as printed: `O(#parts)`
+//! membership lookups per emitted tuple suppress duplicates *without
+//! materializing* anything. At an indicator node `#parts` is the number of
+//! heavy keys, at most `N^{1−ε}` — this is the paper's enumeration delay
+//! (Prop. 22), and the bound [`ResultIter`] (`IvmEngine::enumerate`,
+//! `enumerate_page`, `count_distinct`) keeps.
 //!
-//! * **Deduplicating** ([`ResultIter`]: `IvmEngine::enumerate`,
-//!   `enumerate_page`, `count_distinct`). Fig. 15 as printed: `O(#parts)`
-//!   membership lookups per emitted tuple suppress duplicates *without
-//!   materializing* anything. At an indicator node `#parts` is the number
-//!   of heavy keys, at most `N^{1−ε}` — this is the paper's enumeration
-//!   delay (Prop. 22), and the bound this form keeps.
-//! * **Bag** ([`ComponentIter`]: `IvmEngine::drain_component`). The parts
-//!   are drained one after another and every occurrence is emitted; the
-//!   consumer ([`ShardedEngine::snapshot`](crate::ShardedEngine::snapshot))
-//!   is building a hash map of the result anyway, and its `+= m` is the
-//!   dedup. No lookup is ever made; the total is `O(Σ_i |T_i|)`, never
-//!   more than the `#parts · |distinct|` the lookups would have cost. This
-//!   form keeps no delay bound — between two *distinct* tuples it may emit
-//!   up to `#parts − 1` repeats — and needs none.
+//! The one consumer that materializes the result anyway
+//! ([`ShardedEngine::snapshot`](crate::ShardedEngine::snapshot)) does not
+//! go through the iterators at all. `EnumNode::drain_each` is the same
+//! trees walked as plain nested loops (Fig. 16 written as recursion) that
+//! *push* every `(tuple, multiplicity)` occurrence into a sink: trees one
+//! after another, at an indicator node the live heavy keys' products one
+//! after another. A tuple living in `k` trees or buckets comes out `k`
+//! times and the sink sums; the total is `O(Σ_i |T_i|)`, never more than
+//! the `#parts · |distinct|` the lookups would have cost. It keeps no
+//! delay bound and needs none, and it takes no [`EnumScratch`] — the only
+//! way to reach `EnumNode::lookup` — so "the drain never looks up" holds
+//! by signature.
 //!
 //! # The zero-clone serving discipline
 //!
@@ -377,6 +379,114 @@ impl EnumNode {
             }
         }
     }
+
+    /// The push drain: every `(values, multiplicity)` occurrence of this
+    /// subtree under `ctx`, each exactly once, as nested loops — Covering:
+    /// scan and emit; Directory: scan, then the children's product under
+    /// the scanned tuple; Buckets: for each live heavy key in context, the
+    /// children's product under it. The subtree's variables are bound in
+    /// `buf` when `sink` runs (it is handed `buf` back); nothing is
+    /// replayed, because a loop level only ever writes its own positions.
+    /// The order is storage order at every level: first child outermost,
+    /// heavy keys as the indicator relation lists them.
+    pub(crate) fn drain_each(
+        &self,
+        rt: &Runtime,
+        ctx: &Tuple,
+        buf: &mut [Value],
+        sink: &mut dyn FnMut(&mut [Value], i64),
+    ) {
+        let key = ctx.project(&self.ctx_pos_in_parent);
+        let bind = |t: &Tuple, buf: &mut [Value]| {
+            for &(sp, bp) in &self.own_emit {
+                buf[bp] = t.get(sp).clone();
+            }
+        };
+        match &self.kind {
+            EnumKind::Covering => scan_each(self.storage(rt), self.ctx_index, &key, |t, m| {
+                bind(t, buf);
+                sink(buf, m)
+            }),
+            EnumKind::Directory { children, .. } => {
+                scan_each(self.storage(rt), self.ctx_index, &key, |t, _| {
+                    bind(t, buf);
+                    drain_product(children, rt, t, buf, 1, sink)
+                })
+            }
+            EnumKind::Buckets {
+                ind,
+                h_ctx_index,
+                children,
+                ..
+            } => {
+                let v_rel = self.storage(rt);
+                scan_each(&rt.rels[rt.heavy_rel[*ind]], *h_ctx_index, &key, |h, _| {
+                    if v_rel.get(h) != 0 {
+                        drain_product(children, rt, h, buf, 1, sink)
+                    }
+                })
+            }
+        }
+    }
+}
+
+/// Visits `rel`'s group under `key` in `index`, or all of `rel` when there
+/// is no index, in storage order.
+fn scan_each(
+    rel: &Relation,
+    index: Option<IndexId>,
+    key: &Tuple,
+    mut each: impl FnMut(&Tuple, i64),
+) {
+    match index {
+        Some(ix) => rel.group_iter(ix, key).for_each(|(t, m)| each(t, m)),
+        None => rel.iter().for_each(|(t, m)| each(t, m)),
+    }
+}
+
+/// The product of `children` under the shared context `ctx` as recursion
+/// (Fig. 16 without the odometer): the first child's occurrences are the
+/// outer loop, the rest run inside each of them, and `sink` sees the
+/// running multiplicity `mult · Π m_i` once every child has bound its
+/// variables.
+fn drain_product(
+    children: &[EnumNode],
+    rt: &Runtime,
+    ctx: &Tuple,
+    buf: &mut [Value],
+    mult: i64,
+    sink: &mut dyn FnMut(&mut [Value], i64),
+) {
+    match children.split_first() {
+        None => sink(buf, mult),
+        Some((first, rest)) => first.drain_each(rt, ctx, buf, &mut |buf, m| {
+            drain_product(rest, rt, ctx, buf, mult * m, sink)
+        }),
+    }
+}
+
+/// The push drain of one connected component: every `(tuple,
+/// multiplicity)` occurrence in `trees` exactly once — trees one after
+/// another, at every indicator node the live heavy keys' products one
+/// after another — over the component's free variables (in free-schema
+/// order, see
+/// [`IvmEngine::component_out_positions`](crate::IvmEngine::component_out_positions)),
+/// without the cross-component product and without a lookup. A tuple
+/// produced by `k` trees or heavy buckets reaches `sink` `k` times; summing
+/// the multiplicities per tuple gives the component's result.
+pub(crate) fn drain_component(
+    rt: &Runtime,
+    trees: &[EnumNode],
+    free_arity: usize,
+    mut sink: impl FnMut(Tuple, i64),
+) {
+    let positions = &trees[0].out_positions;
+    let mut buf = vec![Value::Int(0); free_arity];
+    for tree in trees {
+        tree.drain_each(rt, &Tuple::empty(), &mut buf, &mut |buf, m| {
+            sink(positions.iter().map(|&p| buf[p].clone()).collect(), m)
+        });
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -444,8 +554,6 @@ pub(crate) enum NodeIter<'e> {
         scan: Scan,
         cur: Option<&'e Tuple>,
         prod: Option<Product<'e>>,
-        /// Handed to the product opened per scanned tuple.
-        dedup: bool,
     },
     Buckets {
         node: &'e EnumNode,
@@ -454,14 +562,7 @@ pub(crate) enum NodeIter<'e> {
 }
 
 impl<'e> NodeIter<'e> {
-    /// `dedup` picks the form of every union opened at or below this
-    /// node (see [`Union`]).
-    pub(crate) fn open(
-        node: &'e EnumNode,
-        rt: &'e Runtime,
-        ctx: &Tuple,
-        dedup: bool,
-    ) -> NodeIter<'e> {
+    pub(crate) fn open(node: &'e EnumNode, rt: &'e Runtime, ctx: &Tuple) -> NodeIter<'e> {
         match &node.kind {
             EnumKind::Covering => NodeIter::Covering {
                 node,
@@ -472,7 +573,6 @@ impl<'e> NodeIter<'e> {
                 scan: Scan::open(node, ctx),
                 cur: None,
                 prod: None,
-                dedup,
             },
             EnumKind::Buckets {
                 ind,
@@ -506,13 +606,13 @@ impl<'e> NodeIter<'e> {
                 let parts: Vec<BucketPart<'e>> = hs
                     .into_iter()
                     .map(|h| {
-                        let prod = Product::open(children, rt, h, dedup);
+                        let prod = Product::open(children, rt, h);
                         BucketPart { node, h, prod }
                     })
                     .collect();
                 NodeIter::Buckets {
                     node,
-                    union: Union::new(parts, true, dedup),
+                    union: Union::new(parts, true),
                 }
             }
         }
@@ -572,7 +672,6 @@ impl<'e> NodeIter<'e> {
                 scan,
                 cur,
                 prod,
-                dedup,
             } => loop {
                 if cur.is_none() {
                     let (t, _m) = scan.next(node.storage(rt))?;
@@ -582,7 +681,7 @@ impl<'e> NodeIter<'e> {
                     let EnumKind::Directory { children, .. } = &node.kind else {
                         unreachable!()
                     };
-                    *prod = Some(Product::open(children, rt, t, *dedup));
+                    *prod = Some(Product::open(children, rt, t));
                     *cur = Some(t);
                 }
                 match prod.as_mut().unwrap().next(rt, buf, scratch) {
@@ -613,8 +712,6 @@ impl<'e> NodeIter<'e> {
 pub(crate) struct Product<'e> {
     children: &'e [EnumNode],
     ctx: &'e Tuple,
-    /// Remembered for the children the odometer re-opens.
-    dedup: bool,
     kids: Vec<NodeIter<'e>>,
     mults: Vec<i64>,
     primed: bool,
@@ -622,20 +719,14 @@ pub(crate) struct Product<'e> {
 }
 
 impl<'e> Product<'e> {
-    pub(crate) fn open(
-        children: &'e [EnumNode],
-        rt: &'e Runtime,
-        ctx: &'e Tuple,
-        dedup: bool,
-    ) -> Product<'e> {
+    pub(crate) fn open(children: &'e [EnumNode], rt: &'e Runtime, ctx: &'e Tuple) -> Product<'e> {
         let kids = children
             .iter()
-            .map(|c| NodeIter::open(c, rt, ctx, dedup))
+            .map(|c| NodeIter::open(c, rt, ctx))
             .collect();
         Product {
             children,
             ctx,
-            dedup,
             kids,
             mults: vec![0; children.len()],
             primed: false,
@@ -681,7 +772,7 @@ impl<'e> Product<'e> {
                 }
                 None => {
                     // Reset child i and move to its predecessor.
-                    self.kids[i] = NodeIter::open(&self.children[i], rt, self.ctx, self.dedup);
+                    self.kids[i] = NodeIter::open(&self.children[i], rt, self.ctx);
                     match self.kids[i].next(rt, buf, scratch) {
                         Some(m) => self.mults[i] = m,
                         None => {
@@ -774,25 +865,16 @@ impl<'e> UnionPart<'e> for BucketPart<'e> {
     }
 }
 
-/// The union `T_1 ∪ ... ∪ T_n` of parts over the same output positions,
-/// in one of two forms fixed when it is opened:
-///
-/// * `dedup` — the Union algorithm (Fig. 15, after Durand–Strozecki):
-///   the distinct tuples with their total multiplicity, with O(n) lookups
-///   per emitted tuple.
-/// * bag — the parts drained one after another, every `(tuple,
-///   multiplicity)` occurrence exactly once and no lookup at all; a tuple
-///   living in `k` parts comes out `k` times and whoever consumes the
-///   stream sums.
+/// The Union algorithm (Fig. 15, after Durand–Strozecki): enumerates the
+/// distinct tuples of `T_1 ∪ ... ∪ T_n` (parts over the same output
+/// positions) with their total multiplicity, with O(n) lookups per
+/// emitted tuple.
 ///
 /// The winning segment lives in the shared buffer; a union only keeps an
 /// owned copy (`last`, value copies — never a hashed `Tuple`) when an
 /// enclosing product may need to replay it.
 pub(crate) struct Union<P> {
     parts: Vec<P>,
-    dedup: bool,
-    /// Bag form: the part being drained.
-    at: usize,
     /// The parts' shared output positions (owned so candidate staging does
     /// not borrow `parts`).
     positions: Vec<usize>,
@@ -802,13 +884,13 @@ pub(crate) struct Union<P> {
     last: Vec<Value>,
     has_last: bool,
     /// Whether `last` is maintained at all (top-level unions under
-    /// [`ComponentIter`]/[`ResultIter`] are never replayed, so they skip
-    /// the per-tuple copy).
+    /// [`ResultIter`] are never replayed, so they skip the per-tuple
+    /// copy).
     track_last: bool,
 }
 
 impl<P> Union<P> {
-    pub(crate) fn new<'x>(parts: Vec<P>, track_last: bool, dedup: bool) -> Union<P>
+    pub(crate) fn new<'x>(parts: Vec<P>, track_last: bool) -> Union<P>
     where
         P: UnionPart<'x>,
     {
@@ -818,8 +900,6 @@ impl<P> Union<P> {
             .unwrap_or_default();
         Union {
             parts,
-            dedup,
-            at: 0,
             positions,
             cand: Vec::new(),
             last: Vec::new(),
@@ -836,30 +916,6 @@ impl<P> Union<P> {
         out.extend(positions.iter().map(|&p| buf[p].clone()));
     }
 
-    /// The bag form of [`Union::next`]: advance the current part, on
-    /// exhaustion move to the next.
-    fn next_bag<'e>(
-        &mut self,
-        rt: &'e Runtime,
-        buf: &mut [Value],
-        scratch: &mut EnumScratch,
-    ) -> Option<i64>
-    where
-        P: UnionPart<'e>,
-    {
-        while let Some(part) = self.parts.get_mut(self.at) {
-            if let Some(m) = part.next_seg(rt, buf, scratch) {
-                if self.track_last {
-                    Self::stage(&self.positions, buf, &mut self.last);
-                    self.has_last = true;
-                }
-                return Some(m);
-            }
-            self.at += 1;
-        }
-        None
-    }
-
     pub(crate) fn next<'e>(
         &mut self,
         rt: &'e Runtime,
@@ -869,9 +925,6 @@ impl<P> Union<P> {
     where
         P: UnionPart<'e>,
     {
-        if !self.dedup {
-            return self.next_bag(rt, buf, scratch);
-        }
         let n = self.parts.len();
         if n == 0 {
             return None;
@@ -966,36 +1019,34 @@ impl<'e> UnionPart<'e> for TreePart<'e> {
     }
 }
 
-/// Opens the union over one component's view trees, in the form `dedup`
-/// picks (handed down to every union inside the trees). Trees whose root
+/// Opens the union over one component's view trees. Trees whose root
 /// storage is empty contribute nothing to the union (and every lookup into
 /// them would return 0), so they are pruned up front — on unskewed data
 /// this collapses the union to the single live tree and the per-tuple
 /// cross-part lookups vanish entirely.
-fn open_component<'e>(rt: &'e Runtime, trees: &'e [EnumNode], dedup: bool) -> Union<TreePart<'e>> {
+fn open_component<'e>(rt: &'e Runtime, trees: &'e [EnumNode]) -> Union<TreePart<'e>> {
     Union::new(
         trees
             .iter()
             .filter(|node| !node.storage(rt).is_empty())
             .map(|node| TreePart {
                 node,
-                iter: NodeIter::open(node, rt, &Tuple::empty(), dedup),
+                iter: NodeIter::open(node, rt, &Tuple::empty()),
             })
             .collect(),
         false,
-        dedup,
     )
 }
 
 /// Number of distinct tuples in one component's result: one walk of its
-/// deduplicating union. `buf` (free-schema sized) is clobbered.
+/// union. `buf` (free-schema sized) is clobbered.
 pub(crate) fn count_component(
     rt: &Runtime,
     trees: &[EnumNode],
     buf: &mut [Value],
     scratch: &mut EnumScratch,
 ) -> usize {
-    let mut u = open_component(rt, trees, true);
+    let mut u = open_component(rt, trees);
     let mut n = 0usize;
     while u.next(rt, buf, scratch).is_some() {
         n += 1;
@@ -1009,56 +1060,6 @@ pub(crate) fn count_component(
 /// an empty result.
 pub(crate) fn product_size(sizes: impl IntoIterator<Item = usize>) -> usize {
     sizes.into_iter().reduce(usize::saturating_mul).unwrap_or(0)
-}
-
-/// The **bag drain** of one connected component: every `(tuple,
-/// multiplicity)` occurrence in the component's view trees exactly once —
-/// trees one after another, at every indicator node the live heavy keys'
-/// products one after another — over the component's free variables (in
-/// free-schema order, see
-/// [`IvmEngine::component_out_positions`](crate::IvmEngine::component_out_positions)),
-/// without the cross-component product and without a single lookup. A
-/// tuple produced by `k` trees or heavy buckets is emitted `k` times;
-/// summing the multiplicities per tuple gives the component's result.
-/// This is the unit a [`ShardedEngine`](crate::ShardedEngine) merges
-/// across shards: its hash-merge sums over shards, trees and buckets in
-/// one pass, so the walk costs `O(Σ occurrences)` and carries no delay
-/// bound — the delay-bounded, deduplicating path is [`ResultIter`].
-pub struct ComponentIter<'e> {
-    rt: &'e Runtime,
-    union: Union<TreePart<'e>>,
-    /// The component's output positions within the free schema.
-    positions: Vec<usize>,
-    buf: Vec<Value>,
-    scratch: EnumScratch,
-}
-
-impl<'e> ComponentIter<'e> {
-    pub(crate) fn new(rt: &'e Runtime, trees: &'e [EnumNode], free_arity: usize) -> Self {
-        ComponentIter {
-            rt,
-            union: open_component(rt, trees, false),
-            positions: trees[0].out_positions.clone(),
-            buf: vec![Value::Int(0); free_arity],
-            scratch: EnumScratch::new(),
-        }
-    }
-
-    /// Lookups performed so far — always 0: the drain never looks up.
-    pub fn lookups(&self) -> u64 {
-        self.scratch.lookups
-    }
-}
-
-impl<'e> Iterator for ComponentIter<'e> {
-    type Item = (Tuple, i64);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let m = self.union.next(self.rt, &mut self.buf, &mut self.scratch)?;
-        let buf = &self.buf;
-        let t: Tuple = self.positions.iter().map(|&p| buf[p].clone()).collect();
-        Some((t, m))
-    }
 }
 
 /// Iterator over the distinct tuples of the full query result with their
@@ -1082,7 +1083,7 @@ impl<'e> ResultIter<'e> {
     pub(crate) fn new(rt: &'e Runtime, enums: &'e [Vec<EnumNode>], free_arity: usize) -> Self {
         let comps: Vec<Union<TreePart<'e>>> = enums
             .iter()
-            .map(|trees| open_component(rt, trees, true))
+            .map(|trees| open_component(rt, trees))
             .collect();
         let n = comps.len();
         ResultIter {
@@ -1147,7 +1148,7 @@ impl<'e> ResultIter<'e> {
                     return true;
                 }
                 None => {
-                    self.comps[i] = open_component(self.rt, &self.enums[i], true);
+                    self.comps[i] = open_component(self.rt, &self.enums[i]);
                     match self.comps[i].next(self.rt, &mut self.buf, &mut self.scratch) {
                         Some(m) => self.comp_mults[i] = m,
                         None => {
@@ -1251,38 +1252,91 @@ mod tests {
 
     use crate::{Database, EngineOptions, IvmEngine};
 
-    /// The two forms of a `Union` over the same overlapping parts: at
-    /// ε = 0 every join value of the two-path is heavy, so the component is
-    /// one tree whose indicator node unions one part per `B` value, and
-    /// neighbouring parts share `(A, C)` pairs.
-    #[test]
-    fn bag_union_emits_every_occurrence_and_sums_to_the_dedup_union() {
+    /// Drains `src`'s single component at every ε, sums the occurrences
+    /// per tuple and requires exactly what the deduplicating `ResultIter`
+    /// enumerates. Returns the occurrence counts, one per ε.
+    fn drain_sums_to_enumerate(src: &str, db: &Database) -> [usize; 3] {
+        [0.0, 0.5, 1.0].map(|eps| {
+            let eng = IvmEngine::from_sql(src, db, EngineOptions::dynamic(eps)).unwrap();
+            assert_eq!(eng.num_components(), 1, "{src}");
+            let mut occurrences = 0;
+            let mut summed: BTreeMap<Tuple, i64> = BTreeMap::new();
+            eng.drain_component(0, |t, m| {
+                occurrences += 1;
+                *summed.entry(t).or_insert(0) += m;
+            });
+            let distinct = eng.result_sorted();
+            assert_eq!(
+                summed.into_iter().collect::<Vec<_>>(),
+                distinct,
+                "{src} at eps {eps}"
+            );
+            assert!(occurrences >= distinct.len(), "{src} at eps {eps}");
+            occurrences
+        })
+    }
+
+    /// `n` rows per relation over `0..domain`, from a fixed xorshift.
+    fn random_db(rels: &[(&str, usize)], n: usize, domain: u64) -> Database {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
         let mut db = Database::new();
-        for b in 0..6i64 {
-            for k in 0..4i64 {
-                db.insert("R", Tuple::ints(&[b + k, b]), 1 + k % 2);
-                db.insert("S", Tuple::ints(&[b, b + k]), 1);
+        for &(rel, arity) in rels {
+            for _ in 0..n {
+                let vals: Vec<i64> = (0..arity)
+                    .map(|_| {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        (x % domain) as i64
+                    })
+                    .collect();
+                db.insert(rel, Tuple::ints(&vals), 1 + (x >> 40) as i64 % 2);
             }
         }
-        let eng = IvmEngine::from_sql("Q(A,C) :- R(A,B), S(B,C)", &db, EngineOptions::dynamic(0.0))
-            .unwrap();
-        assert_eq!((eng.heavy_keys(), eng.light_tuples()), (6, 0));
+        db
+    }
 
-        let mut drain = eng.drain_component(0);
-        let bag: Vec<(Tuple, i64)> = drain.by_ref().collect();
-        // Σ|T_i|: each part is a 4 × 4 product.
-        assert_eq!(bag.len(), 6 * 16);
-        assert_eq!(drain.lookups(), 0);
-        let mut summed: BTreeMap<Tuple, i64> = BTreeMap::new();
-        for (t, m) in bag {
-            *summed.entry(t).or_insert(0) += m;
+    #[test]
+    fn push_drain_summed_per_tuple_is_what_the_union_enumerates() {
+        // Examples 28, 29, 18 and 19: small domains make heavy keys, so the
+        // drains below ε = 1 carry duplicates.
+        let two_path = [("R", 2), ("S", 2)];
+        drain_sums_to_enumerate("Q(A,C) :- R(A,B), S(B,C)", &random_db(&two_path, 60, 8));
+        drain_sums_to_enumerate(
+            "Q(A) :- R(A,B), S(B)",
+            &random_db(&[("R", 2), ("S", 1)], 60, 8),
+        );
+        drain_sums_to_enumerate(
+            "Q(A,D,E) :- R(A,B,C), S(A,B,D), T(A,E)",
+            &random_db(&[("R", 3), ("S", 3), ("T", 2)], 60, 4),
+        );
+        drain_sums_to_enumerate(
+            "Q(C,D,E,F) :- R(A,B,D), S(A,B,E), T(A,C,F), U(A,C,G)",
+            &random_db(&[("R", 3), ("S", 3), ("T", 3), ("U", 3)], 40, 3),
+        );
+
+        // A Zipf-shaped two-path: join value b has 40/(b+1) distinct
+        // partners on each side (5 and 7 are units mod 48), drawn from
+        // overlapping ranges.
+        let mut db = Database::new();
+        for b in 0..24i64 {
+            for k in 0..40 / (b + 1) {
+                db.insert("R", Tuple::ints(&[(3 * b + 5 * k) % 48, b]), 1 + k % 2);
+                db.insert("S", Tuple::ints(&[b, (b + 7 * k) % 48]), 1);
+            }
         }
-
-        let mut dedup = eng.enumerate();
-        let mut distinct: Vec<(Tuple, i64)> = dedup.by_ref().collect();
-        distinct.sort_unstable();
-        assert!(distinct.len() < 6 * 16, "the parts overlap");
-        assert!(dedup.lookups() > 0, "the Union algorithm pays lookups");
-        assert_eq!(summed.into_iter().collect::<Vec<_>>(), distinct);
+        let [all_heavy, mixed, all_light] =
+            drain_sums_to_enumerate("Q(A,C) :- R(A,B), S(B,C)", &db);
+        // At ε = 1 the one tree is fully materialized: no duplicates. With
+        // every b heavy (ε = 0) the drain is Σ_b |R_b|·|S_b| occurrences.
+        let q = ivme_query::parse_query("Q(A,C) :- R(A,B), S(B,C)").unwrap();
+        let distinct = crate::brute_force(&q, &db).len();
+        assert_eq!(all_light, distinct);
+        assert!(
+            all_heavy > distinct && mixed > distinct,
+            "the parts overlap"
+        );
+        let per_b: i64 = (0..24).map(|b| (40 / (b + 1)) * (40 / (b + 1))).sum();
+        assert_eq!(all_heavy as i64, per_b);
     }
 }

@@ -25,22 +25,28 @@
 //!   count, lookup, page — is answered by that snapshot, never by the
 //!   engine. Freezing merges per component: a component's result is the
 //!   **bag-union over shards, view trees and heavy buckets** — every
-//!   shard's trees are drained as a bag
+//!   shard's trees push their occurrences
 //!   ([`IvmEngine::drain_component`]: each occurrence once, no lookups)
-//!   into one hash map whose `+= m` is the only dedup there is. The same
-//!   tuple arrives more than once when two shards hold it (possible only
-//!   when the root variable is projected away), when a light and a heavy
-//!   tree both produce it, or when several heavy keys do; the map sums.
-//!   That costs `O(Σ occurrences)` per touched component, and the paper's
-//!   Union algorithm — whose per-tuple lookups exist to dedup *without*
-//!   materializing — stays on the path that does not materialize,
-//!   [`IvmEngine::enumerate`]. The full result is the Cartesian product
-//!   over components of those merged unions. Merging per *component* (not
-//!   per shard result) is what keeps multi-component queries correct: a
-//!   product of unions is not a union of products. The cost of the one
-//!   door: a point lookup on a sharded engine pays the merge of the
-//!   components touched since the last snapshot; the paper's own
-//!   `O(N^{1−ε})` tree lookup is [`IvmEngine::multiplicity`].
+//!   into one insertion-ordered table (`MergedComponent`) whose `+= m` is
+//!   the only duplicate elimination there is: a publish walks the trees
+//!   once and writes each tuple once. The same tuple arrives more than
+//!   once when two shards hold it (possible only when the root variable
+//!   is projected away), when a light and a heavy tree both produce it,
+//!   or when several heavy keys do; the table sums. That costs
+//!   `O(Σ occurrences)` per touched component, and the paper's Union
+//!   algorithm — whose per-tuple lookups exist to suppress duplicates
+//!   *without* materializing — stays on the path that does not
+//!   materialize, [`IvmEngine::enumerate`]. A component enumerates in the
+//!   order its tuples first occurred in the drain (shard 0's trees first),
+//!   a function of the apply history alone: engines that applied the same
+//!   batches page identically, however often each was frozen. The full
+//!   result is the Cartesian product over components of those merged
+//!   unions. Merging per *component* (not per shard result) is what keeps
+//!   multi-component queries correct: a product of unions is not a union
+//!   of products. The cost of the one door: a point lookup on a sharded
+//!   engine pays the merge of the components touched since the last
+//!   snapshot; the paper's own `O(N^{1−ε})` tree lookup is
+//!   [`IvmEngine::multiplicity`].
 //!
 //! # How atomic validation is preserved
 //!
@@ -62,7 +68,6 @@
 
 use std::sync::Arc;
 
-use ivme_data::fx::FxHashMap;
 use ivme_data::{DeltaBatch, Route, ShardRouter, Tuple, Update, Value};
 use ivme_query::Query;
 
@@ -426,40 +431,30 @@ impl ShardedEngine {
     /// was built, otherwise a version compare plus an `Arc` clone.
     ///
     /// The merge is a bag-union over shards, trees and heavy buckets:
-    /// every occurrence [`IvmEngine::drain_component`] emits is summed
-    /// into the map, `O(Σ occurrences)` with no tree lookup. The map must
-    /// grow from empty on every merge: the snapshot's enumeration order is
-    /// the map's iteration order, which depends on its capacity history,
-    /// and shell, primary and replica have to page identically
-    /// (`tests/serving_path.rs`) — so no pre-sizing from the previous
-    /// merge.
+    /// every occurrence [`IvmEngine::drain_component`] pushes is summed
+    /// into the table, `O(Σ occurrences)` with no tree lookup. The table
+    /// is pre-sized from the slot's previous merge — its order is the
+    /// drain's, so its capacity history cannot show.
     fn merged_component(&mut self, ci: usize) -> Arc<MergedComponent> {
         let versions: Vec<u64> = self
             .shards
             .iter()
             .map(|s| s.component_version(ci))
             .collect();
+        let mut expect = 0;
         if let Some(c) = &self.merge_cache[ci] {
             if c.versions == versions {
                 return Arc::clone(&c.merged);
             }
+            expect = c.merged.tuples.len();
         }
-        let mut acc: FxHashMap<Tuple, i64> = FxHashMap::default();
+        let positions = self.shards[0].component_out_positions(ci).to_vec();
+        let mut acc = MergedComponent::with_capacity(positions, expect);
         for shard in &self.shards {
-            for (t, m) in shard.drain_component(ci) {
-                *acc.entry(t).or_insert(0) += m;
-            }
+            shard.drain_component(ci, |t, m| acc.add(t, m));
         }
-        acc.retain(|_, m| *m != 0);
-        // The map doubles as the component's point-lookup index (what lets
-        // a frozen `ShardedSnapshot` answer `multiplicity` without the
-        // engine), the vector fixes the enumeration/paging order.
-        let tuples: Vec<(Tuple, i64)> = acc.iter().map(|(t, &m)| (t.clone(), m)).collect();
-        let merged = Arc::new(MergedComponent {
-            positions: self.shards[0].component_out_positions(ci).to_vec(),
-            tuples,
-            index: acc,
-        });
+        acc.drop_zero_sums();
+        let merged = Arc::new(acc);
         self.merge_cache[ci] = Some(CachedMerge {
             versions,
             merged: Arc::clone(&merged),
@@ -476,9 +471,9 @@ impl ShardedEngine {
     /// a tuple counts once per shard, tree and heavy key producing it:
     /// components untouched since the last snapshot are shared by `Arc`
     /// clone, not rebuilt, and a quiescent engine pays `O(#components)`.
-    /// Enumeration order within a component is the merge map's iteration
-    /// order. Freezing is something only the engine's single owner does,
-    /// hence `&mut self`.
+    /// Enumeration order within a component is the order its tuples first
+    /// occurred in the drain. Freezing is something only the engine's
+    /// single owner does, hence `&mut self`.
     ///
     /// `epoch` is caller-assigned (the serving layer's publish counter,
     /// the shell's refresh counter); it is echoed by
@@ -524,16 +519,143 @@ const _: () = {
     assert_send_sync::<ShardedSnapshot>();
 };
 
-/// One component's merged (cross-shard) result.
+/// One component's merged (cross-shard) result: a build-once table.
+///
+/// `tuples` holds each distinct tuple once, in the order the drain first
+/// produced it — what `enumerate`/`page`/`count` read. `slots` is a
+/// power-of-two open-addressing index over it (linear probing, load at
+/// most 7/8) for `add`'s duplicate check and the frozen view's point
+/// lookups. A slot is chosen by the **high** bits of
+/// [`Tuple::cached_hash`] (Fx's low bits are weak), carries the low 32
+/// bits as a tag, and every tag match is confirmed by full tuple equality.
+///
+/// PR 2 rejected a hand-rolled table for `Relation`, which is mutated
+/// and probed per update for its whole life. This one is not that: it is
+/// written once by one merge, is an index only (the tuples live in the
+/// vector), never deletes, and is immutable behind an `Arc` afterwards —
+/// and a `HashMap` cannot give the insertion order that makes the
+/// enumeration order independent of capacity.
 struct MergedComponent {
     /// Positions of the component's variables in the query's free schema.
     positions: Vec<usize>,
-    /// Distinct tuples with summed multiplicities (unspecified order).
+    /// Distinct tuples with summed multiplicities, in first-occurrence
+    /// order.
     tuples: Vec<(Tuple, i64)>,
-    /// The same tuples as a hash index, for point lookups on a frozen
-    /// view (`ShardedSnapshot::multiplicity` cannot walk the view trees —
-    /// the engine has moved on).
-    index: FxHashMap<Tuple, i64>,
+    /// Empty, or a power of two ≥ [`MIN_SLOTS`] with at least one slot in
+    /// eight empty (so every probe ends).
+    slots: Vec<Slot>,
+}
+
+/// One entry of [`MergedComponent::slots`].
+#[derive(Clone, Copy)]
+struct Slot {
+    /// Index into `tuples`, or [`Slot::EMPTY`]'s.
+    index: u32,
+    /// Low 32 bits of the indexed tuple's hash.
+    tag: u32,
+}
+
+impl Slot {
+    const EMPTY: Slot = Slot {
+        index: u32::MAX,
+        tag: 0,
+    };
+
+    /// The slot for `tuples[index]`, whose hash is `hash`.
+    fn of(index: usize, hash: u64) -> Slot {
+        let index = u32::try_from(index)
+            .ok()
+            .filter(|&i| i != Slot::EMPTY.index)
+            .expect("a merged component holds fewer than 2^32 - 1 tuples");
+        Slot {
+            index,
+            tag: hash as u32,
+        }
+    }
+}
+
+/// Smallest allocated slot array (the home-slot shift needs ≥ 2).
+const MIN_SLOTS: usize = 8;
+
+impl MergedComponent {
+    /// An empty table that takes `expect` distinct tuples without growing.
+    fn with_capacity(positions: Vec<usize>, expect: usize) -> MergedComponent {
+        let slots = match expect {
+            0 => 0,
+            n => (n * 8).div_ceil(7).next_power_of_two().max(MIN_SLOTS),
+        };
+        MergedComponent {
+            positions,
+            tuples: Vec::with_capacity(expect),
+            slots: vec![Slot::EMPTY; slots],
+        }
+    }
+
+    /// Walks `hash`'s probe sequence to the slot indexing a tuple that
+    /// `found` accepts (`Ok`: its index in `tuples`) or to the first empty
+    /// slot (`Err`: its position). `slots` must not be empty.
+    fn probe(&self, hash: u64, mut found: impl FnMut(&Tuple) -> bool) -> Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut at = (hash >> (64 - self.slots.len().trailing_zeros())) as usize;
+        loop {
+            let slot = self.slots[at];
+            if slot.index == Slot::EMPTY.index {
+                return Err(at);
+            }
+            if slot.tag == hash as u32 && found(&self.tuples[slot.index as usize].0) {
+                return Ok(slot.index as usize);
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// Replaces `slots` with `len` empty ones and indexes every tuple.
+    fn reindex(&mut self, len: usize) {
+        self.slots.clear();
+        self.slots.resize(len, Slot::EMPTY);
+        for index in 0..self.tuples.len() {
+            let hash = self.tuples[index].0.cached_hash();
+            let at = self
+                .probe(hash, |_| false)
+                .expect_err("nothing is accepted");
+            self.slots[at] = Slot::of(index, hash);
+        }
+    }
+
+    /// One occurrence: `+= m` on the tuple's entry, appended on first
+    /// sight.
+    fn add(&mut self, t: Tuple, m: i64) {
+        if (self.tuples.len() + 1) * 8 > self.slots.len() * 7 {
+            self.reindex((self.slots.len() * 2).max(MIN_SLOTS));
+        }
+        let hash = t.cached_hash();
+        match self.probe(hash, |held| *held == t) {
+            Ok(index) => self.tuples[index].1 += m,
+            Err(at) => {
+                self.slots[at] = Slot::of(self.tuples.len(), hash);
+                self.tuples.push((t, m));
+            }
+        }
+    }
+
+    /// Drops the entries whose occurrences summed to zero; the rest keep
+    /// their order.
+    fn drop_zero_sums(&mut self) {
+        let before = self.tuples.len();
+        self.tuples.retain(|(_, m)| *m != 0);
+        if self.tuples.len() != before {
+            self.reindex(self.slots.len());
+        }
+    }
+
+    /// Summed multiplicity of `t` (0 when absent).
+    fn get(&self, t: &Tuple) -> i64 {
+        if self.slots.is_empty() {
+            return 0;
+        }
+        self.probe(t.cached_hash(), |held| held == t)
+            .map_or(0, |index| self.tuples[index].1)
+    }
 }
 
 /// An immutable, self-contained view of a [`ShardedEngine`]'s result at
@@ -614,18 +736,15 @@ impl ShardedSnapshot {
     }
 
     /// Multiplicity of one fully-specified result tuple in the frozen
-    /// result: per component, a hash probe of the merged index; the
-    /// product across components. Wrong-arity tuples report 0.
+    /// result: per component, a probe of the merged table; the product
+    /// across components. Wrong-arity tuples report 0.
     pub fn multiplicity(&self, tuple: &Tuple) -> i64 {
         if tuple.arity() != self.free_arity {
             return 0;
         }
-        let mut seg: Vec<Value> = Vec::new();
         let mut total = 1i64;
         for c in &self.comps {
-            seg.clear();
-            seg.extend(c.positions.iter().map(|&p| tuple.get(p).clone()));
-            let m = c.index.get(&Tuple::from_slice(&seg)).copied().unwrap_or(0);
+            let m = c.get(&tuple.project(&c.positions));
             if m == 0 {
                 return 0;
             }
@@ -705,19 +824,21 @@ impl MergedResultIter {
             return false;
         }
         debug_assert!(!self.primed, "seek requires a fresh iterator");
-        let total: u128 = self.comps.iter().map(|c| c.tuples.len() as u128).product();
-        if offset as u128 >= total {
-            self.dead = true;
-            return false;
-        }
-        // Mixed-radix decomposition, least-significant digit first.
+        // Mixed-radix decomposition, least-significant digit first (no
+        // component is empty here). What is left over the leading digit
+        // is `offset / Π|C_i|` — non-zero exactly when `offset` is past
+        // the end — without ever forming the product, which ten
+        // components of 8,192 tuples push past `u128`.
         let mut rem = offset;
         for i in (0..self.comps.len()).rev() {
             let n = self.comps[i].tuples.len();
             self.pick[i] = rem % n;
             rem /= n;
         }
-        true
+        if rem != 0 {
+            self.dead = true;
+        }
+        !self.dead
     }
 
     /// One page from this fresh iterator: seeks to `offset`, collects up
@@ -853,5 +974,133 @@ mod tests {
             assert_eq!((plain.multiplicity(t), *m), (1, 1));
         }
         assert_eq!(plain.enumerate_page(deep, 3).len(), 3);
+    }
+
+    /// Ten unary components of 8,192 rows (81,920 rows any client can
+    /// load) make a result of 2¹³⁰ tuples — past `u128`, where `seek`
+    /// used to form the product: release wrapped it to 0 and answered an
+    /// empty first page, debug panicked on a reader thread.
+    #[test]
+    fn pages_are_served_when_the_product_of_components_overflows_u128() {
+        let mut db = Database::new();
+        for r in 0..10 {
+            for i in 0..8_192 {
+                db.insert(&format!("R{r}"), Tuple::ints(&[i]), 1);
+            }
+        }
+        let src = "Q(A,B,C,D,E,F,G,H,I,J) :- \
+                   R0(A), R1(B), R2(C), R3(D), R4(E), R5(F), R6(G), R7(H), R8(I), R9(J)";
+        let snap = ShardedEngine::from_sql(src, &db, EngineOptions::dynamic(0.5), 1)
+            .unwrap()
+            .snapshot(0);
+        assert_eq!(snap.count_distinct(), usize::MAX);
+        assert!(snap.enumerate().next().is_some());
+        assert_eq!(snap.enumerate_page(0, 3).len(), 3);
+        let deep = snap.enumerate_page(usize::MAX - 1, 3);
+        assert_eq!(deep.len(), 3);
+        for (t, m) in &deep {
+            assert_eq!((snap.multiplicity(t), *m), (1, 1));
+        }
+    }
+
+    fn table() -> MergedComponent {
+        MergedComponent::with_capacity(vec![0], 0)
+    }
+
+    /// The table's invariants: a power-of-two slot array at most 7/8 full
+    /// whose live slots index `tuples` one to one, each tuple reachable.
+    fn check_table(c: &MergedComponent) {
+        assert!(c.slots.is_empty() || c.slots.len().is_power_of_two());
+        assert!(c.tuples.len() * 8 <= c.slots.len() * 7);
+        let mut indexed: Vec<u32> = c.slots.iter().map(|s| s.index).collect();
+        indexed.retain(|&i| i != Slot::EMPTY.index);
+        indexed.sort_unstable();
+        assert_eq!(indexed, (0..c.tuples.len() as u32).collect::<Vec<_>>());
+        for (t, m) in &c.tuples {
+            assert_eq!(c.get(t), *m);
+        }
+    }
+
+    #[test]
+    fn table_sums_duplicates_keeps_first_occurrence_order_and_drops_zero_sums() {
+        let mut c = table();
+        let t = |a: i64| Tuple::ints(&[a]);
+        for (a, m) in [(7, 1), (3, 2), (7, 3), (5, 1), (3, -2), (9, 4), (5, 1)] {
+            c.add(t(a), m);
+        }
+        assert_eq!(c.tuples, [(t(7), 4), (t(3), 0), (t(5), 2), (t(9), 4)]);
+        check_table(&c);
+        c.drop_zero_sums();
+        assert_eq!(c.tuples, [(t(7), 4), (t(5), 2), (t(9), 4)]);
+        check_table(&c);
+        assert_eq!((c.get(&t(3)), c.get(&t(4))), (0, 0));
+    }
+
+    #[test]
+    fn table_grows_from_capacity_zero_and_a_presized_one_enumerates_the_same() {
+        let mut grown = table();
+        assert!(grown.slots.is_empty());
+        assert_eq!(grown.get(&Tuple::ints(&[1, 2])), 0);
+        let mut presized = MergedComponent::with_capacity(vec![0, 1], 700);
+        let presized_slots = presized.slots.len();
+        let mut doublings = 0;
+        // 700 distinct pairs, every third one seen twice.
+        for i in 0..1_050i64 {
+            let k = if i % 3 == 2 { i - 2 } else { i };
+            let before = grown.slots.len();
+            grown.add(Tuple::ints(&[k, -k]), 1);
+            presized.add(Tuple::ints(&[k, -k]), 1);
+            doublings += usize::from(grown.slots.len() != before);
+            if i % 97 == 0 {
+                check_table(&grown);
+            }
+        }
+        assert!(doublings >= 5, "{doublings} doublings");
+        assert_eq!(presized.slots.len(), presized_slots);
+        check_table(&grown);
+        check_table(&presized);
+        assert_eq!(grown.tuples.len(), 700);
+        assert_eq!(grown.tuples, presized.tuples);
+        assert_eq!(grown.get(&Tuple::ints(&[0, 0])), 2);
+        assert_eq!(grown.get(&Tuple::ints(&[1, -1])), 1);
+        assert_eq!(grown.get(&Tuple::ints(&[2, -2])), 0);
+    }
+
+    /// The unary tuple whose cached hash is `hash`: Fx of one word is a
+    /// multiplication by an odd constant, which Newton's iteration inverts.
+    fn unary_with_hash(hash: u64) -> Tuple {
+        let k = Tuple::ints(&[1]).cached_hash();
+        let mut inv = k;
+        for _ in 0..6 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(k.wrapping_mul(inv)));
+        }
+        let t = Tuple::ints(&[hash.wrapping_mul(inv) as i64]);
+        assert_eq!(t.cached_hash(), hash);
+        t
+    }
+
+    #[test]
+    fn probes_that_collide_on_slot_and_on_tag_are_told_apart_by_equality() {
+        // Same home slot at every capacity up to 2¹⁶ (top 16 bits) and
+        // the same tag (low 32 bits); the middle bits differ.
+        let held = unary_with_hash(0xabcd_0000_1234_5678);
+        let twin = unary_with_hash(0xabcd_0001_1234_5678);
+        let absent_twin = unary_with_hash(0xabcd_0002_1234_5678);
+        // Same home slot, another tag.
+        let absent_neighbour = unary_with_hash(0xabcd_0000_8765_4321);
+        // The last slot of eight: its probe sequence wraps around.
+        let last = unary_with_hash(0xffff_0000_0000_0001);
+        let last_twin = unary_with_hash(0xffff_0001_0000_0001);
+        let mut c = table();
+        for (t, m) in [(&held, 5), (&twin, 7), (&last, 2), (&last_twin, 3)] {
+            c.add(t.clone(), m);
+        }
+        c.add(held.clone(), 1);
+        assert_eq!(c.slots.len(), MIN_SLOTS);
+        check_table(&c);
+        assert_eq!((c.get(&held), c.get(&twin)), (6, 7));
+        assert_eq!((c.get(&last), c.get(&last_twin)), (2, 3));
+        assert_eq!((c.get(&absent_twin), c.get(&absent_neighbour)), (0, 0));
+        assert_eq!(c.get(&unary_with_hash(0xffff_0002_0000_0001)), 0);
     }
 }

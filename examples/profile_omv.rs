@@ -17,8 +17,9 @@
 //! seeded stream of 64-update batches applied forward and then retracted
 //! in reverse through `ShardedEngine::apply_delta_batch`, and a
 //! `snapshot()` after every batch. Prints apply and snapshot µs/round,
-//! tuples/round and the heavy keys, so a change to the publish path is
-//! iterated in seconds.
+//! tuples/round, the occurrences/round the drain pushes (snapshot time
+//! over this is the cost per occurrence) and the heavy keys, so a change
+//! to the publish path is iterated in seconds.
 
 use std::time::{Duration, Instant};
 
@@ -42,7 +43,7 @@ fn publish(eps: f64, shards: usize) {
     });
     let palindrome: Vec<DeltaBatch> = forward.iter().cloned().chain(retract).collect();
     let (mut t_apply, mut t_snap) = (Duration::ZERO, Duration::ZERO);
-    let (mut rounds, mut tuples, mut heavy) = (0u64, 0usize, 0usize);
+    let (mut rounds, mut tuples, mut occurrences, mut heavy) = (0u64, 0usize, 0usize, 0usize);
     for _ in 0..3 {
         for batch in &palindrome {
             let t0 = Instant::now();
@@ -53,19 +54,21 @@ fn publish(eps: f64, shards: usize) {
             let snap = eng.snapshot(rounds);
             t_snap += t0.elapsed();
             tuples += snap.count_distinct();
-            heavy += (0..eng.num_shards())
-                .map(|s| eng.shard(s).heavy_keys())
-                .sum::<usize>();
+            for s in 0..eng.num_shards() {
+                eng.shard(s).drain_component(0, |_, _| occurrences += 1);
+                heavy += eng.shard(s).heavy_keys();
+            }
         }
     }
     let per_round = |d: Duration| d.as_secs_f64() * 1e6 / rounds as f64;
     println!(
         "eps {eps}, {} shard(s), {rounds} rounds of 64 updates: apply {:.0} us/round, \
-         snapshot {:.0} us/round, {} tuples/round, {} heavy keys",
+         snapshot {:.0} us/round, {} tuples/round, {} occurrences/round, {} heavy keys",
         eng.num_shards(),
         per_round(t_apply),
         per_round(t_snap),
         tuples / rounds as usize,
+        occurrences / rounds as usize,
         heavy / rounds as usize,
     );
 }

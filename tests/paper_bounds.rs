@@ -47,9 +47,12 @@ fn aux_space_and_heavy_keys_stay_within_the_papers_space_bound() {
 /// `IvmEngine::enumerate` costs at least one and at most `C · heavy_keys()`
 /// stateless tree lookups while there are heavy keys (measured: at most
 /// 6.5 per heavy key for `N` up to `2^13`), none at ε = 1 where the single
-/// tree is fully materialized, and fewer in total as ε grows. The bag
+/// tree is fully materialized, and fewer in total as ε grows. The push
 /// drain behind `ShardedEngine::snapshot` needs no delay bound and pays
-/// no lookup at any ε — it emits the duplicates instead.
+/// no lookup at any ε — it emits the duplicates instead, counted here
+/// through its sink. That it makes no lookup is no longer asserted on a
+/// counter: `IvmEngine::drain_component` is handed no `EnumScratch`, the
+/// only thing the tree lookup can be called with, so its signature says it.
 #[test]
 fn enumeration_lookups_per_tuple_follow_the_heavy_keys_and_the_drain_makes_none() {
     const C: u64 = 8;
@@ -75,11 +78,10 @@ fn enumeration_lookups_per_tuple_follow_the_heavy_keys_and_the_drain_makes_none(
         }
         totals.push(it.lookups());
 
-        let mut drain = eng.drain_component(0);
-        let occurrences = drain.by_ref().count();
+        let mut occurrences = 0usize;
+        eng.drain_component(0, |_, _| occurrences += 1);
         assert!(occurrences >= emitted, "eps {eps}: the drain skips nothing");
         assert_eq!(occurrences > emitted, heavy > 0, "eps {eps}: duplicates");
-        assert_eq!(drain.lookups(), 0, "eps {eps}: the drain never looks up");
     }
     assert!(
         totals[0] > totals[1] && totals[1] > totals[2] && totals[2] == 0,

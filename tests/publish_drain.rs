@@ -1,5 +1,5 @@
 //! The publish path drains the view trees as a bag and lets the snapshot's
-//! hash-merge be the only dedup (across shards, trees and heavy buckets).
+//! merge table be the only dedup (across shards, trees and heavy buckets).
 //! Whatever the bag looks like, the frozen result must be the one the
 //! paper's deduplicating Union (Fig. 15) enumerates.
 //!
@@ -10,6 +10,11 @@
 //! union of products) and an unsharded engine's list (all queries);
 //! `count_distinct` is its length; `multiplicity` agrees on every tuple
 //! and on 100 absent probes. Each stream ends at the brute-force oracle.
+//!
+//! And the order rule: a snapshot enumerates in the order the drain first
+//! produced each tuple, a function of the apply history alone — how often
+//! the engine was frozen along the way (which pre-sizes the merge table)
+//! must not show.
 
 use std::collections::BTreeMap;
 
@@ -166,6 +171,38 @@ fn snapshot_of_the_bag_drain_is_the_deduplicated_result_on_a_zipf_two_path() {
         assert_eq!(eng.heavy_keys() > 0, eps < 1.0, "eps {eps}: skew");
         for shards in SHARD_GRID {
             run_stream(&q, &db, &batches, eps, shards);
+        }
+    }
+}
+
+/// Two engines fed the same batches, one frozen after every batch and one
+/// only at the end, enumerate the same *sequence* — and page alike.
+#[test]
+fn enumeration_order_is_a_function_of_the_apply_history_not_of_the_freezes() {
+    let q = parse_query("Q(A,C) :- R(A,B), S(B,C)").unwrap();
+    let db = two_path_db(150, 30, 1.0, 7);
+    let ops = update_stream(256, &[("R", 2), ("S", 2)], 30, 1.0, 0.3, 23);
+    let batches = chunk_stream(&ops, 32);
+    for eps in EPS_GRID {
+        for shards in [1, 2] {
+            let opts = EngineOptions::dynamic(eps);
+            let mut often = ShardedEngine::new(&q, &db, opts, shards).unwrap();
+            let mut once = ShardedEngine::new(&q, &db, opts, shards).unwrap();
+            often.snapshot(0);
+            for (round, batch) in batches.iter().enumerate() {
+                often.apply_delta_batch(batch).unwrap();
+                once.apply_delta_batch(batch).unwrap();
+                often.snapshot(round as u64 + 1);
+            }
+            let (a, b) = (often.snapshot(99), once.snapshot(99));
+            let sequence: Vec<(Tuple, i64)> = a.enumerate().collect();
+            assert!(sequence.len() > 1_000, "eps {eps} S {shards}");
+            assert!(
+                sequence == b.enumerate().collect::<Vec<_>>(),
+                "eps {eps} S {shards}: freezing more often reordered the result"
+            );
+            assert_eq!(a.enumerate_page(700, 50), b.enumerate_page(700, 50));
+            assert_eq!(a.enumerate_page(700, 50), sequence[700..750]);
         }
     }
 }
