@@ -13,10 +13,10 @@
 //! 2. **Steady-state lag under the write storm** — a group-commit storm
 //!    (4 concurrent writers, atomic insert/delete batch
 //!    pairs over disjoint ranges) against a primary with one live-tailing
-//!    replica. A sampler polls the replica's `replication_lag_frames`
-//!    throughout; reported are the peak and final lag plus the time the
-//!    replica needs to drain to the primary's final epoch once the storm
-//!    stops.
+//!    replica. A sampler polls the primary's per-follower `lag_frames`
+//!    (frames sent minus frames acked) throughout; reported are the peak
+//!    and final lag plus the time the replica needs to drain to the
+//!    primary's final epoch once the storm stops.
 //! 3. **Read scaling: 1 primary + 2 replicas vs primary-only** — the
 //!    capacity argument for read replicas. Offered load is fixed *per
 //!    endpoint* (the same closed-loop reader count against every member),
@@ -231,7 +231,7 @@ fn main() {
             let mut peak = 0u64;
             let mut last = 0u64;
             while !stop.load(Ordering::SeqCst) {
-                if let Some(lag) = poll_stat(raddr, "replication_lag_frames") {
+                if let Some(lag) = poll_stat(addr, "lag_frames") {
                     peak = peak.max(lag);
                     last = lag;
                 }

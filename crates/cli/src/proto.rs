@@ -551,9 +551,9 @@ pub fn parse_repl_frame(line: &str) -> Result<usize, String> {
 }
 
 /// Renders the follower's progress report: everything through round
-/// `epoch` is applied and serving, `frames` total frames applied since
-/// the follower started (the primary diffs this against its own sent
-/// counter for the `lag_frames` stat).
+/// `epoch` is applied and serving, `frames` frames applied on this
+/// connection (the primary diffs this against what it sent on the same
+/// connection for the `lag_frames` stat).
 pub fn repl_ack_line(epoch: u64, frames: u64) -> String {
     format!("ack {epoch} {frames}")
 }

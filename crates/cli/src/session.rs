@@ -2,7 +2,7 @@
 //!
 //! [`crate::proto`] says what a line *is*; this module says what a command
 //! *does* to engine state and what it answers. The shell, the server's
-//! writer thread, a replica's apply thread and WAL recovery all run
+//! writer thread, a replica's follower thread and WAL recovery all run
 //! commands through the four types here, so a reply is written once:
 //!
 //! * [`Step::of`] classifies a parsed [`Command`] with an exhaustive
@@ -130,7 +130,7 @@ impl Step {
 
 /// The mutable state the grammar acts on: configuration, staged rows and
 /// — once `build` has run — the engine. Single-owner wherever it lives
-/// (the shell, a server's writer thread, a replica's apply thread).
+/// (the shell, a server's writer thread, a replica's follower thread).
 pub struct Session {
     query: Option<Query>,
     /// ε and mode (`epsilon`, `mode`) and shard count (`.shards N`) of the

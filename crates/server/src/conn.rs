@@ -1,5 +1,7 @@
 //! The one serving path: the accept loop, the connection loop and the
-//! command dispatch that primary and replica share.
+//! command dispatch that primary and replica share. The accept loop is
+//! also the replication listener's: every socket this process accepts is
+//! admitted under the same bound.
 //!
 //! A connection is a read-line → parse → dispatch → `ok`/`err` loop over
 //! the endpoint's [`Published`] snapshot. What a command means is
@@ -12,7 +14,7 @@
 
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::SyncSender;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -30,9 +32,9 @@ use crate::writer::{call, Request};
 /// buffer is bounded no matter what the peer sends.
 pub const MAX_LINE: usize = 1 << 20;
 
-/// Upper bound on connections served at once, one thread each: the accept
-/// loop answers the next one `err too many connections` and closes it
-/// without spawning.
+/// Upper bound on connections one listener serves at once, one thread
+/// each: the accept loop answers the next one `err too many connections`
+/// and closes it without spawning.
 pub const MAX_CONNECTIONS: usize = 1024;
 
 /// Admission control: whether one more connection may be served while
@@ -90,7 +92,7 @@ impl Endpoint {
 
     /// Publishes `read` as the current [`ServeSnapshot`] — the one place a
     /// snapshot is built for publishing: every writer round and the
-    /// replica's apply thread go through it.
+    /// replica's follower thread go through it.
     pub(crate) fn publish(&self, read: ReadView) {
         let status = Arc::clone(&self.status);
         self.published.publish(ServeSnapshot { read, status });
@@ -148,48 +150,73 @@ impl WriteSink {
     }
 }
 
-/// Spawns the accept loop: one `ivme-conn` thread per admitted client (at
-/// most [`MAX_CONNECTIONS`] at once), each running [`serve_connection`]
-/// with its own clone of `sink`.
+/// The process's one accept loop, behind both listeners — clients and
+/// replication followers. A `{name}-accept` thread accepts until `closed`
+/// says so (checked after every accept, so a throwaway connection wakes
+/// it) and runs `serve` on one `name` thread per admitted peer. `live`
+/// counts this listener's peers: at [`MAX_CONNECTIONS`] the next one is
+/// answered `err too many connections` and closed without a thread. The
+/// counter is the loop's own — every caller passes a fresh
+/// `Arc::default()` and never reads it; it is a parameter only so a test
+/// can start a loop that is already full.
 pub(crate) fn spawn_accept_loop(
+    name: &str,
     listener: TcpListener,
-    endpoint: Arc<Endpoint>,
-    sink: WriteSink,
+    closed: impl Fn() -> bool + Send + 'static,
+    live: Arc<AtomicUsize>,
+    serve: impl Fn(TcpStream) + Clone + Send + 'static,
 ) -> io::Result<JoinHandle<()>> {
+    let peer_name = name.to_owned();
     std::thread::Builder::new()
-        .name("ivme-accept".into())
+        .name(format!("{name}-accept"))
         .spawn(move || {
             for stream in listener.incoming() {
-                if endpoint.is_closed() {
+                if closed() {
                     break;
                 }
                 let Ok(stream) = stream else { continue };
                 // Only this thread raises `live`, so the check cannot be
                 // overtaken by another admission.
-                let status = &endpoint.status;
-                if !admits(status.live.load(Ordering::Relaxed)) {
+                if !admits(live.load(Ordering::Relaxed)) {
                     let _ = proto::write_err(&mut &stream, "too many connections");
                     continue;
                 }
-                status.live.fetch_add(1, Ordering::Relaxed);
-                status.connections.fetch_add(1, Ordering::Relaxed);
-                let conn_endpoint = Arc::clone(&endpoint);
-                let sink = sink.clone();
+                live.fetch_add(1, Ordering::Relaxed);
+                let (peer_live, serve) = (Arc::clone(&live), serve.clone());
                 let spawned =
                     std::thread::Builder::new()
-                        .name("ivme-conn".into())
+                        .name(peer_name.clone())
                         .spawn(move || {
-                            let _ = serve_connection(stream, &conn_endpoint, &sink);
-                            conn_endpoint.status.live.fetch_sub(1, Ordering::Relaxed);
+                            serve(stream);
+                            peer_live.fetch_sub(1, Ordering::Relaxed);
                         });
                 if spawned.is_err() {
-                    status.live.fetch_sub(1, Ordering::Relaxed);
+                    live.fetch_sub(1, Ordering::Relaxed);
                 }
             }
-            // `sink` drops here (and per-connection clones as clients
-            // leave); a primary's writer thread exits when the channel
-            // has no senders left.
         })
+}
+
+/// Serves clients on `listener`: [`serve_connection`] per admitted
+/// client, each with its own clone of `sink`. The loop's copy of `sink`
+/// drops when it stops and the clones as clients leave; a primary's
+/// writer thread exits once its channel has no senders left.
+pub(crate) fn serve_clients(
+    listener: TcpListener,
+    endpoint: Arc<Endpoint>,
+    sink: WriteSink,
+) -> io::Result<JoinHandle<()>> {
+    let closing = Arc::clone(&endpoint);
+    spawn_accept_loop(
+        "ivme-conn",
+        listener,
+        move || closing.is_closed(),
+        Arc::default(),
+        move |stream| {
+            endpoint.status.connections.fetch_add(1, Ordering::Relaxed);
+            let _ = serve_connection(stream, &endpoint, &sink);
+        },
+    )
 }
 
 /// Borrowing parse of an `insert`/`delete` line for the staging hot path:
@@ -399,5 +426,42 @@ mod tests {
         assert!(admits(MAX_CONNECTIONS - 1));
         assert!(!admits(MAX_CONNECTIONS));
         assert!(!admits(usize::MAX));
+    }
+
+    #[test]
+    fn a_full_accept_loop_answers_err_and_spawns_nothing() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let closed = Arc::new(AtomicBool::new(false));
+        let live = Arc::new(AtomicUsize::new(MAX_CONNECTIONS));
+        let (served, served_rx) = std::sync::mpsc::channel();
+        let handle = spawn_accept_loop(
+            "ivme-test",
+            listener,
+            {
+                let closed = Arc::clone(&closed);
+                move || closed.load(Ordering::SeqCst)
+            },
+            Arc::clone(&live),
+            move |_stream| served.send(()).unwrap(),
+        )
+        .unwrap();
+        let mut reply = String::new();
+        TcpStream::connect(addr)
+            .unwrap()
+            .read_to_string(&mut reply)
+            .unwrap();
+        assert_eq!(reply, "err too many connections\n");
+        assert_eq!(live.load(Ordering::SeqCst), MAX_CONNECTIONS);
+        assert!(served_rx.try_recv().is_err(), "a refused peer got a thread");
+        // One slot frees up: the next peer is served.
+        live.store(MAX_CONNECTIONS - 1, Ordering::SeqCst);
+        let _peer = TcpStream::connect(addr).unwrap();
+        served_rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .unwrap();
+        closed.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(addr);
+        handle.join().unwrap();
     }
 }

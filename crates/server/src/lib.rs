@@ -39,9 +39,13 @@
 //! through `commit`, `checkpoint` and `flush` and obeys its one failure
 //! rule (`writer`, [`wal`]); one [`publish::Status`] per process is what
 //! `stats` and [`Server::serve_stats`] report from; and boot recovery and
-//! the replica's apply thread replay rounds through the one
-//! `OwnedState::apply_round` (`recovery`). This file keeps the
-//! configuration and the [`Server`] handle.
+//! the replica's follower thread replay rounds through the one
+//! `OwnedState::apply_round` (`recovery`). Both listeners — clients and
+//! replication followers — accept through the one bounded
+//! `conn::spawn_accept_loop`. This file keeps the configuration and the
+//! [`Server`] handle.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 mod conn;
 pub mod crc;
@@ -56,7 +60,7 @@ use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::mpsc::{self, SyncSender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 pub use conn::{execute_read, ServeSnapshot, MAX_CONNECTIONS, MAX_LINE};
@@ -87,10 +91,6 @@ pub struct ServerConfig {
     /// requires `data_dir` (followers bootstrap from the snapshot + WAL).
     /// `None` — the default — serves without replication.
     pub repl_listen: Option<String>,
-    /// Bounded per-follower fan-out queue (in commit rounds). A follower
-    /// that falls this far behind the sync thread is disconnected rather
-    /// than allowed to stall commits; it reconnects and resumes.
-    pub repl_queue_depth: usize,
     /// Test-only fault-injection hooks; `Default` is all-`None`.
     pub hooks: TestHooks,
 }
@@ -103,7 +103,6 @@ impl Default for ServerConfig {
             fsync: FsyncMode::Group,
             snapshot_every: 64,
             repl_listen: None,
-            repl_queue_depth: 256,
             hooks: TestHooks::default(),
         }
     }
@@ -196,10 +195,7 @@ impl Server {
             (None, _) => None,
         };
         let hub = match &repl_listener {
-            Some(l) => Some(Arc::new(repl::ReplHub::new(
-                l.local_addr()?,
-                config.repl_queue_depth,
-            ))),
+            Some(l) => Some(Arc::new(repl::ReplHub::new(l.local_addr()?))),
             None => None,
         };
         let mut state = OwnedState::default();
@@ -262,7 +258,7 @@ impl Server {
                 .name("ivme-group-commit".into())
                 .spawn(move || writer::writer_loop(rx, &endpoint, state))?
         };
-        let accept_handle = conn::spawn_accept_loop(
+        let accept_handle = conn::serve_clients(
             listener,
             Arc::clone(&endpoint),
             WriteSink::Writer(tx.clone()),
@@ -368,6 +364,13 @@ impl Drop for Server {
 
 fn invalid_data(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
+}
+
+/// Locks `m` even if a panicking thread poisoned it: every mutex in this
+/// crate guards a value no panic can leave half-written — the follower
+/// registry, a published `Arc` slot, a socket handle.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]

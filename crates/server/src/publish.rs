@@ -23,14 +23,13 @@
 //! [`Status`], the one handle `stats` and `Server::serve_stats` read,
 //! with the [`DurTracker`] frontiers and the replication role in it.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::repl;
-use crate::ServeStats;
+use crate::{lock, repl, ServeStats};
 
 /// What this process reports about itself: one per process, shared by
-/// the writer (or a replica's apply thread), every connection and the
+/// the writer (or a replica's follower thread), every connection and the
 /// [`Server`](crate::Server) handle, and embedded in every published
 /// [`ServeSnapshot`](crate::ServeSnapshot). Nothing here is frozen with a
 /// snapshot: `stats` samples it at read time, so a quiescent server
@@ -39,9 +38,6 @@ use crate::ServeStats;
 pub struct Status {
     /// Connections admitted since start.
     pub(crate) connections: AtomicU64,
-    /// Connections being served right now (bounded by
-    /// [`MAX_CONNECTIONS`](crate::MAX_CONNECTIONS)).
-    pub(crate) live: AtomicUsize,
     pub(crate) group_commits: AtomicU64,
     pub(crate) grouped_batches: AtomicU64,
     pub(crate) group_retries: AtomicU64,
@@ -100,7 +96,7 @@ pub(crate) enum ReplRole {
     /// A primary with a `--repl-listen` listener: the hub registry of
     /// connected followers.
     Primary(Arc<repl::ReplHub>),
-    /// A follower: the counters its apply thread maintains.
+    /// A follower: the counters its follower thread maintains.
     Replica(Arc<repl::ReplicaStats>),
 }
 
@@ -235,14 +231,14 @@ impl<T> Published<T> {
     /// slow path always see an epoch/value pair at least as new as the
     /// epoch that sent them there.
     pub fn publish(&self, value: T) -> u64 {
-        let mut slot = self.slot.lock().unwrap();
+        let mut slot = lock(&self.slot);
         *slot = Arc::new(value);
         self.epoch.fetch_add(1, Ordering::Release) + 1
     }
 
     /// A fresh reader handle holding the current value.
     pub fn cache(&self) -> Cached<T> {
-        let slot = self.slot.lock().unwrap();
+        let slot = lock(&self.slot);
         Cached {
             // Read the epoch under the lock: pairs it with this exact Arc.
             epoch: self.epoch.load(Ordering::Acquire),
@@ -257,7 +253,7 @@ impl<T> Published<T> {
     pub fn refresh<'c>(&self, cache: &'c mut Cached<T>) -> &'c Arc<T> {
         let now = self.epoch.load(Ordering::Acquire);
         if now != cache.epoch {
-            let slot = self.slot.lock().unwrap();
+            let slot = lock(&self.slot);
             cache.epoch = self.epoch.load(Ordering::Acquire);
             cache.value = Arc::clone(&slot);
         }

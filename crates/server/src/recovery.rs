@@ -6,7 +6,7 @@
 //! the interpreter that produced the frame live ([`ivme_cli::session`]).
 //! There is exactly one replay step — [`OwnedState::apply_round`] — and
 //! two callers: boot recovery ([`recover`], rounds read back from
-//! `wal.log`) and a replica's apply thread (the same rounds, streamed by
+//! `wal.log`) and a replica's follower thread (the same rounds, streamed by
 //! the primary).
 
 use std::io;

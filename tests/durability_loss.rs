@@ -27,8 +27,8 @@ fn after_the_log_fails_no_write_is_acked_and_every_acked_write_survives_a_restar
         hooks,
         ..ServerConfig::default()
     };
-    // The injected failure: the sync thread dies before an append, as it
-    // would on any panic in the log's code.
+    // The injected failure: a panic on the sync thread before an append,
+    // standing in for a bug anywhere in the log's code.
     let crash = Arc::new(AtomicBool::new(false));
     let hook_crash = Arc::clone(&crash);
     let mut server = Server::start(config(TestHooks {
@@ -48,14 +48,22 @@ fn after_the_log_fails_no_write_is_acked_and_every_acked_write_survives_a_restar
 
     crash.store(true, Ordering::SeqCst);
     // The write in flight when the log dies, and every write after it: an
-    // `err`, never an `ok` — none of them can be made durable.
+    // `err`, never an `ok` — none of them can be made durable. The panic
+    // loses durability before the round is released, so the first write
+    // reads the same `err` as the rest, and the later ones are refused
+    // before they touch the session.
     for attempt in 0..3 {
         let reply = c.request("insert S 20").unwrap();
         assert!(
-            reply.is_err(),
-            "write {attempt} after the log failed was acked: {reply:?}"
+            reply.as_ref().is_err_and(|e| e.contains("durability lost")),
+            "write {attempt} after the log failed: {reply:?}"
         );
     }
+    assert_eq!(
+        c.expect_ok("get 2"),
+        "(2) x1\n",
+        "a refused write was applied"
+    );
     let refusal = c.request("insert S 20").unwrap().unwrap_err();
     assert!(refusal.contains("durability lost"), "{refusal}");
     assert!(refusal.contains("restart the server"), "{refusal}");

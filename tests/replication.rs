@@ -20,7 +20,7 @@ use ivme::core::brute_force;
 use ivme::data::Tuple;
 use ivme::query::parse_query;
 use ivme::workload::{parse_listing, poll_stat, wait_for_epoch, Client, RecoveryWorkload};
-use ivme_server::repl::{Replica, ReplicaConfig};
+use ivme_server::repl::{Replica, ReplicaConfig, QUEUE_DEPTH};
 use ivme_server::{Server, ServerConfig, TestHooks, MAX_LINE};
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -342,10 +342,12 @@ impl Gate {
 /// The commit-insulation contract: a follower that stops draining is
 /// disconnected by the sync thread's `try_send` overflow — primary acks
 /// are never delayed, pinned by freezing the follower's *sender* thread
-/// (not the sync thread) at the barrier with a queue depth of 2.
+/// (not the sync thread) at the barrier for more rounds than its queue
+/// holds.
 #[test]
 fn a_slow_follower_is_disconnected_and_never_delays_primary_acks() {
-    let wl = RecoveryWorkload::generate(0x510, 16, 10, 4);
+    const K: usize = QUEUE_DEPTH + 8;
+    let wl = RecoveryWorkload::generate(0x510, 16, K, 4);
     let dir = temp_dir("slow");
     let gate = Gate::new(PASS);
     let hook_gate = Arc::clone(&gate);
@@ -353,7 +355,6 @@ fn a_slow_follower_is_disconnected_and_never_delays_primary_acks() {
         data_dir: Some(dir.clone()),
         snapshot_every: 0,
         repl_listen: Some("127.0.0.1:0".to_owned()),
-        repl_queue_depth: 2,
         hooks: TestHooks {
             repl_barrier: Some(Arc::new(move |_epoch| hook_gate.check())),
             ..TestHooks::default()
@@ -374,10 +375,9 @@ fn a_slow_follower_is_disconnected_and_never_delays_primary_acks() {
 
     // Freeze the follower's sender and keep committing. Every ack must
     // come back promptly (`expect_ok` would hang forever if a commit
-    // waited on the frozen follower) while the depth-2 queue overflows
-    // and the sync thread drops the follower.
+    // waited on the frozen follower) while its queue overflows and the
+    // sync thread drops the follower.
     gate.set(BLOCK);
-    const K: usize = 8;
     let t_start = Instant::now();
     for k in 0..K {
         run_script(&mut c, &wl.batch_script(k));

@@ -247,9 +247,42 @@ fn clean_shutdown_persists_everything_and_replays_nothing() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A clean shutdown whose final checkpoint cannot be installed — a
+/// directory sits where its temp file goes — says so instead of claiming
+/// a snapshot, and loses nothing: the synced WAL replays on the next boot.
+#[test]
+fn a_final_checkpoint_that_cannot_land_is_not_reported_written() {
+    let wl = RecoveryWorkload::generate(0xF1A1, 15, 6, 4);
+    let dir = temp_dir("final_fails");
+    const K: usize = 6;
+    {
+        let server = start(&dir, 0);
+        let mut c = Client::connect(server.addr()).unwrap();
+        run_script(&mut c, &wl.setup_script(2));
+        for k in 0..K {
+            run_script(&mut c, &wl.batch_script(k));
+        }
+        let epoch = stat_field(&c.expect_ok("stats"), "snapshot_epoch");
+        std::fs::create_dir(dir.join(format!("snapshot-{epoch}.ivme.tmp"))).unwrap();
+        let msg = c.expect_ok("shutdown");
+        assert!(!msg.contains("final snapshot written"), "{msg}");
+        assert!(msg.contains("WAL synced"), "{msg}");
+        assert!(server.is_shutdown());
+    }
+    let server = start(&dir, 0);
+    assert_eq!(listing(server.addr()), oracle(&wl, K));
+    let stats = Client::connect(server.addr()).unwrap().expect_ok("stats");
+    assert!(
+        stat_field(&stats, "recovered_groups") > 0,
+        "without a final snapshot the WAL must replay: {stats}"
+    );
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Three-position valve for the durability barrier hooks: `PASS` lets
 /// the hooked thread through, `BLOCK` freezes it at the barrier, `CRASH`
-/// panics it — killing the thread exactly at the injection point.
+/// panics it exactly at the injection point.
 struct Gate {
     state: Mutex<u8>,
     cv: Condvar,
@@ -290,8 +323,9 @@ impl Gate {
 /// that was *published* but whose fsync never completed is (a) never
 /// acked `ok` and (b) rolled back by recovery, while every write acked
 /// before the crash survives. The sync-barrier hook freezes the sync
-/// thread between the writer's publish and the WAL append, then kills it
-/// there — the crash window the pipeline opened.
+/// thread between the writer's publish and the WAL append, then panics
+/// there — the crash window the pipeline opened. The panic fails that
+/// round's log operation, so durability is lost before its ack is sent.
 #[test]
 fn crash_between_publish_and_fsync_loses_only_unacked_writes() {
     for shards in [1usize, 2, 4] {
@@ -353,7 +387,7 @@ fn crash_between_publish_and_fsync_loses_only_unacked_writes() {
                 "S={shards}: durable frontier must lag the published epoch: {stats}"
             );
 
-            // Crash: the sync thread dies at the barrier, before the
+            // Crash: the sync thread panics at the barrier, before the
             // append. The gated submitter must see an error, not an ok.
             gate.set(CRASH);
             let last = blocked.join().unwrap();
