@@ -141,22 +141,18 @@ pub fn parse_command(line: &str) -> Result<Option<Command>, String> {
             }
         }
         "row" => {
-            let (rel, csv) = rest
-                .split_once(char::is_whitespace)
-                .ok_or("usage: row <relation> <v1,v2,...>")?;
+            let (rel, tuple) = word_tuple(rest, "usage: row <relation> <v1,v2,...>")?;
             Command::Row {
                 relation: rel.to_owned(),
-                tuple: parse_tuple(csv)?,
+                tuple,
             }
         }
         "build" => Command::Build,
         "insert" | "delete" => {
-            let (rel, csv) = rest
-                .split_once(char::is_whitespace)
-                .ok_or("usage: insert|delete <relation> <v1,v2,...>")?;
+            let (rel, tuple) = word_tuple(rest, "usage: insert|delete <relation> <v1,v2,...>")?;
             Command::Update {
                 relation: rel.to_owned(),
-                tuple: parse_tuple(csv)?,
+                tuple,
                 delta: if cmd == "insert" { 1 } else { -1 },
             }
         }
@@ -164,13 +160,9 @@ pub fn parse_command(line: &str) -> Result<Option<Command>, String> {
             // The general form: an explicit signed multiplicity delta.
             // `insert`/`delete` are sugar for delta ±1; the WAL uses this
             // verb to log consolidated entries with |delta| > 1 in one line.
-            let (rel, rest) = rest
-                .split_once(char::is_whitespace)
-                .ok_or("usage: update <relation> <delta> <v1,v2,...>")?;
-            let (delta, csv) = rest
-                .trim()
-                .split_once(char::is_whitespace)
-                .ok_or("usage: update <relation> <delta> <v1,v2,...>")?;
+            const USAGE: &str = "usage: update <relation> <delta> <v1,v2,...>";
+            let (rel, rest) = rest.split_once(char::is_whitespace).ok_or(USAGE)?;
+            let (delta, tuple) = word_tuple(rest.trim(), USAGE)?;
             let delta: i64 = delta
                 .parse()
                 .map_err(|_| format!("bad update delta: {delta}"))?;
@@ -179,7 +171,7 @@ pub fn parse_command(line: &str) -> Result<Option<Command>, String> {
             }
             Command::Update {
                 relation: rel.to_owned(),
-                tuple: parse_tuple(csv)?,
+                tuple,
                 delta,
             }
         }
@@ -234,6 +226,17 @@ pub fn parse_command(line: &str) -> Result<Option<Command>, String> {
         other => return Err(format!("unknown command `{other}` (try `help`)")),
     };
     Ok(Some(parsed))
+}
+
+/// Splits `<word> [<v1,v2,...>]` — a relation name, or an update's delta
+/// — off the rest of a line. A missing value list is the nullary tuple,
+/// which is how a nullary relation's lines render.
+fn word_tuple<'a>(rest: &'a str, usage: &str) -> Result<(&'a str, Tuple), String> {
+    if rest.is_empty() {
+        return Err(usage.to_owned());
+    }
+    let (word, csv) = rest.split_once(char::is_whitespace).unwrap_or((rest, ""));
+    Ok((word, parse_tuple(csv)?))
 }
 
 /// Reads a CSV file into tuples, skipping blank lines — the loading half
@@ -299,31 +302,52 @@ pub fn push_tuple(out: &mut String, tuple: &Tuple) {
     }
 }
 
-/// The `row` command line that stages `tuple` into `relation`.
-pub fn row_line(relation: &str, tuple: &Tuple) -> String {
-    format!("row {relation} {}", format_tuple(tuple))
+/// What a rendered [`push_line`] does with its tuple.
+#[derive(Clone, Copy, Debug)]
+pub enum Line {
+    /// `row <rel> <csv>`: stage the tuple before `build`.
+    Row,
+    /// Apply the tuple with this delta: `insert`/`delete <rel> <csv>` for
+    /// ±1 (the common case, kept human-readable), the general
+    /// `update <rel> <delta> <csv>` otherwise.
+    Update(i64),
 }
 
-/// The command line that applies a single update: `insert`/`delete` for
-/// delta ±1 (the common case, kept human-readable), the general
-/// `update <rel> <delta> <csv>` otherwise.
-pub fn update_line(relation: &str, tuple: &Tuple, delta: i64) -> String {
-    match delta {
-        1 => format!("insert {relation} {}", format_tuple(tuple)),
-        -1 => format!("delete {relation} {}", format_tuple(tuple)),
-        d => format!("update {relation} {d} {}", format_tuple(tuple)),
+/// Appends one tuple-carrying command line, newline included — the one
+/// renderer behind the log's `row` and update lines. A nullary tuple
+/// renders as an empty value list, which [`parse_command`] reads back.
+pub fn push_line(out: &mut String, line: Line, relation: &str, tuple: &Tuple) {
+    use std::fmt::Write as _;
+    let (verb, delta) = match line {
+        Line::Row => ("row ", None),
+        Line::Update(1) => ("insert ", None),
+        Line::Update(-1) => ("delete ", None),
+        Line::Update(d) => ("update ", Some(d)),
+    };
+    out.push_str(verb);
+    out.push_str(relation);
+    out.push(' ');
+    if let Some(d) = delta {
+        let _ = write!(out, "{d} ");
     }
+    push_tuple(out, tuple);
+    out.push('\n');
 }
 
 /// Serializes a whole delta batch as the command lines a connection
 /// would send: `.batch begin`, one line per consolidated entry (in the
-/// batch's deterministic sorted order), `.batch commit`. Replaying the
-/// lines through the normal execute path reapplies the batch atomically.
+/// batch's iteration order — replay re-consolidates, so the order carries
+/// no meaning), `.batch commit`. Replaying the lines through the normal
+/// execute path reapplies the batch atomically. One pass, into one
+/// buffer sized up front.
 pub fn batch_lines(batch: &ivme_data::DeltaBatch) -> String {
-    let mut out = String::from(".batch begin\n");
-    for u in batch.to_updates() {
-        out.push_str(&update_line(&u.relation, &u.tuple, u.delta));
-        out.push('\n');
+    // ~32 bytes a line, the two `.batch` lines included.
+    let mut out = String::with_capacity(32 * (batch.distinct_len() + 1));
+    out.push_str(".batch begin\n");
+    for rel in batch.relations() {
+        for (tuple, delta) in batch.deltas(rel) {
+            push_line(&mut out, Line::Update(delta), rel, tuple);
+        }
     }
     out.push_str(".batch commit\n");
     out
@@ -344,10 +368,9 @@ impl AdminOp {
             AdminOp::Mode(Mode::Static) => "mode static".to_owned(),
             AdminOp::Shards(n) => format!(".shards {n}"),
             AdminOp::Rows { relation, rows } => {
-                let mut out = String::new();
+                let mut out = String::with_capacity(rows.len() * (16 + relation.len()));
                 for t in rows {
-                    out.push_str(&row_line(relation, t));
-                    out.push('\n');
+                    push_line(&mut out, Line::Row, relation, t);
                 }
                 out
             }
@@ -681,8 +704,14 @@ mod tests {
     fn canonical_serialization_round_trips() {
         let t: Tuple = [Value::Int(7), Value::from("ab cd")].into_iter().collect();
         assert_eq!(format_tuple(&t), "7,ab cd");
+        let line = |line, relation| {
+            let mut out = String::new();
+            push_line(&mut out, line, relation, &t);
+            out
+        };
         for delta in [-3i64, -1, 1, 5] {
-            let line = update_line("R", &t, delta);
+            let line = line(Line::Update(delta), "R");
+            assert_eq!(line.matches('\n').count(), 1, "{line:?}");
             match parse_command(&line).unwrap() {
                 Some(Command::Update {
                     relation,
@@ -696,7 +725,7 @@ mod tests {
                 other => panic!("{line:?} parsed to {other:?}"),
             }
         }
-        match parse_command(&row_line("S", &t)).unwrap() {
+        match parse_command(&line(Line::Row, "S")).unwrap() {
             Some(Command::Row { relation, tuple }) => {
                 assert_eq!(relation, "S");
                 assert_eq!(tuple, t);

@@ -460,6 +460,7 @@ impl ReadView {
 mod tests {
     use super::*;
     use crate::proto;
+    use ivme_data::Value;
 
     /// Replays frame text the way WAL recovery does: admin ops as they
     /// come, batches through a [`Staging`], files and everything else
@@ -491,6 +492,10 @@ mod tests {
         // commit-is-replayable rests on this round trip: what the writer
         // logs (`wal_text`, `batch_lines`) classifies back to what it ran.
         let q = ivme_query::parse_query("Q(A,C) :- R(A,B), S(B,C)").unwrap();
+        // A tuple of mixed cells: integers and strings (a string cell may
+        // hold inner spaces; the grammar trims only around cells).
+        let mixed = |n: i64, s: &str| Tuple::new(vec![Value::Int(n), Value::from(s)]);
+        let rows = vec![Tuple::ints(&[1, 10]), mixed(-2, "ab cd"), Tuple::ints(&[7])];
         let ops = [
             AdminOp::Query(q),
             AdminOp::Epsilon(0.25),
@@ -498,7 +503,7 @@ mod tests {
             AdminOp::Shards(3),
             AdminOp::Rows {
                 relation: "R".to_owned(),
-                rows: vec![Tuple::ints(&[1, 10]), Tuple::ints(&[2, 10])],
+                rows: rows.clone(),
             },
             AdminOp::Build,
         ];
@@ -510,13 +515,37 @@ mod tests {
             assert_eq!(back.len(), op.wal_text().lines().count());
             let text: Vec<String> = back.iter().map(AdminOp::wal_text).collect();
             assert_eq!(text.concat(), op.wal_text());
+            if let AdminOp::Rows { .. } = op {
+                let staged: Vec<&Tuple> = back
+                    .iter()
+                    .flat_map(|op| match op {
+                        AdminOp::Rows { rows, .. } => rows.as_slice(),
+                        _ => &[],
+                    })
+                    .collect();
+                assert_eq!(staged, rows.iter().collect::<Vec<_>>());
+            }
         }
+        // Every line form the renderer writes: ±1, general and 2^40-sized
+        // deltas, string cells, arity 0 (no value list at all), 1 and 3
+        // (above `INLINE_ARITY`), several relations, and an entry that
+        // cancels to nothing and so renders no line.
         let mut batch = DeltaBatch::new();
         batch.insert("R", Tuple::ints(&[3, 10]));
-        batch.push("S", Tuple::ints(&[10, 5]), -3);
+        batch.delete("R", mixed(4, "ab cd"));
+        batch.push("R", Tuple::ints(&[5, 10]), 2);
+        batch.push("S", Tuple::ints(&[10, 5]), -2);
+        batch.push("S", mixed(10, "x"), 1 << 40);
+        batch.push("S", Tuple::ints(&[10, 7]), -(1 << 40));
         batch.insert("S", Tuple::ints(&[10, 6]));
         batch.delete("S", Tuple::ints(&[10, 6])); // nets to nothing
-        let (ops, batches) = replay(&proto::batch_lines(&batch)).unwrap();
+        batch.push("N", Tuple::empty(), 3);
+        batch.delete("U", Tuple::ints(&[8]));
+        batch.push("T", Tuple::ints(&[1, 2, 3]), -5);
+        assert!(Tuple::ints(&[1, 2, 3]).arity() > ivme_data::value::INLINE_ARITY);
+        let script = proto::batch_lines(&batch);
+        assert_eq!(script.lines().count(), 2 + batch.distinct_len());
+        let (ops, batches) = replay(&script).unwrap();
         assert!(ops.is_empty());
         assert_eq!(batches.len(), 1);
         assert_eq!(batches[0].to_updates(), batch.to_updates());

@@ -117,8 +117,9 @@ pub type Hook = Arc<dyn Fn(u64) + Send + Sync>;
 #[derive(Clone, Default)]
 pub struct TestHooks {
     /// Runs on the sync thread with the round's epoch, *before* any of
-    /// its frames reach the file — a panicking hook simulates a crash
-    /// between publish and fsync.
+    /// its frames reach the file. The writer publishes the round without
+    /// waiting for it, so a panicking hook simulates a crash between
+    /// publish and fsync.
     pub sync_barrier: Option<Hook>,
     /// Runs on the snapshot thread with the snapshot's epoch, before any
     /// serialization — a blocking hook simulates an arbitrarily slow

@@ -106,9 +106,10 @@ pub(crate) enum ReplRole {
 /// a lock.
 ///
 /// Two epochs matter once commit is pipelined: `inflight` is the newest
-/// epoch the writer has *handed to the log* (its frames are published and
-/// queued, but maybe not yet on disk), and `durable` is the newest epoch
-/// the sync thread has made durable per the configured fsync mode. The
+/// epoch the writer has *handed to the log* (its frames are queued and the
+/// round is published right after, but maybe not yet on disk), and
+/// `durable` is the newest published epoch the sync thread has made
+/// durable per the configured fsync mode. The
 /// gap between them — `fsync_backlog` in `stats` — is the set of rounds a
 /// crash right now would roll back; none of them has been acked.
 pub struct DurTracker {
@@ -152,8 +153,8 @@ impl DurTracker {
         self.inflight.load(Ordering::Acquire)
     }
 
-    /// Called by the sync thread after a round's frames hit the disk (or
-    /// the page cache, in `--fsync none`).
+    /// Called by the sync thread once a round is published and its frames
+    /// hit the disk (or the page cache, in `--fsync none`).
     pub fn record_durable(&self, epoch: u64, wal_frames: u64, fsync_us: u64) {
         self.wal_frames.store(wal_frames, Ordering::Relaxed);
         self.last_fsync_us.store(fsync_us, Ordering::Relaxed);

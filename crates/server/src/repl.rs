@@ -16,8 +16,8 @@
 //!
 //! With `--repl-listen <addr>` the server binds a second listener for
 //! followers. Live fan-out rides the existing durability pipeline: the
-//! WAL sync thread, right after a round's frames reach their durability
-//! point, hands the round to `ReplHub::broadcast_round`, which
+//! WAL sync thread, once a round is published and its frames reach their
+//! durability point, hands the round to `ReplHub::broadcast_round`, which
 //! `try_send`s it into each follower's *bounded* queue ([`QUEUE_DEPTH`]).
 //! A follower whose queue is full is disconnected on the spot — the sync
 //! thread never blocks on a slow follower, so commit acks are completely

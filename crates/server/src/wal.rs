@@ -40,26 +40,32 @@
 //! # The pipeline
 //!
 //! Appending and fsyncing happen on a dedicated sync thread, the log's
-//! only appender: `WalPipeline` moves the open [`Wal`] onto it, and the
-//! writer hands each committed round over as a `Job::Commit` carrying the
-//! frames *and* the round's held-back acks (as a boxed release closure),
-//! then immediately starts applying the next round. The sync thread
-//! appends, fsyncs per the [`FsyncMode`], and only then runs the release —
-//! so the fsync of group N overlaps the apply of group N+1 while every ack
-//! still waits for its durability point. The same queue carries the
-//! `Job::Rotate` the snapshot thread sends after an install: it arrives
-//! between appends, so the file is quiescent and already holds every frame
-//! a rotation must keep, and [`Wal::rotate`] reads them back from the log
+//! only appender: `WalPipeline` moves the open [`Wal`] onto it. The writer
+//! hands each committed round over in two jobs on one FIFO queue. The
+//! round's `Job::Frames` goes first, *before* the writer freezes and
+//! publishes the round, so the sync thread appends and fsyncs (per the
+//! [`FsyncMode`]) while the publish runs. The round's `Job::Acks` — its
+//! held-back acks as a boxed release closure — goes after the publish; the
+//! sync thread runs it only behind that append and fsync: it records the
+//! durable epoch, fans the round out to followers, then releases the
+//! acks. What a reader, follower or client observes is therefore ordered
+//! published → durable → broadcast → acked, while the fsync of round N
+//! overlaps the publish of round N and the apply of round N+1. The same
+//! queue carries the `Job::Rotate` the snapshot thread sends after an
+//! install: it arrives between appends (possibly between a round's two
+//! jobs), so the file is quiescent and already holds every frame a
+//! rotation must keep, and [`Wal::rotate`] reads them back from the log
 //! itself.
 //!
 //! # The failure rule
 //!
 //! Durability is *lost* when an append, an fsync or a rotation fails or
 //! panics, or when the sync thread is gone. The sync thread marks the
-//! shared tracker and releases that round, and every round already queued
-//! behind it, with `durable = false` — their clients read an `err`, never
-//! an `ok` — and the writer refuses every later write until the server is
-//! restarted (reads keep being served). A failed log never acks.
+//! shared tracker, and every round whose own frames did not reach the log
+//! — the one that failed, and every round queued behind it — is released
+//! with `durable = false`: their clients read an `err`, never an `ok`. The
+//! writer refuses every later write until the server is restarted (reads
+//! keep being served). A failed log never acks.
 //!
 //! # Recovery
 //!
@@ -481,15 +487,17 @@ pub fn scan(path: &Path) -> io::Result<(u64, Vec<Frame>)> {
 pub(crate) type Release = Box<dyn FnOnce(bool) + Send>;
 
 /// What travels from the writer (and the snapshot thread) to the sync
-/// thread, in one FIFO queue.
+/// thread, in one FIFO queue. The writer hands a committed round over in
+/// two jobs — its `Frames` before the publish, its `Acks` after — so the
+/// append and fsync run while the writer freezes and publishes.
 pub(crate) enum Job {
-    /// One committed round: append the frames at `epoch`, fsync per mode,
-    /// then run `release` (the round's acks).
-    Commit {
-        epoch: u64,
-        frames: Vec<String>,
-        release: Release,
-    },
+    /// One committed round's frames: append them at `epoch` and fsync per
+    /// mode.
+    Frames { epoch: u64, frames: Vec<String> },
+    /// The same round's acks, queued once it is published. Runs only after
+    /// its `Frames` job (FIFO): records the durable epoch, fans the round
+    /// out to followers, then runs `release`.
+    Acks { epoch: u64, release: Release },
     /// A snapshot at `base_epoch` was installed: rewrite the log as
     /// `header(base_epoch) + the frames past it`.
     Rotate { base_epoch: u64 },
@@ -537,27 +545,36 @@ impl WalPipeline {
         self.tracker.is_lost()
     }
 
-    /// Advertises `epoch` as handed to the log — before the publish, so
-    /// any read against the new snapshot already sees it in `wal_epoch`.
-    pub fn begin(&self, epoch: u64) {
+    /// Hands a committed round's frames over, before its publish, and
+    /// advertises `epoch` as handed to the log — so any read against the
+    /// new snapshot already sees it in `wal_epoch`. When the sync thread
+    /// is gone, durability is lost from here on, and [`WalPipeline::acks`]
+    /// releases the round as not durable.
+    pub fn frames(&self, epoch: u64, frames: Vec<String>) {
         self.tracker.set_inflight(epoch);
+        self.send(Job::Frames { epoch, frames });
     }
 
-    /// Hands one committed round over. `false` when the sync thread is
-    /// gone: durability is lost from here on, and the round is released
-    /// as not durable.
-    pub fn commit(&self, epoch: u64, frames: Vec<String>, release: Release) -> bool {
-        let job = Job::Commit {
-            epoch,
-            frames,
-            release,
-        };
+    /// Hands the round's held-back acks over, after its publish. `false`
+    /// when the sync thread is gone: durability is lost, and the round is
+    /// released as not durable on the caller's thread.
+    pub fn acks(&self, epoch: u64, release: Release) -> bool {
+        self.send(Job::Acks { epoch, release })
+    }
+
+    /// Queues `job`. A gone sync thread loses durability, and an `Acks`
+    /// job that cannot be queued is released as not durable right here.
+    fn send(&self, job: Job) -> bool {
         let Err(mpsc::SendError(job)) = self.tx.send(job) else {
             return true;
         };
-        eprintln!("ivme-server: the WAL sync thread is gone; durability lost — refusing writes");
-        self.tracker.set_lost();
-        if let Job::Commit { release, .. } = job {
+        if !self.tracker.is_lost() {
+            eprintln!(
+                "ivme-server: the WAL sync thread is gone; durability lost — refusing writes"
+            );
+            self.tracker.set_lost();
+        }
+        if let Job::Acks { release, .. } = job {
             release(false);
         }
         false
@@ -615,29 +632,39 @@ fn sync_loop(
     hook: Option<Hook>,
     hub: Option<Arc<crate::repl::ReplHub>>,
 ) {
+    // The round whose frames are on disk and whose acks are still to
+    // come: its epoch and frames, kept for the fan-out. `None` when the
+    // last `Frames` job failed or was skipped.
+    let mut appended: Option<(u64, Vec<String>)> = None;
     while let Ok(job) = rx.recv() {
         match job {
-            Job::Commit {
-                epoch,
-                frames,
-                release,
-            } => {
-                let durable = attempt(tracker, "append", || {
+            Job::Frames { epoch, frames } => {
+                let ok = attempt(tracker, "append", || {
                     if let Some(h) = &hook {
                         h(epoch);
                     }
                     append_round(&mut wal, mode, epoch, &frames)
                 });
-                if durable {
-                    // Fan the durable round out to followers — a bounded
-                    // `try_send` per follower, never a block: a follower
-                    // that cannot keep up is disconnected here rather
-                    // than allowed to stall commits.
-                    if let Some(h) = &hub {
-                        h.broadcast_round(epoch, &frames);
+                appended = ok.then_some((epoch, frames));
+            }
+            Job::Acks { epoch, release } => {
+                // Durable exactly when this round's own frames reached the
+                // log: a rotation that failed in between left them in
+                // whichever file holds the log.
+                let durable = match appended.take() {
+                    Some((e, frames)) if e == epoch => {
+                        tracker.record_durable(epoch, wal.frames(), wal.last_fsync_us());
+                        // Fan the durable round out to followers — a
+                        // bounded `try_send` per follower, never a block:
+                        // a follower that cannot keep up is disconnected
+                        // here rather than allowed to stall commits.
+                        if let Some(h) = &hub {
+                            h.broadcast_round(epoch, &frames);
+                        }
+                        true
                     }
-                    tracker.record_durable(epoch, wal.frames(), wal.last_fsync_us());
-                }
+                    _ => false,
+                };
                 release(durable);
             }
             Job::Rotate { base_epoch } => {
@@ -910,38 +937,60 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// A round's two jobs: the frames job appends and fsyncs but neither
+    /// records the round durable nor releases it; the acks job, run behind
+    /// it, does both. A rotation landing between the two keeps the frame.
     #[test]
     fn pipeline_releases_acks_only_after_the_append() {
-        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::sync::Mutex;
+        use std::time::Duration;
         let path = tmp("pipeline");
         let wal = Wal::create(&path, 0).unwrap();
         let tracker = Arc::new(DurTracker::new(0, 0, 0));
-        let released = Arc::new(AtomicU64::new(0));
+        let released = Arc::new(Mutex::new(Vec::new()));
         let p =
             WalPipeline::start(wal, FsyncMode::Group, Arc::clone(&tracker), None, None).unwrap();
         for e in 1..=3u64 {
-            let released = Arc::clone(&released);
-            let frames = vec![format!("insert R {e},{e}\n")];
-            let release: Release = Box::new(move |durable| {
-                assert!(durable);
-                released.fetch_add(1, Ordering::SeqCst);
-            });
-            assert!(p.commit(e, frames, release), "sync thread gone");
+            p.frames(e, vec![format!("insert R {e},{e}\n")]);
+            // Once the frame is in the file, the frames job has done all
+            // it does: the round is neither recorded durable nor released.
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while scan(&path).unwrap().1.last().map(|f| f.epoch) != Some(e) {
+                assert!(Instant::now() < deadline, "round {e} never reached the log");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            assert_eq!(released.lock().unwrap().len() as u64, e - 1);
+            assert!(
+                tracker.durable() < e,
+                "round {e} durable before its acks job"
+            );
+            // A checkpoint of the previous round installs in between.
+            p.sender().send(Job::Rotate { base_epoch: e - 1 }).unwrap();
+            let outcomes = Arc::clone(&released);
+            let release: Release = Box::new(move |durable| outcomes.lock().unwrap().push(durable));
+            assert!(p.acks(e, release), "sync thread gone");
+            assert!(p.flush(), "flush barrier");
+            assert_eq!(*released.lock().unwrap(), vec![true; e as usize]);
+            assert_eq!(tracker.durable(), e);
+            assert_eq!(tracker.wal_frames(), 1, "the rotation kept round {e}");
         }
-        assert!(p.flush(), "flush barrier");
-        assert_eq!(released.load(Ordering::SeqCst), 3);
-        assert_eq!(tracker.durable(), 3);
-        assert_eq!(tracker.wal_frames(), 3);
         drop(p);
-        let (_, rec) = Wal::open(&path).unwrap();
-        assert_eq!(rec.frames.len(), 3);
+        let (w, rec) = Wal::open(&path).unwrap();
+        assert_eq!(w.base_epoch(), 2);
+        assert_eq!(
+            rec.frames,
+            [Frame {
+                epoch: 3,
+                text: "insert R 3,3\n".to_owned()
+            }]
+        );
         std::fs::remove_file(&path).unwrap();
     }
 
     /// A panic outside `attempt` — here in a round's release — kills the
-    /// sync thread without marking anything. The next hand-off finds the
-    /// thread gone: it loses durability and releases that round as not
-    /// durable, on the caller's thread.
+    /// sync thread without marking anything. The next round's hand-off
+    /// finds the thread gone: it loses durability and releases that round
+    /// as not durable, on the caller's thread.
     #[test]
     fn a_dead_sync_thread_loses_durability_at_the_next_commit() {
         use std::sync::atomic::{AtomicU8, Ordering};
@@ -950,17 +999,21 @@ mod tests {
         let tracker = Arc::new(DurTracker::new(0, 0, 0));
         let p = WalPipeline::start(wal, FsyncMode::None, Arc::clone(&tracker), None, None).unwrap();
         let frames = || vec!["insert R 1,1\n".to_owned()];
-        assert!(p.commit(1, frames(), Box::new(|_| panic!("release panics"))));
+        p.frames(1, frames());
+        assert!(p.acks(1, Box::new(|_| panic!("release panics"))));
         assert!(!p.flush(), "the sync thread outlived its panic");
         assert!(!p.lost(), "nothing has noticed the dead thread yet");
+        // The next round's frames find the thread gone ...
+        p.frames(2, frames());
+        assert!(p.lost());
+        // ... and its acks are released not durable, right here.
         // 0 = not released, 1 = released not durable, 2 = released durable.
         let outcome = Arc::new(AtomicU8::new(0));
         let seen = Arc::clone(&outcome);
         let release: Release = Box::new(move |durable| {
             seen.store(1 + u8::from(durable), Ordering::SeqCst);
         });
-        assert!(!p.commit(2, frames(), release));
-        assert!(p.lost());
+        assert!(!p.acks(2, release));
         assert_eq!(outcome.load(Ordering::SeqCst), 1);
         drop(p);
         std::fs::remove_file(&path).unwrap();

@@ -4,11 +4,12 @@
 //! owns one, and so does a replica's follower thread; what it publishes goes
 //! through `Endpoint::publish` (`conn`) and what it replays through
 //! [`OwnedState::apply_round`] (`recovery`). [`writer_loop`] drains the
-//! request channel into rounds; `process_round` applies and publishes,
-//! then talks to the durability lane through three calls: `commit` hands
-//! the round's frames and held-back acks to the log, `checkpoint` hands a
-//! captured state to the snapshot thread, `flush` drains both at
-//! shutdown. One failure rule: once the log has failed
+//! request channel into rounds; `process_round` applies, hands the
+//! round's frames to the log (`frames`), publishes, then hands the log
+//! the round's held-back acks (`acks`) — so the fsync runs while the
+//! round is frozen and published. `checkpoint` hands a captured state to
+//! the snapshot thread, and `flush` drains both lanes at shutdown. One
+//! failure rule: once the log has failed
 //! (`WalPipeline::lost`), every write is refused before it touches the
 //! session — see [`crate::wal`].
 
@@ -256,9 +257,9 @@ pub(crate) fn writer_loop(rx: Receiver<Request>, endpoint: &Endpoint, mut state:
 
 /// One writer round: processes the drained requests in arrival order —
 /// maximal runs of consecutive batches become one group commit each,
-/// admin ops are serialization points between runs — then publishes the
-/// new snapshot, hands the round's WAL frames to the log together with
-/// the held-back acks, and checks the checkpoint cadence. Shutdown
+/// admin ops are serialization points between runs — then hands the
+/// round's WAL frames to the log, publishes the new snapshot, hands the
+/// log the held-back acks, and checks the checkpoint cadence. Shutdown
 /// requests found in the round are returned to the caller
 /// ([`writer_loop`] runs the shutdown sequence).
 fn process_round(
@@ -302,26 +303,27 @@ fn process_round(
         }
     }
     commit_run(&mut run, state, status, &mut acks, &mut round);
-    // Publish, then hand the round to the sync thread *with its acks* —
-    // in that order. The publish before the hand-off is the
-    // read-your-writes promise; the sync thread running the acks only
-    // after the fsync is the durability promise. The writer is then free
-    // to apply the next round while this one's fsync is in flight.
-    // Rejected-only rounds publish (and log) nothing — readers cannot
-    // tell a rejection happened.
+    // Hand the round's frames to the sync thread, publish, then hand it
+    // the acks — in that order. The frames go first so their append and
+    // fsync overlap the freeze and publish; the acks go after the publish,
+    // which is the read-your-writes promise, and the sync thread runs them
+    // only after the fsync, which is the durability promise. The writer is
+    // then free to apply the next round while this one's fsync is in
+    // flight. Rejected-only rounds publish (and log) nothing — readers
+    // cannot tell a rejection happened.
     if round.changed {
         let epoch = state.epoch + 1;
-        if let Some(d) = &state.dur {
-            d.pipeline.begin(epoch);
+        if let (Some(d), Some(frames)) = (&state.dur, round.frames) {
+            d.pipeline.frames(epoch, frames);
         }
         endpoint.publish(state.session.read_view(epoch));
         state.epoch = epoch;
         status.snapshots_published.fetch_add(1, Ordering::Relaxed);
-        if let (Some(d), Some(frames)) = (state.dur.as_mut(), round.frames) {
+        if let Some(d) = state.dur.as_mut() {
             // Logged rounds ack from the sync thread, after their fsync.
             let pending = std::mem::take(&mut acks);
             let release = Box::new(move |durable| release_acks(pending, durable));
-            if d.pipeline.commit(epoch, frames, release) {
+            if d.pipeline.acks(epoch, release) {
                 d.rounds_since_snapshot += 1;
             }
         }

@@ -23,7 +23,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use ivme_cli::proto;
+use ivme_cli::proto::{self, Line};
 use ivme_core::Database;
 use ivme_data::Tuple;
 
@@ -85,8 +85,7 @@ impl RecoveryWorkload {
     pub fn setup_script(&self, shards: usize) -> String {
         let mut out = format!("query {QUERY}\n");
         for (rel, t) in &self.seed {
-            out.push_str(&proto::row_line(rel, t));
-            out.push('\n');
+            proto::push_line(&mut out, Line::Row, rel, t);
         }
         if shards > 1 {
             out.push_str(&format!(".shards {shards}\n"));
@@ -100,8 +99,7 @@ impl RecoveryWorkload {
     pub fn batch_script(&self, k: usize) -> String {
         let mut out = String::from(".batch begin\n");
         for (rel, t, d) in &self.batches[k] {
-            out.push_str(&proto::update_line(rel, t, *d));
-            out.push('\n');
+            proto::push_line(&mut out, Line::Update(*d), rel, t);
         }
         out.push_str(".batch commit\n");
         out
