@@ -303,8 +303,8 @@ impl Session {
 }
 
 /// How a batch handed to [`Staging::execute`]'s `apply` went in: the
-/// time to report, and the size of the group commit it rode in where
-/// there is one.
+/// time to report, and — on a server — the number of client batches
+/// submitted in the writer round it rode in.
 #[derive(Default)]
 pub struct Applied {
     pub secs: f64,

@@ -616,11 +616,6 @@ impl Relation {
             .map(|i| IndexId(i as u32))
     }
 
-    /// The key schema of an index.
-    pub fn index_key_schema(&self, idx: IndexId) -> &Schema {
-        &self.indexes[idx.0 as usize].key_schema
-    }
-
     /// `|σ_{S=key} R|`: number of distinct tuples in a group. O(1).
     pub fn group_len(&self, idx: IndexId, key: &Tuple) -> usize {
         self.indexes[idx.0 as usize]

@@ -20,7 +20,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use ivme_cli::proto::{self, Command};
-use ivme_cli::session::{Applied, ReadView, Staging, Step};
+use ivme_cli::session::{ReadView, Staging, Step};
 use ivme_data::Tuple;
 
 use crate::publish::{Cached, Published, Status};
@@ -335,11 +335,7 @@ fn execute(
             let tx = sink.writer()?;
             let built = endpoint.published.refresh(cache).read.view.is_some();
             pending.execute(write, built, |batch| {
-                let info = call(tx, |ack| Request::Batch { batch, ack })?;
-                Ok(Applied {
-                    secs: info.apply_micros as f64 / 1e6,
-                    group: Some(info.group),
-                })
+                call(tx, |ack| Request::Batch { batch, ack })
             })
         }
     }

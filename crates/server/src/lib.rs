@@ -13,13 +13,14 @@
 //!   every result component the round touched, `O(|component|)` per commit
 //!   (the ledger's `core.snapshot_us_per_round` and
 //!   `core.snapshot_tuples_per_round`; it dominates `twopath-publish`).
-//! * **Group-commit writes.** The writer coalesces pending batches into
-//!   one merged batch, applies it, publishes, and only then are the acks
-//!   released — a client that has seen its ack reads its own write. A
-//!   poisoned group falls back to per-member replay, so only offenders see
-//!   an error and a rejected batch publishes nothing.
-//! * **Durability.** With `--data-dir` every committed unit is a
-//!   CRC-checksummed [`wal`] frame of `proto` command text, appended and
+//! * **Group-commit writes.** The writer drains pending requests into a
+//!   round and applies each client batch on its own, in arrival order: it
+//!   commits or is rejected exactly as it would alone, and a rejected one
+//!   changes nothing. The round then publishes once, and only then are its
+//!   acks released — a client that has seen its ack reads its own write.
+//! * **Durability.** With `--data-dir` every committed batch or admin op
+//!   is a CRC-checksummed [`wal`] frame of `proto` command text (rejected
+//!   batches are not logged), appended and
 //!   fsynced by a dedicated sync thread that releases the round's acks
 //!   afterwards; a background thread checkpoints into [`snapshot`] files
 //!   and the log rotates onto them. Boot loads the newest valid snapshot
@@ -36,8 +37,8 @@
 //! [`ivme_cli::session`]; primary and replica serve through the same
 //! accept and connection loop and publish through the one
 //! `Endpoint::publish` (`conn`); the writer talks to the durability lane
-//! through `commit`, `checkpoint` and `flush` and obeys its one failure
-//! rule (`writer`, [`wal`]); one [`publish::Status`] per process is what
+//! through `frames`, `acks`, `checkpoint` and `flush` and obeys its one
+//! failure rule (`writer`, [`wal`]); one [`publish::Status`] per process is what
 //! `stats` and [`Server::serve_stats`] report from; and boot recovery and
 //! the replica's follower thread replay rounds through the one
 //! `OwnedState::apply_round` (`recovery`). Both listeners — clients and
@@ -69,7 +70,6 @@ use publish::{DurTracker, ReplRole, Status};
 use snapshot::SnapshotWorker;
 pub use wal::FsyncMode;
 use wal::WalPipeline;
-pub use writer::GroupInfo;
 use writer::{Durability, OwnedState, Request};
 
 /// Server tuning knobs. `Default` is sized for tests and local serving.
@@ -147,12 +147,10 @@ impl std::fmt::Debug for TestHooks {
 pub struct ServeStats {
     /// Connections admitted since start.
     pub connections: u64,
-    /// Group commits performed by the writer thread.
+    /// Writer rounds that committed at least one client batch.
     pub group_commits: u64,
-    /// Client batches folded into those commits.
+    /// Client batches committed by those rounds.
     pub grouped_batches: u64,
-    /// Groups that were rejected as a whole and re-applied per member.
-    pub group_retries: u64,
     /// Snapshots published (the current snapshot epoch).
     pub snapshots_published: u64,
 }
@@ -344,15 +342,6 @@ impl Server {
         // committed was offered to them first.
         if let Some(r) = self.repl.as_mut() {
             r.stop();
-        }
-    }
-
-    /// Blocks until the accept loop exits (i.e. forever, short of
-    /// [`Server::stop`] from another thread or a listener error) — the
-    /// `ivme-server` binary's main loop.
-    pub fn join(mut self) {
-        if let Some(h) = self.accept_handle.take() {
-            let _ = h.join();
         }
     }
 }

@@ -40,7 +40,6 @@ pub struct Status {
     pub(crate) connections: AtomicU64,
     pub(crate) group_commits: AtomicU64,
     pub(crate) grouped_batches: AtomicU64,
-    pub(crate) group_retries: AtomicU64,
     pub(crate) snapshots_published: AtomicU64,
     /// The durability frontiers (`None` when serving memory-only).
     pub(crate) dur: Option<Arc<DurTracker>>,
@@ -56,7 +55,6 @@ impl Status {
             connections: load(&self.connections),
             group_commits: load(&self.group_commits),
             grouped_batches: load(&self.grouped_batches),
-            group_retries: load(&self.group_retries),
             snapshots_published: load(&self.snapshots_published),
         }
     }

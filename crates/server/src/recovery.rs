@@ -91,10 +91,9 @@ pub(crate) fn recover(
     }
     let snap_epoch = snap.as_ref().map_or(0, |s| s.epoch);
     if let Some(s) = snap {
-        let (commits, batches, retries) = s.serve_stats;
+        let (commits, batches) = s.serve_stats;
         *status.group_commits.get_mut() = commits;
         *status.grouped_batches.get_mut() = batches;
-        *status.group_retries.get_mut() = retries;
         state.restore(s).map_err(crate::invalid_data)?;
     }
     let wal_path = dir.join("wal.log");
@@ -129,10 +128,11 @@ pub(crate) fn recover(
             .apply_round(epoch, round.iter().map(|f| f.text.as_str()))
             .map_err(|e| crate::invalid_data(format!("WAL replay failed at epoch {epoch}: {e}")))?;
         groups += 1;
-        // One group commit of (at least) one batch per batch frame.
+        // One batch frame is one committed client batch, and a round's
+        // frames share its epoch: both counters come back exactly.
         let is_batch = |f: &&wal::Frame| f.text.starts_with(".batch begin");
         let batches = round.iter().filter(is_batch).count() as u64;
-        *status.group_commits.get_mut() += batches;
+        *status.group_commits.get_mut() += u64::from(batches > 0);
         *status.grouped_batches.get_mut() += batches;
     }
     if groups > 0 {

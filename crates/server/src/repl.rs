@@ -537,11 +537,6 @@ impl ReplicaStats {
         self.applied_epoch.load(Ordering::Acquire)
     }
 
-    /// Whether the follower thread currently holds a live connection.
-    pub fn connected(&self) -> bool {
-        self.connected.load(Ordering::Acquire)
-    }
-
     /// The replica's `stats` line (see docs/PROTOCOL.md).
     pub(crate) fn stats_lines(&self, out: &mut String) {
         use std::fmt::Write as _;

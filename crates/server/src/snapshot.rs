@@ -48,8 +48,8 @@ pub struct SnapshotData {
     /// Engine counters: (updates, batches, misroutes) — cumulative across
     /// restarts, restored into the rebuilt engine.
     pub engine_stats: (u64, u64, u64),
-    /// Server counters: (group_commits, grouped_batches, group_retries).
-    pub serve_stats: (u64, u64, u64),
+    /// Server counters: (group_commits, grouped_batches).
+    pub serve_stats: (u64, u64),
     pub epsilon: f64,
     pub mode: Mode,
     pub shards: usize,
@@ -69,7 +69,7 @@ impl Default for SnapshotData {
         SnapshotData {
             epoch: 0,
             engine_stats: (0, 0, 0),
-            serve_stats: (0, 0, 0),
+            serve_stats: (0, 0),
             epsilon: 0.5,
             mode: Mode::Dynamic,
             shards: 1,
@@ -116,8 +116,8 @@ pub fn write(dir: &Path, data: &SnapshotData) -> io::Result<PathBuf> {
     let _ = writeln!(out, "epoch {}", data.epoch);
     let (u, b, m) = data.engine_stats;
     let _ = writeln!(out, "engine_stats {u} {b} {m}");
-    let (gc, gb, gr) = data.serve_stats;
-    let _ = writeln!(out, "serve_stats {gc} {gb} {gr}");
+    let (gc, gb) = data.serve_stats;
+    let _ = writeln!(out, "serve_stats {gc} {gb}");
     let _ = writeln!(out, "epsilon {}", data.epsilon);
     let _ = writeln!(
         out,
@@ -177,8 +177,10 @@ pub fn parse(text: &str) -> Result<SnapshotData, String> {
         epoch: num(expect("epoch")?)?,
         ..SnapshotData::default()
     };
-    data.engine_stats = triple(expect("engine_stats")?)?;
-    data.serve_stats = triple(expect("serve_stats")?)?;
+    let [updates, batches, misroutes] = counters(expect("engine_stats")?)?;
+    data.engine_stats = (updates, batches, misroutes);
+    let [commits, batches] = counters(expect("serve_stats")?)?;
+    data.serve_stats = (commits, batches);
     data.epsilon = expect("epsilon")?
         .parse()
         .map_err(|_| "bad epsilon".to_owned())?;
@@ -235,10 +237,16 @@ fn num(s: &str) -> Result<u64, String> {
     s.parse().map_err(|_| format!("bad number `{s}`"))
 }
 
-fn triple(s: &str) -> Result<(u64, u64, u64), String> {
+/// The first `N` numbers of a counters line. Later fields are ignored:
+/// older checkpoints carry a third `serve_stats` field, a retry count
+/// that no longer exists.
+fn counters<const N: usize>(s: &str) -> Result<[u64; N], String> {
     let mut it = s.split_whitespace().map(num);
-    let mut next = || it.next().unwrap_or_else(|| Err("missing field".into()));
-    Ok((next()?, next()?, next()?))
+    let mut out = [0; N];
+    for field in &mut out {
+        *field = it.next().unwrap_or_else(|| Err("missing field".into()))?;
+    }
+    Ok(out)
 }
 
 /// The one directory listing: the epochs of the snapshot files in `dir`,
@@ -442,7 +450,7 @@ mod tests {
         SnapshotData {
             epoch,
             engine_stats: (100, 12, 1),
-            serve_stats: (12, 40, 2),
+            serve_stats: (12, 40),
             epsilon: 0.25,
             mode: Mode::Dynamic,
             shards: 2,
@@ -482,7 +490,7 @@ mod tests {
         let loaded = loaded.unwrap();
         assert_eq!(loaded.epoch, 42);
         assert_eq!(loaded.engine_stats, (100, 12, 1));
-        assert_eq!(loaded.serve_stats, (12, 40, 2));
+        assert_eq!(loaded.serve_stats, (12, 40));
         assert_eq!(loaded.epsilon, 0.25);
         assert_eq!(loaded.shards, 2);
         assert_eq!(loaded.query.as_deref(), Some("Q(A,C) :- R(A,B), S(B,C)"));
@@ -561,6 +569,28 @@ mod tests {
         assert!(matches!(loaded.mode, Mode::Static));
         assert_eq!(loaded.staged.rows("R"), vec![(Tuple::ints(&[1]), 1)]);
         assert_eq!(loaded.base.total_rows(), 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Checkpoints written before the retry counter was dropped carry
+    /// three `serve_stats` fields; a data dir holding one still boots.
+    #[test]
+    fn a_checkpoint_with_three_serve_stats_fields_still_loads() {
+        let dir = tmp_dir("three_fields");
+        let mut text = "IVMESNAP1\nepoch 5\nengine_stats 7 3 0\nserve_stats 3 4 1\n\
+                        epsilon 0.5\nmode dynamic\nshards 1\nquery Q(A,C) :- R(A,B), S(B,C)\n\
+                        built 1\nbase 1 R 1,10\nbase 1 S 10,5\n"
+            .to_owned();
+        let crc = crc32(text.as_bytes());
+        text.push_str(&format!("crc {crc:08x}\n"));
+        std::fs::write(snapshot_path(&dir, 5), text).unwrap();
+        let (loaded, warnings) = load_latest(&dir).unwrap();
+        assert!(warnings.is_empty(), "{warnings:?}");
+        let loaded = loaded.unwrap();
+        assert_eq!(loaded.epoch, 5);
+        assert_eq!(loaded.engine_stats, (7, 3, 0));
+        assert_eq!(loaded.serve_stats, (3, 4));
+        assert_eq!(loaded.base.total_rows(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -24,18 +24,13 @@
 //!
 //! # What is logged, and when
 //!
-//! One frame per **committed unit** — a merged group batch that applied,
-//! an individually replayed member that applied, or a successful admin op
-//! — handed to the sync thread *after* the in-memory apply and made
-//! durable *before* the ack. Logging inputs before applying them sounds
-//! more traditional but would be wrong here: a merged group can validate
-//! on its *net* delta (one member's over-delete cancelled by another's
-//! insert) where sequential replay of the raw member batches would reject
-//! a member, so only the units that actually committed are deterministic
-//! to replay. The durability point is therefore fsync-before-ack: an
-//! acked write is on disk (in `group` mode), an unacked write
-//! may be lost with the process — the same contract the ack already
-//! carried for visibility.
+//! One frame per **committed unit** — a client batch that applied, or a
+//! successful admin op — handed to the sync thread *after* the in-memory
+//! apply and made durable *before* the ack. Rejected batches are not
+//! logged: they changed nothing, so replay never meets them. The
+//! durability point is therefore fsync-before-ack: an acked write is on
+//! disk (in `group` mode), an unacked write may be lost with the process
+//! — the same contract the ack already carried for visibility.
 //!
 //! # The pipeline
 //!
@@ -109,8 +104,8 @@ pub enum FsyncMode {
     /// Never fsync — the OS page cache decides. Fastest; a crash can lose
     /// acked writes (but never corrupt the recoverable prefix).
     None,
-    /// One fsync per committed group, after all of the round's frames —
-    /// durability amortized exactly like the group-commit round itself.
+    /// One fsync per committed round, after all of the round's frames —
+    /// durability amortized over the round's client batches.
     Group,
 }
 

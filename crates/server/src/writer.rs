@@ -4,8 +4,10 @@
 //! owns one, and so does a replica's follower thread; what it publishes goes
 //! through `Endpoint::publish` (`conn`) and what it replays through
 //! [`OwnedState::apply_round`] (`recovery`). [`writer_loop`] drains the
-//! request channel into rounds; `process_round` applies, hands the
-//! round's frames to the log (`frames`), publishes, then hands the log
+//! request channel into rounds; `process_round` applies each request on
+//! its own, in arrival order (a client batch commits or is rejected
+//! exactly as it would alone), hands the round's frames to the log
+//! (`frames`), publishes once, then hands the log
 //! the round's held-back acks (`acks`) — so the fsync runs while the
 //! round is frozen and published. `checkpoint` hands a captured state to
 //! the snapshot thread, and `flush` drains both lanes at shutdown. One
@@ -18,7 +20,7 @@ use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::time::Instant;
 
 use ivme_cli::proto;
-use ivme_cli::session::{AdminOp, Session, NOT_BUILT};
+use ivme_cli::session::{AdminOp, Applied, Session};
 use ivme_core::{DeltaBatch, EngineOptions, ShardedEngine};
 
 use crate::conn::Endpoint;
@@ -109,7 +111,7 @@ fn snapshot_data(s: &Session, epoch: u64, status: &Status) -> SnapshotData {
     SnapshotData {
         epoch,
         engine_stats,
-        serve_stats: (c.group_commits, c.grouped_batches, c.group_retries),
+        serve_stats: (c.group_commits, c.grouped_batches),
         epsilon: s.options().epsilon,
         mode: s.options().mode,
         shards: s.shards(),
@@ -162,24 +164,15 @@ pub(crate) fn call<T>(
     ack_rx.recv().map_err(|_| gone())?
 }
 
-/// What the writer thread reports back per submitted batch.
-pub(crate) type WriteAck = Result<GroupInfo, String>;
+/// What the writer thread reports back per submitted batch: its own
+/// apply time, and the client batches submitted in its round as `group`.
+pub(crate) type WriteAck = Result<Applied, String>;
 
 /// An ack the writer holds back until after the publish, so a client that
 /// sees its response is guaranteed to read its own write.
 enum PendingAck {
     Write(mpsc::Sender<WriteAck>, WriteAck),
     Admin(mpsc::Sender<Result<String, String>>, Result<String, String>),
-}
-
-/// Timing/shape of the group commit a batch rode in.
-#[derive(Clone, Copy, Debug)]
-pub struct GroupInfo {
-    /// Client batches coalesced into the commit.
-    pub group: usize,
-    /// Wall time of the engine apply (the whole group's, not this batch's
-    /// share).
-    pub apply_micros: u128,
 }
 
 // ----------------------------------------------------------------------
@@ -190,7 +183,7 @@ pub struct GroupInfo {
 /// writers when the group-commit thread falls behind.
 pub(crate) const QUEUE_DEPTH: usize = 128;
 
-/// Maximum client requests coalesced into one writer round.
+/// Maximum client requests drained into one writer round.
 const GROUP_LIMIT: usize = 64;
 
 /// What a write answers once durability is lost (see [`crate::wal`]):
@@ -255,26 +248,31 @@ pub(crate) fn writer_loop(rx: Receiver<Request>, endpoint: &Endpoint, mut state:
     }
 }
 
-/// One writer round: processes the drained requests in arrival order —
-/// maximal runs of consecutive batches become one group commit each,
-/// admin ops are serialization points between runs — then hands the
+/// One writer round: applies the drained requests one at a time, in
+/// arrival order — each client batch commits or is rejected exactly as it
+/// would alone, and is never netted against another — then hands the
 /// round's WAL frames to the log, publishes the new snapshot, hands the
-/// log the held-back acks, and checks the checkpoint cadence. Shutdown
-/// requests found in the round are returned to the caller
-/// ([`writer_loop`] runs the shutdown sequence).
+/// log the held-back acks, and checks the checkpoint cadence. What the
+/// round shares is that one publish and one fsync. Shutdown requests
+/// found in the round are returned to the caller ([`writer_loop`] runs
+/// the shutdown sequence).
 fn process_round(
     reqs: Vec<Request>,
     state: &mut OwnedState,
     endpoint: &Endpoint,
 ) -> Vec<mpsc::Sender<Result<String, String>>> {
     let status = &*endpoint.status;
+    let group = reqs
+        .iter()
+        .filter(|r| matches!(r, Request::Batch { .. }))
+        .count();
     let mut acks: Vec<PendingAck> = Vec::with_capacity(reqs.len());
     let mut shutdown_acks = Vec::new();
     let mut round = Round {
         changed: false,
         frames: state.dur.is_some().then(Vec::new),
     };
-    let mut run: Vec<(DeltaBatch, mpsc::Sender<WriteAck>)> = Vec::new();
+    let mut batches = 0u64;
     // The failure rule: once the log has failed, every write is refused
     // before it touches the session.
     let lost = state.dur.as_ref().is_some_and(|d| d.pipeline.lost());
@@ -286,9 +284,22 @@ fn process_round(
             Request::Admin { ack, .. } if lost => {
                 acks.push(PendingAck::Admin(ack, Err(LOST.to_owned())));
             }
-            Request::Batch { batch, ack } => run.push((batch, ack)),
+            Request::Batch { batch, ack } => {
+                // A rejected batch leaves the engine unchanged; a
+                // committed one is one WAL frame.
+                let t0 = Instant::now();
+                let res = state.session.apply(&batch).map(|()| {
+                    let secs = t0.elapsed().as_secs_f64();
+                    round.committed(|| proto::batch_lines(&batch));
+                    batches += 1;
+                    Applied {
+                        secs,
+                        group: Some(group),
+                    }
+                });
+                acks.push(PendingAck::Write(ack, res));
+            }
             Request::Admin { op, ack } => {
-                commit_run(&mut run, state, status, &mut acks, &mut round);
                 // Capture the replay text before `admin` consumes the op
                 // (`Some` exactly when `committed` will ask for it); it
                 // becomes a WAL frame only if the op succeeds.
@@ -302,7 +313,10 @@ fn process_round(
             Request::Shutdown { ack } => shutdown_acks.push(ack),
         }
     }
-    commit_run(&mut run, state, status, &mut acks, &mut round);
+    if batches > 0 {
+        status.group_commits.fetch_add(1, Ordering::Relaxed);
+        status.grouped_batches.fetch_add(batches, Ordering::Relaxed);
+    }
     // Hand the round's frames to the sync thread, publish, then hand it
     // the acks — in that order. The frames go first so their append and
     // fsync overlap the freeze and publish; the acks go after the publish,
@@ -377,87 +391,132 @@ fn release_acks(acks: Vec<PendingAck>, durable: bool) {
     }
 }
 
-/// Applies one run of consecutive client batches as a single group
-/// commit (with per-member replay if the merged batch rejects), emptying
-/// `run`. Acks are deferred into `acks`; each *committed unit* is recorded
-/// in `round` with its replay script (one WAL frame per unit).
-///
-/// Frames record what *committed*, after the apply — not what was
-/// submitted. The distinction matters on the fallback path: a merged
-/// group validates on its **net** delta (one member's over-delete can be
-/// cancelled by another member's insert), so replaying the raw member
-/// batches sequentially could reject a member that the merged commit
-/// accepted. Logging the merged batch on group success and each
-/// surviving member on fallback makes replay bit-exact by construction.
-fn commit_run(
-    run: &mut Vec<(DeltaBatch, mpsc::Sender<WriteAck>)>,
-    state: &mut OwnedState,
-    status: &Status,
-    acks: &mut Vec<PendingAck>,
-    round: &mut Round,
-) {
-    if run.is_empty() {
-        return;
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use ivme_cli::proto::Command;
+    use ivme_data::Tuple;
+
+    use super::*;
+    use crate::conn::execute_read;
+    use crate::publish::DurTracker;
+    use crate::wal::{self, FsyncMode, Wal};
+
+    /// One client batch of `(relation, tuple, delta)` updates.
+    fn batch(updates: &[(&str, [i64; 2], i64)]) -> DeltaBatch {
+        let mut b = DeltaBatch::new();
+        for (rel, t, d) in updates {
+            b.push(rel, Tuple::ints(t), *d);
+        }
+        b
     }
-    /// One batch as its own committed unit: a run of one, or a member of
-    /// a poisoned group.
-    fn apply_alone(batch: &DeltaBatch, state: &mut OwnedState, round: &mut Round) -> WriteAck {
-        let t0 = Instant::now();
-        state.session.apply(batch)?;
-        let apply_micros = t0.elapsed().as_micros();
-        round.committed(|| proto::batch_lines(batch));
-        Ok(GroupInfo {
-            group: 1,
-            apply_micros,
-        })
+
+    /// What one writer round made of some client batches.
+    struct Outcome {
+        answers: Vec<WriteAck>,
+        count: String,
+        epoch: u64,
+        /// The frames the round logged, read back from `wal.log`.
+        frames: Vec<String>,
     }
-    let members = std::mem::take(run);
-    if !state.session.is_built() {
-        for (_, ack) in members {
-            acks.push(PendingAck::Write(ack, Err(NOT_BUILT.to_owned())));
+
+    /// Submits `batches` as one writer round to a built state over
+    /// `Q(A,C) :- R(A,B), S(B,C)` with `S = {(10, 5)}` and `R` empty,
+    /// logging under `--fsync group` to a fresh directory.
+    fn one_round(name: &str, batches: Vec<DeltaBatch>) -> Outcome {
+        let dir = std::env::temp_dir().join(format!("ivme_writer_{}_{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut state = OwnedState::default();
+        let q = ivme_query::parse_query("Q(A,C) :- R(A,B), S(B,C)").unwrap();
+        let rows = vec![Tuple::ints(&[10, 5])];
+        let relation = "S".to_owned();
+        for op in [
+            AdminOp::Query(q),
+            AdminOp::Rows { relation, rows },
+            AdminOp::Build,
+        ] {
+            state.session.admin(op).unwrap();
         }
-        return;
+        let tracker = Arc::new(DurTracker::new(0, 0, 0));
+        let wal = Wal::create(&dir.join("wal.log"), 0).unwrap();
+        let pipeline =
+            WalPipeline::start(wal, FsyncMode::Group, Arc::clone(&tracker), None, None).unwrap();
+        let snap = SnapshotWorker::start(dir.clone(), pipeline.sender(), tracker, None).unwrap();
+        state.dur = Some(Durability {
+            snap,
+            pipeline,
+            snapshot_every: 0,
+            rounds_since_snapshot: 0,
+        });
+        let read = state.session.read_view(0);
+        let endpoint = Endpoint::new("127.0.0.1:0".parse().unwrap(), Arc::default(), read);
+
+        let (reqs, acks): (Vec<_>, Vec<_>) = batches
+            .into_iter()
+            .map(|batch| {
+                let (ack, rx) = mpsc::channel();
+                (Request::Batch { batch, ack }, rx)
+            })
+            .unzip();
+        assert!(process_round(reqs, &mut state, &endpoint).is_empty());
+        assert!(state.dur.as_ref().unwrap().pipeline.flush());
+        let answers = acks.iter().map(|rx| rx.recv().unwrap()).collect();
+        let count = execute_read(Command::Count, endpoint.published.cache().get()).unwrap();
+        drop(state);
+        let (_, frames) = wal::scan(&dir.join("wal.log")).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        Outcome {
+            answers,
+            count,
+            epoch: endpoint.published.epoch(),
+            frames: frames.into_iter().map(|f| f.text).collect(),
+        }
     }
-    status.group_commits.fetch_add(1, Ordering::Relaxed);
-    status
-        .grouped_batches
-        .fetch_add(members.len() as u64, Ordering::Relaxed);
-    let members = match <[_; 1]>::try_from(members) {
-        Ok([(batch, ack)]) => {
-            acks.push(PendingAck::Write(ack, apply_alone(&batch, state, round)));
-            return;
-        }
-        Err(members) => members,
-    };
-    // Coalesce the whole run into one batch: one validation pass, one
-    // maintenance round, one snapshot publish for the entire group.
-    let mut merged = DeltaBatch::new();
-    for (b, _) in &members {
-        for rel in b.relations() {
-            merged.extend_relation(rel, b.deltas(rel).map(|(t, d)| (t.clone(), d)));
-        }
+
+    fn rejected(answer: &WriteAck) -> bool {
+        matches!(answer, Err(e) if e.contains("negative multiplicity"))
     }
-    let t0 = Instant::now();
-    match state.session.apply(&merged) {
-        Ok(()) => {
-            round.committed(|| proto::batch_lines(&merged));
-            let info = GroupInfo {
-                group: members.len(),
-                apply_micros: t0.elapsed().as_micros(),
-            };
-            for (_, ack) in members {
-                acks.push(PendingAck::Write(ack, Ok(info)));
-            }
-        }
-        Err(_) => {
-            // Some member poisoned the group; the failed merged apply
-            // mutated nothing (prepare/apply split), so replay the
-            // members individually in arrival order — only offenders
-            // see an error.
-            status.group_retries.fetch_add(1, Ordering::Relaxed);
-            for (batch, ack) in members {
-                acks.push(PendingAck::Write(ack, apply_alone(&batch, state, round)));
-            }
-        }
+
+    /// batch-isolation: each client batch of a round commits or is
+    /// rejected exactly as it would be alone, in arrival order — never
+    /// netted against another client's — and the round logs exactly the
+    /// batches that committed.
+    #[test]
+    fn a_round_commits_each_client_batch_as_if_it_were_alone() {
+        // (a) A delete of an absent tuple, then another client's insert of
+        // it: in arrival order the delete drives R(1,10) below zero.
+        let insert = batch(&[("R", [1, 10], 1)]);
+        let logged = proto::batch_lines(&insert);
+        let a = one_round("absent", vec![batch(&[("R", [1, 10], -1)]), insert]);
+        assert!(rejected(&a.answers[0]), "{:?}", a.answers[0].as_ref().err());
+        let applied = a.answers[1].as_ref().expect("the insert commits alone");
+        assert_eq!(applied.group, Some(2), "the round's client batches");
+        assert_eq!(a.count, "1\n");
+        assert_eq!(a.epoch, 1);
+        assert_eq!(a.frames, [logged]);
+
+        // (b) A crossed pair on an empty R: each over-deletes what only
+        // the other inserts, so both are rejected and nothing is published
+        // or logged.
+        let b = one_round(
+            "crossed",
+            vec![
+                batch(&[("R", [1, 10], -1), ("R", [2, 10], 1)]),
+                batch(&[("R", [1, 10], 1), ("R", [2, 10], -1)]),
+            ],
+        );
+        assert!(
+            b.answers.iter().all(rejected),
+            "{:?}",
+            b.answers
+                .iter()
+                .map(|a| a.as_ref().err())
+                .collect::<Vec<_>>()
+        );
+        assert_eq!(b.count, "0\n");
+        assert_eq!(b.epoch, 0);
+        assert!(b.frames.is_empty(), "{:?}", b.frames);
     }
 }

@@ -247,6 +247,55 @@ fn clean_shutdown_persists_everything_and_replays_nothing() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Replay rebuilds the serve-layer counters exactly: a round's frames
+/// share its epoch and one batch frame is one committed client batch.
+/// Concurrent writers make rounds of several batches; a rejected batch is
+/// counted nowhere, live or replayed.
+#[test]
+fn kill_and_recover_rebuilds_the_group_commit_counters_exactly() {
+    let wl = RecoveryWorkload::generate(0x6C0C, 15, 8, 4);
+    let dir = temp_dir("counters");
+    const K: usize = 8;
+    const WRITERS: usize = 4;
+    const INSERTS: usize = 8;
+    let before = {
+        let server = start(&dir, 0);
+        let addr = server.addr();
+        let mut c = Client::connect(addr).unwrap();
+        run_script(&mut c, &wl.setup_script(2));
+        for k in 0..K {
+            run_script(&mut c, &wl.batch_script(k));
+        }
+        assert!(c.request("delete R 999,999").unwrap().is_err());
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|w| {
+                std::thread::spawn(move || {
+                    let mut c = Client::connect(addr).unwrap();
+                    for j in 0..INSERTS {
+                        c.expect_ok(&format!("insert R {},{j}", 1000 + w));
+                    }
+                })
+            })
+            .collect();
+        for h in writers {
+            h.join().unwrap();
+        }
+        server.serve_stats()
+        // drop(server): hard kill — snapshot_every = 0, so the restart
+        // replays every round from the WAL.
+    };
+    assert_eq!(before.grouped_batches, (K + WRITERS * INSERTS) as u64);
+    let server = start(&dir, 0);
+    let after = server.serve_stats();
+    assert_eq!(
+        (after.group_commits, after.grouped_batches),
+        (before.group_commits, before.grouped_batches),
+        "replay must rebuild the counters read before the kill"
+    );
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A clean shutdown whose final checkpoint cannot be installed — a
 /// directory sits where its temp file goes — says so instead of claiming
 /// a snapshot, and loses nothing: the synced WAL replays on the next boot.
