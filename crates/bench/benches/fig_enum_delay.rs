@@ -3,15 +3,19 @@
 //! cache behind `ShardedEngine::snapshot`, on the OMv acceptance instance
 //! (`Q(A) :- R(A,B), S(B)`, k = 1000 sparse matrix, full vector loaded).
 //!
-//! One acceptance gate is armed here: `snapshot(k).enumerate()` on a
-//! quiescent sharded engine must be ≥ 5× faster than the first (cold,
+//! One acceptance gate is armed here: `snapshot(k)` alone on a quiescent
+//! sharded engine must be ≥ 50× faster than the first (cold,
 //! cache-invalidated) call at the widest measured shard count — freezing
 //! is a pure version comparison plus `Arc` clone when nothing changed, so
-//! the ratio is machine-independent enough to assert on every run. The
-//! cold call re-merges by one push-drain, which is cheap: twelve quick
-//! runs on a 2-vCPU box measured 7.0–7.6× (median 7.3×) at S = 4 and
-//! ≈ 4× at S = 1. The bar sits ~30 % under that minimum, and far above
-//! the ≈ 1× a merge cache that never hits would read.
+//! the ratio is machine-independent enough to assert on every run. Only
+//! the freeze is timed on either side: an enumerate of the frozen result
+//! costs the same on both, and timing it too would measure it instead of
+//! the cache. The enumerate, page and count columns are printed beside
+//! the gate, timed on one held snapshot. Twelve quick runs on a 2-vCPU
+//! box measured 82–134× (median 103×) at S = 4 (cold 45–76 µs, cached
+//! 0.4–0.8 µs) and 86–137× at S = 1. The bar sits ~40 % under that
+//! minimum, and far above the ≈ 1× a merge cache that never hits would
+//! read.
 //!
 //! Setting `IVME_BENCH_QUICK=1` runs fewer trials/ε points (the CI row).
 
@@ -23,7 +27,7 @@ use ivme_data::Tuple;
 use ivme_workload::OmvInstance;
 
 /// The cached-vs-cold gate (see the module docs for how it was set).
-const MIN_SPEEDUP: f64 = 5.0;
+const MIN_SPEEDUP: f64 = 50.0;
 
 fn quick() -> bool {
     std::env::var("IVME_BENCH_QUICK").is_ok_and(|v| v == "1")
@@ -136,13 +140,17 @@ fn main() {
 
     // ------------------------------------------------------------------
     // Sharded merge cache: cold (first snapshot after an update) vs
-    // repeated snapshots of a quiescent engine. The gate is armed at the
+    // repeated snapshots of a quiescent engine, each timed alone; the
+    // reads are timed on one held snapshot. The gate is armed at the
     // widest shard count.
     // ------------------------------------------------------------------
-    println!("\n# ShardedEngine::snapshot().enumerate(): cold (cache invalidated) vs cached (quiescent):");
     println!(
-        "{:<8} {:>12} {:>12} {:>10} {:>14} {:>12}",
-        "shards", "cold", "cached", "speedup", "page(900,50)", "count"
+        "\n# ShardedEngine::snapshot(): cold (cache invalidated) vs cached (quiescent); \
+         reads of one snapshot:"
+    );
+    println!(
+        "{:<8} {:>12} {:>12} {:>10} {:>12} {:>14} {:>12}",
+        "shards", "cold", "cached", "speedup", "enumerate", "page(900,50)", "count"
     );
     let mut widest: Option<(usize, f64)> = None;
     for shards in [1, 4] {
@@ -175,30 +183,33 @@ fn main() {
                 );
             }
         }
+        drop(snap);
         // Cold: every sample first dirties one component via a touch
         // update (insert + retract of one vector row in two batches), then
-        // times the re-merging snapshot and its enumeration.
+        // times the re-merging snapshot.
         let mut cold = Duration::MAX;
         for k in 0..trials as u64 {
             eng.apply_update("S", Tuple::ints(&[0]), 1).unwrap();
             eng.apply_update("S", Tuple::ints(&[0]), -1).unwrap();
-            let (c, t) = time_once(|| eng.snapshot(k).enumerate().count());
-            assert_eq!(c, full.len());
+            let (snap, t) = time_once(|| eng.snapshot(k));
+            assert_eq!(snap.count_distinct(), full.len());
             cold = cold.min(t);
         }
         // Cached: no updates in between.
-        let (c, cached) = best_of(trials, || eng.snapshot(0).enumerate().count());
-        assert_eq!(c, full.len());
+        let (snap, cached) = best_of(trials, || eng.snapshot(0));
         let speedup = cold.as_secs_f64() / cached.as_secs_f64().max(1e-12);
-        let (page, t_page) = best_of(trials, || eng.snapshot(0).enumerate_page(900, 50));
+        let (c, t_enum) = best_of(trials, || snap.enumerate().count());
+        assert_eq!(c, full.len());
+        let (page, t_page) = best_of(trials, || snap.enumerate_page(900, 50));
         assert_eq!(page.len(), 50);
-        let (_, t_count) = best_of(trials, || eng.snapshot(0).count_distinct());
+        let (_, t_count) = best_of(trials, || snap.count_distinct());
         println!(
-            "{:<8} {:>12} {:>12} {:>9.1}x {:>14} {:>12}",
+            "{:<8} {:>12} {:>12} {:>9.1}x {:>12} {:>14} {:>12}",
             shards,
             fmt_dur(cold),
             fmt_dur(cached),
             speedup,
+            fmt_dur(t_enum),
             fmt_dur(t_page),
             fmt_dur(t_count),
         );
@@ -209,12 +220,12 @@ fn main() {
     if let Some((s, speedup)) = widest {
         assert!(
             speedup >= MIN_SPEEDUP,
-            "cached sharded enumeration at S={s} must be >={MIN_SPEEDUP}x the cold \
+            "a cached snapshot() at S={s} must be >={MIN_SPEEDUP}x faster than the cold \
              (re-merging) call, measured {speedup:.1}x"
         );
         println!(
-            "\n# Acceptance: cached sharded enumerate is >={MIN_SPEEDUP}x the cold call at S={s} \
-             ({speedup:.1}x)."
+            "\n# Acceptance: a cached snapshot() is >={MIN_SPEEDUP}x faster than the cold call \
+             at S={s} ({speedup:.1}x)."
         );
     }
 }

@@ -325,15 +325,18 @@ impl IvmEngine {
         self.enums.len()
     }
 
-    /// Pushes every `(tuple, multiplicity)` occurrence in component `ci`'s
+    /// Pushes every `(values, multiplicity)` occurrence in component `ci`'s
     /// view trees into `sink`, each exactly once and with no lookups — a
     /// tuple that several trees or heavy buckets produce arrives once per
-    /// producer, and the sink sums. A bag, never a result: the building
-    /// block of [`ShardedEngine`](crate::ShardedEngine)'s freeze, where
-    /// occurrences sum across trees, buckets and shards and the full
-    /// result is the product across components. The order of occurrences
-    /// is a function of the engine's apply history alone.
-    pub fn drain_component(&self, ci: usize, sink: impl FnMut(Tuple, i64)) {
+    /// producer, and the sink sums. The values are the component's
+    /// variables in [`component_out_positions`](Self::component_out_positions)
+    /// order, lent for the call only: no `Tuple` is built per occurrence.
+    /// A bag, never a result: the building block of
+    /// [`ShardedEngine`](crate::ShardedEngine)'s freeze, where occurrences
+    /// sum across trees, buckets and shards and the full result is the
+    /// product across components. The order of occurrences is a function
+    /// of the engine's apply history alone.
+    pub fn drain_component(&self, ci: usize, sink: impl FnMut(&[Value], i64)) {
         drain_component(&self.rt, &self.enums[ci], self.query.free.arity(), sink)
     }
 

@@ -32,14 +32,16 @@
 //! ([`ShardedEngine::snapshot`](crate::ShardedEngine::snapshot)) does not
 //! go through the iterators at all. `EnumNode::drain_each` is the same
 //! trees walked as plain nested loops (Fig. 16 written as recursion) that
-//! *push* every `(tuple, multiplicity)` occurrence into a sink: trees one
+//! *push* every `(values, multiplicity)` occurrence into a sink: trees one
 //! after another, at an indicator node the live heavy keys' products one
 //! after another. A tuple living in `k` trees or buckets comes out `k`
 //! times and the sink sums; the total is `O(Σ_i |T_i|)`, never more than
 //! the `#parts · |distinct|` the lookups would have cost. It keeps no
 //! delay bound and needs none, and it takes no [`EnumScratch`] — the only
 //! way to reach `EnumNode::lookup` — so "the drain never looks up" holds
-//! by signature.
+//! by signature. Nor does it build a `Tuple` (which hashes at
+//! construction) per occurrence: the sink borrows the bound values as a
+//! slice, and the snapshot's table copies a row only on first sight.
 //!
 //! # The zero-clone serving discipline
 //!
@@ -474,17 +476,31 @@ fn drain_product(
 /// without the cross-component product and without a lookup. A tuple
 /// produced by `k` trees or heavy buckets reaches `sink` `k` times; summing
 /// the multiplicities per tuple gives the component's result.
+///
+/// `sink` borrows the values for the call only and builds no `Tuple`:
+/// when the component covers the whole free schema it is handed the
+/// drain's own buffer, otherwise one reused row the component's values
+/// are copied into.
 pub(crate) fn drain_component(
     rt: &Runtime,
     trees: &[EnumNode],
     free_arity: usize,
-    mut sink: impl FnMut(Tuple, i64),
+    mut sink: impl FnMut(&[Value], i64),
 ) {
     let positions = &trees[0].out_positions;
     let mut buf = vec![Value::Int(0); free_arity];
+    // Ascending and distinct, so covering every position is the identity.
+    let covers = positions.len() == free_arity;
+    let mut row = vec![Value::Int(0); positions.len()];
     for tree in trees {
         tree.drain_each(rt, &Tuple::empty(), &mut buf, &mut |buf, m| {
-            sink(positions.iter().map(|&p| buf[p].clone()).collect(), m)
+            if covers {
+                return sink(buf, m);
+            }
+            for (dst, &p) in row.iter_mut().zip(positions) {
+                dst.clone_from(&buf[p]);
+            }
+            sink(&row, m)
         });
     }
 }
@@ -1261,9 +1277,9 @@ mod tests {
             assert_eq!(eng.num_components(), 1, "{src}");
             let mut occurrences = 0;
             let mut summed: BTreeMap<Tuple, i64> = BTreeMap::new();
-            eng.drain_component(0, |t, m| {
+            eng.drain_component(0, |row, m| {
                 occurrences += 1;
-                *summed.entry(t).or_insert(0) += m;
+                *summed.entry(Tuple::from_slice(row)).or_insert(0) += m;
             });
             let distinct = eng.result_sorted();
             assert_eq!(

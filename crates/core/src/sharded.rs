@@ -29,13 +29,14 @@
 //!   ([`IvmEngine::drain_component`]: each occurrence once, no lookups)
 //!   into one insertion-ordered table (`MergedComponent`) whose `+= m` is
 //!   the only duplicate elimination there is: a publish walks the trees
-//!   once and writes each tuple once. The same tuple arrives more than
-//!   once when two shards hold it (possible only when the root variable
-//!   is projected away), when a light and a heavy tree both produce it,
-//!   or when several heavy keys do; the table sums. That costs
-//!   `O(Σ occurrences)` per touched component, and the paper's Union
-//!   algorithm — whose per-tuple lookups exist to suppress duplicates
-//!   *without* materializing — stays on the path that does not
+//!   once and writes each distinct row once, as bare values into one flat
+//!   array — a `Tuple` is built only for what a read returns. The same
+//!   tuple arrives more than once when two shards hold it (possible only
+//!   when the root variable is projected away), when a light and a heavy
+//!   tree both produce it, or when several heavy keys do; the table sums.
+//!   That costs `O(Σ occurrences)` per touched component, and the paper's
+//!   Union algorithm — whose per-tuple lookups exist to suppress
+//!   duplicates *without* materializing — stays on the path that does not
 //!   materialize, [`IvmEngine::enumerate`]. A component enumerates in the
 //!   order its tuples first occurred in the drain (shard 0's trees first),
 //!   a function of the apply history alone: engines that applied the same
@@ -446,12 +447,12 @@ impl ShardedEngine {
             if c.versions == versions {
                 return Arc::clone(&c.merged);
             }
-            expect = c.merged.tuples.len();
+            expect = c.merged.len();
         }
         let positions = self.shards[0].component_out_positions(ci).to_vec();
         let mut acc = MergedComponent::with_capacity(positions, expect);
         for shard in &self.shards {
-            shard.drain_component(ci, |t, m| acc.add(t, m));
+            shard.drain_component(ci, |row, m| acc.add(row, m));
         }
         acc.drop_zero_sums();
         let merged = Arc::new(acc);
@@ -521,26 +522,34 @@ const _: () = {
 
 /// One component's merged (cross-shard) result: a build-once table.
 ///
-/// `tuples` holds each distinct tuple once, in the order the drain first
-/// produced it — what `enumerate`/`page`/`count` read. `slots` is a
-/// power-of-two open-addressing index over it (linear probing, load at
-/// most 7/8) for `add`'s duplicate check and the frozen view's point
-/// lookups. A slot is chosen by the **high** bits of
-/// [`Tuple::cached_hash`] (Fx's low bits are weak), carries the low 32
-/// bits as a tag, and every tag match is confirmed by full tuple equality.
+/// Each distinct row is held once, in the order the drain first produced
+/// it: its values in `values`, strided by the component's arity (row `i`
+/// is `values[i·a..(i+1)·a]`), its summed multiplicity in `mults[i]` —
+/// what `enumerate`/`page`/`count` read. A component with no free
+/// variable has arity 0 and at most one (empty) row, so the row count is
+/// `mults.len()` and nothing divides by the arity. `slots` is a
+/// power-of-two open-addressing index over the rows (linear probing, load
+/// at most 7/8) for `add`'s duplicate check and the frozen view's point
+/// lookups. A slot is chosen by the **high** bits of the row's
+/// [`Tuple::hash_of`] (Fx's low bits are weak), carries the low 32 bits
+/// as a tag, and every tag match is confirmed by full value equality.
+/// Because a row hashes like the tuple of its values, a probe built as a
+/// `Tuple` uses its cached hash as is.
 ///
 /// PR 2 rejected a hand-rolled table for `Relation`, which is mutated
 /// and probed per update for its whole life. This one is not that: it is
-/// written once by one merge, is an index only (the tuples live in the
-/// vector), never deletes, and is immutable behind an `Arc` afterwards —
-/// and a `HashMap` cannot give the insertion order that makes the
-/// enumeration order independent of capacity.
+/// written once by one merge, is an index only (the rows live in the
+/// flat arrays), never deletes, and is immutable behind an `Arc`
+/// afterwards — and a `HashMap` cannot give the insertion order that
+/// makes the enumeration order independent of capacity.
 struct MergedComponent {
     /// Positions of the component's variables in the query's free schema.
     positions: Vec<usize>,
-    /// Distinct tuples with summed multiplicities, in first-occurrence
-    /// order.
-    tuples: Vec<(Tuple, i64)>,
+    /// The distinct rows' values, `positions.len()` per row, in
+    /// first-occurrence order.
+    values: Vec<Value>,
+    /// Summed multiplicity of each row.
+    mults: Vec<i64>,
     /// Empty, or a power of two ≥ [`MIN_SLOTS`] with at least one slot in
     /// eight empty (so every probe ends).
     slots: Vec<Slot>,
@@ -549,9 +558,9 @@ struct MergedComponent {
 /// One entry of [`MergedComponent::slots`].
 #[derive(Clone, Copy)]
 struct Slot {
-    /// Index into `tuples`, or [`Slot::EMPTY`]'s.
+    /// Index of a row, or [`Slot::EMPTY`]'s.
     index: u32,
-    /// Low 32 bits of the indexed tuple's hash.
+    /// Low 32 bits of the indexed row's hash.
     tag: u32,
 }
 
@@ -561,12 +570,12 @@ impl Slot {
         tag: 0,
     };
 
-    /// The slot for `tuples[index]`, whose hash is `hash`.
+    /// The slot for row `index`, whose hash is `hash`.
     fn of(index: usize, hash: u64) -> Slot {
         let index = u32::try_from(index)
             .ok()
             .filter(|&i| i != Slot::EMPTY.index)
-            .expect("a merged component holds fewer than 2^32 - 1 tuples");
+            .expect("a merged component holds fewer than 2^32 - 1 rows");
         Slot {
             index,
             tag: hash as u32,
@@ -578,23 +587,39 @@ impl Slot {
 const MIN_SLOTS: usize = 8;
 
 impl MergedComponent {
-    /// An empty table that takes `expect` distinct tuples without growing.
+    /// An empty table that takes `expect` distinct rows without growing.
+    /// The row arrays hold as many rows as the slots index before they
+    /// double, so a merge a little larger than the last one reallocates
+    /// nothing.
     fn with_capacity(positions: Vec<usize>, expect: usize) -> MergedComponent {
         let slots = match expect {
             0 => 0,
             n => (n * 8).div_ceil(7).next_power_of_two().max(MIN_SLOTS),
         };
+        let rows = slots / 8 * 7;
         MergedComponent {
+            values: Vec::with_capacity(rows * positions.len()),
             positions,
-            tuples: Vec::with_capacity(expect),
+            mults: Vec::with_capacity(rows),
             slots: vec![Slot::EMPTY; slots],
         }
     }
 
-    /// Walks `hash`'s probe sequence to the slot indexing a tuple that
-    /// `found` accepts (`Ok`: its index in `tuples`) or to the first empty
-    /// slot (`Err`: its position). `slots` must not be empty.
-    fn probe(&self, hash: u64, mut found: impl FnMut(&Tuple) -> bool) -> Result<usize, usize> {
+    /// Number of distinct rows.
+    fn len(&self) -> usize {
+        self.mults.len()
+    }
+
+    /// The values of row `i`.
+    fn row(&self, i: usize) -> &[Value] {
+        let a = self.positions.len();
+        &self.values[i * a..(i + 1) * a]
+    }
+
+    /// Walks `hash`'s probe sequence to the slot indexing a row that
+    /// `found` accepts (`Ok`: the row's index) or to the first empty slot
+    /// (`Err`: its position). `slots` must not be empty.
+    fn probe(&self, hash: u64, mut found: impl FnMut(&[Value]) -> bool) -> Result<usize, usize> {
         let mask = self.slots.len() - 1;
         let mut at = (hash >> (64 - self.slots.len().trailing_zeros())) as usize;
         loop {
@@ -602,19 +627,19 @@ impl MergedComponent {
             if slot.index == Slot::EMPTY.index {
                 return Err(at);
             }
-            if slot.tag == hash as u32 && found(&self.tuples[slot.index as usize].0) {
+            if slot.tag == hash as u32 && found(self.row(slot.index as usize)) {
                 return Ok(slot.index as usize);
             }
             at = (at + 1) & mask;
         }
     }
 
-    /// Replaces `slots` with `len` empty ones and indexes every tuple.
+    /// Replaces `slots` with `len` empty ones and indexes every row.
     fn reindex(&mut self, len: usize) {
         self.slots.clear();
         self.slots.resize(len, Slot::EMPTY);
-        for index in 0..self.tuples.len() {
-            let hash = self.tuples[index].0.cached_hash();
+        for index in 0..self.len() {
+            let hash = Tuple::hash_of(self.row(index));
             let at = self
                 .probe(hash, |_| false)
                 .expect_err("nothing is accepted");
@@ -622,30 +647,44 @@ impl MergedComponent {
         }
     }
 
-    /// One occurrence: `+= m` on the tuple's entry, appended on first
-    /// sight.
-    fn add(&mut self, t: Tuple, m: i64) {
-        if (self.tuples.len() + 1) * 8 > self.slots.len() * 7 {
+    /// One occurrence: `+= m` on the row's entry; on first sight the
+    /// values are copied in and the row appended.
+    fn add(&mut self, row: &[Value], m: i64) {
+        debug_assert_eq!(row.len(), self.positions.len());
+        if (self.len() + 1) * 8 > self.slots.len() * 7 {
             self.reindex((self.slots.len() * 2).max(MIN_SLOTS));
         }
-        let hash = t.cached_hash();
-        match self.probe(hash, |held| *held == t) {
-            Ok(index) => self.tuples[index].1 += m,
+        let hash = Tuple::hash_of(row);
+        match self.probe(hash, |held| held == row) {
+            Ok(index) => self.mults[index] += m,
             Err(at) => {
-                self.slots[at] = Slot::of(self.tuples.len(), hash);
-                self.tuples.push((t, m));
+                self.slots[at] = Slot::of(self.len(), hash);
+                self.values.extend_from_slice(row);
+                self.mults.push(m);
             }
         }
     }
 
-    /// Drops the entries whose occurrences summed to zero; the rest keep
-    /// their order.
+    /// Drops the rows whose occurrences summed to zero, compacting in
+    /// place; the rest keep their order.
     fn drop_zero_sums(&mut self) {
-        let before = self.tuples.len();
-        self.tuples.retain(|(_, m)| *m != 0);
-        if self.tuples.len() != before {
-            self.reindex(self.slots.len());
+        let Some(first) = self.mults.iter().position(|&m| m == 0) else {
+            return;
+        };
+        let a = self.positions.len();
+        let mut kept = first;
+        for i in first + 1..self.len() {
+            if self.mults[i] != 0 {
+                self.mults[kept] = self.mults[i];
+                for j in 0..a {
+                    self.values.swap(kept * a + j, i * a + j);
+                }
+                kept += 1;
+            }
         }
+        self.mults.truncate(kept);
+        self.values.truncate(kept * a);
+        self.reindex(self.slots.len());
     }
 
     /// Summed multiplicity of `t` (0 when absent).
@@ -653,8 +692,8 @@ impl MergedComponent {
         if self.slots.is_empty() {
             return 0;
         }
-        self.probe(t.cached_hash(), |held| held == t)
-            .map_or(0, |index| self.tuples[index].1)
+        self.probe(t.cached_hash(), |held| held == t.values())
+            .map_or(0, |index| self.mults[index])
     }
 }
 
@@ -721,8 +760,9 @@ impl ShardedSnapshot {
 
     /// Enumerates the frozen result's distinct tuples with their
     /// multiplicities: the odometer product across the merged components,
-    /// iterating the snapshot's own `Arc`'d vectors directly — no
-    /// per-shard enumeration, no hashing, `O(1)` to the first tuple.
+    /// iterating the snapshot's own `Arc`'d rows directly — no per-shard
+    /// enumeration, no table probe, one `Tuple` built per item, `O(1)` to
+    /// the first tuple.
     pub fn enumerate(&self) -> MergedResultIter {
         MergedResultIter::new(self.comps.clone(), self.free_arity)
     }
@@ -732,7 +772,7 @@ impl ShardedSnapshot {
     /// already deduplicated, so the Cartesian product is never walked —
     /// saturating at `usize::MAX`.
     pub fn count_distinct(&self) -> usize {
-        product_size(self.comps.iter().map(|c| c.tuples.len()))
+        product_size(self.comps.iter().map(|c| c.len()))
     }
 
     /// Multiplicity of one fully-specified result tuple in the frozen
@@ -784,14 +824,15 @@ struct CachedMerge {
 
 /// Iterator over the merged sharded result: Cartesian product across
 /// components of the per-component cross-shard unions. Holds `Arc`s into
-/// the merge cache, so iteration never copies the merged vectors.
+/// the merge cache, so iteration never copies the merged arrays; each
+/// emitted item is the one `Tuple` built from them.
 pub struct MergedResultIter {
     comps: Vec<Arc<MergedComponent>>,
     pick: Vec<usize>,
     buf: Vec<Value>,
     /// Single component covering the whole free schema (the common case):
-    /// emit the cached tuples directly — a clone of a cached-hash tuple
-    /// per item, no buffer assembly and no re-hash.
+    /// each emitted tuple is built straight from its row, with no buffer
+    /// assembly.
     direct: bool,
     primed: bool,
     dead: bool,
@@ -800,7 +841,7 @@ pub struct MergedResultIter {
 impl MergedResultIter {
     fn new(comps: Vec<Arc<MergedComponent>>, free_arity: usize) -> MergedResultIter {
         let n = comps.len();
-        let dead = comps.is_empty() || comps.iter().any(|c| c.tuples.is_empty());
+        let dead = comps.is_empty() || comps.iter().any(|c| c.len() == 0);
         let direct = n == 1
             && comps[0].positions.len() == free_arity
             && comps[0].positions.iter().enumerate().all(|(i, &p)| i == p);
@@ -816,7 +857,7 @@ impl MergedResultIter {
 
     /// Positions this fresh iterator so that the next emitted item is the
     /// `offset`-th result tuple (0-based, in enumeration order). The
-    /// digits index straight into the cached merged vectors, so the seek
+    /// digits index straight into the cached merged rows, so the seek
     /// is `O(#components)` regardless of `offset`. Returns `false` (and
     /// exhausts the iterator) when `offset` is past the end.
     pub fn seek(&mut self, offset: usize) -> bool {
@@ -828,10 +869,10 @@ impl MergedResultIter {
         // component is empty here). What is left over the leading digit
         // is `offset / Π|C_i|` — non-zero exactly when `offset` is past
         // the end — without ever forming the product, which ten
-        // components of 8,192 tuples push past `u128`.
+        // components of 8,192 rows push past `u128`.
         let mut rem = offset;
         for i in (0..self.comps.len()).rev() {
-            let n = self.comps[i].tuples.len();
+            let n = self.comps[i].len();
             self.pick[i] = rem % n;
             rem /= n;
         }
@@ -859,14 +900,14 @@ impl Iterator for MergedResultIter {
             return None;
         }
         if self.direct {
-            let ts = &self.comps[0].tuples;
-            let item = ts.get(self.pick[0]).cloned();
-            if item.is_some() {
-                self.pick[0] += 1;
-            } else {
+            let c = &self.comps[0];
+            let k = self.pick[0];
+            if k == c.len() {
                 self.dead = true;
+                return None;
             }
-            return item;
+            self.pick[0] += 1;
+            return Some((Tuple::from_slice(c.row(k)), c.mults[k]));
         }
         if self.primed {
             // Odometer across components.
@@ -878,7 +919,7 @@ impl Iterator for MergedResultIter {
                 }
                 i -= 1;
                 self.pick[i] += 1;
-                if self.pick[i] < self.comps[i].tuples.len() {
+                if self.pick[i] < self.comps[i].len() {
                     break;
                 }
                 self.pick[i] = 0;
@@ -887,10 +928,9 @@ impl Iterator for MergedResultIter {
         self.primed = true;
         let mut mult = 1i64;
         for (c, &k) in self.comps.iter().zip(&self.pick) {
-            let (t, m) = &c.tuples[k];
-            mult *= m;
-            for (i, &p) in c.positions.iter().enumerate() {
-                self.buf[p] = t.get(i).clone();
+            mult *= c.mults[k];
+            for (&p, v) in c.positions.iter().zip(c.row(k)) {
+                self.buf[p].clone_from(v);
             }
         }
         Some((Tuple::from_slice(&self.buf), mult))
@@ -1007,17 +1047,26 @@ mod tests {
         MergedComponent::with_capacity(vec![0], 0)
     }
 
-    /// The table's invariants: a power-of-two slot array at most 7/8 full
-    /// whose live slots index `tuples` one to one, each tuple reachable.
+    /// The table's rows as tuples, in order.
+    fn rows(c: &MergedComponent) -> Vec<(Tuple, i64)> {
+        (0..c.len())
+            .map(|i| (Tuple::from_slice(c.row(i)), c.mults[i]))
+            .collect()
+    }
+
+    /// The table's invariants: `arity` values per row, a power-of-two slot
+    /// array at most 7/8 full whose live slots index the rows one to one,
+    /// each row reachable by a probe built as a `Tuple`.
     fn check_table(c: &MergedComponent) {
+        assert_eq!(c.values.len(), c.len() * c.positions.len());
         assert!(c.slots.is_empty() || c.slots.len().is_power_of_two());
-        assert!(c.tuples.len() * 8 <= c.slots.len() * 7);
+        assert!(c.len() * 8 <= c.slots.len() * 7);
         let mut indexed: Vec<u32> = c.slots.iter().map(|s| s.index).collect();
         indexed.retain(|&i| i != Slot::EMPTY.index);
         indexed.sort_unstable();
-        assert_eq!(indexed, (0..c.tuples.len() as u32).collect::<Vec<_>>());
-        for (t, m) in &c.tuples {
-            assert_eq!(c.get(t), *m);
+        assert_eq!(indexed, (0..c.len() as u32).collect::<Vec<_>>());
+        for (t, m) in rows(c) {
+            assert_eq!(c.get(&t), m);
         }
     }
 
@@ -1026,19 +1075,19 @@ mod tests {
         let mut c = table();
         let t = |a: i64| Tuple::ints(&[a]);
         for (a, m) in [(7, 1), (3, 2), (7, 3), (5, 1), (3, -2), (9, 4), (5, 1)] {
-            c.add(t(a), m);
+            c.add(t(a).values(), m);
         }
-        assert_eq!(c.tuples, [(t(7), 4), (t(3), 0), (t(5), 2), (t(9), 4)]);
+        assert_eq!(rows(&c), [(t(7), 4), (t(3), 0), (t(5), 2), (t(9), 4)]);
         check_table(&c);
         c.drop_zero_sums();
-        assert_eq!(c.tuples, [(t(7), 4), (t(5), 2), (t(9), 4)]);
+        assert_eq!(rows(&c), [(t(7), 4), (t(5), 2), (t(9), 4)]);
         check_table(&c);
         assert_eq!((c.get(&t(3)), c.get(&t(4))), (0, 0));
     }
 
     #[test]
     fn table_grows_from_capacity_zero_and_a_presized_one_enumerates_the_same() {
-        let mut grown = table();
+        let mut grown = MergedComponent::with_capacity(vec![0, 1], 0);
         assert!(grown.slots.is_empty());
         assert_eq!(grown.get(&Tuple::ints(&[1, 2])), 0);
         let mut presized = MergedComponent::with_capacity(vec![0, 1], 700);
@@ -1048,8 +1097,8 @@ mod tests {
         for i in 0..1_050i64 {
             let k = if i % 3 == 2 { i - 2 } else { i };
             let before = grown.slots.len();
-            grown.add(Tuple::ints(&[k, -k]), 1);
-            presized.add(Tuple::ints(&[k, -k]), 1);
+            grown.add(&[Value::Int(k), Value::Int(-k)], 1);
+            presized.add(&[Value::Int(k), Value::Int(-k)], 1);
             doublings += usize::from(grown.slots.len() != before);
             if i % 97 == 0 {
                 check_table(&grown);
@@ -1059,11 +1108,57 @@ mod tests {
         assert_eq!(presized.slots.len(), presized_slots);
         check_table(&grown);
         check_table(&presized);
-        assert_eq!(grown.tuples.len(), 700);
-        assert_eq!(grown.tuples, presized.tuples);
+        assert_eq!(grown.len(), 700);
+        assert_eq!(rows(&grown), rows(&presized));
         assert_eq!(grown.get(&Tuple::ints(&[0, 0])), 2);
         assert_eq!(grown.get(&Tuple::ints(&[1, -1])), 1);
         assert_eq!(grown.get(&Tuple::ints(&[2, -2])), 0);
+    }
+
+    /// Rows of strings, inline and spilled, added from bare slices: a
+    /// probe built by `Tuple::new` finds them, and compaction keeps
+    /// every surviving row's values together.
+    #[test]
+    fn str_rows_added_from_slices_are_found_by_tuple_probes() {
+        let s = Value::from;
+        for row in [
+            vec![s("ab"), Value::Int(3)],
+            vec![s(""), s("c"), Value::Int(-9)],
+        ] {
+            let positions: Vec<usize> = (0..row.len()).collect();
+            let mut c = MergedComponent::with_capacity(positions, 0);
+            let mut other = row.clone();
+            other[0] = s("other");
+            let mut dropped = row.clone();
+            dropped[1] = s("gone");
+            c.add(&dropped, 1);
+            c.add(&row, 2);
+            c.add(&other, 5);
+            c.add(&row, 1);
+            c.add(&dropped, -1);
+            c.drop_zero_sums();
+            check_table(&c);
+            assert_eq!(c.get(&Tuple::new(row.clone())), 3);
+            assert_eq!(c.get(&Tuple::new(other.clone())), 5);
+            assert_eq!(c.get(&Tuple::new(dropped)), 0);
+            assert_eq!(rows(&c), [(Tuple::new(row), 3), (Tuple::new(other), 5)]);
+        }
+    }
+
+    /// A component with no free variable: every row is empty, so the
+    /// table holds at most one, and dropping it leaves none.
+    #[test]
+    fn arity_zero_rows_sum_into_one() {
+        let mut c = MergedComponent::with_capacity(Vec::new(), 3);
+        for m in [2, 3, -1] {
+            c.add(&[], m);
+        }
+        check_table(&c);
+        assert_eq!(rows(&c), [(Tuple::empty(), 4)]);
+        c.add(&[], -4);
+        c.drop_zero_sums();
+        check_table(&c);
+        assert_eq!((c.len(), c.get(&Tuple::empty())), (0, 0));
     }
 
     /// The unary tuple whose cached hash is `hash`: Fx of one word is a
@@ -1093,9 +1188,9 @@ mod tests {
         let last_twin = unary_with_hash(0xffff_0001_0000_0001);
         let mut c = table();
         for (t, m) in [(&held, 5), (&twin, 7), (&last, 2), (&last_twin, 3)] {
-            c.add(t.clone(), m);
+            c.add(t.values(), m);
         }
-        c.add(held.clone(), 1);
+        c.add(held.values(), 1);
         assert_eq!(c.slots.len(), MIN_SLOTS);
         check_table(&c);
         assert_eq!((c.get(&held), c.get(&twin)), (6, 7));

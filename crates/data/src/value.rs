@@ -142,33 +142,35 @@ pub struct Tuple {
     repr: Repr,
 }
 
-/// Hash of a value sequence, as cached by [`Tuple`]. A pure function of the
-/// values: equal value sequences always produce equal hashes, so tuple
-/// equality may short-circuit on hash inequality.
-fn hash_values(values: &[Value]) -> u64 {
-    let mut h = FxHasher::default();
-    for v in values {
-        match v {
-            Value::Int(i) => h.write_u64(*i as u64),
-            Value::Str(s) => {
-                // Length prefix keeps ("ab","c") distinct from ("a","bc");
-                // the high bit nudges small non-negative Int(n) away from
-                // same-byte strings. Not a type tag — a negative int can
-                // still land on a string's hash (e.g. Int(i64::MIN) vs
-                // Str("")), which only weakens the eq short-circuit for
-                // such pairs; equality always compares values.
-                h.write_u64(s.len() as u64 ^ 0x8000_0000_0000_0000);
-                h.write(s.as_bytes());
+impl Tuple {
+    /// Hash of a value sequence, as cached by [`Tuple`]: a row held as a
+    /// bare slice hashes exactly like a tuple of the same values. A pure
+    /// function of the values: equal value sequences always produce equal
+    /// hashes, so tuple equality may short-circuit on hash inequality.
+    #[inline]
+    pub fn hash_of(values: &[Value]) -> u64 {
+        let mut h = FxHasher::default();
+        for v in values {
+            match v {
+                Value::Int(i) => h.write_u64(*i as u64),
+                Value::Str(s) => {
+                    // Length prefix keeps ("ab","c") distinct from ("a","bc");
+                    // the high bit nudges small non-negative Int(n) away from
+                    // same-byte strings. Not a type tag — a negative int can
+                    // still land on a string's hash (e.g. Int(i64::MIN) vs
+                    // Str("")), which only weakens the eq short-circuit for
+                    // such pairs; equality always compares values.
+                    h.write_u64(s.len() as u64 ^ 0x8000_0000_0000_0000);
+                    h.write(s.as_bytes());
+                }
             }
         }
+        h.finish()
     }
-    h.finish()
-}
 
-impl Tuple {
     #[inline]
     fn from_repr(repr: Repr) -> Tuple {
-        let hash = hash_values(match &repr {
+        let hash = Tuple::hash_of(match &repr {
             Repr::Inline(len, vals) => &vals[..*len as usize],
             Repr::Spill(a) => a,
         });
@@ -201,7 +203,7 @@ impl Tuple {
     /// propagation.
     #[inline]
     pub fn empty() -> Tuple {
-        // hash_values(&[]) == 0: FxHasher's initial state finishes to 0.
+        // Tuple::hash_of(&[]) == 0: FxHasher's initial state finishes to 0.
         Tuple {
             hash: 0,
             repr: Repr::Inline(0, [NO_VALUE, NO_VALUE]),
@@ -489,9 +491,32 @@ mod tests {
 
     #[test]
     fn empty_tuple_hash_matches_computed() {
-        assert_eq!(Tuple::empty().cached_hash(), super::hash_values(&[]));
+        assert_eq!(Tuple::empty().cached_hash(), Tuple::hash_of(&[]));
         assert_eq!(Tuple::empty(), Tuple::ints(&[]));
         assert_eq!(Tuple::empty(), Tuple::new(Vec::new()));
+    }
+
+    /// A row held as a bare slice must hash like the tuple of its values,
+    /// however that tuple was built — inline or spilled — or a table keyed
+    /// by rows answers 0 to every probe built as a `Tuple`.
+    #[test]
+    fn hash_of_a_slice_is_the_cached_hash_of_its_tuple() {
+        let ints: Vec<Value> = (0..4).map(|i| Value::Int(i * 1_000 - 7)).collect();
+        let strs: Vec<Value> = ["", "a", "bc", "def"].map(Value::from).to_vec();
+        let mixed: Vec<Value> = vec![
+            Value::from("x"),
+            Value::Int(-1),
+            Value::from("yz"),
+            Value::Int(i64::MIN),
+        ];
+        for values in [&ints, &strs, &mixed] {
+            for arity in 0..=4 {
+                let v = &values[..arity];
+                let hash = Tuple::hash_of(v);
+                assert_eq!(Tuple::from_slice(v).cached_hash(), hash, "{v:?}");
+                assert_eq!(Tuple::new(v.to_vec()).cached_hash(), hash, "{v:?}");
+            }
+        }
     }
 
     #[test]

@@ -17,6 +17,8 @@
 //! seeded stream of 64-update batches applied forward and then retracted
 //! in reverse through `ShardedEngine::apply_delta_batch`, and a
 //! `snapshot()` after every batch. Prints apply and snapshot µs/round,
+//! the walk alone (every shard's drain into a no-op sink, timed in the
+//! same rounds: snapshot minus walk is what the merge table costs),
 //! tuples/round, the occurrences/round the drain pushes (snapshot time
 //! over this is the cost per occurrence) and the heavy keys, so a change
 //! to the publish path is iterated in seconds.
@@ -42,7 +44,7 @@ fn publish(eps: f64, shards: usize) {
         inv
     });
     let palindrome: Vec<DeltaBatch> = forward.iter().cloned().chain(retract).collect();
-    let (mut t_apply, mut t_snap) = (Duration::ZERO, Duration::ZERO);
+    let (mut t_apply, mut t_snap, mut t_walk) = (Duration::ZERO, Duration::ZERO, Duration::ZERO);
     let (mut rounds, mut tuples, mut occurrences, mut heavy) = (0u64, 0usize, 0usize, 0usize);
     for _ in 0..3 {
         for batch in &palindrome {
@@ -54,8 +56,12 @@ fn publish(eps: f64, shards: usize) {
             let snap = eng.snapshot(rounds);
             t_snap += t0.elapsed();
             tuples += snap.count_distinct();
+            let t0 = Instant::now();
             for s in 0..eng.num_shards() {
                 eng.shard(s).drain_component(0, |_, _| occurrences += 1);
+            }
+            t_walk += t0.elapsed();
+            for s in 0..eng.num_shards() {
                 heavy += eng.shard(s).heavy_keys();
             }
         }
@@ -63,10 +69,12 @@ fn publish(eps: f64, shards: usize) {
     let per_round = |d: Duration| d.as_secs_f64() * 1e6 / rounds as f64;
     println!(
         "eps {eps}, {} shard(s), {rounds} rounds of 64 updates: apply {:.0} us/round, \
-         snapshot {:.0} us/round, {} tuples/round, {} occurrences/round, {} heavy keys",
+         snapshot {:.0} us/round (walk alone {:.0}), {} tuples/round, {} occurrences/round, \
+         {} heavy keys",
         eng.num_shards(),
         per_round(t_apply),
         per_round(t_snap),
+        per_round(t_walk),
         tuples / rounds as usize,
         occurrences / rounds as usize,
         heavy / rounds as usize,

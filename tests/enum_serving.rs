@@ -36,6 +36,7 @@ const QUERIES: &[&str] = &[
     "Q(X,Y0,Y1) :- R(X,Y0), S(X,Y1)",                       // δ0 star
     "Q() :- R(A,B), S(B,C)",                                // Boolean
     "Q(A,C) :- R(A,B), S(C)",                               // two components
+    "Q(A) :- R(A,B), T(C)", // times a component with no free variable
 ];
 
 const SHARD_GRID: &[usize] = &[1, 2, 4];
