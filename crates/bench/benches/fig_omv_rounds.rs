@@ -12,13 +12,18 @@
 //! Each round's vector load/retract is exactly a [`DeltaBatch`], so this
 //! harness measures both execution strategies: `seq` applies the n
 //! single-tuple updates through `insert`/`delete`, `batch` applies the
-//! same updates as one `apply_delta_batch` call. The final section is the
+//! same updates as one `apply_delta_batch` call. The next section is the
 //! acceptance check for the batched pipeline: a k = 1000 vector load must
-//! be ≥ 2× faster batched than as 1000 sequential inserts.
+//! be ≥ 2× faster batched than as 1000 sequential inserts. The last one
+//! sweeps `ShardedEngine` over k ∈ {64, 1,000, 10,000} at S ∈ {1, 2} and
+//! prints the S = 2 / S = 1 speed without gating it.
 
 //! Setting `IVME_BENCH_QUICK=1` runs a reduced grid (one matrix size, three
-//! ε values, fewer rounds) that finishes in well under a minute — the CI
+//! ε values, fewer rounds, the sharded sweep at k ∈ {64, 1,000} with a
+//! shorter budget) that finishes in well under a minute — the CI
 //! throughput-regression gate. The acceptance assertions run in both modes.
+
+use std::time::{Duration, Instant};
 
 use ivme_bench::{fmt_dur, time_once};
 use ivme_core::{Database, EngineOptions, IvmEngine, ShardedEngine};
@@ -215,51 +220,72 @@ fn main() {
     println!("\n# Acceptance: batched k=1000 apply is >=2x sequential at every ε above.");
 
     // ------------------------------------------------------------------
-    // Sharded rows: the same k = 1000 batched load through ShardedEngine
-    // at S ∈ {1, 2}. Each shard applies its sub-batch on its own thread;
-    // the S = 2 / S = 1 ratio is printed, not gated — on the two cores
-    // this repository is measured on it reads 0.64x–1.15x (ROADMAP item 7
-    // owns making it pay). The result anchor runs at every S.
+    // Sharded rows (ROADMAP item 9's sweep): a k-update OMv load and its
+    // retraction, cycled through ShardedEngine at S = 1 and S = 2, the two
+    // engines taking turns cycle by cycle so the box's drift hits both
+    // alike. Reported: the median µs per batch (loads and retracts alike)
+    // and the S = 2 / S = 1 speed, printed, not gated — the shards apply
+    // one after another on this thread, so the ratio prices what
+    // partitioning costs. The result anchor runs at every k and S.
     // ------------------------------------------------------------------
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    println!("\n# Sharded batched apply of the k=1000 load (eps=0.5, {cores} cores):");
-    println!(
-        "{:<8} {:>14} {:>10} {:>16}",
-        "shards", "batched", "speedup", "shard sizes"
-    );
+    let (ks, budget): (&[usize], Duration) = if quick() {
+        (&[64, 1_000], Duration::from_millis(300))
+    } else {
+        (&[64, 1_000, 10_000], Duration::from_secs(2))
+    };
     let eps = 0.5;
-    let mut single_shard = None;
-    for shards in [1, 2] {
-        let mut eng = sharded_engine_for(&inst, eps, shards);
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    println!(
+        "\n# Sharded apply, median per batch over alternating load/retract cycles \
+         (eps={eps}, {cores} cores):"
+    );
+    println!(
+        "{:<8} {:<8} {:>12} {:>10} {:>10} {:>16}",
+        "k", "shards", "per batch", "vs S=1", "batches", "shard sizes"
+    );
+    for &k in ks {
+        let inst = OmvInstance::sparse_acceptance(k);
         let load = inst.vector_batch(0);
         let retract = inst.vector_retract_batch(0);
-        // Warm up, then best of three timed trials (untimed retract resets
-        // between trials), mirroring the unsharded acceptance protocol.
-        eng.apply_delta_batch(&load).unwrap();
-        eng.apply_delta_batch(&retract).unwrap();
-        let mut best = std::time::Duration::MAX;
-        for trial in 0..3 {
-            let (_, t) = time_once(|| eng.apply_delta_batch(&load).unwrap());
-            best = best.min(t);
-            if trial < 2 {
-                eng.apply_delta_batch(&retract).unwrap();
+        let mut engines = [1, 2].map(|shards| sharded_engine_for(&inst, eps, shards));
+        let mut samples: [Vec<Duration>; 2] = Default::default();
+        // One untimed warm-up cycle per engine, then cycles until the
+        // budget is spent.
+        for eng in &mut engines {
+            eng.apply_delta_batch(&load).unwrap();
+            eng.apply_delta_batch(&retract).unwrap();
+        }
+        let start = Instant::now();
+        while start.elapsed() < budget {
+            for (eng, times) in engines.iter_mut().zip(&mut samples) {
+                for batch in [&load, &retract] {
+                    times.push(time_once(|| eng.apply_delta_batch(batch).unwrap()).1);
+                }
             }
         }
-        let mut rows: Vec<i64> = eng
-            .snapshot(0)
-            .enumerate()
-            .map(|(t, _)| t.get(0).as_int())
-            .collect();
-        rows.sort_unstable();
-        assert_eq!(rows, inst.expected_product(0), "S={shards} diverged");
-        let s1 = *single_shard.get_or_insert(best);
-        let speedup = s1.as_secs_f64() / best.as_secs_f64().max(1e-12);
-        println!(
-            "{:<8} {:>14} {:>9.2}x {:>16}",
-            shards,
-            fmt_dur(best),
-            speedup,
-            format!("{:?}", eng.shard_sizes())
-        );
+        let mut single_shard = None;
+        for (eng, times) in engines.iter_mut().zip(&mut samples) {
+            let shards = eng.num_shards();
+            eng.apply_delta_batch(&load).unwrap();
+            let mut rows: Vec<i64> = eng
+                .snapshot(0)
+                .enumerate()
+                .map(|(t, _)| t.get(0).as_int())
+                .collect();
+            rows.sort_unstable();
+            assert_eq!(rows, inst.expected_product(0), "k={k}: S={shards} diverged");
+            times.sort_unstable();
+            let median = times[times.len() / 2];
+            let s1 = *single_shard.get_or_insert(median);
+            println!(
+                "{:<8} {:<8} {:>12} {:>9.2}x {:>10} {:>16}",
+                k,
+                shards,
+                fmt_dur(median),
+                s1.as_secs_f64() / median.as_secs_f64().max(1e-12),
+                times.len(),
+                format!("{:?}", eng.shard_sizes())
+            );
+        }
     }
 }

@@ -603,7 +603,7 @@ commands:
   epsilon <0..1>         set the trade-off knob (default 0.5)
   mode dynamic|static    set the evaluation mode (default dynamic)
   .shards <n>            hash-partition the next build over n shards (1..64, default 1);
-                         updates validate across all shards, then apply in parallel
+                         updates validate on every shard, then apply shard by shard
   load <rel> <csv path>  stage rows for a relation
   row <rel> <v1,v2,...>  stage one row
   build                  compile the plan and preprocess the staged data

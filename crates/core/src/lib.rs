@@ -13,10 +13,12 @@
 //! * **batched** updates through [`IvmEngine::apply_batch`], which apply a
 //!   whole [`DeltaBatch`] in one maintenance round at the same amortized
 //!   per-update bound and strictly lower constants,
-//! * **sharded parallel** evaluation through [`ShardedEngine`], which
+//! * **sharded** evaluation through [`ShardedEngine`], which
 //!   hash-partitions the database on each component's canonical root
 //!   variable into `S` fully independent runtimes, materializes and
-//!   maintains them concurrently, and freezes the per-component merged
+//!   maintains them one after another on the caller's thread (a batch is
+//!   validated on every shard before any shard applies its part), and
+//!   freezes the per-component merged
 //!   result into a [`ShardedSnapshot`] — the one surface a sharded result
 //!   is read from (see [`sharded`] for why the root variable makes this
 //!   sound).

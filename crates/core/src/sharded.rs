@@ -1,4 +1,4 @@
-//! Sharded parallel engine: hash-partition on the component root variable.
+//! Sharded engine: hash-partition on the component root variable.
 //!
 //! # Why the root variable makes shards independent
 //!
@@ -10,16 +10,17 @@
 //! relation of the component on its root-variable column yields `S`
 //! sub-databases whose view trees, heavy/light partitions, and indicators
 //! are fully independent. A [`ShardedEngine`] exploits this by running one
-//! complete [`IvmEngine`] per shard:
+//! complete [`IvmEngine`] per shard, all on the caller's thread:
 //!
-//! * **Preprocessing** materializes all shards in parallel
-//!   (`std::thread::scope`), each over its own sub-database.
+//! * **Preprocessing** materializes the shards one after another, each
+//!   over its own sub-database.
 //! * **Maintenance** splits a [`DeltaBatch`] with a
 //!   [`ShardRouter`] — single-column hashing that
 //!   reuses the tuples' cached 64-bit hashes where the routing key is the
-//!   whole tuple — and applies the per-shard sub-batches concurrently.
-//!   Each shard propagates through its own `PropScratch` arena, so
-//!   parallelism adds no allocation to the zero-allocation hot path.
+//!   whole tuple — and applies the per-shard sub-batches one after
+//!   another. Each shard propagates through its own `PropScratch` arena.
+//!   The paper's update bound `O(N^{δε})` (Prop. 23) holds per shard;
+//!   sharding partitions the work without parallelizing it.
 //! * **Reads** go through one door: [`ShardedEngine::snapshot`] freezes
 //!   the result into a [`ShardedSnapshot`], and every read — enumerate,
 //!   count, lookup, page — is answered by that snapshot, never by the
@@ -55,10 +56,11 @@
 //! engine preserves that guarantee across shards with a two-phase apply:
 //! every shard first *dry-runs* its sub-batch against `&self`
 //! (`prepare_delta_batch` — unknown relations, arities, and the
-//! negative-multiplicity rule), and only when **all** shards validate does
-//! any shard mutate (`apply_prepared`, which is infallible by
-//! construction). A batch that over-deletes on shard 3 leaves shards 0–2
-//! untouched.
+//! negative-multiplicity rule), in shard order, and only when **all**
+//! shards validate does any shard mutate (`apply_prepared`, which is
+//! infallible by construction). A batch that over-deletes on shard 3
+//! leaves shards 0–2 untouched; one that over-deletes on shards 1 and 3
+//! reports shard 1's tuple.
 //!
 //! Components without a root variable (single nullary atoms) and relation
 //! symbols whose occurrences would require two different routing columns
@@ -73,15 +75,14 @@ use ivme_data::{DeltaBatch, Route, ShardRouter, Tuple, Update, Value};
 use ivme_query::Query;
 
 use crate::database::Database;
-use crate::engine::{
-    EngineError, EngineOptions, EngineStats, IvmEngine, PreparedBatch, UpdateError,
-};
+use crate::engine::{EngineError, EngineOptions, EngineStats, IvmEngine, UpdateError};
 use crate::enumerate::product_size;
 
-/// Upper bound on the shard count. [`ShardedEngine::new`] spawns one
-/// scoped thread per shard, and the count reaches it from client commands
-/// (`.shards n`) and snapshot files, so it must not be able to exhaust the
-/// process's threads.
+/// Upper bound on the shard count. Every shard is a complete
+/// [`IvmEngine`] with its own views and indexes, and the count reaches
+/// [`ShardedEngine::new`] from client commands (`.shards n`) and snapshot
+/// files, so it must not be able to multiply the engine's fixed memory
+/// without bound.
 pub const MAX_SHARDS: usize = 64;
 
 /// `S` independent [`IvmEngine`]s over a hash-partitioned database.
@@ -106,8 +107,8 @@ pub struct ShardedEngine {
 
 impl ShardedEngine {
     /// Compiles `query`, hash-partitions `db` into `num_shards` shards on
-    /// each component's root variable, and preprocesses every shard in
-    /// parallel. `num_shards` is clamped to `1..=`[`MAX_SHARDS`]; queries
+    /// each component's root variable, and preprocesses the shards one
+    /// after another. `num_shards` is clamped to `1..=`[`MAX_SHARDS`]; queries
     /// with a relation symbol that cannot be routed consistently fall back
     /// to one shard.
     pub fn new(
@@ -122,20 +123,9 @@ impl ShardedEngine {
                 .map_err(EngineError::Arity)?;
         }
         let router = Self::build_router(query, opts, num_shards)?;
-        let shards = Self::split_database(query, db, &router);
-        let engines: Vec<Result<IvmEngine, EngineError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = shards
-                .iter()
-                .map(|sub| scope.spawn(move || IvmEngine::new(query, sub, opts)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard preprocessing panicked"))
-                .collect()
-        });
-        let mut built = Vec::with_capacity(engines.len());
-        for e in engines {
-            built.push(e?);
+        let mut built = Vec::with_capacity(router.num_shards());
+        for sub in &Self::split_database(query, db, &router) {
+            built.push(IvmEngine::new(query, sub, opts)?);
         }
         let ncomp = built[0].num_components();
         Ok(ShardedEngine {
@@ -309,7 +299,7 @@ impl ShardedEngine {
     // ------------------------------------------------------------------
 
     /// Applies a single-tuple update, routed straight to its owning shard
-    /// (no thread is spawned for a batch of one).
+    /// (no batch is split for an update of one).
     pub fn apply_update(
         &mut self,
         relation: &str,
@@ -344,79 +334,30 @@ impl ShardedEngine {
         self.apply_delta_batch(&batch)
     }
 
-    /// Applies a pre-consolidated batch: split by the router, validated on
-    /// **every** shard, then applied on all shards concurrently. Rejection
-    /// is atomic across shards — if any shard's sub-batch is invalid, no
-    /// shard changes state.
+    /// Applies a pre-consolidated batch in two phases, one shard after
+    /// another on the caller's thread: every shard's part of the router's
+    /// split is validated first, and only when all of them validate does
+    /// any shard apply its own. Rejection is atomic across shards — if any
+    /// shard's part is invalid, no shard changes state, and the error is
+    /// the lowest such shard's.
     pub fn apply_delta_batch(&mut self, batch: &DeltaBatch) -> Result<(), UpdateError> {
-        if self.shards.len() == 1 {
-            let r = self.shards[0].apply_delta_batch(batch);
-            if r.is_ok() {
-                self.updates += batch.cardinality() as u64;
-                self.batches += 1;
+        let split;
+        let parts = if self.shards.len() == 1 {
+            std::slice::from_ref(batch)
+        } else {
+            split = self.router.split(batch);
+            &split[..]
+        };
+        // Shard 0 validates even an empty part, so an empty batch is
+        // refused in static mode exactly as unsharded.
+        let mut prepared = Vec::with_capacity(parts.len());
+        for (s, (eng, part)) in self.shards.iter().zip(parts).enumerate() {
+            if s == 0 || !part.is_empty() {
+                prepared.push((s, eng.prepare_delta_batch(part)?));
             }
-            return r;
         }
-        let parts = self.router.split(batch);
-        let active = parts.iter().filter(|p| !p.is_empty()).count();
-        // A batch that lands entirely on one shard (single keys, skew)
-        // needs no threads; per-shard atomicity is enough.
-        if active <= 1 {
-            match self
-                .shards
-                .iter_mut()
-                .zip(&parts)
-                .find(|(_, p)| !p.is_empty())
-            {
-                Some((eng, part)) => eng.apply_delta_batch(part)?,
-                // Empty net batch: nothing to apply anywhere, but mode
-                // errors must still surface exactly as unsharded
-                // (`apply_delta_batch` of an empty batch in static mode is
-                // an error there too).
-                None => {
-                    self.shards[0].prepare_delta_batch(batch)?;
-                }
-            }
-            self.updates += batch.cardinality() as u64;
-            self.batches += 1;
-            return Ok(());
-        }
-        // One thread per active shard, two phases separated by a barrier:
-        // every shard dry-runs its sub-batch (`prepare_delta_batch`), and
-        // only when *all* validations have succeeded does any shard apply
-        // (`apply_prepared`, infallible by construction). Each shard
-        // propagates through its own `PropScratch` arena, so the parallel
-        // hot path allocates nothing beyond the split sub-batches.
-        let barrier = std::sync::Barrier::new(active);
-        let failures = std::sync::atomic::AtomicUsize::new(0);
-        let mut errors: Vec<Option<UpdateError>> = (0..self.shards.len()).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            for ((eng, part), err) in self.shards.iter_mut().zip(&parts).zip(errors.iter_mut()) {
-                if part.is_empty() {
-                    continue;
-                }
-                let barrier = &barrier;
-                let failures = &failures;
-                scope.spawn(move || {
-                    let prepared: Option<PreparedBatch> = match eng.prepare_delta_batch(part) {
-                        Ok(p) => Some(p),
-                        Err(e) => {
-                            failures.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                            *err = Some(e);
-                            None
-                        }
-                    };
-                    barrier.wait();
-                    if failures.load(std::sync::atomic::Ordering::SeqCst) == 0 {
-                        eng.apply_prepared(prepared.expect("no failures, so this shard validated"));
-                    }
-                });
-            }
-        });
-        if failures.into_inner() > 0 {
-            // Lowest-shard error, for determinism.
-            let e = errors.into_iter().flatten().next();
-            return Err(e.expect("failure count matches recorded errors"));
+        for (s, p) in prepared {
+            self.shards[s].apply_prepared(p);
         }
         self.updates += batch.cardinality() as u64;
         self.batches += 1;

@@ -272,8 +272,8 @@ fn an_overlong_line_is_refused_and_the_server_keeps_serving() {
     assert_eq!(fresh.expect_ok("count"), "1\n");
 }
 
-/// `.shards` comes from outside and `build` spawns a thread per shard on
-/// the writer — the one thread that can apply a write.
+/// `.shards` comes from outside and `build` preprocesses one engine per
+/// shard on the writer — the one thread that can apply a write.
 #[test]
 fn an_out_of_range_shard_count_is_refused_and_the_writer_keeps_serving() {
     let server = Server::start(ServerConfig::default()).unwrap();

@@ -7,7 +7,8 @@
 //!    enumerations) on the paper's example queries agree for
 //!    `S ∈ {1, 2, 4, 7}`,
 //! 2. rejection is atomic **across** shards: a batch that over-deletes on
-//!    one shard leaves every other shard untouched,
+//!    one shard leaves every other shard untouched, and one that
+//!    over-deletes on several reports the lowest shard's tuple,
 //! 3. multi-component queries (where per-shard result *products* would be
 //!    wrong) and nullary-atom components (pinned to shard 0) still agree.
 
@@ -198,6 +199,69 @@ fn cross_shard_rejection_is_atomic() {
     }
     eng.apply_delta_batch(&ok).unwrap();
     assert!(eng.stats().batches > before_stats.batches);
+}
+
+#[test]
+fn over_deletes_on_two_shards_report_the_lower_shard_and_change_nothing() {
+    // Q(A) :- R(A,B), S(B): root B ⇒ S routed on its only column.
+    let q = parse_query("Q(A) :- R(A,B), S(B)").unwrap();
+    let mut db = Database::new();
+    for i in 0..64 {
+        db.insert("R", Tuple::ints(&[i, i % 16]), 1);
+    }
+    for j in 0..16 {
+        db.insert("S", Tuple::ints(&[j]), 1);
+    }
+    let mut eng = ShardedEngine::new(&q, &db, EngineOptions::dynamic(0.5), 4).unwrap();
+    assert_eq!(eng.num_shards(), 4);
+    // One stored S value per shard that owns any: the lowest and the
+    // highest of those shards are the two victims.
+    let mut owned: Vec<Option<i64>> = vec![None; 4];
+    for j in 0..16 {
+        let s = eng.shard_of("S", &Tuple::ints(&[j])).unwrap();
+        owned[s].get_or_insert(j);
+    }
+    let owners: Vec<(usize, i64)> = owned
+        .iter()
+        .enumerate()
+        .filter_map(|(s, j)| j.map(|j| (s, j)))
+        .collect();
+    assert!(
+        owners.len() >= 2,
+        "test needs stored S values on two shards"
+    );
+    let (low, high) = (owners[0], owners[owners.len() - 1]);
+    let before: Vec<_> = (0..4).map(|s| eng.shard(s).result_sorted()).collect();
+    let before_sizes = eng.shard_sizes();
+    let before_stats = eng.stats();
+    // Both over-deletes (multiplicity 1, delta −2), the higher shard's
+    // pushed first, beside valid inserts that land on every shard.
+    let mut batch = DeltaBatch::new();
+    batch.push("S", Tuple::ints(&[high.1]), -2);
+    batch.push("S", Tuple::ints(&[low.1]), -2);
+    for j in 100..140 {
+        batch.push("S", Tuple::ints(&[j]), 1);
+    }
+    match eng.apply_delta_batch(&batch).unwrap_err() {
+        ivme_core::UpdateError::Negative(n) => assert_eq!(
+            (n.tuple, n.present, n.delta),
+            (Tuple::ints(&[low.1]), 1, -2),
+            "shard {}'s error must win over shard {}'s",
+            low.0,
+            high.0
+        ),
+        other => panic!("expected an over-delete, got {other}"),
+    }
+    for s in 0..4 {
+        assert_eq!(
+            eng.shard(s).result_sorted(),
+            before[s],
+            "shard {s} leaked state from a rejected batch"
+        );
+    }
+    assert_eq!(eng.shard_sizes(), before_sizes);
+    assert_eq!(eng.stats(), before_stats);
+    eng.check_consistency().unwrap();
 }
 
 #[test]
