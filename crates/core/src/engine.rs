@@ -19,7 +19,8 @@ use ivme_data::Value;
 
 use crate::database::Database;
 use crate::enumerate::{
-    count_component, drain_component, product_size, EnumNode, EnumScratch, ResultIter,
+    count_component, factor_positions, freeze_component, product_size, EnumNode, EnumScratch,
+    FreezeSink, ResultIter,
 };
 use crate::runtime::Runtime;
 
@@ -325,19 +326,26 @@ impl IvmEngine {
         self.enums.len()
     }
 
-    /// Pushes every `(values, multiplicity)` occurrence in component `ci`'s
-    /// view trees into `sink`, each exactly once and with no lookups — a
-    /// tuple that several trees or heavy buckets produce arrives once per
-    /// producer, and the sink sums. The values are the component's
-    /// variables in [`component_out_positions`](Self::component_out_positions)
-    /// order, lent for the call only: no `Tuple` is built per occurrence.
-    /// A bag, never a result: the building block of
-    /// [`ShardedEngine`](crate::ShardedEngine)'s freeze, where occurrences
-    /// sum across trees, buckets and shards and the full result is the
-    /// product across components. The order of occurrences is a function
-    /// of the engine's apply history alone.
-    pub fn drain_component(&self, ci: usize, sink: impl FnMut(&[Value], i64)) {
-        drain_component(&self.rt, &self.enums[ci], self.query.free.arity(), sink)
+    /// Pushes component `ci`'s freeze into `sink`, with no lookups: every
+    /// tree the engine materializes as flat occurrences, and each heavy
+    /// tree (a root indicator node, Figs. 23/24) as one group per child
+    /// for each live heavy key — the key's bucket is the product of those
+    /// groups, and it is never formed. A tuple that several trees or
+    /// buckets produce arrives once per producer, and the sink sums. A
+    /// bag of parts, never a result: the building block of
+    /// [`ShardedEngine`](crate::ShardedEngine)'s freeze, where parts sum
+    /// across trees, buckets and shards and the full result is the
+    /// product across components. The order of what is pushed is a
+    /// function of the engine's apply history alone.
+    pub fn freeze_component(&self, ci: usize, sink: &mut dyn FreezeSink) {
+        freeze_component(&self.rt, &self.enums[ci], self.query.free.arity(), sink)
+    }
+
+    /// The free positions each factor of component `ci`'s buckets binds,
+    /// in [`FreezeSink::factor`]'s child order; empty when the component
+    /// has no heavy tree.
+    pub(crate) fn component_factor_positions(&self, ci: usize) -> Vec<&[usize]> {
+        factor_positions(&self.enums[ci])
     }
 
     /// Positions, within the query's free schema, of the variables emitted

@@ -18,7 +18,7 @@
 //! shared buffer indexed by the query's free schema, so tuples assemble
 //! without repeated re-projection.
 //!
-//! # One union form, and a separate push drain
+//! # One union form, and a separate push freeze
 //!
 //! A `Union` — over a component's trees, or over the heavy buckets of an
 //! indicator node — has one form, Fig. 15 as printed: `O(#parts)`
@@ -28,20 +28,23 @@
 //! (Prop. 22), and the bound [`ResultIter`] (`IvmEngine::enumerate`,
 //! `enumerate_page`, `count_distinct`) keeps.
 //!
-//! The one consumer that materializes the result anyway
+//! The frozen snapshot
 //! ([`ShardedEngine::snapshot`](crate::ShardedEngine::snapshot)) does not
-//! go through the iterators at all. `EnumNode::drain_each` is the same
-//! trees walked as plain nested loops (Fig. 16 written as recursion) that
-//! *push* every `(values, multiplicity)` occurrence into a sink: trees one
-//! after another, at an indicator node the live heavy keys' products one
-//! after another. A tuple living in `k` trees or buckets comes out `k`
-//! times and the sink sums; the total is `O(Σ_i |T_i|)`, never more than
-//! the `#parts · |distinct|` the lookups would have cost. It keeps no
-//! delay bound and needs none, and it takes no [`EnumScratch`] — the only
-//! way to reach `EnumNode::lookup` — so "the drain never looks up" holds
-//! by signature. Nor does it build a `Tuple` (which hashes at
-//! construction) per occurrence: the sink borrows the bound values as a
-//! slice, and the snapshot's table copies a row only on first sight.
+//! go through the iterators at all, and it does not materialize the
+//! result either: it keeps the parts the engine keeps. `freeze_component`
+//! pushes them into a [`FreezeSink`]. The trees the engine materializes
+//! are walked by `EnumNode::drain_each` — plain nested loops (Fig. 16
+//! written as recursion) that *push* every `(values, multiplicity)`
+//! occurrence. A heavy tree — a root indicator node, Figs. 23/24 — is
+//! pushed per live heavy key as one drain per child: the factors of that
+//! key's bucket, whose product is left unformed, so the heavy part costs
+//! `Σ |factor|` rows where its tuples number `Π |factor|`. A tuple living
+//! in `k` parts comes out `k` times and the snapshot settles where it
+//! lives. The freeze keeps no delay bound and needs none, and it takes no
+//! [`EnumScratch`] — the only way to reach `EnumNode::lookup` — so "the
+//! freeze never looks up" holds by signature. Nor does it build a `Tuple`
+//! (which hashes at construction) per occurrence: the sink borrows the
+//! bound values as a slice and copies a row only on first sight.
 //!
 //! # The zero-clone serving discipline
 //!
@@ -467,40 +470,137 @@ fn drain_product(
     }
 }
 
-/// The push drain of one connected component: every `(tuple,
-/// multiplicity)` occurrence in `trees` exactly once — trees one after
-/// another, at every indicator node the live heavy keys' products one
-/// after another — over the component's free variables (in free-schema
-/// order, see
-/// [`IvmEngine::component_out_positions`](crate::IvmEngine::component_out_positions)),
-/// without the cross-component product and without a lookup. A tuple
-/// produced by `k` trees or heavy buckets reaches `sink` `k` times; summing
-/// the multiplicities per tuple gives the component's result.
+/// Receives one component's freeze
+/// ([`IvmEngine::freeze_component`](crate::IvmEngine::freeze_component)):
+/// the trees the engine materializes as flat occurrences, and the
+/// component's heavy trees as, per live heavy key, one group per child —
+/// the factors whose product is that key's bucket, never formed here.
+pub trait FreezeSink {
+    /// One occurrence of a tree drained flat: the component's values, in
+    /// [`IvmEngine::component_out_positions`](crate::IvmEngine::component_out_positions)
+    /// order and lent for the call only, their [`Tuple::hash_of`], and
+    /// the multiplicity.
+    fn flat(&mut self, row: &[Value], hash: u64, m: i64);
+    /// The next live heavy key: the `factor` calls up to the next
+    /// `bucket` are its children's drains. Every child of a live key
+    /// pushes at least one row.
+    fn bucket(&mut self);
+    /// One occurrence of child `f`'s drain under the current heavy key:
+    /// the values of the child's variables, in free-schema order. A child
+    /// with nested indicators can push a row more than once.
+    fn factor(&mut self, f: usize, row: &[Value], m: i64);
+}
+
+impl EnumNode {
+    /// Whether a stored tuple of this (root) node is, verbatim, a row of
+    /// a component emitting `positions`: a covering node whose whole
+    /// schema is free and bound in that order.
+    fn stores_rows_of(&self, rt: &Runtime, positions: &[usize]) -> bool {
+        matches!(self.kind, EnumKind::Covering)
+            && rt.nodes[self.mat].schema.arity() == positions.len()
+            && self
+                .own_emit
+                .iter()
+                .enumerate()
+                .all(|(i, &(sp, bp))| sp == i && positions.get(i) == Some(&bp))
+    }
+}
+
+/// The free positions each child of `tree`'s root binds, when the root is
+/// an indicator node: the factors of its buckets, in child order.
+fn bucket_factors(tree: &EnumNode) -> Option<Vec<&[usize]>> {
+    match &tree.kind {
+        EnumKind::Buckets { children, .. } => Some(
+            children
+                .iter()
+                .map(|c| c.out_positions.as_slice())
+                .collect(),
+        ),
+        _ => None,
+    }
+}
+
+/// The factors of a component's heavy trees: those of the first tree
+/// whose root is an indicator node (Figs. 23/24); empty without one.
+pub(crate) fn factor_positions(trees: &[EnumNode]) -> Vec<&[usize]> {
+    trees.iter().find_map(bucket_factors).unwrap_or_default()
+}
+
+/// The freeze of one connected component, pushed into `sink` without a
+/// lookup and without the cross-component product:
 ///
-/// `sink` borrows the values for the call only and builds no `Tuple`:
-/// when the component covers the whole free schema it is handed the
-/// drain's own buffer, otherwise one reused row the component's values
-/// are copied into.
-pub(crate) fn drain_component(
+/// * every tree that is not a heavy tree is drained flat, each occurrence
+///   once; a covering root whose stored tuples are the component's rows
+///   verbatim hands them over with their cached hash;
+/// * then each heavy tree — a root indicator node whose children bind
+///   [`factor_positions`] — for each live heavy key in its indicator's
+///   storage order (the liveness test the enumerator grounds with), hands
+///   over each child's drain under that key: `O(Σ |group|)` where the
+///   product would be `O(Π |group|)`.
+///
+/// A tuple produced by several trees, buckets (or shards) arrives once
+/// per producer; the sink's owner sums.
+pub(crate) fn freeze_component(
     rt: &Runtime,
     trees: &[EnumNode],
     free_arity: usize,
-    mut sink: impl FnMut(&[Value], i64),
+    sink: &mut dyn FreezeSink,
 ) {
     let positions = &trees[0].out_positions;
+    let factors = factor_positions(trees);
+    let heavy = |tree: &EnumNode| bucket_factors(tree).is_some_and(|f| f == factors);
     let mut buf = vec![Value::Int(0); free_arity];
     // Ascending and distinct, so covering every position is the identity.
     let covers = positions.len() == free_arity;
     let mut row = vec![Value::Int(0); positions.len()];
-    for tree in trees {
+    for tree in trees.iter().filter(|t| !heavy(t)) {
+        if tree.stores_rows_of(rt, positions) {
+            for (t, m) in tree.storage(rt).iter() {
+                sink.flat(t.values(), t.cached_hash(), m);
+            }
+            continue;
+        }
         tree.drain_each(rt, &Tuple::empty(), &mut buf, &mut |buf, m| {
-            if covers {
-                return sink(buf, m);
+            let row: &[Value] = if covers {
+                buf
+            } else {
+                for (dst, &p) in row.iter_mut().zip(positions) {
+                    dst.clone_from(&buf[p]);
+                }
+                &row
+            };
+            sink.flat(row, Tuple::hash_of(row), m)
+        });
+    }
+    let mut rows: Vec<Vec<Value>> = factors
+        .iter()
+        .map(|f| vec![Value::Int(0); f.len()])
+        .collect();
+    for tree in trees.iter().filter(|t| heavy(t)) {
+        let EnumKind::Buckets {
+            ind,
+            h_ctx_index,
+            children,
+            ..
+        } = &tree.kind
+        else {
+            unreachable!("a heavy tree's root is an indicator node")
+        };
+        let v_rel = tree.storage(rt);
+        let h_rel = &rt.rels[rt.heavy_rel[*ind]];
+        scan_each(h_rel, *h_ctx_index, &Tuple::empty(), |h, _| {
+            if v_rel.get(h) == 0 {
+                return;
             }
-            for (dst, &p) in row.iter_mut().zip(positions) {
-                dst.clone_from(&buf[p]);
+            sink.bucket();
+            for (f, (child, row)) in children.iter().zip(&mut rows).enumerate() {
+                child.drain_each(rt, h, &mut buf, &mut |buf, m| {
+                    for (dst, &p) in row.iter_mut().zip(&child.out_positions) {
+                        dst.clone_from(&buf[p]);
+                    }
+                    sink.factor(f, row, m)
+                });
             }
-            sink(&row, m)
         });
     }
 }
@@ -1264,23 +1364,82 @@ impl<'e> Iterator for ResultIter<'e> {
 mod tests {
     use std::collections::BTreeMap;
 
-    use ivme_data::Tuple;
+    use ivme_data::{Tuple, Value};
 
+    use super::FreezeSink;
     use crate::{Database, EngineOptions, IvmEngine};
 
-    /// Drains `src`'s single component at every ε, sums the occurrences
-    /// per tuple and requires exactly what the deduplicating `ResultIter`
-    /// enumerates. Returns the occurrence counts, one per ε.
+    /// The rows one factor pushed, in order.
+    type Factor = Vec<(Vec<Value>, i64)>;
+
+    /// A freeze as pushed: the flat occurrences, and per bucket the rows
+    /// each factor pushed.
+    #[derive(Default)]
+    struct Pushed {
+        flat: Vec<(Tuple, i64)>,
+        buckets: Vec<Vec<Factor>>,
+    }
+
+    impl FreezeSink for Pushed {
+        fn flat(&mut self, row: &[Value], hash: u64, m: i64) {
+            assert_eq!(hash, Tuple::hash_of(row));
+            self.flat.push((Tuple::from_slice(row), m));
+        }
+
+        fn bucket(&mut self) {
+            self.buckets.push(Vec::new());
+        }
+
+        fn factor(&mut self, f: usize, row: &[Value], m: i64) {
+            let bucket = self.buckets.last_mut().unwrap();
+            bucket.resize_with(bucket.len().max(f + 1), Vec::new);
+            bucket[f].push((row.to_vec(), m));
+        }
+    }
+
+    /// Freezes `src`'s single component at every ε, expands each bucket's
+    /// product, sums the occurrences per tuple and requires exactly what
+    /// the deduplicating `ResultIter` enumerates. Returns the occurrence
+    /// counts (flat occurrences plus each bucket's product), one per ε.
     fn drain_sums_to_enumerate(src: &str, db: &Database) -> [usize; 3] {
         [0.0, 0.5, 1.0].map(|eps| {
             let eng = IvmEngine::from_sql(src, db, EngineOptions::dynamic(eps)).unwrap();
             assert_eq!(eng.num_components(), 1, "{src}");
-            let mut occurrences = 0;
+            let mut pushed = Pushed::default();
+            eng.freeze_component(0, &mut pushed);
+            let mut occurrences = pushed.flat.len();
             let mut summed: BTreeMap<Tuple, i64> = BTreeMap::new();
-            eng.drain_component(0, |row, m| {
-                occurrences += 1;
-                *summed.entry(Tuple::from_slice(row)).or_insert(0) += m;
-            });
+            for (t, m) in pushed.flat {
+                *summed.entry(t).or_insert(0) += m;
+            }
+            let factor_positions = eng.component_factor_positions(0);
+            let mut buf = vec![Value::Int(0); eng.query().free.arity()];
+            for factors in &pushed.buckets {
+                assert_eq!(factors.len(), factor_positions.len(), "{src} at eps {eps}");
+                let mut pick = vec![0; factors.len()];
+                loop {
+                    occurrences += 1;
+                    let mut m = 1;
+                    for ((rows, &k), positions) in factors.iter().zip(&pick).zip(&factor_positions)
+                    {
+                        for (&p, v) in positions.iter().zip(&rows[k].0) {
+                            buf[p] = v.clone();
+                        }
+                        m *= rows[k].1;
+                    }
+                    let t = Tuple::from_slice(&buf).project(eng.component_out_positions(0));
+                    *summed.entry(t).or_insert(0) += m;
+                    // Row-major: the last factor turns fastest.
+                    let Some(f) = (0..pick.len())
+                        .rev()
+                        .find(|&f| pick[f] + 1 < factors[f].len())
+                    else {
+                        break;
+                    };
+                    pick[f] += 1;
+                    pick[f + 1..].fill(0);
+                }
+            }
             let distinct = eng.result_sorted();
             assert_eq!(
                 summed.into_iter().collect::<Vec<_>>(),

@@ -89,7 +89,7 @@ pub mod sharded;
 
 pub use database::Database;
 pub use engine::{EngineError, EngineOptions, EngineStats, IvmEngine, UpdateError};
-pub use enumerate::{EnumScratch, ResultIter};
+pub use enumerate::{EnumScratch, FreezeSink, ResultIter};
 pub use ivme_data::{DeltaBatch, ShardRouter, Update};
 pub use ivme_plan::Mode;
 pub use oracle::brute_force;

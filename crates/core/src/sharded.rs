@@ -24,31 +24,60 @@
 //! * **Reads** go through one door: [`ShardedEngine::snapshot`] freezes
 //!   the result into a [`ShardedSnapshot`], and every read — enumerate,
 //!   count, lookup, page — is answered by that snapshot, never by the
-//!   engine. Freezing merges per component: a component's result is the
-//!   **bag-union over shards, view trees and heavy buckets** — every
-//!   shard's trees push their occurrences
-//!   ([`IvmEngine::drain_component`]: each occurrence once, no lookups)
-//!   into one insertion-ordered table (`MergedComponent`) whose `+= m` is
-//!   the only duplicate elimination there is: a publish walks the trees
-//!   once and writes each distinct row once, as bare values into one flat
-//!   array — a `Tuple` is built only for what a read returns. The same
-//!   tuple arrives more than once when two shards hold it (possible only
-//!   when the root variable is projected away), when a light and a heavy
-//!   tree both produce it, or when several heavy keys do; the table sums.
-//!   That costs `O(Σ occurrences)` per touched component, and the paper's
-//!   Union algorithm — whose per-tuple lookups exist to suppress
-//!   duplicates *without* materializing — stays on the path that does not
-//!   materialize, [`IvmEngine::enumerate`]. A component enumerates in the
-//!   order its tuples first occurred in the drain (shard 0's trees first),
-//!   a function of the apply history alone: engines that applied the same
-//!   batches page identically, however often each was frozen. The full
-//!   result is the Cartesian product over components of those merged
-//!   unions. Merging per *component* (not per shard result) is what keeps
-//!   multi-component queries correct: a product of unions is not a union
-//!   of products. The cost of the one door: a point lookup on a sharded
-//!   engine pays the merge of the components touched since the last
-//!   snapshot; the paper's own `O(N^{1−ε})` tree lookup is
+//!   engine. Freezing works per component, and keeps it the way the
+//!   engine keeps it (see below). Merging per *component* (not per shard
+//!   result) is what keeps multi-component queries correct: a product of
+//!   unions is not a union of products. The full result is the Cartesian
+//!   product over components. The cost of the one door: a point lookup on
+//!   a sharded engine pays the freeze of the components touched since the
+//!   last snapshot; the paper's own `O(N^{1−ε})` tree lookup is
 //!   [`IvmEngine::multiplicity`].
+//!
+//! # What a frozen component holds
+//!
+//! The paper materializes the light part and keeps, for each heavy value,
+//! only what is needed to enumerate its tuples on the fly: a heavy key's
+//! groups are never joined. A freeze keeps that form. Every shard's
+//! [`IvmEngine::freeze_component`] (each occurrence once, no lookups)
+//! pushes into one component:
+//!
+//! * the **flat part** `M`: the rows of the trees the engine itself
+//!   materializes, summed in one insertion-ordered table
+//!   (`MergedComponent`, bare values in one flat array — a `Tuple` is
+//!   built only for what a read returns); a covering root whose stored
+//!   tuples are rows verbatim hands over their cached hashes;
+//! * one **bucket** per live heavy key of the component's heavy trees:
+//!   one summed table per child of the indicator node (its *factors*),
+//!   whose row-major product is the bucket's tuples, multiplicities
+//!   multiplied. The product is never formed — a publish writes
+//!   `Σ |factor|` rows for a bucket of `Π |factor|` tuples.
+//!
+//! A distinct tuple lives in exactly one place: a row of `M`, or one
+//! position of one bucket. A tuple that two or more parts produce (two
+//! shards — possible only when the root variable is projected away — a
+//! light and a heavy tree, or several heavy keys) is a row of `M` with
+//! its summed multiplicity, and every bucket producing it lists that
+//! position as *shared* and skips it. An index from the first binding
+//! factor's rows (the *key rows*) to `(bucket, row)` settles this key row
+//! by key row, skipped without a live bucket. A key row is either probed
+//! and paired — pass (i) probes its rows of `M` into the buckets holding
+//! it, pass (ii) intersects those buckets pair by pair for the tuples only
+//! buckets share — or, where that would cost more, walked: its holders'
+//! tuples under it are looked up in `M` and summed. Either way a key row
+//! costs at most a constant times the occurrences a drain of its holders'
+//! products under it would push, plus one index probe per row of `M`.
+//!
+//! Reads follow the parts: `count` is `|M| + Σ (Π|F| − |shared|)`; a
+//! lookup probes `M`, then the one bucket the index names; a component
+//! enumerates `M` in the order its rows first occurred (shard 0 first,
+//! then the tuples only buckets share), then the buckets in shard and
+//! heavy-key storage order, row-major, skipping shared positions — a
+//! function of the apply history alone, so engines that applied the same
+//! batches page identically, however often each was frozen. A seek is
+//! prefix counts plus one binary search in a shared list,
+//! `O(log #buckets + log |shared|)`, never `O(offset)`; positions are
+//! `u128` (five factors of 8,192 rows make 2⁶⁵ of them) and counts
+//! saturate.
 //!
 //! # How atomic validation is preserved
 //!
@@ -76,7 +105,7 @@ use ivme_query::Query;
 
 use crate::database::Database;
 use crate::engine::{EngineError, EngineOptions, EngineStats, IvmEngine, UpdateError};
-use crate::enumerate::product_size;
+use crate::enumerate::{product_size, FreezeSink};
 
 /// Upper bound on the shard count. Every shard is a complete
 /// [`IvmEngine`] with its own views and indexes, and the count reaches
@@ -368,16 +397,16 @@ impl ShardedEngine {
     // Freezing: the one read door
     // ------------------------------------------------------------------
 
-    /// One component's merged result, through its cache slot: re-merged
-    /// only when some shard's version for it moved since the cached merge
-    /// was built, otherwise a version compare plus an `Arc` clone.
+    /// One component's frozen result, through its cache slot: re-frozen
+    /// only when some shard's version for it moved since the cached
+    /// freeze was built, otherwise a version compare plus an `Arc` clone.
     ///
-    /// The merge is a bag-union over shards, trees and heavy buckets:
-    /// every occurrence [`IvmEngine::drain_component`] pushes is summed
-    /// into the table, `O(Σ occurrences)` with no tree lookup. The table
-    /// is pre-sized from the slot's previous merge — its order is the
-    /// drain's, so its capacity history cannot show.
-    fn merged_component(&mut self, ci: usize) -> Arc<MergedComponent> {
+    /// Every shard's [`IvmEngine::freeze_component`] feeds one
+    /// [`Freezer`]: the flat trees into one table, every live heavy key's
+    /// factors into a bucket of their own. The flat table is pre-sized
+    /// from the slot's previous freeze — its order is the drain's, so its
+    /// capacity history cannot show.
+    fn frozen_component(&mut self, ci: usize) -> Arc<FrozenComponent> {
         let versions: Vec<u64> = self
             .shards
             .iter()
@@ -388,15 +417,22 @@ impl ShardedEngine {
             if c.versions == versions {
                 return Arc::clone(&c.merged);
             }
-            expect = c.merged.len();
+            expect = c.merged.flat.len();
         }
-        let positions = self.shards[0].component_out_positions(ci).to_vec();
-        let mut acc = MergedComponent::with_capacity(positions, expect);
+        let first = &self.shards[0];
+        let mut freezer = Freezer::new(
+            first.component_out_positions(ci).to_vec(),
+            first
+                .component_factor_positions(ci)
+                .into_iter()
+                .map(<[usize]>::to_vec)
+                .collect(),
+            expect,
+        );
         for shard in &self.shards {
-            shard.drain_component(ci, |row, m| acc.add(row, m));
+            shard.freeze_component(ci, &mut freezer);
         }
-        acc.drop_zero_sums();
-        let merged = Arc::new(acc);
+        let merged = Arc::new(freezer.finish());
         self.merge_cache[ci] = Some(CachedMerge {
             versions,
             merged: Arc::clone(&merged),
@@ -408,14 +444,15 @@ impl ShardedEngine {
     /// [`ShardedSnapshot`] — the engine's only read door. The snapshot
     /// answers enumerate/count/multiplicity/page/result_sorted plus the
     /// stats the serving layer reports, without the engine and without
-    /// any locking. Built from the merge cache, so the cost is the bag
-    /// drain of the changed components, `O(Σ changed occurrences(C_i))` —
-    /// a tuple counts once per shard, tree and heavy key producing it:
-    /// components untouched since the last snapshot are shared by `Arc`
+    /// any locking. Built from the merge cache, so the cost is the freeze
+    /// of the changed components: their flat trees' occurrences plus
+    /// their live heavy keys' groups, never a heavy bucket's product.
+    /// Components untouched since the last snapshot are shared by `Arc`
     /// clone, not rebuilt, and a quiescent engine pays `O(#components)`.
-    /// Enumeration order within a component is the order its tuples first
-    /// occurred in the drain. Freezing is something only the engine's
-    /// single owner does, hence `&mut self`.
+    /// Enumeration order within a component is the flat part in the order
+    /// its rows first occurred, then the buckets (module docs). Freezing
+    /// is something only the engine's single owner does, hence
+    /// `&mut self`.
     ///
     /// `epoch` is caller-assigned (the serving layer's publish counter,
     /// the shell's refresh counter); it is echoed by
@@ -423,7 +460,7 @@ impl ShardedEngine {
     /// clients can observe snapshot turnover.
     pub fn snapshot(&mut self, epoch: u64) -> ShardedSnapshot {
         let comps = (0..self.merge_cache.len())
-            .map(|ci| self.merged_component(ci))
+            .map(|ci| self.frozen_component(ci))
             .collect();
         ShardedSnapshot {
             epoch,
@@ -461,13 +498,13 @@ const _: () = {
     assert_send_sync::<ShardedSnapshot>();
 };
 
-/// One component's merged (cross-shard) result: a build-once table.
+/// A build-once summing table: the flat part of a frozen component, and
+/// each factor of a bucket.
 ///
-/// Each distinct row is held once, in the order the drain first produced
-/// it: its values in `values`, strided by the component's arity (row `i`
-/// is `values[i·a..(i+1)·a]`), its summed multiplicity in `mults[i]` —
-/// what `enumerate`/`page`/`count` read. A component with no free
-/// variable has arity 0 and at most one (empty) row, so the row count is
+/// Each distinct row is held once, in the order it was first added: its
+/// values in `values`, strided by the arity (row `i` is
+/// `values[i·a..(i+1)·a]`), its summed multiplicity in `mults[i]`. A table
+/// of arity 0 has at most one (empty) row, so the row count is
 /// `mults.len()` and nothing divides by the arity. `slots` is a
 /// power-of-two open-addressing index over the rows (linear probing, load
 /// at most 7/8) for `add`'s duplicate check and the frozen view's point
@@ -479,15 +516,15 @@ const _: () = {
 ///
 /// PR 2 rejected a hand-rolled table for `Relation`, which is mutated
 /// and probed per update for its whole life. This one is not that: it is
-/// written once by one merge, is an index only (the rows live in the
+/// written once by one freeze, is an index only (the rows live in the
 /// flat arrays), never deletes, and is immutable behind an `Arc`
 /// afterwards — and a `HashMap` cannot give the insertion order that
 /// makes the enumeration order independent of capacity.
 struct MergedComponent {
-    /// Positions of the component's variables in the query's free schema.
-    positions: Vec<usize>,
-    /// The distinct rows' values, `positions.len()` per row, in
-    /// first-occurrence order.
+    /// Values per row.
+    arity: usize,
+    /// The distinct rows' values, `arity` per row, in first-occurrence
+    /// order.
     values: Vec<Value>,
     /// Summed multiplicity of each row.
     mults: Vec<i64>,
@@ -532,15 +569,15 @@ impl MergedComponent {
     /// The row arrays hold as many rows as the slots index before they
     /// double, so a merge a little larger than the last one reallocates
     /// nothing.
-    fn with_capacity(positions: Vec<usize>, expect: usize) -> MergedComponent {
+    fn with_capacity(arity: usize, expect: usize) -> MergedComponent {
         let slots = match expect {
             0 => 0,
             n => (n * 8).div_ceil(7).next_power_of_two().max(MIN_SLOTS),
         };
         let rows = slots / 8 * 7;
         MergedComponent {
-            values: Vec::with_capacity(rows * positions.len()),
-            positions,
+            arity,
+            values: Vec::with_capacity(rows * arity),
             mults: Vec::with_capacity(rows),
             slots: vec![Slot::EMPTY; slots],
         }
@@ -553,8 +590,7 @@ impl MergedComponent {
 
     /// The values of row `i`.
     fn row(&self, i: usize) -> &[Value] {
-        let a = self.positions.len();
-        &self.values[i * a..(i + 1) * a]
+        &self.values[i * self.arity..(i + 1) * self.arity]
     }
 
     /// Walks `hash`'s probe sequence to the slot indexing a row that
@@ -589,19 +625,29 @@ impl MergedComponent {
     }
 
     /// One occurrence: `+= m` on the row's entry; on first sight the
-    /// values are copied in and the row appended.
-    fn add(&mut self, row: &[Value], m: i64) {
-        debug_assert_eq!(row.len(), self.positions.len());
+    /// values are copied in and the row appended. Returns the row's index.
+    fn add(&mut self, row: &[Value], m: i64) -> usize {
+        self.add_hashed(row, Tuple::hash_of(row), m)
+    }
+
+    /// [`MergedComponent::add`] for a row whose hash is known.
+    fn add_hashed(&mut self, row: &[Value], hash: u64, m: i64) -> usize {
+        debug_assert_eq!(row.len(), self.arity);
+        debug_assert_eq!(hash, Tuple::hash_of(row));
         if (self.len() + 1) * 8 > self.slots.len() * 7 {
             self.reindex((self.slots.len() * 2).max(MIN_SLOTS));
         }
-        let hash = Tuple::hash_of(row);
         match self.probe(hash, |held| held == row) {
-            Ok(index) => self.mults[index] += m,
+            Ok(index) => {
+                self.mults[index] += m;
+                index
+            }
             Err(at) => {
-                self.slots[at] = Slot::of(self.len(), hash);
+                let index = self.len();
+                self.slots[at] = Slot::of(index, hash);
                 self.values.extend_from_slice(row);
                 self.mults.push(m);
+                index
             }
         }
     }
@@ -612,7 +658,7 @@ impl MergedComponent {
         let Some(first) = self.mults.iter().position(|&m| m == 0) else {
             return;
         };
-        let a = self.positions.len();
+        let a = self.arity;
         let mut kept = first;
         for i in first + 1..self.len() {
             if self.mults[i] != 0 {
@@ -628,6 +674,22 @@ impl MergedComponent {
         self.reindex(self.slots.len());
     }
 
+    /// Empties the table, keeping its allocations.
+    fn clear(&mut self) {
+        self.values.clear();
+        self.mults.clear();
+        self.slots.clear();
+    }
+
+    /// The index of the row holding `values`.
+    fn find(&self, values: &[Value]) -> Option<usize> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        self.probe(Tuple::hash_of(values), |held| held == values)
+            .ok()
+    }
+
     /// Summed multiplicity of `t` (0 when absent).
     fn get(&self, t: &Tuple) -> i64 {
         if self.slots.is_empty() {
@@ -635,6 +697,687 @@ impl MergedComponent {
         }
         self.probe(t.cached_hash(), |held| held == t.values())
             .map_or(0, |index| self.mults[index])
+    }
+}
+
+/// `row`'s values at `cols`: borrowed from `row` when the columns are
+/// consecutive, otherwise staged in `out`.
+fn project<'a>(row: &'a [Value], cols: &[usize], out: &'a mut Vec<Value>) -> &'a [Value] {
+    // `cols` ascend, so they are consecutive exactly when they span as
+    // many columns as they name.
+    match (cols.first(), cols.last()) {
+        (Some(&first), Some(&last)) if last - first + 1 == cols.len() => &row[first..=last],
+        (None, _) | (_, None) => &[],
+        _ => {
+            out.clear();
+            out.extend(cols.iter().map(|&c| row[c].clone()));
+            out
+        }
+    }
+}
+
+/// One component of a frozen result, held the way the engine holds it
+/// (module docs): `flat` sums the rows of the trees the engine
+/// materializes, and each of `buckets` keeps one live heavy key's
+/// factors, whose product is never formed.
+///
+/// **Invariant:** a distinct tuple lives in exactly one place — a row of
+/// `flat`, or one position of one bucket. A tuple that two or more parts
+/// produce is a row of `flat` with the multiplicity summed over all of
+/// them, and every bucket producing it lists that position as shared and
+/// skips it.
+struct FrozenComponent {
+    /// Positions of the component's variables in the query's free schema.
+    positions: Vec<usize>,
+    /// The flat part `M`, in the order its rows first occurred, then the
+    /// tuples only buckets share, in the order they were found.
+    flat: MergedComponent,
+    /// Per factor: the free positions it binds.
+    factor_positions: Vec<Vec<usize>>,
+    /// Per factor: its columns within a row of `flat`.
+    factor_cols: Vec<Vec<usize>>,
+    /// The factor the bucket index is keyed on: the first that binds a
+    /// variable (0 when none does — an arity-0 factor is a scalar).
+    key: usize,
+    /// In shard order, each shard's live heavy keys in storage order.
+    buckets: Vec<Bucket>,
+    /// The key factor's distinct rows over every bucket (`mults` counts
+    /// the buckets holding each).
+    keys: MergedComponent,
+    /// `holders[heads[k]..heads[k + 1]]`: the `(bucket, row of its key
+    /// factor)` pairs holding key row `k`, in bucket order.
+    heads: Vec<usize>,
+    holders: Vec<(usize, usize)>,
+    /// Per bucket: the distinct tuples enumerated before it, saturating.
+    starts: Vec<u128>,
+    /// Distinct tuples, saturating.
+    len: u128,
+}
+
+/// One live heavy key of a frozen component.
+struct Bucket {
+    /// One summed group per child of the indicator node, in child order;
+    /// none is empty.
+    factors: Vec<MergedComponent>,
+    /// `Π |factor|`, saturating at `u128::MAX`.
+    size: u128,
+    /// Ascending row-major positions (first factor outermost) of this
+    /// bucket's tuples that live in `flat`.
+    shared: Vec<u128>,
+}
+
+impl Bucket {
+    /// Tuples enumerated from this bucket.
+    fn visible(&self) -> u128 {
+        self.size - self.shared.len() as u128
+    }
+
+    /// The multiplicity in this bucket of the component row `row`, whose
+    /// projection on the key factor is that factor's row `r`: every other
+    /// factor is probed with its columns (`cols`), and `found(f, d)` told
+    /// each row `d` found. `None` when a factor lacks its part.
+    fn locate(
+        &self,
+        row: &[Value],
+        cols: &[Vec<usize>],
+        (key, r): (usize, usize),
+        scratch: &mut Vec<Value>,
+        mut found: impl FnMut(usize, usize),
+    ) -> Option<i64> {
+        let mut m = self.factors[key].mults[r];
+        for (f, factor) in self.factors.iter().enumerate() {
+            if f != key {
+                let d = factor.find(project(row, &cols[f], scratch))?;
+                found(f, d);
+                m *= factor.mults[d];
+            }
+        }
+        Some(m)
+    }
+
+    /// The multiplicity of the tuple at the factor rows `digits`.
+    fn mult(&self, digits: &[usize]) -> i64 {
+        self.factors
+            .iter()
+            .zip(digits)
+            .map(|(f, &d)| f.mults[d])
+            .product()
+    }
+
+    /// Records the tuple at `digits` as living in the flat part and
+    /// returns its multiplicity here.
+    fn share(&mut self, digits: &[usize]) -> i64 {
+        self.shared.extend(self.position(digits));
+        self.mult(digits)
+    }
+
+    /// Tuples per row of factor `key`: the product of the others' sizes,
+    /// saturating.
+    fn size_without(&self, key: usize) -> u128 {
+        self.factors
+            .iter()
+            .enumerate()
+            .filter(|&(f, _)| f != key)
+            .fold(1u128, |n, (_, f)| n.saturating_mul(f.len() as u128))
+    }
+
+    /// The row-major position of the factor rows `digits`, or `None`
+    /// past `u128::MAX` — where no walk and no `usize` offset can reach.
+    fn position(&self, digits: &[usize]) -> Option<u128> {
+        self.factors
+            .iter()
+            .zip(digits)
+            .try_fold(0u128, |p, (f, &d)| {
+                p.checked_mul(f.len() as u128)?.checked_add(d as u128)
+            })
+    }
+}
+
+/// Collects one component's freeze from every shard ([`FreezeSink`]),
+/// then settles where each tuple lives ([`Freezer::finish`]).
+struct Freezer {
+    positions: Vec<usize>,
+    factor_positions: Vec<Vec<usize>>,
+    flat: MergedComponent,
+    buckets: Vec<Vec<MergedComponent>>,
+}
+
+impl FreezeSink for Freezer {
+    fn flat(&mut self, row: &[Value], hash: u64, m: i64) {
+        self.flat.add_hashed(row, hash, m);
+    }
+
+    fn bucket(&mut self) {
+        let factors = self
+            .factor_positions
+            .iter()
+            .map(|p| MergedComponent::with_capacity(p.len(), 0))
+            .collect();
+        self.buckets.push(factors);
+    }
+
+    fn factor(&mut self, f: usize, row: &[Value], m: i64) {
+        let bucket = self.buckets.last_mut().expect("a bucket is open");
+        bucket[f].add(row, m);
+    }
+}
+
+impl Freezer {
+    /// An empty freeze of a component emitting `positions` whose buckets'
+    /// factors bind `factor_positions`, its flat part sized for `expect`
+    /// rows.
+    fn new(positions: Vec<usize>, factor_positions: Vec<Vec<usize>>, expect: usize) -> Freezer {
+        Freezer {
+            flat: MergedComponent::with_capacity(positions.len(), expect),
+            positions,
+            factor_positions,
+            buckets: Vec::new(),
+        }
+    }
+
+    /// Indexes the buckets by their key factor's rows and establishes the
+    /// invariant of [`FrozenComponent`] ([`FrozenComponent::settle`],
+    /// skipped without a live bucket).
+    fn finish(self) -> FrozenComponent {
+        let Freezer {
+            positions,
+            factor_positions,
+            mut flat,
+            buckets,
+        } = self;
+        flat.drop_zero_sums();
+        let factor_cols = factor_positions
+            .iter()
+            .map(|fp| {
+                let col = |p| positions.iter().position(|q| q == p);
+                fp.iter()
+                    .map(|p| col(p).expect("a component variable"))
+                    .collect()
+            })
+            .collect();
+        let key = factor_positions
+            .iter()
+            .position(|p| !p.is_empty())
+            .unwrap_or(0);
+        let buckets: Vec<Bucket> = buckets
+            .into_iter()
+            .filter_map(|mut factors| {
+                factors.iter_mut().for_each(MergedComponent::drop_zero_sums);
+                if factors.iter().any(|f| f.len() == 0) {
+                    return None;
+                }
+                let size = factors
+                    .iter()
+                    .try_fold(1u128, |n, f| n.checked_mul(f.len() as u128))
+                    .unwrap_or(u128::MAX);
+                Some(Bucket {
+                    factors,
+                    size,
+                    shared: Vec::new(),
+                })
+            })
+            .collect();
+
+        // The index: key rows numbered in first-occurrence order, their
+        // holders grouped per row, in bucket order.
+        let key_arity = factor_positions.get(key).map_or(0, Vec::len);
+        let key_rows = buckets.iter().map(|b| b.factors[key].len()).sum();
+        let mut keys = MergedComponent::with_capacity(key_arity, key_rows);
+        let mut ids = Vec::with_capacity(key_rows);
+        for (b, bucket) in buckets.iter().enumerate() {
+            let f = &bucket.factors[key];
+            ids.extend((0..f.len()).map(|r| (keys.add(f.row(r), 1), b, r)));
+        }
+        let mut heads = vec![0; keys.len() + 1];
+        for &(k, _, _) in &ids {
+            heads[k + 1] += 1;
+        }
+        for k in 0..keys.len() {
+            heads[k + 1] += heads[k];
+        }
+        let mut fill = heads.clone();
+        let mut holders = vec![(0, 0); ids.len()];
+        for (k, b, r) in ids {
+            holders[fill[k]] = (b, r);
+            fill[k] += 1;
+        }
+
+        let mut c = FrozenComponent {
+            positions,
+            flat,
+            factor_positions,
+            factor_cols,
+            key,
+            buckets,
+            keys,
+            heads,
+            holders,
+            starts: Vec::new(),
+            len: 0,
+        };
+        if !c.buckets.is_empty() {
+            c.settle();
+        }
+        let mut len = c.flat.len() as u128;
+        c.starts = c
+            .buckets
+            .iter_mut()
+            .map(|b| {
+                b.shared.sort_unstable();
+                let start = len;
+                len = len.saturating_add(b.visible());
+                start
+            })
+            .collect();
+        c.len = len;
+        c
+    }
+}
+
+impl FrozenComponent {
+    /// The `(bucket, row of its key factor)` pairs holding key row `k`.
+    fn holders(&self, k: usize) -> &[(usize, usize)] {
+        &self.holders[self.heads[k]..self.heads[k + 1]]
+    }
+
+    /// Settles where every tuple a bucket produces lives. A tuple's key
+    /// row is shared by every part producing it, so each key row is
+    /// settled apart from the others, the cheaper of two ways
+    /// ([`FrozenComponent::walks`]):
+    ///
+    /// * **probed and paired:** pass (i) probes each of its flat rows into
+    ///   its holders, and on a hit adds that bucket's multiplicity to the
+    ///   row and records the position as shared; pass (ii)
+    ///   ([`FrozenComponent::share_pairs`]) intersects its holders pair by
+    ///   pair for the tuples only buckets share;
+    /// * **walked** ([`FrozenComponent::walk_key_rows`]): every holder's
+    ///   tuples under the row are looked up among the flat rows and summed.
+    ///
+    /// A key row thus never costs more than [`WALK_COST`] times the
+    /// occurrences a drain of its holders' products under it would push,
+    /// plus one index probe per flat row.
+    fn settle(&mut self) {
+        let settled = self.flat.len();
+        let mut scratch = Vec::new();
+        // The key row of each flat row (`usize::MAX`: no bucket holds it).
+        let mut flat_rows = vec![0; self.keys.len()];
+        let key_of: Vec<usize> = (0..settled)
+            .map(|i| {
+                let key_row = project(self.flat.row(i), &self.factor_cols[self.key], &mut scratch);
+                let k = self.keys.find(key_row);
+                k.inspect(|&k| flat_rows[k] += 1).unwrap_or(usize::MAX)
+            })
+            .collect();
+        let (mut pairs, mut sizes) = (Vec::new(), Vec::new());
+        let mut walked = vec![false; self.keys.len()];
+        for (k, &n) in flat_rows.iter().enumerate() {
+            walked[k] = self.walks(k, n, &mut sizes);
+            if walked[k] {
+                continue;
+            }
+            let group = self.holders(k);
+            for (i, &(x, rx)) in group.iter().enumerate() {
+                pairs.extend(group[i + 1..].iter().map(|&(y, ry)| (x, y, rx, ry)));
+            }
+        }
+        // Pass (i).
+        let mut digits = vec![0; self.factor_cols.len()];
+        for (i, &k) in key_of.iter().enumerate() {
+            if k == usize::MAX || walked[k] {
+                continue;
+            }
+            let row = self.flat.row(i);
+            let mut extra = 0;
+            for &(b, r) in &self.holders[self.heads[k]..self.heads[k + 1]] {
+                digits[self.key] = r;
+                let bucket = &mut self.buckets[b];
+                let found = |f, d| digits[f] = d;
+                let cols = &self.factor_cols;
+                if bucket
+                    .locate(row, cols, (self.key, r), &mut scratch, found)
+                    .is_some()
+                {
+                    extra += bucket.share(&digits);
+                }
+            }
+            self.flat.mults[i] += extra;
+        }
+        self.walk_key_rows(&walked, settled);
+        // Pass (ii).
+        self.share_pairs(pairs);
+    }
+
+    /// Whether key row `k`, the key row of `flat_rows` flat rows, is
+    /// walked: when its holders' tuples under it, at [`WALK_COST`] each,
+    /// cost less than pass (i)'s probes (one per flat row and holder) plus
+    /// pass (ii)'s (at most the smaller holder's tuples per pair). `sizes`
+    /// is scratch.
+    fn walks(&self, k: usize, flat_rows: usize, sizes: &mut Vec<u128>) -> bool {
+        let group = self.holders(k);
+        if group.len() < 2 && flat_rows == 0 {
+            return false;
+        }
+        sizes.clear();
+        sizes.extend(
+            group
+                .iter()
+                .map(|&(b, _)| self.buckets[b].size_without(self.key)),
+        );
+        sizes.sort_unstable();
+        let walking = sizes.iter().fold(0u128, |n, &s| n.saturating_add(s));
+        let probing = sizes.iter().enumerate().fold(
+            (flat_rows as u128).saturating_mul(group.len() as u128),
+            |n, (i, &s)| n.saturating_add(s.saturating_mul((group.len() - 1 - i) as u128)),
+        );
+        walking.saturating_mul(WALK_COST) < probing
+    }
+
+    /// Walks every holder's tuples under each key row `k` with
+    /// `walked[k]`. A tuple that is a flat row (one of the first
+    /// `settled`) gets the bucket's multiplicity and the position is
+    /// recorded as shared, as pass (i) would; under a key row of two or
+    /// more holders the others are summed in a scratch table, and those
+    /// two or more buckets hold are appended, as pass (ii) would.
+    fn walk_key_rows(&mut self, walked: &[bool], settled: usize) {
+        let nf = self.factor_cols.len();
+        let (mut pick, mut digits) = (vec![0; nf], vec![0; nf]);
+        let mut row = vec![Value::Int(0); self.positions.len()];
+        let mut sums = MergedComponent::with_capacity(row.len(), 0);
+        let (mut hits, mut held, mut holders_of) = (Vec::new(), Vec::new(), Vec::new());
+        for k in (0..walked.len()).filter(|&k| walked[k]) {
+            sums.clear();
+            held.clear();
+            hits.clear();
+            let several = self.holders(k).len() > 1;
+            for &(b, r) in self.holders(k) {
+                let bucket = &self.buckets[b];
+                let radix = |f: usize| {
+                    if f == self.key {
+                        1
+                    } else {
+                        bucket.factors[f].len()
+                    }
+                };
+                pick.fill(0);
+                loop {
+                    for (f, factor) in bucket.factors.iter().enumerate() {
+                        digits[f] = if f == self.key { r } else { pick[f] };
+                        for (&c, v) in self.factor_cols[f].iter().zip(factor.row(digits[f])) {
+                            row[c].clone_from(v);
+                        }
+                    }
+                    let (m, p) = (bucket.mult(&digits), || bucket.position(&digits));
+                    match self.flat.find(&row) {
+                        Some(i) if i < settled => hits.push((i, m, b, p())),
+                        _ if several => held.push((sums.add(&row, m), b, p())),
+                        _ => {}
+                    }
+                    if !odometer(&mut pick, radix) {
+                        break;
+                    }
+                }
+            }
+            for &(i, m, b, p) in &hits {
+                self.flat.mults[i] += m;
+                self.buckets[b].shared.extend(p);
+            }
+            holders_of.clear();
+            holders_of.resize(sums.len(), 0u32);
+            for &(t, _, _) in &held {
+                holders_of[t] += 1;
+            }
+            for (t, &n) in holders_of.iter().enumerate() {
+                if n > 1 {
+                    self.flat.add(sums.row(t), sums.mults[t]);
+                }
+            }
+            for &(t, b, p) in &held {
+                if holders_of[t] > 1 {
+                    self.buckets[b].shared.extend(p);
+                }
+            }
+        }
+    }
+
+    /// Intersects `pairs` — `(x, y, row in x, row in y)` for key rows both
+    /// buckets hold, `x < y` — sorted, so that each pair's other factors
+    /// intersect once however many key rows it shares. A tuple is
+    /// appended by the first pair of its smallest holder `x`, which the
+    /// sort puts before every other pair holding it; `x`'s later pairs add
+    /// their `y`, and pairs without `x` skip it.
+    fn share_pairs(&mut self, mut pairs: Vec<(usize, usize, usize, usize)>) {
+        pairs.sort_unstable();
+        let (nf, key) = (self.factor_cols.len(), self.key);
+        let settled = self.flat.len();
+        let mut first_holder = Vec::new();
+        let mut common: Vec<Vec<(usize, usize)>> = vec![Vec::new(); nf];
+        let (mut pick, mut dx, mut dy) = (vec![0; nf], vec![0; nf], vec![0; nf]);
+        let mut row = vec![Value::Int(0); self.positions.len()];
+        for run in pairs.chunk_by(|p, q| (p.0, p.1) == (q.0, q.1)) {
+            let (x, y) = (run[0].0, run[0].1);
+            let mut disjoint = false;
+            for (f, rows) in common.iter_mut().enumerate() {
+                if f != key {
+                    let (fx, fy) = (&self.buckets[x].factors[f], &self.buckets[y].factors[f]);
+                    intersect(fx, fy, rows);
+                    disjoint |= rows.is_empty();
+                }
+            }
+            if disjoint {
+                continue;
+            }
+            for &(_, _, rx, ry) in run {
+                common[key].clear();
+                common[key].push((rx, ry));
+                pick.fill(0);
+                loop {
+                    for (f, rows) in common.iter().enumerate() {
+                        (dx[f], dy[f]) = rows[pick[f]];
+                        let values = self.buckets[x].factors[f].row(dx[f]);
+                        for (&c, v) in self.factor_cols[f].iter().zip(values) {
+                            row[c].clone_from(v);
+                        }
+                    }
+                    match self.flat.find(&row) {
+                        // Settled by pass (i).
+                        Some(i) if i < settled => {}
+                        Some(i) => {
+                            if first_holder[i - settled] == x {
+                                self.flat.mults[i] += self.buckets[y].share(&dy);
+                            }
+                        }
+                        None => {
+                            let m = self.buckets[x].share(&dx) + self.buckets[y].share(&dy);
+                            self.flat.add(&row, m);
+                            first_holder.push(x);
+                        }
+                    }
+                    if !odometer(&mut pick, |f| common[f].len()) {
+                        break;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The rows `a` and `b` both hold, as `(index in a, index in b)` pairs
+/// in `out`: the smaller table is walked, the larger probed.
+fn intersect(a: &MergedComponent, b: &MergedComponent, out: &mut Vec<(usize, usize)>) {
+    out.clear();
+    if a.len() <= b.len() {
+        out.extend((0..a.len()).filter_map(|i| Some((i, b.find(a.row(i))?))));
+    } else {
+        out.extend((0..b.len()).filter_map(|j| Some((a.find(b.row(j))?, j))));
+    }
+}
+
+/// What walking one tuple under a key row costs, in probes. A walked
+/// tuple is built, probed into the flat part and, under a key row of
+/// several holders, summed; a probe of pass (i) is one factor lookup, and
+/// pass (ii) intersects each pair of buckets once, however many key rows
+/// the pair shares, so its per-row estimate runs high. Four is where the
+/// two-path of `examples/profile_omv.rs --publish` stops walking key rows
+/// that probing settles faster (ε = ½: none walked), while a hub key row
+/// (`--publish-hub`) is still walked.
+const WALK_COST: u128 = 4;
+
+/// Advances the row-major odometer `digits` (last digit fastest, digit
+/// `f` below `radix(f)`); `false` once it wraps to all zeros.
+fn odometer(digits: &mut [usize], radix: impl Fn(usize) -> usize) -> bool {
+    for f in (0..digits.len()).rev() {
+        digits[f] += 1;
+        if digits[f] < radix(f) {
+            return true;
+        }
+        digits[f] = 0;
+    }
+    false
+}
+
+/// Where a walk of one frozen component stands: row `row` of the flat
+/// part while `bucket` is `None`, otherwise position `pos` of that
+/// bucket, whose factor rows are `digits`.
+#[derive(Clone, Default)]
+struct Cursor {
+    bucket: Option<usize>,
+    row: usize,
+    digits: Vec<usize>,
+    pos: u128,
+    /// The first of the bucket's shared positions not before `pos`.
+    next_shared: usize,
+}
+
+impl FrozenComponent {
+    /// Factor rows held, over the flat part and every bucket.
+    fn stored_rows(&self) -> usize {
+        let factors: usize = self
+            .buckets
+            .iter()
+            .flat_map(|b| &b.factors)
+            .map(MergedComponent::len)
+            .sum();
+        self.flat.len() + factors
+    }
+
+    /// Points `cur` at the `k`-th distinct tuple; `false` past the end.
+    /// `O(log #buckets + log |shared|)`, never `O(k)`.
+    fn seek(&self, k: u128, cur: &mut Cursor) -> bool {
+        if k >= self.len {
+            return false;
+        }
+        if k < self.flat.len() as u128 {
+            cur.bucket = None;
+            cur.row = k as usize;
+            return true;
+        }
+        let b = self.starts.partition_point(|&s| s <= k) - 1;
+        self.place(b, k - self.starts[b], cur);
+        true
+    }
+
+    /// Points `cur` at bucket `b`'s `k`-th unshared position: `k` plus
+    /// the number of shared positions before it, found by one binary
+    /// search because `shared[i] − i` never decreases.
+    fn place(&self, b: usize, k: u128, cur: &mut Cursor) {
+        let bucket = &self.buckets[b];
+        let shared = &bucket.shared;
+        let (mut lo, mut hi) = (0, shared.len());
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if shared[mid] - mid as u128 <= k {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        let mut rem = k + lo as u128;
+        cur.bucket = Some(b);
+        cur.pos = rem;
+        cur.next_shared = lo;
+        cur.digits.resize(bucket.factors.len(), 0);
+        for (d, f) in cur.digits.iter_mut().zip(&bucket.factors).rev() {
+            let n = f.len() as u128;
+            *d = (rem % n) as usize;
+            rem /= n;
+        }
+    }
+
+    /// Points `cur` at the first bucket from `b` on that enumerates
+    /// anything; `false` when none does.
+    fn enter(&self, b: usize, cur: &mut Cursor) -> bool {
+        match (b..self.buckets.len()).find(|&b| self.buckets[b].visible() > 0) {
+            Some(b) => {
+                self.place(b, 0, cur);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Moves `cur` to the next distinct tuple; `false` at the end.
+    fn advance(&self, cur: &mut Cursor) -> bool {
+        let Some(b) = cur.bucket else {
+            cur.row += 1;
+            return cur.row < self.flat.len() || self.enter(0, cur);
+        };
+        let factors = &self.buckets[b].factors;
+        let shared = &self.buckets[b].shared;
+        loop {
+            if !odometer(&mut cur.digits, |f| factors[f].len()) {
+                return self.enter(b + 1, cur);
+            }
+            cur.pos += 1;
+            if shared.get(cur.next_shared) != Some(&cur.pos) {
+                return true;
+            }
+            cur.next_shared += 1;
+        }
+    }
+
+    /// Binds the tuple under `cur` in `buf` (indexed by the free schema)
+    /// and returns its multiplicity.
+    fn write(&self, cur: &Cursor, buf: &mut [Value]) -> i64 {
+        let Some(b) = cur.bucket else {
+            for (&p, v) in self.positions.iter().zip(self.flat.row(cur.row)) {
+                buf[p].clone_from(v);
+            }
+            return self.flat.mults[cur.row];
+        };
+        let mut m = 1i64;
+        let factors = &self.buckets[b].factors;
+        for ((f, &d), fp) in factors.iter().zip(&cur.digits).zip(&self.factor_positions) {
+            for (&p, v) in fp.iter().zip(f.row(d)) {
+                buf[p].clone_from(v);
+            }
+            m *= f.mults[d];
+        }
+        m
+    }
+
+    /// Multiplicity of the component row `t` (0 when absent): the flat
+    /// part first, otherwise the one bucket holding it, found through the
+    /// key factor's index.
+    fn get(&self, t: &Tuple) -> i64 {
+        let m = self.flat.get(t);
+        if m != 0 || self.buckets.is_empty() {
+            return m;
+        }
+        let mut scratch = Vec::new();
+        let Some(k) = self.keys.find(project(
+            t.values(),
+            &self.factor_cols[self.key],
+            &mut scratch,
+        )) else {
+            return 0;
+        };
+        self.holders(k)
+            .iter()
+            .find_map(|&(b, r)| {
+                let cols = &self.factor_cols;
+                self.buckets[b].locate(t.values(), cols, (self.key, r), &mut scratch, |_, _| {})
+            })
+            .unwrap_or(0)
     }
 }
 
@@ -651,12 +1394,12 @@ impl MergedComponent {
 ///
 /// Capture is cheap ([`ShardedEngine::snapshot`]): components untouched
 /// since the previous capture are shared between snapshots by `Arc`
-/// clone, so successive snapshots cost `O(Σ changed |C_i|)`, not
-/// `O(result)`.
+/// clone, and a changed one is frozen in the engine's own factorized
+/// form, so a capture never costs `O(result)` for the heavy buckets.
 pub struct ShardedSnapshot {
     epoch: u64,
     free_arity: usize,
-    comps: Vec<Arc<MergedComponent>>,
+    comps: Vec<Arc<FrozenComponent>>,
     stats: EngineStats,
     db_size: usize,
     shard_sizes: Vec<usize>,
@@ -699,26 +1442,37 @@ impl ShardedSnapshot {
         &self.shard_relation_sizes
     }
 
+    /// Rows the snapshot holds: every component's flat rows plus its
+    /// buckets' factor rows — what freezing it wrote, where the result
+    /// has [`count_distinct`](Self::count_distinct) tuples.
+    pub fn stored_rows(&self) -> usize {
+        self.comps.iter().map(|c| c.stored_rows()).sum()
+    }
+
     /// Enumerates the frozen result's distinct tuples with their
-    /// multiplicities: the odometer product across the merged components,
-    /// iterating the snapshot's own `Arc`'d rows directly — no per-shard
-    /// enumeration, no table probe, one `Tuple` built per item, `O(1)` to
-    /// the first tuple.
+    /// multiplicities: the odometer product across the frozen components,
+    /// each walked flat part first, then bucket by bucket through its
+    /// factors, skipping the shared positions — no table probe, one
+    /// `Tuple` built per item, `O(1)` to the first tuple.
     pub fn enumerate(&self) -> MergedResultIter {
         MergedResultIter::new(self.comps.clone(), self.free_arity)
     }
 
     /// Number of distinct result tuples in the frozen result: the product
-    /// of the per-component distinct counts — the merged components are
-    /// already deduplicated, so the Cartesian product is never walked —
-    /// saturating at `usize::MAX`.
+    /// of the per-component distinct counts (`|M| + Σ (Π|F| − |shared|)`,
+    /// so no product is walked), saturating at `usize::MAX`.
     pub fn count_distinct(&self) -> usize {
-        product_size(self.comps.iter().map(|c| c.len()))
+        product_size(
+            self.comps
+                .iter()
+                .map(|c| usize::try_from(c.len).unwrap_or(usize::MAX)),
+        )
     }
 
     /// Multiplicity of one fully-specified result tuple in the frozen
-    /// result: per component, a probe of the merged table; the product
-    /// across components. Wrong-arity tuples report 0.
+    /// result: per component, a probe of the flat part or of the one
+    /// bucket holding it; the product across components. Wrong-arity
+    /// tuples report 0.
     pub fn multiplicity(&self, tuple: &Tuple) -> i64 {
         if tuple.arity() != self.free_arity {
             return 0;
@@ -740,10 +1494,11 @@ impl ShardedSnapshot {
     }
 
     /// One page of the frozen result in enumeration order: skips `offset`,
-    /// then collects up to `limit`. The seek is a mixed-radix index
-    /// computation straight into the merged vectors — `O(#components)`,
-    /// independent of `offset`. Page boundaries are stable for the
-    /// lifetime of the snapshot by construction.
+    /// then collects up to `limit`. The seek is a mixed-radix split of
+    /// `offset` over the components, then per component prefix counts
+    /// and one binary search in a shared list — independent of `offset`.
+    /// Page boundaries are stable for the lifetime of the snapshot by
+    /// construction.
     pub fn enumerate_page(&self, offset: usize, limit: usize) -> Vec<(Tuple, i64)> {
         self.enumerate().page(offset, limit)
     }
@@ -756,23 +1511,23 @@ impl ShardedSnapshot {
     }
 }
 
-/// One merge-cache entry: a component's merged result and the per-shard
+/// One merge-cache entry: a component's frozen result and the per-shard
 /// component versions it reflects.
 struct CachedMerge {
     versions: Vec<u64>,
-    merged: Arc<MergedComponent>,
+    merged: Arc<FrozenComponent>,
 }
 
-/// Iterator over the merged sharded result: Cartesian product across
-/// components of the per-component cross-shard unions. Holds `Arc`s into
-/// the merge cache, so iteration never copies the merged arrays; each
-/// emitted item is the one `Tuple` built from them.
+/// Iterator over the frozen sharded result: Cartesian product across
+/// components of the per-component frozen unions. Holds `Arc`s into the
+/// merge cache, so iteration never copies the frozen arrays; each emitted
+/// item is the one `Tuple` built from them.
 pub struct MergedResultIter {
-    comps: Vec<Arc<MergedComponent>>,
-    pick: Vec<usize>,
+    comps: Vec<Arc<FrozenComponent>>,
+    cursors: Vec<Cursor>,
     buf: Vec<Value>,
     /// Single component covering the whole free schema (the common case):
-    /// each emitted tuple is built straight from its row, with no buffer
+    /// a flat row is emitted straight from the table, with no buffer
     /// assembly.
     direct: bool,
     primed: bool,
@@ -780,15 +1535,20 @@ pub struct MergedResultIter {
 }
 
 impl MergedResultIter {
-    fn new(comps: Vec<Arc<MergedComponent>>, free_arity: usize) -> MergedResultIter {
+    fn new(comps: Vec<Arc<FrozenComponent>>, free_arity: usize) -> MergedResultIter {
         let n = comps.len();
-        let dead = comps.is_empty() || comps.iter().any(|c| c.len() == 0);
+        let mut cursors = vec![Cursor::default(); n];
+        let dead = !comps
+            .iter()
+            .zip(&mut cursors)
+            .all(|(c, cur)| c.seek(0, cur))
+            || n == 0;
         let direct = n == 1
             && comps[0].positions.len() == free_arity
             && comps[0].positions.iter().enumerate().all(|(i, &p)| i == p);
         MergedResultIter {
             comps,
-            pick: vec![0; n],
+            cursors,
             buf: vec![Value::Int(0); free_arity],
             direct,
             primed: false,
@@ -797,25 +1557,24 @@ impl MergedResultIter {
     }
 
     /// Positions this fresh iterator so that the next emitted item is the
-    /// `offset`-th result tuple (0-based, in enumeration order). The
-    /// digits index straight into the cached merged rows, so the seek
-    /// is `O(#components)` regardless of `offset`. Returns `false` (and
-    /// exhausts the iterator) when `offset` is past the end.
+    /// `offset`-th result tuple (0-based, in enumeration order): one
+    /// mixed-radix digit per component, each a frozen component's seek,
+    /// regardless of `offset`. Returns `false` (and exhausts the
+    /// iterator) when `offset` is past the end.
     pub fn seek(&mut self, offset: usize) -> bool {
         if self.dead {
             return false;
         }
         debug_assert!(!self.primed, "seek requires a fresh iterator");
-        // Mixed-radix decomposition, least-significant digit first (no
-        // component is empty here). What is left over the leading digit
-        // is `offset / Π|C_i|` — non-zero exactly when `offset` is past
-        // the end — without ever forming the product, which ten
-        // components of 8,192 rows push past `u128`.
-        let mut rem = offset;
-        for i in (0..self.comps.len()).rev() {
-            let n = self.comps[i].len();
-            self.pick[i] = rem % n;
-            rem /= n;
+        // Least-significant digit first (no component is empty here).
+        // What is left over the leading digit is `offset / Π|C_i|` —
+        // non-zero exactly when `offset` is past the end — without ever
+        // forming the product, which ten components of 8,192 rows push
+        // past `u128`.
+        let mut rem = offset as u128;
+        for (c, cur) in self.comps.iter().zip(&mut self.cursors).rev() {
+            c.seek(rem % c.len, cur);
+            rem /= c.len;
         }
         if rem != 0 {
             self.dead = true;
@@ -840,16 +1599,6 @@ impl Iterator for MergedResultIter {
         if self.dead {
             return None;
         }
-        if self.direct {
-            let c = &self.comps[0];
-            let k = self.pick[0];
-            if k == c.len() {
-                self.dead = true;
-                return None;
-            }
-            self.pick[0] += 1;
-            return Some((Tuple::from_slice(c.row(k)), c.mults[k]));
-        }
         if self.primed {
             // Odometer across components.
             let mut i = self.comps.len();
@@ -859,20 +1608,25 @@ impl Iterator for MergedResultIter {
                     return None;
                 }
                 i -= 1;
-                self.pick[i] += 1;
-                if self.pick[i] < self.comps[i].len() {
+                if self.comps[i].advance(&mut self.cursors[i]) {
                     break;
                 }
-                self.pick[i] = 0;
+                self.comps[i].seek(0, &mut self.cursors[i]);
             }
         }
         self.primed = true;
-        let mut mult = 1i64;
-        for (c, &k) in self.comps.iter().zip(&self.pick) {
-            mult *= c.mults[k];
-            for (&p, v) in c.positions.iter().zip(c.row(k)) {
-                self.buf[p].clone_from(v);
+        if self.direct {
+            if let Cursor {
+                bucket: None, row, ..
+            } = self.cursors[0]
+            {
+                let flat = &self.comps[0].flat;
+                return Some((Tuple::from_slice(flat.row(row)), flat.mults[row]));
             }
+        }
+        let mut mult = 1i64;
+        for (c, cur) in self.comps.iter().zip(&self.cursors) {
+            mult *= c.write(cur, &mut self.buf);
         }
         Some((Tuple::from_slice(&self.buf), mult))
     }
@@ -984,8 +1738,379 @@ mod tests {
         }
     }
 
+    /// Every read of `snap` against the brute-force result `want` (sorted):
+    /// the shared lists are non-empty (so nothing passes vacuously), then
+    /// the count, every page of 7 against `enumerate()`'s sequence,
+    /// `multiplicity` of every tuple and of absent probes, and pages that
+    /// seek to, and beside, every shared position.
+    fn check_frozen(snap: &ShardedSnapshot, want: &[(Tuple, i64)], ctx: &str) {
+        let c = &snap.comps[0];
+        assert!(
+            c.buckets.iter().any(|b| !b.shared.is_empty()),
+            "{ctx}: no bucket shares a tuple"
+        );
+        assert_eq!(snap.result_sorted(), want, "{ctx}: result");
+        assert_eq!(snap.count_distinct(), want.len(), "{ctx}: count");
+        let seq: Vec<(Tuple, i64)> = snap.enumerate().collect();
+        let from = |at: usize, n: usize| seq.get(at..(at + n).min(seq.len())).unwrap_or_default();
+        for at in 0..=seq.len() + 1 {
+            assert_eq!(snap.enumerate_page(at, 7), from(at, 7), "{ctx}: page {at}");
+        }
+        for (t, m) in want {
+            assert_eq!(snap.multiplicity(t), *m, "{ctx}: {t:?}");
+            // The same tuple with one value moved off every domain.
+            for i in 0..t.arity() {
+                let mut vals = t.values().to_vec();
+                vals[i] = Value::Int(vals[i].as_int() + 1_000);
+                assert_eq!(snap.multiplicity(&Tuple::new(vals)), 0, "{ctx}");
+            }
+        }
+        for (b, bucket) in c.buckets.iter().enumerate() {
+            for (j, &p) in bucket.shared.iter().enumerate() {
+                // The enumeration index of the first unshared position at
+                // or after `p`, and its neighbours.
+                let k = (c.starts[b] + p - j as u128) as usize;
+                for at in k.saturating_sub(1)..=k + 1 {
+                    assert_eq!(snap.enumerate_page(at, 3), from(at, 3), "{ctx}: seek {at}");
+                }
+            }
+        }
+    }
+
+    /// Under the join value `b`, each `(relation, b first, values)` gets
+    /// `(b, v)` or `(v, b)` for every `v` of its values.
+    fn put(db: &mut Database, b: i64, rels: &[(&str, bool, Vec<i64>)]) {
+        for (rel, b_first, vals) in rels {
+            for &v in vals {
+                let t = if *b_first { [b, v] } else { [v, b] };
+                db.insert(rel, Tuple::ints(&t), 1);
+            }
+        }
+    }
+
+    /// `extra`, then `from..from + n`.
+    fn run(extra: &[i64], from: i64, n: i64) -> Vec<i64> {
+        extra.iter().copied().chain(from..from + n).collect()
+    }
+
+    /// Freezes `src` over `db` at ε = ½ for S ∈ {1, 2}, checks every read
+    /// and returns the snapshots; at least `heavy` heavy keys must exist.
+    fn freeze_and_check(src: &str, db: &Database, heavy: usize) -> Vec<ShardedSnapshot> {
+        let q = ivme_query::parse_query(src).unwrap();
+        let want = brute_force(&q, db);
+        let mut snaps = Vec::new();
+        for shards in [1, 2] {
+            let mut eng = ShardedEngine::new(&q, db, EngineOptions::dynamic(0.5), shards).unwrap();
+            let keys: usize = (0..eng.num_shards())
+                .map(|s| eng.shard(s).heavy_keys())
+                .sum();
+            assert!(keys >= heavy, "{src} S {shards}: {keys} heavy keys");
+            let snap = eng.snapshot(0);
+            check_frozen(&snap, &want, &format!("{src} S {shards}"));
+            snaps.push(snap);
+        }
+        snaps
+    }
+
+    /// Whether every snapshot's only component walks the key row `key`,
+    /// the key row of `flat_rows` rows of the flat trees, rather than
+    /// probing and pairing it.
+    fn walked(snaps: &[ShardedSnapshot], key: i64, flat_rows: usize) -> bool {
+        snaps.iter().all(|snap| {
+            let c = &snap.comps[0];
+            let k = c.keys.find(&[Value::Int(key)]).expect("a key row");
+            c.walks(k, flat_rows, &mut Vec::new())
+        })
+    }
+
+    const TWO_PATH: &str = "Q(A,C) :- R(A,B), S(B,C)";
+
+    /// (a) The light part and the bucket of `B = 1` both produce
+    /// `(10, 50)`.
+    #[test]
+    fn overlap_a_light_row_shared_with_a_bucket() {
+        let mut db = Database::new();
+        put(
+            &mut db,
+            1,
+            &[
+                ("R", false, run(&[], 10, 10)),
+                ("S", true, run(&[], 50, 10)),
+            ],
+        );
+        put(&mut db, 2, &[("R", false, vec![10]), ("S", true, vec![50])]);
+        let snaps = freeze_and_check(TWO_PATH, &db, 1);
+        // One probe into one holder, against its ten tuples under `A = 10`.
+        assert!(!walked(&snaps, 10, 1));
+    }
+
+    /// (b) The buckets of `B = 1` and `B = 3` both produce `(19, 59)`,
+    /// which no light row does.
+    #[test]
+    fn overlap_two_buckets_share_a_tuple_no_flat_tree_produces() {
+        let mut db = Database::new();
+        put(
+            &mut db,
+            1,
+            &[
+                ("R", false, run(&[], 10, 12)),
+                ("S", true, run(&[], 50, 12)),
+            ],
+        );
+        put(&mut db, 2, &[("R", false, vec![5]), ("S", true, vec![6])]);
+        put(
+            &mut db,
+            3,
+            &[
+                ("R", false, run(&[19], 30, 11)),
+                ("S", true, run(&[59], 70, 11)),
+            ],
+        );
+        let snaps = freeze_and_check(TWO_PATH, &db, 2);
+        // One pair intersected at the smaller's 12 tuples under `A = 19`,
+        // against 24 walked at `WALK_COST`.
+        assert!(!walked(&snaps, 19, 0));
+    }
+
+    /// (c) `(19, 59)` lives in three buckets and in the light part.
+    #[test]
+    fn overlap_one_tuple_in_three_buckets_and_in_the_flat_part() {
+        let mut db = Database::new();
+        for b in [1, 3, 4] {
+            let (a, c) = (100 * b, 100 * b + 50);
+            put(
+                &mut db,
+                b,
+                &[
+                    ("R", false, run(&[19], a, 19)),
+                    ("S", true, run(&[59], c, 19)),
+                ],
+            );
+        }
+        put(
+            &mut db,
+            2,
+            &[("R", false, vec![19, 7]), ("S", true, vec![59, 8])],
+        );
+        freeze_and_check(TWO_PATH, &db, 3);
+    }
+
+    /// One tuple, `(19, 59)`, in ten buckets and nowhere else: ten holders
+    /// of one key row with equal factors cost more to intersect pair by
+    /// pair (45 pairs of 45 tuples) than to walk (10 × 45 tuples at
+    /// [`WALK_COST`]), so this key row is walked.
+    #[test]
+    fn overlap_one_tuple_in_ten_buckets_is_walked() {
+        let mut db = Database::new();
+        for b in (1..=11).filter(|&b| b != 2) {
+            let (a, c) = (50 * b, 50 * b + 50);
+            put(
+                &mut db,
+                b,
+                &[
+                    ("R", false, run(&[19], a, 44)),
+                    ("S", true, run(&[59], c, 44)),
+                ],
+            );
+        }
+        put(&mut db, 2, &[("R", false, vec![7]), ("S", true, vec![8])]);
+        let snaps = freeze_and_check(TWO_PATH, &db, 10);
+        assert!(walked(&snaps, 19, 0));
+    }
+
+    /// A hub: `A = 19` is in each of four heavy buckets, whose `C`s are
+    /// `59` and one of their own, and twelve light `B`s join it to twelve
+    /// `C`s, two of which the buckets hold too — `(19, 59)` is in every
+    /// bucket and the light part. Probing costs one lookup per light row
+    /// and holder (48) plus the pairs (12), more than the holders' eight
+    /// tuples under the row at [`WALK_COST`] (32), so the row is walked:
+    /// pass (i) alone would cost light rows × buckets, which grows faster
+    /// than a product drain of this shape.
+    #[test]
+    fn overlap_a_hub_key_row_is_walked() {
+        let mut db = Database::new();
+        for b in 1..=4 {
+            let (a, c) = (100 * b, 100 * b + 50);
+            put(
+                &mut db,
+                b,
+                &[("R", false, run(&[19], a, 29)), ("S", true, vec![59, c])],
+            );
+        }
+        for (i, b) in (10..22).enumerate() {
+            let c = [59, 150].get(i).copied().unwrap_or(500 + b);
+            put(&mut db, b, &[("R", false, vec![19]), ("S", true, vec![c])]);
+        }
+        let snaps = freeze_and_check(TWO_PATH, &db, 4);
+        assert!(walked(&snaps, 19, 12));
+    }
+
+    /// (d) Buckets of three factors: heavy `B = 1` and `B = 3` share
+    /// `(19, 59, 89)`, and the light `B = 2` produces `(10, 50, 80)` of
+    /// `B = 1`'s bucket.
+    #[test]
+    fn overlap_a_three_child_bucket() {
+        let mut db = Database::new();
+        let star = |a: Vec<i64>, c: Vec<i64>, d: Vec<i64>| {
+            [("R", false, a), ("S", true, c), ("T", true, d)]
+        };
+        put(
+            &mut db,
+            1,
+            &star(run(&[], 10, 16), run(&[], 50, 16), run(&[], 80, 16)),
+        );
+        put(
+            &mut db,
+            3,
+            &star(
+                run(&[19], 200, 15),
+                run(&[59], 240, 15),
+                run(&[89], 270, 15),
+            ),
+        );
+        put(&mut db, 2, &star(vec![10], vec![50], vec![80]));
+        freeze_and_check("Q(A,C,D) :- R(A,B), S(B,C), T(B,D)", &db, 2);
+    }
+
+    /// Counts, per bucket, how often each factor row is pushed.
+    #[derive(Default)]
+    struct Pushes(Vec<std::collections::HashMap<(usize, Vec<Value>), usize>>);
+
+    impl FreezeSink for Pushes {
+        fn flat(&mut self, _: &[Value], _: u64, _: i64) {}
+
+        fn bucket(&mut self) {
+            self.0.push(Default::default());
+        }
+
+        fn factor(&mut self, f: usize, row: &[Value], _: i64) {
+            *self
+                .0
+                .last_mut()
+                .unwrap()
+                .entry((f, row.to_vec()))
+                .or_default() += 1;
+        }
+    }
+
+    /// (e) Example 19, where the `(A,B)` child of a heavy `A` has an
+    /// indicator of its own: under `A = 1` and `A = 2`, the heavy
+    /// `(A, B)` keys `B = 1` and `B = 2` both push every `(D, E)` row; the
+    /// two buckets and the light `A = 3` all produce `(C, D, E, F) =
+    /// (7, 0, 0, 8)`.
+    #[test]
+    fn overlap_a_child_factor_with_repeated_rows() {
+        let mut db = Database::new();
+        let mut add = |rel: &str, t: [i64; 3]| db.insert(rel, Tuple::ints(&t), 1);
+        for a in [1, 2] {
+            for b in [1, 2] {
+                for v in 0..20 {
+                    add("R", [a, b, v]);
+                    add("S", [a, b, v]);
+                }
+            }
+            add("T", [a, 7, 8]);
+            add("U", [a, 7, 0]);
+        }
+        add("R", [3, 1, 0]);
+        add("S", [3, 1, 0]);
+        add("T", [3, 7, 8]);
+        add("U", [3, 7, 0]);
+        let src = "Q(C,D,E,F) :- R(A,B,D), S(A,B,E), T(A,C,F), U(A,C,G)";
+        let eng = IvmEngine::from_sql(src, &db, EngineOptions::dynamic(0.5)).unwrap();
+        let mut pushes = Pushes::default();
+        eng.freeze_component(0, &mut pushes);
+        assert_eq!(pushes.0.len(), 2, "one bucket per heavy A");
+        assert!(
+            pushes
+                .0
+                .iter()
+                .all(|b| b[&(0, vec![Value::Int(0), Value::Int(0)])] == 2),
+            "both heavy (A, B) keys push (D, E) = (0, 0)"
+        );
+        freeze_and_check(src, &db, 6);
+    }
+
+    /// A bucket of 2⁶⁵ tuples: five factors of 8,192 rows, the one heavy
+    /// key of `Q(A,C,D,E,F) :- R(A,B), S(B,C), T(B,D), U(B,E), V(B,F)` over
+    /// 40,960 rows. No product drain could freeze it; its positions need
+    /// wider than `u64` arithmetic. (Built through the freezer: the
+    /// engine's own `i64` count for that key would overflow.)
+    #[test]
+    fn a_bucket_of_two_to_the_65_tuples_is_counted_paged_and_probed() {
+        let mut freezer = Freezer::new((0..5).collect(), (0..5).map(|p| vec![p]).collect(), 0);
+        freezer.bucket();
+        for f in 0..5 {
+            for i in 0..8_192 {
+                freezer.factor(f, &[Value::Int(i)], 1);
+            }
+        }
+        let frozen = freezer.finish();
+        assert_eq!(frozen.buckets[0].size, 1 << 65);
+        let snap = ShardedSnapshot {
+            epoch: 0,
+            free_arity: 5,
+            comps: vec![Arc::new(frozen)],
+            stats: EngineStats::default(),
+            db_size: 40_960,
+            shard_sizes: vec![40_960],
+            shard_relation_sizes: Vec::new(),
+        };
+        assert_eq!(snap.count_distinct(), usize::MAX);
+        for offset in [0, usize::MAX - 1] {
+            let page = snap.enumerate_page(offset, 3);
+            assert_eq!(page.len(), 3, "offset {offset}");
+            for (t, m) in &page {
+                assert_eq!((snap.multiplicity(t), *m), (1, 1), "{t:?}");
+            }
+        }
+        // Row-major, the last factor fastest: position 2⁶⁴ − 2 =
+        // 4,095·8,192⁴ + (8,192⁴ − 2) has the digits (4,095, 8,191, 8,191,
+        // 8,191, 8,190).
+        let deep = snap.enumerate_page(usize::MAX - 1, 3);
+        assert_eq!(deep[0].0, Tuple::ints(&[4_095, 8_191, 8_191, 8_191, 8_190]));
+        assert_eq!(deep[2].0, Tuple::ints(&[4_096, 0, 0, 0, 0]));
+        let absent = Tuple::ints(&[0, 0, 0, 0, 8_192]);
+        assert_eq!(snap.multiplicity(&absent), 0);
+    }
+
+    /// The same query through the engine, whose per-key counts are `i64`:
+    /// three join values, each a bucket of 8,192⁴ · 1,800 ≈ 2⁶²·⁸ tuples
+    /// (103,704 rows), more than 2⁶⁴ together — so the counts before a
+    /// bucket need wider than `u64` arithmetic. The buckets share no value
+    /// (a tuple in two of them would be materialized in the flat part).
+    #[test]
+    fn buckets_of_more_than_two_to_the_64_tuples_are_counted_paged_and_probed() {
+        let mut db = Database::new();
+        for b in 0..3 {
+            for i in 10_000 * b..10_000 * b + 8_192 {
+                if i < 10_000 * b + 1_800 {
+                    db.insert("R", Tuple::ints(&[i, b]), 1);
+                }
+                for rel in ["S", "T", "U", "V"] {
+                    db.insert(rel, Tuple::ints(&[b, i]), 1);
+                }
+            }
+        }
+        let src = "Q(A,C,D,E,F) :- R(A,B), S(B,C), T(B,D), U(B,E), V(B,F)";
+        let snap = ShardedEngine::from_sql(src, &db, EngineOptions::dynamic(0.5), 1)
+            .unwrap()
+            .snapshot(0);
+        let c = &snap.comps[0];
+        assert_eq!((c.flat.len(), c.buckets.len()), (0, 3));
+        assert!(c.len > 1 << 64);
+        assert_eq!(snap.count_distinct(), usize::MAX);
+        for offset in [0, usize::MAX / 2, usize::MAX - 1] {
+            let page = snap.enumerate_page(offset, 3);
+            assert_eq!(page.len(), 3, "offset {offset}");
+            for (t, m) in &page {
+                assert_eq!((snap.multiplicity(t), *m), (1, 1), "{t:?}");
+            }
+        }
+    }
+
     fn table() -> MergedComponent {
-        MergedComponent::with_capacity(vec![0], 0)
+        MergedComponent::with_capacity(1, 0)
     }
 
     /// The table's rows as tuples, in order.
@@ -999,7 +2124,7 @@ mod tests {
     /// array at most 7/8 full whose live slots index the rows one to one,
     /// each row reachable by a probe built as a `Tuple`.
     fn check_table(c: &MergedComponent) {
-        assert_eq!(c.values.len(), c.len() * c.positions.len());
+        assert_eq!(c.values.len(), c.len() * c.arity);
         assert!(c.slots.is_empty() || c.slots.len().is_power_of_two());
         assert!(c.len() * 8 <= c.slots.len() * 7);
         let mut indexed: Vec<u32> = c.slots.iter().map(|s| s.index).collect();
@@ -1028,10 +2153,10 @@ mod tests {
 
     #[test]
     fn table_grows_from_capacity_zero_and_a_presized_one_enumerates_the_same() {
-        let mut grown = MergedComponent::with_capacity(vec![0, 1], 0);
+        let mut grown = MergedComponent::with_capacity(2, 0);
         assert!(grown.slots.is_empty());
         assert_eq!(grown.get(&Tuple::ints(&[1, 2])), 0);
-        let mut presized = MergedComponent::with_capacity(vec![0, 1], 700);
+        let mut presized = MergedComponent::with_capacity(2, 700);
         let presized_slots = presized.slots.len();
         let mut doublings = 0;
         // 700 distinct pairs, every third one seen twice.
@@ -1066,8 +2191,7 @@ mod tests {
             vec![s("ab"), Value::Int(3)],
             vec![s(""), s("c"), Value::Int(-9)],
         ] {
-            let positions: Vec<usize> = (0..row.len()).collect();
-            let mut c = MergedComponent::with_capacity(positions, 0);
+            let mut c = MergedComponent::with_capacity(row.len(), 0);
             let mut other = row.clone();
             other[0] = s("other");
             let mut dropped = row.clone();
@@ -1090,7 +2214,7 @@ mod tests {
     /// table holds at most one, and dropping it leaves none.
     #[test]
     fn arity_zero_rows_sum_into_one() {
-        let mut c = MergedComponent::with_capacity(Vec::new(), 3);
+        let mut c = MergedComponent::with_capacity(0, 3);
         for m in [2, 3, -1] {
             c.add(&[], m);
         }

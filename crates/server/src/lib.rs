@@ -9,10 +9,11 @@
 //!   owner of the mutable `ShardedEngine`; after every round it publishes
 //!   an immutable [`ServeSnapshot`] through an epoch-stamped `Arc` cell
 //!   ([`publish::Published`]) and connections read from the snapshot they
-//!   hold ([`execute_read`]). Publishing is not free: the engine re-merges
-//!   every result component the round touched, `O(|component|)` per commit
-//!   (the ledger's `core.snapshot_us_per_round` and
-//!   `core.snapshot_tuples_per_round`; it dominates `twopath-publish`).
+//!   hold ([`execute_read`]). Publishing is not free: the engine re-freezes
+//!   every result component the round touched, at the cost of what it
+//!   stores — the light part's rows plus the heavy keys' groups, whose
+//!   product is never formed (the ledger's `core.snapshot_us_per_round`;
+//!   it dominates `twopath-publish`).
 //! * **Group-commit writes.** The writer drains pending requests into a
 //!   round and applies each client batch on its own, in arrival order: it
 //!   commits or is rejected exactly as it would alone, and a rejected one

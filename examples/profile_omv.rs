@@ -11,29 +11,70 @@
 //! sees where steady-state read time goes (`cargo run --release
 //! --example profile_omv -- --read`).
 //!
-//! `--publish [eps] [shards]` mode (default ½ and 1): what a commit costs
-//! after the apply — a Zipf-skewed two-path with a result the size of the
-//! ledger's (480 rows per relation plus the stream, ~22k tuples), a
-//! seeded stream of 64-update batches applied forward and then retracted
-//! in reverse through `ShardedEngine::apply_delta_batch`, and a
-//! `snapshot()` after every batch. Prints apply and snapshot µs/round,
-//! the walk alone (every shard's drain into a no-op sink, timed in the
-//! same rounds: snapshot minus walk is what the merge table costs),
-//! tuples/round, the occurrences/round the drain pushes (snapshot time
-//! over this is the cost per occurrence) and the heavy keys, so a change
-//! to the publish path is iterated in seconds.
+//! `--publish [eps] [shards]` mode (default: ε ∈ {0, ¼, ½, ¾, 1} and
+//! one shard): what a commit costs after the apply — a Zipf-skewed
+//! two-path with a result the size of the ledger's (480 rows per relation
+//! plus the stream, ~22k tuples), a seeded stream of 64-update batches
+//! applied forward and then retracted in reverse through
+//! `ShardedEngine::apply_delta_batch`, and a `snapshot()` after every
+//! batch. Prints apply and snapshot µs/round, the walk alone (every
+//! shard's `freeze_component` into a counting sink, timed in the same
+//! rounds: snapshot minus walk is what the tables and the overlap passes
+//! cost), tuples/round, the rows the snapshot holds (flat rows plus
+//! factor rows: what a freeze writes), the occurrences those stand for
+//! (what a drain of every bucket's product would push) and the heavy
+//! keys, so a change to the publish path is iterated in seconds.
+//!
+//! `--publish-hub [n] [shards]` mode (default: n = 4,096, one shard): the
+//! same rounds on an adversarial two-path at ε = ¼, where one `A` value is
+//! in every heavy bucket and in `n` light rows (`publish_hub`) — the
+//! shape on which a freeze must walk a key row's buckets rather than
+//! probe each light row into each of them.
 
 use std::time::{Duration, Instant};
 
-use ivme_core::{Database, DeltaBatch, EngineOptions, IvmEngine, ShardedEngine};
-use ivme_data::Tuple;
+use ivme_core::{Database, DeltaBatch, EngineOptions, FreezeSink, IvmEngine, ShardedEngine};
+use ivme_data::{Tuple, Value};
 use ivme_workload::{chunk_stream, two_path_db, update_stream, OmvInstance};
 
-/// The `--publish` loop.
+/// Counts what a freeze pushes: the occurrences its rows stand for — flat
+/// rows one each, a bucket the product of its factors' rows.
+#[derive(Default)]
+struct Occurrences {
+    total: usize,
+    bucket: Vec<usize>,
+}
+
+impl Occurrences {
+    /// Closes the open bucket, if any.
+    fn close(&mut self) {
+        if !self.bucket.is_empty() {
+            self.total += self.bucket.iter().product::<usize>();
+            self.bucket.clear();
+        }
+    }
+}
+
+impl FreezeSink for Occurrences {
+    fn flat(&mut self, _: &[Value], _: u64, _: i64) {
+        self.total += 1;
+    }
+
+    fn bucket(&mut self) {
+        self.close();
+    }
+
+    fn factor(&mut self, f: usize, _: &[Value], _: i64) {
+        self.bucket.resize(self.bucket.len().max(f + 1), 0);
+        self.bucket[f] += 1;
+    }
+}
+
+/// The `--publish` loop: the Zipf-skewed two-path at `eps`.
 fn publish(eps: f64, shards: usize) {
     let db = two_path_db(480, 240, 1.0, 7);
     let opts = EngineOptions::dynamic(eps);
-    let mut eng = ShardedEngine::from_sql("Q(A,C) :- R(A,B), S(B,C)", &db, opts, shards).unwrap();
+    let eng = ShardedEngine::from_sql("Q(A,C) :- R(A,B), S(B,C)", &db, opts, shards).unwrap();
     let ops = update_stream(64 * 64, &[("R", 2), ("S", 2)], 240, 1.0, 0.25, 11);
     let forward = chunk_stream(&ops, 64);
     let retract = forward.iter().rev().map(|b| {
@@ -44,10 +85,52 @@ fn publish(eps: f64, shards: usize) {
         inv
     });
     let palindrome: Vec<DeltaBatch> = forward.iter().cloned().chain(retract).collect();
+    time_publish(&format!("eps {eps}"), eng, &palindrome);
+}
+
+/// The `--publish-hub` loop: a two-path at ε = ¼ where one `A` value, the
+/// hub `0`, is in `n / 16` heavy buckets (each `B` with 31 more `A`s and
+/// two `C`s, `0` and one of its own) and `n` light `B`s join the hub to
+/// `n` distinct `C`s, the first of them `0`. Every light row and every
+/// bucket share the hub's key row: probing each light row into each
+/// bucket would cost `n² / 16` lookups, a drain of the buckets' products
+/// `4n` occurrences. Each round inserts or deletes one light `R` row.
+fn publish_hub(n: i64, shards: usize) {
+    let mut db = Database::new();
+    let heavy = n / 16;
+    for b in 0..heavy {
+        db.insert("R", Tuple::ints(&[0, b]), 1);
+        for a in 0..31 {
+            db.insert("R", Tuple::ints(&[1 + 31 * b + a, b]), 1);
+        }
+        db.insert("S", Tuple::ints(&[b, 0]), 1);
+        db.insert("S", Tuple::ints(&[b, 1 + b]), 1);
+    }
+    for b in heavy..heavy + n {
+        db.insert("R", Tuple::ints(&[0, b]), 1);
+        db.insert("S", Tuple::ints(&[b, (b - heavy) * (n + b)]), 1);
+    }
+    let opts = EngineOptions::dynamic(0.25);
+    let eng = ShardedEngine::from_sql("Q(A,C) :- R(A,B), S(B,C)", &db, opts, shards).unwrap();
+    let toggle: Vec<DeltaBatch> = (0..128)
+        .map(|i| {
+            let mut batch = DeltaBatch::new();
+            let t = Tuple::ints(&[-1 - i / 2, heavy + i / 2]);
+            batch.extend_relation("R", [(t, if i % 2 == 0 { 1 } else { -1 })]);
+            batch
+        })
+        .collect();
+    time_publish(&format!("hub n {n}, eps 0.25"), eng, &toggle);
+}
+
+/// Applies `batches` three times over with a `snapshot()` after each, and
+/// prints what the rounds cost.
+fn time_publish(label: &str, mut eng: ShardedEngine, batches: &[DeltaBatch]) {
     let (mut t_apply, mut t_snap, mut t_walk) = (Duration::ZERO, Duration::ZERO, Duration::ZERO);
-    let (mut rounds, mut tuples, mut occurrences, mut heavy) = (0u64, 0usize, 0usize, 0usize);
+    let (mut rounds, mut tuples, mut rows, mut heavy) = (0u64, 0usize, 0usize, 0usize);
+    let mut occurrences = Occurrences::default();
     for _ in 0..3 {
-        for batch in &palindrome {
+        for batch in batches {
             let t0 = Instant::now();
             eng.apply_delta_batch(batch).unwrap();
             t_apply += t0.elapsed();
@@ -56,9 +139,11 @@ fn publish(eps: f64, shards: usize) {
             let snap = eng.snapshot(rounds);
             t_snap += t0.elapsed();
             tuples += snap.count_distinct();
+            rows += snap.stored_rows();
             let t0 = Instant::now();
             for s in 0..eng.num_shards() {
-                eng.shard(s).drain_component(0, |_, _| occurrences += 1);
+                eng.shard(s).freeze_component(0, &mut occurrences);
+                occurrences.close();
             }
             t_walk += t0.elapsed();
             for s in 0..eng.num_shards() {
@@ -68,25 +153,38 @@ fn publish(eps: f64, shards: usize) {
     }
     let per_round = |d: Duration| d.as_secs_f64() * 1e6 / rounds as f64;
     println!(
-        "eps {eps}, {} shard(s), {rounds} rounds of 64 updates: apply {:.0} us/round, \
-         snapshot {:.0} us/round (walk alone {:.0}), {} tuples/round, {} occurrences/round, \
-         {} heavy keys",
+        "{label}, {} shard(s), {rounds} rounds: apply {:.0} us/round, \
+         snapshot {:.0} us/round (walk alone {:.0}), {} tuples/round, {} rows written/round \
+         for {} occurrences/round, {} heavy keys",
         eng.num_shards(),
         per_round(t_apply),
         per_round(t_snap),
         per_round(t_walk),
         tuples / rounds as usize,
-        occurrences / rounds as usize,
+        rows / rounds as usize,
+        occurrences.total / rounds as usize,
         heavy / rounds as usize,
     );
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    if let Some(i) = args.iter().position(|a| a == "--publish") {
-        let eps = args.get(i + 1).map_or(0.5, |a| a.parse().expect("eps"));
+    if let Some(i) = args.iter().position(|a| a == "--publish-hub") {
+        let n = args.get(i + 1).map_or(4_096, |a| a.parse().expect("n"));
         let shards = args.get(i + 2).map_or(1, |a| a.parse().expect("shards"));
-        return publish(eps, shards);
+        publish_hub(n, shards);
+        return;
+    }
+    if let Some(i) = args.iter().position(|a| a == "--publish") {
+        let shards = args.get(i + 2).map_or(1, |a| a.parse().expect("shards"));
+        let sweep = match args.get(i + 1) {
+            Some(eps) => vec![eps.parse().expect("eps")],
+            None => vec![0.0, 0.25, 0.5, 0.75, 1.0],
+        };
+        for eps in sweep {
+            publish(eps, shards);
+        }
+        return;
     }
     let read_mode = args.iter().any(|a| a == "--read");
     let inst = OmvInstance::sparse_acceptance(1000);

@@ -4,8 +4,51 @@
 //! update-side work counters the update-time bound needs.)
 
 use ivme_bench::loglog_slope;
-use ivme_core::{EngineOptions, IvmEngine};
+use ivme_core::{EngineOptions, FreezeSink, IvmEngine};
+use ivme_data::Value;
 use ivme_workload::two_path_db;
+
+/// What a freeze pushes, counted: the flat rows, and per bucket the rows
+/// of each factor.
+#[derive(Default)]
+struct Counted {
+    flat: usize,
+    buckets: Vec<Vec<usize>>,
+}
+
+impl FreezeSink for Counted {
+    fn flat(&mut self, _: &[Value], _: u64, _: i64) {
+        self.flat += 1;
+    }
+
+    fn bucket(&mut self) {
+        self.buckets.push(Vec::new());
+    }
+
+    fn factor(&mut self, f: usize, _: &[Value], _: i64) {
+        let bucket = self.buckets.last_mut().unwrap();
+        bucket.resize(bucket.len().max(f + 1), 0);
+        bucket[f] += 1;
+    }
+}
+
+impl Counted {
+    /// Rows pushed.
+    fn rows(&self) -> usize {
+        self.flat + self.buckets.iter().flatten().sum::<usize>()
+    }
+
+    /// The occurrences those rows stand for: the flat rows plus every
+    /// bucket's product.
+    fn occurrences(&self) -> usize {
+        let products: usize = self
+            .buckets
+            .iter()
+            .map(|b| b.iter().product::<usize>())
+            .sum();
+        self.flat + products
+    }
+}
 
 /// Space. Preprocessing time `O(N^{1+(w−1)ε})` (Thm. 2) bounds what it
 /// can materialize, and a heavy/light partition with threshold `θ = N^ε`
@@ -47,12 +90,15 @@ fn aux_space_and_heavy_keys_stay_within_the_papers_space_bound() {
 /// `IvmEngine::enumerate` costs at least one and at most `C · heavy_keys()`
 /// stateless tree lookups while there are heavy keys (measured: at most
 /// 6.5 per heavy key for `N` up to `2^13`), none at ε = 1 where the single
-/// tree is fully materialized, and fewer in total as ε grows. The push
-/// drain behind `ShardedEngine::snapshot` needs no delay bound and pays
-/// no lookup at any ε — it emits the duplicates instead, counted here
-/// through its sink. That it makes no lookup is no longer asserted on a
-/// counter: `IvmEngine::drain_component` is handed no `EnumScratch`, the
-/// only thing the tree lookup can be called with, so its signature says it.
+/// tree is fully materialized, and fewer in total as ε grows. The freeze
+/// behind `ShardedEngine::snapshot` needs no delay bound and pays no
+/// lookup at any ε: it pushes the flat trees' occurrences and, per heavy
+/// key, the children's groups, counted here through its sink. Those stand
+/// for every occurrence (duplicates included), yet below ε = 1 they are
+/// fewer rows than the result has tuples — the heavy part is never
+/// joined. That it makes no lookup is not asserted on a counter:
+/// `IvmEngine::freeze_component` is handed no `EnumScratch`, the only
+/// thing the tree lookup can be called with, so its signature says it.
 #[test]
 fn enumeration_lookups_per_tuple_follow_the_heavy_keys_and_the_drain_makes_none() {
     const C: u64 = 8;
@@ -78,10 +124,20 @@ fn enumeration_lookups_per_tuple_follow_the_heavy_keys_and_the_drain_makes_none(
         }
         totals.push(it.lookups());
 
-        let mut occurrences = 0usize;
-        eng.drain_component(0, |_, _| occurrences += 1);
-        assert!(occurrences >= emitted, "eps {eps}: the drain skips nothing");
+        let mut counted = Counted::default();
+        eng.freeze_component(0, &mut counted);
+        let occurrences = counted.occurrences();
+        assert!(
+            occurrences >= emitted,
+            "eps {eps}: the freeze skips nothing"
+        );
         assert_eq!(occurrences > emitted, heavy > 0, "eps {eps}: duplicates");
+        assert_eq!(
+            counted.rows() < emitted,
+            heavy > 0,
+            "eps {eps}: {} rows pushed for {emitted} tuples",
+            counted.rows()
+        );
     }
     assert!(
         totals[0] > totals[1] && totals[1] > totals[2] && totals[2] == 0,

@@ -1,20 +1,23 @@
-//! The publish path drains the view trees as a bag and lets the snapshot's
-//! merge table be the only dedup (across shards, trees and heavy buckets).
-//! Whatever the bag looks like, the frozen result must be the one the
+//! The publish path freezes each component as the engine holds it — the
+//! flat trees' rows summed into one table, every live heavy key's bucket
+//! kept as its children's groups — and settles the tuples two parts share
+//! (across shards, trees and heavy buckets) so each lives in one place.
+//! Whatever the parts look like, the frozen result must be the one the
 //! paper's deduplicating Union (Fig. 15) enumerates.
 //!
-//! For ε ∈ {0, ½, 1} × S ∈ {1, 2, 3}, over the paper's example queries
-//! and a Zipf-skewed two-path, after every batch of a seeded insert/delete
-//! stream: the snapshot equals the per-shard `IvmEngine::result_sorted()`
-//! lists summed (single-component queries — a product of unions is not a
-//! union of products) and an unsharded engine's list (all queries);
+//! For ε ∈ {0, ½, 1} × S ∈ {1, 2, 3}, over the paper's example queries, a
+//! star, a dense-domain two-path (at ε = ¼) and a Zipf-skewed two-path,
+//! after every batch of a seeded insert/delete stream: the snapshot equals
+//! the per-shard `IvmEngine::result_sorted()` lists summed
+//! (single-component queries — a product of unions is not a union of
+//! products) and an unsharded engine's list (all queries);
 //! `count_distinct` is its length; `multiplicity` agrees on every tuple
-//! and on 100 absent probes. Each stream ends at the brute-force oracle.
+//! and on 100 absent probes; pages of 7 agree with `enumerate()`. Each
+//! stream ends at the brute-force oracle.
 //!
-//! And the order rule: a snapshot enumerates in the order the drain first
-//! produced each tuple, a function of the apply history alone — how often
-//! the engine was frozen along the way (which pre-sizes the merge table)
-//! must not show.
+//! And the order rule: a snapshot enumerates in an order that is a
+//! function of the apply history alone — how often the engine was frozen
+//! along the way (which pre-sizes the flat table) must not show.
 
 use std::collections::BTreeMap;
 
@@ -31,21 +34,30 @@ use ivme_workload::{chunk_stream, two_path_db, update_stream, StreamOp};
 const EPS_GRID: [f64; 3] = [0.0, 0.5, 1.0];
 const SHARD_GRID: [usize; 3] = [1, 2, 3];
 
-/// (query, value domain of its stream). Small domains make heavy keys.
-const QUERIES: &[(&str, usize)] = &[
+/// (query, value domain of its stream, the ε it runs at). Small domains
+/// make heavy keys, and tuples that several heavy buckets share.
+const QUERIES: &[(&str, usize, &[f64])] = &[
     // Example 28: the root variable B is projected away, so one tuple
     // comes out of several heavy buckets and of several shards.
-    ("Q(A,C) :- R(A,B), S(B,C)", 8),
-    // Example 29.
-    ("Q(A) :- R(A,B), S(B)", 8),
+    ("Q(A,C) :- R(A,B), S(B,C)", 8, &EPS_GRID),
+    // Example 29: an arity-0 factor, S(B), under every heavy B.
+    ("Q(A) :- R(A,B), S(B)", 8, &EPS_GRID),
     // Example 18: an indicator below a free root.
-    ("Q(A,D,E) :- R(A,B,C), S(A,B,D), T(A,E)", 4),
+    ("Q(A,D,E) :- R(A,B,C), S(A,B,D), T(A,E)", 4, &EPS_GRID),
     // Example 19: nested indicator nodes (A, then (A,B)), root projected away.
-    ("Q(C,D,E,F) :- R(A,B,D), S(A,B,E), T(A,C,F), U(A,C,G)", 3),
+    (
+        "Q(C,D,E,F) :- R(A,B,D), S(A,B,E), T(A,C,F), U(A,C,G)",
+        3,
+        &EPS_GRID,
+    ),
     // Two components, one of them skew-aware.
-    ("Q(A,C,D) :- R(A,B), S(B,C), T(D)", 6),
+    ("Q(A,C,D) :- R(A,B), S(B,C), T(D)", 6, &EPS_GRID),
     // A repeated relation symbol (routable: B is column 1 in both atoms).
-    ("Q(A,C) :- R(A,B), R(C,B)", 8),
+    ("Q(A,C) :- R(A,B), R(C,B)", 8, &EPS_GRID),
+    // A star: buckets of three factors.
+    ("Q(A,C,D) :- R(A,B), S(B,C), T(B,D)", 6, &EPS_GRID),
+    // A dense domain: most heavy buckets share most of their tuples.
+    ("Q(A,C) :- R(A,B), S(B,C)", 4, &[0.25]),
 ];
 
 fn relations(q: &Query) -> Vec<(String, usize)> {
@@ -73,6 +85,11 @@ fn per_shard_sum(eng: &ShardedEngine) -> Vec<(Tuple, i64)> {
 fn check_reads(snap: &ShardedSnapshot, want: &[(Tuple, i64)], rng: &mut StdRng, ctx: &str) {
     assert_eq!(snap.result_sorted(), want, "{ctx}: result");
     assert_eq!(snap.count_distinct(), want.len(), "{ctx}: count");
+    let seq: Vec<(Tuple, i64)> = snap.enumerate().collect();
+    for at in (0..=seq.len()).step_by(7) {
+        let page = &seq[at..(at + 7).min(seq.len())];
+        assert_eq!(snap.enumerate_page(at, 7), page, "{ctx}: page {at}");
+    }
     for (t, m) in want {
         assert_eq!(snap.multiplicity(t), *m, "{ctx}: multiplicity of {t:?}");
     }
@@ -136,7 +153,7 @@ fn run_stream(q: &Query, db: &Database, batches: &[DeltaBatch], eps: f64, shards
 
 #[test]
 fn snapshot_of_the_bag_drain_is_the_deduplicated_result_on_the_paper_examples() {
-    for (qi, &(src, domain)) in QUERIES.iter().enumerate() {
+    for (qi, &(src, domain, eps_grid)) in QUERIES.iter().enumerate() {
         let q = parse_query(src).unwrap();
         let rels = relations(&q);
         let arities: Vec<(&str, usize)> = rels.iter().map(|(n, a)| (n.as_str(), *a)).collect();
@@ -152,7 +169,7 @@ fn snapshot_of_the_bag_drain_is_the_deduplicated_result_on_the_paper_examples() 
             db.apply(&op.relation, op.tuple.clone(), op.delta);
         }
         let batches = chunk_stream(&ops[60..], 16);
-        for eps in EPS_GRID {
+        for &eps in eps_grid {
             for shards in SHARD_GRID {
                 run_stream(&q, &db, &batches, eps, shards);
             }
