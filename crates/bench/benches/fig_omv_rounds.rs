@@ -220,13 +220,19 @@ fn main() {
     println!("\n# Acceptance: batched k=1000 apply is >=2x sequential at every ε above.");
 
     // ------------------------------------------------------------------
-    // Sharded rows (ROADMAP item 9's sweep): a k-update OMv load and its
-    // retraction, cycled through ShardedEngine at S = 1 and S = 2, the two
-    // engines taking turns cycle by cycle so the box's drift hits both
-    // alike. Reported: the median µs per batch (loads and retracts alike)
-    // and the S = 2 / S = 1 speed, printed, not gated — the shards apply
-    // one after another on this thread, so the ratio prices what
-    // partitioning costs. The result anchor runs at every k and S.
+    // Sharded rows: a k-update OMv load and its retraction, cycled
+    // through ShardedEngine at S = 1 and S = 2, the two engines taking
+    // turns cycle by cycle so the box's drift hits both alike. Reported:
+    // the median µs per batch (loads and retracts alike) and the
+    // S = 2 / S = 1 speed, printed, not gated — the shards apply one after
+    // another on this thread, so the ratio prices what partitioning costs.
+    // The result anchor runs at every k and S.
+    //
+    // This sweep is the evidence ROADMAP item 9 closed on: on a 2-vCPU box
+    // S = 2 runs at 0.80–0.84x of S = 1 for k = 64 and 0.84–0.89x for
+    // k = 1,000, so `.shards 1` stays the default. What would reopen it: a
+    // box with at least 4 cores where a threaded S = 2 beats this
+    // sequential one.
     // ------------------------------------------------------------------
     let (ks, budget): (&[usize], Duration) = if quick() {
         (&[64, 1_000], Duration::from_millis(300))

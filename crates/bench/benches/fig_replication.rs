@@ -25,6 +25,9 @@
 //!    per-endpoint load on the primary alone. Replicas are converged
 //!    before the row runs and every endpoint must serve the same count.
 //!
+//! The primary runs at `--fsync group`, the only mode a replicating
+//! primary accepts, so every phase pays one fsync per committed round.
+//!
 //! The fleet / primary-only ratio is printed, not gated: closed-loop
 //! readers are latency-bound until the CPUs saturate, and with fewer
 //! cores than endpoints the members time-share them, so added endpoints
@@ -99,7 +102,7 @@ fn bench_dir(tag: &str) -> PathBuf {
 fn start_primary(dir: &Path, snapshot_every: u64) -> Server {
     Server::start(ServerConfig {
         data_dir: Some(dir.to_owned()),
-        fsync: FsyncMode::None,
+        fsync: FsyncMode::Group,
         snapshot_every,
         repl_listen: Some("127.0.0.1:0".to_owned()),
         ..ServerConfig::default()

@@ -603,7 +603,9 @@ commands:
   epsilon <0..1>         set the trade-off knob (default 0.5)
   mode dynamic|static    set the evaluation mode (default dynamic)
   .shards <n>            hash-partition the next build over n shards (1..64, default 1);
-                         updates validate on every shard, then apply shard by shard
+                         updates validate on every shard, then apply shard by shard:
+                         n > 1 partitions the work without parallelizing it, and
+                         1, the default, is the fastest on a 2-vCPU box
   load <rel> <csv path>  stage rows for a relation
   row <rel> <v1,v2,...>  stage one row
   build                  compile the plan and preprocess the staged data

@@ -112,8 +112,9 @@ pub struct EngineStats {
     pub major_rebalances: u64,
     /// Minor rebalancing events (per-key light/heavy migrations).
     pub minor_rebalances: u64,
-    /// Wrong-arity tuples the shard router sent to shard 0 (always 0 for
-    /// an unsharded engine; see `ShardRouter::misroutes`).
+    /// Wrong-arity tuples (no routing column) that a `ShardedEngine` at
+    /// `S > 1` sent to shard 0 while splitting a batch. Always 0 for an
+    /// unsharded engine and at `S = 1`, where nothing is split.
     pub misroutes: u64,
 }
 

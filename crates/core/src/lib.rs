@@ -85,12 +85,13 @@ pub mod engine;
 pub mod enumerate;
 pub mod oracle;
 pub mod runtime;
+mod shard;
 pub mod sharded;
 
 pub use database::Database;
 pub use engine::{EngineError, EngineOptions, EngineStats, IvmEngine, UpdateError};
 pub use enumerate::{EnumScratch, FreezeSink, ResultIter};
-pub use ivme_data::{DeltaBatch, ShardRouter, Update};
+pub use ivme_data::{DeltaBatch, Update};
 pub use ivme_plan::Mode;
 pub use oracle::brute_force;
 pub use sharded::{MergedResultIter, ShardedEngine, ShardedSnapshot, MAX_SHARDS};

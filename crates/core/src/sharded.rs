@@ -12,15 +12,24 @@
 //! are fully independent. A [`ShardedEngine`] exploits this by running one
 //! complete [`IvmEngine`] per shard, all on the caller's thread:
 //!
+//! * **Routing** is the engine's own business: a private router hashes
+//!   each relation's root column (reusing the tuples' cached 64-bit hashes
+//!   where the routing key is the whole tuple), pins nullary relations to
+//!   shard 0, and sends a tuple without its routing column (wrong arity)
+//!   to shard 0 too, whose validation rejects it. Such tuples count as
+//!   *misroutes* in [`ShardedEngine::stats`] when a batch is split;
+//!   [`ShardedEngine::shard_of`] only asks.
 //! * **Preprocessing** materializes the shards one after another, each
-//!   over its own sub-database.
-//! * **Maintenance** splits a [`DeltaBatch`] with a
-//!   [`ShardRouter`] — single-column hashing that
-//!   reuses the tuples' cached 64-bit hashes where the routing key is the
-//!   whole tuple — and applies the per-shard sub-batches one after
-//!   another. Each shard propagates through its own `PropScratch` arena.
-//!   The paper's update bound `O(N^{δε})` (Prop. 23) holds per shard;
-//!   sharding partitions the work without parallelizing it.
+//!   over its own sub-database; a single shard preprocesses the input
+//!   database itself, with no routed copy.
+//! * **Maintenance** splits a [`DeltaBatch`] by the router (at `S = 1` the
+//!   batch is borrowed whole) and applies the per-shard sub-batches one
+//!   after another; a single update is a batch of one. Each shard
+//!   propagates through its own `PropScratch` arena. The paper's update
+//!   bound `O(N^{δε})` (Prop. 23) holds per shard, so sharding partitions
+//!   the work without parallelizing it: `S > 1` only adds routing, and
+//!   `fig_omv_rounds`' sharded sweep measures it slower than `S = 1`, the
+//!   default, on a 2-vCPU box.
 //! * **Reads** go through one door: [`ShardedEngine::snapshot`] freezes
 //!   the result into a [`ShardedSnapshot`], and every read — enumerate,
 //!   count, lookup, page — is answered by that snapshot, never by the
@@ -100,12 +109,13 @@
 
 use std::sync::Arc;
 
-use ivme_data::{DeltaBatch, Route, ShardRouter, Tuple, Update, Value};
+use ivme_data::{DeltaBatch, Tuple, Update, Value};
 use ivme_query::Query;
 
 use crate::database::Database;
 use crate::engine::{EngineError, EngineOptions, EngineStats, IvmEngine, UpdateError};
 use crate::enumerate::{product_size, FreezeSink};
+use crate::shard::{Route, ShardRouter};
 
 /// Upper bound on the shard count. Every shard is a complete
 /// [`IvmEngine`] with its own views and indexes, and the count reaches
@@ -152,10 +162,15 @@ impl ShardedEngine {
                 .map_err(EngineError::Arity)?;
         }
         let router = Self::build_router(query, opts, num_shards)?;
-        let mut built = Vec::with_capacity(router.num_shards());
-        for sub in &Self::split_database(query, db, &router) {
-            built.push(IvmEngine::new(query, sub, opts)?);
-        }
+        // One shard preprocesses `db` itself: there is nothing to split.
+        let built = if router.num_shards() == 1 {
+            vec![IvmEngine::new(query, db, opts)?]
+        } else {
+            Self::split_database(query, db, &router)
+                .iter()
+                .map(|sub| IvmEngine::new(query, sub, opts))
+                .collect::<Result<Vec<_>, _>>()?
+        };
         let ncomp = built[0].num_components();
         Ok(ShardedEngine {
             query: query.clone(),
@@ -195,7 +210,7 @@ impl ShardedEngine {
                 Some(_) => {
                     for (&a, &pos) in comp.atoms.iter().zip(&comp.root_pos) {
                         let rel = &query.atoms[a].relation;
-                        if router.register(rel, Route::Column(pos)).is_err() {
+                        if !router.register(rel, Route::Column(pos)) {
                             consistent = false;
                             break 'components;
                         }
@@ -256,7 +271,8 @@ impl ShardedEngine {
     }
 
     /// The shard owning `tuple` of `relation` (`None` for relations the
-    /// query does not mention).
+    /// query does not mention). A wrong-arity tuple answers shard 0; asking
+    /// counts no misroute — only a routed batch does.
     pub fn shard_of(&self, relation: &str, tuple: &Tuple) -> Option<usize> {
         self.router.shard_of(relation, tuple)
     }
@@ -327,23 +343,22 @@ impl ShardedEngine {
     // Updates
     // ------------------------------------------------------------------
 
-    /// Applies a single-tuple update, routed straight to its owning shard
-    /// (no batch is split for an update of one).
+    /// Applies a single-tuple update as a batch of one, as
+    /// [`IvmEngine::apply_update`] does.
     pub fn apply_update(
         &mut self,
         relation: &str,
         tuple: Tuple,
         delta: i64,
     ) -> Result<(), UpdateError> {
-        let s = self.router.shard_of(relation, &tuple).unwrap_or(0);
-        let r = self.shards[s].apply_update(relation, tuple, delta);
-        // Zero deltas take the per-shard fast path without touching any
-        // counter; mirror that here so stats match the unsharded engine.
-        if r.is_ok() && delta != 0 {
-            self.updates += 1;
-            self.batches += 1;
+        if delta == 0 {
+            // Shard 0's fast path: refused in static mode, otherwise a
+            // no-op that stays out of the counters, as unsharded.
+            return self.shards[0].apply_update(relation, tuple, 0);
         }
-        r
+        let mut batch = DeltaBatch::new();
+        batch.push(relation, tuple, delta);
+        self.apply_delta_batch(&batch)
     }
 
     /// Convenience insert of a unit-multiplicity tuple.

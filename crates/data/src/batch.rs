@@ -101,7 +101,7 @@ impl DeltaBatch {
 
     /// Folds a run of deltas against one relation, resolving the
     /// per-relation map once instead of once per delta — the splitting hot
-    /// path of `ShardRouter`. Semantically identical to calling
+    /// path of the sharded engine's router. Semantically identical to calling
     /// [`DeltaBatch::push`] for each element.
     pub fn extend_relation<I>(&mut self, relation: &str, deltas: I)
     where

@@ -11,7 +11,6 @@
 //! * [`batch`] — consolidated multi-tuple deltas ([`DeltaBatch`]) and the
 //!   named single-tuple [`Update`] they are built from,
 //! * [`partition`] — heavy/light partitions with slack thresholds (Def. 11),
-//! * [`shard`] — hash-partition routing of tuples and batches over shards,
 //! * [`fx`] — fast non-cryptographic hashing used throughout.
 
 pub mod batch;
@@ -19,12 +18,10 @@ pub mod fx;
 pub mod partition;
 pub mod relation;
 pub mod schema;
-pub mod shard;
 pub mod value;
 
 pub use batch::{DeltaBatch, Update};
 pub use partition::Partition;
 pub use relation::{BatchOutcome, DeltaOutcome, IndexId, NegativeMultiplicity, Relation, SlotId};
 pub use schema::{Schema, Var};
-pub use shard::{Route, RouteConflict, ShardRouter};
 pub use value::{Tuple, Value};

@@ -89,7 +89,8 @@ pub struct ServerConfig {
     /// only on clean shutdown, leaving the WAL to grow unboundedly.
     pub snapshot_every: u64,
     /// Replication listener for log-shipping followers ([`repl`]);
-    /// requires `data_dir` (followers bootstrap from the snapshot + WAL).
+    /// requires `data_dir` (followers bootstrap from the snapshot + WAL)
+    /// and [`FsyncMode::Group`] (followers apply only fsynced rounds).
     /// `None` — the default — serves without replication.
     pub repl_listen: Option<String>,
     /// Test-only fault-injection hooks; `Default` is all-`None`.
@@ -182,9 +183,18 @@ impl Server {
     /// no window where partial state is served.
     pub fn start(config: ServerConfig) -> io::Result<Server> {
         // Replication requires durability: followers bootstrap from the
-        // snapshot files and the WAL. Bind (and fail) early, before any
+        // snapshot files and the WAL. It also requires `--fsync group`:
+        // under `none` a round reaches followers before any fsync, so an
+        // OS crash could leave the primary a shorter round than a follower
+        // has applied at the same epoch. Bind (and fail) early, before any
         // recovery work.
         let repl_listener = match (&config.repl_listen, &config.data_dir) {
+            (Some(_), Some(_)) if config.fsync == FsyncMode::None => {
+                return Err(invalid_data(
+                    "--repl-listen requires --fsync group: under --fsync none a follower \
+                     could apply a round the primary loses in an OS crash",
+                ));
+            }
             (Some(addr), Some(_)) => Some(TcpListener::bind(addr)?),
             (Some(_), None) => {
                 return Err(invalid_data(

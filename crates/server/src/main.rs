@@ -13,8 +13,9 @@
 //! the `shutdown` command) trigger a clean shutdown — drain, fsync,
 //! final snapshot — instead of dropping in-flight work.
 //!
-//! With `--repl-listen` the server additionally streams committed
-//! rounds to follower processes started with the `replica` subcommand;
+//! With `--repl-listen` (which requires `--data-dir` and `--fsync group`)
+//! the server additionally streams committed, fsynced rounds to follower
+//! processes started with the `replica` subcommand;
 //! see `docs/PROTOCOL.md` for the wire format and the README's
 //! quickstart for the two command lines of a replicated deployment.
 
@@ -83,7 +84,9 @@ fn main() {
                 println!(
                     "usage: ivme-server [--addr HOST:PORT] [--data-dir DIR] [--fsync none|group]\n\
                      \x20                  [--snapshot-every N] [--repl-listen HOST:PORT]\n\
-                     \x20      ivme-server replica PRIMARY:PORT [--listen HOST:PORT]"
+                     \x20      ivme-server replica PRIMARY:PORT [--listen HOST:PORT]\n\
+                     \n\
+                     --repl-listen requires --data-dir and --fsync group (the default)."
                 );
                 return;
             }

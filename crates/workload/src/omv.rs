@@ -10,7 +10,7 @@
 //! the paper's weakly Pareto-optimal point is ε = ½ with `O(N^{1/2})` update
 //! time and delay (Fig. 3).
 
-use ivme_data::{DeltaBatch, ShardRouter, Tuple};
+use ivme_data::{DeltaBatch, Tuple};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -103,16 +103,6 @@ impl OmvInstance {
         b
     }
 
-    /// Round `r`'s vector load pre-split for a sharded engine: one
-    /// sub-batch per shard of `router`. The OMv query `Q(A) = R(A,B), S(B)`
-    /// roots at `B`, so a sharding router hashes `S` on column 0 and `R`
-    /// on column 1 — the sub-batches are exactly what
-    /// `ShardedEngine::apply_delta_batch` would route internally, exposed
-    /// here so harnesses can measure routing and application separately.
-    pub fn vector_batches_sharded(&self, r: usize, router: &ShardRouter) -> Vec<DeltaBatch> {
-        router.split(&self.vector_batch(r))
-    }
-
     /// Ground truth: the set of rows `i` with `(M·v_r)[i] = 1`.
     pub fn expected_product(&self, r: usize) -> Vec<i64> {
         let vset: std::collections::HashSet<i64> = self.vectors[r].iter().copied().collect();
@@ -157,24 +147,6 @@ mod tests {
         assert!(inst.expected_product(2).is_empty());
         assert_eq!(inst.matrix_tuples().len(), 2);
         assert_eq!(inst.vector_tuples(0), vec![Tuple::ints(&[1])]);
-    }
-
-    #[test]
-    fn sharded_vector_batches_partition_the_load() {
-        use ivme_data::Route;
-        let inst = OmvInstance::generate(32, 1, 0.5, 9);
-        let mut router = ShardRouter::new(4);
-        router.register("R", Route::Column(1)).unwrap();
-        router.register("S", Route::Column(0)).unwrap();
-        let parts = inst.vector_batches_sharded(0, &router);
-        assert_eq!(parts.len(), 4);
-        let total: usize = parts.iter().map(DeltaBatch::distinct_len).sum();
-        assert_eq!(total, inst.vectors[0].len());
-        for (s, part) in parts.iter().enumerate() {
-            for (t, _) in part.deltas("S") {
-                assert_eq!(router.shard_of("S", t), Some(s));
-            }
-        }
     }
 
     #[test]

@@ -21,7 +21,7 @@ use ivme::data::Tuple;
 use ivme::query::parse_query;
 use ivme::workload::{parse_listing, poll_stat, wait_for_epoch, Client, RecoveryWorkload};
 use ivme_server::repl::{Replica, ReplicaConfig, QUEUE_DEPTH};
-use ivme_server::{Server, ServerConfig, TestHooks, MAX_LINE};
+use ivme_server::{FsyncMode, Server, ServerConfig, TestHooks, MAX_LINE};
 
 fn temp_dir(name: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("ivme_repl_{}_{name}", std::process::id()));
@@ -76,6 +76,25 @@ fn stat_field(stats: &str, key: &str) -> u64 {
 /// its replicas.
 fn primary_epoch(c: &mut Client) -> u64 {
     stat_field(&c.expect_ok("stats"), "snapshot_epoch")
+}
+
+/// Under `--fsync none` the sync thread would fan a round out before any
+/// fsync, so an OS crash could leave the primary a shorter round than a
+/// follower applied at the same epoch. A primary refuses that pairing at
+/// start, before it touches its data dir.
+#[test]
+fn a_primary_without_group_fsync_is_refused() {
+    let dir = temp_dir("fsync_none");
+    let config = ServerConfig {
+        fsync: FsyncMode::None,
+        ..primary_config(&dir, 4, "127.0.0.1:0")
+    };
+    let Err(err) = Server::start(config) else {
+        panic!("a replicating primary started under --fsync none");
+    };
+    assert_eq!(err.kind(), ErrorKind::InvalidData);
+    assert!(err.to_string().contains("requires --fsync group"), "{err}");
+    assert!(!dir.exists(), "the refused primary created its data dir");
 }
 
 #[test]

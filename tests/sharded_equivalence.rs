@@ -286,7 +286,65 @@ fn unknown_relation_and_arity_reject_atomically() {
         eng.apply_delta_batch(&bad).unwrap_err(),
         ivme_core::UpdateError::Arity(_)
     ));
+    // S routes on column 0, which a too-long tuple has: no misroute.
+    assert_eq!(eng.stats().misroutes, 0);
+    // R routes on column 1: a unary R tuple has none, so the split sends
+    // it to shard 0 and counts it once.
+    let mut bad = DeltaBatch::new();
+    bad.push("R", Tuple::ints(&[3]), 1);
+    assert!(matches!(
+        eng.apply_delta_batch(&bad).unwrap_err(),
+        ivme_core::UpdateError::Arity(_)
+    ));
+    assert_eq!(eng.stats().misroutes, 1);
     assert_eq!(eng.snapshot(0).result_sorted(), before);
+}
+
+#[test]
+fn asking_where_a_wrong_arity_tuple_goes_counts_no_misroute() {
+    let q = parse_query("Q(A,C) :- R(A,B), S(B,C)").unwrap();
+    let mut db = Database::new();
+    db.insert_ints("R", &[&[1, 10]]);
+    let eng = ShardedEngine::new(&q, &db, EngineOptions::dynamic(0.5), 3).unwrap();
+    // R routes on column 1, which a unary tuple lacks: shard 0 owns it.
+    assert_eq!(eng.shard_of("R", &Tuple::ints(&[3])), Some(0));
+    assert_eq!(eng.stats().misroutes, 0);
+}
+
+#[test]
+fn a_single_delete_of_an_absent_tuple_changes_no_shard() {
+    let q = parse_query("Q(A) :- R(A,B), S(B)").unwrap();
+    let mut db = Database::new();
+    for i in 0..64 {
+        db.insert("R", Tuple::ints(&[i, i % 16]), 1);
+    }
+    for j in 0..16 {
+        db.insert("S", Tuple::ints(&[j]), 1);
+    }
+    let mut eng = ShardedEngine::new(&q, &db, EngineOptions::dynamic(0.5), 4).unwrap();
+    assert_eq!(eng.num_shards(), 4);
+    let before: Vec<_> = (0..4).map(|s| eng.shard(s).result_sorted()).collect();
+    let before_sizes = eng.shard_sizes();
+    let before_stats = eng.stats();
+    // Absent tuples on every shard: each delete is refused where it routes.
+    for j in 100..132 {
+        let err = eng.delete("S", Tuple::ints(&[j])).unwrap_err();
+        assert!(matches!(err, ivme_core::UpdateError::Negative(_)), "{err}");
+    }
+    let owners: std::collections::BTreeSet<usize> = (100..132)
+        .map(|j| eng.shard_of("S", &Tuple::ints(&[j])).unwrap())
+        .collect();
+    assert_eq!(
+        owners.len(),
+        4,
+        "test needs a refused delete on every shard"
+    );
+    for (s, b) in before.iter().enumerate() {
+        assert_eq!(&eng.shard(s).result_sorted(), b, "shard {s} changed");
+    }
+    assert_eq!(eng.shard_sizes(), before_sizes);
+    assert_eq!(eng.stats(), before_stats);
+    eng.check_consistency().unwrap();
 }
 
 #[test]
