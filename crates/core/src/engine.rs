@@ -10,7 +10,7 @@
 
 use std::fmt;
 
-use ivme_data::fx::{FxHashMap, FxHashSet};
+use ivme_data::fx::FxHashSet;
 use ivme_data::{DeltaBatch, NegativeMultiplicity, Tuple, Update};
 use ivme_plan::{Mode, Plan};
 use ivme_query::{NotHierarchical, Query};
@@ -119,8 +119,8 @@ pub struct EngineStats {
 }
 
 /// Per-partition cached key projections of one atom's delta batch:
-/// `(partition id, key of deltas[i] at position i)`. Produced by pass 1 of
-/// `update_trees_batch`, consumed by pass 3 and minor rebalancing.
+/// `(partition id, key of deltas[i] at position i)`. Produced by
+/// `update_trees_batch`'s routing, consumed by minor rebalancing.
 type PartitionKeys = Vec<(usize, Vec<Tuple>)>;
 
 /// Per batched relation: its atom occurrences and consolidated deltas.
@@ -515,14 +515,6 @@ impl IvmEngine {
         tuple: Tuple,
         delta: i64,
     ) -> Result<(), UpdateError> {
-        if delta == 0 {
-            // Historical fast path: a zero delta succeeds without even
-            // resolving the relation name.
-            if self.mode == Mode::Static {
-                return Err(UpdateError::StaticMode);
-            }
-            return Ok(());
-        }
         let mut batch = DeltaBatch::new();
         batch.push(relation, tuple, delta);
         self.apply_delta_batch(&batch)
@@ -544,12 +536,14 @@ impl IvmEngine {
     /// on the same tuple cancels), validated, and applied **atomically**:
     /// if any *net* delta would drive a stored multiplicity negative, or
     /// names an unknown relation, or has the wrong arity, the engine is
-    /// left untouched and the error returned. For valid batches the final
-    /// state is exactly the state that sequentially applying the updates
-    /// would reach, but maintenance does one group-product per *distinct
-    /// dirty key* per view node instead of one trigger walk per tuple, and
-    /// rebalancing bookkeeping is charged once with the batch's
-    /// cardinality, preserving the amortized `O(N^{δε})` bound per update.
+    /// left untouched and the error returned. A valid batch reaches the same
+    /// *result* as applying its updates one by one, with partitions equal up
+    /// to Def. 11's slack: each delta is routed by its key's side before
+    /// the batch, and a key that crossed a threshold migrates once, after
+    /// it. Maintenance does one group-product per *distinct dirty key* per
+    /// view node instead of one trigger walk per tuple, and rebalancing
+    /// bookkeeping is charged once with the batch's cardinality, preserving
+    /// the amortized `O(N^{δε})` bound per update.
     pub fn apply_batch(&mut self, updates: &[Update]) -> Result<(), UpdateError> {
         let batch = DeltaBatch::from_updates(updates);
         self.apply_delta_batch(&batch)
@@ -636,8 +630,8 @@ impl IvmEngine {
             }
         }
         // Apply per atom occurrence: trees, light parts, and indicators.
-        // Each application returns the partition keys it projected in its
-        // first pass, so minor rebalancing below never re-projects them.
+        // Each application returns the partition keys it projected while
+        // routing, so minor rebalancing below never re-projects them.
         let mut cached_keys: Vec<PartitionKeys> = Vec::new();
         for (atoms, deltas) in &work {
             for &a in atoms {
@@ -678,98 +672,32 @@ impl IvmEngine {
     /// tree, and heavy indicator, grouping per-node work by dirty key.
     ///
     /// Returns, per partition of the atom, the partition key of every delta
-    /// tuple (projected exactly once, in pass 1) so pass 3 and the caller's
-    /// minor-rebalancing sweep reuse the cached keys instead of
-    /// re-projecting — three projections per tuple collapsed into one.
+    /// tuple (projected exactly once, while routing) so the caller's
+    /// minor-rebalancing sweep reuses the cached keys instead of
+    /// re-projecting.
     fn update_trees_batch(&mut self, atom: usize, deltas: &[(Tuple, i64)]) -> PartitionKeys {
-        // Split out, per partition of this atom, the sub-batch that belongs
-        // to the light part: key already light, or key absent from R
-        // (Fig. 19 line 10) — decided per key. Unlike the single-tuple
-        // trigger, the decision is **batch-aware**: if a key's light degree
-        // would cross the 1.5·θ migration threshold by batch end, the key
-        // is treated as heavy up front (its existing light tuples are
-        // migrated out now), instead of pushing the whole sub-batch through
-        // the light trees only for minor rebalancing to rip it back out —
-        // the per-key work a sequence of single-tuple triggers would also
-        // avoid by migrating mid-stream.
-        let theta = self.theta();
+        // Route each delta by its key's side before the batch: to the light
+        // part iff the key is light or absent from R (Fig. 19 line 10).
+        // Keys this batch carries across a threshold move afterwards, in
+        // minor rebalancing (Fig. 22). A key's light degree is its group
+        // size in L, so `degree > 0` doubles as the `key ∈ π_S L` test.
+        let base = self.rt.base_rel[atom];
         let mut part_keys: PartitionKeys = Vec::new();
         let mut light_sub: Vec<(usize, Vec<(Tuple, i64)>)> = Vec::new();
         for pi in 0..self.rt.partitions.len() {
             if self.rt.part_atom[pi] != atom {
                 continue;
             }
-            let base = self.rt.base_rel[atom];
             let idx = self.rt.base_part_idx[pi];
+            let part = &self.rt.partitions[pi];
             let mut sub: Vec<(Tuple, i64)> = Vec::new();
-            let mut migrate: Vec<Tuple> = Vec::new();
             let mut tuple_keys: Vec<Tuple> = Vec::with_capacity(deltas.len());
-            if self.rt.partitions[pi].key_is_identity() {
-                // The partition key is the whole tuple: a consolidated
-                // batch has one entry per key, so the per-key estimate map
-                // would rebuild the batch verbatim — decide and route in
-                // one pass. (A key's light degree is its group size in L,
-                // so `degree > 0` doubles as the `key ∈ π_S L` test: one
-                // probe, not two.)
-                for (t, d) in deltas {
-                    tuple_keys.push(t.clone());
-                    let light_deg = self.rt.partitions[pi].light_degree(t) as i64;
-                    let v = if *d > 0 { 1 } else { -1 };
-                    let light = if ((light_deg + v) as f64) >= 1.5 * theta {
-                        if light_deg > 0 {
-                            migrate.push(t.clone());
-                        }
-                        false
-                    } else {
-                        light_deg > 0 || !self.rt.rels[base].group_contains(idx, t)
-                    };
-                    if light {
-                        sub.push((t.clone(), *d));
-                    }
+            for (t, d) in deltas {
+                let key = part.key_of(t);
+                if part.light_degree(&key) > 0 || !self.rt.rels[base].group_contains(idx, &key) {
+                    sub.push((t.clone(), *d));
                 }
-            } else {
-                // Pass 1 — project each tuple's partition key once (reused
-                // by pass 3 and minor rebalancing) and take an upper
-                // estimate of each key's net change in distinct light
-                // tuples (inserts of already-present tuples only
-                // overestimate; the post-batch minor checks restore the
-                // invariants exactly).
-                for (t, _) in deltas {
-                    tuple_keys.push(self.rt.partitions[pi].key_of(t));
-                }
-                let mut keys: FxHashMap<Tuple, i64> =
-                    FxHashMap::with_capacity_and_hasher(deltas.len(), Default::default());
-                for ((_, d), key) in deltas.iter().zip(&tuple_keys) {
-                    *keys.entry(key.clone()).or_insert(0) += if *d > 0 { 1 } else { -1 };
-                }
-                // Pass 2 — decide light/heavy once per key, in place (the
-                // entry's value becomes the decision), queueing
-                // pre-migrations.
-                for (key, v) in keys.iter_mut() {
-                    let light_deg = self.rt.partitions[pi].light_degree(key) as i64;
-                    let light = if ((light_deg + *v) as f64) >= 1.5 * theta {
-                        // Will be heavy by batch end: migrate out now.
-                        if light_deg > 0 {
-                            migrate.push(key.clone());
-                        }
-                        false
-                    } else {
-                        light_deg > 0 || !self.rt.rels[base].group_contains(idx, key)
-                    };
-                    *v = light as i64;
-                }
-                // Pass 3 — route each delta by its cached key's decision,
-                // cloning the tuple only when it actually goes light.
-                for ((t, d), key) in deltas.iter().zip(&tuple_keys) {
-                    if keys[key] == 1 {
-                        sub.push((t.clone(), *d));
-                    }
-                }
-            }
-            for key in migrate {
-                self.stats.minor_rebalances += 1;
-                let out = self.rt.partitions[pi].migrate_out(&key);
-                self.rt.propagate_part_leaves(pi, &out);
+                tuple_keys.push(key);
             }
             if !sub.is_empty() {
                 light_sub.push((pi, sub));
@@ -777,7 +705,6 @@ impl IvmEngine {
             part_keys.push((pi, tuple_keys));
         }
         // 1. Base relation, atomically (legality was validated up front).
-        let base = self.rt.base_rel[atom];
         let outcome = self.rt.rels[base].apply_batch_unchecked(deltas);
         self.n_size = (self.n_size as i64 + outcome.net_size_change()) as usize;
         // 2. Propagate through every tree reading this atom directly
@@ -826,7 +753,7 @@ impl IvmEngine {
     /// of the updated atom, once per **distinct key** the batch touched;
     /// migrations move whole keys between the light and heavy sides and
     /// propagate the resulting deltas (Fig. 21). The keys were projected by
-    /// `update_trees_batch` pass 1 and arrive pre-computed.
+    /// `update_trees_batch`'s routing and arrive pre-computed.
     fn minor_rebalance_batch(&mut self, atom: usize, part_keys: PartitionKeys) {
         let theta = self.theta();
         for (pi, tuple_keys) in part_keys {

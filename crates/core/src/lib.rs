@@ -44,15 +44,17 @@
 //!    stop propagating. Per dirty key the work is exactly the single-tuple
 //!    trigger's, so the `O(N^{δε})` amortized per-update bound of
 //!    Prop. 23 is preserved.
-//! 4. **Batch-aware rebalancing** ([`engine`]): bookkeeping counts the
+//! 4. **Rebalancing once per batch** ([`engine`]): bookkeeping counts the
 //!    batch *cardinality* (a batch of `k` counts as `k` updates towards
 //!    the amortization argument of Sec. 6.2). The `⌊M/4⌋ ≤ N < M` size
 //!    invariant is restored once per batch — doubling/halving cascades
 //!    collapse into a single recompute — and minor-rebalancing checks run
-//!    once per distinct touched partition key. Light/heavy placement is
-//!    decided per key with the post-batch degree in view: a key that
-//!    would cross the `1.5·θ` migration threshold by batch end is treated
-//!    as heavy up front rather than churned through the light trees.
+//!    once per distinct touched partition key. Each delta goes to the
+//!    light part iff its key is light or absent from the relation before
+//!    the batch (Fig. 19 line 10); a key the batch carried across a
+//!    threshold then migrates in minor rebalancing (Fig. 22). Those checks
+//!    and major rebalancing's strict rebuild (Fig. 20) are the only places
+//!    a key moves between light and heavy.
 //!
 //! The single-tuple API ([`IvmEngine::apply_update`], `insert`, `delete`)
 //! is a batch of one, so both paths share one audited code path.

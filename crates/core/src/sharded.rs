@@ -351,11 +351,6 @@ impl ShardedEngine {
         tuple: Tuple,
         delta: i64,
     ) -> Result<(), UpdateError> {
-        if delta == 0 {
-            // Shard 0's fast path: refused in static mode, otherwise a
-            // no-op that stays out of the counters, as unsharded.
-            return self.shards[0].apply_update(relation, tuple, 0);
-        }
         let mut batch = DeltaBatch::new();
         batch.push(relation, tuple, delta);
         self.apply_delta_batch(&batch)

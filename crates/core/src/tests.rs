@@ -2,7 +2,7 @@
 //! the full ε grid, and randomized update streams — all validated against
 //! the brute-force oracle.
 
-use ivme_data::Tuple;
+use ivme_data::{Tuple, Update};
 use ivme_query::parse_query;
 
 use crate::database::Database;
@@ -348,6 +348,82 @@ fn rebalancing_is_exercised() {
     assert!(eng.result_sorted().is_empty());
     assert!(eng.stats().major_rebalances >= 2);
     eng.check_consistency().unwrap();
+}
+
+/// One batch per threshold crossing, at ε ∈ {0, ½}: a batch routes each
+/// delta by its key's side before the batch, and the key moves afterwards,
+/// in minor rebalancing. (a) carries a light key past `1.5·θ`; (b) inserts
+/// `≥ 1.5·θ` tuples under a key absent from `R`; (c) deletes a heavy key's
+/// tuples below `½·θ`. Keys 1 and 2 are light in `S`, so each is heavy
+/// (`∃H`) exactly while it is heavy in `R`.
+#[test]
+fn threshold_crossings_migrate_after_the_batch() {
+    let q = parse_query("Q(A,C) :- R(A,B), S(B,C)").unwrap();
+    for eps in [0.0, 0.5] {
+        let mut db = Database::new();
+        for i in 0..400 {
+            db.insert("R", Tuple::ints(&[i, 100 + i % 20]), 1);
+        }
+        for b in 100..120 {
+            db.insert("S", Tuple::ints(&[b, 0]), 1);
+        }
+        let mut eng = IvmEngine::new(&q, &db, EngineOptions::dynamic(eps)).unwrap();
+        let theta = eng.theta();
+        let rows = |key: i64, from: i64, to: i64, delta: i64| -> Vec<Update> {
+            (from..to)
+                .map(|a| Update::new("R", Tuple::ints(&[a, key]), delta))
+                .collect()
+        };
+        let apply = |eng: &mut IvmEngine, db: &mut Database, batch: &[Update]| {
+            eng.apply_batch(batch).unwrap();
+            for u in batch {
+                db.apply(&u.relation, u.tuple.clone(), u.delta);
+            }
+            eng.check_consistency().unwrap();
+            assert_eq!(eng.result_sorted(), brute_force(&q, db), "ε = {eps}");
+        };
+        // Setup: keys 1 and 2 enter S light, and key 1 enters R light.
+        let light = ((1.5 * theta).ceil() as i64 - 1).min(10);
+        let mut setup = rows(1, 0, light, 1);
+        setup.push(Update::insert("S", Tuple::ints(&[1, 7])));
+        setup.push(Update::insert("S", Tuple::ints(&[2, 7])));
+        apply(&mut eng, &mut db, &setup);
+        let before = eng.stats();
+        let heavy = eng.heavy_keys();
+        let lights = eng.light_tuples();
+        let crossing = (1.5 * theta).ceil() as i64;
+
+        // (a) Key 1's new tuples go light with the old ones; the key then
+        // migrates out whole.
+        apply(&mut eng, &mut db, &rows(1, light, crossing, 1));
+        assert_eq!(eng.heavy_keys(), heavy + 1, "(a) ε = {eps}");
+        assert_eq!(eng.light_tuples(), lights - light as usize, "(a)");
+        assert_eq!(eng.stats().minor_rebalances, before.minor_rebalances + 1);
+
+        // (b) Key 2 is absent from R: its tuples go light, then migrate out.
+        apply(&mut eng, &mut db, &rows(2, 0, crossing, 1));
+        assert_eq!(eng.heavy_keys(), heavy + 2, "(b) ε = {eps}");
+        assert_eq!(eng.light_tuples(), lights - light as usize, "(b)");
+        assert_eq!(eng.stats().minor_rebalances, before.minor_rebalances + 2);
+
+        // (c) Heavy key 1 drops below ½·θ: what is left migrates in (at
+        // ε = 0, ½·θ = ½, so nothing is left and the key leaves R).
+        let left = (0.5 * theta).ceil() as i64 - 1;
+        apply(&mut eng, &mut db, &rows(1, left, crossing, -1));
+        assert_eq!(eng.heavy_keys(), heavy + 1, "(c) ε = {eps}");
+        assert_eq!(
+            eng.light_tuples(),
+            lights - light as usize + left as usize,
+            "(c)"
+        );
+        let minor = if left > 0 { 3 } else { 2 };
+        assert_eq!(
+            eng.stats().minor_rebalances,
+            before.minor_rebalances + minor
+        );
+        assert_eq!(eng.stats().major_rebalances, before.major_rebalances);
+        assert_eq!(eng.theta(), theta);
+    }
 }
 
 // ---------------------------------------------------------------------

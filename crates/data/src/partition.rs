@@ -24,13 +24,11 @@ use crate::value::Tuple;
 /// The materialized light part `R^S` of a relation partitioned on `S`,
 /// together with the bookkeeping needed for minor rebalancing.
 pub struct Partition {
-    /// Key schema `S` (a strict subset of the base schema).
+    /// Key schema `S`, a subset of the base schema (Example 29 splits
+    /// `S(B)` on `B`, where Def. 11 states `S ⊂ X`).
     key: Schema,
     /// Positions of `S` inside the base schema.
     key_positions: Vec<usize>,
-    /// True when `S` covers the whole base schema in order: `key_of` is
-    /// the identity and every tuple is its own partition key (degree 0/1).
-    key_identity: bool,
     /// The light part; same schema as the base relation.
     light: Relation,
     /// Index on `S` within the light part (degree of keys in `L`).
@@ -41,9 +39,6 @@ impl Partition {
     /// Creates an empty partition of a relation with schema `base_schema`
     /// on key `key`.
     pub fn new(name: impl Into<String>, base_schema: &Schema, key: &Schema) -> Partition {
-        // Def. 11 states S ⊂ X, but the construction also partitions
-        // relations whose schema *equals* the split key (e.g. S(B) on B in
-        // Example 29) — the degree of every key is then 0 or 1.
         assert!(
             base_schema.contains_all(key),
             "partition key {key:?} must be a subset of {base_schema:?}"
@@ -51,12 +46,9 @@ impl Partition {
         let mut light = Relation::new(name, base_schema.clone());
         let light_key_index = light.add_index(key);
         let key_positions = base_schema.positions_of(key);
-        let key_identity = key_positions.len() == base_schema.arity()
-            && key_positions.iter().enumerate().all(|(i, &p)| i == p);
         Partition {
             key: key.clone(),
             key_positions,
-            key_identity,
             light,
             light_key_index,
         }
@@ -70,14 +62,6 @@ impl Partition {
     /// Positions of the key within the base schema.
     pub fn key_positions(&self) -> &[usize] {
         &self.key_positions
-    }
-
-    /// Whether the partition key covers the whole base schema in order
-    /// (Example 29's `S(B)` split on `B`): `key_of` is the identity, so
-    /// callers batching by key can treat each distinct tuple as its own
-    /// key without projecting or regrouping.
-    pub fn key_is_identity(&self) -> bool {
-        self.key_identity
     }
 
     /// Shared access to the light part `R^S`.

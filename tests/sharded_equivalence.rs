@@ -367,6 +367,57 @@ fn nullary_atoms_pin_to_shard_zero_and_stay_correct() {
     assert_eq!(sharded.snapshot(0).count_distinct(), 0);
 }
 
+/// A zero delta is a batch of one: `apply_update(r, t, 0)` counts exactly
+/// what `apply_batch(&[Update::new(r, t, 0)])` counts, unsharded and at
+/// `S ∈ {1, 2}`, and static mode refuses both forms.
+#[test]
+fn zero_delta_is_a_batch_of_one() {
+    let q = parse_query("Q(A) :- R(A,B), S(B)").unwrap();
+    let mut db = Database::new();
+    db.insert_ints("R", &[&[1, 10], &[2, 11]]);
+    db.insert_ints("S", &[&[10]]);
+    let t = Tuple::ints(&[10]);
+    let zero = [Update::new("S", t.clone(), 0)];
+    let dynamic = EngineOptions::dynamic(0.5);
+    let mut single = IvmEngine::new(&q, &db, dynamic).unwrap();
+    let mut batched = IvmEngine::new(&q, &db, dynamic).unwrap();
+    single.apply_update("S", t.clone(), 0).unwrap();
+    batched.apply_batch(&zero).unwrap();
+    assert_eq!(single.stats(), batched.stats(), "unsharded");
+    assert_eq!((single.stats().updates, single.stats().batches), (1, 1));
+    assert_eq!(single.result_sorted(), brute_force(&q, &db));
+    for shards in [1, 2] {
+        let mut single = ShardedEngine::new(&q, &db, dynamic, shards).unwrap();
+        let mut batched = ShardedEngine::new(&q, &db, dynamic, shards).unwrap();
+        single.apply_update("S", t.clone(), 0).unwrap();
+        batched.apply_batch(&zero).unwrap();
+        assert_eq!(single.stats(), batched.stats(), "S = {shards}");
+        assert_eq!((single.stats().updates, single.stats().batches), (1, 1));
+        assert_eq!(single.snapshot(0).result_sorted(), brute_force(&q, &db));
+    }
+    let st = EngineOptions::static_eval(0.5);
+    let mut stat_eng = IvmEngine::new(&q, &db, st).unwrap();
+    assert!(matches!(
+        stat_eng.apply_update("S", t.clone(), 0).unwrap_err(),
+        ivme_core::UpdateError::StaticMode
+    ));
+    assert!(matches!(
+        stat_eng.apply_batch(&zero).unwrap_err(),
+        ivme_core::UpdateError::StaticMode
+    ));
+    for shards in [1, 2] {
+        let mut stat_eng = ShardedEngine::new(&q, &db, st, shards).unwrap();
+        assert!(matches!(
+            stat_eng.apply_update("S", t.clone(), 0).unwrap_err(),
+            ivme_core::UpdateError::StaticMode
+        ));
+        assert!(matches!(
+            stat_eng.apply_batch(&zero).unwrap_err(),
+            ivme_core::UpdateError::StaticMode
+        ));
+    }
+}
+
 #[test]
 fn batch_api_and_stats_counters() {
     let q = parse_query("Q(A) :- R(A,B), S(B)").unwrap();
@@ -385,10 +436,6 @@ fn batch_api_and_stats_counters() {
     assert_eq!(s.updates, 4, "cardinality counted at the sharded level");
     assert_eq!(s.batches, 1);
     assert_eq!(eng.snapshot(0).count_distinct(), 2);
-    // Zero deltas are no-ops and stay out of the counters, as unsharded.
-    eng.apply_update("S", Tuple::ints(&[10]), 0).unwrap();
-    assert_eq!(eng.stats().updates, 4);
-    assert_eq!(eng.stats().batches, 1);
     // Static mode refuses updates through the sharded path too — including
     // batches whose net effect is empty (parity with IvmEngine).
     let st = EngineOptions::static_eval(0.5);
