@@ -30,6 +30,13 @@ use ivme_data::Tuple;
 
 use crate::runtime::{NodeId, Runtime};
 
+#[cfg(test)]
+thread_local! {
+    /// Tuples this thread's view deltas produced, summed over every level
+    /// of every propagation — test support for bounding maintenance work.
+    pub(crate) static VIEW_DELTA_TUPLES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// A set of per-tuple multiplicity changes over one node's schema.
 pub(crate) type Delta = Vec<(Tuple, i64)>;
 
@@ -111,6 +118,8 @@ impl Runtime {
                     &mut scr.agg,
                 );
             }
+            #[cfg(test)]
+            VIEW_DELTA_TUPLES.with(|n| n.set(n.get() + scr.acc.len() as u64));
             first = false;
             let rel = self.nodes[parent].rel;
             let terminal = self.nodes[parent].parent.is_none();

@@ -539,8 +539,10 @@ impl IvmEngine {
     /// left untouched and the error returned. A valid batch reaches the same
     /// *result* as applying its updates one by one, with partitions equal up
     /// to Def. 11's slack: each delta is routed by its key's side before
-    /// the batch, and a key that crossed a threshold migrates once, after
-    /// it. Maintenance does one group-product per *distinct dirty key* per
+    /// the batch, and a key that crossed a threshold migrates once, right
+    /// after its atom occurrence is applied and before the next one, so
+    /// no light tree joins a light group of `1.5·θ` tuples or more.
+    /// Maintenance does one group-product per *distinct dirty key* per
     /// view node instead of one trigger walk per tuple, and rebalancing
     /// bookkeeping is charged once with the batch's cardinality, preserving
     /// the amortized `O(N^{δε})` bound per update.
@@ -629,13 +631,15 @@ impl IvmEngine {
                 self.comp_versions[ci] += 1;
             }
         }
-        // Apply per atom occurrence: trees, light parts, and indicators.
-        // Each application returns the partition keys it projected while
-        // routing, so minor rebalancing below never re-projects them.
-        let mut cached_keys: Vec<PartitionKeys> = Vec::new();
+        // Apply per atom occurrence: trees, light parts, and indicators,
+        // then the minor-rebalancing checks on the keys its routing
+        // projected (Fig. 22). Checking before the next occurrence is
+        // applied keeps every light degree that occurrence's light trees
+        // join with below `1.5·θ`, as the `O(N^ε)` light-tree bound needs.
         for (atoms, deltas) in &work {
             for &a in atoms {
-                cached_keys.push(self.update_trees_batch(a, deltas));
+                let keys = self.update_trees_batch(a, deltas);
+                self.minor_rebalance_batch(a, keys);
             }
         }
         self.stats.updates += cardinality as u64;
@@ -653,17 +657,10 @@ impl IvmEngine {
             resized = true;
         }
         if resized {
-            // The strict rebuild restores every partition invariant, so the
-            // per-key minor checks below would be wasted propagation work.
+            // The minor checks above ran anyway: deferring them to this
+            // rebuild would let a later occurrence's light trees join a
+            // group past `1.5·θ`.
             self.major_rebalance();
-        } else {
-            let mut cached = cached_keys.into_iter();
-            for (atoms, _) in &work {
-                for &a in atoms {
-                    let keys = cached.next().expect("one key cache per occurrence");
-                    self.minor_rebalance_batch(a, keys);
-                }
-            }
         }
     }
 
@@ -678,9 +675,10 @@ impl IvmEngine {
     fn update_trees_batch(&mut self, atom: usize, deltas: &[(Tuple, i64)]) -> PartitionKeys {
         // Route each delta by its key's side before the batch: to the light
         // part iff the key is light or absent from R (Fig. 19 line 10).
-        // Keys this batch carries across a threshold move afterwards, in
-        // minor rebalancing (Fig. 22). A key's light degree is its group
-        // size in L, so `degree > 0` doubles as the `key ∈ π_S L` test.
+        // Keys these deltas carry across a threshold move right after this
+        // occurrence, in minor rebalancing (Fig. 22). A key's light degree
+        // is its group size in L, so `degree > 0` doubles as the
+        // `key ∈ π_S L` test.
         let base = self.rt.base_rel[atom];
         let mut part_keys: PartitionKeys = Vec::new();
         let mut light_sub: Vec<(usize, Vec<(Tuple, i64)>)> = Vec::new();

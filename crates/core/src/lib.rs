@@ -52,9 +52,11 @@
 //!    once per distinct touched partition key. Each delta goes to the
 //!    light part iff its key is light or absent from the relation before
 //!    the batch (Fig. 19 line 10); a key the batch carried across a
-//!    threshold then migrates in minor rebalancing (Fig. 22). Those checks
-//!    and major rebalancing's strict rebuild (Fig. 20) are the only places
-//!    a key moves between light and heavy.
+//!    threshold then migrates in minor rebalancing (Fig. 22), run per atom
+//!    occurrence right after it is applied, so the next occurrence's light
+//!    trees never join a light group of `1.5·θ` tuples or more. Those
+//!    checks and major rebalancing's strict rebuild (Fig. 20) are the only
+//!    places a key moves between light and heavy.
 //!
 //! The single-tuple API ([`IvmEngine::apply_update`], `insert`, `delete`)
 //! is a batch of one, so both paths share one audited code path.

@@ -351,8 +351,8 @@ fn rebalancing_is_exercised() {
 }
 
 /// One batch per threshold crossing, at ε ∈ {0, ½}: a batch routes each
-/// delta by its key's side before the batch, and the key moves afterwards,
-/// in minor rebalancing. (a) carries a light key past `1.5·θ`; (b) inserts
+/// delta by its key's side before the batch, and the key moves after its
+/// atom is applied, in minor rebalancing. (a) carries a light key past `1.5·θ`; (b) inserts
 /// `≥ 1.5·θ` tuples under a key absent from `R`; (c) deletes a heavy key's
 /// tuples below `½·θ`. Keys 1 and 2 are light in `S`, so each is heavy
 /// (`∃H`) exactly while it is heavy in `R`.
@@ -423,6 +423,50 @@ fn threshold_crossings_migrate_after_the_batch() {
         );
         assert_eq!(eng.stats().major_rebalances, before.major_rebalances);
         assert_eq!(eng.theta(), theta);
+    }
+}
+
+/// A batch that puts `k ≥ 1.5·θ` tuples under one new key into two atoms
+/// joined on it must not join the two `k`-tuple groups in the light trees:
+/// the first atom's key migrates out before the second atom is applied, so
+/// view deltas stay linear in `k`. Covers two relations and a self-join.
+#[test]
+fn a_batch_never_joins_two_over_threshold_light_groups() {
+    use crate::delta::VIEW_DELTA_TUPLES;
+    let view_tuples = || VIEW_DELTA_TUPLES.with(|n| n.get());
+    for (src, other) in [
+        ("Q(A,C) :- R(A,B), S(B,C)", "S"),
+        ("Q(A,C) :- R(A,B), R(B,C)", "R"),
+    ] {
+        let q = parse_query(src).unwrap();
+        for eps in [0.0, 0.5] {
+            let mut db = Database::new();
+            for i in 0..1000 {
+                db.insert("R", Tuple::ints(&[i, i % 50]), 1);
+                db.insert("S", Tuple::ints(&[i % 50, i]), 1);
+            }
+            let mut eng = IvmEngine::new(&q, &db, EngineOptions::dynamic(eps)).unwrap();
+            let k = 128;
+            assert!(k as f64 >= 1.5 * eng.theta());
+            // Key 5000 is absent from both atoms' relations.
+            let mut batch = Vec::new();
+            for i in 0..k {
+                batch.push(Update::insert("R", Tuple::ints(&[10_000 + i, 5000])));
+                batch.push(Update::insert(other, Tuple::ints(&[5000, 20_000 + i])));
+            }
+            let before = view_tuples();
+            eng.apply_batch(&batch).unwrap();
+            let work = view_tuples() - before;
+            assert!(
+                work < 32 * k as u64,
+                "{src} ε = {eps}: {work} view-delta tuples for k = {k}"
+            );
+            assert_eq!(eng.stats().major_rebalances, 0);
+            for u in &batch {
+                db.apply(&u.relation, u.tuple.clone(), u.delta);
+            }
+            assert_eq!(eng.result_sorted(), brute_force(&q, &db), "{src} ε = {eps}");
+        }
     }
 }
 
