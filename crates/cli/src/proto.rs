@@ -40,9 +40,9 @@ pub enum Command {
     Mode(Mode),
     /// `.shards <n>`, `1 ≤ n ≤` [`MAX_SHARDS`]
     Shards(usize),
-    /// `load <rel> <path.csv>` — stage a CSV before `build`.
+    /// `load <rel> <path.csv>` — a CSV's rows, as one `row` op.
     Load { relation: String, path: String },
-    /// `row <rel> <v1,v2,...>` — stage one row before `build`.
+    /// `row <rel> <v1,v2,...>` — stage one row, or insert it once built.
     Row { relation: String, tuple: Tuple },
     /// `build`
     Build,
@@ -52,8 +52,6 @@ pub enum Command {
         tuple: Tuple,
         delta: i64,
     },
-    /// `.load <rel> <path.csv>` — bulk-load a CSV as one timed batch.
-    BulkLoad { relation: String, path: String },
     /// `.batch begin`
     BatchBegin,
     /// `.batch commit`
@@ -175,15 +173,6 @@ pub fn parse_command(line: &str) -> Result<Option<Command>, String> {
                 delta,
             }
         }
-        ".load" => {
-            let (rel, path) = rest
-                .split_once(char::is_whitespace)
-                .ok_or("usage: .load <relation> <path.csv>")?;
-            Command::BulkLoad {
-                relation: rel.to_owned(),
-                path: path.trim().to_owned(),
-            }
-        }
         ".batch" => match rest {
             "begin" => Command::BatchBegin,
             "commit" => Command::BatchCommit,
@@ -240,8 +229,8 @@ fn word_tuple<'a>(rest: &'a str, usage: &str) -> Result<(&'a str, Tuple), String
 }
 
 /// Reads a CSV file into tuples, skipping blank lines — the loading half
-/// of `load`/`.load`, shared by the shell and the server (which reads its
-/// own disk).
+/// of `load`, shared by the shell and the server (which reads its own
+/// disk).
 pub fn load_csv(path: &str) -> Result<Vec<Tuple>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let mut rows = Vec::new();
@@ -305,7 +294,7 @@ pub fn push_tuple(out: &mut String, tuple: &Tuple) {
 /// What a rendered [`push_line`] does with its tuple.
 #[derive(Clone, Copy, Debug)]
 pub enum Line {
-    /// `row <rel> <csv>`: stage the tuple before `build`.
+    /// `row <rel> <csv>`: stage the tuple, or insert it once built.
     Row,
     /// Apply the tuple with this delta: `insert`/`delete <rel> <csv>` for
     /// ±1 (the common case, kept human-readable), the general
@@ -481,7 +470,7 @@ fn trimmed_lines(payload: &str) -> impl Iterator<Item = &str> {
 
 /// Replication protocol version spoken by [`repl_hello_line`]. A primary
 /// refuses (closes on) a hello with any other version.
-pub const REPL_VERSION: u64 = 2;
+pub const REPL_VERSION: u64 = 3;
 
 /// One primary→follower stream message header.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -602,17 +591,17 @@ commands:
   query <datalog>        register a hierarchical query (Q(A,C) :- R(A,B), S(B,C))
   epsilon <0..1>         set the trade-off knob (default 0.5)
   mode dynamic|static    set the evaluation mode (default dynamic)
-  .shards <n>            hash-partition the next build over n shards (1..64, default 1);
+  .shards <n>            hash-partition the engine over n shards (1..64, default 1);
                          updates validate on every shard, then apply shard by shard:
                          n > 1 partitions the work without parallelizing it, and
                          1, the default, is the fastest on a 2-vCPU box
-  load <rel> <csv path>  stage rows for a relation
-  row <rel> <v1,v2,...>  stage one row
-  build                  compile the plan and preprocess the staged data
+  load <rel> <csv path>  stage a CSV's rows; once built, insert them as one batch
+  row <rel> <v1,v2,...>  stage one row; once built, insert it
+  build                  preprocess the staged rows; once built, rebuild from the engine's
+                         own rows, counters kept (epsilon, mode and .shards rebuild it too)
   insert <rel> <values>  apply a single-tuple insert (stages while a batch is open)
   delete <rel> <values>  apply a single-tuple delete (stages while a batch is open)
   update <rel> <d> <values>  apply one update with an explicit signed delta d
-  .load <rel> <csv path> bulk-load a CSV into the built engine as one timed batch
   .batch begin           open a batch: insert/delete stage instead of applying
   .batch commit          apply the staged batch atomically and report timing
   .batch abort|status    discard / inspect the staged batch
@@ -763,14 +752,19 @@ mod tests {
 
     #[test]
     fn replication_verbs_round_trip() {
-        assert_eq!(repl_hello_line(42), "hello 2 42");
-        assert_eq!(parse_repl_hello("hello 2 42").unwrap(), 42);
-        // A v1 follower (frame-granular cursor) is refused, not guessed at.
+        assert_eq!(repl_hello_line(42), "hello 3 42");
+        assert_eq!(parse_repl_hello("hello 3 42").unwrap(), 42);
+        // A v1 follower (frame-granular cursor) is refused, not guessed at,
+        // and so is a v2 one: its `row`/`build` frames staged and rebuilt
+        // from the staged rows where v3 frames insert and keep the writes.
         assert!(parse_repl_hello("hello 1 42 3")
             .unwrap_err()
             .contains("version"));
-        assert!(parse_repl_hello("hello 2").is_err());
-        assert!(parse_repl_hello("howdy 2 42").is_err());
+        assert!(parse_repl_hello("hello 2 42")
+            .unwrap_err()
+            .contains("version"));
+        assert!(parse_repl_hello("hello 3").is_err());
+        assert!(parse_repl_hello("howdy 3 42").is_err());
         for h in [
             ReplHeader::Snapshot { epoch: 9, len: 120 },
             ReplHeader::Round {

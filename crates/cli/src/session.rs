@@ -17,8 +17,6 @@
 //! * [`ReadView`] is the frozen state the seven read verbs dispatch
 //!   against, formatted by [`render`].
 
-use std::fmt::Write as _;
-
 use ivme_core::{
     Database, DeltaBatch, EngineOptions, Mode, ShardedEngine, ShardedSnapshot, Update,
 };
@@ -34,10 +32,9 @@ const NO_QUERY: &str = "no query registered";
 
 /// What a parsed [`Command`] is, to every front end.
 pub enum Step {
-    /// Changes configuration or staged rows, or builds the engine.
+    /// Changes configuration or rows, or builds the engine.
     Admin(AdminOp),
-    /// An update, a bulk load, or a `.batch` verb: goes through a
-    /// [`Staging`].
+    /// An update or a `.batch` verb: goes through a [`Staging`].
     Write(Write),
     /// One of the seven read verbs, for [`ReadView::execute`].
     Read(Command),
@@ -65,11 +62,6 @@ pub enum Write {
     /// `insert` / `delete` / `update`: stages while a batch is open,
     /// otherwise applies as a batch of one.
     Update(Update),
-    /// `.load`: the CSV's rows, applied as one timed batch.
-    Load {
-        relation: String,
-        rows: Vec<Tuple>,
-    },
     /// `.batch begin`, `commit`, `abort` and `status`.
     Begin,
     Commit,
@@ -79,10 +71,10 @@ pub enum Write {
 
 impl Step {
     /// Classifies `cmd`. `load_csv` is how this caller reads the file a
-    /// `load` / `.load` names: [`proto::load_csv`](crate::proto::load_csv)
-    /// in the shell and on a primary's connection thread (the server
-    /// reads its own disk; only parsed rows travel on), the redirect on a
-    /// replica and a refusal in WAL replay — neither ever opens a path.
+    /// `load` names: [`proto::load_csv`](crate::proto::load_csv) in the
+    /// shell and on a primary's connection thread (the server reads its
+    /// own disk; only parsed rows travel on), the redirect on a replica
+    /// and a refusal in WAL replay — neither ever opens a path.
     pub fn of(
         cmd: Command,
         load_csv: impl FnOnce(&str) -> Result<Vec<Tuple>, String>,
@@ -106,10 +98,6 @@ impl Step {
                 tuple,
                 delta,
             } => Step::Write(Write::Update(Update::new(relation, tuple, delta))),
-            Command::BulkLoad { relation, path } => Step::Write(Write::Load {
-                relation,
-                rows: load_csv(&path)?,
-            }),
             Command::BatchBegin => Step::Write(Write::Begin),
             Command::BatchCommit => Step::Write(Write::Commit),
             Command::BatchAbort => Step::Write(Write::Abort),
@@ -128,13 +116,20 @@ impl Step {
     }
 }
 
-/// The mutable state the grammar acts on: configuration, staged rows and
-/// — once `build` has run — the engine. Single-owner wherever it lives
-/// (the shell, a server's writer thread, a replica's follower thread).
+/// The mutable state the grammar acts on: configuration, rows and — once
+/// `build` has run — the engine. Single-owner wherever it lives (the
+/// shell, a server's writer thread, a replica's follower thread).
+///
+/// Every row lives in one place: the engine's base relations hold the
+/// relations its query names, and the row store (`staged`) holds the
+/// rest — before `build`, every row. A configuration change on a built
+/// engine rebuilds it from its own base relations, the strict rebuild of
+/// major rebalancing (Fig. 20), and carries its counters over as a
+/// restart does: no admin op drops a committed write.
 pub struct Session {
     query: Option<Query>,
     /// ε and mode (`epsilon`, `mode`) and shard count (`.shards N`) of the
-    /// next `build`.
+    /// engine.
     opts: EngineOptions,
     shards: usize,
     staged: Database,
@@ -159,7 +154,8 @@ impl Session {
     /// accessors below. `base` carries the built engine's base relations
     /// and cumulative `(updates, batches, misroutes)` when `build` had
     /// run: the engine is rebuilt by re-preprocessing them (the entry
-    /// point of a live `build`), then seeded with the counters.
+    /// point of a live `build`), then seeded with the counters. `base`
+    /// supersedes any `staged` rows of the relations the engine holds.
     pub fn restore(
         query: Option<Query>,
         opts: EngineOptions,
@@ -174,10 +170,9 @@ impl Session {
             staged,
             engine: None,
         };
-        if let Some((base, (updates, batches, misroutes))) = base {
-            let mut eng = session.build(base)?;
-            eng.restore_stats(updates, batches, misroutes);
-            session.engine = Some(eng);
+        if let Some((base, stats)) = base {
+            let eng = session.new_engine(base, opts, shards, stats)?;
+            session.install(eng);
         }
         Ok(session)
     }
@@ -194,7 +189,7 @@ impl Session {
         self.shards
     }
 
-    /// Rows staged via `row` / `load` — what the next `build` builds from.
+    /// The row store: every row the engine does not hold.
     pub fn staged(&self) -> &Database {
         &self.staged
     }
@@ -208,10 +203,59 @@ impl Session {
         self.engine.is_some()
     }
 
-    /// Always sharded (S ≥ 1): one read and commit path per build.
-    fn build(&self, db: &Database) -> Result<ShardedEngine, String> {
+    /// An engine over `db`, seeded with the cumulative `(updates,
+    /// batches, misroutes)`. Always sharded (S ≥ 1): one read and commit
+    /// path per build.
+    fn new_engine(
+        &self,
+        db: &Database,
+        opts: EngineOptions,
+        shards: usize,
+        (updates, batches, misroutes): (u64, u64, u64),
+    ) -> Result<ShardedEngine, String> {
         let q = self.query.as_ref().ok_or(NO_QUERY)?;
-        ShardedEngine::new(q, db, self.opts, self.shards).map_err(|e| e.to_string())
+        let mut eng = ShardedEngine::new(q, db, opts, shards).map_err(|e| e.to_string())?;
+        eng.restore_stats(updates, batches, misroutes);
+        Ok(eng)
+    }
+
+    /// Whether the built engine holds `relation`: whether its query
+    /// names it.
+    fn holds(&self, relation: &str) -> bool {
+        let names = |e: &ShardedEngine| e.query().atoms.iter().any(|a| a.relation == relation);
+        self.engine.as_ref().is_some_and(names)
+    }
+
+    /// Makes `eng` the engine, keeps in the store only the rows of the
+    /// relations `eng` does not hold, and answers the `built:` line.
+    fn install(&mut self, eng: ShardedEngine) -> String {
+        let msg = format!(
+            "built: N = {}, {} shards (sizes {:?})\n",
+            eng.db_size(),
+            eng.num_shards(),
+            eng.shard_sizes()
+        );
+        self.engine = Some(eng);
+        let mut rest = Database::new();
+        copy_rows(&mut rest, &self.staged, |r| !self.holds(r));
+        self.staged = rest;
+        msg
+    }
+
+    /// Sets the configuration. A built engine rebuilds under it at once
+    /// from its own base relations, counters carried over, and the reply
+    /// is the `built:` line; if the rebuild fails, nothing changes.
+    fn configure(&mut self, opts: EngineOptions, shards: usize) -> Result<String, String> {
+        let rebuilt = match &self.engine {
+            None => None,
+            Some(old) => {
+                let st = old.stats();
+                let counters = (st.updates, st.batches, st.misroutes);
+                Some(self.new_engine(&old.export_database(), opts, shards, counters)?)
+            }
+        };
+        (self.opts, self.shards) = (opts, shards);
+        Ok(rebuilt.map_or_else(String::new, |eng| self.install(eng)))
     }
 
     /// Executes one admin operation and returns its reply.
@@ -219,64 +263,58 @@ impl Session {
         match op {
             AdminOp::Query(q) => {
                 let c = classify(&q);
-                let mut out = String::new();
-                let _ = writeln!(out, "registered {q}");
-                let _ = writeln!(
-                    out,
-                    "w = {}, δ = {}, free-connex: {}, q-hierarchical: {}",
+                let out = format!(
+                    "registered {q}\nw = {}, δ = {}, free-connex: {}, q-hierarchical: {}\n",
                     c.static_width.unwrap(),
                     c.dynamic_width.unwrap(),
                     c.free_connex,
                     c.q_hierarchical
                 );
+                // The engine's rows go back to the store.
+                if let Some(eng) = self.engine.take() {
+                    copy_rows(&mut self.staged, &eng.export_database(), |_| true);
+                }
                 self.query = Some(q);
-                self.engine = None;
                 Ok(out)
             }
             AdminOp::Epsilon(e) => {
-                self.opts.epsilon = e;
-                Ok(format!("epsilon = {e}\n"))
-            }
-            AdminOp::Mode(m) => {
-                self.opts.mode = m;
-                Ok(format!(
-                    "mode = {}\n",
-                    match m {
-                        Mode::Dynamic => "dynamic",
-                        Mode::Static => "static",
-                    }
-                ))
-            }
-            AdminOp::Shards(n) => {
-                self.shards = n;
-                let note = if self.engine.is_some() {
-                    " (takes effect on the next `build`)"
-                } else {
-                    ""
+                let opts = EngineOptions {
+                    epsilon: e,
+                    ..self.opts
                 };
-                Ok(format!("shards = {n}{note}\n"))
+                Ok(format!("epsilon = {e}\n") + &self.configure(opts, self.shards)?)
             }
+            AdminOp::Mode(mode) => {
+                let opts = EngineOptions { mode, ..self.opts };
+                let name = match mode {
+                    Mode::Dynamic => "dynamic",
+                    Mode::Static => "static",
+                };
+                Ok(format!("mode = {name}\n") + &self.configure(opts, self.shards)?)
+            }
+            AdminOp::Shards(n) => Ok(format!("shards = {n}\n") + &self.configure(self.opts, n)?),
+            // A built engine inserts the rows of its relations as one
+            // atomic batch: every row goes in, or none does. An empty one
+            // changes nothing, as its empty log frame does.
             AdminOp::Rows { relation, rows } => {
-                let n = rows.len();
-                for t in rows {
-                    self.staged.insert(&relation, t, 1);
+                let (n, held) = (rows.len(), self.holds(&relation));
+                if !held {
+                    for t in rows {
+                        self.staged.insert(&relation, t, 1);
+                    }
+                } else if n > 0 {
+                    let mut batch = DeltaBatch::new();
+                    batch.extend_relation(&relation, rows.into_iter().map(|t| (t, 1)));
+                    self.apply(&batch)?;
                 }
-                Ok(if n == 1 {
-                    format!("staged 1 row into {relation}\n")
-                } else {
-                    format!("staged {n} rows into {relation}\n")
-                })
+                let verb = if held { "inserted" } else { "staged" };
+                let s = if n == 1 { "" } else { "s" };
+                Ok(format!("{verb} {n} row{s} into {relation}\n"))
             }
+            AdminOp::Build if self.is_built() => self.configure(self.opts, self.shards),
             AdminOp::Build => {
-                let eng = self.build(&self.staged)?;
-                let msg = format!(
-                    "built: N = {}, {} shards (sizes {:?})\n",
-                    eng.db_size(),
-                    eng.num_shards(),
-                    eng.shard_sizes()
-                );
-                self.engine = Some(eng);
-                Ok(msg)
+                let eng = self.new_engine(&self.staged, self.opts, self.shards, (0, 0, 0))?;
+                Ok(self.install(eng))
             }
         }
     }
@@ -302,6 +340,15 @@ impl Session {
     }
 }
 
+/// Adds `from`'s rows of the relations `keep` accepts to `into`.
+fn copy_rows(into: &mut Database, from: &Database, keep: impl Fn(&str) -> bool) {
+    for rel in from.relations().into_iter().filter(|r| keep(r)) {
+        for (t, m) in from.rows(rel) {
+            into.insert(rel, t, m);
+        }
+    }
+}
+
 /// How a batch handed to [`Staging::execute`]'s `apply` went in: the
 /// time to report, and — on a server — the number of client batches
 /// submitted in the writer round it rode in.
@@ -312,13 +359,13 @@ pub struct Applied {
 }
 
 impl Applied {
-    /// ` in 0.412ms (155340 updates/s[, group of 3])\n` for `n` `unit`s.
-    fn timing(self, n: usize, unit: &str) -> String {
+    /// ` in 0.412ms (155340 updates/s[, group of 3])\n` for `n` updates.
+    fn timing(self, n: usize) -> String {
         let group = self
             .group
             .map_or_else(String::new, |g| format!(", group of {g}"));
         format!(
-            " in {:.3}ms ({:.0} {unit}/s{group})\n",
+            " in {:.3}ms ({:.0} updates/s{group})\n",
             self.secs * 1e3,
             n as f64 / self.secs.max(1e-9)
         )
@@ -348,7 +395,7 @@ impl Staging {
     }
 
     /// Executes one write verb and returns its reply. A batch that is due
-    /// — an update outside a `.batch`, a `.load`, a `.batch commit` — is
+    /// — an update outside a `.batch`, a `.batch commit` — is
     /// handed to `apply`; staged updates ack empty. `built` says whether
     /// a `.batch begin` may open.
     pub fn execute(
@@ -369,16 +416,6 @@ impl Staging {
                 }
                 Ok(String::new())
             }
-            Write::Load { relation, rows } => {
-                let mut batch = DeltaBatch::new();
-                batch.extend_relation(&relation, rows.into_iter().map(|t| (t, 1)));
-                let n = batch.cardinality();
-                let applied = apply(batch)?;
-                Ok(format!(
-                    "applied batch of {n} rows into {relation}{}",
-                    applied.timing(n, "rows")
-                ))
-            }
             Write::Begin => {
                 if self.0.is_some() {
                     return Err("a batch is already open (`.batch commit|abort`)".into());
@@ -395,7 +432,7 @@ impl Staging {
                 match apply(batch) {
                     Ok(applied) => Ok(format!(
                         "committed {card} updates ({net} net entries){}",
-                        applied.timing(card, "updates")
+                        applied.timing(card)
                     )),
                     Err(e) => Err(format!("batch rejected (engine unchanged): {e}")),
                 }
@@ -463,14 +500,21 @@ mod tests {
     use ivme_data::Value;
 
     /// Replays frame text the way WAL recovery does: admin ops as they
-    /// come, batches through a [`Staging`], files and everything else
-    /// refused.
+    /// come — a run of `row` lines of one relation as one op — batches
+    /// through a [`Staging`], files and everything else refused.
     fn replay(text: &str) -> Result<(Vec<AdminOp>, Vec<DeltaBatch>), String> {
         let (mut ops, mut batches) = (Vec::new(), Vec::new());
         let mut staging = Staging::default();
         for line in text.lines() {
             let cmd = proto::parse_command(line)?.expect("a command");
             match Step::of(cmd, |_| Err("no files here".to_owned()))? {
+                Step::Admin(AdminOp::Rows { relation, rows }) => match ops.last_mut() {
+                    Some(AdminOp::Rows {
+                        relation: run,
+                        rows: acc,
+                    }) if *run == relation => acc.extend(rows),
+                    _ => ops.push(AdminOp::Rows { relation, rows }),
+                },
                 Step::Admin(op) => ops.push(op),
                 Step::Write(w @ (Write::Update(_) | Write::Begin | Write::Commit)) => {
                     staging.execute(w, true, |b| {
@@ -508,22 +552,17 @@ mod tests {
             AdminOp::Build,
         ];
         for op in &ops {
-            // One op back per line (a `Rows` op logs one `row` line per
-            // row), each rendering the text it was parsed from.
+            // The one op back, rendering the text it was parsed from (a
+            // `Rows` op logs one `row` line per row and replays as one op,
+            // so a built engine inserts it as one batch).
             let (back, batches) = replay(&op.wal_text()).unwrap();
             assert!(batches.is_empty());
-            assert_eq!(back.len(), op.wal_text().lines().count());
-            let text: Vec<String> = back.iter().map(AdminOp::wal_text).collect();
-            assert_eq!(text.concat(), op.wal_text());
-            if let AdminOp::Rows { .. } = op {
-                let staged: Vec<&Tuple> = back
-                    .iter()
-                    .flat_map(|op| match op {
-                        AdminOp::Rows { rows, .. } => rows.as_slice(),
-                        _ => &[],
-                    })
-                    .collect();
-                assert_eq!(staged, rows.iter().collect::<Vec<_>>());
+            assert_eq!(back.len(), 1);
+            assert_eq!(back[0].wal_text(), op.wal_text());
+            if let (AdminOp::Rows { rows: sent, .. }, AdminOp::Rows { rows: got, .. }) =
+                (op, &back[0])
+            {
+                assert_eq!(got, sent);
             }
         }
         // Every line form the renderer writes: ±1, general and 2^40-sized
@@ -566,9 +605,10 @@ mod tests {
             assert!(replay(line).is_err(), "{line}");
         }
         // File verbs never reach the disk: the caller's loader refuses.
-        for line in ["load R /etc/hostname", ".load R /etc/hostname"] {
-            assert_eq!(replay(line).unwrap_err(), "no files here");
-        }
+        assert_eq!(replay("load R /etc/hostname").unwrap_err(), "no files here");
+        assert!(replay(".load R /etc/hostname")
+            .unwrap_err()
+            .starts_with("unknown command"));
         // A rejected batch surfaces as a refusal, with the engine's reason.
         let err = Staging(Some(DeltaBatch::new()))
             .execute(Write::Commit, true, |_| Err("R(9, 9): -1".to_owned()))

@@ -254,11 +254,12 @@ mod tests {
     }
 
     #[test]
-    fn dot_load_applies_csv_as_one_batch() {
+    fn load_on_a_built_engine_inserts_the_csv_as_one_batch() {
         let dir = std::env::temp_dir().join("ivme_cli_batch_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("s.csv");
+        let (path, bad) = (dir.join("s.csv"), dir.join("bad.csv"));
         std::fs::write(&path, "1\n2\n\n3\n").unwrap();
+        std::fs::write(&bad, "4\n5,5\n").unwrap();
         let mut sh = Shell::new();
         let out = run(
             &mut sh,
@@ -267,15 +268,106 @@ mod tests {
                 "row R 7,1",
                 "row R 8,2",
                 "build",
-                &format!(".load S {}", path.display()),
+                &format!("load S {}", path.display()),
                 "count",
                 "stats",
             ],
         );
-        assert!(out.contains("applied batch of 3 rows into S"), "{out}");
+        assert!(out.contains("inserted 3 rows into S"), "{out}");
         assert!(out.contains("\n2\n"), "{out}");
-        assert!(out.contains("updates = 3"), "{out}");
-        assert!(out.contains("batches = 1"), "{out}");
+        assert!(out.contains("updates = 3, batches = 1"), "{out}");
+        // One wrong-arity row refuses the whole file: nothing applied.
+        let err = sh
+            .execute(&format!("load S {}", bad.display()))
+            .unwrap_err();
+        assert!(err.contains("does not match schema"), "{err}");
+        let out = run(&mut sh, &["row S 9", "count", "stats"]);
+        assert!(out.starts_with("inserted 1 row into S\n2\n"), "{out}");
+        assert!(out.contains("N = 6,"), "{out}");
+        assert!(out.contains("updates = 4, batches = 2"), "{out}");
+        // A relation the query does not name stays in the row store.
+        let out = sh.execute("row T 1").unwrap().unwrap();
+        assert_eq!(out, "staged 1 row into T\n");
+    }
+
+    /// admin-keeps-writes: a second `build` rebuilds from the engine's
+    /// own rows, so the writes committed since the first one stay, and
+    /// so do the counters.
+    #[test]
+    fn a_second_build_keeps_every_committed_write() {
+        let mut sh = Shell::new();
+        let script = [
+            "query Q(A,C) :- R(A,B), S(B,C)",
+            "row R 1,2",
+            "row S 2,3",
+            "build",
+            "update S 1 2,4",
+        ];
+        let before = run(&mut sh, &script);
+        assert!(before.contains("built: N = 2"), "{before}");
+        let out = run(&mut sh, &["build", "list", "stats"]);
+        assert!(out.starts_with("built: N = 3, 1 shards"), "{out}");
+        assert!(
+            out.contains("(1, 3) x1") && out.contains("(1, 4) x1"),
+            "{out}"
+        );
+        assert!(out.contains("(2 tuples)"), "{out}");
+        assert!(out.contains("updates = 1, batches = 1"), "{out}");
+    }
+
+    /// `epsilon` on a built engine changes θ at once and keeps the result.
+    #[test]
+    fn epsilon_on_a_built_engine_rebuilds_at_once() {
+        let mut sh = Shell::new();
+        let mut script = vec!["query Q(A,C) :- R(A,B), S(B,C)".to_owned()];
+        script.extend((0..16).map(|i| format!("row R {i},{}", i % 4)));
+        script.extend((0..16).map(|i| format!("row S {},{i}", i % 4)));
+        script.extend(["build".to_owned(), "insert R 99,0".to_owned()]);
+        let lines: Vec<&str> = script.iter().map(String::as_str).collect();
+        let _ = run(&mut sh, &lines);
+        let theta = |sh: &mut Shell| {
+            let stats = sh.execute("stats").unwrap().unwrap();
+            let at = stats.find("θ = ").expect("a shard line") + "θ = ".len();
+            stats[at..].split(',').next().unwrap().to_owned()
+        };
+        let (list, before) = (run(&mut sh, &["list"]), theta(&mut sh));
+        let out = sh.execute("epsilon 0.25").unwrap().unwrap();
+        assert!(out.starts_with("epsilon = 0.25\nbuilt: N = 33,"), "{out}");
+        assert_ne!(theta(&mut sh), before);
+        let sorted = |s: String| {
+            let mut v: Vec<String> = s.lines().map(str::to_owned).collect();
+            v.sort();
+            v
+        };
+        assert_eq!(sorted(run(&mut sh, &["list"])), sorted(list));
+        let out = run(&mut sh, &["mode static", "stats"]);
+        assert!(out.contains("updates = 1, batches = 1"), "{out}");
+        assert!(sh.execute("insert R 98,0").is_err(), "static now");
+    }
+
+    /// `query` on a built engine hands the engine's rows back to the
+    /// store, which kept `T` all along: the next `build` builds from them,
+    /// committed writes included.
+    #[test]
+    fn a_new_query_and_build_keep_committed_writes() {
+        let mut sh = Shell::new();
+        let _ = run(
+            &mut sh,
+            &[
+                "query Q(A,C) :- R(A,B), S(B,C)",
+                "row R 1,2",
+                "row S 2,3",
+                "row T 3",
+                "row T 4",
+                "build",
+                "insert S 2,4",
+                "delete S 2,3",
+                "query Q(B,C) :- S(B,C), T(C)",
+                "build",
+            ],
+        );
+        let out = run(&mut sh, &["list"]);
+        assert_eq!(out, "(2, 4) x1\n(1 tuples)\n");
     }
 
     #[test]
@@ -419,6 +511,9 @@ mod tests {
             &["query Q(A) :- R(A,B), S(B)", "row R 1,2", "build"],
         );
         let out = sh.execute(".shards 2").unwrap().unwrap();
-        assert!(out.contains("takes effect on the next `build`"), "{out}");
+        assert!(
+            out.starts_with("shards = 2\nbuilt: N = 1, 2 shards"),
+            "{out}"
+        );
     }
 }

@@ -13,7 +13,7 @@ use std::io;
 use std::path::Path;
 
 use ivme_cli::proto;
-use ivme_cli::session::{Applied, Staging, Step, Write};
+use ivme_cli::session::{AdminOp, Applied, Staging, Step, Write};
 
 use crate::publish::Status;
 use crate::snapshot;
@@ -39,12 +39,15 @@ impl OwnedState {
     /// Applies one WAL frame's command text, line by line, through the
     /// interpreter that produced it live. Frames are one committed unit
     /// each: a `.batch begin … commit` script, a run of `row` lines, or a
-    /// single admin command — anything else in a frame is refused. A
-    /// CRC-valid frame that fails here is a logic error or corruption of
-    /// a different kind (it committed once): boot refuses to start and a
-    /// replica freezes, rather than serve a diverged state.
+    /// single admin command — anything else in a frame is refused. A run
+    /// of `row` lines of one relation is the one `row`/`load` op that
+    /// logged it, so a built engine inserts it as one batch, as it did
+    /// live. A CRC-valid frame that fails here is a logic error or
+    /// corruption of a different kind (it committed once): boot refuses
+    /// to start and a replica freezes, rather than serve a diverged state.
     fn apply_frame(&mut self, text: &str) -> Result<(), String> {
         let mut staging = Staging::default();
+        let mut run: Option<AdminOp> = None;
         for line in text.lines() {
             let Some(cmd) = proto::parse_command(line)? else {
                 continue;
@@ -52,7 +55,22 @@ impl OwnedState {
             let refuse = || format!("unreplayable command in WAL: {}", line.trim());
             // Frames never name files: the loader refuses before any path
             // is opened.
-            match Step::of(cmd, |_| Err(refuse()))? {
+            let step = match (Step::of(cmd, |_| Err(refuse()))?, &mut run) {
+                (
+                    Step::Admin(AdminOp::Rows { relation, rows }),
+                    Some(AdminOp::Rows {
+                        relation: r,
+                        rows: acc,
+                    }),
+                ) if *r == relation => {
+                    acc.extend(rows);
+                    continue;
+                }
+                (step, _) => step,
+            };
+            run.take().map(|op| self.session.admin(op)).transpose()?;
+            match step {
+                Step::Admin(op @ AdminOp::Rows { .. }) => run = Some(op),
                 Step::Admin(op) => {
                     self.session.admin(op)?;
                 }
@@ -64,6 +82,7 @@ impl OwnedState {
                 _ => return Err(refuse()),
             }
         }
+        run.map(|op| self.session.admin(op)).transpose()?;
         if staging.is_open() {
             return Err("unterminated `.batch begin` in WAL frame".into());
         }

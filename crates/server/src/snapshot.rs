@@ -1,7 +1,7 @@
 //! Engine snapshots: the checkpoint half of the durability story.
 //!
 //! A snapshot is a full, self-contained serialization of the writer
-//! thread's [`OwnedState`](crate) — config, staged rows, the built
+//! thread's [`OwnedState`](crate) — config, the row store, the built
 //! engine's base relations, and the cumulative counters — written to
 //! `snapshot-<epoch>.ivme` in the data directory. Replaying the WAL from
 //! genesis would recover the same state; snapshots exist so recovery time
@@ -29,6 +29,7 @@ use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 
 use ivme_cli::proto;
+use ivme_cli::session::AdminOp;
 use ivme_core::{Database, Mode};
 
 use crate::crc::crc32;
@@ -57,7 +58,10 @@ pub struct SnapshotData {
     pub query: Option<String>,
     /// Whether `build` had run (i.e. whether `base` is meaningful).
     pub built: bool,
-    /// Rows staged via `row`/`load` — what a future `build` rebuilds from.
+    /// The session's row store: every row the engine does not hold — all
+    /// of them when `!built`. On load, `base` supersedes any `staged` rows
+    /// of the relations the built query names (older checkpoints repeat
+    /// the rows loaded before `build` here).
     pub staged: Database,
     /// The built engine's current base relations (empty when `!built`).
     pub base: Database,
@@ -96,9 +100,7 @@ fn parse_snapshot_name(name: &str) -> Option<u64> {
 
 fn render_db(out: &mut String, keyword: &str, db: &Database) {
     use std::fmt::Write as _;
-    let mut rels = db.relations();
-    rels.sort_unstable();
-    for rel in rels {
+    for rel in db.relations() {
         let mut rows = db.rows(rel);
         rows.sort_unstable();
         for (t, m) in rows {
@@ -119,14 +121,7 @@ pub fn write(dir: &Path, data: &SnapshotData) -> io::Result<PathBuf> {
     let (gc, gb) = data.serve_stats;
     let _ = writeln!(out, "serve_stats {gc} {gb}");
     let _ = writeln!(out, "epsilon {}", data.epsilon);
-    let _ = writeln!(
-        out,
-        "mode {}",
-        match data.mode {
-            Mode::Dynamic => "dynamic",
-            Mode::Static => "static",
-        }
-    );
+    let _ = writeln!(out, "{}", AdminOp::Mode(data.mode).wal_text());
     let _ = writeln!(out, "shards {}", data.shards);
     if let Some(q) = &data.query {
         let _ = writeln!(out, "query {q}");
@@ -191,46 +186,30 @@ pub fn parse(text: &str) -> Result<SnapshotData, String> {
     };
     data.shards = num(expect("shards")?)? as usize;
 
-    let mut rest = lines.collect::<Vec<_>>().into_iter().peekable();
-    if let Some(line) = rest.peek() {
-        if let Some(q) = line.strip_prefix("query ") {
-            data.query = Some(q.to_owned());
-            rest.next();
-        }
+    if let Some(line) = lines.next_if(|l| l.starts_with("query ")) {
+        data.query = Some(line["query ".len()..].to_owned());
     }
-    let built = rest
-        .next()
-        .and_then(|l| l.strip_prefix("built "))
-        .ok_or("missing `built`")?;
-    data.built = match built {
-        "0" => false,
-        "1" => true,
-        other => return Err(format!("bad built flag `{other}`")),
+    data.built = match lines.next() {
+        Some("built 0") => false,
+        Some("built 1") => true,
+        other => return Err(format!("expected `built 0|1`, got {other:?}")),
     };
-    for line in rest {
-        let (keyword, payload) = line.split_once(' ').ok_or_else(|| bad_row(line))?;
-        let db = match keyword {
-            "staged" => &mut data.staged,
-            "base" => &mut data.base,
-            other => return Err(format!("unexpected line keyword `{other}`")),
+    for line in lines {
+        // `<keyword> <m> <rel> <tuple>`, the tuple possibly empty.
+        let mut parts = line.splitn(4, ' ');
+        let db = match parts.next() {
+            Some("staged") => &mut data.staged,
+            Some("base") => &mut data.base,
+            _ => return Err(format!("bad row line `{line}`")),
         };
-        let mut parts = payload.splitn(3, ' ');
-        let mult: i64 = parts
-            .next()
-            .and_then(|m| m.parse().ok())
-            .ok_or_else(|| bad_row(line))?;
-        let rel = parts.next().ok_or_else(|| bad_row(line))?;
-        let csv = parts.next().unwrap_or("");
-        if mult <= 0 {
-            return Err(bad_row(line));
+        match (parts.next().map(str::parse::<i64>), parts.next()) {
+            (Some(Ok(m)), Some(rel)) if m > 0 => {
+                db.insert(rel, proto::parse_tuple(parts.next().unwrap_or(""))?, m);
+            }
+            _ => return Err(format!("bad row line `{line}`")),
         }
-        db.insert(rel, proto::parse_tuple(csv)?, mult);
     }
     Ok(data)
-}
-
-fn bad_row(line: &str) -> String {
-    format!("bad row line `{line}`")
 }
 
 fn num(s: &str) -> Result<u64, String> {

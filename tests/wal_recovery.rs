@@ -247,6 +247,62 @@ fn clean_shutdown_persists_everything_and_replays_nothing() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// admin-keeps-writes across a hard kill: an update, then `epsilon` and a
+/// second `build`, then a `row` the built engine inserts. Replay runs the
+/// logged `epsilon` and `build` under the live rule — rebuild from the
+/// engine's own rows — so the recovered state still holds every write,
+/// with or without checkpoints in between. A clean shutdown then writes a
+/// checkpoint that holds each row once: no `staged` line beside `base`.
+#[test]
+fn an_update_survives_epsilon_build_and_a_hard_kill() {
+    let ints = |rows: &[[i64; 2]]| -> Vec<(Tuple, i64)> {
+        rows.iter().map(|r| (Tuple::ints(r), 1)).collect()
+    };
+    let want = ints(&[[1, 3], [1, 4], [5, 3], [5, 4]]);
+    for snapshot_every in [0, 2] {
+        let dir = temp_dir(&format!("rebuild_{snapshot_every}"));
+        {
+            let server = start(&dir, snapshot_every);
+            let mut c = Client::connect(server.addr()).unwrap();
+            run_script(
+                &mut c,
+                "query Q(A,C) :- R(A,B), S(B,C)\nrow R 1,2\nrow S 2,3\nbuild\n\
+                 update S 1 2,4\nepsilon 0.3\nbuild\nrow R 5,2\n",
+            );
+            assert_eq!(listing(server.addr()), want, "live");
+            // drop(server): hard kill — no final snapshot.
+        }
+        let server = start(&dir, snapshot_every);
+        assert_eq!(listing(server.addr()), want, "every={snapshot_every}");
+        let mut c = Client::connect(server.addr()).unwrap();
+        let stats = c.expect_ok("stats");
+        assert_eq!(stat_field(&stats, "updates"), 2, "{stats}");
+        assert_eq!(stat_field(&stats, "batches"), 2, "{stats}");
+        assert!(c.expect_ok("shutdown").contains("snapshot written"));
+        drop(c);
+        drop(server);
+        let newest = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(|e| {
+                let name = e.unwrap().file_name().into_string().unwrap();
+                name.strip_prefix("snapshot-")?
+                    .strip_suffix(".ivme")?
+                    .parse::<u64>()
+                    .ok()
+            })
+            .max()
+            .expect("the final checkpoint");
+        let text = std::fs::read_to_string(dir.join(format!("snapshot-{newest}.ivme"))).unwrap();
+        assert!(text.contains("built 1\n"), "{text}");
+        assert!(!text.contains("staged "), "{text}");
+        assert_eq!(text.matches("base ").count(), 4, "{text}");
+        let server = start(&dir, snapshot_every);
+        assert_eq!(listing(server.addr()), want, "from the checkpoint");
+        drop(server);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 /// Replay rebuilds the serve-layer counters exactly: a round's frames
 /// share its epoch and one batch frame is one committed client batch.
 /// Concurrent writers make rounds of several batches; a rejected batch is
