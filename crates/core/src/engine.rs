@@ -450,7 +450,7 @@ impl IvmEngine {
             if m == 0 {
                 return 0;
             }
-            total *= m;
+            total = total.saturating_mul(m);
         }
         total
     }

@@ -39,12 +39,13 @@
 //! pushed per live heavy key as one drain per child: the factors of that
 //! key's bucket, whose product is left unformed, so the heavy part costs
 //! `Σ |factor|` rows where its tuples number `Π |factor|`. A tuple living
-//! in `k` parts comes out `k` times and the snapshot settles where it
-//! lives. The freeze keeps no delay bound and needs none, and it takes no
-//! [`EnumScratch`] — the only way to reach `EnumNode::lookup` — so "the
-//! freeze never looks up" holds by signature. Nor does it build a `Tuple`
-//! (which hashes at construction) per occurrence: the sink borrows the
-//! bound values as a slice and copies a row only on first sight.
+//! in `k` parts comes out `k` times, and the snapshot settles where it
+//! lives on its first positional read. The freeze keeps no delay bound
+//! and needs none, and it takes no [`EnumScratch`] — the only way to
+//! reach `EnumNode::lookup` — so "the freeze never looks up" holds by
+//! signature. Nor does it build a `Tuple` (which hashes at construction)
+//! per occurrence: the sink borrows the bound values as a slice and
+//! copies a row only on first sight.
 //!
 //! # The zero-clone serving discipline
 //!
@@ -336,7 +337,7 @@ impl EnumNode {
                         scratch.put(cs);
                         return 0;
                     }
-                    m *= cm;
+                    m = m.saturating_mul(cm);
                 }
                 scratch.put(cs);
                 m
@@ -362,9 +363,9 @@ impl EnumNode {
                         if cm == 0 {
                             return;
                         }
-                        m *= cm;
+                        m = m.saturating_mul(cm);
                     }
-                    *total += m;
+                    *total = total.saturating_add(m);
                 };
                 match h_ctx_index {
                     Some(ix) => {
@@ -870,7 +871,7 @@ impl<'e> Product<'e> {
                     }
                 }
             }
-            return Some(self.mults.iter().product());
+            return Some(saturating_product(&self.mults));
         }
         // Advance the odometer from the last child (Fig. 16 lines 8-11).
         let k = self.kids.len();
@@ -904,7 +905,7 @@ impl<'e> Product<'e> {
         for j in 0..i {
             self.kids[j].replay(rt, buf);
         }
-        Some(self.mults.iter().product())
+        Some(saturating_product(&self.mults))
     }
 
     /// Restores every child's current values into `buf`.
@@ -970,7 +971,7 @@ impl<'e> UnionPart<'e> for BucketPart<'e> {
                 scratch.put(cs);
                 return 0;
             }
-            m *= cm;
+            m = m.saturating_mul(cm);
         }
         scratch.put(cs);
         m
@@ -1074,10 +1075,9 @@ impl<P> Union<P> {
                             .expect("T_k cannot be exhausted while it still contains t");
                         Self::stage(&self.positions, buf, &mut self.cand);
                         let cand = &self.cand;
-                        let extra: i64 = (0..k)
-                            .map(|i| self.parts[i].lookup(rt, cand, scratch))
-                            .sum();
-                        Some(mk + extra)
+                        Some((0..k).fold(mk, |sum, i| {
+                            sum.saturating_add(self.parts[i].lookup(rt, cand, scratch))
+                        }))
                     } else {
                         Some(m)
                     }
@@ -1086,10 +1086,9 @@ impl<P> Union<P> {
                     Some(mk) => {
                         Self::stage(&self.positions, buf, &mut self.cand);
                         let cand = &self.cand;
-                        let extra: i64 = (0..k)
-                            .map(|i| self.parts[i].lookup(rt, cand, scratch))
-                            .sum();
-                        Some(mk + extra)
+                        Some((0..k).fold(mk, |sum, i| {
+                            sum.saturating_add(self.parts[i].lookup(rt, cand, scratch))
+                        }))
                     }
                     None => None,
                 },
@@ -1176,6 +1175,13 @@ pub(crate) fn count_component(
 /// an empty result.
 pub(crate) fn product_size(sizes: impl IntoIterator<Item = usize>) -> usize {
     sizes.into_iter().reduce(usize::saturating_mul).unwrap_or(0)
+}
+
+/// The product of multiplicities, saturating at `i64::MAX`: a result
+/// tuple's true multiplicity may exceed `i64` (eight components of 256
+/// make 2⁶⁴), and a read reports it as `i64::MAX`, never wrapped.
+fn saturating_product(mults: &[i64]) -> i64 {
+    mults.iter().fold(1, |p, &m| p.saturating_mul(m))
 }
 
 /// Iterator over the distinct tuples of the full query result with their
@@ -1339,7 +1345,7 @@ impl<'e> ResultIter<'e> {
     /// Assembles the current buffer state into an output item.
     fn current(&self) -> (Tuple, i64) {
         let tuple = Tuple::from_slice(&self.buf[..self.free_arity]);
-        (tuple, self.comp_mults.iter().product())
+        (tuple, saturating_product(&self.comp_mults))
     }
 }
 

@@ -59,34 +59,51 @@
 //!   one summed table per child of the indicator node (its *factors*),
 //!   whose row-major product is the bucket's tuples, multiplicities
 //!   multiplied. The product is never formed — a publish writes
-//!   `Σ |factor|` rows for a bucket of `Π |factor|` tuples.
+//!   `Σ |factor|` rows for a bucket of `Π |factor|` tuples;
+//! * an **index** from the first binding factor's rows (the *key rows*)
+//!   to the `(bucket, row)` pairs holding them.
 //!
-//! A distinct tuple lives in exactly one place: a row of `M`, or one
-//! position of one bucket. A tuple that two or more parts produce (two
-//! shards — possible only when the root variable is projected away — a
-//! light and a heavy tree, or several heavy keys) is a row of `M` with
-//! its summed multiplicity, and every bucket producing it lists that
-//! position as *shared* and skips it. An index from the first binding
-//! factor's rows (the *key rows*) to `(bucket, row)` settles this key row
-//! by key row, skipped without a live bucket. A key row is either probed
-//! and paired — pass (i) probes its rows of `M` into the buckets holding
-//! it, pass (ii) intersects those buckets pair by pair for the tuples only
-//! buckets share — or, where that would cost more, walked: its holders'
-//! tuples under it are looked up in `M` and summed. Either way a key row
-//! costs at most a constant times the occurrences a drain of its holders'
-//! products under it would push, plus one index probe per row of `M`.
+//! These **parts** are all a publish writes: `O(|M| + Σ |factor|)`, with
+//! no probe between them.
 //!
-//! Reads follow the parts: `count` is `|M| + Σ (Π|F| − |shared|)`; a
-//! lookup probes `M`, then the one bucket the index names; a component
-//! enumerates `M` in the order its rows first occurred (shard 0 first,
-//! then the tuples only buckets share), then the buckets in shard and
-//! heavy-key storage order, row-major, skipping shared positions — a
-//! function of the apply history alone, so engines that applied the same
-//! batches page identically, however often each was frozen. A seek is
-//! prefix counts plus one binary search in a shared list,
-//! `O(log #buckets + log |shared|)`, never `O(offset)`; positions are
-//! `u128` (five factors of 8,192 rows make 2⁶⁵ of them) and counts
-//! saturate.
+//! # Settle on first read
+//!
+//! A positional read needs each distinct tuple in exactly one place: a
+//! row of `M`, or one position of one bucket. A tuple that two or more
+//! parts produce (two shards — possible only when the root variable is
+//! projected away — a light and a heavy tree, or several heavy keys) is a
+//! row of `M` with its summed multiplicity, and every bucket producing it
+//! lists that position as *shared* and skips it — the deduplication the
+//! paper's Union (Fig. 15) does while it enumerates. That *settled layer*
+//! is built from the parts, which it leaves unchanged, on the first
+//! positional read of a component version (`count`, `enumerate`, a page),
+//! on the reader's thread, in a `OnceLock` that every snapshot holding the
+//! version shares: a component settles at most once, readers racing its
+//! first read wait for that one settle, and the writer never settles.
+//! Settling goes key row by key row, skipping a component without a live
+//! bucket. A key row is either probed and paired — pass (i) probes its
+//! rows of `M` into the buckets holding it, pass (ii) intersects those
+//! buckets pair by pair for the tuples only buckets share — or, where that
+//! would cost more, walked: its holders' tuples under it are looked up in
+//! `M` and summed. Either way a key row costs at most a constant times the
+//! occurrences a drain of its holders' products under it would push, plus
+//! one index probe per row of `M`.
+//!
+//! Reads follow the parts. A lookup reads the parts alone and never
+//! settles: it probes `M` and adds the tuple's multiplicity in every
+//! bucket holding its key row, one probe per holder — so a key row that
+//! every bucket holds costs a probe per bucket. The positional reads use
+//! the settled layer: `count` is
+//! `|M| + Σ (Π|F| − |shared|)`; a component enumerates `M` in the order
+//! its rows first occurred (shard 0 first, then the tuples only buckets
+//! share), then the buckets in shard and heavy-key storage order,
+//! row-major, skipping shared positions — a function of the apply history
+//! alone, so engines that applied the same batches page identically,
+//! however often each was frozen or read. A seek is prefix counts plus
+//! one binary search in a shared list, `O(log #buckets + log |shared|)`,
+//! never `O(offset)`; positions are `u128` (five factors of 8,192 rows
+//! make 2⁶⁵ of them), counts saturate, and multiplicities saturate at
+//! `i64::MAX` (a result tuple's may exceed it).
 //!
 //! # How atomic validation is preserved
 //!
@@ -107,7 +124,7 @@
 //! single shard ([`ShardedEngine::num_shards`] reports the effective
 //! count).
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use ivme_data::{DeltaBatch, Tuple, Update, Value};
 use ivme_query::Query;
@@ -116,6 +133,14 @@ use crate::database::Database;
 use crate::engine::{EngineError, EngineOptions, EngineStats, IvmEngine, UpdateError};
 use crate::enumerate::{product_size, FreezeSink};
 use crate::shard::{Route, ShardRouter};
+
+#[cfg(test)]
+thread_local! {
+    /// Overlap settlements this thread ran ([`FrozenComponent::settle`] on
+    /// a component with buckets) — test support for pinning when, and how
+    /// often, a frozen component is settled.
+    static SETTLES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
 
 /// Upper bound on the shard count. Every shard is a complete
 /// [`IvmEngine`] with its own views and indexes, and the count reaches
@@ -456,9 +481,11 @@ impl ShardedEngine {
     /// stats the serving layer reports, without the engine and without
     /// any locking. Built from the merge cache, so the cost is the freeze
     /// of the changed components: their flat trees' occurrences plus
-    /// their live heavy keys' groups, never a heavy bucket's product.
-    /// Components untouched since the last snapshot are shared by `Arc`
-    /// clone, not rebuilt, and a quiescent engine pays `O(#components)`.
+    /// their live heavy keys' groups, never a heavy bucket's product, and
+    /// never the overlap settlement, which the first positional read of a
+    /// component pays (module docs). Components untouched since the last
+    /// snapshot are shared by `Arc` clone, not rebuilt, and a quiescent
+    /// engine pays `O(#components)`.
     /// Enumeration order within a component is the flat part in the order
     /// its rows first occurred, then the buckets (module docs). Freezing
     /// is something only the engine's single owner does, hence
@@ -649,7 +676,7 @@ impl MergedComponent {
         }
         match self.probe(hash, |held| held == row) {
             Ok(index) => {
-                self.mults[index] += m;
+                self.mults[index] = self.mults[index].saturating_add(m);
                 index
             }
             Err(at) => {
@@ -727,20 +754,22 @@ fn project<'a>(row: &'a [Value], cols: &[usize], out: &'a mut Vec<Value>) -> &'a
 }
 
 /// One component of a frozen result, held the way the engine holds it
-/// (module docs): `flat` sums the rows of the trees the engine
-/// materializes, and each of `buckets` keeps one live heavy key's
-/// factors, whose product is never formed.
+/// (module docs), in two layers.
 ///
-/// **Invariant:** a distinct tuple lives in exactly one place — a row of
-/// `flat`, or one position of one bucket. A tuple that two or more parts
-/// produce is a row of `flat` with the multiplicity summed over all of
-/// them, and every bucket producing it lists that position as shared and
-/// skips it.
+/// * The **parts**, which the writer freezes: `flat` sums the rows of the
+///   trees the engine materializes, each of `buckets` keeps one live heavy
+///   key's factors, whose product is never formed, and `keys`, `heads`
+///   and `holders` index the buckets by their key factor's rows. A
+///   lookup needs nothing more ([`FrozenComponent::get`]).
+/// * The **settled** layer ([`Settled`]): where each tuple lives, which a
+///   positional read needs. It is built on the first such read of this
+///   component version ([`FrozenComponent::settled`]), on the reader's
+///   thread, and every snapshot holding the component's `Arc` shares it.
 struct FrozenComponent {
     /// Positions of the component's variables in the query's free schema.
     positions: Vec<usize>,
-    /// The flat part `M`, in the order its rows first occurred, then the
-    /// tuples only buckets share, in the order they were found.
+    /// The flat trees' rows, in the order they first occurred, each with
+    /// its multiplicity summed over the flat trees alone.
     flat: MergedComponent,
     /// Per factor: the free positions it binds.
     factor_positions: Vec<Vec<usize>>,
@@ -758,10 +787,8 @@ struct FrozenComponent {
     /// factor)` pairs holding key row `k`, in bucket order.
     heads: Vec<usize>,
     holders: Vec<(usize, usize)>,
-    /// Per bucket: the distinct tuples enumerated before it, saturating.
-    starts: Vec<u128>,
-    /// Distinct tuples, saturating.
-    len: u128,
+    /// Where each tuple lives, once a positional read asked.
+    settled: OnceLock<Settled>,
 }
 
 /// One live heavy key of a frozen component.
@@ -771,17 +798,52 @@ struct Bucket {
     factors: Vec<MergedComponent>,
     /// `Π |factor|`, saturating at `u128::MAX`.
     size: u128,
-    /// Ascending row-major positions (first factor outermost) of this
-    /// bucket's tuples that live in `flat`.
-    shared: Vec<u128>,
+}
+
+/// Where each tuple of one frozen component lives: what
+/// [`FrozenComponent::settle`] builds from the parts, without changing
+/// them.
+///
+/// **Invariant:** a distinct tuple lives in exactly one place — a row of
+/// the *flat part* (`flat`'s rows, then `only`'s), or one position of one
+/// bucket. A tuple that two or more parts produce is a row of the flat
+/// part with the multiplicity summed over all of them, and every bucket
+/// producing it lists that position as shared and skips it.
+///
+/// It is sized by what settling finds, not by `flat`: only the rows of
+/// `flat` that a bucket also produces get an entry.
+struct Settled {
+    /// The rows of `flat` that a bucket also produces, ascending, each
+    /// with its multiplicity summed over every part producing it; every
+    /// other row of `flat` keeps its own.
+    summed: Vec<(usize, i64)>,
+    /// The tuples only buckets share, in the order they were found, with
+    /// their summed multiplicities.
+    only: MergedComponent,
+    /// Per bucket: the ascending row-major positions (first factor
+    /// outermost) of its tuples that live in the flat part.
+    shared: Vec<Vec<u128>>,
+    /// Per bucket: the distinct tuples enumerated before it, saturating.
+    starts: Vec<u128>,
+    /// Distinct tuples, saturating.
+    len: u128,
+}
+
+impl Settled {
+    /// Tuples enumerated from bucket `b` of `buckets`.
+    fn visible(&self, buckets: &[Bucket], b: usize) -> u128 {
+        buckets[b].size - self.shared[b].len() as u128
+    }
+
+    /// Records bucket `b`'s tuple at `digits` as living in the flat part
+    /// and returns its multiplicity there.
+    fn share(&mut self, bucket: &Bucket, b: usize, digits: &[usize]) -> i64 {
+        self.shared[b].extend(bucket.position(digits));
+        bucket.mult(digits)
+    }
 }
 
 impl Bucket {
-    /// Tuples enumerated from this bucket.
-    fn visible(&self) -> u128 {
-        self.size - self.shared.len() as u128
-    }
-
     /// The multiplicity in this bucket of the component row `row`, whose
     /// projection on the key factor is that factor's row `r`: every other
     /// factor is probed with its columns (`cols`), and `found(f, d)` told
@@ -799,26 +861,19 @@ impl Bucket {
             if f != key {
                 let d = factor.find(project(row, &cols[f], scratch))?;
                 found(f, d);
-                m *= factor.mults[d];
+                m = m.saturating_mul(factor.mults[d]);
             }
         }
         Some(m)
     }
 
-    /// The multiplicity of the tuple at the factor rows `digits`.
+    /// The multiplicity of the tuple at the factor rows `digits`,
+    /// saturating.
     fn mult(&self, digits: &[usize]) -> i64 {
         self.factors
             .iter()
             .zip(digits)
-            .map(|(f, &d)| f.mults[d])
-            .product()
-    }
-
-    /// Records the tuple at `digits` as living in the flat part and
-    /// returns its multiplicity here.
-    fn share(&mut self, digits: &[usize]) -> i64 {
-        self.shared.extend(self.position(digits));
-        self.mult(digits)
+            .fold(1i64, |m, (f, &d)| m.saturating_mul(f.mults[d]))
     }
 
     /// Tuples per row of factor `key`: the product of the others' sizes,
@@ -844,7 +899,8 @@ impl Bucket {
 }
 
 /// Collects one component's freeze from every shard ([`FreezeSink`]),
-/// then settles where each tuple lives ([`Freezer::finish`]).
+/// then indexes it into a [`FrozenComponent`]'s parts
+/// ([`Freezer::finish`]).
 struct Freezer {
     positions: Vec<usize>,
     factor_positions: Vec<Vec<usize>>,
@@ -885,9 +941,9 @@ impl Freezer {
         }
     }
 
-    /// Indexes the buckets by their key factor's rows and establishes the
-    /// invariant of [`FrozenComponent`] ([`FrozenComponent::settle`],
-    /// skipped without a live bucket).
+    /// Drops the rows that summed to zero and the buckets left empty, and
+    /// indexes the buckets by their key factor's rows. Nothing is settled
+    /// here: that waits for the component's first positional read.
     fn finish(self) -> FrozenComponent {
         let Freezer {
             positions,
@@ -920,11 +976,7 @@ impl Freezer {
                     .iter()
                     .try_fold(1u128, |n, f| n.checked_mul(f.len() as u128))
                     .unwrap_or(u128::MAX);
-                Some(Bucket {
-                    factors,
-                    size,
-                    shared: Vec::new(),
-                })
+                Some(Bucket { factors, size })
             })
             .collect();
 
@@ -952,7 +1004,7 @@ impl Freezer {
             fill[k] += 1;
         }
 
-        let mut c = FrozenComponent {
+        FrozenComponent {
             positions,
             flat,
             factor_positions,
@@ -962,25 +1014,8 @@ impl Freezer {
             keys,
             heads,
             holders,
-            starts: Vec::new(),
-            len: 0,
-        };
-        if !c.buckets.is_empty() {
-            c.settle();
+            settled: OnceLock::new(),
         }
-        let mut len = c.flat.len() as u128;
-        c.starts = c
-            .buckets
-            .iter_mut()
-            .map(|b| {
-                b.shared.sort_unstable();
-                let start = len;
-                len = len.saturating_add(b.visible());
-                start
-            })
-            .collect();
-        c.len = len;
-        c
     }
 }
 
@@ -990,10 +1025,36 @@ impl FrozenComponent {
         &self.holders[self.heads[k]..self.heads[k + 1]]
     }
 
-    /// Settles where every tuple a bucket produces lives. A tuple's key
-    /// row is shared by every part producing it, so each key row is
-    /// settled apart from the others, the cheaper of two ways
-    /// ([`FrozenComponent::walks`]):
+    /// The settled layer, built by the first caller
+    /// ([`FrozenComponent::settle`]); callers racing it wait for that one
+    /// settle and share its result.
+    fn settled(&self) -> &Settled {
+        self.settled.get_or_init(|| self.settle())
+    }
+
+    /// Rows of the flat part: `flat`'s, then the tuples only buckets
+    /// share.
+    fn flat_len(&self, s: &Settled) -> usize {
+        self.flat.len() + s.only.len()
+    }
+
+    /// The flat-part row under `cur` and its multiplicity summed over
+    /// every part producing it.
+    fn flat_row<'a>(&'a self, s: &'a Settled, cur: &Cursor) -> (&'a [Value], i64) {
+        let i = cur.row;
+        match i.checked_sub(self.flat.len()) {
+            None => match s.summed.get(cur.next_summed) {
+                Some(&(r, m)) if r == i => (self.flat.row(i), m),
+                _ => (self.flat.row(i), self.flat.mults[i]),
+            },
+            Some(j) => (s.only.row(j), s.only.mults[j]),
+        }
+    }
+
+    /// Settles where every tuple a bucket produces lives, then counts the
+    /// distinct tuples before each bucket. A tuple's key row is shared by
+    /// every part producing it, so each key row is settled apart from the
+    /// others, the cheaper of two ways ([`FrozenComponent::walks`]):
     ///
     /// * **probed and paired:** pass (i) probes each of its flat rows into
     ///   its holders, and on a hit adds that bucket's multiplicity to the
@@ -1005,17 +1066,47 @@ impl FrozenComponent {
     ///
     /// A key row thus never costs more than [`WALK_COST`] times the
     /// occurrences a drain of its holders' products under it would push,
-    /// plus one index probe per flat row.
-    fn settle(&mut self) {
-        let settled = self.flat.len();
+    /// plus one index probe per flat row. Without a bucket there is
+    /// nothing to settle: only the count is taken.
+    fn settle(&self) -> Settled {
+        let mut s = Settled {
+            summed: Vec::new(),
+            only: MergedComponent::with_capacity(self.positions.len(), 0),
+            shared: vec![Vec::new(); self.buckets.len()],
+            starts: Vec::new(),
+            len: 0,
+        };
+        if !self.buckets.is_empty() {
+            #[cfg(test)]
+            SETTLES.with(|n| n.set(n.get() + 1));
+            self.share_overlaps(&mut s);
+        }
+        let mut len = self.flat_len(&s) as u128;
+        for shared in &mut s.shared {
+            shared.sort_unstable();
+        }
+        s.starts = (0..self.buckets.len())
+            .map(|b| {
+                let start = len;
+                len = len.saturating_add(s.visible(&self.buckets, b));
+                start
+            })
+            .collect();
+        s.len = len;
+        s
+    }
+
+    /// The overlap passes of [`FrozenComponent::settle`], into `s`.
+    fn share_overlaps(&self, s: &mut Settled) {
         let mut scratch = Vec::new();
-        // The key row of each flat row (`usize::MAX`: no bucket holds it).
+        // The rows of `flat` whose key row some bucket holds, with it.
         let mut flat_rows = vec![0; self.keys.len()];
-        let key_of: Vec<usize> = (0..settled)
-            .map(|i| {
+        let keyed: Vec<(usize, usize)> = (0..self.flat.len())
+            .filter_map(|i| {
                 let key_row = project(self.flat.row(i), &self.factor_cols[self.key], &mut scratch);
-                let k = self.keys.find(key_row);
-                k.inspect(|&k| flat_rows[k] += 1).unwrap_or(usize::MAX)
+                let k = self.keys.find(key_row)?;
+                flat_rows[k] += 1;
+                Some((i, k))
             })
             .collect();
         let (mut pairs, mut sizes) = (Vec::new(), Vec::new());
@@ -1032,29 +1123,42 @@ impl FrozenComponent {
         }
         // Pass (i).
         let mut digits = vec![0; self.factor_cols.len()];
-        for (i, &k) in key_of.iter().enumerate() {
-            if k == usize::MAX || walked[k] {
+        for &(i, k) in &keyed {
+            if walked[k] {
                 continue;
             }
             let row = self.flat.row(i);
-            let mut extra = 0;
-            for &(b, r) in &self.holders[self.heads[k]..self.heads[k + 1]] {
+            let mut extra = None;
+            for &(b, r) in self.holders(k) {
                 digits[self.key] = r;
-                let bucket = &mut self.buckets[b];
+                let bucket = &self.buckets[b];
                 let found = |f, d| digits[f] = d;
                 let cols = &self.factor_cols;
                 if bucket
                     .locate(row, cols, (self.key, r), &mut scratch, found)
                     .is_some()
                 {
-                    extra += bucket.share(&digits);
+                    let m = s.share(bucket, b, &digits);
+                    extra = Some(extra.map_or(m, |e: i64| e.saturating_add(m)));
                 }
             }
-            self.flat.mults[i] += extra;
+            s.summed.extend(extra.map(|m| (i, m)));
         }
-        self.walk_key_rows(&walked, settled);
+        self.walk_key_rows(&walked, s);
+        // Each row's buckets summed, plus its own multiplicity.
+        s.summed.sort_unstable_by_key(|&(i, _)| i);
+        s.summed.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 = kept.1.saturating_add(later.1);
+            }
+            same
+        });
+        for (i, m) in &mut s.summed {
+            *m = m.saturating_add(self.flat.mults[*i]);
+        }
         // Pass (ii).
-        self.share_pairs(pairs);
+        self.share_pairs(pairs, s);
     }
 
     /// Whether key row `k`, the key row of `flat_rows` flat rows, is
@@ -1083,12 +1187,12 @@ impl FrozenComponent {
     }
 
     /// Walks every holder's tuples under each key row `k` with
-    /// `walked[k]`. A tuple that is a flat row (one of the first
-    /// `settled`) gets the bucket's multiplicity and the position is
-    /// recorded as shared, as pass (i) would; under a key row of two or
-    /// more holders the others are summed in a scratch table, and those
-    /// two or more buckets hold are appended, as pass (ii) would.
-    fn walk_key_rows(&mut self, walked: &[bool], settled: usize) {
+    /// `walked[k]`. A tuple that is a row of `flat` gets the bucket's
+    /// multiplicity and the position is recorded as shared, as pass (i)
+    /// would; under a key row of two or more holders the others are summed
+    /// in a scratch table, and those two or more buckets hold are appended
+    /// to `s.only`, as pass (ii) would.
+    fn walk_key_rows(&self, walked: &[bool], s: &mut Settled) {
         let nf = self.factor_cols.len();
         let (mut pick, mut digits) = (vec![0; nf], vec![0; nf]);
         let mut row = vec![Value::Int(0); self.positions.len()];
@@ -1118,9 +1222,9 @@ impl FrozenComponent {
                     }
                     let (m, p) = (bucket.mult(&digits), || bucket.position(&digits));
                     match self.flat.find(&row) {
-                        Some(i) if i < settled => hits.push((i, m, b, p())),
-                        _ if several => held.push((sums.add(&row, m), b, p())),
-                        _ => {}
+                        Some(i) => hits.push((i, m, b, p())),
+                        None if several => held.push((sums.add(&row, m), b, p())),
+                        None => {}
                     }
                     if !odometer(&mut pick, radix) {
                         break;
@@ -1128,8 +1232,8 @@ impl FrozenComponent {
                 }
             }
             for &(i, m, b, p) in &hits {
-                self.flat.mults[i] += m;
-                self.buckets[b].shared.extend(p);
+                s.summed.push((i, m));
+                s.shared[b].extend(p);
             }
             holders_of.clear();
             holders_of.resize(sums.len(), 0u32);
@@ -1138,12 +1242,12 @@ impl FrozenComponent {
             }
             for (t, &n) in holders_of.iter().enumerate() {
                 if n > 1 {
-                    self.flat.add(sums.row(t), sums.mults[t]);
+                    s.only.add(sums.row(t), sums.mults[t]);
                 }
             }
             for &(t, b, p) in &held {
                 if holders_of[t] > 1 {
-                    self.buckets[b].shared.extend(p);
+                    s.shared[b].extend(p);
                 }
             }
         }
@@ -1152,24 +1256,24 @@ impl FrozenComponent {
     /// Intersects `pairs` — `(x, y, row in x, row in y)` for key rows both
     /// buckets hold, `x < y` — sorted, so that each pair's other factors
     /// intersect once however many key rows it shares. A tuple is
-    /// appended by the first pair of its smallest holder `x`, which the
-    /// sort puts before every other pair holding it; `x`'s later pairs add
-    /// their `y`, and pairs without `x` skip it.
-    fn share_pairs(&mut self, mut pairs: Vec<(usize, usize, usize, usize)>) {
+    /// appended to `s.only` by the first pair of its smallest holder `x`,
+    /// which the sort puts before every other pair holding it; `x`'s later
+    /// pairs add their `y`, and pairs without `x` skip it.
+    fn share_pairs(&self, mut pairs: Vec<(usize, usize, usize, usize)>, s: &mut Settled) {
         pairs.sort_unstable();
         let (nf, key) = (self.factor_cols.len(), self.key);
-        let settled = self.flat.len();
-        let mut first_holder = Vec::new();
+        // The walks' rows: no pair holds them.
+        let mut first_holder = vec![usize::MAX; s.only.len()];
         let mut common: Vec<Vec<(usize, usize)>> = vec![Vec::new(); nf];
         let (mut pick, mut dx, mut dy) = (vec![0; nf], vec![0; nf], vec![0; nf]);
         let mut row = vec![Value::Int(0); self.positions.len()];
         for run in pairs.chunk_by(|p, q| (p.0, p.1) == (q.0, q.1)) {
             let (x, y) = (run[0].0, run[0].1);
+            let (bx, by) = (&self.buckets[x], &self.buckets[y]);
             let mut disjoint = false;
             for (f, rows) in common.iter_mut().enumerate() {
                 if f != key {
-                    let (fx, fy) = (&self.buckets[x].factors[f], &self.buckets[y].factors[f]);
-                    intersect(fx, fy, rows);
+                    intersect(&bx.factors[f], &by.factors[f], rows);
                     disjoint |= rows.is_empty();
                 }
             }
@@ -1183,23 +1287,24 @@ impl FrozenComponent {
                 loop {
                     for (f, rows) in common.iter().enumerate() {
                         (dx[f], dy[f]) = rows[pick[f]];
-                        let values = self.buckets[x].factors[f].row(dx[f]);
-                        for (&c, v) in self.factor_cols[f].iter().zip(values) {
+                        for (&c, v) in self.factor_cols[f].iter().zip(bx.factors[f].row(dx[f])) {
                             row[c].clone_from(v);
                         }
                     }
-                    match self.flat.find(&row) {
-                        // Settled by pass (i).
-                        Some(i) if i < settled => {}
-                        Some(i) => {
-                            if first_holder[i - settled] == x {
-                                self.flat.mults[i] += self.buckets[y].share(&dy);
+                    // A row of `flat` was settled by pass (i).
+                    if self.flat.find(&row).is_none() {
+                        match s.only.find(&row) {
+                            Some(i) => {
+                                if first_holder[i] == x {
+                                    let m = s.share(by, y, &dy);
+                                    s.only.mults[i] = s.only.mults[i].saturating_add(m);
+                                }
                             }
-                        }
-                        None => {
-                            let m = self.buckets[x].share(&dx) + self.buckets[y].share(&dy);
-                            self.flat.add(&row, m);
-                            first_holder.push(x);
+                            None => {
+                                let m = s.share(bx, x, &dx).saturating_add(s.share(by, y, &dy));
+                                s.only.add(&row, m);
+                                first_holder.push(x);
+                            }
                         }
                     }
                     if !odometer(&mut pick, |f| common[f].len()) {
@@ -1256,10 +1361,13 @@ struct Cursor {
     pos: u128,
     /// The first of the bucket's shared positions not before `pos`.
     next_shared: usize,
+    /// In the flat part: the first of the summed rows not before `row`.
+    next_summed: usize,
 }
 
 impl FrozenComponent {
-    /// Factor rows held, over the flat part and every bucket.
+    /// Factor rows the writer froze, over `flat` and every bucket (the
+    /// settled layer's rows are not counted).
     fn stored_rows(&self) -> usize {
         let factors: usize = self
             .buckets
@@ -1270,28 +1378,34 @@ impl FrozenComponent {
         self.flat.len() + factors
     }
 
+    /// Distinct tuples, saturating; settles.
+    fn len(&self) -> u128 {
+        self.settled().len
+    }
+
     /// Points `cur` at the `k`-th distinct tuple; `false` past the end.
-    /// `O(log #buckets + log |shared|)`, never `O(k)`.
+    /// `O(log #buckets + log |shared|)`, never `O(k)`, once settled.
     fn seek(&self, k: u128, cur: &mut Cursor) -> bool {
-        if k >= self.len {
+        let s = self.settled();
+        if k >= s.len {
             return false;
         }
-        if k < self.flat.len() as u128 {
+        if k < self.flat_len(s) as u128 {
             cur.bucket = None;
             cur.row = k as usize;
+            cur.next_summed = s.summed.partition_point(|&(i, _)| i < cur.row);
             return true;
         }
-        let b = self.starts.partition_point(|&s| s <= k) - 1;
-        self.place(b, k - self.starts[b], cur);
+        let b = s.starts.partition_point(|&start| start <= k) - 1;
+        self.place(s, b, k - s.starts[b], cur);
         true
     }
 
     /// Points `cur` at bucket `b`'s `k`-th unshared position: `k` plus
     /// the number of shared positions before it, found by one binary
     /// search because `shared[i] − i` never decreases.
-    fn place(&self, b: usize, k: u128, cur: &mut Cursor) {
-        let bucket = &self.buckets[b];
-        let shared = &bucket.shared;
+    fn place(&self, s: &Settled, b: usize, k: u128, cur: &mut Cursor) {
+        let shared = &s.shared[b];
         let (mut lo, mut hi) = (0, shared.len());
         while lo < hi {
             let mid = (lo + hi) / 2;
@@ -1305,8 +1419,9 @@ impl FrozenComponent {
         cur.bucket = Some(b);
         cur.pos = rem;
         cur.next_shared = lo;
-        cur.digits.resize(bucket.factors.len(), 0);
-        for (d, f) in cur.digits.iter_mut().zip(&bucket.factors).rev() {
+        let factors = &self.buckets[b].factors;
+        cur.digits.resize(factors.len(), 0);
+        for (d, f) in cur.digits.iter_mut().zip(factors).rev() {
             let n = f.len() as u128;
             *d = (rem % n) as usize;
             rem /= n;
@@ -1315,10 +1430,10 @@ impl FrozenComponent {
 
     /// Points `cur` at the first bucket from `b` on that enumerates
     /// anything; `false` when none does.
-    fn enter(&self, b: usize, cur: &mut Cursor) -> bool {
-        match (b..self.buckets.len()).find(|&b| self.buckets[b].visible() > 0) {
+    fn enter(&self, s: &Settled, b: usize, cur: &mut Cursor) -> bool {
+        match (b..self.buckets.len()).find(|&b| s.visible(&self.buckets, b) > 0) {
             Some(b) => {
-                self.place(b, 0, cur);
+                self.place(s, b, 0, cur);
                 true
             }
             None => false,
@@ -1327,15 +1442,22 @@ impl FrozenComponent {
 
     /// Moves `cur` to the next distinct tuple; `false` at the end.
     fn advance(&self, cur: &mut Cursor) -> bool {
+        let s = self.settled();
         let Some(b) = cur.bucket else {
+            if s.summed
+                .get(cur.next_summed)
+                .is_some_and(|&(i, _)| i == cur.row)
+            {
+                cur.next_summed += 1;
+            }
             cur.row += 1;
-            return cur.row < self.flat.len() || self.enter(0, cur);
+            return cur.row < self.flat_len(s) || self.enter(s, 0, cur);
         };
         let factors = &self.buckets[b].factors;
-        let shared = &self.buckets[b].shared;
+        let shared = &s.shared[b];
         loop {
             if !odometer(&mut cur.digits, |f| factors[f].len()) {
-                return self.enter(b + 1, cur);
+                return self.enter(s, b + 1, cur);
             }
             cur.pos += 1;
             if shared.get(cur.next_shared) != Some(&cur.pos) {
@@ -1349,10 +1471,11 @@ impl FrozenComponent {
     /// and returns its multiplicity.
     fn write(&self, cur: &Cursor, buf: &mut [Value]) -> i64 {
         let Some(b) = cur.bucket else {
-            for (&p, v) in self.positions.iter().zip(self.flat.row(cur.row)) {
+            let (row, m) = self.flat_row(self.settled(), cur);
+            for (&p, v) in self.positions.iter().zip(row) {
                 buf[p].clone_from(v);
             }
-            return self.flat.mults[cur.row];
+            return m;
         };
         let mut m = 1i64;
         let factors = &self.buckets[b].factors;
@@ -1360,34 +1483,33 @@ impl FrozenComponent {
             for (&p, v) in fp.iter().zip(f.row(d)) {
                 buf[p].clone_from(v);
             }
-            m *= f.mults[d];
+            m = m.saturating_mul(f.mults[d]);
         }
         m
     }
 
-    /// Multiplicity of the component row `t` (0 when absent): the flat
-    /// part first, otherwise the one bucket holding it, found through the
-    /// key factor's index.
+    /// Multiplicity of the component row `t` (0 when absent), read from
+    /// the parts, so it never settles: its row of `flat`, plus its
+    /// multiplicity in every bucket holding its key row, saturating. A
+    /// lookup is one flat probe, one key probe and one [`Bucket::locate`]
+    /// per holder of its key row — at most the number of buckets.
     fn get(&self, t: &Tuple) -> i64 {
-        let m = self.flat.get(t);
-        if m != 0 || self.buckets.is_empty() {
-            return m;
+        let own = self.flat.get(t);
+        if self.buckets.is_empty() {
+            return own;
         }
         let mut scratch = Vec::new();
-        let Some(k) = self.keys.find(project(
-            t.values(),
-            &self.factor_cols[self.key],
-            &mut scratch,
-        )) else {
-            return 0;
+        let key_row = project(t.values(), &self.factor_cols[self.key], &mut scratch);
+        let Some(k) = self.keys.find(key_row) else {
+            return own;
         };
         self.holders(k)
             .iter()
-            .find_map(|&(b, r)| {
+            .filter_map(|&(b, r)| {
                 let cols = &self.factor_cols;
                 self.buckets[b].locate(t.values(), cols, (self.key, r), &mut scratch, |_, _| {})
             })
-            .unwrap_or(0)
+            .fold(own, i64::saturating_add)
     }
 }
 
@@ -1395,17 +1517,20 @@ impl FrozenComponent {
 /// one commit point: the lock-free serving read surface.
 ///
 /// Every method takes `&self` and touches only owned/`Arc`-shared data —
-/// no interior locking, no engine access — so an arbitrary number of
-/// reader threads can serve `enumerate`/`count_distinct`/`multiplicity`/
-/// `enumerate_page`/`result_sorted` from one snapshot while the writer
-/// mutates the engine and publishes fresh snapshots. A snapshot is
-/// **frozen**: it answers every read with the result as of capture time,
-/// forever, regardless of how many batches commit after it.
+/// no engine access — so an arbitrary number of reader threads can serve
+/// `enumerate`/`count_distinct`/`multiplicity`/`enumerate_page`/
+/// `result_sorted` from one snapshot while the writer mutates the engine
+/// and publishes fresh snapshots. The one wait: readers racing the first
+/// positional read of a component version wait for its one settle
+/// (module docs). A snapshot is **frozen**: it answers every read with
+/// the result as of capture time, forever, regardless of how many batches
+/// commit after it.
 ///
 /// Capture is cheap ([`ShardedEngine::snapshot`]): components untouched
 /// since the previous capture are shared between snapshots by `Arc`
 /// clone, and a changed one is frozen in the engine's own factorized
-/// form, so a capture never costs `O(result)` for the heavy buckets.
+/// form and left unsettled, so a capture never costs `O(result)` for the
+/// heavy buckets, nor a probe of the flat part into them.
 pub struct ShardedSnapshot {
     epoch: u64,
     free_arity: usize,
@@ -1452,9 +1577,10 @@ impl ShardedSnapshot {
         &self.shard_relation_sizes
     }
 
-    /// Rows the snapshot holds: every component's flat rows plus its
-    /// buckets' factor rows — what freezing it wrote, where the result
-    /// has [`count_distinct`](Self::count_distinct) tuples.
+    /// Rows the writer froze into the snapshot: every component's flat-tree
+    /// rows plus its buckets' factor rows, where the result has
+    /// [`count_distinct`](Self::count_distinct) tuples. What a positional
+    /// read settles later (the tuples only buckets share) is not counted.
     pub fn stored_rows(&self) -> usize {
         self.comps.iter().map(|c| c.stored_rows()).sum()
     }
@@ -1463,26 +1589,29 @@ impl ShardedSnapshot {
     /// multiplicities: the odometer product across the frozen components,
     /// each walked flat part first, then bucket by bucket through its
     /// factors, skipping the shared positions — no table probe, one
-    /// `Tuple` built per item, `O(1)` to the first tuple.
+    /// `Tuple` built per item, `O(1)` to the first tuple once the
+    /// components are settled (a positional read: the first settles).
     pub fn enumerate(&self) -> MergedResultIter {
         MergedResultIter::new(self.comps.clone(), self.free_arity)
     }
 
     /// Number of distinct result tuples in the frozen result: the product
     /// of the per-component distinct counts (`|M| + Σ (Π|F| − |shared|)`,
-    /// so no product is walked), saturating at `usize::MAX`.
+    /// so no product is walked), saturating at `usize::MAX`. A positional
+    /// read: the first settles.
     pub fn count_distinct(&self) -> usize {
         product_size(
             self.comps
                 .iter()
-                .map(|c| usize::try_from(c.len).unwrap_or(usize::MAX)),
+                .map(|c| usize::try_from(c.len()).unwrap_or(usize::MAX)),
         )
     }
 
     /// Multiplicity of one fully-specified result tuple in the frozen
-    /// result: per component, a probe of the flat part or of the one
-    /// bucket holding it; the product across components. Wrong-arity
-    /// tuples report 0.
+    /// result: per component, a probe of the flat part plus the tuple's
+    /// multiplicity in every bucket holding its key row, so it never
+    /// settles; the product across components, saturating at `i64::MAX`.
+    /// Wrong-arity tuples report 0.
     pub fn multiplicity(&self, tuple: &Tuple) -> i64 {
         if tuple.arity() != self.free_arity {
             return 0;
@@ -1493,7 +1622,7 @@ impl ShardedSnapshot {
             if m == 0 {
                 return 0;
             }
-            total *= m;
+            total = total.saturating_mul(m);
         }
         total
     }
@@ -1508,7 +1637,7 @@ impl ShardedSnapshot {
     /// `offset` over the components, then per component prefix counts
     /// and one binary search in a shared list — independent of `offset`.
     /// Page boundaries are stable for the lifetime of the snapshot by
-    /// construction.
+    /// construction. A positional read: the first settles.
     pub fn enumerate_page(&self, offset: usize, limit: usize) -> Vec<(Tuple, i64)> {
         self.enumerate().page(offset, limit)
     }
@@ -1583,8 +1712,9 @@ impl MergedResultIter {
         // past `u128`.
         let mut rem = offset as u128;
         for (c, cur) in self.comps.iter().zip(&mut self.cursors).rev() {
-            c.seek(rem % c.len, cur);
-            rem /= c.len;
+            let n = c.len();
+            c.seek(rem % n, cur);
+            rem /= n;
         }
         if rem != 0 {
             self.dead = true;
@@ -1626,17 +1756,15 @@ impl Iterator for MergedResultIter {
         }
         self.primed = true;
         if self.direct {
-            if let Cursor {
-                bucket: None, row, ..
-            } = self.cursors[0]
-            {
-                let flat = &self.comps[0].flat;
-                return Some((Tuple::from_slice(flat.row(row)), flat.mults[row]));
+            let (c, cur) = (&self.comps[0], &self.cursors[0]);
+            if cur.bucket.is_none() {
+                let (values, m) = c.flat_row(c.settled(), cur);
+                return Some((Tuple::from_slice(values), m));
             }
         }
         let mut mult = 1i64;
         for (c, cur) in self.comps.iter().zip(&self.cursors) {
-            mult *= c.write(cur, &mut self.buf);
+            mult = mult.saturating_mul(c.write(cur, &mut self.buf));
         }
         Some((Tuple::from_slice(&self.buf), mult))
     }
@@ -1689,6 +1817,131 @@ mod tests {
         assert_eq!(first.result_sorted(), before);
         assert_eq!(second.result_sorted(), before);
         assert_eq!(before.len() + 3, third.count_distinct());
+    }
+
+    /// Settles this thread has run.
+    fn settles() -> u64 {
+        SETTLES.with(|n| n.get())
+    }
+
+    /// A two-path over `R(A,B)`, `S(B,C)` (or any two relations) with the
+    /// join values 1, 3 and 4 of `n + 1` `A`s and `C`s each, which all
+    /// produce `(19, 59)`, and the light 2, which produces it too.
+    fn shared_two_path(db: &mut Database, (r, s): (&str, &str), n: i64) {
+        for b in [1, 3, 4] {
+            let (a, c) = (100 * b, 100 * b + 50);
+            put(
+                db,
+                b,
+                &[(r, false, run(&[19], a, n)), (s, true, run(&[59], c, n))],
+            );
+        }
+        put(db, 2, &[(r, false, vec![19, 7]), (s, true, vec![59, 8])]);
+    }
+
+    /// A publish settles nothing; a component version settles once, on
+    /// its first positional read, and only if it has buckets. Lookups,
+    /// later reads and components a batch left alone settle nothing.
+    #[test]
+    fn a_component_version_settles_once_on_its_first_positional_read() {
+        let src = "Q(A,C,D,F,G) :- R(A,B), S(B,C), T(D,E), U(E,F), V(G)";
+        let q = ivme_query::parse_query(src).unwrap();
+        let mut db = Database::new();
+        // A result of about 100 · 100 · 2 tuples, so heavy keys of six
+        // tuples need a low threshold: ε = ¼.
+        shared_two_path(&mut db, ("R", "S"), 5);
+        shared_two_path(&mut db, ("T", "U"), 5);
+        db.insert_ints("V", &[&[1], &[2]]);
+        let mut eng = ShardedEngine::new(&q, &db, EngineOptions::dynamic(0.25), 1).unwrap();
+
+        let at = settles();
+        let snap = eng.snapshot(0);
+        assert_eq!(settles(), at, "snapshot()");
+        let with_buckets = snap.comps.iter().filter(|c| !c.buckets.is_empty());
+        assert_eq!(with_buckets.count(), 2, "two two-paths with heavy keys");
+        let probe = Tuple::ints(&[19, 59, 19, 59, 1]);
+        assert_eq!(snap.multiplicity(&probe), 4 * 4);
+        assert!(!snap.contains(&Tuple::ints(&[19, 59, 19, 59, 3])));
+        assert_eq!(settles(), at, "multiplicity on a fresh snapshot");
+        let n = snap.count_distinct();
+        assert_eq!(settles(), at + 2, "first positional read");
+        assert_eq!(snap.count_distinct(), n);
+        assert_eq!(snap.enumerate().count(), n);
+        assert_eq!(snap.enumerate_page(n - 2, 5).len(), 2);
+        assert_eq!(snap.result_sorted(), brute_force(&q, &db));
+        assert_eq!(snap.multiplicity(&probe), 4 * 4);
+        assert_eq!(settles(), at + 2, "repeated reads");
+
+        // A batch into R: only the R–S component is a new version.
+        eng.insert("R", Tuple::ints(&[900, 1])).unwrap();
+        db.apply("R", Tuple::ints(&[900, 1]), 1);
+        let at = settles();
+        let snap = eng.snapshot(1);
+        assert_eq!(settles(), at, "snapshot() after a batch");
+        assert_eq!(snap.enumerate_page(0, 3).len(), 3);
+        assert_eq!(settles(), at + 1, "first positional read after a batch");
+
+        // A batch into V: its component has no buckets to settle.
+        eng.insert("V", Tuple::ints(&[3])).unwrap();
+        db.apply("V", Tuple::ints(&[3]), 1);
+        let at = settles();
+        let snap = eng.snapshot(2);
+        assert_eq!(snap.result_sorted(), brute_force(&q, &db));
+        assert_eq!(settles(), at, "a component without buckets");
+    }
+
+    /// The answers to a reader's positional reads: `count`, a full
+    /// enumeration, a page from the middle and the sorted result.
+    type Reads = [Vec<(Tuple, i64)>; 4];
+
+    /// Issues the reads of [`Reads`] on `snap`, read `first` first.
+    fn positional_reads(snap: &ShardedSnapshot, first: usize) -> Reads {
+        let mut out = Reads::default();
+        for read in (0..4).map(|i| (first + i) % 4) {
+            out[read] = match read {
+                0 => vec![(Tuple::empty(), snap.count_distinct() as i64)],
+                1 => snap.enumerate().collect(),
+                2 => snap.enumerate_page(snap.enumerate().count() / 2, 7),
+                _ => snap.result_sorted(),
+            };
+        }
+        out
+    }
+
+    /// Four threads race the first positional reads of one fresh
+    /// snapshot, each starting with another read: each gets what an
+    /// identical, single-threaded snapshot answers, and the component is
+    /// settled once among them.
+    #[test]
+    fn racing_first_reads_settle_once_and_agree() {
+        let q = ivme_query::parse_query(TWO_PATH).unwrap();
+        let mut db = Database::new();
+        shared_two_path(&mut db, ("R", "S"), 19);
+        let opts = EngineOptions::dynamic(0.5);
+        let single = ShardedEngine::new(&q, &db, opts, 1).unwrap().snapshot(0);
+        let want = positional_reads(&single, 0);
+        let fresh = ShardedEngine::new(&q, &db, opts, 1).unwrap().snapshot(0);
+        assert!(!fresh.comps[0].buckets.is_empty());
+        let barrier = std::sync::Barrier::new(4);
+        let raced: Vec<(Reads, u64)> = std::thread::scope(|scope| {
+            let threads: Vec<_> = (0..4)
+                .map(|first| {
+                    let (fresh, barrier) = (&fresh, &barrier);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        let at = settles();
+                        let got = positional_reads(fresh, first);
+                        (got, settles() - at)
+                    })
+                })
+                .collect();
+            threads.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        for (first, (got, _)) in raced.iter().enumerate() {
+            assert_eq!(*got, want, "thread {first}");
+        }
+        assert_eq!(raced.iter().map(|(_, n)| n).sum::<u64>(), 1);
+        assert_eq!(fresh.result_sorted(), brute_force(&q, &db));
     }
 
     /// 40,000 rows any client can load make a result of 8000⁵ ≈ 3.3·10¹⁹
@@ -1748,15 +2001,33 @@ mod tests {
         }
     }
 
-    /// Every read of `snap` against the brute-force result `want` (sorted):
-    /// the shared lists are non-empty (so nothing passes vacuously), then
-    /// the count, every page of 7 against `enumerate()`'s sequence,
-    /// `multiplicity` of every tuple and of absent probes, and pages that
-    /// seek to, and beside, every shared position.
+    /// `multiplicity` of every tuple of `want` and of absent probes: the
+    /// same tuple with one value moved off every domain.
+    fn check_multiplicities(snap: &ShardedSnapshot, want: &[(Tuple, i64)], ctx: &str) {
+        for (t, m) in want {
+            assert_eq!(snap.multiplicity(t), *m, "{ctx}: {t:?}");
+            for i in 0..t.arity() {
+                let mut vals = t.values().to_vec();
+                vals[i] = Value::Int(vals[i].as_int() + 1_000);
+                assert_eq!(snap.multiplicity(&Tuple::new(vals)), 0, "{ctx}");
+            }
+        }
+    }
+
+    /// Every read of the fresh snapshot `snap` against the brute-force
+    /// result `want` (sorted): `multiplicity` while nothing is settled;
+    /// then the shared lists are non-empty (so nothing passes vacuously),
+    /// the count, every page of 7 against `enumerate()`'s sequence and
+    /// pages that seek to, and beside, every shared position; then
+    /// `multiplicity` again, settled.
     fn check_frozen(snap: &ShardedSnapshot, want: &[(Tuple, i64)], ctx: &str) {
         let c = &snap.comps[0];
+        assert!(c.settled.get().is_none(), "{ctx}: settled by the freeze");
+        check_multiplicities(snap, want, &format!("{ctx}, unsettled"));
+        assert!(c.settled.get().is_none(), "{ctx}: settled by a lookup");
+        let s = c.settled();
         assert!(
-            c.buckets.iter().any(|b| !b.shared.is_empty()),
+            s.shared.iter().any(|shared| !shared.is_empty()),
             "{ctx}: no bucket shares a tuple"
         );
         assert_eq!(snap.result_sorted(), want, "{ctx}: result");
@@ -1766,25 +2037,17 @@ mod tests {
         for at in 0..=seq.len() + 1 {
             assert_eq!(snap.enumerate_page(at, 7), from(at, 7), "{ctx}: page {at}");
         }
-        for (t, m) in want {
-            assert_eq!(snap.multiplicity(t), *m, "{ctx}: {t:?}");
-            // The same tuple with one value moved off every domain.
-            for i in 0..t.arity() {
-                let mut vals = t.values().to_vec();
-                vals[i] = Value::Int(vals[i].as_int() + 1_000);
-                assert_eq!(snap.multiplicity(&Tuple::new(vals)), 0, "{ctx}");
-            }
-        }
-        for (b, bucket) in c.buckets.iter().enumerate() {
-            for (j, &p) in bucket.shared.iter().enumerate() {
+        for (b, shared) in s.shared.iter().enumerate() {
+            for (j, &p) in shared.iter().enumerate() {
                 // The enumeration index of the first unshared position at
                 // or after `p`, and its neighbours.
-                let k = (c.starts[b] + p - j as u128) as usize;
+                let k = (s.starts[b] + p - j as u128) as usize;
                 for at in k.saturating_sub(1)..=k + 1 {
                     assert_eq!(snap.enumerate_page(at, 3), from(at, 3), "{ctx}: seek {at}");
                 }
             }
         }
+        check_multiplicities(snap, want, &format!("{ctx}, settled"));
     }
 
     /// Under the join value `b`, each `(relation, b first, values)` gets
@@ -2108,7 +2371,7 @@ mod tests {
             .snapshot(0);
         let c = &snap.comps[0];
         assert_eq!((c.flat.len(), c.buckets.len()), (0, 3));
-        assert!(c.len > 1 << 64);
+        assert!(c.len() > 1 << 64);
         assert_eq!(snap.count_distinct(), usize::MAX);
         for offset in [0, usize::MAX / 2, usize::MAX - 1] {
             let page = snap.enumerate_page(offset, 3);

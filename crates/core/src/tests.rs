@@ -518,3 +518,43 @@ fn engine_stats_and_introspection() {
     assert_eq!(eng.epsilon(), 0.5);
     assert_eq!(eng.plan().components.len(), 1);
 }
+
+/// `Q() :- R1(A1), …, R8(A8)` over 256 unit tuples each: the one result
+/// tuple `()` has multiplicity 256⁸ = 2⁶⁴, past `i64`. Every read
+/// saturates at `i64::MAX` — never a wrapped 0 that would drop `()` from
+/// the result, nor a debug overflow panic on a reader — on the engine's
+/// own reads and on a snapshot's, while `count` stays 1.
+#[test]
+fn a_multiplicity_past_i64_saturates_on_every_read() {
+    use crate::sharded::ShardedEngine;
+    let src = "Q() :- R1(A1), R2(A2), R3(A3), R4(A4), R5(A5), R6(A6), R7(A7), R8(A8)";
+    let mut db = Database::new();
+    for r in 1..=8 {
+        for a in 0..256 {
+            db.insert(&format!("R{r}"), Tuple::ints(&[a]), 1);
+        }
+    }
+    let unit = Tuple::empty();
+    let want = vec![(unit.clone(), i64::MAX)];
+    for eps in [0.0, 0.5, 1.0] {
+        let opts = EngineOptions::dynamic(eps);
+        let eng = IvmEngine::from_sql(src, &db, opts).unwrap();
+        assert_eq!(eng.multiplicity(&unit), i64::MAX, "engine ε = {eps}");
+        assert_eq!(
+            eng.enumerate().collect::<Vec<_>>(),
+            want,
+            "engine ε = {eps}"
+        );
+        assert_eq!(eng.count_distinct(), 1, "engine ε = {eps}");
+        let snap = ShardedEngine::from_sql(src, &db, opts, 1)
+            .unwrap()
+            .snapshot(0);
+        assert_eq!(snap.multiplicity(&unit), i64::MAX, "snapshot ε = {eps}");
+        assert_eq!(
+            snap.enumerate().collect::<Vec<_>>(),
+            want,
+            "snapshot ε = {eps}"
+        );
+        assert_eq!(snap.count_distinct(), 1, "snapshot ε = {eps}");
+    }
+}

@@ -19,17 +19,21 @@
 //! `ShardedEngine::apply_delta_batch`, and a `snapshot()` after every
 //! batch. Prints apply and snapshot µs/round, the walk alone (every
 //! shard's `freeze_component` into a counting sink, timed in the same
-//! rounds: snapshot minus walk is what the tables and the overlap passes
-//! cost), tuples/round, the rows the snapshot holds (flat rows plus
-//! factor rows: what a freeze writes), the occurrences those stand for
-//! (what a drain of every bucket's product would push) and the heavy
-//! keys, so a change to the publish path is iterated in seconds.
+//! rounds: snapshot minus walk is what the tables and the index cost),
+//! the snapshot's first `count_distinct()` (the settle on first read: the
+//! overlap passes, run once per component version on the reader's side),
+//! the mean `multiplicity` of a fixed probe set on each fresh snapshot,
+//! before that first read, tuples/round, the rows the writer froze (flat rows plus factor rows),
+//! the occurrences those stand for (what a drain of every bucket's
+//! product would push) and the heavy keys, so a change to the publish
+//! path is iterated in seconds.
 //!
 //! `--publish-hub [n] [shards]` mode (default: n = 4,096, one shard): the
 //! same rounds on an adversarial two-path at ε = ¼, where one `A` value is
 //! in every heavy bucket and in `n` light rows (`publish_hub`) — the
 //! shape on which a freeze must walk a key row's buckets rather than
-//! probe each light row into each of them.
+//! probe each light row into each of them. Its probes are the hub's
+//! tuples, so each lookup visits every bucket.
 
 use std::time::{Duration, Instant};
 
@@ -85,7 +89,8 @@ fn publish(eps: f64, shards: usize) {
         inv
     });
     let palindrome: Vec<DeltaBatch> = forward.iter().cloned().chain(retract).collect();
-    time_publish(&format!("eps {eps}"), eng, &palindrome);
+    let probes: Vec<Tuple> = (0..256).map(|i| Tuple::ints(&[i / 16, i % 16])).collect();
+    time_publish(&format!("eps {eps}"), eng, &palindrome, &probes);
 }
 
 /// The `--publish-hub` loop: a two-path at ε = ¼ where one `A` value, the
@@ -120,13 +125,17 @@ fn publish_hub(n: i64, shards: usize) {
             batch
         })
         .collect();
-    time_publish(&format!("hub n {n}, eps 0.25"), eng, &toggle);
+    // The hub's tuples through the buckets: each key row is in them all.
+    let probes: Vec<Tuple> = (0..=heavy).map(|c| Tuple::ints(&[0, c])).collect();
+    time_publish(&format!("hub n {n}, eps 0.25"), eng, &toggle, &probes);
 }
 
 /// Applies `batches` three times over with a `snapshot()` after each, and
-/// prints what the rounds cost.
-fn time_publish(label: &str, mut eng: ShardedEngine, batches: &[DeltaBatch]) {
+/// prints what the rounds cost; `probes` are looked up in each fresh
+/// snapshot before its first positional read.
+fn time_publish(label: &str, mut eng: ShardedEngine, batches: &[DeltaBatch], probes: &[Tuple]) {
     let (mut t_apply, mut t_snap, mut t_walk) = (Duration::ZERO, Duration::ZERO, Duration::ZERO);
+    let (mut t_settle, mut t_lookup, mut found) = (Duration::ZERO, Duration::ZERO, 0i64);
     let (mut rounds, mut tuples, mut rows, mut heavy) = (0u64, 0usize, 0usize, 0usize);
     let mut occurrences = Occurrences::default();
     for _ in 0..3 {
@@ -138,7 +147,14 @@ fn time_publish(label: &str, mut eng: ShardedEngine, batches: &[DeltaBatch]) {
             let t0 = Instant::now();
             let snap = eng.snapshot(rounds);
             t_snap += t0.elapsed();
+            let t0 = Instant::now();
+            for t in probes {
+                found = found.saturating_add(snap.multiplicity(t));
+            }
+            t_lookup += t0.elapsed();
+            let t0 = Instant::now();
             tuples += snap.count_distinct();
+            t_settle += t0.elapsed();
             rows += snap.stored_rows();
             let t0 = Instant::now();
             for s in 0..eng.num_shards() {
@@ -154,12 +170,16 @@ fn time_publish(label: &str, mut eng: ShardedEngine, batches: &[DeltaBatch]) {
     let per_round = |d: Duration| d.as_secs_f64() * 1e6 / rounds as f64;
     println!(
         "{label}, {} shard(s), {rounds} rounds: apply {:.0} us/round, \
-         snapshot {:.0} us/round (walk alone {:.0}), {} tuples/round, {} rows written/round \
-         for {} occurrences/round, {} heavy keys",
+         snapshot {:.0} us/round (walk alone {:.0}), settle on first read {:.0} us/round, \
+         lookup on a fresh snapshot {:.0} ns ({} probes, multiplicity sum {found}), \
+         {} tuples/round, {} rows written/round for {} occurrences/round, {} heavy keys",
         eng.num_shards(),
         per_round(t_apply),
         per_round(t_snap),
         per_round(t_walk),
+        per_round(t_settle),
+        t_lookup.as_secs_f64() * 1e9 / (rounds as f64 * probes.len() as f64),
+        probes.len(),
         tuples / rounds as usize,
         rows / rounds as usize,
         occurrences.total / rounds as usize,
