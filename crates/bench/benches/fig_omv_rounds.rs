@@ -230,9 +230,9 @@ fn main() {
     //
     // This sweep is the evidence ROADMAP item 9 closed on: on a 2-vCPU box
     // S = 2 runs at 0.80–0.84x of S = 1 for k = 64 and 0.84–0.89x for
-    // k = 1,000, so `.shards 1` stays the default. What would reopen it: a
-    // box with at least 4 cores where a threaded S = 2 beats this
-    // sequential one.
+    // k = 1,000, so the shell and the server run one engine. What would
+    // reopen it: a box with at least 4 cores where a threaded S = 2 beats
+    // this sequential one.
     // ------------------------------------------------------------------
     let (ks, budget): (&[usize], Duration) = if quick() {
         (&[64, 1_000], Duration::from_millis(300))

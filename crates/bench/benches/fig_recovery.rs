@@ -96,7 +96,7 @@ fn start(dir: Option<&Path>, fsync: FsyncMode, snapshot_every: u64) -> Server {
 /// Runs the workload's setup script over the wire; returns the request
 /// count (== the number of commit rounds the setup produced).
 fn run_setup(addr: std::net::SocketAddr, wl: &RecoveryWorkload) -> usize {
-    let text = wl.setup_script(1);
+    let text = wl.setup_script();
     let requests = text.lines().count();
     let mut admin = Client::connect(addr).expect("admin connect");
     let errors = admin
@@ -193,7 +193,7 @@ fn main() {
     // Phase 2: recovery time vs WAL length (no checkpoints).
     // ------------------------------------------------------------------
     println!("\n# phase 2 — crash recovery, whole history in the WAL (--snapshot-every 0):");
-    let setup_rounds = wl.setup_script(1).lines().count() as u64;
+    let setup_rounds = wl.setup_script().lines().count() as u64;
     let mut full_ms = 0.0;
     for &rounds in sh.recovery_rounds {
         let dir = bench_dir(&format!("rec{rounds}"));

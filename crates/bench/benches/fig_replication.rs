@@ -121,7 +121,7 @@ fn start_replica(primary: SocketAddr) -> Replica {
 /// Runs the workload's setup script over the wire; returns the request
 /// count (== the number of commit rounds the setup produced).
 fn run_setup(addr: SocketAddr, wl: &RecoveryWorkload) -> usize {
-    let text = wl.setup_script(1);
+    let text = wl.setup_script();
     let requests = text.lines().count();
     let mut admin = Client::connect(addr).expect("admin connect");
     let errors = admin

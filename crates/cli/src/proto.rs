@@ -23,7 +23,7 @@
 
 use std::io::{self, BufRead, Write};
 
-use ivme_core::{Mode, MAX_SHARDS};
+use ivme_core::Mode;
 use ivme_data::{Tuple, Value};
 use ivme_query::{classify, parse_query, Query};
 
@@ -38,8 +38,6 @@ pub enum Command {
     Epsilon(f64),
     /// `mode dynamic|static`
     Mode(Mode),
-    /// `.shards <n>`, `1 ≤ n ≤` [`MAX_SHARDS`]
-    Shards(usize),
     /// `load <rel> <path.csv>` — a CSV's rows, as one `row` op.
     Load { relation: String, path: String },
     /// `row <rel> <v1,v2,...>` — stage one row, or insert it once built.
@@ -118,17 +116,6 @@ pub fn parse_command(line: &str) -> Result<Option<Command>, String> {
             "static" => Mode::Static,
             other => return Err(format!("unknown mode `{other}` (dynamic|static)")),
         }),
-        ".shards" => {
-            let n: usize = rest
-                .parse()
-                .map_err(|_| format!("usage: .shards <1..{MAX_SHARDS}> (got `{rest}`)"))?;
-            if !(1..=MAX_SHARDS).contains(&n) {
-                return Err(format!(
-                    "shard count must be between 1 and {MAX_SHARDS} (got {n})"
-                ));
-            }
-            Command::Shards(n)
-        }
         "load" => {
             let (rel, path) = rest
                 .split_once(char::is_whitespace)
@@ -355,7 +342,6 @@ impl AdminOp {
             AdminOp::Epsilon(e) => format!("epsilon {e}"),
             AdminOp::Mode(Mode::Dynamic) => "mode dynamic".to_owned(),
             AdminOp::Mode(Mode::Static) => "mode static".to_owned(),
-            AdminOp::Shards(n) => format!(".shards {n}"),
             AdminOp::Rows { relation, rows } => {
                 let mut out = String::with_capacity(rows.len() * (16 + relation.len()));
                 for t in rows {
@@ -469,8 +455,9 @@ fn trimmed_lines(payload: &str) -> impl Iterator<Item = &str> {
 // ```
 
 /// Replication protocol version spoken by [`repl_hello_line`]. A primary
-/// refuses (closes on) a hello with any other version.
-pub const REPL_VERSION: u64 = 3;
+/// refuses (closes on) a hello with any other version. Version 4 frames
+/// never hold `.shards`; a version-3 primary may still ship one.
+pub const REPL_VERSION: u64 = 4;
 
 /// One primary→follower stream message header.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -591,14 +578,10 @@ commands:
   query <datalog>        register a hierarchical query (Q(A,C) :- R(A,B), S(B,C))
   epsilon <0..1>         set the trade-off knob (default 0.5)
   mode dynamic|static    set the evaluation mode (default dynamic)
-  .shards <n>            hash-partition the engine over n shards (1..64, default 1);
-                         updates validate on every shard, then apply shard by shard:
-                         n > 1 partitions the work without parallelizing it, and
-                         1, the default, is the fastest on a 2-vCPU box
   load <rel> <csv path>  stage a CSV's rows; once built, insert them as one batch
   row <rel> <v1,v2,...>  stage one row; once built, insert it
   build                  preprocess the staged rows; once built, rebuild from the engine's
-                         own rows, counters kept (epsilon, mode and .shards rebuild it too)
+                         own rows, counters kept (epsilon and mode rebuild it too)
   insert <rel> <values>  apply a single-tuple insert (stages while a batch is open)
   delete <rel> <values>  apply a single-tuple delete (stages while a batch is open)
   update <rel> <d> <values>  apply one update with an explicit signed delta d
@@ -609,7 +592,7 @@ commands:
   get <v1,v2,...>        point-look-up one result tuple (its multiplicity)
   page <offset> <limit>  one result page in enumeration order
   count                  count distinct result tuples
-  stats                  engine counters and sizes (per-shard when sharded)
+  stats                  engine counters and sizes
   classify               class membership and widths of the query
   plan                   print the compiled view trees
   shutdown               (server) drain writes, fsync the WAL, snapshot, exit
@@ -633,10 +616,6 @@ mod tests {
         assert!(matches!(
             parse_command("mode static").unwrap(),
             Some(Command::Mode(Mode::Static))
-        ));
-        assert!(matches!(
-            parse_command(".shards 4").unwrap(),
-            Some(Command::Shards(4))
         ));
         assert!(matches!(
             parse_command("insert R 1,2").unwrap(),
@@ -674,16 +653,10 @@ mod tests {
         assert!(parse_command("query Q(A) :- R(A,B), S(B,C), T(C)").is_err());
         assert!(parse_command("epsilon 2").is_err());
         assert!(parse_command("mode sideways").is_err());
-        assert!(parse_command(".shards 0").is_err());
-        // The bound is what keeps an outside `.shards` from exhausting the
-        // writer's threads at `build`; the help text states it.
-        assert!(parse_command(&format!(".shards {MAX_SHARDS}")).is_ok());
-        let err = parse_command(".shards 100000").unwrap_err();
-        assert!(
-            err.contains(&format!("between 1 and {MAX_SHARDS}")),
-            "{err}"
-        );
-        assert!(HELP.contains(&format!("(1..{MAX_SHARDS}, default 1)")));
+        // One engine: no command names a shard count.
+        let err = parse_command(".shards 2").unwrap_err();
+        assert_eq!(err, "unknown command `.shards` (try `help`)");
+        assert!(!HELP.contains("shard"));
         assert!(parse_command(".batch frobnicate").is_err());
         assert!(parse_command("page 0").is_err());
         assert!(parse_command("frobnicate").is_err());
@@ -752,19 +725,17 @@ mod tests {
 
     #[test]
     fn replication_verbs_round_trip() {
-        assert_eq!(repl_hello_line(42), "hello 3 42");
-        assert_eq!(parse_repl_hello("hello 3 42").unwrap(), 42);
+        assert_eq!(repl_hello_line(42), "hello 4 42");
+        assert_eq!(parse_repl_hello("hello 4 42").unwrap(), 42);
         // A v1 follower (frame-granular cursor) is refused, not guessed at,
-        // and so is a v2 one: its `row`/`build` frames staged and rebuilt
-        // from the staged rows where v3 frames insert and keep the writes.
-        assert!(parse_repl_hello("hello 1 42 3")
-            .unwrap_err()
-            .contains("version"));
-        assert!(parse_repl_hello("hello 2 42")
-            .unwrap_err()
-            .contains("version"));
-        assert!(parse_repl_hello("hello 3").is_err());
-        assert!(parse_repl_hello("howdy 3 42").is_err());
+        // and so is a v2 one (its `row`/`build` frames staged and rebuilt
+        // from the staged rows where later frames insert and keep the
+        // writes) and a v3 one (its frames may hold `.shards`).
+        for old in ["hello 1 42 3", "hello 2 42", "hello 3 42"] {
+            assert!(parse_repl_hello(old).unwrap_err().contains("version"));
+        }
+        assert!(parse_repl_hello("hello 4").is_err());
+        assert!(parse_repl_hello("howdy 4 42").is_err());
         for h in [
             ReplHeader::Snapshot { epoch: 9, len: 120 },
             ReplHeader::Round {

@@ -62,7 +62,7 @@ pub fn render_count(view: &ShardedSnapshot) -> String {
     format!("{}\n", view.count_distinct())
 }
 
-/// `stats` for a sharded engine, rendered from its snapshot. The
+/// `stats` for the engine, rendered from its snapshot. The
 /// `snapshot_epoch` field is how clients observe snapshot turnover: it
 /// moves exactly when the serving layer publishes a fresh view (never
 /// mid-read), so a monotone epoch across one connection's reads is the
@@ -70,10 +70,9 @@ pub fn render_count(view: &ShardedSnapshot) -> String {
 pub fn render_stats(view: &ShardedSnapshot) -> String {
     let s = view.stats();
     let mut out = format!(
-        "N = {}, shards = {}, snapshot_epoch = {}\n\
+        "N = {}, snapshot_epoch = {}\n\
          updates = {}, batches = {}, major rebalances = {}, minor rebalances = {}, misroutes = {}\n",
         view.db_size(),
-        view.num_shards(),
         view.epoch(),
         s.updates,
         s.batches,
@@ -81,11 +80,12 @@ pub fn render_stats(view: &ShardedSnapshot) -> String {
         s.minor_rebalances,
         s.misroutes
     );
-    let sizes = view.shard_sizes();
-    for (i, rels) in view.shard_relation_sizes().iter().enumerate() {
-        let per_rel: Vec<String> = rels.iter().map(|(r, n)| format!("{r}={n}")).collect();
-        let _ = writeln!(out, "shard {i}: N = {} ({})", sizes[i], per_rel.join(", "));
-    }
+    let per_rel: Vec<String> = view
+        .relation_sizes()
+        .iter()
+        .map(|(r, n)| format!("{r}={n}"))
+        .collect();
+    let _ = writeln!(out, "relations: {}", per_rel.join(", "));
     out
 }
 
@@ -101,7 +101,7 @@ mod tests {
         db.insert("R", Tuple::ints(&[2, 10]), 1);
         db.insert("S", Tuple::ints(&[10, 5]), 1);
         let q = ivme_query::parse_query("Q(A,C) :- R(A,B), S(B,C)").unwrap();
-        let mut eng = ShardedEngine::new(&q, &db, EngineOptions::dynamic(0.5), 2).unwrap();
+        let mut eng = ShardedEngine::new(&q, &db, EngineOptions::dynamic(0.5), 1).unwrap();
         let view = eng.snapshot(7);
         // Mutate the engine after capture: the view must not move.
         eng.insert("S", Tuple::ints(&[10, 6])).unwrap();
@@ -120,7 +120,11 @@ mod tests {
         assert!(render_page(&view, 0, 1).contains("(1 tuples at offset 0)"));
         let stats = render_stats(&view);
         assert!(stats.contains("snapshot_epoch = 7"), "{stats}");
-        assert!(stats.contains("shard 1: N ="), "{stats}");
+        assert!(stats.starts_with("N = 3, snapshot_epoch = 7\n"), "{stats}");
+        assert!(
+            stats.ends_with("misroutes = 0\nrelations: R=2, S=1\n"),
+            "{stats}"
+        );
         // The engine's *next* snapshot sees the write.
         assert_eq!(render_count(&eng.snapshot(8)), "4\n");
     }

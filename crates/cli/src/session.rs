@@ -7,9 +7,9 @@
 //!
 //! * [`Step::of`] classifies a parsed [`Command`] with an exhaustive
 //!   `match`: a new variant is a compile error in this one place.
-//! * [`Session`] owns the engine — always a [`ShardedEngine`], `.shards 1`
-//!   by default — and its configuration; it executes admin ops and
-//!   applies committed batches.
+//! * [`Session`] owns the engine — one [`ShardedEngine`] of one shard —
+//!   and its configuration; it executes admin ops and applies committed
+//!   batches.
 //! * [`Staging`] is the `.batch` staging area; [`Staging::execute`] runs
 //!   every write verb and hands each batch that is due to the caller's
 //!   `apply` — a direct [`Session::apply`] in the shell and in replay, a
@@ -52,7 +52,6 @@ pub enum AdminOp {
     Query(Query),
     Epsilon(f64),
     Mode(Mode),
-    Shards(usize),
     Rows { relation: String, rows: Vec<Tuple> },
     Build,
 }
@@ -83,7 +82,6 @@ impl Step {
             Command::Query(q) => Step::Admin(AdminOp::Query(q)),
             Command::Epsilon(e) => Step::Admin(AdminOp::Epsilon(e)),
             Command::Mode(m) => Step::Admin(AdminOp::Mode(m)),
-            Command::Shards(n) => Step::Admin(AdminOp::Shards(n)),
             Command::Row { relation, tuple } => Step::Admin(AdminOp::Rows {
                 relation,
                 rows: vec![tuple],
@@ -128,21 +126,18 @@ impl Step {
 /// restart does: no admin op drops a committed write.
 pub struct Session {
     query: Option<Query>,
-    /// ε and mode (`epsilon`, `mode`) and shard count (`.shards N`) of the
-    /// engine.
+    /// ε and mode (`epsilon`, `mode`) of the engine.
     opts: EngineOptions,
-    shards: usize,
     staged: Database,
     engine: Option<ShardedEngine>,
 }
 
 impl Default for Session {
-    /// A fresh pre-`query` state: ε = 0.5, dynamic mode, one shard.
+    /// A fresh pre-`query` state: ε = 0.5, dynamic mode.
     fn default() -> Session {
         Session {
             query: None,
             opts: EngineOptions::dynamic(0.5),
-            shards: 1,
             staged: Database::new(),
             engine: None,
         }
@@ -159,19 +154,17 @@ impl Session {
     pub fn restore(
         query: Option<Query>,
         opts: EngineOptions,
-        shards: usize,
         staged: Database,
         base: Option<(&Database, (u64, u64, u64))>,
     ) -> Result<Session, String> {
         let mut session = Session {
             query,
             opts,
-            shards,
             staged,
             engine: None,
         };
         if let Some((base, stats)) = base {
-            let eng = session.new_engine(base, opts, shards, stats)?;
+            let eng = session.new_engine(base, opts, stats)?;
             session.install(eng);
         }
         Ok(session)
@@ -185,16 +178,12 @@ impl Session {
         self.opts
     }
 
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
     /// The row store: every row the engine does not hold.
     pub fn staged(&self) -> &Database {
         &self.staged
     }
 
-    /// The built engine, for checkpoints and per-shard diagnostics.
+    /// The built engine, for checkpoints and the shell's engine line.
     pub fn engine(&self) -> Option<&ShardedEngine> {
         self.engine.as_ref()
     }
@@ -204,17 +193,16 @@ impl Session {
     }
 
     /// An engine over `db`, seeded with the cumulative `(updates,
-    /// batches, misroutes)`. Always sharded (S ≥ 1): one read and commit
-    /// path per build.
+    /// batches, misroutes)`. Always one shard: one read and commit path
+    /// per build.
     fn new_engine(
         &self,
         db: &Database,
         opts: EngineOptions,
-        shards: usize,
         (updates, batches, misroutes): (u64, u64, u64),
     ) -> Result<ShardedEngine, String> {
         let q = self.query.as_ref().ok_or(NO_QUERY)?;
-        let mut eng = ShardedEngine::new(q, db, opts, shards).map_err(|e| e.to_string())?;
+        let mut eng = ShardedEngine::new(q, db, opts, 1).map_err(|e| e.to_string())?;
         eng.restore_stats(updates, batches, misroutes);
         Ok(eng)
     }
@@ -229,12 +217,7 @@ impl Session {
     /// Makes `eng` the engine, keeps in the store only the rows of the
     /// relations `eng` does not hold, and answers the `built:` line.
     fn install(&mut self, eng: ShardedEngine) -> String {
-        let msg = format!(
-            "built: N = {}, {} shards (sizes {:?})\n",
-            eng.db_size(),
-            eng.num_shards(),
-            eng.shard_sizes()
-        );
+        let msg = format!("built: N = {}\n", eng.db_size());
         self.engine = Some(eng);
         let mut rest = Database::new();
         copy_rows(&mut rest, &self.staged, |r| !self.holds(r));
@@ -245,16 +228,16 @@ impl Session {
     /// Sets the configuration. A built engine rebuilds under it at once
     /// from its own base relations, counters carried over, and the reply
     /// is the `built:` line; if the rebuild fails, nothing changes.
-    fn configure(&mut self, opts: EngineOptions, shards: usize) -> Result<String, String> {
+    fn configure(&mut self, opts: EngineOptions) -> Result<String, String> {
         let rebuilt = match &self.engine {
             None => None,
             Some(old) => {
                 let st = old.stats();
                 let counters = (st.updates, st.batches, st.misroutes);
-                Some(self.new_engine(&old.export_database(), opts, shards, counters)?)
+                Some(self.new_engine(&old.export_database(), opts, counters)?)
             }
         };
-        (self.opts, self.shards) = (opts, shards);
+        self.opts = opts;
         Ok(rebuilt.map_or_else(String::new, |eng| self.install(eng)))
     }
 
@@ -282,7 +265,7 @@ impl Session {
                     epsilon: e,
                     ..self.opts
                 };
-                Ok(format!("epsilon = {e}\n") + &self.configure(opts, self.shards)?)
+                Ok(format!("epsilon = {e}\n") + &self.configure(opts)?)
             }
             AdminOp::Mode(mode) => {
                 let opts = EngineOptions { mode, ..self.opts };
@@ -290,9 +273,8 @@ impl Session {
                     Mode::Dynamic => "dynamic",
                     Mode::Static => "static",
                 };
-                Ok(format!("mode = {name}\n") + &self.configure(opts, self.shards)?)
+                Ok(format!("mode = {name}\n") + &self.configure(opts)?)
             }
-            AdminOp::Shards(n) => Ok(format!("shards = {n}\n") + &self.configure(self.opts, n)?),
             // A built engine inserts the rows of its relations as one
             // atomic batch: every row goes in, or none does. An empty one
             // changes nothing, as its empty log frame does.
@@ -311,9 +293,9 @@ impl Session {
                 let s = if n == 1 { "" } else { "s" };
                 Ok(format!("{verb} {n} row{s} into {relation}\n"))
             }
-            AdminOp::Build if self.is_built() => self.configure(self.opts, self.shards),
+            AdminOp::Build if self.is_built() => self.configure(self.opts),
             AdminOp::Build => {
-                let eng = self.new_engine(&self.staged, self.opts, self.shards, (0, 0, 0))?;
+                let eng = self.new_engine(&self.staged, self.opts, (0, 0, 0))?;
                 Ok(self.install(eng))
             }
         }
@@ -544,7 +526,6 @@ mod tests {
             AdminOp::Query(q),
             AdminOp::Epsilon(0.25),
             AdminOp::Mode(Mode::Static),
-            AdminOp::Shards(3),
             AdminOp::Rows {
                 relation: "R".to_owned(),
                 rows: rows.clone(),
@@ -606,9 +587,9 @@ mod tests {
         }
         // File verbs never reach the disk: the caller's loader refuses.
         assert_eq!(replay("load R /etc/hostname").unwrap_err(), "no files here");
-        assert!(replay(".load R /etc/hostname")
-            .unwrap_err()
-            .starts_with("unknown command"));
+        for gone in [".load R /etc/hostname", ".shards 2"] {
+            assert!(replay(gone).unwrap_err().starts_with("unknown command"));
+        }
         // A rejected batch surfaces as a refusal, with the engine's reason.
         let err = Staging(Some(DeltaBatch::new()))
             .execute(Write::Commit, true, |_| Err("R(9, 9): -1".to_owned()))

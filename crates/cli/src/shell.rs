@@ -9,10 +9,9 @@
 //! Parsing lives in [`crate::proto`] and the meaning of every command in
 //! [`crate::session`] — both shared with the `ivme-server` network front
 //! end, so a shell transcript and a server transcript of one script are
-//! the same bytes at every shard count. This module owns only what is
-//! local to a REPL: wall-clock timing of the writes it applies, the
-//! per-shard engine diagnostics `stats` appends, and the `shutdown`
-//! refusal.
+//! the same bytes. This module owns only what is local to a REPL:
+//! wall-clock timing of the writes it applies, the engine line `stats`
+//! appends, and the `shutdown` refusal.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -74,20 +73,18 @@ impl Shell {
                 let stats = matches!(cmd, Command::Stats);
                 let mut out = self.session.read_view(self.epoch).execute(cmd)?;
                 // The paper-facing sizes live in the engine, not in the
-                // frozen view: append them per shard, as a server appends
-                // its durability lines.
+                // frozen view: append them, as a server appends its
+                // durability lines.
                 if let (true, Some(eng)) = (stats, self.session.engine()) {
-                    for s in 0..eng.num_shards() {
-                        let e = eng.shard(s);
-                        let _ = writeln!(
-                            out,
-                            "shard {s}: M = {}, θ = {:.2}, views = {}, aux space = {}",
-                            e.threshold_base(),
-                            e.theta(),
-                            e.num_views(),
-                            e.aux_space()
-                        );
-                    }
+                    let e = eng.shard(0);
+                    let _ = writeln!(
+                        out,
+                        "M = {}, θ = {:.2}, views = {}, aux space = {}",
+                        e.threshold_base(),
+                        e.theta(),
+                        e.num_views(),
+                        e.aux_space()
+                    );
                 }
                 Ok(out)
             }
@@ -306,7 +303,7 @@ mod tests {
         let before = run(&mut sh, &script);
         assert!(before.contains("built: N = 2"), "{before}");
         let out = run(&mut sh, &["build", "list", "stats"]);
-        assert!(out.starts_with("built: N = 3, 1 shards"), "{out}");
+        assert!(out.starts_with("built: N = 3\n"), "{out}");
         assert!(
             out.contains("(1, 3) x1") && out.contains("(1, 4) x1"),
             "{out}"
@@ -327,12 +324,12 @@ mod tests {
         let _ = run(&mut sh, &lines);
         let theta = |sh: &mut Shell| {
             let stats = sh.execute("stats").unwrap().unwrap();
-            let at = stats.find("θ = ").expect("a shard line") + "θ = ".len();
+            let at = stats.find("θ = ").expect("the engine line") + "θ = ".len();
             stats[at..].split(',').next().unwrap().to_owned()
         };
         let (list, before) = (run(&mut sh, &["list"]), theta(&mut sh));
         let out = sh.execute("epsilon 0.25").unwrap().unwrap();
-        assert!(out.starts_with("epsilon = 0.25\nbuilt: N = 33,"), "{out}");
+        assert_eq!(out, "epsilon = 0.25\nbuilt: N = 33\n");
         assert_ne!(theta(&mut sh), before);
         let sorted = |s: String| {
             let mut v: Vec<String> = s.lines().map(str::to_owned).collect();
@@ -368,6 +365,68 @@ mod tests {
         );
         let out = run(&mut sh, &["list"]);
         assert_eq!(out, "(2, 4) x1\n(1 tuples)\n");
+    }
+
+    /// A view's multiplicities are bounded by the product of its
+    /// relations' total multiplicities; a batch that could lift that past
+    /// 2^62 is refused whole, before anything applies.
+    #[test]
+    fn an_update_that_could_overflow_a_view_is_refused_whole() {
+        let mut sh = Shell::new();
+        let _ = run(
+            &mut sh,
+            &[
+                "query Q(A,C) :- R(A,B), S(B,C)",
+                "build",
+                "update R 4611686018427387904 1,2",
+            ],
+        );
+        let err = sh.execute("update S 4 2,3").unwrap_err();
+        assert_eq!(
+            err,
+            "multiplicity overflow: a view over R, S could pass 2^62 \
+             (the product of their total multiplicities)"
+        );
+        let out = run(&mut sh, &["get 1,3", "count", "stats"]);
+        assert!(out.starts_with("(1, 3) not in result\n0\n"), "{out}");
+        assert!(out.contains("updates = 1, batches = 1"), "{out}");
+        assert!(out.contains("relations: R=1, S=0\n"), "{out}");
+        // Up to the bound is fine.
+        let out = run(&mut sh, &["update S 1 2,3", "get 1,3"]);
+        assert_eq!(out, "(1, 3) x4611686018427387904\n");
+        assert!(sh.execute("insert R 5,2").is_err());
+    }
+
+    /// Deltas on one tuple that sum past `i64` inside a `.batch` refuse
+    /// the batch whole: no wrapped delta reaches the engine.
+    #[test]
+    fn a_batch_whose_deltas_sum_past_i64_is_refused_whole() {
+        let mut sh = Shell::new();
+        let _ = run(
+            &mut sh,
+            &[
+                "query Q(A,C) :- R(A,B), S(B,C)",
+                "row R 1,2",
+                "row S 2,3",
+                "build",
+                ".batch begin",
+                "update R 9223372036854775807 1,2",
+                "update R 9223372036854775807 1,2",
+                "insert S 2,4",
+            ],
+        );
+        let err = sh.execute(".batch commit").unwrap_err();
+        assert_eq!(
+            err,
+            "batch rejected (engine unchanged): multiplicity overflow: \
+             the deltas of R(1, 2) sum past i64"
+        );
+        let out = run(&mut sh, &["list", "stats"]);
+        assert!(out.starts_with("(1, 3) x1\n(1 tuples)\n"), "{out}");
+        assert!(out.contains("updates = 0, batches = 0"), "{out}");
+        // One such delta alone is past the view bound.
+        let err = sh.execute("update R 9223372036854775807 1,2").unwrap_err();
+        assert!(err.contains("could pass 2^62"), "{err}");
     }
 
     #[test]
@@ -428,19 +487,18 @@ mod tests {
         assert!(sh.execute("get 1,2,3").is_err());
         assert!(sh.execute("page 0").is_err());
         assert!(sh.execute("page x 5").is_err());
-        // Sharded builds serve the same read commands.
-        let out = run(&mut sh, &[".shards 3", "build", "get 1,5", "page 0 99"]);
+        // A rebuilt engine serves the same read commands.
+        let out = run(&mut sh, &["build", "get 1,5", "page 0 99"]);
         assert!(out.contains("(1, 5) x1"), "{out}");
         assert!(out.contains("(4 tuples at offset 0)"), "{out}");
     }
 
+    /// The engine is one `ShardedEngine` of one shard: `stats` reports
+    /// its size, per-relation sizes and the engine line, and no shard.
     #[test]
     fn sharded_build_updates_and_stats() {
         let mut sh = Shell::new();
-        let mut script = vec![
-            "query Q(A) :- R(A,B), S(B)".to_owned(),
-            ".shards 3".to_owned(),
-        ];
+        let mut script = vec!["query Q(A) :- R(A,B), S(B)".to_owned()];
         for i in 0..24 {
             script.push(format!("row R {},{}", i, i % 8));
         }
@@ -451,14 +509,12 @@ mod tests {
         script.extend(["count".to_owned(), "stats".to_owned(), "help".to_owned()]);
         let lines: Vec<&str> = script.iter().map(String::as_str).collect();
         let out = run(&mut sh, &lines);
-        assert!(out.contains("shards = 3"), "{out}");
-        assert!(out.contains("built: N = 24, 3 shards"), "{out}");
+        assert!(out.contains("built: N = 24\n"), "{out}");
         assert!(out.contains("\n24\n"), "expected count 24 in:\n{out}");
-        assert!(out.contains("N = 32, shards = 3"), "{out}");
-        assert!(out.contains("shard 0: N ="), "{out}");
-        assert!(out.contains("shard 2: N ="), "{out}");
+        assert!(out.contains("N = 32, snapshot_epoch = "), "{out}");
         assert!(out.contains("updates = 8, batches = 8"), "{out}");
-        assert!(out.contains(".shards <n>"), "help entry missing:\n{out}");
+        assert!(out.contains("relations: R=24, S=8\nM = "), "{out}");
+        assert!(!out.contains("shard"), "{out}");
     }
 
     #[test]
@@ -468,7 +524,6 @@ mod tests {
             &mut sh,
             &[
                 "query Q(A,C) :- R(A,B), S(B,C)",
-                ".shards 4",
                 "row R 1,10",
                 "row S 10,5",
                 "build",
@@ -478,15 +533,15 @@ mod tests {
                 "insert R 3,12",
             ],
         );
-        // Over-delete on some shard: the whole batch must reject and every
-        // shard stay untouched.
+        // One over-delete: the whole batch must reject and the engine
+        // stay untouched.
         let _ = sh.execute("delete S 99,99").unwrap();
         let err = sh.execute(".batch commit").unwrap_err();
         assert!(err.contains("rejected"), "{err}");
         let out = run(&mut sh, &["count", "stats"]);
         assert!(out.starts_with("1\n"), "{out}");
         assert!(out.contains("updates = 0"), "{out}");
-        // A valid sharded batch commits.
+        // A valid batch commits.
         let out = run(
             &mut sh,
             &[
@@ -503,17 +558,21 @@ mod tests {
 
     #[test]
     fn shards_argument_validation() {
+        // One engine: `.shards` is an unknown command whatever its
+        // argument, before `build` and after it, and changes nothing.
         let mut sh = Shell::new();
-        assert!(sh.execute(".shards 0").is_err());
-        assert!(sh.execute(".shards two").is_err());
+        let unknown = "unknown command `.shards` (try `help`)";
+        for line in [".shards 0", ".shards two", ".shards 1"] {
+            assert_eq!(sh.execute(line).unwrap_err(), unknown, "{line}");
+        }
         let _ = run(
             &mut sh,
             &["query Q(A) :- R(A,B), S(B)", "row R 1,2", "build"],
         );
-        let out = sh.execute(".shards 2").unwrap().unwrap();
-        assert!(
-            out.starts_with("shards = 2\nbuilt: N = 1, 2 shards"),
-            "{out}"
-        );
+        let before = run(&mut sh, &["stats"]);
+        assert_eq!(sh.execute(".shards 2").unwrap_err(), unknown);
+        assert_eq!(run(&mut sh, &["stats"]), before);
+        assert!(before.contains("N = 1, snapshot_epoch = 3\n"), "{before}");
+        assert!(before.contains("relations: R=1, S=0\nM = "), "{before}");
     }
 }

@@ -52,6 +52,14 @@ impl EngineOptions {
     }
 }
 
+/// The largest multiplicity any stored view may reach. Every view of a
+/// component sums products of one tuple per atom, so its multiplicities
+/// are at most `Π_{atoms a} max(1, ‖R_a‖)`, where `‖R‖ = Σ_t R(t)` is a
+/// relation's total multiplicity. Preprocessing and every batch keep that
+/// product at most this; the headroom below `i64::MAX` holds the delta
+/// sums maintenance forms on the way, so maintenance never overflows.
+pub const MAX_VIEW_MULT: i64 = 1 << 62;
+
 /// Errors surfaced while building an engine.
 #[derive(Debug)]
 pub enum EngineError {
@@ -61,6 +69,8 @@ pub enum EngineError {
     InvalidEpsilon(f64),
     /// A database tuple does not match its relation's schema.
     Arity(String),
+    /// A view could hold a multiplicity past [`MAX_VIEW_MULT`].
+    Overflow(String),
 }
 
 impl fmt::Display for EngineError {
@@ -69,6 +79,7 @@ impl fmt::Display for EngineError {
             EngineError::NotHierarchical(e) => write!(f, "{e}"),
             EngineError::InvalidEpsilon(e) => write!(f, "epsilon {e} outside [0, 1]"),
             EngineError::Arity(m) => write!(f, "{m}"),
+            EngineError::Overflow(m) => write!(f, "multiplicity overflow: {m}"),
         }
     }
 }
@@ -86,6 +97,9 @@ pub enum UpdateError {
     Negative(NegativeMultiplicity),
     /// Tuple arity does not match the relation schema.
     Arity(String),
+    /// The batch's deltas on one tuple sum past `i64`, or after it a
+    /// view could hold a multiplicity past [`MAX_VIEW_MULT`].
+    Overflow(String),
 }
 
 impl fmt::Display for UpdateError {
@@ -95,6 +109,7 @@ impl fmt::Display for UpdateError {
             UpdateError::StaticMode => write!(f, "engine was built in static mode"),
             UpdateError::Negative(e) => write!(f, "{e}"),
             UpdateError::Arity(m) => write!(f, "{m}"),
+            UpdateError::Overflow(m) => write!(f, "multiplicity overflow: {m}"),
         }
     }
 }
@@ -155,6 +170,9 @@ pub struct IvmEngine {
     /// cache, external result caches) compare versions to detect exactly
     /// which components' results may have changed.
     comp_versions: Vec<u64>,
+    /// Per atom occurrence: its relation's total multiplicity `‖R‖`, the
+    /// factor of [`MAX_VIEW_MULT`]'s bound.
+    mass: Vec<i128>,
     stats: EngineStats,
 }
 
@@ -189,15 +207,20 @@ impl IvmEngine {
             enums.push(trees);
         }
         // Load base relations.
+        let mut mass = vec![0i128; query.atoms.len()];
         for (ai, atom) in query.atoms.iter().enumerate() {
             db.check_arity(&atom.relation, &atom.schema)
                 .map_err(EngineError::Arity)?;
             let rel = rt.base_rel[ai];
             for (t, m) in db.rows(&atom.relation) {
+                mass[ai] += i128::from(m);
                 rt.rels[rel]
                     .apply(t, m)
                     .expect("database multiplicities are positive");
             }
+        }
+        if let Some(ci) = over_bound(&plan, &mass, |_| 0) {
+            return Err(EngineError::Overflow(bound_message(query, &plan, ci)));
         }
         let n_size: usize = rt.base_rel.iter().map(|&r| rt.rels[r].len()).sum();
         let m_threshold = match opts.mode {
@@ -215,6 +238,7 @@ impl IvmEngine {
             n_size,
             atom_comp,
             comp_versions: vec![0; num_comps],
+            mass,
             stats: EngineStats::default(),
         };
         eng.rt.materialize_all(eng.theta_ceil());
@@ -370,7 +394,7 @@ impl IvmEngine {
 
     /// Distinct base relation sizes — one entry per relation symbol
     /// (repeated-atom copies counted once), for diagnostics and the CLI's
-    /// per-shard `stats`.
+    /// `stats`.
     pub fn base_relation_sizes(&self) -> Vec<(String, usize)> {
         self.query
             .atoms
@@ -559,8 +583,9 @@ impl IvmEngine {
     }
 
     /// Validation half of [`IvmEngine::apply_delta_batch`]: resolves every
-    /// relation to its atom occurrences, checks arities, and dry-runs the
-    /// negative-multiplicity rule — all against `&self`, mutating nothing.
+    /// relation to its atom occurrences, checks arities, dry-runs the
+    /// negative-multiplicity rule and admits the batch under
+    /// [`MAX_VIEW_MULT`] — all against `&self`, mutating nothing.
     pub(crate) fn prepare_delta_batch(
         &self,
         batch: &DeltaBatch,
@@ -568,6 +593,14 @@ impl IvmEngine {
         if self.mode == Mode::Static {
             return Err(UpdateError::StaticMode);
         }
+        if let Some((relation, t)) = batch.overflow() {
+            let msg = format!("the deltas of {relation}{t} sum past i64");
+            return Err(UpdateError::Overflow(msg));
+        }
+        // What the batch may add to each atom's total multiplicity: its
+        // positive deltas, so every partial sum maintenance forms stays
+        // under the bound too.
+        let mut grow = vec![0i128; self.query.atoms.len()];
         // Resolve and validate everything up front so rejection is atomic.
         let mut relations: Vec<&str> = batch.relations().collect();
         relations.sort_unstable(); // deterministic application order
@@ -599,16 +632,31 @@ impl IvmEngine {
                 let base = self.rt.base_rel[atoms[0]];
                 for (t, d) in &deltas {
                     let present = self.rt.rels[base].get(t);
-                    if present + d < 0 {
-                        return Err(UpdateError::Negative(NegativeMultiplicity {
-                            tuple: t.clone(),
-                            present,
-                            delta: *d,
-                        }));
+                    match present.checked_add(*d) {
+                        Some(m) if m >= 0 => {}
+                        Some(_) => {
+                            return Err(UpdateError::Negative(NegativeMultiplicity {
+                                tuple: t.clone(),
+                                present,
+                                delta: *d,
+                            }))
+                        }
+                        None => {
+                            let msg = format!("{relation}{t} has {present}, +{d} is past i64");
+                            return Err(UpdateError::Overflow(msg));
+                        }
                     }
                 }
             }
+            let pos: i128 = deltas.iter().map(|(_, d)| i128::from(*d).max(0)).sum();
+            for &a in &atoms {
+                grow[a] = pos;
+            }
             work.push((atoms, deltas));
+        }
+        if let Some(ci) = over_bound(&self.plan, &self.mass, |a| grow[a]) {
+            let msg = bound_message(&self.query, &self.plan, ci);
+            return Err(UpdateError::Overflow(msg));
         }
         Ok(PreparedBatch {
             work,
@@ -637,7 +685,9 @@ impl IvmEngine {
         // applied keeps every light degree that occurrence's light trees
         // join with below `1.5·θ`, as the `O(N^ε)` light-tree bound needs.
         for (atoms, deltas) in &work {
+            let net: i128 = deltas.iter().map(|(_, d)| i128::from(*d)).sum();
             for &a in atoms {
+                self.mass[a] += net;
                 let keys = self.update_trees_batch(a, deltas);
                 self.minor_rebalance_batch(a, keys);
             }
@@ -824,4 +874,29 @@ impl IvmEngine {
         }
         Ok(())
     }
+}
+
+/// The first component of `plan` whose bound `Π_{atoms a} max(1, ‖R_a‖ +
+/// grow(a))` on its views' multiplicities passes [`MAX_VIEW_MULT`].
+fn over_bound(plan: &Plan, mass: &[i128], grow: impl Fn(usize) -> i128) -> Option<usize> {
+    plan.components.iter().position(|comp| {
+        let bound = comp.atoms.iter().try_fold(1i128, |acc, &a| {
+            acc.checked_mul((mass[a] + grow(a)).max(1))
+                .filter(|&b| b <= i128::from(MAX_VIEW_MULT))
+        });
+        bound.is_none()
+    })
+}
+
+/// Why component `ci` was refused, naming its relations.
+fn bound_message(query: &Query, plan: &Plan, ci: usize) -> String {
+    let rels: Vec<&str> = plan.components[ci]
+        .atoms
+        .iter()
+        .map(|&a| query.atoms[a].relation.as_str())
+        .collect();
+    format!(
+        "a view over {} could pass 2^62 (the product of their total multiplicities)",
+        rels.join(", ")
+    )
 }

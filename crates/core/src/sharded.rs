@@ -143,10 +143,10 @@ thread_local! {
 }
 
 /// Upper bound on the shard count. Every shard is a complete
-/// [`IvmEngine`] with its own views and indexes, and the count reaches
-/// [`ShardedEngine::new`] from client commands (`.shards n`) and snapshot
-/// files, so it must not be able to multiply the engine's fixed memory
-/// without bound.
+/// [`IvmEngine`] with its own views and indexes, so a count passed to
+/// [`ShardedEngine::new`] must not be able to multiply the engine's fixed
+/// memory without bound. Only Rust callers of this crate reach it: no
+/// command, file or socket names a shard count.
 pub const MAX_SHARDS: usize = 64;
 
 /// `S` independent [`IvmEngine`]s over a hash-partitioned database.
@@ -312,13 +312,16 @@ impl ShardedEngine {
         self.shards.iter().map(IvmEngine::db_size).collect()
     }
 
-    /// Per-shard relation sizes: for each shard, `(relation, distinct
-    /// tuples)` per distinct relation symbol (the CLI's `.stats` view).
-    pub fn shard_relation_sizes(&self) -> Vec<Vec<(String, usize)>> {
-        self.shards
-            .iter()
-            .map(IvmEngine::base_relation_sizes)
-            .collect()
+    /// `(relation, distinct tuples)` per distinct relation symbol, summed
+    /// over the shards (the `stats` view).
+    fn relation_sizes(&self) -> Vec<(String, usize)> {
+        let mut sizes = self.shards[0].base_relation_sizes();
+        for eng in &self.shards[1..] {
+            for (total, (_, n)) in sizes.iter_mut().zip(eng.base_relation_sizes()) {
+                total.1 += n;
+            }
+        }
+        sizes
     }
 
     /// Aggregated maintenance counters: batches/updates as seen by *this*
@@ -406,7 +409,9 @@ impl ShardedEngine {
     /// the lowest such shard's.
     pub fn apply_delta_batch(&mut self, batch: &DeltaBatch) -> Result<(), UpdateError> {
         let split;
-        let parts = if self.shards.len() == 1 {
+        // A batch whose deltas summed past `i64` goes whole to shard 0,
+        // which refuses it: a split would lose the mark.
+        let parts = if self.shards.len() == 1 || batch.overflow().is_some() {
             std::slice::from_ref(batch)
         } else {
             split = self.router.split(batch);
@@ -505,8 +510,7 @@ impl ShardedEngine {
             comps,
             stats: self.stats(),
             db_size: self.db_size(),
-            shard_sizes: self.shard_sizes(),
-            shard_relation_sizes: self.shard_relation_sizes(),
+            relation_sizes: self.relation_sizes(),
         }
     }
 
@@ -1537,8 +1541,7 @@ pub struct ShardedSnapshot {
     comps: Vec<Arc<FrozenComponent>>,
     stats: EngineStats,
     db_size: usize,
-    shard_sizes: Vec<usize>,
-    shard_relation_sizes: Vec<Vec<(String, usize)>>,
+    relation_sizes: Vec<(String, usize)>,
 }
 
 impl ShardedSnapshot {
@@ -1562,19 +1565,10 @@ impl ShardedSnapshot {
         self.db_size
     }
 
-    /// Effective shard count of the captured engine.
-    pub fn num_shards(&self) -> usize {
-        self.shard_sizes.len()
-    }
-
-    /// Per-shard database sizes as of the capture.
-    pub fn shard_sizes(&self) -> &[usize] {
-        &self.shard_sizes
-    }
-
-    /// Per-shard `(relation, distinct tuples)` as of the capture.
-    pub fn shard_relation_sizes(&self) -> &[Vec<(String, usize)>] {
-        &self.shard_relation_sizes
+    /// `(relation, distinct tuples)` per distinct relation symbol as of
+    /// the capture.
+    pub fn relation_sizes(&self) -> &[(String, usize)] {
+        &self.relation_sizes
     }
 
     /// Rows the writer froze into the snapshot: every component's flat-tree
@@ -2326,8 +2320,7 @@ mod tests {
             comps: vec![Arc::new(frozen)],
             stats: EngineStats::default(),
             db_size: 40_960,
-            shard_sizes: vec![40_960],
-            shard_relation_sizes: Vec::new(),
+            relation_sizes: Vec::new(),
         };
         assert_eq!(snap.count_distinct(), usize::MAX);
         for offset in [0, usize::MAX - 1] {
@@ -2347,28 +2340,46 @@ mod tests {
         assert_eq!(snap.multiplicity(&absent), 0);
     }
 
-    /// The same query through the engine, whose per-key counts are `i64`:
-    /// three join values, each a bucket of 8,192⁴ · 1,800 ≈ 2⁶²·⁸ tuples
-    /// (103,704 rows), more than 2⁶⁴ together — so the counts before a
-    /// bucket need wider than `u64` arithmetic. The buckets share no value
-    /// (a tuple in two of them would be materialized in the flat part).
+    /// The same query through the engine is refused: each of three join
+    /// values would be a bucket of 8,192⁴ · 1,800 ≈ 2⁶²·⁸ tuples, and the
+    /// engine's per-key counts may not pass `MAX_VIEW_MULT` (2⁶²). Frozen
+    /// as the engine would freeze them, the three buckets (103,704 rows)
+    /// hold more than 2⁶⁴ tuples together — so the counts before a bucket
+    /// need wider than `u64` arithmetic. The buckets share no value (a
+    /// tuple in two of them would be materialized in the flat part).
     #[test]
     fn buckets_of_more_than_two_to_the_64_tuples_are_counted_paged_and_probed() {
         let mut db = Database::new();
+        let mut freezer = Freezer::new((0..5).collect(), (0..5).map(|p| vec![p]).collect(), 0);
         for b in 0..3 {
+            freezer.bucket();
             for i in 10_000 * b..10_000 * b + 8_192 {
                 if i < 10_000 * b + 1_800 {
                     db.insert("R", Tuple::ints(&[i, b]), 1);
+                    freezer.factor(0, &[Value::Int(i)], 1);
                 }
-                for rel in ["S", "T", "U", "V"] {
+                for (f, rel) in ["S", "T", "U", "V"].into_iter().enumerate() {
                     db.insert(rel, Tuple::ints(&[b, i]), 1);
+                    freezer.factor(f + 1, &[Value::Int(i)], 1);
                 }
             }
         }
         let src = "Q(A,C,D,E,F) :- R(A,B), S(B,C), T(B,D), U(B,E), V(B,F)";
-        let snap = ShardedEngine::from_sql(src, &db, EngineOptions::dynamic(0.5), 1)
-            .unwrap()
-            .snapshot(0);
+        let Err(err) = ShardedEngine::from_sql(src, &db, EngineOptions::dynamic(0.5), 1) else {
+            panic!("an engine whose views pass 2^62 was built");
+        };
+        assert!(
+            err.starts_with("multiplicity overflow: a view over R, S"),
+            "{err}"
+        );
+        let snap = ShardedSnapshot {
+            epoch: 0,
+            free_arity: 5,
+            comps: vec![Arc::new(freezer.finish())],
+            stats: EngineStats::default(),
+            db_size: db.total_rows(),
+            relation_sizes: Vec::new(),
+        };
         let c = &snap.comps[0];
         assert_eq!((c.flat.len(), c.buckets.len()), (0, 3));
         assert!(c.len() > 1 << 64);

@@ -470,6 +470,47 @@ fn a_batch_never_joins_two_over_threshold_light_groups() {
     }
 }
 
+/// An insert under a heavy join value costs `O(N^ε)`: at ε = 0 the key is
+/// heavy and the insert touches a constant number of view tuples; at
+/// ε = 1 everything is light and the insert joins the whole `S` group of
+/// its value. Counted, not timed, so it runs in every profile.
+#[test]
+fn heavy_value_inserts_cost_constant_work_at_eps_0_and_the_group_at_eps_1() {
+    use crate::delta::VIEW_DELTA_TUPLES;
+    let view_tuples = || VIEW_DELTA_TUPLES.with(|n| n.get());
+    let n = 2_000i64;
+    let mut db = Database::new();
+    for i in 0..n {
+        // One heavy B = 0 plus a light tail.
+        let b = if i % 4 == 0 { 0 } else { i };
+        db.insert("R", Tuple::ints(&[i, b]), 1);
+        db.insert("S", Tuple::ints(&[b, i]), 1);
+    }
+    let group = db
+        .rows("S")
+        .iter()
+        .filter(|(t, _)| t.get(0).as_int() == 0)
+        .count();
+    let q = parse_query("Q(A,C) :- R(A,B), S(B,C)").unwrap();
+    for eps in [0.0, 1.0] {
+        let mut eng = IvmEngine::new(&q, &db, EngineOptions::dynamic(eps)).unwrap();
+        for i in 0..40 {
+            let before = view_tuples();
+            eng.insert("R", Tuple::ints(&[n + i, 0])).unwrap();
+            let work = view_tuples() - before;
+            if eps == 0.0 {
+                assert!(work < 8, "ε = 0, insert {i}: {work} view-delta tuples");
+            } else {
+                assert!(
+                    work >= group as u64,
+                    "ε = 1, insert {i}: {work} < |S[b=0]| = {group}"
+                );
+            }
+        }
+        assert_eq!(eng.stats().major_rebalances, 0, "ε = {eps}");
+    }
+}
+
 // ---------------------------------------------------------------------
 // Error paths
 // ---------------------------------------------------------------------

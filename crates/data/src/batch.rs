@@ -13,6 +13,9 @@
 //! provided every prefix stays valid; a batch whose *net* effect would
 //! drive some multiplicity negative is rejected atomically (nothing is
 //! applied), mirroring the paper's per-update rejection rule (Sec. 3).
+//! So is a batch whose deltas on one tuple sum past `i64`: the batch
+//! remembers the first such entry ([`DeltaBatch::overflow`]) and every
+//! engine refuses it whole.
 
 use std::collections::hash_map::Entry;
 
@@ -56,6 +59,28 @@ impl Update {
 pub struct DeltaBatch {
     per_rel: FxHashMap<String, FxHashMap<Tuple, i64>>,
     cardinality: usize,
+    /// The first `(relation, tuple)` whose deltas summed past `i64`; its
+    /// entry keeps the sum from before the overflowing push.
+    overflow: Option<(String, Tuple)>,
+}
+
+/// Adds `delta` to `tuple`'s entry in `rel`, dropping an entry that
+/// cancels to nothing. A sum past `i64` leaves the entry as it was and
+/// hands the tuple back.
+fn fold(rel: &mut FxHashMap<Tuple, i64>, tuple: Tuple, delta: i64) -> Result<(), Tuple> {
+    match rel.entry(tuple) {
+        Entry::Occupied(mut o) => match o.get().checked_add(delta) {
+            Some(0) => {
+                o.remove();
+            }
+            Some(sum) => *o.get_mut() = sum,
+            None => return Err(o.key().clone()),
+        },
+        Entry::Vacant(v) => {
+            v.insert(delta);
+        }
+    }
+    Ok(())
 }
 
 impl DeltaBatch {
@@ -86,16 +111,9 @@ impl DeltaBatch {
                 .insert(relation.to_owned(), FxHashMap::default());
         }
         let rel = self.per_rel.get_mut(relation).expect("just inserted");
-        match rel.entry(tuple) {
-            Entry::Occupied(mut o) => {
-                *o.get_mut() += delta;
-                if *o.get() == 0 {
-                    o.remove();
-                }
-            }
-            Entry::Vacant(v) => {
-                v.insert(delta);
-            }
+        if let Err(t) = fold(rel, tuple, delta) {
+            self.overflow
+                .get_or_insert_with(|| (relation.to_owned(), t));
         }
     }
 
@@ -120,16 +138,9 @@ impl DeltaBatch {
             if delta == 0 {
                 continue;
             }
-            match rel.entry(tuple) {
-                Entry::Occupied(mut o) => {
-                    *o.get_mut() += delta;
-                    if *o.get() == 0 {
-                        o.remove();
-                    }
-                }
-                Entry::Vacant(v) => {
-                    v.insert(delta);
-                }
+            if let Err(t) = fold(rel, tuple, delta) {
+                self.overflow
+                    .get_or_insert_with(|| (relation.to_owned(), t));
             }
         }
         self.cardinality += folded;
@@ -149,6 +160,12 @@ impl DeltaBatch {
     /// `k` used for amortized-rebalancing bookkeeping).
     pub fn cardinality(&self) -> usize {
         self.cardinality
+    }
+
+    /// The first `(relation, tuple)` whose pushed deltas summed past
+    /// `i64`, if any: the batch is not a net delta, and engines refuse it.
+    pub fn overflow(&self) -> Option<(&str, &Tuple)> {
+        self.overflow.as_ref().map(|(r, t)| (r.as_str(), t))
     }
 
     /// Number of distinct `(relation, tuple)` entries with non-zero net
@@ -212,6 +229,7 @@ impl DeltaBatch {
     pub fn clear(&mut self) {
         self.per_rel.clear();
         self.cardinality = 0;
+        self.overflow = None;
     }
 }
 
@@ -242,6 +260,27 @@ mod tests {
         assert!(b.deltas("S").next().is_none(), "S fully cancelled");
         let rels: Vec<&str> = b.relations().collect();
         assert_eq!(rels, vec!["R"]);
+    }
+
+    #[test]
+    fn a_sum_past_i64_is_remembered_not_wrapped() {
+        let mut b = DeltaBatch::new();
+        b.push("R", Tuple::ints(&[1, 2]), i64::MAX);
+        assert_eq!(b.overflow(), None);
+        b.push("R", Tuple::ints(&[1, 2]), i64::MAX);
+        b.push("R", Tuple::ints(&[3]), i64::MIN);
+        b.extend_relation("R", [(Tuple::ints(&[3]), -1)]);
+        assert_eq!(b.overflow(), Some(("R", &Tuple::ints(&[1, 2]))));
+        assert_eq!(b.deltas_vec("R").len(), 2);
+        assert!(b.deltas("R").all(|(_, d)| d == i64::MAX || d == i64::MIN));
+        let mut c = DeltaBatch::new();
+        c.extend_relation(
+            "S",
+            [(Tuple::ints(&[1]), i64::MIN), (Tuple::ints(&[1]), -1)],
+        );
+        assert_eq!(c.overflow(), Some(("S", &Tuple::ints(&[1]))));
+        c.clear();
+        assert_eq!(c.overflow(), None);
     }
 
     #[test]

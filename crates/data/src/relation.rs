@@ -45,7 +45,8 @@ pub struct SlotId(u32);
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct IndexId(u32);
 
-/// Error returned when a delete would drive a multiplicity negative.
+/// Error returned when a delete would drive a multiplicity negative, or
+/// (from [`Relation::apply_batch`]) a sum of deltas would pass `i64`.
 ///
 /// The paper rejects such updates: "a delete is rejected if the existing
 /// multiplicity of x in R is less than |m|".
@@ -58,9 +59,13 @@ pub struct NegativeMultiplicity {
 
 impl fmt::Debug for NegativeMultiplicity {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let what = match self.present.checked_add(self.delta) {
+            Some(_) => "negative multiplicity",
+            None => "multiplicity overflow",
+        };
         write!(
             f,
-            "negative multiplicity: tuple {:?} has multiplicity {} but delta is {}",
+            "{what}: tuple {:?} has multiplicity {} but delta is {}",
             self.tuple, self.present, self.delta
         )
     }
@@ -394,7 +399,11 @@ impl Relation {
             for (t, d) in deltas {
                 let e = net.entry(t).or_insert(0);
                 duplicates |= *e != 0;
-                *e += d;
+                *e = e.checked_add(*d).ok_or_else(|| NegativeMultiplicity {
+                    tuple: t.clone(),
+                    present: *e,
+                    delta: *d,
+                })?;
             }
             consolidated = if duplicates || net.len() != deltas.len() {
                 net.into_iter().filter(|&(_, d)| d != 0).collect()
@@ -405,7 +414,7 @@ impl Relation {
         // Phase 2: validate every net delta against the current state.
         for &(t, d) in &consolidated {
             let present = self.get(t);
-            if present + d < 0 {
+            if present.checked_add(d).is_none_or(|m| m < 0) {
                 return Err(NegativeMultiplicity {
                     tuple: t.clone(),
                     present,
@@ -970,6 +979,26 @@ mod tests {
         r.apply_batch(&[(Tuple::ints(&[1, 1]), -2), (Tuple::ints(&[1, 1]), 2)])
             .unwrap();
         assert_eq!(r.get(&Tuple::ints(&[1, 1])), 1);
+    }
+
+    #[test]
+    fn apply_batch_refuses_a_sum_past_i64_atomically() {
+        let mut r = rel_ab();
+        r.insert(Tuple::ints(&[1, 1]), 2);
+        let before = r.to_sorted_vec();
+        // In the batch itself, and against the stored multiplicity.
+        let max = i64::MAX;
+        for batch in [
+            vec![(Tuple::ints(&[2, 2]), max), (Tuple::ints(&[2, 2]), 1)],
+            vec![(Tuple::ints(&[2, 2]), 1), (Tuple::ints(&[1, 1]), max)],
+        ] {
+            let err = r.apply_batch(&batch).unwrap_err();
+            assert!(
+                err.to_string().starts_with("multiplicity overflow"),
+                "{err}"
+            );
+            assert_eq!(r.to_sorted_vec(), before, "rejected batch left a trace");
+        }
     }
 
     #[test]

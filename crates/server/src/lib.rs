@@ -493,7 +493,6 @@ mod tests {
         for i in 0..32 {
             admin.ok(&format!("row R {},{}", i, i % 8));
         }
-        admin.ok(".shards 2");
         admin.ok("build");
         // 4 writer clients race 8 single-row inserts each; 2 reader
         // clients poll `count` the whole time.
@@ -607,16 +606,23 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_and_reshard_under_live_connections() {
-        let (_server, mut c) = demo_server();
+    fn rebuild_under_live_connections() {
+        let (server, mut c) = demo_server();
+        let mut c2 = TestClient::connect(server.addr());
         assert_eq!(c.ok("count"), "2\n");
-        c.ok(".shards 3");
-        let msg = c.ok("build");
-        assert!(msg.contains("3 shards"), "{msg}");
-        assert_eq!(c.ok("count"), "2\n");
+        c.ok("insert S 10,6");
+        // A rebuild from another connection keeps the write, and both
+        // connections go on reading the rebuilt engine.
+        assert_eq!(c2.ok("build"), "built: N = 4\n");
+        assert_eq!(c.ok("count"), "4\n");
+        assert_eq!(c2.ok("count"), "4\n");
         let stats = c.ok("stats");
-        assert!(stats.contains("shards = 3"), "{stats}");
-        assert!(stats.contains("shard 2: N ="), "{stats}");
+        assert!(stats.starts_with("N = 4, snapshot_epoch = "), "{stats}");
+        assert!(stats.contains("updates = 1, batches = 1"), "{stats}");
+        assert!(stats.contains("relations: R=2, S=2\n"), "{stats}");
+        let err = c.send(".shards 3").unwrap_err();
+        assert_eq!(err, "unknown command `.shards` (try `help`)");
+        assert_eq!(c2.ok("count"), "4\n");
     }
 
     #[test]

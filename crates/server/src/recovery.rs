@@ -49,10 +49,13 @@ impl OwnedState {
         let mut staging = Staging::default();
         let mut run: Option<AdminOp> = None;
         for line in text.lines() {
-            let Some(cmd) = proto::parse_command(line)? else {
+            let refuse = || format!("unreplayable command in WAL: {}", line.trim());
+            // A line that does not parse (say `.shards`, from an older
+            // log) refuses the frame, naming it.
+            let parsed = proto::parse_command(line).map_err(|e| format!("{} ({e})", refuse()))?;
+            let Some(cmd) = parsed else {
                 continue;
             };
-            let refuse = || format!("unreplayable command in WAL: {}", line.trim());
             // Frames never name files: the loader refuses before any path
             // is opened.
             let step = match (Step::of(cmd, |_| Err(refuse()))?, &mut run) {

@@ -53,7 +53,6 @@ pub struct SnapshotData {
     pub serve_stats: (u64, u64),
     pub epsilon: f64,
     pub mode: Mode,
-    pub shards: usize,
     /// The registered query in its display form (absent before `query`).
     pub query: Option<String>,
     /// Whether `build` had run (i.e. whether `base` is meaningful).
@@ -76,7 +75,6 @@ impl Default for SnapshotData {
             serve_stats: (0, 0),
             epsilon: 0.5,
             mode: Mode::Dynamic,
-            shards: 1,
             query: None,
             built: false,
             staged: Database::new(),
@@ -122,7 +120,6 @@ pub fn write(dir: &Path, data: &SnapshotData) -> io::Result<PathBuf> {
     let _ = writeln!(out, "serve_stats {gc} {gb}");
     let _ = writeln!(out, "epsilon {}", data.epsilon);
     let _ = writeln!(out, "{}", AdminOp::Mode(data.mode).wal_text());
-    let _ = writeln!(out, "shards {}", data.shards);
     if let Some(q) = &data.query {
         let _ = writeln!(out, "query {q}");
     }
@@ -184,8 +181,8 @@ pub fn parse(text: &str) -> Result<SnapshotData, String> {
         "static" => Mode::Static,
         other => return Err(format!("bad mode `{other}`")),
     };
-    data.shards = num(expect("shards")?)? as usize;
-
+    // Older checkpoints name a shard count; every engine is one now.
+    let _ = lines.next_if(|l| l.starts_with("shards "));
     if let Some(line) = lines.next_if(|l| l.starts_with("query ")) {
         data.query = Some(line["query ".len()..].to_owned());
     }
@@ -432,7 +429,6 @@ mod tests {
             serve_stats: (12, 40),
             epsilon: 0.25,
             mode: Mode::Dynamic,
-            shards: 2,
             query: Some("Q(A,C) :- R(A,B), S(B,C)".to_owned()),
             built: true,
             staged,
@@ -471,7 +467,6 @@ mod tests {
         assert_eq!(loaded.engine_stats, (100, 12, 1));
         assert_eq!(loaded.serve_stats, (12, 40));
         assert_eq!(loaded.epsilon, 0.25);
-        assert_eq!(loaded.shards, 2);
         assert_eq!(loaded.query.as_deref(), Some("Q(A,C) :- R(A,B), S(B,C)"));
         assert!(loaded.built);
         assert_eq!(canon(&loaded.staged), canon(&data.staged));
@@ -536,7 +531,6 @@ mod tests {
             epoch: 3,
             epsilon: 0.5,
             mode: Mode::Static,
-            shards: 1,
             staged,
             ..SnapshotData::default()
         };

@@ -91,7 +91,6 @@ impl OwnedState {
                 epsilon: snap.epsilon,
                 mode: snap.mode,
             },
-            snap.shards,
             snap.staged,
             snap.built.then_some((&snap.base, snap.engine_stats)),
         )?;
@@ -115,7 +114,6 @@ fn snapshot_data(s: &Session, epoch: u64, status: &Status) -> SnapshotData {
         serve_stats: (c.group_commits, c.grouped_batches),
         epsilon: s.options().epsilon,
         mode: s.options().mode,
-        shards: s.shards(),
         query: s.query().map(|q| q.to_string()),
         built: s.is_built(),
         staged: s.staged().clone(),

@@ -81,14 +81,11 @@ impl RecoveryWorkload {
         RecoveryWorkload { seed, batches }
     }
 
-    /// The setup script: query, seed rows, shard count, `build`.
-    pub fn setup_script(&self, shards: usize) -> String {
+    /// The setup script: query, seed rows, `build`.
+    pub fn setup_script(&self) -> String {
         let mut out = format!("query {QUERY}\n");
         for (rel, t) in &self.seed {
             proto::push_line(&mut out, Line::Row, rel, t);
-        }
-        if shards > 1 {
-            out.push_str(&format!(".shards {shards}\n"));
         }
         out.push_str("build\n");
         out

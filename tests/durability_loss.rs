@@ -68,7 +68,7 @@ fn after_the_log_fails_no_write_is_acked_and_every_acked_write_survives_a_restar
     assert!(refusal.contains("durability lost"), "{refusal}");
     assert!(refusal.contains("restart the server"), "{refusal}");
     // Admin verbs are writes too; reads are not.
-    let admin = c.request(".shards 2").unwrap().unwrap_err();
+    let admin = c.request("epsilon 0.25").unwrap().unwrap_err();
     assert!(admin.contains("durability lost"), "{admin}");
     assert!(c.request("count").unwrap().is_ok());
     assert!(c.expect_ok("stats").contains("wal_epoch = "));

@@ -98,115 +98,108 @@ fn a_primary_without_group_fsync_is_refused() {
 }
 
 #[test]
-fn replica_reads_match_a_committed_prefix_at_every_shard_count() {
-    for shards in [1usize, 2, 4] {
-        let wl = RecoveryWorkload::generate(0x1E91 + shards as u64, 20, 16, 5);
-        let oracles: Vec<Vec<(Tuple, i64)>> =
-            (0..=wl.batches.len()).map(|k| oracle(&wl, k)).collect();
-        let dir = temp_dir(&format!("prefix_{shards}"));
-        // snapshot_every = 5: several checkpoint/rotation cycles happen
-        // *while the follower streams*, exercising the rebase path.
-        let primary = start_primary(&dir, 5);
-        let repl_addr = primary.repl_addr().expect("repl listener must be up");
-        let replica = start_replica(repl_addr);
-        let raddr = replica.addr();
+fn replica_reads_match_a_committed_prefix() {
+    let wl = RecoveryWorkload::generate(0x1E92, 20, 16, 5);
+    let oracles: Vec<Vec<(Tuple, i64)>> = (0..=wl.batches.len()).map(|k| oracle(&wl, k)).collect();
+    let dir = temp_dir("prefix");
+    // snapshot_every = 5: several checkpoint/rotation cycles happen
+    // *while the follower streams*, exercising the rebase path.
+    let primary = start_primary(&dir, 5);
+    let repl_addr = primary.repl_addr().expect("repl listener must be up");
+    let replica = start_replica(repl_addr);
+    let raddr = replica.addr();
 
-        // Sample the replica concurrently with the commits: epochs and
-        // full listings, as a client would see them.
-        let stop = Arc::new(AtomicBool::new(false));
-        let sampler = {
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let mut epochs: Vec<u64> = Vec::new();
-                let mut listings: Vec<Vec<(Tuple, i64)>> = Vec::new();
-                while !stop.load(Ordering::SeqCst) {
-                    if let Some(e) = poll_stat(raddr, "replica_epoch") {
-                        epochs.push(e);
-                    }
-                    if let Ok(mut c) = Client::connect(raddr) {
-                        // `list` errors while the replica has not yet
-                        // replayed the `build` — that is "not yet", not a
-                        // violation.
-                        if let Ok(Ok(payload)) = c.request("list") {
-                            listings.push(parse_listing(&payload).unwrap());
-                        }
-                    }
-                    std::thread::sleep(Duration::from_millis(2));
+    // Sample the replica concurrently with the commits: epochs and
+    // full listings, as a client would see them.
+    let stop = Arc::new(AtomicBool::new(false));
+    let sampler = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let mut epochs: Vec<u64> = Vec::new();
+            let mut listings: Vec<Vec<(Tuple, i64)>> = Vec::new();
+            while !stop.load(Ordering::SeqCst) {
+                if let Some(e) = poll_stat(raddr, "replica_epoch") {
+                    epochs.push(e);
                 }
-                (epochs, listings)
-            })
-        };
+                if let Ok(mut c) = Client::connect(raddr) {
+                    // `list` errors while the replica has not yet
+                    // replayed the `build` — that is "not yet", not a
+                    // violation.
+                    if let Ok(Ok(payload)) = c.request("list") {
+                        listings.push(parse_listing(&payload).unwrap());
+                    }
+                }
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            (epochs, listings)
+        })
+    };
 
-        let mut c = Client::connect(primary.addr()).unwrap();
-        run_script(&mut c, &wl.setup_script(shards));
-        for k in 0..wl.batches.len() {
-            run_script(&mut c, &wl.batch_script(k));
-        }
-        let target = primary_epoch(&mut c);
-        assert!(
-            wait_for_epoch(raddr, target, Duration::from_secs(30)),
-            "S={shards}: replica never caught up to epoch {target}"
-        );
-        stop.store(true, Ordering::SeqCst);
-        let (epochs, listings) = sampler.join().unwrap();
-
-        // Staleness is monotone: the applied epoch never moves backwards.
-        for w in epochs.windows(2) {
-            assert!(
-                w[0] <= w[1],
-                "S={shards}: replica_epoch went backwards: {w:?}"
-            );
-        }
-        // Every mid-stream read equals brute force on SOME committed
-        // prefix — never a torn round, never a reordered one.
-        for l in &listings {
-            assert!(
-                oracles.iter().any(|o| o == l),
-                "S={shards}: replica served a state matching no committed prefix: {l:?}"
-            );
-        }
-        assert!(
-            !listings.is_empty(),
-            "S={shards}: the sampler must have observed the replica mid-stream"
-        );
-        // Converged, the replica serves the full history.
-        assert_eq!(listing(raddr), oracles[wl.batches.len()], "S={shards}");
-
-        // Writes and admin are refused with a redirect naming the primary.
-        let mut rc = Client::connect(raddr).unwrap();
-        for cmd in [
-            "insert R 999,999",
-            "delete S 1,1",
-            "query Q(A,C) :- R(A,B), S(B,C)",
-            "build",
-            ".shards 2",
-            "epsilon 0.25",
-        ] {
-            let err = rc
-                .request(cmd)
-                .expect("connection must survive a refusal")
-                .expect_err("replicas must refuse writes and admin");
-            assert!(err.contains("read-only replica"), "`{cmd}`: {err}");
-            assert!(
-                err.contains(&repl_addr.to_string()),
-                "`{cmd}` must name the primary: {err}"
-            );
-        }
-        // …and reads on the same connection still work afterwards.
-        assert_eq!(
-            parse_listing(&rc.expect_ok("list")).unwrap(),
-            oracles[wl.batches.len()]
-        );
-        let stats = rc.expect_ok("stats");
-        assert_eq!(stat_field(&stats, "replica_epoch"), target, "{stats}");
-        assert_eq!(stat_field(&stats, "replica_broken"), 0, "{stats}");
-
-        drop(rc);
-        drop(c);
-        drop(replica);
-        drop(primary);
-        let _ = std::fs::remove_dir_all(&dir);
+    let mut c = Client::connect(primary.addr()).unwrap();
+    run_script(&mut c, &wl.setup_script());
+    for k in 0..wl.batches.len() {
+        run_script(&mut c, &wl.batch_script(k));
     }
+    let target = primary_epoch(&mut c);
+    assert!(
+        wait_for_epoch(raddr, target, Duration::from_secs(30)),
+        "replica never caught up to epoch {target}"
+    );
+    stop.store(true, Ordering::SeqCst);
+    let (epochs, listings) = sampler.join().unwrap();
+
+    // Staleness is monotone: the applied epoch never moves backwards.
+    for w in epochs.windows(2) {
+        assert!(w[0] <= w[1], "replica_epoch went backwards: {w:?}");
+    }
+    // Every mid-stream read equals brute force on SOME committed
+    // prefix — never a torn round, never a reordered one.
+    for l in &listings {
+        assert!(
+            oracles.iter().any(|o| o == l),
+            "replica served a state matching no committed prefix: {l:?}"
+        );
+    }
+    assert!(
+        !listings.is_empty(),
+        "the sampler must have observed the replica mid-stream"
+    );
+    // Converged, the replica serves the full history.
+    assert_eq!(listing(raddr), oracles[wl.batches.len()]);
+
+    // Writes and admin are refused with a redirect naming the primary.
+    let mut rc = Client::connect(raddr).unwrap();
+    for cmd in [
+        "insert R 999,999",
+        "delete S 1,1",
+        "query Q(A,C) :- R(A,B), S(B,C)",
+        "build",
+        "epsilon 0.25",
+    ] {
+        let err = rc
+            .request(cmd)
+            .expect("connection must survive a refusal")
+            .expect_err("replicas must refuse writes and admin");
+        assert!(err.contains("read-only replica"), "`{cmd}`: {err}");
+        assert!(
+            err.contains(&repl_addr.to_string()),
+            "`{cmd}` must name the primary: {err}"
+        );
+    }
+    // …and reads on the same connection still work afterwards.
+    assert_eq!(
+        parse_listing(&rc.expect_ok("list")).unwrap(),
+        oracles[wl.batches.len()]
+    );
+    let stats = rc.expect_ok("stats");
+    assert_eq!(stat_field(&stats, "replica_epoch"), target, "{stats}");
+    assert_eq!(stat_field(&stats, "replica_broken"), 0, "{stats}");
+
+    drop(rc);
+    drop(c);
+    drop(replica);
+    drop(primary);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Reserves a concrete port so the primary can be restarted on the same
@@ -252,7 +245,7 @@ fn kills_of_either_side_reconnect_and_converge() {
     let config = primary_config(&dir, 4, &repl_listen);
     let primary = start_primary_retry(&config);
     let mut c = Client::connect(primary.addr()).unwrap();
-    run_script(&mut c, &wl.setup_script(2));
+    run_script(&mut c, &wl.setup_script());
     for k in 0..6 {
         run_script(&mut c, &wl.batch_script(k));
     }
@@ -384,7 +377,7 @@ fn a_slow_follower_is_disconnected_and_never_delays_primary_acks() {
     let replica = start_replica(primary.repl_addr().unwrap());
     let raddr = replica.addr();
     let mut c = Client::connect(primary.addr()).unwrap();
-    run_script(&mut c, &wl.setup_script(2));
+    run_script(&mut c, &wl.setup_script());
     let t0 = primary_epoch(&mut c);
     assert!(
         wait_for_epoch(raddr, t0, Duration::from_secs(30)),
@@ -444,7 +437,7 @@ fn a_newline_free_stream_into_the_replication_listener_is_dropped() {
     let primary = start_primary(&dir, 0);
     let repl_addr = primary.repl_addr().unwrap();
     let mut c = Client::connect(primary.addr()).unwrap();
-    run_script(&mut c, &wl.setup_script(2));
+    run_script(&mut c, &wl.setup_script());
 
     // More than the limit, and never a newline. The listener stops
     // reading at the limit, so the tail of this write may fail — fine.
@@ -477,6 +470,44 @@ fn a_newline_free_stream_into_the_replication_listener_is_dropped() {
 
     drop(c);
     drop(replica);
+    drop(primary);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Version 4 frames never hold `.shards`; a version-3 peer could still
+/// ship or expect them. A follower that says `hello 3` is dropped before
+/// it registers or receives a byte, and a `hello 4` one is served.
+#[test]
+fn a_version_3_follower_is_refused() {
+    let wl = RecoveryWorkload::generate(0x7E3, 10, 4, 3);
+    let dir = temp_dir("hello_3");
+    let primary = start_primary(&dir, 0);
+    let repl_addr = primary.repl_addr().unwrap();
+    let mut c = Client::connect(primary.addr()).unwrap();
+    run_script(&mut c, &wl.setup_script());
+
+    let reply = |hello: &str| {
+        let mut s = TcpStream::connect(repl_addr).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        s.write_all(hello.as_bytes()).unwrap();
+        let mut first = [0u8; 6];
+        match s.read(&mut first) {
+            Ok(n) => String::from_utf8_lossy(&first[..n]).into_owned(),
+            Err(e) => {
+                assert!(
+                    !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+                    "`{hello}` was neither served nor dropped: {e}"
+                );
+                String::new()
+            }
+        }
+    };
+    assert_eq!(reply("hello 3 0\n"), "", "a v3 follower was served");
+    assert_eq!(stat_field(&c.expect_ok("stats"), "repl_followers"), 0);
+    // Epoch 0 against a tip past it: a v4 follower gets the log.
+    assert!(reply("hello 4 0\n").starts_with("round "));
+
+    drop(c);
     drop(primary);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -39,7 +39,7 @@ fn a_redelivered_round_is_dropped_whole_and_a_new_one_applied_whole() {
         .read_line(&mut hello)
         .unwrap();
     assert_eq!(
-        hello, "hello 3 0\n",
+        hello, "hello 4 0\n",
         "a fresh follower resumes from epoch 0"
     );
 
@@ -148,7 +148,7 @@ fn an_ack_counts_the_frames_applied_on_its_own_connection() {
     };
 
     let (mut stream, mut reader) = accept();
-    assert_eq!(next_line(&mut reader), "hello 3 0\n");
+    assert_eq!(next_line(&mut reader), "hello 4 0\n");
     send_round(
         &mut stream,
         1,
@@ -163,7 +163,7 @@ fn an_ack_counts_the_frames_applied_on_its_own_connection() {
     stream.shutdown(std::net::Shutdown::Both).unwrap();
 
     let (mut stream, mut reader) = accept();
-    assert_eq!(next_line(&mut reader), "hello 3 1\n");
+    assert_eq!(next_line(&mut reader), "hello 4 1\n");
     send_round(
         &mut stream,
         2,

@@ -131,12 +131,11 @@ fn readers_never_observe_torn_batches() {
     }
     let valid: HashSet<&Vec<String>> = prefixes.iter().collect();
 
-    // Server setup over the wire, sharded build.
+    // Server setup over the wire.
     let server = Server::start(ServerConfig::default()).unwrap();
     let addr = server.addr();
     let mut admin = Client::connect(addr).unwrap();
     admin.expect_ok(&format!("query {QUERY}"));
-    admin.expect_ok(".shards 2");
     for (rel, _) in RELS {
         for (t, m) in db.rows(rel) {
             for _ in 0..m {

@@ -4,8 +4,8 @@
 //! merges must keep: the same script gets byte-identical read replies
 //! from a primary and its converged replica, every state-changing verb on
 //! the replica is a redirect naming the primary, a local `Shell` fed the
-//! script answers every line as the primary does — at two shards and at
-//! one — and the loop's read buffer is bounded.
+//! script answers every line as the primary does, and the loop's read
+//! buffer is bounded.
 
 use std::collections::BTreeSet;
 use std::io::{BufReader, Read, Write};
@@ -45,7 +45,6 @@ fn variant(c: &Command) -> &'static str {
         Command::Query(_) => "query",
         Command::Epsilon(_) => "epsilon",
         Command::Mode(_) => "mode",
-        Command::Shards(_) => "shards",
         Command::Load { .. } => "load",
         Command::Row { .. } => "row",
         Command::Build => "build",
@@ -69,12 +68,12 @@ fn variant(c: &Command) -> &'static str {
 
 /// The part of a `stats` payload every role renders from the engine view;
 /// the durability and replication lines after it, and the shell's
-/// per-shard engine diagnostics (`shard 0: M = …`), are role-specific.
+/// engine line (`M = …, θ = …`), are role-specific.
 fn engine_lines(stats: &str) -> Vec<&str> {
     stats
         .lines()
         .filter(|l| !l.starts_with("wal_epoch") && !l.starts_with("repl"))
-        .filter(|l| !(l.starts_with("shard ") && l.contains(": M = ")))
+        .filter(|l| !l.starts_with("M = "))
         .collect()
 }
 
@@ -102,18 +101,7 @@ fn shell_reply(shell: &mut Shell, line: &str) -> Result<String, String> {
 
 #[test]
 fn one_script_against_a_primary_and_its_converged_replica() {
-    one_script_three_ways(2);
-}
-
-/// At the default shard count too: there the shell's `built:` and
-/// `stats` replies used to come from an engine arm of its own.
-#[test]
-fn the_script_at_one_shard_gets_the_same_replies_from_shell_and_server() {
-    one_script_three_ways(1);
-}
-
-fn one_script_three_ways(shards: usize) {
-    let dir = temp_dir(&format!("table_{shards}"));
+    let dir = temp_dir("table");
     let (csv_s, csv_more) = (dir.join("s.csv"), dir.join("more.csv"));
     std::fs::write(&csv_s, "10,5\n").unwrap();
     std::fs::write(&csv_more, "10,6\n10,8\n").unwrap();
@@ -132,13 +120,11 @@ fn one_script_three_ways(shards: usize) {
 
     let load = format!("load S {}", csv_s.display());
     let load_more = format!("load S {}", csv_more.display());
-    let shards_line = format!(".shards {shards}");
     use Kind::{Loop, Read, Write};
     let table: Vec<(&str, Kind)> = vec![
         ("query Q(A,C) :- R(A,B), S(B,C)", Write),
         ("epsilon 0.5", Write),
         ("mode dynamic", Write),
-        (&shards_line, Write),
         ("row R 1,10", Write),
         (&load, Write),
         ("build", Write),
@@ -200,7 +186,7 @@ fn one_script_three_ways(shards: usize) {
         assert_eq!(
             p.as_deref().map(normalised),
             sh.as_deref().map(normalised),
-            "S={shards}: shell and primary disagree on `{line}`"
+            "shell and primary disagree on `{line}`"
         );
         match kind {
             Write => {
@@ -243,7 +229,7 @@ fn one_script_three_ways(shards: usize) {
     let err = shell_reply(&mut shell, "shutdown").unwrap_err();
     assert!(err.contains("server-side command"), "{err}");
     covered.insert(variant(&Command::Shutdown));
-    assert_eq!(covered.len(), 22, "the script must take every Command");
+    assert_eq!(covered.len(), 21, "the script must take every Command");
 
     drop(replica);
     drop(primary);
@@ -280,19 +266,22 @@ fn an_overlong_line_is_refused_and_the_server_keeps_serving() {
     assert_eq!(fresh.expect_ok("count"), "1\n");
 }
 
-/// `.shards` comes from outside and `build` preprocesses one engine per
-/// shard on the writer — the one thread that can apply a write.
+/// No shard count is in range: the engine is one, and `.shards` is an
+/// unknown command, refused before it reaches the writer — the one
+/// thread that can apply a write.
 #[test]
 fn an_out_of_range_shard_count_is_refused_and_the_writer_keeps_serving() {
     let server = Server::start(ServerConfig::default()).unwrap();
     let mut c = Client::connect(server.addr()).unwrap();
     c.expect_ok("query Q(A,C) :- R(A,B), S(B,C)");
-    let err = c.request(".shards 100000").unwrap().unwrap_err();
-    assert!(err.contains("between 1 and 64"), "{err}");
+    for line in [".shards 100000", ".shards 2", ".shards 1"] {
+        let err = c.request(line).unwrap().unwrap_err();
+        assert_eq!(err, "unknown command `.shards` (try `help`)", "{line}");
+    }
     for line in ["row R 1,10", "row S 10,5"] {
         c.expect_ok(line);
     }
-    assert!(c.expect_ok("build").contains("1 shards"));
+    assert_eq!(c.expect_ok("build"), "built: N = 2\n");
     for line in [".batch begin", "insert R 2,10"] {
         c.expect_ok(line);
     }

@@ -68,71 +68,65 @@ fn stat_field(stats: &str, key: &str) -> u64 {
 
 #[test]
 fn kill_and_recover_matches_the_prefix_oracle() {
-    for shards in [1usize, 2, 4] {
-        let wl = RecoveryWorkload::generate(0xD1E + shards as u64, 20, 24, 5);
-        let dir = temp_dir(&format!("kill_{shards}"));
-        const K1: usize = 10;
+    let wl = RecoveryWorkload::generate(0xD1F, 20, 24, 5);
+    let dir = temp_dir("kill");
+    const K1: usize = 10;
 
-        // Phase 1: setup + 10 batches, then a hard kill. snapshot_every=7
-        // makes several checkpoint/rotation cycles happen mid-run, so
-        // recovery exercises snapshot-load + WAL-tail replay together.
-        {
-            let server = start(&dir, 7);
-            let mut c = Client::connect(server.addr()).unwrap();
-            run_script(&mut c, &wl.setup_script(shards));
-            for k in 0..K1 {
-                run_script(&mut c, &wl.batch_script(k));
-            }
-            assert_eq!(listing(server.addr()), oracle(&wl, K1), "S={shards} live");
-            // drop(server): hard kill — no final snapshot.
-        }
-
-        // Phase 2: restart, verify the recovered state byte-for-byte,
-        // then keep committing on top of it.
+    // Phase 1: setup + 10 batches, then a hard kill. snapshot_every=7
+    // makes several checkpoint/rotation cycles happen mid-run, so
+    // recovery exercises snapshot-load + WAL-tail replay together.
+    {
         let server = start(&dir, 7);
-        assert_eq!(
-            listing(server.addr()),
-            oracle(&wl, K1),
-            "S={shards} recovered"
-        );
         let mut c = Client::connect(server.addr()).unwrap();
-        let stats = c.expect_ok("stats");
-        assert_eq!(
-            stat_field(&stats, "updates"),
-            wl.total_updates_after(K1),
-            "S={shards}: cumulative updates must survive recovery: {stats}"
-        );
-        assert!(
-            stat_field(&stats, "recovered_groups") > 0,
-            "S={shards}: some rounds must have replayed from the WAL: {stats}"
-        );
-        assert_eq!(stat_field(&stats, "misroutes"), 0, "S={shards}");
-        for k in K1..wl.batches.len() {
+        run_script(&mut c, &wl.setup_script());
+        for k in 0..K1 {
             run_script(&mut c, &wl.batch_script(k));
         }
-        let k_all = wl.batches.len();
-        assert_eq!(listing(server.addr()), oracle(&wl, k_all), "S={shards}");
-        drop(c);
-        drop(server);
-
-        // Phase 3: one more kill/recover cycle over the full history.
-        let server = start(&dir, 7);
-        assert_eq!(
-            listing(server.addr()),
-            oracle(&wl, k_all),
-            "S={shards} second recovery"
-        );
-        let mut c = Client::connect(server.addr()).unwrap();
-        let stats = c.expect_ok("stats");
-        assert_eq!(
-            stat_field(&stats, "updates"),
-            wl.total_updates_after(k_all),
-            "S={shards}: {stats}"
-        );
-        drop(c);
-        drop(server);
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(listing(server.addr()), oracle(&wl, K1), "live");
+        // drop(server): hard kill — no final snapshot.
     }
+
+    // Phase 2: restart, verify the recovered state byte-for-byte,
+    // then keep committing on top of it.
+    let server = start(&dir, 7);
+    assert_eq!(listing(server.addr()), oracle(&wl, K1), "recovered");
+    let mut c = Client::connect(server.addr()).unwrap();
+    let stats = c.expect_ok("stats");
+    assert_eq!(
+        stat_field(&stats, "updates"),
+        wl.total_updates_after(K1),
+        "cumulative updates must survive recovery: {stats}"
+    );
+    assert!(
+        stat_field(&stats, "recovered_groups") > 0,
+        "some rounds must have replayed from the WAL: {stats}"
+    );
+    assert_eq!(stat_field(&stats, "misroutes"), 0);
+    for k in K1..wl.batches.len() {
+        run_script(&mut c, &wl.batch_script(k));
+    }
+    let k_all = wl.batches.len();
+    assert_eq!(listing(server.addr()), oracle(&wl, k_all));
+    drop(c);
+    drop(server);
+
+    // Phase 3: one more kill/recover cycle over the full history.
+    let server = start(&dir, 7);
+    assert_eq!(
+        listing(server.addr()),
+        oracle(&wl, k_all),
+        "second recovery"
+    );
+    let mut c = Client::connect(server.addr()).unwrap();
+    let stats = c.expect_ok("stats");
+    assert_eq!(
+        stat_field(&stats, "updates"),
+        wl.total_updates_after(k_all),
+        "{stats}"
+    );
+    drop(c);
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -145,7 +139,7 @@ fn torn_final_wal_record_recovers_to_the_previous_batch() {
         // so the injected tear provably lands in the last batch's frame.
         let server = start(&dir, 0);
         let mut c = Client::connect(server.addr()).unwrap();
-        run_script(&mut c, &wl.setup_script(2));
+        run_script(&mut c, &wl.setup_script());
         for k in 0..K {
             run_script(&mut c, &wl.batch_script(k));
         }
@@ -184,7 +178,7 @@ fn flipped_bit_recovers_a_valid_prefix_and_never_panics() {
     {
         let server = start(&dir, 0);
         let mut c = Client::connect(server.addr()).unwrap();
-        run_script(&mut c, &wl.setup_script(1));
+        run_script(&mut c, &wl.setup_script());
         for k in 0..K {
             run_script(&mut c, &wl.batch_script(k));
         }
@@ -217,7 +211,7 @@ fn clean_shutdown_persists_everything_and_replays_nothing() {
     {
         let server = start(&dir, 0);
         let mut c = Client::connect(server.addr()).unwrap();
-        run_script(&mut c, &wl.setup_script(2));
+        run_script(&mut c, &wl.setup_script());
         for k in 0..K {
             run_script(&mut c, &wl.batch_script(k));
         }
@@ -318,7 +312,7 @@ fn kill_and_recover_rebuilds_the_group_commit_counters_exactly() {
         let server = start(&dir, 0);
         let addr = server.addr();
         let mut c = Client::connect(addr).unwrap();
-        run_script(&mut c, &wl.setup_script(2));
+        run_script(&mut c, &wl.setup_script());
         for k in 0..K {
             run_script(&mut c, &wl.batch_script(k));
         }
@@ -363,7 +357,7 @@ fn a_final_checkpoint_that_cannot_land_is_not_reported_written() {
     {
         let server = start(&dir, 0);
         let mut c = Client::connect(server.addr()).unwrap();
-        run_script(&mut c, &wl.setup_script(2));
+        run_script(&mut c, &wl.setup_script());
         for k in 0..K {
             run_script(&mut c, &wl.batch_script(k));
         }
@@ -433,87 +427,85 @@ impl Gate {
 /// round's log operation, so durability is lost before its ack is sent.
 #[test]
 fn crash_between_publish_and_fsync_loses_only_unacked_writes() {
-    for shards in [1usize, 2, 4] {
-        let wl = RecoveryWorkload::generate(0xFA57 + shards as u64, 16, 10, 4);
-        let dir = temp_dir(&format!("inject_{shards}"));
-        const K: usize = 6;
-        let gate = Gate::new(PASS);
-        {
-            let hook_gate = Arc::clone(&gate);
-            let server = Server::start(ServerConfig {
-                data_dir: Some(dir.clone()),
-                fsync: FsyncMode::Group,
-                snapshot_every: 0,
-                hooks: TestHooks {
-                    sync_barrier: Some(Arc::new(move |_epoch| hook_gate.check())),
-                    ..TestHooks::default()
-                },
-                ..ServerConfig::default()
-            })
-            .expect("server must start");
-            let addr = server.addr();
-            let mut c = Client::connect(addr).unwrap();
-            run_script(&mut c, &wl.setup_script(shards));
-            for k in 0..K {
-                run_script(&mut c, &wl.batch_script(k));
-            }
-            assert_eq!(listing(addr), oracle(&wl, K), "S={shards} acked prefix");
-
-            // Freeze the sync thread, then submit exactly one more batch:
-            // the writer applies and publishes it, but its frames never
-            // reach the disk and its ack is held behind the frozen fsync.
-            gate.set(BLOCK);
-            let script = wl.batch_script(K);
-            let blocked = std::thread::spawn(move || {
-                let mut c = Client::connect(addr).unwrap();
-                let mut last: Result<String, String> = Ok(String::new());
-                for line in script.lines() {
-                    last = c.request(line).expect("connection must stay alive");
-                }
-                last
-            });
-            // Publish-before-ack means other readers see the gated batch
-            // while its submitter is still waiting on durability.
-            let deadline = Instant::now() + Duration::from_secs(10);
-            while listing(addr) != oracle(&wl, K + 1) {
-                assert!(
-                    Instant::now() < deadline,
-                    "S={shards}: the gated batch never became visible"
-                );
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            let stats = Client::connect(addr).unwrap().expect_ok("stats");
-            assert!(
-                stat_field(&stats, "fsync_backlog") >= 1,
-                "S={shards}: the gated round must show as backlog: {stats}"
-            );
-            assert!(
-                stat_field(&stats, "durable_epoch") < stat_field(&stats, "snapshot_epoch"),
-                "S={shards}: durable frontier must lag the published epoch: {stats}"
-            );
-
-            // Crash: the sync thread panics at the barrier, before the
-            // append. The gated submitter must see an error, not an ok.
-            gate.set(CRASH);
-            let last = blocked.join().unwrap();
-            assert!(
-                last.is_err(),
-                "S={shards}: a write whose fsync never ran must not ack ok: {last:?}"
-            );
-            drop(c);
+    let wl = RecoveryWorkload::generate(0xFA58, 16, 10, 4);
+    let dir = temp_dir("inject");
+    const K: usize = 6;
+    let gate = Gate::new(PASS);
+    {
+        let hook_gate = Arc::clone(&gate);
+        let server = Server::start(ServerConfig {
+            data_dir: Some(dir.clone()),
+            fsync: FsyncMode::Group,
+            snapshot_every: 0,
+            hooks: TestHooks {
+                sync_barrier: Some(Arc::new(move |_epoch| hook_gate.check())),
+                ..TestHooks::default()
+            },
+            ..ServerConfig::default()
+        })
+        .expect("server must start");
+        let addr = server.addr();
+        let mut c = Client::connect(addr).unwrap();
+        run_script(&mut c, &wl.setup_script());
+        for k in 0..K {
+            run_script(&mut c, &wl.batch_script(k));
         }
-        // Recovery: the acked prefix survives byte-for-byte; the
-        // published-but-unacked batch rolled back.
-        gate.set(PASS);
-        let server = start(&dir, 0);
-        assert_eq!(
-            listing(server.addr()),
-            oracle(&wl, K),
-            "S={shards}: acked writes must survive, unacked may roll back"
+        assert_eq!(listing(addr), oracle(&wl, K), "acked prefix");
+
+        // Freeze the sync thread, then submit exactly one more batch:
+        // the writer applies and publishes it, but its frames never
+        // reach the disk and its ack is held behind the frozen fsync.
+        gate.set(BLOCK);
+        let script = wl.batch_script(K);
+        let blocked = std::thread::spawn(move || {
+            let mut c = Client::connect(addr).unwrap();
+            let mut last: Result<String, String> = Ok(String::new());
+            for line in script.lines() {
+                last = c.request(line).expect("connection must stay alive");
+            }
+            last
+        });
+        // Publish-before-ack means other readers see the gated batch
+        // while its submitter is still waiting on durability.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while listing(addr) != oracle(&wl, K + 1) {
+            assert!(
+                Instant::now() < deadline,
+                "the gated batch never became visible"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let stats = Client::connect(addr).unwrap().expect_ok("stats");
+        assert!(
+            stat_field(&stats, "fsync_backlog") >= 1,
+            "the gated round must show as backlog: {stats}"
         );
-        drop(server);
-        let _ = std::fs::remove_dir_all(&dir);
+        assert!(
+            stat_field(&stats, "durable_epoch") < stat_field(&stats, "snapshot_epoch"),
+            "durable frontier must lag the published epoch: {stats}"
+        );
+
+        // Crash: the sync thread panics at the barrier, before the
+        // append. The gated submitter must see an error, not an ok.
+        gate.set(CRASH);
+        let last = blocked.join().unwrap();
+        assert!(
+            last.is_err(),
+            "a write whose fsync never ran must not ack ok: {last:?}"
+        );
+        drop(c);
     }
+    // Recovery: the acked prefix survives byte-for-byte; the
+    // published-but-unacked batch rolled back.
+    gate.set(PASS);
+    let server = start(&dir, 0);
+    assert_eq!(
+        listing(server.addr()),
+        oracle(&wl, K),
+        "acked writes must survive, unacked may roll back"
+    );
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The background-snapshot contract: commit rounds never wait on
@@ -543,7 +535,7 @@ fn commits_proceed_while_a_snapshot_is_in_progress() {
         .expect("server must start");
         let addr = server.addr();
         let mut c = Client::connect(addr).unwrap();
-        run_script(&mut c, &wl.setup_script(2));
+        run_script(&mut c, &wl.setup_script());
         // The cadence (every 3 dirty rounds) has dispatched a snapshot by
         // now; it is frozen inside the hook. Everything below runs with
         // that snapshot "in progress".
@@ -618,5 +610,93 @@ fn unreadable_wal_refuses_to_start() {
         err.is_err(),
         "a WAL with a bad header must stop the boot, not be wiped"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A checkpoint written while the engine took a shard count carries a
+/// `shards <S>` line. The loader skips it: whatever `S` was, the data
+/// dir boots into one engine serving the same result, and the next
+/// checkpoint has no such line.
+#[test]
+fn a_checkpoint_with_a_shards_line_loads_into_one_engine() {
+    let q = parse_query("Q(A,C) :- R(A,B), S(B,C)").unwrap();
+    let mut db = ivme::core::Database::new();
+    db.insert("R", Tuple::ints(&[1, 10]), 1);
+    db.insert("R", Tuple::ints(&[2, 11]), 1);
+    db.insert("S", Tuple::ints(&[10, 5]), 2);
+    db.insert("S", Tuple::ints(&[11, 6]), 1);
+    let want = brute_force(&q, &db);
+    for shards in [1, 2] {
+        let dir = temp_dir(&format!("old_checkpoint_{shards}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut text = format!(
+            "IVMESNAP1\nepoch 5\nengine_stats 3 2 0\nserve_stats 2 2\nepsilon 0.5\n\
+             mode dynamic\nshards {shards}\nquery {q}\nbuilt 1\nbase 1 R 1,10\n\
+             base 1 R 2,11\nbase 2 S 10,5\nbase 1 S 11,6\n"
+        );
+        let crc = ivme_server::crc::crc32(text.as_bytes());
+        text.push_str(&format!("crc {crc:08x}\n"));
+        std::fs::write(dir.join("snapshot-5.ivme"), text).unwrap();
+
+        let server = start(&dir, 0);
+        assert_eq!(listing(server.addr()), want, "shards {shards}");
+        let mut c = Client::connect(server.addr()).unwrap();
+        let stats = c.expect_ok("stats");
+        assert!(stats.starts_with("N = 4, snapshot_epoch = 5\n"), "{stats}");
+        assert_eq!(stat_field(&stats, "updates"), 3, "{stats}");
+        assert!(!stats.contains("shard"), "{stats}");
+        c.expect_ok("insert S 10,7");
+        assert!(c.expect_ok("shutdown").contains("snapshot written"));
+        drop(c);
+        drop(server);
+        let newest = std::fs::read_to_string(dir.join("snapshot-6.ivme")).unwrap();
+        assert!(!newest.contains("\nshards "), "{newest}");
+        let server = start(&dir, 0);
+        let mut after = db.clone();
+        after.insert("S", Tuple::ints(&[10, 7]), 1);
+        assert_eq!(
+            listing(server.addr()),
+            brute_force(&q, &after),
+            "shards {shards}"
+        );
+        drop(server);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A log written while `.shards` was a command may hold its frame. Replay
+/// cannot honour it, so the boot is refused, naming the frame, and the
+/// log is left as it was.
+#[test]
+fn a_wal_with_a_shards_frame_refuses_to_start() {
+    let dir = temp_dir("shards_frame");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("wal.log");
+    let mut wal = ivme_server::wal::Wal::create(&path, 0).unwrap();
+    let frames = [
+        "query Q(A,C) :- R(A,B), S(B,C)\n",
+        "row R 1,10\nrow R 2,10\n",
+        ".shards 2\n",
+        "build\n",
+    ];
+    for (epoch, text) in (1..).zip(frames) {
+        wal.append(epoch, text).unwrap();
+    }
+    wal.sync().unwrap();
+    drop(wal);
+    let before = std::fs::read(&path).unwrap();
+    let Err(err) = Server::start(ServerConfig {
+        data_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    }) else {
+        panic!("a WAL with a `.shards` frame booted");
+    };
+    let err = err.to_string();
+    assert!(err.contains("WAL replay failed at epoch 3"), "{err}");
+    assert!(
+        err.contains("unreplayable command in WAL: .shards 2"),
+        "{err}"
+    );
+    assert_eq!(std::fs::read(&path).unwrap(), before, "the log was changed");
     let _ = std::fs::remove_dir_all(&dir);
 }
