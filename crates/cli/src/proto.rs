@@ -428,9 +428,9 @@ fn trimmed_lines(payload: &str) -> impl Iterator<Item = &str> {
 // protocol, with binary payloads announced by a length header — see
 // docs/PROTOCOL.md §4 for the normative spec. The verbs live here, next
 // to the command grammar, because every replicated payload *is* command
-// text of that grammar (WAL frames) or the snapshot file format built on
-// it: a third-party follower needs nothing beyond this module's
-// vocabulary. Handshake (follower → primary):
+// text of that grammar — a WAL frame, or a frame of a checkpoint's round:
+// a third-party follower needs nothing beyond this module's vocabulary.
+// Handshake (follower → primary):
 //
 // ```text
 // hello <version> <epoch>
@@ -441,7 +441,7 @@ fn trimmed_lines(payload: &str) -> impl Iterator<Item = &str> {
 // bytes immediately after where a length is announced):
 //
 // ```text
-// snapshot <epoch> <len>   then <len> bytes: a snapshot-<epoch>.ivme file
+// snapshot <epoch> <n>     then n frame messages: a checkpoint's round
 // round <epoch> <n>        then n frame messages: one whole commit round
 // frame <len>              then <len> bytes: one WAL frame's command text
 // reset                    follower state is unusable: drop it, reconnect fresh
@@ -455,15 +455,17 @@ fn trimmed_lines(payload: &str) -> impl Iterator<Item = &str> {
 // ```
 
 /// Replication protocol version spoken by [`repl_hello_line`]. A primary
-/// refuses (closes on) a hello with any other version. Version 4 frames
-/// never hold `.shards`; a version-3 primary may still ship one.
-pub const REPL_VERSION: u64 = 4;
+/// refuses (closes on) a hello with any other version. Version 5 ships a
+/// checkpoint as frames, like a round; version 4 shipped it as a keyword
+/// text file.
+pub const REPL_VERSION: u64 = 5;
 
 /// One primary→follower stream message header.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReplHeader {
-    /// A snapshot file (`snapshot-<epoch>.ivme` bytes) follows.
-    Snapshot { epoch: u64, len: usize },
+    /// The `frames` frame messages of a checkpoint's round follow: replayed
+    /// onto a fresh state, they rebuild the primary's state at `epoch`.
+    Snapshot { epoch: u64, frames: usize },
     /// The `frames` frame messages of commit round `epoch` follow — all
     /// of them: a round is never split across messages.
     Round { epoch: u64, frames: usize },
@@ -511,7 +513,7 @@ pub fn parse_repl_hello(line: &str) -> Result<u64, String> {
 /// Renders one stream message header line.
 pub fn repl_header_line(h: &ReplHeader) -> String {
     match h {
-        ReplHeader::Snapshot { epoch, len } => format!("snapshot {epoch} {len}"),
+        ReplHeader::Snapshot { epoch, frames } => format!("snapshot {epoch} {frames}"),
         ReplHeader::Round { epoch, frames } => format!("round {epoch} {frames}"),
         ReplHeader::Reset => "reset".to_owned(),
     }
@@ -525,7 +527,7 @@ pub fn parse_repl_header(line: &str) -> Result<ReplHeader, String> {
     match verb {
         "snapshot" => Ok(ReplHeader::Snapshot {
             epoch: num("epoch")?,
-            len: num("length")? as usize,
+            frames: num("frame count")? as usize,
         }),
         "round" => Ok(ReplHeader::Round {
             epoch: num("epoch")?,
@@ -536,7 +538,8 @@ pub fn parse_repl_header(line: &str) -> Result<ReplHeader, String> {
     }
 }
 
-/// Renders the per-frame sub-header inside a `round` message.
+/// Renders the per-frame sub-header inside a `round` or `snapshot`
+/// message.
 pub fn repl_frame_line(len: usize) -> String {
     format!("frame {len}")
 }
@@ -725,19 +728,24 @@ mod tests {
 
     #[test]
     fn replication_verbs_round_trip() {
-        assert_eq!(repl_hello_line(42), "hello 4 42");
-        assert_eq!(parse_repl_hello("hello 4 42").unwrap(), 42);
+        assert_eq!(repl_hello_line(42), "hello 5 42");
+        assert_eq!(parse_repl_hello("hello 5 42").unwrap(), 42);
         // A v1 follower (frame-granular cursor) is refused, not guessed at,
         // and so is a v2 one (its `row`/`build` frames staged and rebuilt
         // from the staged rows where later frames insert and keep the
-        // writes) and a v3 one (its frames may hold `.shards`).
-        for old in ["hello 1 42 3", "hello 2 42", "hello 3 42"] {
+        // writes), a v3 one (its frames may hold `.shards`) and a v4 one
+        // (it reads a checkpoint as a keyword text file).
+        for old in ["hello 1 42 3", "hello 2 42", "hello 3 42", "hello 4 42"] {
             assert!(parse_repl_hello(old).unwrap_err().contains("version"));
         }
-        assert!(parse_repl_hello("hello 4").is_err());
-        assert!(parse_repl_hello("howdy 4 42").is_err());
+        assert!(parse_repl_hello("hello 5").is_err());
+        assert!(parse_repl_hello("howdy 5 42").is_err());
+        // parse ∘ render is the identity on every header variant.
         for h in [
-            ReplHeader::Snapshot { epoch: 9, len: 120 },
+            ReplHeader::Snapshot {
+                epoch: 9,
+                frames: 7,
+            },
             ReplHeader::Round {
                 epoch: 10,
                 frames: 2,
@@ -746,6 +754,14 @@ mod tests {
         ] {
             assert_eq!(parse_repl_header(&repl_header_line(&h)).unwrap(), h);
         }
+        assert_eq!(
+            repl_header_line(&ReplHeader::Snapshot {
+                epoch: 9,
+                frames: 7
+            }),
+            "snapshot 9 7"
+        );
+        assert!(parse_repl_header("snapshot 9").is_err());
         assert!(parse_repl_header("rebase 11").is_err());
         assert!(parse_repl_header("round ten 2").is_err());
         assert!(parse_repl_header("frobnicate 1").is_err());

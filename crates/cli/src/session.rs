@@ -145,31 +145,6 @@ impl Default for Session {
 }
 
 impl Session {
-    /// Rebuilds a session from checkpointed state — the inverse of the
-    /// accessors below. `base` carries the built engine's base relations
-    /// and cumulative `(updates, batches, misroutes)` when `build` had
-    /// run: the engine is rebuilt by re-preprocessing them (the entry
-    /// point of a live `build`), then seeded with the counters. `base`
-    /// supersedes any `staged` rows of the relations the engine holds.
-    pub fn restore(
-        query: Option<Query>,
-        opts: EngineOptions,
-        staged: Database,
-        base: Option<(&Database, (u64, u64, u64))>,
-    ) -> Result<Session, String> {
-        let mut session = Session {
-            query,
-            opts,
-            staged,
-            engine: None,
-        };
-        if let Some((base, stats)) = base {
-            let eng = session.new_engine(base, opts, stats)?;
-            session.install(eng);
-        }
-        Ok(session)
-    }
-
     pub fn query(&self) -> Option<&Query> {
         self.query.as_ref()
     }
@@ -192,18 +167,25 @@ impl Session {
         self.engine.is_some()
     }
 
+    /// Seeds the built engine's cumulative `updates` and `batches` — what
+    /// a checkpoint's `counters` line carries across a restart.
+    pub fn restore_counters(&mut self, updates: u64, batches: u64) {
+        if let Some(eng) = &mut self.engine {
+            eng.restore_stats(updates, batches);
+        }
+    }
+
     /// An engine over `db`, seeded with the cumulative `(updates,
-    /// batches, misroutes)`. Always one shard: one read and commit path
-    /// per build.
+    /// batches)`. Always one shard: one read and commit path per build.
     fn new_engine(
         &self,
         db: &Database,
         opts: EngineOptions,
-        (updates, batches, misroutes): (u64, u64, u64),
+        (updates, batches): (u64, u64),
     ) -> Result<ShardedEngine, String> {
         let q = self.query.as_ref().ok_or(NO_QUERY)?;
         let mut eng = ShardedEngine::new(q, db, opts, 1).map_err(|e| e.to_string())?;
-        eng.restore_stats(updates, batches, misroutes);
+        eng.restore_stats(updates, batches);
         Ok(eng)
     }
 
@@ -233,7 +215,7 @@ impl Session {
             None => None,
             Some(old) => {
                 let st = old.stats();
-                let counters = (st.updates, st.batches, st.misroutes);
+                let counters = (st.updates, st.batches);
                 Some(self.new_engine(&old.export_database(), opts, counters)?)
             }
         };
@@ -295,7 +277,7 @@ impl Session {
             }
             AdminOp::Build if self.is_built() => self.configure(self.opts),
             AdminOp::Build => {
-                let eng = self.new_engine(&self.staged, self.opts, (0, 0, 0))?;
+                let eng = self.new_engine(&self.staged, self.opts, (0, 0))?;
                 Ok(self.install(eng))
             }
         }

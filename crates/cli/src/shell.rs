@@ -575,4 +575,54 @@ mod tests {
         assert!(before.contains("N = 1, snapshot_epoch = 3\n"), "{before}");
         assert!(before.contains("relations: R=1, S=0\nM = "), "{before}");
     }
+
+    /// `update` deltas at the ends of `i64` and one past it, alone and as a `.batch` whose deltas sum past `i64`. No
+    /// line panics, a refused line leaves the state as it was, a literal
+    /// out of range is a parse error, and `count` always agrees with the
+    /// listing. `counters`, which only a log may say, is refused too.
+    #[test]
+    fn extreme_update_deltas_are_refused_whole_and_never_panic() {
+        let mut sh = Shell::new();
+        let _ = run(
+            &mut sh,
+            &[
+                "query Q(A,C) :- R(A,B), S(B,C)",
+                "row R 1,2",
+                "row S 2,3",
+                "build",
+            ],
+        );
+        let state = |sh: &mut Shell| run(sh, &["list", "stats", "count"]);
+        let deltas = [i64::MIN, i64::MIN + 1, i64::MAX].map(|d| d.to_string());
+        for d in deltas.into_iter().chain(["9223372036854775808".to_owned()]) {
+            let update = format!("update R {d} 1,2");
+            // Alone, then twice in one batch: the deltas sum past `i64`.
+            let batch = [".batch begin", &update, &update, ".batch commit"];
+            for line in [update.as_str()].into_iter().chain(batch) {
+                let before = state(&mut sh);
+                let res = sh.execute(line);
+                if line.contains(" 9223372036854775808 ") {
+                    let parse = res
+                        .as_ref()
+                        .is_err_and(|e| e.starts_with("bad update delta"));
+                    assert!(parse, "{line}: {res:?}");
+                }
+                if res.is_err() {
+                    assert_eq!(state(&mut sh), before, "{line}");
+                }
+                let list = sh.execute("list").unwrap().unwrap();
+                let count: usize = sh
+                    .execute("count")
+                    .unwrap()
+                    .unwrap()
+                    .trim()
+                    .parse()
+                    .unwrap();
+                assert_eq!(list.lines().count(), count + 1, "{line}: {list}");
+            }
+        }
+        assert_eq!(run(&mut sh, &["count"]), "1\n");
+        let err = sh.execute("counters 1 2 3 4").unwrap_err();
+        assert_eq!(err, "unknown command `counters` (try `help`)");
+    }
 }

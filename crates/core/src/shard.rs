@@ -69,13 +69,6 @@ impl ShardRouter {
         self.misroutes
     }
 
-    /// Resets the misroute counter to a recovered value. Counters are
-    /// cumulative across process restarts — a server restoring from a
-    /// snapshot seeds the freshly built router with the persisted count.
-    pub(crate) fn restore_misroutes(&mut self, count: u64) {
-        self.misroutes = count;
-    }
-
     /// Registers how `relation`'s tuples are routed; `false` when it is
     /// already routed differently (the existing route stays). Registering
     /// the same route twice is idempotent (repeated atoms of one

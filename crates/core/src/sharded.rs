@@ -357,14 +357,14 @@ impl ShardedEngine {
     }
 
     /// Seeds the cumulative counters from recovered values. Called once
-    /// right after a snapshot rebuild so `stats` reflects lifetime totals
+    /// right after a checkpoint rebuild so `stats` reflects lifetime totals
     /// rather than restarting from zero. Rebalance counters are *not*
     /// restored: the rebuild re-preprocesses from scratch, so its shards
-    /// genuinely have fresh rebalance histories.
-    pub fn restore_stats(&mut self, updates: u64, batches: u64, misroutes: u64) {
+    /// genuinely have fresh rebalance histories; nor are misroutes, which
+    /// only a split across shards counts.
+    pub fn restore_stats(&mut self, updates: u64, batches: u64) {
         self.updates = updates;
         self.batches = batches;
-        self.router.restore_misroutes(misroutes);
     }
 
     // ------------------------------------------------------------------

@@ -1,8 +1,7 @@
 //! CRC-32 (IEEE 802.3), table-driven — the offline toolchain has no crc
 //! crate, and 20 lines beat a dependency. One table, built at compile
-//! time, shared by every checksummed artifact in the crate: WAL frames
-//! ([`crate::wal`]) and snapshot files ([`crate::snapshot`]) verify
-//! against the same polynomial and the same precomputed table.
+//! time, behind the one checksummed artifact in the crate: the frame of
+//! [`crate::wal`], which checkpoint files ([`crate::snapshot`]) share.
 
 /// Streaming CRC-32 with the reflected IEEE polynomial (the `cksum`/zip/
 /// PNG variant).

@@ -23,9 +23,9 @@
 //!   is a CRC-checksummed [`wal`] frame of `proto` command text (rejected
 //!   batches are not logged), appended and
 //!   fsynced by a dedicated sync thread that releases the round's acks
-//!   afterwards; a background thread checkpoints into [`snapshot`] files
-//!   and the log rotates onto them. Boot loads the newest valid snapshot
-//!   and replays the log's tail.
+//!   afterwards; a background thread checkpoints the state as one round
+//!   of the same frames ([`snapshot`]) and the log rotates onto it. Boot
+//!   replays the newest valid checkpoint, then the log's tail.
 //! * **Log-shipping read replicas.** With `--repl-listen` the primary
 //!   streams durable commit rounds to follower processes ([`repl`]), which
 //!   apply them through the replay step recovery uses and serve the full
@@ -183,7 +183,7 @@ impl Server {
     /// no window where partial state is served.
     pub fn start(config: ServerConfig) -> io::Result<Server> {
         // Replication requires durability: followers bootstrap from the
-        // snapshot files and the WAL. It also requires `--fsync group`:
+        // checkpoint files and the WAL. It also requires `--fsync group`:
         // under `none` a round reaches followers before any fsync, so an
         // OS crash could leave the primary a shorter round than a follower
         // has applied at the same epoch. Bind (and fail) early, before any
@@ -214,7 +214,7 @@ impl Server {
             ..Status::default()
         };
         if let Some(dir) = &config.data_dir {
-            let (wal, recovered_groups) = recovery::recover(dir, &mut state, &mut status)?;
+            let (wal, recovered_groups) = recovery::recover(dir, &mut state, &status)?;
             // Both frontiers start at the recovered epoch: everything
             // replayed is on disk by definition. The WAL itself moves to
             // the sync thread; the writer keeps only job handles.
@@ -650,5 +650,51 @@ mod tests {
         assert!(c.send("delete R 99,99").is_err());
         assert_eq!(epoch_of(&c.ok("stats")), e1);
         assert!(server.serve_stats().snapshots_published >= e1);
+    }
+
+    /// `update` deltas at the ends of `i64` and one past it, alone and as
+    /// a `.batch` whose deltas sum past `i64`, over a socket: the writer
+    /// thread never panics, a refused line leaves the served state as it
+    /// was, a literal out of range is a parse error, and `count` always
+    /// agrees with the listing. `counters`, which only a log may say, is
+    /// refused too.
+    #[test]
+    fn extreme_update_deltas_are_refused_whole_and_never_panic() {
+        let server = Server::start(ServerConfig::default()).unwrap();
+        let mut c = TestClient::connect(server.addr());
+        for line in [
+            "query Q(A,C) :- R(A,B), S(B,C)",
+            "row R 1,2",
+            "row S 2,3",
+            "build",
+        ] {
+            c.ok(line);
+        }
+        let state = |c: &mut TestClient| ["list", "stats", "count"].map(|l| c.ok(l));
+        let deltas = [i64::MIN, i64::MIN + 1, i64::MAX].map(|d| d.to_string());
+        for d in deltas.into_iter().chain(["9223372036854775808".to_owned()]) {
+            let update = format!("update R {d} 1,2");
+            // Alone, then twice in one batch: the deltas sum past `i64`.
+            let batch = [".batch begin", &update, &update, ".batch commit"];
+            for line in [update.as_str()].into_iter().chain(batch) {
+                let before = state(&mut c);
+                let res = c.send(line);
+                if line.contains(" 9223372036854775808 ") {
+                    let parse = res
+                        .as_ref()
+                        .is_err_and(|e| e.starts_with("bad update delta"));
+                    assert!(parse, "{line}: {res:?}");
+                }
+                if res.is_err() {
+                    assert_eq!(state(&mut c), before, "{line}");
+                }
+                let count: usize = c.ok("count").trim().parse().unwrap();
+                assert_eq!(c.ok("list").lines().count(), count + 1, "{line}");
+            }
+        }
+        assert_eq!(c.ok("count"), "1\n");
+        let err = c.send("counters 1 2 3 4").unwrap_err();
+        assert_eq!(err, "unknown command `counters` (try `help`)");
+        assert_eq!(c.ok("count"), "1\n");
     }
 }

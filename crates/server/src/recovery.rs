@@ -1,16 +1,18 @@
-//! Replay: decoding WAL frames back into the operations they committed,
-//! applying them a commit round at a time, and the boot-time recovery
-//! built on both.
+//! Replay: decoding logged frames back into the operations they
+//! committed, applying them a commit round at a time, and the boot-time
+//! recovery built on it.
 //!
 //! A frame's payload is `proto` command text, so replay runs it through
 //! the interpreter that produced the frame live ([`ivme_cli::session`]).
 //! There is exactly one replay step — [`OwnedState::apply_round`] — and
-//! two callers: boot recovery ([`recover`], rounds read back from
-//! `wal.log`) and a replica's follower thread (the same rounds, streamed by
-//! the primary).
+//! every way back to a state takes it: boot recovery ([`recover`]: the
+//! newest checkpoint's round, then the rounds of `wal.log` past it) and a
+//! replica's follower thread (a checkpoint's round, then the rounds the
+//! primary streams).
 
 use std::io;
 use std::path::Path;
+use std::sync::atomic::Ordering;
 
 use ivme_cli::proto;
 use ivme_cli::session::{AdminOp, Applied, Staging, Step, Write};
@@ -22,15 +24,41 @@ use crate::writer::OwnedState;
 
 impl OwnedState {
     /// Replays one commit round: every frame in order, then the epoch.
-    /// On an error the epoch stays where it was — the state is then
-    /// between two rounds and must not be published.
+    /// The serve counters in `status` advance as the round did live: one
+    /// group commit when it holds a client batch, and one grouped batch
+    /// per batch frame. A checkpoint's round closes with the log-only
+    /// `counters` line instead, which sets them, and the engine's, outright
+    /// — no other front end parses that line. On an error the epoch stays
+    /// where it was — the state is then between two rounds and must not be
+    /// published.
     pub(crate) fn apply_round<'a>(
         &mut self,
         epoch: u64,
         frames: impl IntoIterator<Item = &'a str>,
+        status: &Status,
     ) -> Result<(), String> {
+        let (mut batches, mut counters) = (0u64, None);
         for text in frames {
-            self.apply_frame(text)?;
+            match text.strip_prefix("counters ") {
+                Some(fields) => {
+                    let nums: Result<Vec<u64>, _> =
+                        fields.split_whitespace().map(str::parse).collect();
+                    let four = nums.ok().and_then(|n| <[u64; 4]>::try_from(n).ok());
+                    counters = Some(four.ok_or_else(|| format!("bad log line: {}", text.trim()))?);
+                }
+                None => {
+                    batches += u64::from(text.starts_with(".batch begin"));
+                    self.apply_frame(text)?;
+                }
+            }
+        }
+        if let Some([updates, engine_batches, commits, grouped]) = counters {
+            self.session.restore_counters(updates, engine_batches);
+            status.group_commits.store(commits, Ordering::Relaxed);
+            status.grouped_batches.store(grouped, Ordering::Relaxed);
+        } else if batches > 0 {
+            status.group_commits.fetch_add(1, Ordering::Relaxed);
+            status.grouped_batches.fetch_add(batches, Ordering::Relaxed);
         }
         self.epoch = epoch;
         Ok(())
@@ -93,31 +121,35 @@ impl OwnedState {
     }
 }
 
-/// Crash recovery, run synchronously before the listener binds: restore
-/// the newest valid snapshot in `dir` into `state`, then replay the WAL
-/// frames newer than it, in epoch order. A damaged WAL tail is truncated
-/// at the last valid frame; a gap between snapshot and log, or a frame
-/// that fails to apply, refuses the boot. Returns the log, open for
-/// appends, and the number of commit rounds replayed (`recovered_groups`
-/// in `stats`); the serve-layer counters in `status` are seeded from the
-/// snapshot and advanced by the replay — cumulative across restarts.
+/// Crash recovery, run synchronously before the listener binds: replay
+/// the newest valid checkpoint's round into the fresh `state`, then the
+/// WAL rounds newer than it, in epoch order. A damaged WAL tail is
+/// truncated at the last valid frame; a gap between checkpoint and log,
+/// or a round that fails to apply, refuses the boot. Returns the log,
+/// open for appends, and the number of WAL rounds replayed
+/// (`recovered_groups` in `stats`); the serve-layer counters in `status`
+/// come back with the state — cumulative across restarts.
 pub(crate) fn recover(
     dir: &Path,
     state: &mut OwnedState,
-    status: &mut Status,
+    status: &Status,
 ) -> io::Result<(Wal, u64)> {
     std::fs::create_dir_all(dir)?;
-    let (snap, warnings) = snapshot::load_latest(dir)?;
+    let (checkpoint, warnings) = snapshot::load_latest(dir)?;
     for w in &warnings {
         eprintln!("ivme-server: {w}");
     }
-    let snap_epoch = snap.as_ref().map_or(0, |s| s.epoch);
-    if let Some(s) = snap {
-        let (commits, batches) = s.serve_stats;
-        *status.group_commits.get_mut() = commits;
-        *status.grouped_batches.get_mut() = batches;
-        state.restore(s).map_err(crate::invalid_data)?;
+    if let Some(cp) = checkpoint {
+        state
+            .apply_round(cp.epoch, cp.frames.iter().map(String::as_str), status)
+            .map_err(|e| {
+                crate::invalid_data(format!(
+                    "checkpoint at epoch {} failed to replay: {e}",
+                    cp.epoch
+                ))
+            })?;
     }
+    let snap_epoch = state.epoch;
     let wal_path = dir.join("wal.log");
     let (wal, log) = if wal_path.exists() {
         Wal::open(&wal_path)?
@@ -127,35 +159,33 @@ pub(crate) fn recover(
             wal::Recovered::default(),
         )
     };
-    if wal.base_epoch() > state.epoch {
+    if wal.base_epoch() > snap_epoch {
         return Err(crate::invalid_data(format!(
-            "WAL {} continues from epoch {} but the newest loadable snapshot is epoch {} — \
-             refusing to serve a state with a gap",
+            "WAL {} continues from epoch {} but the newest loadable checkpoint is epoch {} — \
+             refusing to serve a state with a gap{}",
             wal_path.display(),
             wal.base_epoch(),
-            state.epoch
+            snap_epoch,
+            warnings
+                .iter()
+                .map(|w| format!("; {w}"))
+                .collect::<String>()
         )));
     }
     if let Some(reason) = &log.truncated {
         eprintln!("ivme-server: WAL damage: {reason}");
     }
     let mut groups = 0u64;
-    // Rounds at or below the snapshot epoch were already checkpointed
-    // (the process died between the snapshot rename and the WAL
+    // Rounds at or below the checkpoint epoch were already checkpointed
+    // (the process died between the checkpoint's rename and the WAL
     // rotation): skip, don't double-apply. A crash-torn last round is
     // simply a shorter round.
     for round in wal::rounds(&log.frames).filter(|r| r[0].epoch > snap_epoch) {
         let epoch = round[0].epoch;
         state
-            .apply_round(epoch, round.iter().map(|f| f.text.as_str()))
+            .apply_round(epoch, round.iter().map(|f| f.text.as_str()), status)
             .map_err(|e| crate::invalid_data(format!("WAL replay failed at epoch {epoch}: {e}")))?;
         groups += 1;
-        // One batch frame is one committed client batch, and a round's
-        // frames share its epoch: both counters come back exactly.
-        let is_batch = |f: &&wal::Frame| f.text.starts_with(".batch begin");
-        let batches = round.iter().filter(is_batch).count() as u64;
-        *status.group_commits.get_mut() += u64::from(batches > 0);
-        *status.grouped_batches.get_mut() += batches;
     }
     if groups > 0 {
         eprintln!(

@@ -29,25 +29,28 @@
 //! with the hub first** — learning `fanned`, the newest epoch the hub had
 //! fanned out by then, under the lock `broadcast_round` holds — then
 //! takes a read-only [`wal::scan`] of the log and loads the newest
-//! snapshot bytes. Every round `≤ fanned` finished its append before the
-//! registration, so the scan reads it whole (or a snapshot covers it);
+//! checkpoint with the same frame scanner ([`snapshot::load_latest`]),
+//! which it ships as a `snapshot` message of frames. Every round
+//! `≤ fanned` finished its append before the registration, so the scan
+//! reads it whole (or a checkpoint covers it);
 //! every round `> fanned` is fanned out after the registration and
 //! reaches the queue whole. The bootstrap therefore ships exactly the
 //! scanned rounds `≤ fanned` (`bootstrap_rounds`) and ignores the scanned
 //! tail beyond — which an append racing the read may have left torn, or
 //! complete frames short of its round. Scanning the WAL *before* loading
-//! the snapshot leans on the snapshot worker's install-before-rotate
-//! order — whatever base epoch the scanned log continues from, a snapshot
-//! at least that new is already on disk.
+//! the checkpoint leans on the snapshot worker's install-before-rotate
+//! order — whatever base epoch the scanned log continues from, a
+//! checkpoint at least that new is already on disk.
 //!
 //! # Follower side
 //!
 //! [`Replica`] runs two threads. The *follower* thread dials the primary
 //! (capped exponential backoff), says `hello` with its state's epoch, and
 //! then handles one message at a time: it reads a whole `snapshot`,
-//! `round` or `reset`, applies it to the `OwnedState` it owns through the
-//! replay step WAL recovery uses (`OwnedState::apply_round`, or `restore`
-//! for a snapshot), publishes an epoch-stamped
+//! `round` or `reset` and applies it through the replay step boot
+//! recovery uses (`OwnedState::apply_round`) — a round to the
+//! `OwnedState` it owns, a checkpoint's round to a fresh one that then
+//! replaces it — publishes an epoch-stamped
 //! [`ServeSnapshot`](crate::ServeSnapshot) and acks — best-effort
 //! progress that `stats` on the primary shows per follower — before it
 //! reads the next. The socket buffer and the primary's bounded
@@ -79,11 +82,11 @@ use ivme_cli::proto::{self, ReplHeader};
 use crate::conn::{self, read_bounded_line, Endpoint, WriteSink};
 use crate::publish::{ReplRole, Status};
 use crate::writer::OwnedState;
-use crate::{invalid_data, lock, snapshot, wal, Hook};
+use crate::{invalid_data, lock, snapshot, wal, Hook, ServeStats};
 
-/// Upper bound on a single replicated payload (snapshot or frame) — the
-/// same "a length beyond this is corruption, not an allocation request"
-/// guard the WAL applies on disk.
+/// Upper bound on a single replicated frame payload — the same "a length
+/// beyond this is corruption, not an allocation request" guard the WAL
+/// applies on disk.
 const MAX_PAYLOAD: usize = 1 << 30;
 
 /// Depth of each follower's fan-out queue, in commit rounds. A follower
@@ -279,7 +282,7 @@ impl ReplListener {
 
     /// Spawns the accept loop — the one clients are served by, with its
     /// own live counter. `dir` is the data directory the follower
-    /// handlers bootstrap from (scan `wal.log`, ship the newest snapshot)
+    /// handlers bootstrap from (scan `wal.log`, ship the newest checkpoint)
     /// and `recovered` the epoch boot recovery rebuilt from it — every
     /// round through it is whole on disk, so the hub starts out with it
     /// fanned; `barrier` is the test-only per-round freeze hook, run on
@@ -339,21 +342,23 @@ fn bootstrap_rounds(
         .map(|r| (r[0].epoch, r.iter().map(|f| f.text.clone()).collect()))
 }
 
-/// Ships one whole round through `w` and moves the cursor to it — unless
-/// the follower already holds it (`epoch` is not newer than the cursor).
+/// Ships one whole round through `w` — a checkpoint's round with
+/// `checkpoint` — and moves the cursor to it, unless the follower already
+/// holds it (`epoch` is not newer than the cursor).
 fn send_round(
     w: &mut BufWriter<TcpStream>,
     cursor: &mut u64,
-    epoch: u64,
-    frames: &[String],
+    (epoch, frames): (u64, &[String]),
+    checkpoint: bool,
     sent_frames: &AtomicU64,
 ) -> io::Result<()> {
     if epoch <= *cursor {
         return Ok(());
     }
-    let header = ReplHeader::Round {
-        epoch,
-        frames: frames.len(),
+    let n = frames.len();
+    let header = match checkpoint {
+        true => ReplHeader::Snapshot { epoch, frames: n },
+        false => ReplHeader::Round { epoch, frames: n },
     };
     writeln!(w, "{}", proto::repl_header_line(&header))?;
     for f in frames {
@@ -367,7 +372,7 @@ fn send_round(
 }
 
 /// One follower connection, start to finish: handshake, register,
-/// bootstrap (snapshot + scanned WAL tail), then live tailing of the
+/// bootstrap (checkpoint + scanned WAL tail), then live tailing of the
 /// hub queue. The paired ack-reader thread shares only the follower's
 /// progress counters and dies with the socket.
 fn serve_follower(
@@ -425,13 +430,13 @@ fn follower_stream(
 ) -> io::Result<()> {
     // Every round through `cursor` is on the follower.
     let mut cursor = hello_epoch;
-    // Scan first, snapshot second (see module docs for the ordering
+    // Scan first, checkpoint second (see module docs for the ordering
     // argument). The scan is read-only: it never repairs the live log.
     let (wal_base, frames) = wal::scan(&dir.join("wal.log"))?;
     // The boot path has already warned about any file skipped here.
-    let snap = snapshot::load(dir, &mut Vec::new())?.map(|(data, text)| (data.epoch, text));
+    let snap = snapshot::load_latest(dir)?.0;
     let tip = frames.last().map_or_else(
-        || wal_base.max(snap.as_ref().map_or(0, |s| s.0)),
+        || wal_base.max(snap.as_ref().map_or(0, |s| s.epoch)),
         |f| f.epoch,
     );
     if hello_epoch > tip {
@@ -440,24 +445,12 @@ fn follower_stream(
         writeln!(writer, "{}", proto::repl_header_line(&ReplHeader::Reset))?;
         return writer.flush();
     }
-    if let Some((snap_epoch, text)) = snap {
-        if snap_epoch > cursor {
-            writeln!(
-                writer,
-                "{}",
-                proto::repl_header_line(&ReplHeader::Snapshot {
-                    epoch: snap_epoch,
-                    len: text.len(),
-                })
-            )?;
-            writer.write_all(text.as_bytes())?;
-            writer.flush()?;
-            cursor = snap_epoch;
-        }
-    }
     let sent = &reg.progress.sent_frames;
+    if let Some(cp) = snap {
+        send_round(writer, &mut cursor, (cp.epoch, &cp.frames), true, sent)?;
+    }
     for (epoch, texts) in bootstrap_rounds(&frames, cursor, reg.fanned) {
-        send_round(writer, &mut cursor, epoch, &texts, sent)?;
+        send_round(writer, &mut cursor, (epoch, &texts), false, sent)?;
     }
     // Live tail: rounds the sync thread fans out, until the socket dies
     // or the hub drops us (queue overflow or shutdown).
@@ -465,7 +458,7 @@ fn follower_stream(
         if let Some(b) = barrier {
             b(epoch);
         }
-        send_round(writer, &mut cursor, epoch, &frames, sent)?;
+        send_round(writer, &mut cursor, (epoch, &frames), false, sent)?;
     }
     Ok(())
 }
@@ -625,6 +618,11 @@ impl Replica {
         &self.stats
     }
 
+    /// The serve-layer counters, replayed from the primary's log.
+    pub fn serve_stats(&self) -> ServeStats {
+        self.endpoint.status.serve_stats()
+    }
+
     /// Whether [`Replica::stop`] (or a client's `shutdown`) has run.
     pub fn is_shutdown(&self) -> bool {
         self.endpoint.is_closed()
@@ -726,67 +724,67 @@ impl Follower {
                 return Ok(()); // EOF, or an over-long line: reconnect
             }
             let header = proto::parse_repl_header(&line).map_err(invalid_data)?;
-            if let ReplHeader::Snapshot { epoch, .. } | ReplHeader::Round { epoch, .. } = header {
-                let seen = &self.stats.primary_epoch_seen;
-                seen.fetch_max(epoch, Ordering::AcqRel);
-            }
-            let applied = match header {
-                ReplHeader::Snapshot { epoch, len } => {
-                    let text = read_payload(&mut reader, len)?;
-                    if epoch <= self.state.epoch {
-                        continue;
-                    }
-                    snapshot::parse(&text)
-                        .and_then(|d| self.state.restore(d))
-                        .map_err(|e| format!("bootstrap snapshot {epoch} failed to load ({e})"))
-                }
-                ReplHeader::Round { epoch, frames } => {
-                    // `frames` is the peer's claim: reserve for a plausible
-                    // round and let the vector grow as frames really arrive.
-                    let mut texts = Vec::with_capacity(frames.min(1024));
-                    for _ in 0..frames {
-                        if read_bounded_line(&mut reader, &mut line)?.unwrap_or(0) == 0 {
-                            let eof = io::ErrorKind::UnexpectedEof;
-                            return Err(io::Error::new(eof, "stream closed mid-round"));
-                        }
-                        let len = proto::parse_repl_frame(&line).map_err(invalid_data)?;
-                        texts.push(read_payload(&mut reader, len)?);
-                    }
-                    if epoch <= self.state.epoch {
-                        continue;
-                    }
-                    let n = texts.len() as u64;
-                    self.stats.received_frames.fetch_add(n, Ordering::Relaxed);
-                    let res = self
-                        .state
-                        .apply_round(epoch, texts.iter().map(String::as_str));
-                    if res.is_ok() {
-                        self.stats.applied_frames.fetch_add(n, Ordering::Relaxed);
-                        acked_frames += n;
-                    }
-                    res.map_err(|e| format!("round {epoch} failed to apply ({e})"))
-                }
+            let (epoch, frames, checkpoint) = match header {
+                ReplHeader::Snapshot { epoch, frames } => (epoch, frames, true),
+                ReplHeader::Round { epoch, frames } => (epoch, frames, false),
                 ReplHeader::Reset => {
                     eprintln!(
                         "ivme replica: primary requested a reset — dropping local state and \
                          re-bootstrapping"
                     );
                     self.state = OwnedState::default();
+                    let status = &self.endpoint.status;
+                    for counter in [&status.group_commits, &status.grouped_batches] {
+                        counter.store(0, Ordering::Relaxed);
+                    }
                     self.stats.received_frames.store(0, Ordering::Relaxed);
                     self.stats.applied_frames.store(0, Ordering::Relaxed);
                     self.publish();
                     return Ok(());
                 }
             };
+            let seen = &self.stats.primary_epoch_seen;
+            seen.fetch_max(epoch, Ordering::AcqRel);
+            // `frames` is the peer's claim: reserve for a plausible round
+            // and let the vector grow as frames really arrive.
+            let mut texts = Vec::with_capacity(frames.min(1024));
+            for _ in 0..frames {
+                if read_bounded_line(&mut reader, &mut line)?.unwrap_or(0) == 0 {
+                    let eof = io::ErrorKind::UnexpectedEof;
+                    return Err(io::Error::new(eof, "stream closed mid-round"));
+                }
+                let len = proto::parse_repl_frame(&line).map_err(invalid_data)?;
+                texts.push(read_payload(&mut reader, len)?);
+            }
+            if epoch <= self.state.epoch {
+                continue;
+            }
+            let n = texts.len() as u64;
+            self.stats.received_frames.fetch_add(n, Ordering::Relaxed);
+            let texts = texts.iter().map(String::as_str);
+            let status = &self.endpoint.status;
+            let applied = match checkpoint {
+                // A checkpoint's round rebuilds the state from nothing: it
+                // is replayed onto a fresh state, which replaces this one.
+                true => {
+                    let mut fresh = OwnedState::default();
+                    let res = fresh.apply_round(epoch, texts, status);
+                    res.map(|()| self.state = fresh)
+                }
+                false => self.state.apply_round(epoch, texts, status),
+            };
             if let Err(e) = applied {
+                let what = if checkpoint { "checkpoint" } else { "round" };
                 eprintln!(
-                    "ivme replica: {e}; serving epoch {} and following no further — \
-                     restart the replica to re-bootstrap",
+                    "ivme replica: {what} {epoch} failed to apply ({e}); serving epoch {} and \
+                     following no further — restart the replica to re-bootstrap",
                     self.state.epoch
                 );
                 self.stats.broken.store(true, Ordering::Release);
                 return Ok(());
             }
+            self.stats.applied_frames.fetch_add(n, Ordering::Relaxed);
+            acked_frames += n;
             self.publish();
             let ack = proto::repl_ack_line(self.state.epoch, acked_frames);
             writeln!(&stream, "{ack}")?;

@@ -1,54 +1,50 @@
-//! Engine snapshots: the checkpoint half of the durability story.
+//! Checkpoints: the state as one log round.
 //!
-//! A snapshot is a full, self-contained serialization of the writer
-//! thread's [`OwnedState`](crate) — config, the row store, the built
-//! engine's base relations, and the cumulative counters — written to
-//! `snapshot-<epoch>.ivme` in the data directory. Replaying the WAL from
-//! genesis would recover the same state; snapshots exist so recovery time
-//! is bounded by `O(state) + O(log since last snapshot)` instead of
-//! `O(entire history)`, and so the WAL can be truncated.
+//! A checkpoint, `snapshot-<epoch>.ivme` in the data directory, is a log in
+//! [`crate::wal`]'s header and frame encoding, from epoch 0, that holds one
+//! round at `<epoch>`: the commands that rebuild the writer thread's state
+//! from nothing. In order: `query`, `epsilon`, `mode`; one `row` run per
+//! relation; `build`; one `.batch` of `update` lines for the engine's
+//! multiplicities above 1; and last, the log-only `counters` line. Under
+//! static mode, which refuses updates, the round builds in dynamic mode and
+//! says `mode static` after the batch. Boot recovery and a replica's
+//! bootstrap replay it through `OwnedState::apply_round`, the step every
+//! WAL round and every replicated round takes, so there is one way back to
+//! a state. Replaying the WAL from genesis would recover the same state;
+//! checkpoints exist so recovery time is bounded by `O(state) + O(log since
+//! the last checkpoint)` instead of `O(entire history)`, and so the WAL can
+//! be truncated.
 //!
-//! The format is line-oriented text in the same vocabulary as the wire
-//! grammar (tuples render exactly as `ivme_cli::proto` prints them, and
-//! re-parse with the same `parse_tuple`), with a trailing whole-file
-//! CRC-32 line. Text round-trips faithfully here because every value in
-//! the engine *entered* through that grammar — there is nothing in a
-//! served database that the CSV tuple syntax cannot spell.
-//!
-//! Writing is crash-safe by construction: serialize to a sibling temp
-//! file, fsync it, atomically rename into place, fsync the directory.
-//! A crash at any point leaves either the old set of snapshots or the
-//! old set plus one complete new one — never a half-written file under
-//! the real name. Loading tries newest-first and skips (with a warning)
-//! any snapshot that fails its CRC or parse, so one bad file degrades to
-//! the previous checkpoint instead of a refused boot.
+//! Writing is crash-safe: `wal::install` writes a sibling temp file,
+//! fsyncs it and renames it into place. Loading tries newest-first and
+//! reads strictly: a file that is not one whole round — damaged, torn, or
+//! missing its closing `counters` line — is skipped with a warning, and so
+//! is an `IVMESNAP1` file, the keyword format written before replication
+//! version 5, which is refused rather than converted. One bad file degrades
+//! to the previous checkpoint; a data dir that needs the skipped file
+//! refuses to boot on recovery's gap check.
 
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 
-use ivme_cli::proto;
+use ivme_cli::proto::{self, Line};
 use ivme_cli::session::AdminOp;
-use ivme_core::{Database, Mode};
+use ivme_core::{Database, DeltaBatch, Mode};
 
-use crate::crc::crc32;
 use crate::publish::DurTracker;
-use crate::{wal, Hook};
+use crate::{invalid_data, wal, Hook};
 
-/// First line of every snapshot file.
-pub const SNAP_MAGIC: &str = "IVMESNAP1";
-
-/// Everything a snapshot persists. Plain data — the server crate owns the
-/// conversion to and from its live `OwnedState`.
+/// Everything a checkpoint persists. Plain data — the server crate owns the
+/// conversion from its live `OwnedState`.
 #[derive(Clone)]
 pub struct SnapshotData {
     /// Publish epoch the state was captured at (the WAL rotates to this
-    /// base epoch right after the snapshot lands).
+    /// base epoch right after the checkpoint lands).
     pub epoch: u64,
-    /// Engine counters: (updates, batches, misroutes) — cumulative across
-    /// restarts, restored into the rebuilt engine.
-    pub engine_stats: (u64, u64, u64),
+    /// Engine counters: (updates, batches) — cumulative across restarts.
+    pub engine_stats: (u64, u64),
     /// Server counters: (group_commits, grouped_batches).
     pub serve_stats: (u64, u64),
     pub epsilon: f64,
@@ -58,9 +54,8 @@ pub struct SnapshotData {
     /// Whether `build` had run (i.e. whether `base` is meaningful).
     pub built: bool,
     /// The session's row store: every row the engine does not hold — all
-    /// of them when `!built`. On load, `base` supersedes any `staged` rows
-    /// of the relations the built query names (older checkpoints repeat
-    /// the rows loaded before `build` here).
+    /// of them when `!built`. Rows of the relations a built query names
+    /// are ignored here: `base` supersedes them.
     pub staged: Database,
     /// The built engine's current base relations (empty when `!built`).
     pub base: Database,
@@ -71,7 +66,7 @@ impl Default for SnapshotData {
     fn default() -> SnapshotData {
         SnapshotData {
             epoch: 0,
-            engine_stats: (0, 0, 0),
+            engine_stats: (0, 0),
             serve_stats: (0, 0),
             epsilon: 0.5,
             mode: Mode::Dynamic,
@@ -82,6 +77,18 @@ impl Default for SnapshotData {
         }
     }
 }
+
+/// A loaded checkpoint: the round that rebuilds the state at `epoch`.
+pub struct Checkpoint {
+    pub epoch: u64,
+    pub frames: Vec<String>,
+}
+
+/// The most times a checkpoint repeats a `row` line. The row store counts
+/// `row` commands, so its multiplicities are written as repeated lines; a
+/// larger one (only a `query` that sends a built engine's rows back to the
+/// store makes one) fails the checkpoint, and the log keeps the state.
+const MAX_ROW_REPEAT: i64 = 1 << 16;
 
 /// `snapshot-<epoch>.ivme` under `dir`.
 fn snapshot_path(dir: &Path, epoch: u64) -> PathBuf {
@@ -96,133 +103,103 @@ fn parse_snapshot_name(name: &str) -> Option<u64> {
         .ok()
 }
 
-fn render_db(out: &mut String, keyword: &str, db: &Database) {
-    use std::fmt::Write as _;
-    for rel in db.relations() {
-        let mut rows = db.rows(rel);
-        rows.sort_unstable();
-        for (t, m) in rows {
-            let _ = writeln!(out, "{keyword} {m} {rel} {}", proto::format_tuple(&t));
+/// The checkpoint round of `data`, frame by frame (see the module docs).
+fn round(data: &SnapshotData) -> io::Result<Vec<String>> {
+    // The relations a built engine holds: its query's.
+    let held = match (&data.query, data.built) {
+        (Some(q), true) => ivme_query::parse_query(q)
+            .map_err(|e| invalid_data(e.to_string()))?
+            .atoms
+            .into_iter()
+            .map(|a| a.relation)
+            .collect(),
+        _ => Vec::new(),
+    };
+    let engine = data.built.then_some((&data.base, true));
+    let mut rows = Vec::new();
+    let mut heavy = DeltaBatch::new();
+    for (db, in_engine) in engine.into_iter().chain([(&data.staged, false)]) {
+        for rel in db.relations() {
+            if !in_engine && held.iter().any(|h| h == rel) {
+                continue;
+            }
+            let mut sorted = db.rows(rel);
+            sorted.sort_unstable();
+            let mut run = String::new();
+            for (t, m) in sorted {
+                if !in_engine && m > MAX_ROW_REPEAT {
+                    return Err(invalid_data(format!(
+                        "row {rel}({}) has multiplicity {m} in the row store, more than a \
+                         checkpoint repeats `row` lines",
+                        proto::format_tuple(&t)
+                    )));
+                }
+                for _ in 0..if in_engine { 1 } else { m } {
+                    let at = run.len();
+                    proto::push_line(&mut run, Line::Row, rel, &t);
+                    if run.len() > wal::MAX_FRAME as usize && at > 0 {
+                        let line = run.split_off(at);
+                        rows.push(std::mem::replace(&mut run, line));
+                    }
+                }
+                if in_engine && m > 1 {
+                    heavy.push(rel, t, m - 1);
+                }
+            }
+            if !run.is_empty() {
+                rows.push(run);
+            }
         }
     }
+    // Static mode refuses updates: build in dynamic mode, then switch.
+    let switch = (data.mode == Mode::Static && !heavy.is_empty()).then_some(Mode::Static);
+    let mut frames: Vec<String> = data.query.iter().map(|q| format!("query {q}")).collect();
+    frames.push(AdminOp::Epsilon(data.epsilon).wal_text());
+    frames.push(AdminOp::Mode(switch.map_or(data.mode, |_| Mode::Dynamic)).wal_text());
+    frames.append(&mut rows);
+    frames.extend(data.built.then(|| AdminOp::Build.wal_text()));
+    frames.extend((!heavy.is_empty()).then(|| proto::batch_lines(&heavy)));
+    frames.extend(switch.map(|m| AdminOp::Mode(m).wal_text()));
+    let ((u, b), (gc, gb)) = (data.engine_stats, data.serve_stats);
+    frames.push(format!("counters {u} {b} {gc} {gb}"));
+    Ok(frames)
 }
 
-/// Serializes `data` and atomically installs it (`wal::install`) as
-/// `snapshot-<epoch>.ivme`. Returns the final path.
+/// Renders `data` as its checkpoint round and atomically installs it
+/// (`wal::install`) as `snapshot-<epoch>.ivme`. Returns the final path.
 pub fn write(dir: &Path, data: &SnapshotData) -> io::Result<PathBuf> {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(out, "{SNAP_MAGIC}");
-    let _ = writeln!(out, "epoch {}", data.epoch);
-    let (u, b, m) = data.engine_stats;
-    let _ = writeln!(out, "engine_stats {u} {b} {m}");
-    let (gc, gb) = data.serve_stats;
-    let _ = writeln!(out, "serve_stats {gc} {gb}");
-    let _ = writeln!(out, "epsilon {}", data.epsilon);
-    let _ = writeln!(out, "{}", AdminOp::Mode(data.mode).wal_text());
-    if let Some(q) = &data.query {
-        let _ = writeln!(out, "query {q}");
-    }
-    let _ = writeln!(out, "built {}", u8::from(data.built));
-    render_db(&mut out, "staged", &data.staged);
-    render_db(&mut out, "base", &data.base);
-    let _ = writeln!(out, "crc {:08x}", crc32(out.as_bytes()));
-
+    let bytes = wal::image(0, data.epoch, &round(data)?)?;
     let path = snapshot_path(dir, data.epoch);
     let tmp = dir.join(format!("snapshot-{}.ivme.tmp", data.epoch));
-    wal::install(&path, &tmp, out.as_bytes())?;
+    wal::install(&path, &tmp, &bytes)?;
     Ok(path)
 }
 
-/// Parses one snapshot file, verifying the trailing CRC first.
-pub fn parse(text: &str) -> Result<SnapshotData, String> {
-    // The CRC line covers every byte before it.
-    let body_end = text
-        .trim_end_matches('\n')
-        .rfind('\n')
-        .map(|i| i + 1)
-        .ok_or("no CRC line")?;
-    let crc_line = text[body_end..].trim_end();
-    let stored: u32 = crc_line
-        .strip_prefix("crc ")
-        .and_then(|h| u32::from_str_radix(h, 16).ok())
-        .ok_or_else(|| format!("bad CRC line `{crc_line}`"))?;
-    let actual = crc32(&text.as_bytes()[..body_end]);
-    if actual != stored {
-        return Err(format!("CRC mismatch ({actual:08x} != {stored:08x})"));
+/// The strict read of the checkpoint named for `epoch`: one whole round at
+/// that epoch, closed by its `counters` line, or why the file is not one.
+fn read(path: &Path, epoch: u64) -> Result<Checkpoint, String> {
+    let bytes = std::fs::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    let bad = |why: &str| Err(format!("{}: {why}", path.display()));
+    if bytes.starts_with(b"IVMESNAP1") {
+        return bad(
+            "an IVMESNAP1 checkpoint, the format before replication version 5, which this \
+             server does not read",
+        );
     }
-
-    let mut lines = text[..body_end].lines().peekable();
-    let mut expect = |keyword: &str| -> Result<&str, String> {
-        let line = lines.next().ok_or_else(|| format!("missing `{keyword}`"))?;
-        if keyword.is_empty() {
-            return Ok(line);
-        }
-        line.strip_prefix(keyword)
-            .map(str::trim_start)
-            .ok_or_else(|| format!("expected `{keyword} ...`, got `{line}`"))
-    };
-    if !expect(SNAP_MAGIC)?.is_empty() {
-        return Err("magic line has trailing junk".into());
+    let frames = wal::scan_whole(path, &bytes).map_err(|e| e.to_string())?;
+    if !frames
+        .last()
+        .is_some_and(|f| f.text.starts_with("counters "))
+    {
+        return bad("no closing `counters` line: not a whole checkpoint");
     }
-    let mut data = SnapshotData {
-        epoch: num(expect("epoch")?)?,
-        ..SnapshotData::default()
-    };
-    let [updates, batches, misroutes] = counters(expect("engine_stats")?)?;
-    data.engine_stats = (updates, batches, misroutes);
-    let [commits, batches] = counters(expect("serve_stats")?)?;
-    data.serve_stats = (commits, batches);
-    data.epsilon = expect("epsilon")?
-        .parse()
-        .map_err(|_| "bad epsilon".to_owned())?;
-    data.mode = match expect("mode")? {
-        "dynamic" => Mode::Dynamic,
-        "static" => Mode::Static,
-        other => return Err(format!("bad mode `{other}`")),
-    };
-    // Older checkpoints name a shard count; every engine is one now.
-    let _ = lines.next_if(|l| l.starts_with("shards "));
-    if let Some(line) = lines.next_if(|l| l.starts_with("query ")) {
-        data.query = Some(line["query ".len()..].to_owned());
+    if frames.iter().any(|f| f.epoch != epoch) {
+        return bad("a frame's epoch disagrees with the file name");
     }
-    data.built = match lines.next() {
-        Some("built 0") => false,
-        Some("built 1") => true,
-        other => return Err(format!("expected `built 0|1`, got {other:?}")),
-    };
-    for line in lines {
-        // `<keyword> <m> <rel> <tuple>`, the tuple possibly empty.
-        let mut parts = line.splitn(4, ' ');
-        let db = match parts.next() {
-            Some("staged") => &mut data.staged,
-            Some("base") => &mut data.base,
-            _ => return Err(format!("bad row line `{line}`")),
-        };
-        match (parts.next().map(str::parse::<i64>), parts.next()) {
-            (Some(Ok(m)), Some(rel)) if m > 0 => {
-                db.insert(rel, proto::parse_tuple(parts.next().unwrap_or(""))?, m);
-            }
-            _ => return Err(format!("bad row line `{line}`")),
-        }
-    }
-    Ok(data)
-}
-
-fn num(s: &str) -> Result<u64, String> {
-    s.parse().map_err(|_| format!("bad number `{s}`"))
-}
-
-/// The first `N` numbers of a counters line. Later fields are ignored:
-/// older checkpoints carry a third `serve_stats` field, a retry count
-/// that no longer exists.
-fn counters<const N: usize>(s: &str) -> Result<[u64; N], String> {
-    let mut it = s.split_whitespace().map(num);
-    let mut out = [0; N];
-    for field in &mut out {
-        *field = it.next().unwrap_or_else(|| Err("missing field".into()))?;
-    }
-    Ok(out)
+    Ok(Checkpoint {
+        epoch,
+        frames: frames.into_iter().map(|f| f.text).collect(),
+    })
 }
 
 /// The one directory listing: the epochs of the snapshot files in `dir`,
@@ -243,40 +220,18 @@ fn list(dir: &Path) -> io::Result<(Vec<u64>, Vec<PathBuf>)> {
     Ok((epochs, temps))
 }
 
-/// The one loader: the newest snapshot in `dir` that passes validation
-/// (CRC first, then the parse, then filename against internal epoch),
-/// together with the on-disk text it validated — what the replication
-/// bootstrap ships to a follower verbatim. Every newer file that had to
-/// be skipped adds a line to `warnings`.
-pub(crate) fn load(
-    dir: &Path,
-    warnings: &mut Vec<String>,
-) -> io::Result<Option<(SnapshotData, String)>> {
+/// Loads the newest checkpoint in `dir` that reads whole, newest-first by
+/// epoch. Returns it (if any survives) and a warning line for every newer
+/// file that had to be skipped.
+pub fn load_latest(dir: &Path) -> io::Result<(Option<Checkpoint>, Vec<String>)> {
+    let mut warnings = Vec::new();
     for epoch in list(dir)?.0 {
-        let path = snapshot_path(dir, epoch);
-        let attempt = std::fs::read_to_string(&path)
-            .map_err(|e| e.to_string())
-            .and_then(|text| Ok((parse(&text)?, text)));
-        match attempt {
-            Ok(found) if found.0.epoch == epoch => return Ok(Some(found)),
-            Ok((data, _)) => warnings.push(format!(
-                "{}: internal epoch {} disagrees with filename — skipping",
-                path.display(),
-                data.epoch
-            )),
-            Err(e) => warnings.push(format!("{}: {e} — skipping", path.display())),
+        match read(&snapshot_path(dir, epoch), epoch) {
+            Ok(cp) => return Ok((Some(cp), warnings)),
+            Err(e) => warnings.push(format!("{e} — skipping")),
         }
     }
-    Ok(None)
-}
-
-/// Loads the newest parseable snapshot in `dir`, newest-first by epoch.
-/// Returns the snapshot (if any survives validation) and a warning line
-/// for every file that had to be skipped.
-pub fn load_latest(dir: &Path) -> io::Result<(Option<SnapshotData>, Vec<String>)> {
-    let mut warnings = Vec::new();
-    let found = load(dir, &mut warnings)?;
-    Ok((found.map(|(data, _)| data), warnings))
+    Ok((None, warnings))
 }
 
 /// Deletes all but the newest `keep` snapshots, plus any stale temp files
@@ -295,7 +250,7 @@ pub fn prune(dir: &Path, keep: usize) -> io::Result<()> {
 // The background snapshot thread
 // ----------------------------------------------------------------------
 
-/// One checkpoint job: serialize + install `data`, queue the rotation,
+/// One checkpoint job: render + install `data`, queue the rotation,
 /// then signal `done` (if present) with whether the install landed.
 struct SnapJob {
     data: Box<SnapshotData>,
@@ -305,11 +260,14 @@ struct SnapJob {
 /// Writer-side handle to the snapshot thread. The writer captures a
 /// [`SnapshotData`] (a cheap structured clone of its state — no
 /// serialization) and submits it; the expensive work — rendering the
-/// canonical text, CRC, temp-file write, fsync, rename, prune — all
-/// happens here, off the commit path. After a successful install the
+/// round, temp-file write, fsync, rename, prune — all happens here, off
+/// the commit path. A checkpoint at epoch `E` installs only once the log
+/// has made every round through `E` durable: the thread waits for that
+/// behind a [`wal::Job::Flush`], and drops the checkpoint if durability is
+/// lost first, since the rounds it holds are then released as lost. After a successful install the
 /// thread sends [`wal::Job::Rotate`] down the WAL queue — install before
-/// rotate, so a log is never rotated onto a snapshot that is not on disk.
-/// A checkpoint that cannot land is not a log failure (the log still
+/// rotate, so a log is never rotated onto a checkpoint that is not on
+/// disk. A checkpoint that cannot land is not a log failure (the log still
 /// holds everything): it warns, queues no rotation, and the next cadence
 /// tries again.
 pub(crate) struct SnapshotWorker {
@@ -381,7 +339,18 @@ fn snapshot_loop(
         if let Some(h) = &hook {
             h(data.epoch);
         }
-        let landed = write(dir, &data);
+        // Round E's acks were queued on the log before checkpoint E was
+        // submitted, so once the log has run every job queued ahead of a
+        // flush, E is durable — or never will be, and E is dropped.
+        if tracker.durable() < data.epoch {
+            let (done, flushed) = mpsc::channel();
+            let _ = wal_tx.send(wal::Job::Flush { done });
+            let _ = flushed.recv();
+        }
+        let landed = match tracker.durable() >= data.epoch {
+            true => write(dir, &data),
+            false => Err(io::Error::other("its rounds can no longer be made durable")),
+        };
         match &landed {
             Ok(_) => {
                 let _ = wal_tx.send(wal::Job::Rotate {
@@ -392,8 +361,8 @@ fn snapshot_loop(
                 }
             }
             Err(e) => eprintln!(
-                "ivme-server: warning: checkpoint at epoch {} failed ({e}); the log is left \
-                 as it is and the next checkpoint tries again",
+                "ivme-server: warning: checkpoint at epoch {} not installed ({e}); the log is \
+                 left as it is",
                 data.epoch
             ),
         }
@@ -407,25 +376,25 @@ fn snapshot_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ivme_data::Tuple;
+    use crate::publish::Status;
+    use crate::writer::OwnedState;
+    use ivme_data::{Tuple, Value};
 
+    /// A built state over `Q(A,C) :- R(A,B), S(B,C)`: a base multiplicity
+    /// of 2 and one of 2^40, a row-store row of a relation the query does
+    /// not name, held twice, and a stale row-store copy of an engine row.
     fn demo_data(epoch: u64) -> SnapshotData {
         let mut staged = Database::new();
+        staged.insert("T", Tuple::ints(&[7]), 2);
         staged.insert("R", Tuple::ints(&[1, 10]), 1);
-        staged.insert("R", Tuple::ints(&[2, 10]), 2);
-        staged.insert(
-            "S",
-            Tuple::new(vec![
-                ivme_data::Value::from(10i64),
-                ivme_data::Value::from("ab cd"),
-            ]),
-            1,
-        );
-        let mut base = staged.clone();
-        base.insert("S", Tuple::ints(&[10, 5]), 3);
+        let mut base = Database::new();
+        base.insert("R", Tuple::ints(&[1, 10]), 1);
+        base.insert("R", Tuple::ints(&[2, 10]), 2);
+        let cells = vec![Value::from(10i64), Value::from("ab cd")];
+        base.insert("S", Tuple::new(cells), 1 << 40);
         SnapshotData {
             epoch,
-            engine_stats: (100, 12, 1),
+            engine_stats: (100, 12),
             serve_stats: (12, 40),
             epsilon: 0.25,
             mode: Mode::Dynamic,
@@ -454,54 +423,172 @@ mod tests {
         out
     }
 
+    /// Writes `data`, loads it back and replays it onto a fresh state.
+    fn round_trip(name: &str, data: &SnapshotData) -> (Vec<String>, OwnedState, Status) {
+        let dir = tmp_dir(name);
+        let path = write(&dir, data).unwrap();
+        assert!(std::fs::read(&path).unwrap().starts_with(wal::WAL_MAGIC));
+        let (cp, warnings) = load_latest(&dir).unwrap();
+        assert!(warnings.is_empty(), "{warnings:?}");
+        let cp = cp.unwrap();
+        assert_eq!(cp.epoch, data.epoch);
+        let (mut state, status) = (OwnedState::default(), Status::default());
+        let frames = cp.frames.iter().map(String::as_str);
+        state.apply_round(cp.epoch, frames, &status).unwrap();
+        assert_eq!(state.epoch, data.epoch);
+        std::fs::remove_dir_all(&dir).unwrap();
+        (cp.frames, state, status)
+    }
+
+    /// A checkpoint is one round that writes each row once and replays to
+    /// exactly the captured state.
     #[test]
     fn snapshot_round_trips_exactly() {
-        let dir = tmp_dir("roundtrip");
         let data = demo_data(42);
-        let path = write(&dir, &data).unwrap();
-        assert!(path.ends_with("snapshot-42.ivme"));
-        let (loaded, warnings) = load_latest(&dir).unwrap();
-        assert!(warnings.is_empty(), "{warnings:?}");
-        let loaded = loaded.unwrap();
-        assert_eq!(loaded.epoch, 42);
-        assert_eq!(loaded.engine_stats, (100, 12, 1));
-        assert_eq!(loaded.serve_stats, (12, 40));
-        assert_eq!(loaded.epsilon, 0.25);
-        assert_eq!(loaded.query.as_deref(), Some("Q(A,C) :- R(A,B), S(B,C)"));
-        assert!(loaded.built);
-        assert_eq!(canon(&loaded.staged), canon(&data.staged));
-        assert_eq!(canon(&loaded.base), canon(&data.base));
-        // Writing the loaded data again produces byte-identical files:
-        // the serialization is canonical (sorted), not map-order soup.
-        let text1 = std::fs::read_to_string(&path).unwrap();
-        let dir2 = tmp_dir("roundtrip2");
-        let path2 = write(&dir2, &loaded).unwrap();
-        assert_eq!(text1, std::fs::read_to_string(path2).unwrap());
+        let (frames, state, status) = round_trip("round", &data);
+        // Each engine row once, the multiplicities above 1 as one batch;
+        // the stale row-store copy of R(1,10) is not written at all.
+        assert_eq!(
+            frames[..7],
+            [
+                "query Q(A,C) :- R(A,B), S(B,C)",
+                "epsilon 0.25",
+                "mode dynamic",
+                "row R 1,10\nrow R 2,10\n",
+                "row S 10,ab cd\n",
+                "row T 7\nrow T 7\n",
+                "build",
+            ]
+        );
+        let mut batch: Vec<&str> = frames[7].lines().collect();
+        batch.sort_unstable();
+        let want = [
+            ".batch begin",
+            ".batch commit",
+            "insert R 2,10",
+            "update S 1099511627775 10,ab cd",
+        ];
+        assert_eq!(batch, want);
+        assert_eq!(frames[8..], ["counters 100 12 12 40"]);
+        // The replay rebuilds exactly the captured state and counters.
+        let eng = state.session.engine().unwrap();
+        assert_eq!(canon(&eng.export_database()), canon(&data.base));
+        assert_eq!(
+            canon(state.session.staged()),
+            [("T".into(), Tuple::ints(&[7]), 2)]
+        );
+        let st = eng.stats();
+        assert_eq!((st.updates, st.batches), (100, 12));
+        let ss = status.serve_stats();
+        assert_eq!((ss.group_commits, ss.grouped_batches), (12, 40));
+        assert_eq!(state.session.options().epsilon, 0.25);
+    }
+
+    /// Static mode refuses updates, so the round builds in dynamic mode
+    /// and switches after its batch — a rebuild that keeps every row.
+    #[test]
+    fn a_static_checkpoint_switches_mode_after_its_batch() {
+        let data = SnapshotData {
+            mode: Mode::Static,
+            ..demo_data(5)
+        };
+        let (frames, state, _) = round_trip("static", &data);
+        assert_eq!(frames[2], "mode dynamic");
+        assert_eq!(
+            frames[frames.len() - 2..],
+            ["mode static", "counters 100 12 12 40"]
+        );
+        assert_eq!(state.session.options().mode, Mode::Static);
+        let eng = state.session.engine().unwrap();
+        assert_eq!(canon(&eng.export_database()), canon(&data.base));
+        // Without a multiplicity above 1 there is no batch to defer for.
+        let mut base = Database::new();
+        base.insert("R", Tuple::ints(&[1, 10]), 1);
+        let data = SnapshotData { base, ..data };
+        let (frames, state, _) = round_trip("static_flat", &data);
+        assert_eq!(frames[2], "mode static");
+        assert!(!frames.iter().any(|f| f.starts_with(".batch")));
+        assert_eq!(state.session.options().mode, Mode::Static);
+    }
+
+    #[test]
+    fn unbuilt_state_round_trips_without_query_or_base() {
+        let mut staged = Database::new();
+        staged.insert("R", Tuple::ints(&[1]), 1);
+        let data = SnapshotData {
+            epoch: 3,
+            mode: Mode::Static,
+            staged,
+            ..SnapshotData::default()
+        };
+        let (frames, state, _) = round_trip("unbuilt", &data);
+        let want = [
+            "epsilon 0.5",
+            "mode static",
+            "row R 1\n",
+            "counters 0 0 0 0",
+        ];
+        assert_eq!(frames, want);
+        assert!(state.session.query().is_none() && !state.session.is_built());
+        assert_eq!(state.session.staged().rows("R"), [(Tuple::ints(&[1]), 1)]);
+    }
+
+    /// The row store is said in `row` lines, one per unit of multiplicity;
+    /// one no checkpoint can repeat fails the write, and nothing lands.
+    #[test]
+    fn a_row_store_multiplicity_past_the_repeat_bound_fails_the_write() {
+        let dir = tmp_dir("repeat");
+        let mut staged = Database::new();
+        staged.insert("R", Tuple::ints(&[1]), MAX_ROW_REPEAT + 1);
+        let data = SnapshotData {
+            epoch: 3,
+            staged,
+            ..SnapshotData::default()
+        };
+        let err = write(&dir, &data).unwrap_err();
+        assert!(err.to_string().contains("multiplicity"), "{err}");
+        assert!(load_latest(&dir).unwrap().0.is_none());
         std::fs::remove_dir_all(&dir).unwrap();
-        std::fs::remove_dir_all(&dir2).unwrap();
     }
 
     #[test]
     fn corrupt_snapshots_fall_back_to_older_ones() {
         let dir = tmp_dir("fallback");
         write(&dir, &demo_data(10)).unwrap();
-        write(&dir, &demo_data(20)).unwrap();
-        // Corrupt the newest: one flipped character fails the CRC.
-        let newest = snapshot_path(&dir, 20);
-        let mut text = std::fs::read_to_string(&newest).unwrap();
-        text = text.replacen("epoch 20", "epoch 21", 1);
-        std::fs::write(&newest, text).unwrap();
-        let (loaded, warnings) = load_latest(&dir).unwrap();
-        assert_eq!(loaded.unwrap().epoch, 10);
-        assert_eq!(warnings.len(), 1);
+        let clean = std::fs::read(write(&dir, &demo_data(20)).unwrap()).unwrap();
+        let newest = || load_latest(&dir).unwrap();
+        // One flipped payload byte fails its frame's CRC.
+        let mut flipped = clean.clone();
+        let at = clean.len() - 3;
+        flipped[at] ^= 0x01;
+        std::fs::write(snapshot_path(&dir, 20), &flipped).unwrap();
+        let (cp, warnings) = newest();
+        assert_eq!(cp.unwrap().epoch, 10);
         assert!(warnings[0].contains("CRC mismatch"), "{warnings:?}");
-        // A truncated file (torn write before the rename would prevent
-        // this, but belt and braces) is also skipped.
-        let text = std::fs::read_to_string(snapshot_path(&dir, 10)).unwrap();
-        std::fs::write(snapshot_path(&dir, 30), &text[..text.len() / 2]).unwrap();
-        let (loaded, warnings) = load_latest(&dir).unwrap();
-        assert_eq!(loaded.unwrap().epoch, 10);
+        // A torn tail, and a cut at a frame boundary before the closing
+        // `counters` line, are not whole checkpoints either.
+        std::fs::write(snapshot_path(&dir, 20), &clean[..clean.len() - 5]).unwrap();
+        assert!(newest().1[0].contains("torn frame"), "{:?}", newest().1);
+        let last = "counters 100 12 12 40".len() + 16;
+        std::fs::write(snapshot_path(&dir, 20), &clean[..clean.len() - last]).unwrap();
+        assert!(newest().1[0].contains("no closing `counters` line"));
+        // A checkpoint of the retired keyword format is refused, named.
+        std::fs::write(snapshot_path(&dir, 30), "IVMESNAP1\nepoch 30\n").unwrap();
+        let (cp, warnings) = newest();
+        assert_eq!(cp.unwrap().epoch, 10);
         assert_eq!(warnings.len(), 2);
+        assert!(
+            warnings[0].contains("an IVMESNAP1 checkpoint"),
+            "{warnings:?}"
+        );
+        // And a round whose epoch disagrees with the file name.
+        std::fs::rename(snapshot_path(&dir, 10), snapshot_path(&dir, 11)).unwrap();
+        let (cp, warnings) = newest();
+        assert!(cp.is_none());
+        assert!(
+            warnings[2].contains("disagrees with the file name"),
+            "{warnings:?}"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -523,62 +610,20 @@ mod tests {
     }
 
     #[test]
-    fn unbuilt_state_round_trips_without_query_or_base() {
-        let dir = tmp_dir("unbuilt");
-        let mut staged = Database::new();
-        staged.insert("R", Tuple::ints(&[1]), 1);
-        let data = SnapshotData {
-            epoch: 3,
-            epsilon: 0.5,
-            mode: Mode::Static,
-            staged,
-            ..SnapshotData::default()
-        };
-        write(&dir, &data).unwrap();
-        let (loaded, _) = load_latest(&dir).unwrap();
-        let loaded = loaded.unwrap();
-        assert_eq!(loaded.query, None);
-        assert!(!loaded.built);
-        assert!(matches!(loaded.mode, Mode::Static));
-        assert_eq!(loaded.staged.rows("R"), vec![(Tuple::ints(&[1]), 1)]);
-        assert_eq!(loaded.base.total_rows(), 0);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// Checkpoints written before the retry counter was dropped carry
-    /// three `serve_stats` fields; a data dir holding one still boots.
-    #[test]
-    fn a_checkpoint_with_three_serve_stats_fields_still_loads() {
-        let dir = tmp_dir("three_fields");
-        let mut text = "IVMESNAP1\nepoch 5\nengine_stats 7 3 0\nserve_stats 3 4 1\n\
-                        epsilon 0.5\nmode dynamic\nshards 1\nquery Q(A,C) :- R(A,B), S(B,C)\n\
-                        built 1\nbase 1 R 1,10\nbase 1 S 10,5\n"
-            .to_owned();
-        let crc = crc32(text.as_bytes());
-        text.push_str(&format!("crc {crc:08x}\n"));
-        std::fs::write(snapshot_path(&dir, 5), text).unwrap();
-        let (loaded, warnings) = load_latest(&dir).unwrap();
-        assert!(warnings.is_empty(), "{warnings:?}");
-        let loaded = loaded.unwrap();
-        assert_eq!(loaded.epoch, 5);
-        assert_eq!(loaded.engine_stats, (7, 3, 0));
-        assert_eq!(loaded.serve_stats, (3, 4));
-        assert_eq!(loaded.base.total_rows(), 2);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn a_checkpoint_that_cannot_land_queues_no_rotation_and_loses_nothing() {
         let dir = tmp_dir("cannot_land");
         std::fs::remove_dir_all(&dir).unwrap();
         let (wal_tx, wal_rx) = mpsc::channel();
-        let tracker = Arc::new(DurTracker::new(0, 0, 0));
+        let tracker = Arc::new(DurTracker::new(9, 0, 0));
         let worker =
             SnapshotWorker::start(dir.clone(), wal_tx, Arc::clone(&tracker), None).unwrap();
-        let submit_and_wait = |epoch, lands| {
+        let submit = |epoch| {
             let (done, done_rx) = mpsc::channel();
             assert!(worker.submit(demo_data(epoch), Some(done)));
-            assert_eq!(done_rx.recv().unwrap(), lands);
+            done_rx
+        };
+        let submit_and_wait = |epoch, lands| {
+            assert_eq!(submit(epoch).recv().unwrap(), lands);
             assert!(!worker.busy());
         };
         // The data dir is gone, so the temp file cannot be created: the
@@ -597,6 +642,36 @@ mod tests {
             Ok(wal::Job::Rotate { base_epoch: 9 })
         ));
         assert_eq!(load_latest(&dir).unwrap().0.unwrap().epoch, 9);
+        // A checkpoint past the durable epoch waits for the log to run the
+        // jobs queued ahead of it, round 11's acks among them ...
+        let done = submit(11);
+        let Ok(wal::Job::Flush { done: flushed }) = wal_rx.recv() else {
+            panic!("no flush before an install past the durable epoch");
+        };
+        assert!(
+            done.try_recv().is_err(),
+            "installed before round 11 was durable"
+        );
+        tracker.record_durable(11, 0, 0);
+        flushed.send(()).unwrap();
+        assert!(done.recv().unwrap());
+        assert!(matches!(
+            wal_rx.recv(),
+            Ok(wal::Job::Rotate { base_epoch: 11 })
+        ));
+        // ... and is dropped if they end with durability lost.
+        let done = submit(13);
+        let Ok(wal::Job::Flush { done: flushed }) = wal_rx.recv() else {
+            panic!("no flush before an install past the durable epoch");
+        };
+        tracker.set_lost();
+        flushed.send(()).unwrap();
+        assert!(!done.recv().unwrap());
+        assert!(
+            wal_rx.try_recv().is_err(),
+            "no Rotate for a dropped checkpoint"
+        );
+        assert_eq!(load_latest(&dir).unwrap().0.unwrap().epoch, 11);
         drop(worker);
         std::fs::remove_dir_all(&dir).unwrap();
     }

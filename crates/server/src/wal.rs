@@ -17,10 +17,12 @@
 //! `base_epoch` is the snapshot epoch this log continues from: a frame
 //! with `epoch ≤` the loaded snapshot's epoch is skipped on replay, which
 //! is what makes the snapshot-then-rotate sequence crash-safe at every
-//! intermediate point. The CRC (IEEE 802.3, table-driven, shared with the
-//! snapshot format via [`crate::crc`]) covers the epoch and payload
-//! bytes, so a frame whose length field survived a torn write but whose
-//! body did not still fails closed.
+//! intermediate point. The CRC (IEEE 802.3, table-driven, [`crate::crc`])
+//! covers the epoch and payload bytes, so a frame whose length field
+//! survived a torn write but whose body did not still fails closed.
+//!
+//! A checkpoint file is the same encoding: a log from epoch 0 that holds
+//! one round, the commands that rebuild the state ([`crate::snapshot`]).
 //!
 //! # What is logged, and when
 //!
@@ -96,7 +98,7 @@ const FRAME_PREFIX: usize = 16;
 /// Upper bound on a single frame payload. Far above any real command
 /// batch; a "length" beyond it is treated as corruption, not an
 /// allocation request.
-const MAX_FRAME: u32 = 1 << 30;
+pub(crate) const MAX_FRAME: u32 = 1 << 30;
 
 /// When the writer calls `fsync` on the log.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -157,9 +159,8 @@ pub struct Wal {
     buf: Vec<u8>,
 }
 
-/// Encodes one frame (prefix + payload) into `buf`, clearing it first.
+/// Appends one encoded frame (prefix + payload) to `buf`.
 fn encode_frame(buf: &mut Vec<u8>, epoch: u64, payload: &[u8]) {
-    buf.clear();
     buf.reserve(FRAME_PREFIX + payload.len());
     buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     let mut crc = Crc32::new();
@@ -186,12 +187,28 @@ pub(crate) fn install(path: &Path, tmp: &Path, bytes: &[u8]) -> io::Result<()> {
     }
 }
 
+/// The bytes of a whole log: the header at `base_epoch`, then one round
+/// of `frames` at `epoch` — what a checkpoint file holds
+/// ([`crate::snapshot`]).
+pub(crate) fn image(base_epoch: u64, epoch: u64, frames: &[String]) -> io::Result<Vec<u8>> {
+    let mut out = Vec::from(&WAL_MAGIC[..]);
+    out.extend_from_slice(&base_epoch.to_le_bytes());
+    for f in frames {
+        if f.len() > MAX_FRAME as usize {
+            return Err(invalid_data(format!(
+                "a {} byte frame is too long",
+                f.len()
+            )));
+        }
+        encode_frame(&mut out, epoch, f.as_bytes());
+    }
+    Ok(out)
+}
+
 /// Installs `header(base_epoch) + kept` (whole, validated frames) as the
 /// log at `path` and reopens it, through the final path, for appends.
 fn install_log(path: &Path, base_epoch: u64, kept: &[u8]) -> io::Result<File> {
-    let mut out = Vec::with_capacity(HEADER_LEN as usize + kept.len());
-    out.extend_from_slice(WAL_MAGIC);
-    out.extend_from_slice(&base_epoch.to_le_bytes());
+    let mut out = image(base_epoch, base_epoch, &[])?;
     out.extend_from_slice(kept);
     install(path, &path.with_extension("tmp"), &out)?;
     let mut file = OpenOptions::new().read(true).write(true).open(path)?;
@@ -288,6 +305,7 @@ impl Wal {
         let payload = text.as_bytes();
         assert!(payload.len() as u64 <= MAX_FRAME as u64, "oversized frame");
         let mut buf = std::mem::take(&mut self.buf);
+        buf.clear();
         encode_frame(&mut buf, epoch, payload);
         let res = self.file.write_all(&buf);
         self.buf = buf;
@@ -454,6 +472,21 @@ fn decode_frame(frame: &[u8]) -> Result<(u64, &str), String> {
     }
 }
 
+/// The strict read of a log image: its frames, or why some byte of it is
+/// not part of a whole, valid frame — a torn tail included.
+pub(crate) fn scan_whole(path: &Path, bytes: &[u8]) -> io::Result<Vec<Frame>> {
+    let scan = scan_bytes(path, bytes)?;
+    if scan.cut < bytes.len() {
+        return Err(invalid_data(format!(
+            "{}: {} at offset {}",
+            path.display(),
+            scan.damage.as_deref().unwrap_or("torn frame"),
+            scan.cut
+        )));
+    }
+    Ok(scan.frames)
+}
+
 /// Read-only scan of a WAL file: the valid frames and the base epoch,
 /// with damage (or a torn tail) simply cut off — the file is never
 /// opened for writing, let alone repaired.
@@ -496,8 +529,10 @@ pub(crate) enum Job {
     /// A snapshot at `base_epoch` was installed: rewrite the log as
     /// `header(base_epoch) + the frames past it`.
     Rotate { base_epoch: u64 },
-    /// fsync now regardless of mode, then signal. Doubles as a barrier:
-    /// when the signal comes back, every previously queued job has run.
+    /// Make everything appended durable (an fsync under `none`; under
+    /// `group` each append already was), then signal. Doubles as a barrier:
+    /// when the signal comes back, every previously queued job has run —
+    /// how the snapshot thread waits for the rounds a checkpoint holds.
     Flush { done: mpsc::Sender<()> },
 }
 
@@ -668,8 +703,16 @@ fn sync_loop(
                 }
             }
             Job::Flush { done } => {
-                if attempt(tracker, "fsync", || wal.sync()) {
-                    tracker.record_durable(wal.last_epoch(), wal.frames(), wal.last_fsync_us());
+                // Under `group` every append is synced already, so only
+                // `none` has anything to sync. Only a round's acks job
+                // moves the durable epoch: a flush may run between a
+                // round's frames and its publish.
+                let sync = || match mode {
+                    FsyncMode::Group => Ok(()),
+                    FsyncMode::None => wal.sync(),
+                };
+                if attempt(tracker, "fsync", sync) {
+                    tracker.record_durable(tracker.durable(), wal.frames(), wal.last_fsync_us());
                 }
                 let _ = done.send(());
             }

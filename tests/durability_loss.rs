@@ -6,7 +6,7 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use ivme::workload::Client;
@@ -139,6 +139,100 @@ fn a_failed_rotation_refuses_later_writes_and_loses_no_acked_one() {
         assert_eq!(c.expect_ok(&format!("get {i}")), format!("({i}) x1\n"));
     }
     assert_eq!(c.expect_ok("count"), format!("{acked}\n"));
+    drop(c);
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A checkpoint never holds a round the log may still lose. The rotation
+/// behind the checkpoint of round 2 fails, and round 4's frames are queued
+/// behind that rotation, so round 4 is released `err durability lost` —
+/// but the writer captured a checkpoint of round 4 before the sync thread
+/// met the failed rotation. That checkpoint must not install, or a
+/// restart serves the refused write. The hooks order the writer, sync and
+/// snapshot threads, and checkpoints are due every second round, so no
+/// round but the 2nd and the 4th can take one; nothing sleeps.
+#[test]
+fn a_checkpoint_captured_behind_a_failed_rotation_never_installs() {
+    let dir = temp_dir("behind_rotation");
+    // The sync thread reports round 3 and holds its frames until told; the
+    // snapshot thread reports every checkpoint and holds the first.
+    let (sync_at, sync_seen) = mpsc::channel();
+    let (sync_go, sync_wait) = mpsc::channel::<()>();
+    let (snap_at, snap_seen) = mpsc::channel();
+    let (snap_go, snap_wait) = mpsc::channel::<()>();
+    let (sync_wait, snap_wait) = (Mutex::new(sync_wait), Mutex::new(snap_wait));
+    let hooks = TestHooks {
+        sync_barrier: Some(Arc::new(move |epoch| {
+            if epoch == 3 {
+                let _ = sync_at.send(epoch);
+                let _ = sync_wait.lock().unwrap().recv();
+            }
+        })),
+        snapshot_barrier: Some(Arc::new(move |epoch| {
+            let _ = snap_at.send(epoch);
+            if epoch == 2 {
+                let _ = snap_wait.lock().unwrap().recv();
+            }
+        })),
+        ..TestHooks::default()
+    };
+    let server = Server::start(ServerConfig {
+        data_dir: Some(dir.clone()),
+        snapshot_every: 2,
+        hooks,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    // Every rotation from here on fails.
+    std::fs::create_dir(dir.join("wal.tmp")).unwrap();
+    let addr = server.addr();
+    let mut a = Client::connect(addr).unwrap();
+    // Rounds 1 and 2 are durable and acked; round 2's checkpoint is held.
+    a.expect_ok("query Q(A) :- S(A)");
+    a.expect_ok("build");
+    assert_eq!(snap_seen.recv().unwrap(), 2);
+    // Round 3 is published; its frames are held on the sync thread.
+    let kept = std::thread::spawn(move || a.request("insert S 5").unwrap());
+    assert_eq!(sync_seen.recv().unwrap(), 3);
+    // The checkpoint installs and queues its rotation behind round 3.
+    snap_go.send(()).unwrap();
+    let mut reader = Client::connect(addr).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !reader
+        .expect_ok("stats")
+        .contains("snapshot_in_progress = 0")
+    {
+        assert!(Instant::now() < deadline, "the checkpoint never finished");
+    }
+    // Round 4 passes the writer's check — nothing has failed yet — so its
+    // frames queue behind the rotation, and the writer captures a
+    // checkpoint of it.
+    let mut b = Client::connect(addr).unwrap();
+    let lost = std::thread::spawn(move || b.request("insert S 1").unwrap());
+    assert_eq!(snap_seen.recv().unwrap(), 4);
+    // Round 3 becomes durable, the rotation fails, round 4 is lost.
+    sync_go.send(()).unwrap();
+    assert!(kept.join().unwrap().is_ok());
+    let refused = lost.join().unwrap().unwrap_err();
+    assert!(refused.contains("durability lost"), "{refused}");
+    drop(reader);
+    drop(server);
+
+    std::fs::remove_dir(dir.join("wal.tmp")).unwrap();
+    let server = Server::start(ServerConfig {
+        data_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    assert_eq!(
+        c.expect_ok("get 1"),
+        "(1) not in result\n",
+        "a write answered `err` came back after a restart"
+    );
+    assert_eq!(c.expect_ok("get 5"), "(5) x1\n");
+    assert_eq!(c.expect_ok("count"), "1\n");
     drop(c);
     drop(server);
     let _ = std::fs::remove_dir_all(&dir);

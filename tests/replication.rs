@@ -475,8 +475,10 @@ fn a_newline_free_stream_into_the_replication_listener_is_dropped() {
 }
 
 /// Version 4 frames never hold `.shards`; a version-3 peer could still
-/// ship or expect them. A follower that says `hello 3` is dropped before
-/// it registers or receives a byte, and a `hello 4` one is served.
+/// ship or expect them. Version 5 ships a checkpoint as frames; a
+/// version-4 peer expects a keyword text file. A follower that says
+/// `hello 3` or `hello 4` is dropped before it registers or receives a
+/// byte, and a `hello 5` one is served.
 #[test]
 fn a_version_3_follower_is_refused() {
     let wl = RecoveryWorkload::generate(0x7E3, 10, 4, 3);
@@ -503,11 +505,122 @@ fn a_version_3_follower_is_refused() {
         }
     };
     assert_eq!(reply("hello 3 0\n"), "", "a v3 follower was served");
+    assert_eq!(reply("hello 4 0\n"), "", "a v4 follower was served");
     assert_eq!(stat_field(&c.expect_ok("stats"), "repl_followers"), 0);
-    // Epoch 0 against a tip past it: a v4 follower gets the log.
-    assert!(reply("hello 4 0\n").starts_with("round "));
+    // Epoch 0 against a tip past it: a v5 follower gets the log.
+    assert!(reply("hello 5 0\n").starts_with("round "));
 
     drop(c);
     drop(primary);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// What a client can see of a state: the sorted listing and the engine's
+/// `stats` lines (each, before `build`, its refusal) — the durability and
+/// replication lines left out — and the server's two group counters.
+/// `stats` carries the other two counters, `updates` and `batches`.
+type Seen = (Result<String, String>, Result<String, String>, u64, u64);
+
+fn seen(addr: SocketAddr, (commits, grouped): (u64, u64)) -> Seen {
+    let mut c = Client::connect(addr).unwrap();
+    let list = c.request("list").unwrap().map(|l| {
+        let mut lines: Vec<&str> = l.lines().collect();
+        lines.sort_unstable();
+        lines.join("\n")
+    });
+    let stats = c.request("stats").unwrap().map(|s| {
+        let role = |l: &&str| l.starts_with("wal_epoch") || l.starts_with("repl");
+        let engine: Vec<&str> = s.lines().take_while(|l| !role(l)).collect();
+        engine.join("\n")
+    });
+    (list, stats, commits, grouped)
+}
+
+/// A checkpoint is one round that rebuilds the whole state: listing,
+/// `stats` and the four counters are identical after a clean shutdown's
+/// checkpoint, on a restart from it, after a hard kill and a second
+/// restart, and on a replica bootstrapped from it — in dynamic and static
+/// mode, built, unbuilt and before any query, with a base multiplicity of
+/// 2^40, duplicate rows and rows of a relation the query does not name.
+/// A later `build` then agrees with a server that never restarted, so the
+/// row store came back too. `counters`, which only a log may say, is
+/// refused on the replica's socket and changes nothing.
+#[test]
+fn a_checkpoint_restores_the_same_state_on_a_restart_and_a_replica() {
+    const QUERY: &str = "query Q(A,C) :- R(A,B), S(B,C)";
+    let built = "row R 1,10\nrow R 1,10\nrow S 10,5\nrow T 7\nrow T 7\nbuild\n\
+                 update S 1099511627776 10,5\nrow R 2,10\nrow R 2,10\n\
+                 .batch begin\ninsert S 10,6\n.batch commit\n";
+    let cases = [
+        ("dynamic", format!("{QUERY}\n{built}"), "build"),
+        ("static", format!("{QUERY}\n{built}mode static\n"), "build"),
+        (
+            "unbuilt",
+            format!("{QUERY}\nrow R 1,10\nrow R 1,10\nrow S 10,5\nrow T 7\nepsilon 0.25\n"),
+            "build",
+        ),
+        (
+            "no_query",
+            "row R 1,10\nrow R 1,10\nrow S 10,5\nmode static\n".to_owned(),
+            "query Q(A,C) :- R(A,B), S(B,C)\nbuild",
+        ),
+    ];
+    for (name, script, probe) in cases {
+        let dir = temp_dir(&format!("checkpoint_{name}"));
+        let primary = start_primary(&dir, 0);
+        let mut c = Client::connect(primary.addr()).unwrap();
+        run_script(&mut c, &script);
+        let counters = |s: ivme_server::ServeStats| (s.group_commits, s.grouped_batches);
+        let want = seen(primary.addr(), counters(primary.serve_stats()));
+        assert!(c.expect_ok("shutdown").contains("final snapshot written"));
+        drop(c);
+        drop(primary);
+
+        for restart in ["restart", "restart after a hard kill"] {
+            let primary = start_primary(&dir, 0);
+            let got = seen(primary.addr(), counters(primary.serve_stats()));
+            assert_eq!(got, want, "{name}: {restart}");
+            // Before `build`, `stats` is refused whole.
+            if let Ok(stats) = Client::connect(primary.addr())
+                .unwrap()
+                .request("stats")
+                .unwrap()
+            {
+                assert_eq!(stat_field(&stats, "recovered_groups"), 0, "{name}: {stats}");
+            }
+            if restart == "restart" {
+                let replica = start_replica(primary.repl_addr().unwrap());
+                let epoch = primary.serve_stats().snapshots_published;
+                let deadline = Instant::now() + Duration::from_secs(30);
+                while replica.stats().applied_epoch() < epoch {
+                    assert!(
+                        Instant::now() < deadline,
+                        "{name}: the replica never caught up"
+                    );
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                let got = seen(replica.addr(), counters(replica.serve_stats()));
+                assert_eq!(got, want, "{name}: replica");
+                let mut r = Client::connect(replica.addr()).unwrap();
+                let err = r.request("counters 1 2 3 4").unwrap().unwrap_err();
+                assert_eq!(err, "unknown command `counters` (try `help`)");
+                assert_eq!(seen(replica.addr(), counters(replica.serve_stats())), want);
+            }
+            // drop(primary): a hard kill, no final checkpoint.
+        }
+
+        // A `build` on the restarted primary agrees with one on a server
+        // that ran the script and never restarted.
+        let primary = start_primary(&dir, 0);
+        let reference = Server::start(ServerConfig::default()).unwrap();
+        run_script(&mut Client::connect(reference.addr()).unwrap(), &script);
+        for server in [&primary, &reference] {
+            run_script(&mut Client::connect(server.addr()).unwrap(), probe);
+        }
+        let (a, b) = (seen(primary.addr(), (0, 0)), seen(reference.addr(), (0, 0)));
+        assert_eq!((a.0, a.1), (b.0, b.1), "{name}: {probe}");
+        drop(primary);
+        drop(reference);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -21,6 +21,8 @@ use ivme::data::Tuple;
 use ivme::query::parse_query;
 use ivme::workload::{parse_listing, Client, RecoveryWorkload};
 use ivme_server::{FsyncMode, Server, ServerConfig, TestHooks};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn temp_dir(name: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("ivme_rec_{}_{name}", std::process::id()));
@@ -230,7 +232,8 @@ fn clean_shutdown_persists_everything_and_replays_nothing() {
         0,
         "a clean shutdown leaves nothing to replay: {stats}"
     );
-    // Serve-layer counters also survive, via the snapshot header.
+    // Serve-layer counters also survive, via the checkpoint's `counters`
+    // line.
     assert!(
         server.serve_stats().group_commits >= K as u64,
         "group_commits must be cumulative across restarts: {:?}",
@@ -246,7 +249,7 @@ fn clean_shutdown_persists_everything_and_replays_nothing() {
 /// logged `epsilon` and `build` under the live rule — rebuild from the
 /// engine's own rows — so the recovered state still holds every write,
 /// with or without checkpoints in between. A clean shutdown then writes a
-/// checkpoint that holds each row once: no `staged` line beside `base`.
+/// checkpoint whose frames hold each row once.
 #[test]
 fn an_update_survives_epsilon_build_and_a_hard_kill() {
     let ints = |rows: &[[i64; 2]]| -> Vec<(Tuple, i64)> {
@@ -275,21 +278,13 @@ fn an_update_survives_epsilon_build_and_a_hard_kill() {
         assert!(c.expect_ok("shutdown").contains("snapshot written"));
         drop(c);
         drop(server);
-        let newest = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| {
-                let name = e.unwrap().file_name().into_string().unwrap();
-                name.strip_prefix("snapshot-")?
-                    .strip_suffix(".ivme")?
-                    .parse::<u64>()
-                    .ok()
-            })
-            .max()
-            .expect("the final checkpoint");
-        let text = std::fs::read_to_string(dir.join(format!("snapshot-{newest}.ivme"))).unwrap();
-        assert!(text.contains("built 1\n"), "{text}");
-        assert!(!text.contains("staged "), "{text}");
-        assert_eq!(text.matches("base ").count(), 4, "{text}");
+        let (checkpoint, _) = ivme_server::snapshot::load_latest(&dir).unwrap();
+        let frames = checkpoint.expect("the final checkpoint").frames;
+        let lines = || frames.iter().flat_map(|f| f.lines());
+        let rows: Vec<&str> = lines().filter(|l| l.starts_with("row ")).collect();
+        assert_eq!(rows, ["row R 1,2", "row R 5,2", "row S 2,3", "row S 2,4"]);
+        assert_eq!(lines().filter(|&l| l == "build").count(), 1, "{frames:?}");
+        assert!(!lines().any(|l| l.starts_with(".batch")), "{frames:?}");
         let server = start(&dir, snapshot_every);
         assert_eq!(listing(server.addr()), want, "from the checkpoint");
         drop(server);
@@ -613,55 +608,41 @@ fn unreadable_wal_refuses_to_start() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A checkpoint written while the engine took a shard count carries a
-/// `shards <S>` line. The loader skips it: whatever `S` was, the data
-/// dir boots into one engine serving the same result, and the next
-/// checkpoint has no such line.
+/// A checkpoint in the keyword format servers wrote before replication
+/// version 5 (`IVMESNAP1`) is not read, and not converted. A data dir whose
+/// log continues from it refuses to boot on the gap check, and the refusal
+/// names the skipped file's format; both files are left as they were.
 #[test]
-fn a_checkpoint_with_a_shards_line_loads_into_one_engine() {
-    let q = parse_query("Q(A,C) :- R(A,B), S(B,C)").unwrap();
-    let mut db = ivme::core::Database::new();
-    db.insert("R", Tuple::ints(&[1, 10]), 1);
-    db.insert("R", Tuple::ints(&[2, 11]), 1);
-    db.insert("S", Tuple::ints(&[10, 5]), 2);
-    db.insert("S", Tuple::ints(&[11, 6]), 1);
-    let want = brute_force(&q, &db);
-    for shards in [1, 2] {
-        let dir = temp_dir(&format!("old_checkpoint_{shards}"));
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut text = format!(
-            "IVMESNAP1\nepoch 5\nengine_stats 3 2 0\nserve_stats 2 2\nepsilon 0.5\n\
-             mode dynamic\nshards {shards}\nquery {q}\nbuilt 1\nbase 1 R 1,10\n\
-             base 1 R 2,11\nbase 2 S 10,5\nbase 1 S 11,6\n"
-        );
-        let crc = ivme_server::crc::crc32(text.as_bytes());
-        text.push_str(&format!("crc {crc:08x}\n"));
-        std::fs::write(dir.join("snapshot-5.ivme"), text).unwrap();
-
-        let server = start(&dir, 0);
-        assert_eq!(listing(server.addr()), want, "shards {shards}");
-        let mut c = Client::connect(server.addr()).unwrap();
-        let stats = c.expect_ok("stats");
-        assert!(stats.starts_with("N = 4, snapshot_epoch = 5\n"), "{stats}");
-        assert_eq!(stat_field(&stats, "updates"), 3, "{stats}");
-        assert!(!stats.contains("shard"), "{stats}");
-        c.expect_ok("insert S 10,7");
-        assert!(c.expect_ok("shutdown").contains("snapshot written"));
-        drop(c);
-        drop(server);
-        let newest = std::fs::read_to_string(dir.join("snapshot-6.ivme")).unwrap();
-        assert!(!newest.contains("\nshards "), "{newest}");
-        let server = start(&dir, 0);
-        let mut after = db.clone();
-        after.insert("S", Tuple::ints(&[10, 7]), 1);
-        assert_eq!(
-            listing(server.addr()),
-            brute_force(&q, &after),
-            "shards {shards}"
-        );
-        drop(server);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+fn a_checkpoint_of_the_retired_format_is_refused_by_name() {
+    let dir = temp_dir("retired_checkpoint");
+    std::fs::create_dir_all(&dir).unwrap();
+    let text = "IVMESNAP1\nepoch 5\nengine_stats 3 2 0\nserve_stats 2 2\nepsilon 0.5\n\
+                mode dynamic\nquery Q(A,C) :- R(A,B), S(B,C)\nbuilt 1\nbase 1 R 1,10\n\
+                base 2 S 10,5\ncrc 00000000\n";
+    std::fs::write(dir.join("snapshot-5.ivme"), text).unwrap();
+    let path = dir.join("wal.log");
+    let mut wal = ivme_server::wal::Wal::create(&path, 5).unwrap();
+    wal.append(6, ".batch begin\ninsert S 10,7\n.batch commit\n")
+        .unwrap();
+    wal.sync().unwrap();
+    drop(wal);
+    let before = std::fs::read(&path).unwrap();
+    let Err(err) = Server::start(ServerConfig {
+        data_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    }) else {
+        panic!("a data dir that needs an IVMESNAP1 checkpoint booted");
+    };
+    let err = err.to_string();
+    assert!(
+        err.contains("refusing to serve a state with a gap"),
+        "{err}"
+    );
+    assert!(err.contains("an IVMESNAP1 checkpoint"), "{err}");
+    assert_eq!(std::fs::read(&path).unwrap(), before, "the log was changed");
+    let snap = std::fs::read_to_string(dir.join("snapshot-5.ivme")).unwrap();
+    assert_eq!(snap, text, "the checkpoint was changed");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A log written while `.shards` was a command may hold its frame. Replay
@@ -699,4 +680,75 @@ fn a_wal_with_a_shards_frame_refuses_to_start() {
     );
     assert_eq!(std::fs::read(&path).unwrap(), before, "the log was changed");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A server-written checkpoint under seeded damage — one flipped bit, or a
+/// truncation — over 256 seeds. Its data dir's log continues from it, so
+/// every boot either serves exactly the checkpoint's state, or skips the
+/// file and refuses on the gap check, naming why; none panics, and none
+/// serves part of the checkpoint.
+#[test]
+fn a_damaged_checkpoint_boots_whole_or_refuses() {
+    let dir = temp_dir("fuzz_source");
+    let server = start(&dir, 0);
+    let mut c = Client::connect(server.addr()).unwrap();
+    run_script(
+        &mut c,
+        "query Q(A,C) :- R(A,B), S(B,C)\nrow R 1,10\nrow R 2,10\nrow S 10,5\nrow T 7\n\
+         build\nupdate S 3 10,5\nrow R 3,11\nrow S 11,6\n",
+    );
+    let want = (listing(server.addr()), c.expect_ok("count"));
+    let epoch = stat_field(&c.expect_ok("stats"), "snapshot_epoch");
+    assert!(c.expect_ok("shutdown").contains("final snapshot written"));
+    drop(c);
+    drop(server);
+    let name = format!("snapshot-{epoch}.ivme");
+    let clean = std::fs::read(dir.join(&name)).unwrap();
+    let wal = std::fs::read(dir.join("wal.log")).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let (mut served, mut refused) = (0, 0);
+    // The last boot, seedless, is the control: the file as it was written.
+    for seed in (0..256u64).map(Some).chain([None]) {
+        let mut bytes = clean.clone();
+        if let Some(mut rng) = seed.map(StdRng::seed_from_u64) {
+            let at = rng.gen_range(0..bytes.len());
+            match rng.gen_bool(0.5) {
+                true => bytes[at] ^= 1 << rng.gen_range(0..8u32),
+                false => bytes.truncate(at),
+            }
+        }
+        let seed = seed.map_or("control".to_owned(), |s| s.to_string());
+        let dir = temp_dir(&format!("fuzz_{seed}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("wal.log"), &wal).unwrap();
+        std::fs::write(dir.join(&name), &bytes).unwrap();
+        match Server::start(ServerConfig {
+            data_dir: Some(dir.clone()),
+            ..ServerConfig::default()
+        }) {
+            Ok(server) => {
+                let mut c = Client::connect(server.addr()).unwrap();
+                let got = (listing(server.addr()), c.expect_ok("count"));
+                assert_eq!(got, want, "seed {seed} served a different state");
+                served += 1;
+            }
+            Err(e) => {
+                let e = e.to_string();
+                assert!(
+                    e.contains("refusing to serve a state with a gap"),
+                    "seed {seed}: {e}"
+                );
+                assert!(e.contains(&name), "seed {seed} does not say why: {e}");
+                refused += 1;
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    // The CRC leaves only the header's base epoch unguarded, so nearly
+    // every seed is refused.
+    assert!(
+        refused > 200 && served > 0,
+        "served {served}, refused {refused}"
+    );
 }
