@@ -287,10 +287,14 @@ pub enum Line {
     /// ±1 (the common case, kept human-readable), the general
     /// `update <rel> <delta> <csv>` otherwise.
     Update(i64),
+    /// `stage <rel> <n> <csv>`: a checkpoint's log-only line for `n` more
+    /// copies of a row (see `ivme-server`'s snapshot module); no front end
+    /// parses it.
+    Stage(i64),
 }
 
 /// Appends one tuple-carrying command line, newline included — the one
-/// renderer behind the log's `row` and update lines. A nullary tuple
+/// renderer behind the log's `row`, update and `stage` lines. A nullary tuple
 /// renders as an empty value list, which [`parse_command`] reads back.
 pub fn push_line(out: &mut String, line: Line, relation: &str, tuple: &Tuple) {
     use std::fmt::Write as _;
@@ -299,6 +303,7 @@ pub fn push_line(out: &mut String, line: Line, relation: &str, tuple: &Tuple) {
         Line::Update(1) => ("insert ", None),
         Line::Update(-1) => ("delete ", None),
         Line::Update(d) => ("update ", Some(d)),
+        Line::Stage(n) => ("stage ", Some(n)),
     };
     out.push_str(verb);
     out.push_str(relation);

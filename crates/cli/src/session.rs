@@ -175,6 +175,18 @@ impl Session {
         }
     }
 
+    /// Adds `n` copies of `tuple` to the row store — what a checkpoint's
+    /// log-only `stage` line says. Refused for a relation the built engine
+    /// holds, and for a count that is not positive or would overflow.
+    pub fn stage(&mut self, relation: &str, tuple: Tuple, n: i64) -> Result<(), String> {
+        let m = self.staged.get(relation, &tuple);
+        if self.holds(relation) || n < 1 || m.checked_add(n).is_none() {
+            return Err(format!("cannot stage {n} copies into {relation}"));
+        }
+        self.staged.insert(relation, tuple, n);
+        Ok(())
+    }
+
     /// An engine over `db`, seeded with the cumulative `(updates,
     /// batches)`. Always one shard: one read and commit path per build.
     fn new_engine(

@@ -579,7 +579,8 @@ mod tests {
     /// `update` deltas at the ends of `i64` and one past it, alone and as a `.batch` whose deltas sum past `i64`. No
     /// line panics, a refused line leaves the state as it was, a literal
     /// out of range is a parse error, and `count` always agrees with the
-    /// listing. `counters`, which only a log may say, is refused too.
+    /// listing. `counters` and `stage`, which only a log may say, are
+    /// refused too.
     #[test]
     fn extreme_update_deltas_are_refused_whole_and_never_panic() {
         let mut sh = Shell::new();
@@ -622,7 +623,10 @@ mod tests {
             }
         }
         assert_eq!(run(&mut sh, &["count"]), "1\n");
-        let err = sh.execute("counters 1 2 3 4").unwrap_err();
-        assert_eq!(err, "unknown command `counters` (try `help`)");
+        for (line, verb) in [("counters 1 2 3 4", "counters"), ("stage T 5 7", "stage")] {
+            let err = sh.execute(line).unwrap_err();
+            assert_eq!(err, format!("unknown command `{verb}` (try `help`)"));
+        }
+        assert_eq!(run(&mut sh, &["count"]), "1\n");
     }
 }

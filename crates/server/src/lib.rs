@@ -656,8 +656,8 @@ mod tests {
     /// a `.batch` whose deltas sum past `i64`, over a socket: the writer
     /// thread never panics, a refused line leaves the served state as it
     /// was, a literal out of range is a parse error, and `count` always
-    /// agrees with the listing. `counters`, which only a log may say, is
-    /// refused too.
+    /// agrees with the listing. `counters` and `stage`, which only a log
+    /// may say, are refused too.
     #[test]
     fn extreme_update_deltas_are_refused_whole_and_never_panic() {
         let server = Server::start(ServerConfig::default()).unwrap();
@@ -693,8 +693,10 @@ mod tests {
             }
         }
         assert_eq!(c.ok("count"), "1\n");
-        let err = c.send("counters 1 2 3 4").unwrap_err();
-        assert_eq!(err, "unknown command `counters` (try `help`)");
+        for (line, verb) in [("counters 1 2 3 4", "counters"), ("stage T 5 7", "stage")] {
+            let err = c.send(line).unwrap_err();
+            assert_eq!(err, format!("unknown command `{verb}` (try `help`)"));
+        }
         assert_eq!(c.ok("count"), "1\n");
     }
 }

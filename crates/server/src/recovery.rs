@@ -27,8 +27,9 @@ impl OwnedState {
     /// The serve counters in `status` advance as the round did live: one
     /// group commit when it holds a client batch, and one grouped batch
     /// per batch frame. A checkpoint's round closes with the log-only
-    /// `counters` line instead, which sets them, and the engine's, outright
-    /// — no other front end parses that line. On an error the epoch stays
+    /// `counters` line instead, which sets them, and the engine's, outright,
+    /// and says row multiplicities in log-only `stage` frames — no other
+    /// front end parses either. On an error the epoch stays
     /// where it was — the state is then between two rounds and must not be
     /// published.
     pub(crate) fn apply_round<'a>(
@@ -46,6 +47,9 @@ impl OwnedState {
                     let four = nums.ok().and_then(|n| <[u64; 4]>::try_from(n).ok());
                     counters = Some(four.ok_or_else(|| format!("bad log line: {}", text.trim()))?);
                 }
+                None if text.starts_with("stage ") => {
+                    text.lines().try_for_each(|l| self.stage(l))?
+                }
                 None => {
                     batches += u64::from(text.starts_with(".batch begin"));
                     self.apply_frame(text)?;
@@ -62,6 +66,17 @@ impl OwnedState {
         }
         self.epoch = epoch;
         Ok(())
+    }
+
+    /// Applies one log-only `stage <rel> <n> <csv>` line: `n` more copies
+    /// of a row in the row store.
+    fn stage(&mut self, line: &str) -> Result<(), String> {
+        let bad = || format!("bad log line: {}", line.trim());
+        let mut fields = line.strip_prefix("stage ").ok_or_else(bad)?.splitn(3, ' ');
+        let (rel, n, csv) = (fields.next(), fields.next(), fields.next());
+        let n = n.and_then(|n| n.parse().ok()).ok_or_else(bad)?;
+        let tuple = proto::parse_tuple(csv.ok_or_else(bad)?)?;
+        self.session.stage(rel.ok_or_else(bad)?, tuple, n)
     }
 
     /// Applies one WAL frame's command text, line by line, through the

@@ -4,16 +4,17 @@
 //! [`crate::wal`]'s header and frame encoding, from epoch 0, that holds one
 //! round at `<epoch>`: the commands that rebuild the writer thread's state
 //! from nothing. In order: `query`, `epsilon`, `mode`; one `row` run per
-//! relation; `build`; one `.batch` of `update` lines for the engine's
-//! multiplicities above 1; and last, the log-only `counters` line. Under
-//! static mode, which refuses updates, the round builds in dynamic mode and
-//! says `mode static` after the batch. Boot recovery and a replica's
-//! bootstrap replay it through `OwnedState::apply_round`, the step every
-//! WAL round and every replicated round takes, so there is one way back to
-//! a state. Replaying the WAL from genesis would recover the same state;
-//! checkpoints exist so recovery time is bounded by `O(state) + O(log since
-//! the last checkpoint)` instead of `O(entire history)`, and so the WAL can
-//! be truncated.
+//! relation, each row once; the log-only `stage` lines that give the rows
+//! of multiplicity above 1 the rest of it; `build`; and last, the log-only
+//! `counters` line. Every row is in the row store until `build`, so the
+//! engine is built once, from every multiplicity, in either mode. Boot
+//! recovery and a replica's bootstrap replay it through
+//! `OwnedState::apply_round`, the step every WAL round and every
+//! replicated round takes, so there is one way back to a state. Replaying
+//! the WAL from genesis would recover the same state; checkpoints exist so
+//! recovery time is bounded by `O(state) + O(log since the last
+//! checkpoint)` instead of `O(entire history)`, and so the WAL can be
+//! truncated.
 //!
 //! Writing is crash-safe: `wal::install` writes a sibling temp file,
 //! fsyncs it and renames it into place. Loading tries newest-first and
@@ -31,7 +32,7 @@ use std::thread::JoinHandle;
 
 use ivme_cli::proto::{self, Line};
 use ivme_cli::session::AdminOp;
-use ivme_core::{Database, DeltaBatch, Mode};
+use ivme_core::{Database, Mode};
 
 use crate::publish::DurTracker;
 use crate::{invalid_data, wal, Hook};
@@ -84,12 +85,6 @@ pub struct Checkpoint {
     pub frames: Vec<String>,
 }
 
-/// The most times a checkpoint repeats a `row` line. The row store counts
-/// `row` commands, so its multiplicities are written as repeated lines; a
-/// larger one (only a `query` that sends a built engine's rows back to the
-/// store makes one) fails the checkpoint, and the log keeps the state.
-const MAX_ROW_REPEAT: i64 = 1 << 16;
-
 /// `snapshot-<epoch>.ivme` under `dir`.
 fn snapshot_path(dir: &Path, epoch: u64) -> PathBuf {
     dir.join(format!("snapshot-{epoch}.ivme"))
@@ -103,8 +98,9 @@ fn parse_snapshot_name(name: &str) -> Option<u64> {
         .ok()
 }
 
-/// The checkpoint round of `data`, frame by frame (see the module docs).
-fn round(data: &SnapshotData) -> io::Result<Vec<String>> {
+/// The checkpoint round of `data`, frame by frame (see the module docs),
+/// each run of lines split into frames of at most `max_frame` bytes.
+fn round(data: &SnapshotData, max_frame: usize) -> io::Result<Vec<String>> {
     // The relations a built engine holds: its query's.
     let held = match (&data.query, data.built) {
         (Some(q), true) => ivme_query::parse_query(q)
@@ -115,9 +111,11 @@ fn round(data: &SnapshotData) -> io::Result<Vec<String>> {
             .collect(),
         _ => Vec::new(),
     };
+    let mut frames: Vec<String> = data.query.iter().map(|q| format!("query {q}")).collect();
+    frames.push(AdminOp::Epsilon(data.epsilon).wal_text());
+    frames.push(AdminOp::Mode(data.mode).wal_text());
+    let mut stage = Vec::new();
     let engine = data.built.then_some((&data.base, true));
-    let mut rows = Vec::new();
-    let mut heavy = DeltaBatch::new();
     for (db, in_engine) in engine.into_iter().chain([(&data.staged, false)]) {
         for rel in db.relations() {
             if !in_engine && held.iter().any(|h| h == rel) {
@@ -125,58 +123,56 @@ fn round(data: &SnapshotData) -> io::Result<Vec<String>> {
             }
             let mut sorted = db.rows(rel);
             sorted.sort_unstable();
-            let mut run = String::new();
-            for (t, m) in sorted {
-                if !in_engine && m > MAX_ROW_REPEAT {
-                    return Err(invalid_data(format!(
-                        "row {rel}({}) has multiplicity {m} in the row store, more than a \
-                         checkpoint repeats `row` lines",
-                        proto::format_tuple(&t)
-                    )));
-                }
-                for _ in 0..if in_engine { 1 } else { m } {
-                    let at = run.len();
-                    proto::push_line(&mut run, Line::Row, rel, &t);
-                    if run.len() > wal::MAX_FRAME as usize && at > 0 {
-                        let line = run.split_off(at);
-                        rows.push(std::mem::replace(&mut run, line));
-                    }
-                }
-                if in_engine && m > 1 {
-                    heavy.push(rel, t, m - 1);
-                }
-            }
-            if !run.is_empty() {
-                rows.push(run);
-            }
+            let run = sorted
+                .iter()
+                .map(|(t, _)| |out: &mut String| proto::push_line(out, Line::Row, rel, t));
+            split(&mut frames, run, max_frame);
+            let heavy = sorted.into_iter().filter(|&(_, m)| m > 1);
+            stage.extend(heavy.map(|(t, m)| (rel, t, m - 1)));
         }
     }
-    // Static mode refuses updates: build in dynamic mode, then switch.
-    let switch = (data.mode == Mode::Static && !heavy.is_empty()).then_some(Mode::Static);
-    let mut frames: Vec<String> = data.query.iter().map(|q| format!("query {q}")).collect();
-    frames.push(AdminOp::Epsilon(data.epsilon).wal_text());
-    frames.push(AdminOp::Mode(switch.map_or(data.mode, |_| Mode::Dynamic)).wal_text());
-    frames.append(&mut rows);
+    let stage = stage.iter().map(|&(rel, ref t, n)| {
+        move |out: &mut String| proto::push_line(out, Line::Stage(n), rel, t)
+    });
+    split(&mut frames, stage, max_frame);
     frames.extend(data.built.then(|| AdminOp::Build.wal_text()));
-    frames.extend((!heavy.is_empty()).then(|| proto::batch_lines(&heavy)));
-    frames.extend(switch.map(|m| AdminOp::Mode(m).wal_text()));
     let ((u, b), (gc, gb)) = (data.engine_stats, data.serve_stats);
     frames.push(format!("counters {u} {b} {gc} {gb}"));
     Ok(frames)
 }
 
+/// Appends the lines `lines` render to `out` as one run, closing a frame
+/// before a line would carry it past `max` bytes.
+fn split<F: FnOnce(&mut String)>(
+    out: &mut Vec<String>,
+    lines: impl Iterator<Item = F>,
+    max: usize,
+) {
+    let mut run = String::new();
+    for line in lines {
+        let at = run.len();
+        line(&mut run);
+        if run.len() > max && at > 0 {
+            let line = run.split_off(at);
+            out.push(std::mem::replace(&mut run, line));
+        }
+    }
+    out.extend((!run.is_empty()).then_some(run));
+}
+
 /// Renders `data` as its checkpoint round and atomically installs it
 /// (`wal::install`) as `snapshot-<epoch>.ivme`. Returns the final path.
 pub fn write(dir: &Path, data: &SnapshotData) -> io::Result<PathBuf> {
-    let bytes = wal::image(0, data.epoch, &round(data)?)?;
+    let bytes = wal::image(0, data.epoch, &round(data, wal::MAX_FRAME as usize)?)?;
     let path = snapshot_path(dir, data.epoch);
     let tmp = dir.join(format!("snapshot-{}.ivme.tmp", data.epoch));
     wal::install(&path, &tmp, &bytes)?;
     Ok(path)
 }
 
-/// The strict read of the checkpoint named for `epoch`: one whole round at
-/// that epoch, closed by its `counters` line, or why the file is not one.
+/// The strict read of the checkpoint named for `epoch`: a log from base
+/// epoch 0 holding one whole round at that epoch, closed by its `counters`
+/// line, or why the file is not one.
 fn read(path: &Path, epoch: u64) -> Result<Checkpoint, String> {
     let bytes = std::fs::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
     let bad = |why: &str| Err(format!("{}: {why}", path.display()));
@@ -186,11 +182,14 @@ fn read(path: &Path, epoch: u64) -> Result<Checkpoint, String> {
              server does not read",
         );
     }
-    let frames = wal::scan_whole(path, &bytes).map_err(|e| e.to_string())?;
-    if !frames
+    let (base_epoch, frames) = wal::scan_whole(path, &bytes).map_err(|e| e.to_string())?;
+    if base_epoch != 0 {
+        return bad("the header's base epoch is not 0: not a checkpoint");
+    }
+    let closed = frames
         .last()
-        .is_some_and(|f| f.text.starts_with("counters "))
-    {
+        .is_some_and(|f| f.text.starts_with("counters "));
+    if !closed {
         return bad("no closing `counters` line: not a whole checkpoint");
     }
     if frames.iter().any(|f| f.epoch != epoch) {
@@ -446,30 +445,22 @@ mod tests {
     fn snapshot_round_trips_exactly() {
         let data = demo_data(42);
         let (frames, state, status) = round_trip("round", &data);
-        // Each engine row once, the multiplicities above 1 as one batch;
-        // the stale row-store copy of R(1,10) is not written at all.
+        // Each row once, the multiplicities above 1 as `stage` lines before
+        // `build`; the stale row-store copy of R(1,10) is not written at all.
         assert_eq!(
-            frames[..7],
+            frames,
             [
                 "query Q(A,C) :- R(A,B), S(B,C)",
                 "epsilon 0.25",
                 "mode dynamic",
                 "row R 1,10\nrow R 2,10\n",
                 "row S 10,ab cd\n",
-                "row T 7\nrow T 7\n",
+                "row T 7\n",
+                "stage R 1 2,10\nstage S 1099511627775 10,ab cd\nstage T 1 7\n",
                 "build",
+                "counters 100 12 12 40",
             ]
         );
-        let mut batch: Vec<&str> = frames[7].lines().collect();
-        batch.sort_unstable();
-        let want = [
-            ".batch begin",
-            ".batch commit",
-            "insert R 2,10",
-            "update S 1099511627775 10,ab cd",
-        ];
-        assert_eq!(batch, want);
-        assert_eq!(frames[8..], ["counters 100 12 12 40"]);
         // The replay rebuilds exactly the captured state and counters.
         let eng = state.session.engine().unwrap();
         assert_eq!(canon(&eng.export_database()), canon(&data.base));
@@ -484,31 +475,71 @@ mod tests {
         assert_eq!(state.session.options().epsilon, 0.25);
     }
 
-    /// Static mode refuses updates, so the round builds in dynamic mode
-    /// and switches after its batch — a rebuild that keeps every row.
+    /// Every multiplicity is in the row store before `build`, so a static
+    /// state builds once, in static mode, like any other.
     #[test]
-    fn a_static_checkpoint_switches_mode_after_its_batch() {
+    fn a_static_checkpoint_builds_once_from_every_multiplicity() {
         let data = SnapshotData {
             mode: Mode::Static,
             ..demo_data(5)
         };
         let (frames, state, _) = round_trip("static", &data);
-        assert_eq!(frames[2], "mode dynamic");
-        assert_eq!(
-            frames[frames.len() - 2..],
-            ["mode static", "counters 100 12 12 40"]
-        );
+        assert_eq!(frames[2], "mode static");
+        let rebuilds = ["mode", "epsilon", "build"];
+        let after_rows = frames.iter().skip_while(|f| !f.starts_with("row "));
+        let again = after_rows.filter(|f| rebuilds.iter().any(|r| f.starts_with(r)));
+        assert_eq!(again.collect::<Vec<_>>(), ["build"]);
         assert_eq!(state.session.options().mode, Mode::Static);
         let eng = state.session.engine().unwrap();
         assert_eq!(canon(&eng.export_database()), canon(&data.base));
-        // Without a multiplicity above 1 there is no batch to defer for.
-        let mut base = Database::new();
-        base.insert("R", Tuple::ints(&[1, 10]), 1);
-        let data = SnapshotData { base, ..data };
-        let (frames, state, _) = round_trip("static_flat", &data);
-        assert_eq!(frames[2], "mode static");
-        assert!(!frames.iter().any(|f| f.starts_with(".batch")));
-        assert_eq!(state.session.options().mode, Mode::Static);
+    }
+
+    /// A row-store multiplicity of 2^40 — `query` on a built engine moves
+    /// the engine's rows to the store with theirs — is one `row` line and
+    /// one `stage` line, built or not.
+    #[test]
+    fn a_row_store_multiplicity_of_2_40_round_trips_in_two_lines() {
+        let mut staged = Database::new();
+        staged.insert("R", Tuple::ints(&[1, 10]), 1 << 40);
+        staged.insert("T", Tuple::ints(&[7]), 1 << 40);
+        for built in [false, true] {
+            let data = SnapshotData {
+                built,
+                staged: staged.clone(),
+                ..demo_data(6)
+            };
+            let (frames, state, _) = round_trip("store_2_40", &data);
+            let lines = frames.iter().flat_map(|f| f.lines());
+            let t = ["row T 7", "stage T 1099511627775 7"];
+            assert_eq!(lines.filter(|l| l.ends_with(" 7")).collect::<Vec<_>>(), t);
+            let mut want = canon(&staged);
+            if built {
+                want.retain(|(rel, ..)| rel == "T");
+            }
+            assert_eq!(canon(state.session.staged()), want);
+            assert_eq!(state.session.is_built(), built);
+        }
+    }
+
+    /// Runs of `row` and `stage` lines are split below the frame bound, and
+    /// the split round replays to the same state.
+    #[test]
+    fn runs_split_below_the_frame_bound_and_replay_whole() {
+        let mut data = demo_data(8);
+        for i in 0..100 {
+            data.base.insert("R", Tuple::ints(&[i, 10]), 3);
+        }
+        let frames = round(&data, 64).unwrap();
+        for verb in ["row R ", "stage "] {
+            let runs: Vec<&String> = frames.iter().filter(|f| f.starts_with(verb)).collect();
+            assert!(runs.len() > 10, "{verb}: {runs:?}");
+            assert!(runs.iter().all(|f| f.len() <= 64 && f.ends_with('\n')));
+        }
+        let (mut state, status) = (OwnedState::default(), Status::default());
+        let texts = frames.iter().map(String::as_str);
+        state.apply_round(data.epoch, texts, &status).unwrap();
+        let eng = state.session.engine().unwrap();
+        assert_eq!(canon(&eng.export_database()), canon(&data.base));
     }
 
     #[test]
@@ -533,24 +564,6 @@ mod tests {
         assert_eq!(state.session.staged().rows("R"), [(Tuple::ints(&[1]), 1)]);
     }
 
-    /// The row store is said in `row` lines, one per unit of multiplicity;
-    /// one no checkpoint can repeat fails the write, and nothing lands.
-    #[test]
-    fn a_row_store_multiplicity_past_the_repeat_bound_fails_the_write() {
-        let dir = tmp_dir("repeat");
-        let mut staged = Database::new();
-        staged.insert("R", Tuple::ints(&[1]), MAX_ROW_REPEAT + 1);
-        let data = SnapshotData {
-            epoch: 3,
-            staged,
-            ..SnapshotData::default()
-        };
-        let err = write(&dir, &data).unwrap_err();
-        assert!(err.to_string().contains("multiplicity"), "{err}");
-        assert!(load_latest(&dir).unwrap().0.is_none());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
     #[test]
     fn corrupt_snapshots_fall_back_to_older_ones() {
         let dir = tmp_dir("fallback");
@@ -572,6 +585,11 @@ mod tests {
         let last = "counters 100 12 12 40".len() + 16;
         std::fs::write(snapshot_path(&dir, 20), &clean[..clean.len() - last]).unwrap();
         assert!(newest().1[0].contains("no closing `counters` line"));
+        // A header whose base epoch is not 0 is not a checkpoint.
+        let mut based = clean.clone();
+        based[8] = 1;
+        std::fs::write(snapshot_path(&dir, 20), &based).unwrap();
+        assert!(newest().1[0].contains("base epoch is not 0"));
         // A checkpoint of the retired keyword format is refused, named.
         std::fs::write(snapshot_path(&dir, 30), "IVMESNAP1\nepoch 30\n").unwrap();
         let (cp, warnings) = newest();

@@ -194,11 +194,9 @@ pub(crate) fn image(base_epoch: u64, epoch: u64, frames: &[String]) -> io::Resul
     let mut out = Vec::from(&WAL_MAGIC[..]);
     out.extend_from_slice(&base_epoch.to_le_bytes());
     for f in frames {
-        if f.len() > MAX_FRAME as usize {
-            return Err(invalid_data(format!(
-                "a {} byte frame is too long",
-                f.len()
-            )));
+        let n = f.len();
+        if n > MAX_FRAME as usize {
+            return Err(invalid_data(format!("a {n} byte frame is too long")));
         }
         encode_frame(&mut out, epoch, f.as_bytes());
     }
@@ -472,19 +470,16 @@ fn decode_frame(frame: &[u8]) -> Result<(u64, &str), String> {
     }
 }
 
-/// The strict read of a log image: its frames, or why some byte of it is
-/// not part of a whole, valid frame — a torn tail included.
-pub(crate) fn scan_whole(path: &Path, bytes: &[u8]) -> io::Result<Vec<Frame>> {
+/// The strict read of a log image: its base epoch and frames, or why some
+/// byte of it is not part of a whole, valid frame — a torn tail included.
+pub(crate) fn scan_whole(path: &Path, bytes: &[u8]) -> io::Result<(u64, Vec<Frame>)> {
     let scan = scan_bytes(path, bytes)?;
-    if scan.cut < bytes.len() {
-        return Err(invalid_data(format!(
-            "{}: {} at offset {}",
-            path.display(),
-            scan.damage.as_deref().unwrap_or("torn frame"),
-            scan.cut
-        )));
+    let (at, why) = (scan.cut, scan.damage.as_deref().unwrap_or("torn frame"));
+    if at < bytes.len() {
+        let path = path.display();
+        return Err(invalid_data(format!("{path}: {why} at offset {at}")));
     }
-    Ok(scan.frames)
+    Ok((scan.base_epoch, scan.frames))
 }
 
 /// Read-only scan of a WAL file: the valid frames and the base epoch,

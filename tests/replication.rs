@@ -541,10 +541,11 @@ fn seen(addr: SocketAddr, (commits, grouped): (u64, u64)) -> Seen {
 /// checkpoint, on a restart from it, after a hard kill and a second
 /// restart, and on a replica bootstrapped from it — in dynamic and static
 /// mode, built, unbuilt and before any query, with a base multiplicity of
-/// 2^40, duplicate rows and rows of a relation the query does not name.
-/// A later `build` then agrees with a server that never restarted, so the
-/// row store came back too. `counters`, which only a log may say, is
-/// refused on the replica's socket and changes nothing.
+/// 2^40 (and, after a new `query`, a row-store one), duplicate rows and
+/// rows of a relation the query does not name. A later `build` then agrees
+/// with a server that never restarted, so the row store came back too.
+/// `counters` and `stage`, which only a log may say, are refused on the
+/// replica's socket and change nothing.
 #[test]
 fn a_checkpoint_restores_the_same_state_on_a_restart_and_a_replica() {
     const QUERY: &str = "query Q(A,C) :- R(A,B), S(B,C)";
@@ -554,6 +555,9 @@ fn a_checkpoint_restores_the_same_state_on_a_restart_and_a_replica() {
     let cases = [
         ("dynamic", format!("{QUERY}\n{built}"), "build"),
         ("static", format!("{QUERY}\n{built}mode static\n"), "build"),
+        // A new `query` moves the engine's rows, 2^40 + 1 copies of
+        // S(10,5) among them, to the row store.
+        ("stored", format!("{QUERY}\n{built}{QUERY}\n"), "build"),
         (
             "unbuilt",
             format!("{QUERY}\nrow R 1,10\nrow R 1,10\nrow S 10,5\nrow T 7\nepsilon 0.25\n"),
@@ -602,8 +606,10 @@ fn a_checkpoint_restores_the_same_state_on_a_restart_and_a_replica() {
                 let got = seen(replica.addr(), counters(replica.serve_stats()));
                 assert_eq!(got, want, "{name}: replica");
                 let mut r = Client::connect(replica.addr()).unwrap();
-                let err = r.request("counters 1 2 3 4").unwrap().unwrap_err();
-                assert_eq!(err, "unknown command `counters` (try `help`)");
+                for (line, verb) in [("counters 1 2 3 4", "counters"), ("stage T 5 7", "stage")] {
+                    let err = r.request(line).unwrap().unwrap_err();
+                    assert_eq!(err, format!("unknown command `{verb}` (try `help`)"));
+                }
                 assert_eq!(seen(replica.addr(), counters(replica.serve_stats())), want);
             }
             // drop(primary): a hard kill, no final checkpoint.
