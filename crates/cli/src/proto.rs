@@ -38,10 +38,8 @@ pub enum Command {
     Epsilon(f64),
     /// `mode dynamic|static`
     Mode(Mode),
-    /// `load <rel> <path.csv>` — a CSV's rows, as one `row` op.
+    /// `load <rel> <path.csv>` — a CSV's rows, as one batch of inserts.
     Load { relation: String, path: String },
-    /// `row <rel> <v1,v2,...>` — stage one row, or insert it once built.
-    Row { relation: String, tuple: Tuple },
     /// `build`
     Build,
     /// `insert`/`delete <rel> <v1,v2,...>` — `delta` is +1 or −1.
@@ -123,13 +121,6 @@ pub fn parse_command(line: &str) -> Result<Option<Command>, String> {
             Command::Load {
                 relation: rel.to_owned(),
                 path: path.trim().to_owned(),
-            }
-        }
-        "row" => {
-            let (rel, tuple) = word_tuple(rest, "usage: row <relation> <v1,v2,...>")?;
-            Command::Row {
-                relation: rel.to_owned(),
-                tuple,
             }
         }
         "build" => Command::Build,
@@ -278,32 +269,17 @@ pub fn push_tuple(out: &mut String, tuple: &Tuple) {
     }
 }
 
-/// What a rendered [`push_line`] does with its tuple.
-#[derive(Clone, Copy, Debug)]
-pub enum Line {
-    /// `row <rel> <csv>`: stage the tuple, or insert it once built.
-    Row,
-    /// Apply the tuple with this delta: `insert`/`delete <rel> <csv>` for
-    /// ±1 (the common case, kept human-readable), the general
-    /// `update <rel> <delta> <csv>` otherwise.
-    Update(i64),
-    /// `stage <rel> <n> <csv>`: a checkpoint's log-only line for `n` more
-    /// copies of a row (see `ivme-server`'s snapshot module); no front end
-    /// parses it.
-    Stage(i64),
-}
-
-/// Appends one tuple-carrying command line, newline included — the one
-/// renderer behind the log's `row`, update and `stage` lines. A nullary tuple
-/// renders as an empty value list, which [`parse_command`] reads back.
-pub fn push_line(out: &mut String, line: Line, relation: &str, tuple: &Tuple) {
+/// Appends one update line, newline included — the one renderer behind
+/// every logged line: `insert`/`delete <rel> <csv>` for a delta of ±1 (the
+/// common case, kept human-readable), the general `update <rel> <delta>
+/// <csv>` otherwise. A nullary tuple renders as an empty value list, which
+/// [`parse_command`] reads back.
+pub fn push_line(out: &mut String, relation: &str, tuple: &Tuple, delta: i64) {
     use std::fmt::Write as _;
-    let (verb, delta) = match line {
-        Line::Row => ("row ", None),
-        Line::Update(1) => ("insert ", None),
-        Line::Update(-1) => ("delete ", None),
-        Line::Update(d) => ("update ", Some(d)),
-        Line::Stage(n) => ("stage ", Some(n)),
+    let (verb, delta) = match delta {
+        1 => ("insert ", None),
+        -1 => ("delete ", None),
+        d => ("update ", Some(d)),
     };
     out.push_str(verb);
     out.push_str(relation);
@@ -327,7 +303,7 @@ pub fn batch_lines(batch: &ivme_data::DeltaBatch) -> String {
     out.push_str(".batch begin\n");
     for rel in batch.relations() {
         for (tuple, delta) in batch.deltas(rel) {
-            push_line(&mut out, Line::Update(delta), rel, tuple);
+            push_line(&mut out, rel, tuple, delta);
         }
     }
     out.push_str(".batch commit\n");
@@ -347,13 +323,6 @@ impl AdminOp {
             AdminOp::Epsilon(e) => format!("epsilon {e}"),
             AdminOp::Mode(Mode::Dynamic) => "mode dynamic".to_owned(),
             AdminOp::Mode(Mode::Static) => "mode static".to_owned(),
-            AdminOp::Rows { relation, rows } => {
-                let mut out = String::with_capacity(rows.len() * (16 + relation.len()));
-                for t in rows {
-                    push_line(&mut out, Line::Row, relation, t);
-                }
-                out
-            }
             AdminOp::Build => "build".to_owned(),
         }
     }
@@ -460,10 +429,10 @@ fn trimmed_lines(payload: &str) -> impl Iterator<Item = &str> {
 // ```
 
 /// Replication protocol version spoken by [`repl_hello_line`]. A primary
-/// refuses (closes on) a hello with any other version. Version 5 ships a
-/// checkpoint as frames, like a round; version 4 shipped it as a keyword
-/// text file.
-pub const REPL_VERSION: u64 = 5;
+/// refuses (closes on) a hello with any other version. Version 6 has one
+/// write verb: rows travel as `.batch` frames of updates, before `build`
+/// too; version 5 still logged `row` and `stage` lines.
+pub const REPL_VERSION: u64 = 6;
 
 /// One primary→follower stream message header.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -586,21 +555,22 @@ commands:
   query <datalog>        register a hierarchical query (Q(A,C) :- R(A,B), S(B,C))
   epsilon <0..1>         set the trade-off knob (default 0.5)
   mode dynamic|static    set the evaluation mode (default dynamic)
-  load <rel> <csv path>  stage a CSV's rows; once built, insert them as one batch
-  row <rel> <v1,v2,...>  stage one row; once built, insert it
-  build                  preprocess the staged rows; once built, rebuild from the engine's
-                         own rows, counters kept (epsilon and mode rebuild it too)
+  load <rel> <csv path>  insert a CSV's rows as one batch (stages them while a batch is open)
+  build                  build the engine from the stored rows; once built, rebuild from the
+                         engine's own rows, counters kept (epsilon and mode rebuild it too)
   insert <rel> <values>  apply a single-tuple insert (stages while a batch is open)
   delete <rel> <values>  apply a single-tuple delete (stages while a batch is open)
   update <rel> <d> <values>  apply one update with an explicit signed delta d
-  .batch begin           open a batch: insert/delete stage instead of applying
+                         (writes go to the engine for the relations its query names, and
+                         to the row store otherwise — every write before `build`)
+  .batch begin           open a batch: insert/delete/update/load stage instead of applying
   .batch commit          apply the staged batch atomically and report timing
   .batch abort|status    discard / inspect the staged batch
   list [k]               enumerate (up to k) distinct result tuples
   get <v1,v2,...>        point-look-up one result tuple (its multiplicity)
   page <offset> <limit>  one result page in enumeration order
   count                  count distinct result tuples
-  stats                  engine counters and sizes
+  stats                  engine counters and sizes (before build: the row store's sizes)
   classify               class membership and widths of the query
   plan                   print the compiled view trees
   shutdown               (server) drain writes, fsync the WAL, snapshot, exit
@@ -670,19 +640,20 @@ mod tests {
         assert!(parse_command("frobnicate").is_err());
         assert!(parse_command("update R 0 1,2").is_err());
         assert!(parse_command("update R x 1,2").is_err());
+        // One write verb: `row` is gone, and so is the log-only `stage`.
+        for verb in ["row", "stage"] {
+            let err = parse_command(&format!("{verb} R 1,2")).unwrap_err();
+            assert_eq!(err, format!("unknown command `{verb}` (try `help`)"));
+        }
     }
 
     #[test]
     fn canonical_serialization_round_trips() {
         let t: Tuple = [Value::Int(7), Value::from("ab cd")].into_iter().collect();
         assert_eq!(format_tuple(&t), "7,ab cd");
-        let line = |line, relation| {
-            let mut out = String::new();
-            push_line(&mut out, line, relation, &t);
-            out
-        };
-        for delta in [-3i64, -1, 1, 5] {
-            let line = line(Line::Update(delta), "R");
+        for delta in [-3i64, -1, 1, 5, i64::MIN, i64::MAX] {
+            let mut line = String::new();
+            push_line(&mut line, "R", &t, delta);
             assert_eq!(line.matches('\n').count(), 1, "{line:?}");
             match parse_command(&line).unwrap() {
                 Some(Command::Update {
@@ -696,13 +667,6 @@ mod tests {
                 }
                 other => panic!("{line:?} parsed to {other:?}"),
             }
-        }
-        match parse_command(&line(Line::Row, "S")).unwrap() {
-            Some(Command::Row { relation, tuple }) => {
-                assert_eq!(relation, "S");
-                assert_eq!(tuple, t);
-            }
-            other => panic!("row line parsed to {other:?}"),
         }
         let mut batch = ivme_data::DeltaBatch::new();
         batch.insert("R", Tuple::ints(&[1, 2]));
@@ -733,18 +697,26 @@ mod tests {
 
     #[test]
     fn replication_verbs_round_trip() {
-        assert_eq!(repl_hello_line(42), "hello 5 42");
-        assert_eq!(parse_repl_hello("hello 5 42").unwrap(), 42);
+        assert_eq!(repl_hello_line(42), "hello 6 42");
+        assert_eq!(parse_repl_hello("hello 6 42").unwrap(), 42);
         // A v1 follower (frame-granular cursor) is refused, not guessed at,
         // and so is a v2 one (its `row`/`build` frames staged and rebuilt
         // from the staged rows where later frames insert and keep the
         // writes), a v3 one (its frames may hold `.shards`) and a v4 one
-        // (it reads a checkpoint as a keyword text file).
-        for old in ["hello 1 42 3", "hello 2 42", "hello 3 42", "hello 4 42"] {
+        // (it reads a checkpoint as a keyword text file) and a v5 one (it
+        // ships `row` frames and `stage` lines).
+        let old = [
+            "hello 1 42 3",
+            "hello 2 42",
+            "hello 3 42",
+            "hello 4 42",
+            "hello 5 42",
+        ];
+        for old in old {
             assert!(parse_repl_hello(old).unwrap_err().contains("version"));
         }
-        assert!(parse_repl_hello("hello 5").is_err());
-        assert!(parse_repl_hello("howdy 5 42").is_err());
+        assert!(parse_repl_hello("hello 6").is_err());
+        assert!(parse_repl_hello("howdy 6 42").is_err());
         // parse ∘ render is the identity on every header variant.
         for h in [
             ReplHeader::Snapshot {

@@ -69,7 +69,7 @@ pub fn render_count(view: &ShardedSnapshot) -> String {
 /// observable face of the no-torn-reads guarantee.
 pub fn render_stats(view: &ShardedSnapshot) -> String {
     let s = view.stats();
-    let mut out = format!(
+    let out = format!(
         "N = {}, snapshot_epoch = {}\n\
          updates = {}, batches = {}, major rebalances = {}, minor rebalances = {}, misroutes = {}\n",
         view.db_size(),
@@ -80,13 +80,19 @@ pub fn render_stats(view: &ShardedSnapshot) -> String {
         s.minor_rebalances,
         s.misroutes
     );
-    let per_rel: Vec<String> = view
-        .relation_sizes()
-        .iter()
-        .map(|(r, n)| format!("{r}={n}"))
-        .collect();
-    let _ = writeln!(out, "relations: {}", per_rel.join(", "));
-    out
+    out + &sizes_line("relations", view.relation_sizes())
+}
+
+/// `stats` before `build`: the epoch and the row store's relation sizes,
+/// which hold every row.
+pub fn render_store_stats(epoch: u64, store: &[(String, usize)]) -> String {
+    format!("snapshot_epoch = {epoch}\n") + &sizes_line("row store", store)
+}
+
+/// `<label>: R=2, S=1`, one `relation=size` per relation.
+fn sizes_line(label: &str, sizes: &[(String, usize)]) -> String {
+    let per_rel: Vec<String> = sizes.iter().map(|(r, n)| format!(" {r}={n}")).collect();
+    format!("{label}:{}\n", per_rel.join(","))
 }
 
 #[cfg(test)]

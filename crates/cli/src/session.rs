@@ -8,8 +8,8 @@
 //! * [`Step::of`] classifies a parsed [`Command`] with an exhaustive
 //!   `match`: a new variant is a compile error in this one place.
 //! * [`Session`] owns the engine — one [`ShardedEngine`] of one shard —
-//!   and its configuration; it executes admin ops and applies committed
-//!   batches.
+//!   its configuration and the row store; it executes admin ops and
+//!   applies committed batches, before `build` and after it.
 //! * [`Staging`] is the `.batch` staging area; [`Staging::execute`] runs
 //!   every write verb and hands each batch that is due to the caller's
 //!   `apply` — a direct [`Session::apply`] in the shell and in replay, a
@@ -18,7 +18,7 @@
 //!   against, formatted by [`render`].
 
 use ivme_core::{
-    Database, DeltaBatch, EngineOptions, Mode, ShardedEngine, ShardedSnapshot, Update,
+    Database, DeltaBatch, EngineOptions, Mode, ShardedEngine, ShardedSnapshot, Update, UpdateError,
 };
 use ivme_data::Tuple;
 use ivme_query::{classify, Query};
@@ -26,15 +26,15 @@ use ivme_query::{classify, Query};
 use crate::proto::Command;
 use crate::render;
 
-/// The reply to any verb that needs a built engine before `build` ran.
-pub const NOT_BUILT: &str = "run `build` first";
+/// The reply to a read of the result before `build` ran.
+const NOT_BUILT: &str = "run `build` first";
 const NO_QUERY: &str = "no query registered";
 
 /// What a parsed [`Command`] is, to every front end.
 pub enum Step {
-    /// Changes configuration or rows, or builds the engine.
+    /// Changes configuration, or builds the engine.
     Admin(AdminOp),
-    /// An update or a `.batch` verb: goes through a [`Staging`].
+    /// An update, a `load` or a `.batch` verb: goes through a [`Staging`].
     Write(Write),
     /// One of the seven read verbs, for [`ReadView::execute`].
     Read(Command),
@@ -52,7 +52,6 @@ pub enum AdminOp {
     Query(Query),
     Epsilon(f64),
     Mode(Mode),
-    Rows { relation: String, rows: Vec<Tuple> },
     Build,
 }
 
@@ -61,6 +60,12 @@ pub enum Write {
     /// `insert` / `delete` / `update`: stages while a batch is open,
     /// otherwise applies as a batch of one.
     Update(Update),
+    /// `load`: a CSV's rows as one batch of inserts, staged like the same
+    /// `insert` lines while a batch is open.
+    Load {
+        relation: String,
+        rows: Vec<Tuple>,
+    },
     /// `.batch begin`, `commit`, `abort` and `status`.
     Begin,
     Commit,
@@ -82,11 +87,7 @@ impl Step {
             Command::Query(q) => Step::Admin(AdminOp::Query(q)),
             Command::Epsilon(e) => Step::Admin(AdminOp::Epsilon(e)),
             Command::Mode(m) => Step::Admin(AdminOp::Mode(m)),
-            Command::Row { relation, tuple } => Step::Admin(AdminOp::Rows {
-                relation,
-                rows: vec![tuple],
-            }),
-            Command::Load { relation, path } => Step::Admin(AdminOp::Rows {
+            Command::Load { relation, path } => Step::Write(Write::Load {
                 relation,
                 rows: load_csv(&path)?,
             }),
@@ -175,18 +176,6 @@ impl Session {
         }
     }
 
-    /// Adds `n` copies of `tuple` to the row store — what a checkpoint's
-    /// log-only `stage` line says. Refused for a relation the built engine
-    /// holds, and for a count that is not positive or would overflow.
-    pub fn stage(&mut self, relation: &str, tuple: Tuple, n: i64) -> Result<(), String> {
-        let m = self.staged.get(relation, &tuple);
-        if self.holds(relation) || n < 1 || m.checked_add(n).is_none() {
-            return Err(format!("cannot stage {n} copies into {relation}"));
-        }
-        self.staged.insert(relation, tuple, n);
-        Ok(())
-    }
-
     /// An engine over `db`, seeded with the cumulative `(updates,
     /// batches)`. Always one shard: one read and commit path per build.
     fn new_engine(
@@ -269,24 +258,6 @@ impl Session {
                 };
                 Ok(format!("mode = {name}\n") + &self.configure(opts)?)
             }
-            // A built engine inserts the rows of its relations as one
-            // atomic batch: every row goes in, or none does. An empty one
-            // changes nothing, as its empty log frame does.
-            AdminOp::Rows { relation, rows } => {
-                let (n, held) = (rows.len(), self.holds(&relation));
-                if !held {
-                    for t in rows {
-                        self.staged.insert(&relation, t, 1);
-                    }
-                } else if n > 0 {
-                    let mut batch = DeltaBatch::new();
-                    batch.extend_relation(&relation, rows.into_iter().map(|t| (t, 1)));
-                    self.apply(&batch)?;
-                }
-                let verb = if held { "inserted" } else { "staged" };
-                let s = if n == 1 { "" } else { "s" };
-                Ok(format!("{verb} {n} row{s} into {relation}\n"))
-            }
             AdminOp::Build if self.is_built() => self.configure(self.opts),
             AdminOp::Build => {
                 let eng = self.new_engine(&self.staged, self.opts, (0, 0))?;
@@ -295,23 +266,67 @@ impl Session {
         }
     }
 
-    /// Applies one consolidated batch atomically: it commits whole, or
-    /// the engine is unchanged and the engine's reason comes back.
+    /// Applies one consolidated batch atomically, before `build` and
+    /// after it. Each relation's deltas go where its rows live: to the
+    /// built engine if it holds the relation, to the row store otherwise.
+    /// The batch commits whole, or nothing changes and the reason comes
+    /// back: a row-store count may not go below zero or past `i64`, by the
+    /// engine's own rule. A batch of the engine's relations alone — the
+    /// common case once built — goes to it uncopied.
     pub fn apply(&mut self, batch: &DeltaBatch) -> Result<(), String> {
-        self.engine
-            .as_mut()
-            .ok_or(NOT_BUILT)?
-            .apply_delta_batch(batch)
-            .map_err(|e| e.to_string())
+        let whole = batch.relations().all(|r| self.holds(r));
+        let err = |e: UpdateError| e.to_string();
+        if let (true, Some(eng)) = (whole, self.engine.as_mut()) {
+            return eng.apply_delta_batch(batch).map_err(err);
+        }
+        if let Some((rel, t)) = batch.overflow() {
+            return Err(err(UpdateError::Overflow(format!(
+                "the deltas of {rel}{t} sum past i64"
+            ))));
+        }
+        let (mut held, mut store) = (DeltaBatch::new(), Vec::new());
+        for (rel, deltas) in batch
+            .relations()
+            .filter_map(|r| Some((r, batch.relation(r)?)))
+        {
+            if self.holds(rel) {
+                held.extend_relation(rel, deltas.iter().map(|(t, &d)| (t.clone(), d)));
+            } else {
+                self.staged
+                    .check(rel, deltas)
+                    .map_err(|e| err(UpdateError::Negative(e)))?;
+                store.push((rel, deltas));
+            }
+        }
+        if let (false, Some(eng)) = (held.is_empty(), self.engine.as_mut()) {
+            eng.apply_delta_batch(&held).map_err(err)?;
+        }
+        for (rel, deltas) in store {
+            self.staged.apply_all(rel, deltas);
+        }
+        Ok(())
     }
 
     /// Freezes the current state for reads, stamped `epoch` (echoed by
-    /// `stats` as `snapshot_epoch`).
+    /// `stats` as `snapshot_epoch`). The row store's sizes are taken only
+    /// when no engine is built, so a built publish pays nothing for them.
     pub fn read_view(&mut self, epoch: u64) -> ReadView {
+        let view = self.engine.as_mut().map(|e| e.snapshot(epoch));
+        let store = match view {
+            Some(_) => Vec::new(),
+            None => self
+                .staged
+                .relations()
+                .into_iter()
+                .map(|r| (r.to_owned(), self.staged.len(r)))
+                .collect(),
+        };
         ReadView {
             query: self.query.clone(),
             mode: self.opts.mode,
-            view: self.engine.as_mut().map(|e| e.snapshot(epoch)),
+            view,
+            epoch,
+            store,
         }
     }
 }
@@ -370,34 +385,45 @@ impl Staging {
             .ok_or_else(|| "no open batch (`.batch begin`)".to_owned())
     }
 
+    /// Folds `fill` into the open batch and says so, or applies what it
+    /// fills as a batch of its own.
+    fn write(
+        &mut self,
+        fill: impl FnOnce(&mut DeltaBatch),
+        apply: impl FnOnce(DeltaBatch) -> Result<Applied, String>,
+    ) -> Result<bool, String> {
+        if let Some(batch) = self.0.as_mut() {
+            fill(batch);
+            return Ok(true);
+        }
+        let mut batch = DeltaBatch::new();
+        fill(&mut batch);
+        apply(batch).map(|_| false)
+    }
+
     /// Executes one write verb and returns its reply. A batch that is due
-    /// — an update outside a `.batch`, a `.batch commit` — is
-    /// handed to `apply`; staged updates ack empty. `built` says whether
-    /// a `.batch begin` may open.
+    /// — an update or a `load` outside a `.batch`, a `.batch commit` — is
+    /// handed to `apply`; staged updates ack empty.
     pub fn execute(
         &mut self,
         write: Write,
-        built: bool,
         apply: impl FnOnce(DeltaBatch) -> Result<Applied, String>,
     ) -> Result<String, String> {
         match write {
             Write::Update(u) => {
-                match self.0.as_mut() {
-                    Some(batch) => batch.push(&u.relation, u.tuple, u.delta),
-                    None => {
-                        let mut batch = DeltaBatch::new();
-                        batch.push(&u.relation, u.tuple, u.delta);
-                        apply(batch)?;
-                    }
-                }
+                self.write(|b| b.push(&u.relation, u.tuple, u.delta), apply)?;
                 Ok(String::new())
+            }
+            Write::Load { relation, rows } => {
+                let (n, s) = (rows.len(), if rows.len() == 1 { "" } else { "s" });
+                let rows = rows.into_iter().map(|t| (t, 1));
+                let staged = self.write(|b| b.extend_relation(&relation, rows), apply)?;
+                let verb = if staged { "staged" } else { "inserted" };
+                Ok(format!("{verb} {n} row{s} into {relation}\n"))
             }
             Write::Begin => {
                 if self.0.is_some() {
                     return Err("a batch is already open (`.batch commit|abort`)".into());
-                }
-                if !built {
-                    return Err(NOT_BUILT.into());
                 }
                 self.0 = Some(DeltaBatch::new());
                 Ok("batch open: insert/delete now stage until `.batch commit`\n".to_owned())
@@ -437,6 +463,10 @@ pub struct ReadView {
     pub query: Option<Query>,
     pub mode: Mode,
     pub view: Option<ShardedSnapshot>,
+    /// The epoch the view was frozen at.
+    pub epoch: u64,
+    /// Before `build`: the row store's relation sizes, for `stats`.
+    pub store: Vec<(String, usize)>,
 }
 
 impl ReadView {
@@ -455,7 +485,10 @@ impl ReadView {
             Command::Get(t) => render::render_get(self.view()?, self.query()?, &t),
             Command::Page { offset, limit } => Ok(render::render_page(self.view()?, offset, limit)),
             Command::Count => Ok(render::render_count(self.view()?)),
-            Command::Stats => Ok(render::render_stats(self.view()?)),
+            Command::Stats => Ok(match &self.view {
+                Some(view) => render::render_stats(view),
+                None => render::render_store_stats(self.epoch, &self.store),
+            }),
             Command::Classify => Ok(format!("{:#?}\n", classify(self.query()?))),
             Command::Plan => {
                 let plan =
@@ -476,24 +509,17 @@ mod tests {
     use ivme_data::Value;
 
     /// Replays frame text the way WAL recovery does: admin ops as they
-    /// come — a run of `row` lines of one relation as one op — batches
-    /// through a [`Staging`], files and everything else refused.
+    /// come, batches through a [`Staging`], files and everything else
+    /// refused.
     fn replay(text: &str) -> Result<(Vec<AdminOp>, Vec<DeltaBatch>), String> {
         let (mut ops, mut batches) = (Vec::new(), Vec::new());
         let mut staging = Staging::default();
         for line in text.lines() {
             let cmd = proto::parse_command(line)?.expect("a command");
             match Step::of(cmd, |_| Err("no files here".to_owned()))? {
-                Step::Admin(AdminOp::Rows { relation, rows }) => match ops.last_mut() {
-                    Some(AdminOp::Rows {
-                        relation: run,
-                        rows: acc,
-                    }) if *run == relation => acc.extend(rows),
-                    _ => ops.push(AdminOp::Rows { relation, rows }),
-                },
                 Step::Admin(op) => ops.push(op),
                 Step::Write(w @ (Write::Update(_) | Write::Begin | Write::Commit)) => {
-                    staging.execute(w, true, |b| {
+                    staging.execute(w, |b| {
                         batches.push(b);
                         Ok(Applied::default())
                     })?;
@@ -515,30 +541,18 @@ mod tests {
         // A tuple of mixed cells: integers and strings (a string cell may
         // hold inner spaces; the grammar trims only around cells).
         let mixed = |n: i64, s: &str| Tuple::new(vec![Value::Int(n), Value::from(s)]);
-        let rows = vec![Tuple::ints(&[1, 10]), mixed(-2, "ab cd"), Tuple::ints(&[7])];
         let ops = [
             AdminOp::Query(q),
             AdminOp::Epsilon(0.25),
             AdminOp::Mode(Mode::Static),
-            AdminOp::Rows {
-                relation: "R".to_owned(),
-                rows: rows.clone(),
-            },
             AdminOp::Build,
         ];
         for op in &ops {
-            // The one op back, rendering the text it was parsed from (a
-            // `Rows` op logs one `row` line per row and replays as one op,
-            // so a built engine inserts it as one batch).
+            // The one op back, rendering the text it was parsed from.
             let (back, batches) = replay(&op.wal_text()).unwrap();
             assert!(batches.is_empty());
             assert_eq!(back.len(), 1);
             assert_eq!(back[0].wal_text(), op.wal_text());
-            if let (AdminOp::Rows { rows: sent, .. }, AdminOp::Rows { rows: got, .. }) =
-                (op, &back[0])
-            {
-                assert_eq!(got, sent);
-            }
         }
         // Every line form the renderer writes: ±1, general and 2^40-sized
         // deltas, string cells, arity 0 (no value list at all), 1 and 3
@@ -586,8 +600,119 @@ mod tests {
         }
         // A rejected batch surfaces as a refusal, with the engine's reason.
         let err = Staging(Some(DeltaBatch::new()))
-            .execute(Write::Commit, true, |_| Err("R(9, 9): -1".to_owned()))
+            .execute(Write::Commit, |_| Err("R(9, 9): -1".to_owned()))
             .unwrap_err();
         assert_eq!(err, "batch rejected (engine unchanged): R(9, 9): -1");
+    }
+
+    fn batch(updates: &[(&str, &[i64], i64)]) -> DeltaBatch {
+        let mut b = DeltaBatch::new();
+        for (rel, t, d) in updates {
+            b.push(rel, Tuple::ints(t), *d);
+        }
+        b
+    }
+
+    /// The row store's rows, sorted.
+    fn store(s: &Session) -> Vec<(String, Tuple, i64)> {
+        let db = s.staged();
+        let rels = db.relations().into_iter();
+        let mut rows: Vec<_> = rels
+            .flat_map(|r| {
+                db.rows(r)
+                    .into_iter()
+                    .map(move |(t, m)| (r.to_owned(), t, m))
+            })
+            .collect();
+        rows.sort_unstable();
+        rows
+    }
+
+    /// One write verb: before `build` every delta goes to the row store,
+    /// after it each relation's go where its rows live, and a batch whose
+    /// row-store part over-deletes or sums past `i64` changes neither side.
+    #[test]
+    fn a_batch_goes_where_each_relation_lives_and_commits_whole() {
+        let mut s = Session::default();
+        let q = ivme_query::parse_query("Q(A,C) :- R(A,B), S(B,C)").unwrap();
+        s.admin(AdminOp::Query(q)).unwrap();
+        s.apply(&batch(&[
+            ("R", &[1, 10], 1),
+            ("S", &[10, 5], 3),
+            ("T", &[7], 1),
+        ]))
+        .unwrap();
+        // An over-delete in the store refuses the batch before `build`.
+        let err = s.apply(&batch(&[("R", &[1, 10], 1), ("S", &[10, 5], -4)]));
+        assert!(err.unwrap_err().starts_with("negative multiplicity"));
+        assert_eq!(s.staged().get("R", &Tuple::ints(&[1, 10])), 1);
+        assert_eq!(s.admin(AdminOp::Build).unwrap(), "built: N = 2\n");
+        // After `build`: R and S are the engine's, T stays in the store.
+        s.apply(&batch(&[("R", &[2, 10], 1), ("X", &[8], 2)]))
+            .unwrap();
+        let eng = s.engine().unwrap();
+        assert_eq!(eng.stats().updates, 1, "only R's delta reached the engine");
+        assert_eq!(eng.export_database().get("R", &Tuple::ints(&[2, 10])), 1);
+        let t = |rel: &str, v: &[i64], m| (rel.to_owned(), Tuple::ints(v), m);
+        assert_eq!(store(&s), [t("T", &[7], 1), t("X", &[8], 2)]);
+        // Refused whole: the store over-deletes, or the engine does, or a
+        // store tuple's deltas sum past `i64`, or its count would.
+        let mut past = batch(&[("R", &[3, 10], 1)]);
+        past.push("X", Tuple::ints(&[8]), i64::MAX);
+        past.push("X", Tuple::ints(&[8]), i64::MAX);
+        for (b, why) in [
+            (
+                batch(&[("R", &[3, 10], 1), ("T", &[7], -2)]),
+                "negative multiplicity",
+            ),
+            (
+                batch(&[("R", &[9, 9], -1), ("T", &[7], 1)]),
+                "negative multiplicity",
+            ),
+            (
+                past,
+                "multiplicity overflow: the deltas of X(8) sum past i64",
+            ),
+            (
+                batch(&[("R", &[3, 10], 1), ("X", &[8], i64::MAX)]),
+                "multiplicity overflow: tuple",
+            ),
+        ] {
+            let err = s.apply(&b).unwrap_err();
+            assert!(err.starts_with(why), "{err}");
+            assert_eq!(store(&s), [t("T", &[7], 1), t("X", &[8], 2)]);
+            let db = s.engine().unwrap().export_database();
+            assert_eq!((db.len("R"), db.len("S")), (2, 1));
+            assert_eq!(s.engine().unwrap().stats().updates, 1);
+        }
+        // A relation the query does not name is stored, and a later query
+        // that names it builds from it.
+        let q = ivme_query::parse_query("Q(C) :- S(B,C), X(C)").unwrap();
+        s.admin(AdminOp::Query(q)).unwrap();
+        s.admin(AdminOp::Build).unwrap();
+        let view = s.read_view(1);
+        assert_eq!(view.execute(Command::Count).unwrap(), "0\n");
+    }
+
+    /// `stats` before `build` answers the epoch and the row store's sizes.
+    #[test]
+    fn stats_before_build_reports_the_row_store() {
+        let mut s = Session::default();
+        assert_eq!(
+            s.read_view(0).execute(Command::Stats).unwrap(),
+            "snapshot_epoch = 0\nrow store:\n"
+        );
+        s.apply(&batch(&[
+            ("R", &[1, 2], 1),
+            ("R", &[1, 3], 2),
+            ("T", &[7], 1),
+        ]))
+        .unwrap();
+        let stats = s.read_view(4).execute(Command::Stats).unwrap();
+        assert_eq!(stats, "snapshot_epoch = 4\nrow store: R=2, T=1\n");
+        assert_eq!(
+            s.read_view(4).execute(Command::Count).unwrap_err(),
+            NOT_BUILT
+        );
     }
 }

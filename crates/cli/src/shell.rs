@@ -58,17 +58,15 @@ impl Shell {
                 Err("shutdown is a server-side command (the REPL has no durable state)".into())
             }
             Step::Admin(op) => self.session.admin(op).inspect(|_| self.epoch += 1),
-            Step::Write(write) => self
-                .staging
-                .execute(write, self.session.is_built(), |batch| {
-                    let t0 = Instant::now();
-                    self.session.apply(&batch)?;
-                    self.epoch += 1;
-                    Ok(Applied {
-                        secs: t0.elapsed().as_secs_f64(),
-                        group: None,
-                    })
-                }),
+            Step::Write(write) => self.staging.execute(write, |batch| {
+                let t0 = Instant::now();
+                self.session.apply(&batch)?;
+                self.epoch += 1;
+                Ok(Applied {
+                    secs: t0.elapsed().as_secs_f64(),
+                    group: None,
+                })
+            }),
             Step::Read(cmd) => {
                 let stats = matches!(cmd, Command::Stats);
                 let mut out = self.session.read_view(self.epoch).execute(cmd)?;
@@ -119,9 +117,9 @@ mod tests {
                 "# comment lines are ignored",
                 "query Q(A,C) :- R(A,B), S(B,C)",
                 "epsilon 0.5",
-                "row R 1,10",
-                "row R 2,10",
-                "row S 10,5",
+                "insert R 1,10",
+                "insert R 2,10",
+                "insert S 10,5",
                 "build",
                 "insert S 10,6",
                 "delete R 2,10",
@@ -142,8 +140,8 @@ mod tests {
             &mut sh,
             &[
                 "query Q(A) :- R(A,B), S(B)",
-                "row R 7,1",
-                "row S 1",
+                "insert R 7,1",
+                "insert S 1",
                 "build",
                 "list",
                 "plan",
@@ -166,13 +164,32 @@ mod tests {
             &[
                 "query Q(A) :- R(A,B), S(B)",
                 &format!("load R {}", path.display()),
-                "row S foo",
+                "insert S foo",
                 "build",
                 "count",
             ],
         );
-        assert!(out.contains("staged 3 rows"), "{out}");
+        assert!(out.contains("inserted 3 rows into R"), "{out}");
         assert!(out.contains("\n2\n"), "{out}");
+        // Inside an open `.batch`, `load` stages its rows as the same
+        // `insert` lines would: they commit with the batch, or not at all.
+        let load = format!("load R {}", path.display());
+        let out = run(
+            &mut sh,
+            &[".batch begin", "delete R 1,foo", &load, ".batch status"],
+        );
+        assert!(out.contains("staged 3 rows into R\n"), "{out}");
+        assert!(
+            out.ends_with("open batch: 4 updates, 2 net entries\n"),
+            "{out}"
+        );
+        let out = run(&mut sh, &[".batch commit", "count", "stats"]);
+        assert!(
+            out.starts_with("committed 4 updates (2 net entries)"),
+            "{out}"
+        );
+        assert!(out.contains("\n2\n") && out.contains("N = 4,"), "{out}");
+        assert!(out.contains("updates = 4, batches = 1"), "{out}");
     }
 
     #[test]
@@ -182,7 +199,7 @@ mod tests {
             &mut sh,
             &[
                 "query Q(A,C) :- R(A,B), S(B,C)",
-                "row R 1,10",
+                "insert R 1,10",
                 "build",
                 ".batch begin",
                 "insert S 10,5",
@@ -213,8 +230,8 @@ mod tests {
             &mut sh,
             &[
                 "query Q(A,C) :- R(A,B), S(B,C)",
-                "row R 1,10",
-                "row S 10,5",
+                "insert R 1,10",
+                "insert S 10,5",
                 "build",
                 ".batch begin",
                 "insert R 2,10",
@@ -262,8 +279,8 @@ mod tests {
             &mut sh,
             &[
                 "query Q(A) :- R(A,B), S(B)",
-                "row R 7,1",
-                "row R 8,2",
+                "insert R 7,1",
+                "insert R 8,2",
                 "build",
                 &format!("load S {}", path.display()),
                 "count",
@@ -278,13 +295,47 @@ mod tests {
             .execute(&format!("load S {}", bad.display()))
             .unwrap_err();
         assert!(err.contains("does not match schema"), "{err}");
-        let out = run(&mut sh, &["row S 9", "count", "stats"]);
-        assert!(out.starts_with("inserted 1 row into S\n2\n"), "{out}");
+        let out = run(&mut sh, &["insert S 9", "count", "stats"]);
+        assert!(out.starts_with("2\n"), "{out}");
         assert!(out.contains("N = 6,"), "{out}");
         assert!(out.contains("updates = 4, batches = 2"), "{out}");
-        // A relation the query does not name stays in the row store.
-        let out = sh.execute("row T 1").unwrap().unwrap();
-        assert_eq!(out, "staged 1 row into T\n");
+    }
+
+    /// One write verb: `insert` into a relation the query does not name is
+    /// stored after `build` as before it, and a later query that names the
+    /// relation builds from it. The engine and its counters never see it.
+    #[test]
+    fn an_insert_the_query_does_not_name_is_stored_for_a_later_query() {
+        let mut sh = Shell::new();
+        let out = run(
+            &mut sh,
+            &[
+                "query Q(A,C) :- R(A,B), S(B,C)",
+                "insert R 1,2",
+                "insert S 2,3",
+                "build",
+                "insert X 3",
+                "update X 2 9",
+                "delete X 9",
+                "stats",
+            ],
+        );
+        assert!(out.contains("N = 2,"), "{out}");
+        assert!(out.contains("updates = 0, batches = 0"), "{out}");
+        assert!(out.contains("relations: R=1, S=1\n"), "{out}");
+        let err = sh.execute("delete X 7").unwrap_err();
+        assert!(err.starts_with("negative multiplicity"), "{err}");
+        let out = run(
+            &mut sh,
+            &["query Q(B,C) :- S(B,C), X(C)", "stats", "build", "list"],
+        );
+        assert!(out.contains("\nrow store: R=1, S=1, X=2\n"), "{out}");
+        assert!(
+            out.ends_with("built: N = 3\n(2, 3) x1\n(1 tuples)\n"),
+            "{out}"
+        );
+        let out = run(&mut sh, &["insert S 2,9", "count", "get 2,9"]);
+        assert_eq!(out, "2\n(2, 9) x1\n");
     }
 
     /// admin-keeps-writes: a second `build` rebuilds from the engine's
@@ -295,8 +346,8 @@ mod tests {
         let mut sh = Shell::new();
         let script = [
             "query Q(A,C) :- R(A,B), S(B,C)",
-            "row R 1,2",
-            "row S 2,3",
+            "insert R 1,2",
+            "insert S 2,3",
             "build",
             "update S 1 2,4",
         ];
@@ -317,8 +368,8 @@ mod tests {
     fn epsilon_on_a_built_engine_rebuilds_at_once() {
         let mut sh = Shell::new();
         let mut script = vec!["query Q(A,C) :- R(A,B), S(B,C)".to_owned()];
-        script.extend((0..16).map(|i| format!("row R {i},{}", i % 4)));
-        script.extend((0..16).map(|i| format!("row S {},{i}", i % 4)));
+        script.extend((0..16).map(|i| format!("insert R {i},{}", i % 4)));
+        script.extend((0..16).map(|i| format!("insert S {},{i}", i % 4)));
         script.extend(["build".to_owned(), "insert R 99,0".to_owned()]);
         let lines: Vec<&str> = script.iter().map(String::as_str).collect();
         let _ = run(&mut sh, &lines);
@@ -352,10 +403,10 @@ mod tests {
             &mut sh,
             &[
                 "query Q(A,C) :- R(A,B), S(B,C)",
-                "row R 1,2",
-                "row S 2,3",
-                "row T 3",
-                "row T 4",
+                "insert R 1,2",
+                "insert S 2,3",
+                "insert T 3",
+                "insert T 4",
                 "build",
                 "insert S 2,4",
                 "delete S 2,3",
@@ -406,8 +457,8 @@ mod tests {
             &mut sh,
             &[
                 "query Q(A,C) :- R(A,B), S(B,C)",
-                "row R 1,2",
-                "row S 2,3",
+                "insert R 1,2",
+                "insert S 2,3",
                 "build",
                 ".batch begin",
                 "update R 9223372036854775807 1,2",
@@ -467,10 +518,10 @@ mod tests {
             &mut sh,
             &[
                 "query Q(A,C) :- R(A,B), S(B,C)",
-                "row R 1,10",
-                "row R 2,10",
-                "row S 10,5",
-                "row S 10,6",
+                "insert R 1,10",
+                "insert R 2,10",
+                "insert S 10,5",
+                "insert S 10,6",
                 "build",
                 "get 1,5",
                 "get 9,9",
@@ -500,7 +551,7 @@ mod tests {
         let mut sh = Shell::new();
         let mut script = vec!["query Q(A) :- R(A,B), S(B)".to_owned()];
         for i in 0..24 {
-            script.push(format!("row R {},{}", i, i % 8));
+            script.push(format!("insert R {},{}", i, i % 8));
         }
         script.push("build".to_owned());
         for j in 0..8 {
@@ -524,8 +575,8 @@ mod tests {
             &mut sh,
             &[
                 "query Q(A,C) :- R(A,B), S(B,C)",
-                "row R 1,10",
-                "row S 10,5",
+                "insert R 1,10",
+                "insert S 10,5",
                 "build",
                 ".batch begin",
                 "insert R 2,11",
@@ -567,7 +618,7 @@ mod tests {
         }
         let _ = run(
             &mut sh,
-            &["query Q(A) :- R(A,B), S(B)", "row R 1,2", "build"],
+            &["query Q(A) :- R(A,B), S(B)", "insert R 1,2", "build"],
         );
         let before = run(&mut sh, &["stats"]);
         assert_eq!(sh.execute(".shards 2").unwrap_err(), unknown);
@@ -588,8 +639,8 @@ mod tests {
             &mut sh,
             &[
                 "query Q(A,C) :- R(A,B), S(B,C)",
-                "row R 1,2",
-                "row S 2,3",
+                "insert R 1,2",
+                "insert S 2,3",
                 "build",
             ],
         );

@@ -9,7 +9,7 @@
 //! oracle.
 
 use ivme_data::fx::FxHashMap;
-use ivme_data::{Schema, Tuple};
+use ivme_data::{NegativeMultiplicity, Schema, Tuple};
 
 /// A named collection of input relations (bag semantics).
 #[derive(Default, Clone)]
@@ -38,6 +38,47 @@ impl Database {
         assert!(*m >= 0, "negative multiplicity for {tuple:?} in {name}");
         if *m == 0 {
             rel.remove(&tuple);
+        }
+    }
+
+    /// Whether `deltas` can apply to relation `name`: refused, with the
+    /// first tuple that fails, if one would take a multiplicity below zero
+    /// or past `i64`.
+    pub fn check(
+        &self,
+        name: &str,
+        deltas: &FxHashMap<Tuple, i64>,
+    ) -> Result<(), NegativeMultiplicity> {
+        let rel = self.relations.get(name);
+        for (tuple, &delta) in deltas {
+            let present = rel.and_then(|r| r.get(tuple)).copied().unwrap_or(0);
+            if present.checked_add(delta).is_none_or(|m| m < 0) {
+                let tuple = tuple.clone();
+                return Err(NegativeMultiplicity {
+                    tuple,
+                    present,
+                    delta,
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// Applies `deltas` that [`Database::check`] accepted. A relation that
+    /// holds no rows takes them whole, as a copy of the map: a bulk load
+    /// hashes each row once, into the batch.
+    pub fn apply_all(&mut self, name: &str, deltas: &FxHashMap<Tuple, i64>) {
+        match self.relations.get_mut(name) {
+            Some(rel) if !rel.is_empty() => {
+                for (tuple, &delta) in deltas {
+                    self.apply(name, tuple.clone(), delta);
+                }
+            }
+            _ => {
+                let positive = deltas.values().all(|&d| d > 0);
+                assert!(positive, "negative multiplicity in {name}");
+                self.relations.insert(name.to_owned(), deltas.clone());
+            }
         }
     }
 
@@ -129,6 +170,28 @@ mod tests {
     fn negative_rejected() {
         let mut db = Database::new();
         db.apply("R", Tuple::ints(&[1]), -1);
+    }
+
+    #[test]
+    fn deltas_check_then_apply_all_or_nothing() {
+        let map = |rows: &[(i64, i64)]| -> FxHashMap<Tuple, i64> {
+            rows.iter().map(|&(v, d)| (Tuple::ints(&[v]), d)).collect()
+        };
+        let mut db = Database::new();
+        // A relation with no rows takes the deltas whole.
+        db.apply_all("R", &map(&[(1, 2), (2, 1)]));
+        assert_eq!((db.len("R"), db.get("R", &Tuple::ints(&[1]))), (2, 2));
+        for (bad, present) in [(map(&[(2, 5), (1, -3)]), 2), (map(&[(1, i64::MAX)]), 2)] {
+            let e = db.check("R", &bad).unwrap_err();
+            assert_eq!((e.tuple, e.present), (Tuple::ints(&[1]), present));
+        }
+        assert!(db.check("S", &map(&[(1, -1)])).is_err());
+        let ok = map(&[(1, -2), (3, 4)]);
+        db.check("R", &ok).unwrap();
+        db.apply_all("R", &ok);
+        let mut rows = db.rows("R");
+        rows.sort_unstable();
+        assert_eq!(rows, [(Tuple::ints(&[2]), 1), (Tuple::ints(&[3]), 4)]);
     }
 
     #[test]

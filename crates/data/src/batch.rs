@@ -188,6 +188,12 @@ impl DeltaBatch {
             .map(|(r, _)| r.as_str())
     }
 
+    /// The consolidated deltas for one relation, as the map that holds
+    /// them (`None` if untouched).
+    pub fn relation(&self, relation: &str) -> Option<&FxHashMap<Tuple, i64>> {
+        self.per_rel.get(relation)
+    }
+
     /// The consolidated deltas for one relation (empty if untouched).
     pub fn deltas(&self, relation: &str) -> impl Iterator<Item = (&Tuple, i64)> {
         self.per_rel

@@ -242,9 +242,11 @@ fn serve_connection(stream: TcpStream, endpoint: &Endpoint, sink: &WriteSink) ->
     // Per-connection `.batch` staging area — the shell's type. Only a
     // `Writer` sink ever opens one.
     let mut pending = Staging::default();
-    // Per-connection snapshot handle: refreshed (one atomic load) per
-    // read command, re-cloned only when a newer snapshot was published.
-    let mut cache = endpoint.published.cache();
+    // Per-connection snapshot handle: taken at the first read, refreshed
+    // (one atomic load) per read command, re-cloned only when a newer
+    // snapshot was published, and let go by a write, so a connection that
+    // writes pins no snapshot older than its own writes.
+    let mut cache = None;
     let mut line = String::new();
     loop {
         // Flush buffered responses before a read that could block: a
@@ -313,11 +315,12 @@ fn serve_connection(stream: TcpStream, endpoint: &Endpoint, sink: &WriteSink) ->
 /// Executes one command. Reads refresh the connection's snapshot handle
 /// and dispatch lock-free through [`execute_read`]; everything that
 /// changes state goes where the sink says: admin ops and every batch a
-/// write verb makes due ride the writer channel and wait for the ack.
+/// write verb makes due — `load`'s too — ride the writer channel and wait
+/// for the ack.
 fn execute(
     cmd: Command,
     endpoint: &Endpoint,
-    cache: &mut Cached<ServeSnapshot>,
+    cache: &mut Option<Cached<ServeSnapshot>>,
     sink: &WriteSink,
     pending: &mut Staging,
 ) -> Result<String, String> {
@@ -329,14 +332,15 @@ fn execute(
         Step::Quit => Ok(proto::BYE.to_owned()),
         Step::Help => Ok(proto::HELP.to_owned()),
         Step::Shutdown => sink.shutdown(endpoint),
-        Step::Read(cmd) => execute_read(cmd, endpoint.published.refresh(cache)),
+        Step::Read(cmd) => {
+            let cache = cache.get_or_insert_with(|| endpoint.published.cache());
+            execute_read(cmd, endpoint.published.refresh(cache))
+        }
         Step::Admin(op) => call(sink.writer()?, |ack| Request::Admin { op, ack }),
         Step::Write(write) => {
+            *cache = None;
             let tx = sink.writer()?;
-            let built = endpoint.published.refresh(cache).read.view.is_some();
-            pending.execute(write, built, |batch| {
-                call(tx, |ack| Request::Batch { batch, ack })
-            })
+            pending.execute(write, |batch| call(tx, |ack| Request::Batch { batch, ack }))
         }
     }
 }
@@ -384,6 +388,8 @@ mod tests {
                 query: Some(q),
                 mode: Mode::Dynamic,
                 view: Some(eng.snapshot(3)),
+                epoch: 3,
+                store: Vec::new(),
             },
             status: Arc::default(),
         };

@@ -420,9 +420,9 @@ mod tests {
         let server = Server::start(ServerConfig::default()).unwrap();
         let mut c = TestClient::connect(server.addr());
         c.ok("query Q(A,C) :- R(A,B), S(B,C)");
-        c.ok("row R 1,10");
-        c.ok("row R 2,10");
-        c.ok("row S 10,5");
+        c.ok("insert R 1,10");
+        c.ok("insert R 2,10");
+        c.ok("insert S 10,5");
         c.ok("build");
         (server, c)
     }
@@ -490,9 +490,11 @@ mod tests {
         let addr = server.addr();
         let mut admin = TestClient::connect(addr);
         admin.ok("query Q(A) :- R(A,B), S(B)");
+        admin.ok(".batch begin");
         for i in 0..32 {
-            admin.ok(&format!("row R {},{}", i, i % 8));
+            admin.ok(&format!("insert R {},{}", i, i % 8));
         }
+        admin.ok(".batch commit");
         admin.ok("build");
         // 4 writer clients race 8 single-row inserts each; 2 reader
         // clients poll `count` the whole time.
@@ -543,8 +545,9 @@ mod tests {
         assert!(stats.contains("updates = 32"), "{stats}");
         assert_eq!(c.ok("count"), "32\n");
         let ss = server.serve_stats();
-        assert_eq!(ss.grouped_batches, 32);
-        assert!(ss.group_commits <= 32);
+        // The set-up batch, then the 32 racing ones.
+        assert_eq!(ss.grouped_batches, 33);
+        assert!(ss.group_commits <= 33);
         assert!(ss.connections >= 7);
         // Every commit published at most one snapshot (plus setup rounds).
         assert!(ss.snapshots_published >= 1);
@@ -556,8 +559,8 @@ mod tests {
         let addr = server.addr();
         let mut admin = TestClient::connect(addr);
         admin.ok("query Q(A,C) :- R(A,B), S(B,C)");
-        admin.ok("row R 1,10");
-        admin.ok("row S 10,5");
+        admin.ok("insert R 1,10");
+        admin.ok("insert S 10,5");
         admin.ok("build");
         // Many clients commit concurrently; half are poisoned over-deletes.
         let handles: Vec<_> = (0..6)
@@ -664,8 +667,8 @@ mod tests {
         let mut c = TestClient::connect(server.addr());
         for line in [
             "query Q(A,C) :- R(A,B), S(B,C)",
-            "row R 1,2",
-            "row S 2,3",
+            "insert R 1,2",
+            "insert S 2,3",
             "build",
         ] {
             c.ok(line);

@@ -15,7 +15,7 @@ use std::path::Path;
 use std::sync::atomic::Ordering;
 
 use ivme_cli::proto;
-use ivme_cli::session::{AdminOp, Applied, Staging, Step, Write};
+use ivme_cli::session::{Applied, Staging, Step, Write};
 
 use crate::publish::Status;
 use crate::snapshot;
@@ -27,9 +27,8 @@ impl OwnedState {
     /// The serve counters in `status` advance as the round did live: one
     /// group commit when it holds a client batch, and one grouped batch
     /// per batch frame. A checkpoint's round closes with the log-only
-    /// `counters` line instead, which sets them, and the engine's, outright,
-    /// and says row multiplicities in log-only `stage` frames — no other
-    /// front end parses either. On an error the epoch stays
+    /// `counters` line instead, which sets them, and the engine's, outright
+    /// — no front end parses it. On an error the epoch stays
     /// where it was — the state is then between two rounds and must not be
     /// published.
     pub(crate) fn apply_round<'a>(
@@ -46,9 +45,6 @@ impl OwnedState {
                         fields.split_whitespace().map(str::parse).collect();
                     let four = nums.ok().and_then(|n| <[u64; 4]>::try_from(n).ok());
                     counters = Some(four.ok_or_else(|| format!("bad log line: {}", text.trim()))?);
-                }
-                None if text.starts_with("stage ") => {
-                    text.lines().try_for_each(|l| self.stage(l))?
                 }
                 None => {
                     batches += u64::from(text.starts_with(".batch begin"));
@@ -68,67 +64,38 @@ impl OwnedState {
         Ok(())
     }
 
-    /// Applies one log-only `stage <rel> <n> <csv>` line: `n` more copies
-    /// of a row in the row store.
-    fn stage(&mut self, line: &str) -> Result<(), String> {
-        let bad = || format!("bad log line: {}", line.trim());
-        let mut fields = line.strip_prefix("stage ").ok_or_else(bad)?.splitn(3, ' ');
-        let (rel, n, csv) = (fields.next(), fields.next(), fields.next());
-        let n = n.and_then(|n| n.parse().ok()).ok_or_else(bad)?;
-        let tuple = proto::parse_tuple(csv.ok_or_else(bad)?)?;
-        self.session.stage(rel.ok_or_else(bad)?, tuple, n)
-    }
-
     /// Applies one WAL frame's command text, line by line, through the
     /// interpreter that produced it live. Frames are one committed unit
-    /// each: a `.batch begin … commit` script, a run of `row` lines, or a
-    /// single admin command — anything else in a frame is refused. A run
-    /// of `row` lines of one relation is the one `row`/`load` op that
-    /// logged it, so a built engine inserts it as one batch, as it did
-    /// live. A CRC-valid frame that fails here is a logic error or
-    /// corruption of a different kind (it committed once): boot refuses
-    /// to start and a replica freezes, rather than serve a diverged state.
+    /// each: a `.batch begin … commit` script, a bare update, or a single
+    /// admin command — anything else in a frame is refused, naming the
+    /// line (a `row` frame of an older log too). A CRC-valid frame that
+    /// fails here is a logic error or corruption of a different kind (it
+    /// committed once): boot refuses to start and a replica freezes,
+    /// rather than serve a diverged state.
     fn apply_frame(&mut self, text: &str) -> Result<(), String> {
         let mut staging = Staging::default();
-        let mut run: Option<AdminOp> = None;
         for line in text.lines() {
             let refuse = || format!("unreplayable command in WAL: {}", line.trim());
-            // A line that does not parse (say `.shards`, from an older
-            // log) refuses the frame, naming it.
+            // A line that does not parse (say `row` or `.shards`, from an
+            // older log) refuses the frame, naming it.
             let parsed = proto::parse_command(line).map_err(|e| format!("{} ({e})", refuse()))?;
             let Some(cmd) = parsed else {
                 continue;
             };
             // Frames never name files: the loader refuses before any path
             // is opened.
-            let step = match (Step::of(cmd, |_| Err(refuse()))?, &mut run) {
-                (
-                    Step::Admin(AdminOp::Rows { relation, rows }),
-                    Some(AdminOp::Rows {
-                        relation: r,
-                        rows: acc,
-                    }),
-                ) if *r == relation => {
-                    acc.extend(rows);
-                    continue;
-                }
-                (step, _) => step,
-            };
-            run.take().map(|op| self.session.admin(op)).transpose()?;
-            match step {
-                Step::Admin(op @ AdminOp::Rows { .. }) => run = Some(op),
+            match Step::of(cmd, |_| Err(refuse()))? {
                 Step::Admin(op) => {
                     self.session.admin(op)?;
                 }
                 Step::Write(w @ (Write::Update(_) | Write::Begin | Write::Commit)) => {
-                    staging.execute(w, self.session.is_built(), |batch| {
+                    staging.execute(w, |batch| {
                         self.session.apply(&batch).map(|()| Applied::default())
                     })?;
                 }
                 _ => return Err(refuse()),
             }
         }
-        run.map(|op| self.session.admin(op)).transpose()?;
         if staging.is_open() {
             return Err("unterminated `.batch begin` in WAL frame".into());
         }

@@ -3,12 +3,13 @@
 //! A checkpoint, `snapshot-<epoch>.ivme` in the data directory, is a log in
 //! [`crate::wal`]'s header and frame encoding, from epoch 0, that holds one
 //! round at `<epoch>`: the commands that rebuild the writer thread's state
-//! from nothing. In order: `query`, `epsilon`, `mode`; one `row` run per
-//! relation, each row once; the log-only `stage` lines that give the rows
-//! of multiplicity above 1 the rest of it; `build`; and last, the log-only
-//! `counters` line. Every row is in the row store until `build`, so the
-//! engine is built once, from every multiplicity, in either mode. Boot
-//! recovery and a replica's bootstrap replay it through
+//! from nothing. In order: `query`, `epsilon`, `mode`; `.batch begin …
+//! .batch commit` frames that write each row once, as `insert` or as
+//! `update <rel> <m> <csv>` for a multiplicity above 1, split below the
+//! frame bound; `build`; and last, the log-only `counters` line. Every row
+//! is in the row store until `build`, so the engine is built once, from
+//! every multiplicity, in either mode. Each `.batch` frame is a WAL write
+//! frame. Boot recovery and a replica's bootstrap replay it through
 //! `OwnedState::apply_round`, the step every WAL round and every
 //! replicated round takes, so there is one way back to a state. Replaying
 //! the WAL from genesis would recover the same state; checkpoints exist so
@@ -23,16 +24,19 @@
 //! is an `IVMESNAP1` file, the keyword format written before replication
 //! version 5, which is refused rather than converted. One bad file degrades
 //! to the previous checkpoint; a data dir that needs the skipped file
-//! refuses to boot on recovery's gap check.
+//! refuses to boot on recovery's gap check. A version-5 checkpoint, whose
+//! rows are `row` and `stage` lines, reads whole but fails to replay,
+//! naming the line, and the boot refuses.
 
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 
-use ivme_cli::proto::{self, Line};
+use ivme_cli::proto;
 use ivme_cli::session::AdminOp;
 use ivme_core::{Database, Mode};
+use ivme_data::Tuple;
 
 use crate::publish::DurTracker;
 use crate::{invalid_data, wal, Hook};
@@ -99,7 +103,7 @@ fn parse_snapshot_name(name: &str) -> Option<u64> {
 }
 
 /// The checkpoint round of `data`, frame by frame (see the module docs),
-/// each run of lines split into frames of at most `max_frame` bytes.
+/// its rows in `.batch` frames of at most `max_frame` bytes.
 fn round(data: &SnapshotData, max_frame: usize) -> io::Result<Vec<String>> {
     // The relations a built engine holds: its query's.
     let held = match (&data.query, data.built) {
@@ -114,50 +118,48 @@ fn round(data: &SnapshotData, max_frame: usize) -> io::Result<Vec<String>> {
     let mut frames: Vec<String> = data.query.iter().map(|q| format!("query {q}")).collect();
     frames.push(AdminOp::Epsilon(data.epsilon).wal_text());
     frames.push(AdminOp::Mode(data.mode).wal_text());
-    let mut stage = Vec::new();
+    // One relation's rows are sorted at a time, as the frames need them.
+    let held = &held;
     let engine = data.built.then_some((&data.base, true));
-    for (db, in_engine) in engine.into_iter().chain([(&data.staged, false)]) {
-        for rel in db.relations() {
-            if !in_engine && held.iter().any(|h| h == rel) {
-                continue;
-            }
+    let rows = engine.into_iter().chain([(&data.staged, false)]);
+    let rows = rows.flat_map(|(db, in_engine)| {
+        let rels = db.relations().into_iter();
+        let rels = rels.filter(move |rel| in_engine || !held.iter().any(|h| h == rel));
+        rels.flat_map(move |rel| {
             let mut sorted = db.rows(rel);
             sorted.sort_unstable();
-            let run = sorted
-                .iter()
-                .map(|(t, _)| |out: &mut String| proto::push_line(out, Line::Row, rel, t));
-            split(&mut frames, run, max_frame);
-            let heavy = sorted.into_iter().filter(|&(_, m)| m > 1);
-            stage.extend(heavy.map(|(t, m)| (rel, t, m - 1)));
-        }
-    }
-    let stage = stage.iter().map(|&(rel, ref t, n)| {
-        move |out: &mut String| proto::push_line(out, Line::Stage(n), rel, t)
+            sorted.into_iter().map(move |(t, m)| (rel, t, m))
+        })
     });
-    split(&mut frames, stage, max_frame);
+    batches(&mut frames, rows, max_frame);
     frames.extend(data.built.then(|| AdminOp::Build.wal_text()));
     let ((u, b), (gc, gb)) = (data.engine_stats, data.serve_stats);
     frames.push(format!("counters {u} {b} {gc} {gb}"));
     Ok(frames)
 }
 
-/// Appends the lines `lines` render to `out` as one run, closing a frame
-/// before a line would carry it past `max` bytes.
-fn split<F: FnOnce(&mut String)>(
+/// Appends `rows` to `out` as `.batch begin … .batch commit` frames, the
+/// lines [`proto::batch_lines`] renders, closing a frame before a line
+/// would carry it past `max` bytes.
+fn batches<'a>(
     out: &mut Vec<String>,
-    lines: impl Iterator<Item = F>,
+    rows: impl Iterator<Item = (&'a str, Tuple, i64)>,
     max: usize,
 ) {
-    let mut run = String::new();
-    for line in lines {
-        let at = run.len();
-        line(&mut run);
-        if run.len() > max && at > 0 {
-            let line = run.split_off(at);
-            out.push(std::mem::replace(&mut run, line));
+    const BEGIN: &str = ".batch begin\n";
+    const COMMIT: &str = ".batch commit\n";
+    let mut frame = String::from(BEGIN);
+    for (rel, t, m) in rows {
+        let at = frame.len();
+        proto::push_line(&mut frame, rel, &t, m);
+        if frame.len() + COMMIT.len() > max && at > BEGIN.len() {
+            let line = frame.split_off(at);
+            out.push(std::mem::replace(&mut frame, format!("{BEGIN}{line}")) + COMMIT);
         }
     }
-    out.extend((!run.is_empty()).then_some(run));
+    if frame.len() > BEGIN.len() {
+        out.push(frame + COMMIT);
+    }
 }
 
 /// Renders `data` as its checkpoint round and atomically installs it
@@ -422,6 +424,22 @@ mod tests {
         out
     }
 
+    /// The batch a `.batch` frame's update lines say.
+    fn replayed(frame: &str) -> ivme_core::DeltaBatch {
+        let mut batch = ivme_core::DeltaBatch::new();
+        for line in frame.lines() {
+            if let Some(ivme_cli::proto::Command::Update {
+                relation,
+                tuple,
+                delta,
+            }) = proto::parse_command(line).unwrap()
+            {
+                batch.push(&relation, tuple, delta);
+            }
+        }
+        batch
+    }
+
     /// Writes `data`, loads it back and replays it onto a fresh state.
     fn round_trip(name: &str, data: &SnapshotData) -> (Vec<String>, OwnedState, Status) {
         let dir = tmp_dir(name);
@@ -445,18 +463,18 @@ mod tests {
     fn snapshot_round_trips_exactly() {
         let data = demo_data(42);
         let (frames, state, status) = round_trip("round", &data);
-        // Each row once, the multiplicities above 1 as `stage` lines before
-        // `build`; the stale row-store copy of R(1,10) is not written at all.
+        // Each row once, in a `.batch` before `build`, a multiplicity above
+        // 1 as one `update` line; the stale row-store copy of R(1,10) is not
+        // written at all.
+        let rows = ".batch begin\ninsert R 1,10\nupdate R 2 2,10\n\
+                    update S 1099511627776 10,ab cd\nupdate T 2 7\n.batch commit\n";
         assert_eq!(
             frames,
             [
                 "query Q(A,C) :- R(A,B), S(B,C)",
                 "epsilon 0.25",
                 "mode dynamic",
-                "row R 1,10\nrow R 2,10\n",
-                "row S 10,ab cd\n",
-                "row T 7\n",
-                "stage R 1 2,10\nstage S 1099511627775 10,ab cd\nstage T 1 7\n",
+                rows,
                 "build",
                 "counters 100 12 12 40",
             ]
@@ -486,7 +504,7 @@ mod tests {
         let (frames, state, _) = round_trip("static", &data);
         assert_eq!(frames[2], "mode static");
         let rebuilds = ["mode", "epsilon", "build"];
-        let after_rows = frames.iter().skip_while(|f| !f.starts_with("row "));
+        let after_rows = frames.iter().skip_while(|f| !f.starts_with(".batch begin"));
         let again = after_rows.filter(|f| rebuilds.iter().any(|r| f.starts_with(r)));
         assert_eq!(again.collect::<Vec<_>>(), ["build"]);
         assert_eq!(state.session.options().mode, Mode::Static);
@@ -494,11 +512,11 @@ mod tests {
         assert_eq!(canon(&eng.export_database()), canon(&data.base));
     }
 
-    /// A row-store multiplicity of 2^40 — `query` on a built engine moves
-    /// the engine's rows to the store with theirs — is one `row` line and
-    /// one `stage` line, built or not.
+    /// A row-store multiplicity of 2^40 — `update` says one before `build`,
+    /// and `query` on a built engine moves the engine's rows to the store
+    /// with theirs — is one `update` line, built or not.
     #[test]
-    fn a_row_store_multiplicity_of_2_40_round_trips_in_two_lines() {
+    fn a_row_store_multiplicity_of_2_40_round_trips_in_one_line() {
         let mut staged = Database::new();
         staged.insert("R", Tuple::ints(&[1, 10]), 1 << 40);
         staged.insert("T", Tuple::ints(&[7]), 1 << 40);
@@ -510,7 +528,7 @@ mod tests {
             };
             let (frames, state, _) = round_trip("store_2_40", &data);
             let lines = frames.iter().flat_map(|f| f.lines());
-            let t = ["row T 7", "stage T 1099511627775 7"];
+            let t = ["update T 1099511627776 7"];
             assert_eq!(lines.filter(|l| l.ends_with(" 7")).collect::<Vec<_>>(), t);
             let mut want = canon(&staged);
             if built {
@@ -521,8 +539,9 @@ mod tests {
         }
     }
 
-    /// Runs of `row` and `stage` lines are split below the frame bound, and
-    /// the split round replays to the same state.
+    /// The rows are split into `.batch` frames below the frame bound, each
+    /// one a WAL write frame, and the split round replays to the same
+    /// state.
     #[test]
     fn runs_split_below_the_frame_bound_and_replay_whole() {
         let mut data = demo_data(8);
@@ -530,10 +549,15 @@ mod tests {
             data.base.insert("R", Tuple::ints(&[i, 10]), 3);
         }
         let frames = round(&data, 64).unwrap();
-        for verb in ["row R ", "stage "] {
-            let runs: Vec<&String> = frames.iter().filter(|f| f.starts_with(verb)).collect();
-            assert!(runs.len() > 10, "{verb}: {runs:?}");
-            assert!(runs.iter().all(|f| f.len() <= 64 && f.ends_with('\n')));
+        let runs: Vec<&String> = frames.iter().filter(|f| f.starts_with(".batch")).collect();
+        assert!(runs.len() > 40, "{runs:?}");
+        for run in runs {
+            assert!(run.len() <= 64 && run.ends_with(".batch commit\n"), "{run}");
+            assert_eq!(
+                replayed(run).distinct_len() + 2,
+                run.lines().count(),
+                "{run}"
+            );
         }
         let (mut state, status) = (OwnedState::default(), Status::default());
         let texts = frames.iter().map(String::as_str);
@@ -556,7 +580,7 @@ mod tests {
         let want = [
             "epsilon 0.5",
             "mode static",
-            "row R 1\n",
+            ".batch begin\ninsert R 1\n.batch commit\n",
             "counters 0 0 0 0",
         ];
         assert_eq!(frames, want);

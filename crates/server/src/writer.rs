@@ -406,15 +406,9 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let mut state = OwnedState::default();
         let q = ivme_query::parse_query("Q(A,C) :- R(A,B), S(B,C)").unwrap();
-        let rows = vec![Tuple::ints(&[10, 5])];
-        let relation = "S".to_owned();
-        for op in [
-            AdminOp::Query(q),
-            AdminOp::Rows { relation, rows },
-            AdminOp::Build,
-        ] {
-            state.session.admin(op).unwrap();
-        }
+        state.session.admin(AdminOp::Query(q)).unwrap();
+        state.session.apply(&batch(&[("S", [10, 5], 1)])).unwrap();
+        state.session.admin(AdminOp::Build).unwrap();
         let tracker = Arc::new(DurTracker::new(0, 0, 0));
         let wal = Wal::create(&dir.join("wal.log"), 0).unwrap();
         let pipeline =

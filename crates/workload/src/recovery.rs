@@ -23,7 +23,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use ivme_cli::proto::{self, Line};
+use ivme_cli::proto;
 use ivme_core::Database;
 use ivme_data::Tuple;
 
@@ -81,11 +81,11 @@ impl RecoveryWorkload {
         RecoveryWorkload { seed, batches }
     }
 
-    /// The setup script: query, seed rows, `build`.
+    /// The setup script: query, one `insert` per seed row, `build`.
     pub fn setup_script(&self) -> String {
         let mut out = format!("query {QUERY}\n");
         for (rel, t) in &self.seed {
-            proto::push_line(&mut out, Line::Row, rel, t);
+            proto::push_line(&mut out, rel, t, 1);
         }
         out.push_str("build\n");
         out
@@ -96,7 +96,7 @@ impl RecoveryWorkload {
     pub fn batch_script(&self, k: usize) -> String {
         let mut out = String::from(".batch begin\n");
         for (rel, t, d) in &self.batches[k] {
-            proto::push_line(&mut out, Line::Update(*d), rel, t);
+            proto::push_line(&mut out, rel, t, *d);
         }
         out.push_str(".batch commit\n");
         out
@@ -118,7 +118,7 @@ impl RecoveryWorkload {
     }
 
     /// The engine's cumulative `updates` counter after `k` committed
-    /// batches (the seed stages rows; it does not count as updates).
+    /// batches (the seed goes in before `build`; it does not count as updates).
     pub fn total_updates_after(&self, k: usize) -> u64 {
         self.batches[..k].iter().map(|b| b.len() as u64).sum()
     }

@@ -17,98 +17,11 @@ use rand::{Rng, SeedableRng};
 
 use ivme_baselines::{DeltaIvm, Recompute};
 use ivme_core::{brute_force, Database, EngineOptions, IvmEngine, Update};
-use ivme_data::{DeltaBatch, Schema, Tuple, Var};
-use ivme_query::{classify, Atom, Query};
+use ivme_data::{DeltaBatch, Tuple};
+use ivme_query::{classify, Query};
 
-/// Random hierarchical query from a seed (atoms along root-to-node paths
-/// of a random variable forest — hierarchical by construction).
-fn random_hierarchical_query(seed: u64) -> Query {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut atoms: Vec<Atom> = Vec::new();
-    let mut var_counter = 0usize;
-    let mut rel_counter = 0usize;
-    let components = 1 + rng.gen_range(0..2);
-    for _ in 0..components {
-        let root = fresh_var(&mut var_counter);
-        grow(
-            &mut rng,
-            vec![root],
-            0,
-            &mut atoms,
-            &mut var_counter,
-            &mut rel_counter,
-        );
-        if atoms.len() >= 5 {
-            break;
-        }
-    }
-    let mut vars = Schema::empty();
-    for a in &atoms {
-        vars = vars.union(&a.schema);
-    }
-    let free: Schema = vars
-        .vars()
-        .iter()
-        .copied()
-        .filter(|_| rng.gen_bool(0.5))
-        .collect();
-    Query::new("Q", free, atoms)
-}
-
-fn fresh_var(counter: &mut usize) -> Var {
-    let v = Var::new(&format!("BV{counter}"));
-    *counter += 1;
-    v
-}
-
-fn grow(
-    rng: &mut StdRng,
-    path: Vec<Var>,
-    depth: usize,
-    atoms: &mut Vec<Atom>,
-    var_counter: &mut usize,
-    rel_counter: &mut usize,
-) {
-    let kids = if depth >= 2 || atoms.len() >= 4 {
-        0
-    } else {
-        rng.gen_range(0..=2)
-    };
-    if kids == 0 || rng.gen_bool(0.3) {
-        let name = format!("BR{rel_counter}");
-        *rel_counter += 1;
-        atoms.push(Atom::new(name, Schema::new(path.clone())));
-    }
-    for _ in 0..kids {
-        let mut p = path.clone();
-        p.push(fresh_var(var_counter));
-        grow(rng, p, depth + 1, atoms, var_counter, rel_counter);
-    }
-}
-
-fn random_db(q: &Query, seed: u64, rows: usize) -> Database {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut db = Database::new();
-    for a in &q.atoms {
-        for _ in 0..rows {
-            let t: Tuple = Tuple::ints(
-                &(0..a.schema.arity())
-                    .map(|_| rng.gen_range(0..4i64))
-                    .collect::<Vec<_>>(),
-            );
-            db.insert(&a.relation, t, 1);
-        }
-    }
-    db
-}
-
-fn random_tuple(rng: &mut StdRng, arity: usize) -> Tuple {
-    Tuple::ints(
-        &(0..arity)
-            .map(|_| rng.gen_range(0..4i64))
-            .collect::<Vec<_>>(),
-    )
-}
+mod support;
+use support::{random_db, random_hierarchical_query, random_tuple};
 
 /// Builds a random batch whose every prefix is sequentially valid against
 /// `db`: inserts over a tiny domain, deletes of tuples live in the db or
@@ -135,13 +48,13 @@ fn random_batch(q: &Query, db: &Database, seed: u64, len: usize) -> (Vec<Update>
         } else if roll < 0.45 {
             // Cancelling pair on a fresh random tuple.
             let a = &q.atoms[rng.gen_range(0..q.atoms.len())];
-            let t = random_tuple(&mut rng, a.schema.arity());
+            let t = random_tuple(&mut rng, a.schema.arity(), 4);
             updates.push(Update::insert(a.relation.clone(), t.clone()));
             updates.push(Update::delete(a.relation.clone(), t));
         } else {
             // Insert (possibly multi-copy).
             let a = &q.atoms[rng.gen_range(0..q.atoms.len())];
-            let t = random_tuple(&mut rng, a.schema.arity());
+            let t = random_tuple(&mut rng, a.schema.arity(), 4);
             let mult = 1 + rng.gen_range(0..2i64);
             net.apply(&a.relation, t.clone(), mult);
             live.push((a.relation.clone(), t.clone()));

@@ -4,7 +4,6 @@
 //! served, `shutdown` still stops the listener, and a restart recovers
 //! every write that was acked `ok`.
 
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -12,11 +11,8 @@ use std::time::{Duration, Instant};
 use ivme::workload::Client;
 use ivme_server::{FsyncMode, Server, ServerConfig, TestHooks};
 
-fn temp_dir(name: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("ivme_durloss_{}_{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    d
-}
+mod support;
+use support::temp_dir;
 
 #[test]
 fn after_the_log_fails_no_write_is_acked_and_every_acked_write_survives_a_restart() {
@@ -39,7 +35,11 @@ fn after_the_log_fails_no_write_is_acked_and_every_acked_write_survives_a_restar
     }))
     .unwrap();
     let mut c = Client::connect(server.addr()).unwrap();
-    for line in ["query Q(A) :- R(A,B), S(B)", "row R 1,10", "row R 2,20"] {
+    for line in [
+        "query Q(A) :- R(A,B), S(B)",
+        "insert R 1,10",
+        "insert R 2,20",
+    ] {
         c.expect_ok(line);
     }
     c.expect_ok("build");

@@ -26,6 +26,9 @@ use ivme_core::{
 use ivme_data::Tuple;
 use ivme_query::parse_query;
 
+mod support;
+use support::{random_tuple, relations};
+
 /// The paper's example queries (single- and multi-component, bound and
 /// free roots, repeated structure) plus boolean and multi-component forms.
 const QUERIES: &[&str] = &[
@@ -40,24 +43,6 @@ const QUERIES: &[&str] = &[
 ];
 
 const SHARD_GRID: &[usize] = &[1, 2, 4];
-
-fn rel_names(q: &ivme_query::Query) -> Vec<(String, usize)> {
-    let mut out: Vec<(String, usize)> = Vec::new();
-    for a in &q.atoms {
-        if !out.iter().any(|(n, _)| n == &a.relation) {
-            out.push((a.relation.clone(), a.schema.arity()));
-        }
-    }
-    out
-}
-
-fn random_tuple(rng: &mut StdRng, arity: usize, domain: i64) -> Tuple {
-    Tuple::ints(
-        &(0..arity)
-            .map(|_| rng.gen_range(0..domain))
-            .collect::<Vec<i64>>(),
-    )
-}
 
 /// Read-API cross-check of one engine state against the brute-force
 /// oracle: sorted enumeration, distinct count, paging consistency with the
@@ -118,7 +103,7 @@ fn check_reads<E>(
 fn randomized_interleaved_reads_match_brute_force() {
     for (qi, src) in QUERIES.iter().enumerate() {
         let q = parse_query(src).unwrap();
-        let rels = rel_names(&q);
+        let rels = relations(&q);
         let free_arity = q.free.arity();
         for &shards in SHARD_GRID {
             let seed = 7000 * qi as u64 + shards as u64;

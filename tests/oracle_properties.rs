@@ -15,92 +15,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use ivme_core::{brute_force, Database, EngineOptions, IvmEngine};
-use ivme_data::{Schema, Tuple, Var};
-use ivme_query::{classify, parse_query, Atom, Query};
+use ivme_data::Tuple;
+use ivme_query::{classify, parse_query};
 
-/// Builds a random hierarchical query from a seed: a random forest of
-/// variables with atoms attached along root-to-node paths.
-fn random_hierarchical_query(seed: u64) -> Query {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut atoms: Vec<Atom> = Vec::new();
-    let mut var_counter = 0usize;
-    let mut rel_counter = 0usize;
-    let components = 1 + rng.gen_range(0..2);
-    for _ in 0..components {
-        let root = fresh_var(&mut var_counter);
-        grow(
-            &mut rng,
-            vec![root],
-            0,
-            &mut atoms,
-            &mut var_counter,
-            &mut rel_counter,
-        );
-        if atoms.len() >= 5 {
-            break;
-        }
-    }
-    // Random free set; ensure determinism by iterating vars in order.
-    let mut vars = Schema::empty();
-    for a in &atoms {
-        vars = vars.union(&a.schema);
-    }
-    let free: Schema = vars
-        .vars()
-        .iter()
-        .copied()
-        .filter(|_| rng.gen_bool(0.5))
-        .collect();
-    Query::new("Q", free, atoms)
-}
-
-fn fresh_var(counter: &mut usize) -> Var {
-    let v = Var::new(&format!("PV{counter}"));
-    *counter += 1;
-    v
-}
-
-fn grow(
-    rng: &mut StdRng,
-    path: Vec<Var>,
-    depth: usize,
-    atoms: &mut Vec<Atom>,
-    var_counter: &mut usize,
-    rel_counter: &mut usize,
-) {
-    let kids = if depth >= 2 || atoms.len() >= 4 {
-        0
-    } else {
-        rng.gen_range(0..=2)
-    };
-    if kids == 0 || rng.gen_bool(0.3) {
-        let name = format!("PR{rel_counter}");
-        *rel_counter += 1;
-        atoms.push(Atom::new(name, Schema::new(path.clone())));
-    }
-    for _ in 0..kids {
-        let mut p = path.clone();
-        p.push(fresh_var(var_counter));
-        grow(rng, p, depth + 1, atoms, var_counter, rel_counter);
-    }
-}
-
-/// Random database over a tiny domain (dense joins) for a query.
-fn random_db(q: &Query, seed: u64, rows: usize) -> Database {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut db = Database::new();
-    for a in &q.atoms {
-        for _ in 0..rows {
-            let t: Tuple = Tuple::ints(
-                &(0..a.schema.arity())
-                    .map(|_| rng.gen_range(0..4i64))
-                    .collect::<Vec<_>>(),
-            );
-            db.insert(&a.relation, t, 1);
-        }
-    }
-    db
-}
+mod support;
+use support::{random_db, random_hierarchical_query};
 
 /// Engine result == oracle for random hierarchical queries/databases,
 /// across the ε grid and both modes.

@@ -31,6 +31,9 @@ use ivme_data::Tuple;
 use ivme_query::{parse_query, Query};
 use ivme_workload::{chunk_stream, two_path_db, update_stream, StreamOp};
 
+mod support;
+use support::relations;
+
 const EPS_GRID: [f64; 3] = [0.0, 0.5, 1.0];
 const SHARD_GRID: [usize; 3] = [1, 2, 3];
 
@@ -59,16 +62,6 @@ const QUERIES: &[(&str, usize, &[f64])] = &[
     // A dense domain: most heavy buckets share most of their tuples.
     ("Q(A,C) :- R(A,B), S(B,C)", 4, &[0.25]),
 ];
-
-fn relations(q: &Query) -> Vec<(String, usize)> {
-    let mut out: Vec<(String, usize)> = Vec::new();
-    for a in &q.atoms {
-        if !out.iter().any(|(n, _)| n == &a.relation) {
-            out.push((a.relation.clone(), a.schema.arity()));
-        }
-    }
-    out
-}
 
 /// The per-shard deduplicated results, concatenated and summed per tuple.
 fn per_shard_sum(eng: &ShardedEngine) -> Vec<(Tuple, i64)> {

@@ -11,23 +11,18 @@
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use ivme::core::brute_force;
 use ivme::data::Tuple;
-use ivme::query::parse_query;
 use ivme::workload::{parse_listing, poll_stat, wait_for_epoch, Client, RecoveryWorkload};
-use ivme_server::repl::{Replica, ReplicaConfig, QUEUE_DEPTH};
+use ivme_server::repl::QUEUE_DEPTH;
 use ivme_server::{FsyncMode, Server, ServerConfig, TestHooks, MAX_LINE};
 
-fn temp_dir(name: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("ivme_repl_{}_{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    d
-}
+mod support;
+use support::{listing, oracle, run_batches, run_script, start_replica, stat_field, temp_dir};
 
 fn primary_config(dir: &Path, snapshot_every: u64, repl_listen: &str) -> ServerConfig {
     ServerConfig {
@@ -40,36 +35,6 @@ fn primary_config(dir: &Path, snapshot_every: u64, repl_listen: &str) -> ServerC
 
 fn start_primary(dir: &Path, snapshot_every: u64) -> Server {
     Server::start(primary_config(dir, snapshot_every, "127.0.0.1:0")).expect("primary must start")
-}
-
-fn start_replica(primary: SocketAddr) -> Replica {
-    Replica::start(ReplicaConfig {
-        primary: primary.to_string(),
-        listen: "127.0.0.1:0".to_owned(),
-    })
-    .expect("replica must start")
-}
-
-/// Runs every line of `script` closed-loop, panicking on any `err`.
-fn run_script(c: &mut Client, script: &str) {
-    for line in script.lines() {
-        c.expect_ok(line);
-    }
-}
-
-/// The served result, parsed and sorted — comparable to `brute_force`.
-fn listing(addr: SocketAddr) -> Vec<(Tuple, i64)> {
-    let mut c = Client::connect(addr).unwrap();
-    parse_listing(&c.expect_ok("list")).unwrap()
-}
-
-fn oracle(wl: &RecoveryWorkload, k: usize) -> Vec<(Tuple, i64)> {
-    let q = parse_query(ivme::workload::recovery::QUERY).unwrap();
-    brute_force(&q, &wl.database_after(k))
-}
-
-fn stat_field(stats: &str, key: &str) -> u64 {
-    ivme::workload::stat_field(stats, key).unwrap_or_else(|| panic!("no `{key}` in stats: {stats}"))
 }
 
 /// The primary's committed epoch right now — the convergence target for
@@ -137,9 +102,7 @@ fn replica_reads_match_a_committed_prefix() {
 
     let mut c = Client::connect(primary.addr()).unwrap();
     run_script(&mut c, &wl.setup_script());
-    for k in 0..wl.batches.len() {
-        run_script(&mut c, &wl.batch_script(k));
-    }
+    run_batches(&mut c, &wl, 0..wl.batches.len());
     let target = primary_epoch(&mut c);
     assert!(
         wait_for_epoch(raddr, target, Duration::from_secs(30)),
@@ -236,19 +199,13 @@ fn kills_of_either_side_reconnect_and_converge() {
     // The replica comes up FIRST, pointed at an address nothing listens
     // on yet: its capped-backoff dial must pick the primary up when it
     // arrives.
-    let replica = Replica::start(ReplicaConfig {
-        primary: repl_listen.clone(),
-        listen: "127.0.0.1:0".to_owned(),
-    })
-    .unwrap();
+    let replica = start_replica(repl_listen.clone());
     let raddr = replica.addr();
     let config = primary_config(&dir, 4, &repl_listen);
     let primary = start_primary_retry(&config);
     let mut c = Client::connect(primary.addr()).unwrap();
     run_script(&mut c, &wl.setup_script());
-    for k in 0..6 {
-        run_script(&mut c, &wl.batch_script(k));
-    }
+    run_batches(&mut c, &wl, 0..6);
     let t1 = primary_epoch(&mut c);
     assert!(
         wait_for_epoch(raddr, t1, Duration::from_secs(30)),
@@ -271,9 +228,7 @@ fn kills_of_either_side_reconnect_and_converge() {
     // hello is mid-log — no full re-bootstrap needed).
     let primary = start_primary_retry(&config);
     let mut c = Client::connect(primary.addr()).unwrap();
-    for k in 6..9 {
-        run_script(&mut c, &wl.batch_script(k));
-    }
+    run_batches(&mut c, &wl, 6..9);
     let t2 = primary_epoch(&mut c);
     assert!(
         wait_for_epoch(raddr, t2, Duration::from_secs(30)),
@@ -286,9 +241,7 @@ fn kills_of_either_side_reconnect_and_converge() {
     // unbothered; a brand-new replica bootstraps the full history
     // (snapshot + WAL tail) and converges.
     drop(replica);
-    for k in 9..wl.batches.len() {
-        run_script(&mut c, &wl.batch_script(k));
-    }
+    run_batches(&mut c, &wl, 9..wl.batches.len());
     let replica2 = start_replica(primary.repl_addr().unwrap());
     let t3 = primary_epoch(&mut c);
     assert!(
@@ -391,9 +344,7 @@ fn a_slow_follower_is_disconnected_and_never_delays_primary_acks() {
     // sync thread drops the follower.
     gate.set(BLOCK);
     let t_start = Instant::now();
-    for k in 0..K {
-        run_script(&mut c, &wl.batch_script(k));
-    }
+    run_batches(&mut c, &wl, 0..K);
     assert!(
         t_start.elapsed() < Duration::from_secs(30),
         "acks must not be gated on the frozen follower"
@@ -457,9 +408,7 @@ fn a_newline_free_stream_into_the_replication_listener_is_dropped() {
 
     // The primary is unharmed: commits still ack, and a real follower
     // still bootstraps and converges.
-    for k in 0..wl.batches.len() {
-        run_script(&mut c, &wl.batch_script(k));
-    }
+    run_batches(&mut c, &wl, 0..wl.batches.len());
     let replica = start_replica(repl_addr);
     let target = primary_epoch(&mut c);
     assert!(
@@ -476,9 +425,11 @@ fn a_newline_free_stream_into_the_replication_listener_is_dropped() {
 
 /// Version 4 frames never hold `.shards`; a version-3 peer could still
 /// ship or expect them. Version 5 ships a checkpoint as frames; a
-/// version-4 peer expects a keyword text file. A follower that says
-/// `hello 3` or `hello 4` is dropped before it registers or receives a
-/// byte, and a `hello 5` one is served.
+/// version-4 peer expects a keyword text file. Version 6 has one write
+/// verb; a version-5 peer ships and expects `row` frames and `stage`
+/// lines. A follower that says `hello 3`, `hello 4` or `hello 5` is
+/// dropped before it registers or receives a byte, and a `hello 6` one is
+/// served.
 #[test]
 fn a_version_3_follower_is_refused() {
     let wl = RecoveryWorkload::generate(0x7E3, 10, 4, 3);
@@ -506,18 +457,20 @@ fn a_version_3_follower_is_refused() {
     };
     assert_eq!(reply("hello 3 0\n"), "", "a v3 follower was served");
     assert_eq!(reply("hello 4 0\n"), "", "a v4 follower was served");
+    assert_eq!(reply("hello 5 0\n"), "", "a v5 follower was served");
     assert_eq!(stat_field(&c.expect_ok("stats"), "repl_followers"), 0);
-    // Epoch 0 against a tip past it: a v5 follower gets the log.
-    assert!(reply("hello 5 0\n").starts_with("round "));
+    // Epoch 0 against a tip past it: a v6 follower gets the log.
+    assert!(reply("hello 6 0\n").starts_with("round "));
 
     drop(c);
     drop(primary);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// What a client can see of a state: the sorted listing and the engine's
-/// `stats` lines (each, before `build`, its refusal) — the durability and
-/// replication lines left out — and the server's two group counters.
+/// What a client can see of a state: the sorted listing (before `build`,
+/// its refusal) and the engine's `stats` lines (before `build`, the row
+/// store's) — the durability and replication lines left out — and the
+/// server's two group counters.
 /// `stats` carries the other two counters, `updates` and `batches`.
 type Seen = (Result<String, String>, Result<String, String>, u64, u64);
 
@@ -542,16 +495,18 @@ fn seen(addr: SocketAddr, (commits, grouped): (u64, u64)) -> Seen {
 /// restart, and on a replica bootstrapped from it — in dynamic and static
 /// mode, built, unbuilt and before any query, with a base multiplicity of
 /// 2^40 (and, after a new `query`, a row-store one), duplicate rows and
-/// rows of a relation the query does not name. A later `build` then agrees
-/// with a server that never restarted, so the row store came back too.
-/// `counters` and `stage`, which only a log may say, are refused on the
-/// replica's socket and change nothing.
+/// rows of a relation the query does not name, written before `build` and
+/// after it. A later `build` then agrees with a server that never
+/// restarted, so the row store came back too. `counters`, which only a
+/// log may say, and the retired `stage` are refused on the replica's
+/// socket and change nothing. Every row, built or not, waits for the
+/// replica by polling its `stats` over the socket.
 #[test]
 fn a_checkpoint_restores_the_same_state_on_a_restart_and_a_replica() {
     const QUERY: &str = "query Q(A,C) :- R(A,B), S(B,C)";
-    let built = "row R 1,10\nrow R 1,10\nrow S 10,5\nrow T 7\nrow T 7\nbuild\n\
-                 update S 1099511627776 10,5\nrow R 2,10\nrow R 2,10\n\
-                 .batch begin\ninsert S 10,6\n.batch commit\n";
+    let built = "insert R 1,10\ninsert R 1,10\ninsert S 10,5\ninsert T 7\ninsert T 7\nbuild\n\
+                 update S 1099511627776 10,5\ninsert R 2,10\ninsert R 2,10\n\
+                 .batch begin\ninsert S 10,6\ninsert X 8\n.batch commit\ninsert X 8\n";
     let cases = [
         ("dynamic", format!("{QUERY}\n{built}"), "build"),
         ("static", format!("{QUERY}\n{built}mode static\n"), "build"),
@@ -560,12 +515,15 @@ fn a_checkpoint_restores_the_same_state_on_a_restart_and_a_replica() {
         ("stored", format!("{QUERY}\n{built}{QUERY}\n"), "build"),
         (
             "unbuilt",
-            format!("{QUERY}\nrow R 1,10\nrow R 1,10\nrow S 10,5\nrow T 7\nepsilon 0.25\n"),
+            format!(
+                "{QUERY}\ninsert R 1,10\ninsert R 1,10\ninsert S 10,5\ninsert T 7\n\
+                 update T 1099511627776 9\nepsilon 0.25\n"
+            ),
             "build",
         ),
         (
             "no_query",
-            "row R 1,10\nrow R 1,10\nrow S 10,5\nmode static\n".to_owned(),
+            "insert R 1,10\ninsert R 1,10\ninsert S 10,5\nmode static\n".to_owned(),
             "query Q(A,C) :- R(A,B), S(B,C)\nbuild",
         ),
     ];
@@ -584,25 +542,13 @@ fn a_checkpoint_restores_the_same_state_on_a_restart_and_a_replica() {
             let primary = start_primary(&dir, 0);
             let got = seen(primary.addr(), counters(primary.serve_stats()));
             assert_eq!(got, want, "{name}: {restart}");
-            // Before `build`, `stats` is refused whole.
-            if let Ok(stats) = Client::connect(primary.addr())
-                .unwrap()
-                .request("stats")
-                .unwrap()
-            {
-                assert_eq!(stat_field(&stats, "recovered_groups"), 0, "{name}: {stats}");
-            }
+            let stats = Client::connect(primary.addr()).unwrap().expect_ok("stats");
+            assert_eq!(stat_field(&stats, "recovered_groups"), 0, "{name}: {stats}");
             if restart == "restart" {
                 let replica = start_replica(primary.repl_addr().unwrap());
-                let epoch = primary.serve_stats().snapshots_published;
-                let deadline = Instant::now() + Duration::from_secs(30);
-                while replica.stats().applied_epoch() < epoch {
-                    assert!(
-                        Instant::now() < deadline,
-                        "{name}: the replica never caught up"
-                    );
-                    std::thread::sleep(Duration::from_millis(5));
-                }
+                let epoch = stat_field(&stats, "snapshot_epoch");
+                let caught_up = wait_for_epoch(replica.addr(), epoch, Duration::from_secs(30));
+                assert!(caught_up, "{name}: the replica never caught up");
                 let got = seen(replica.addr(), counters(replica.serve_stats()));
                 assert_eq!(got, want, "{name}: replica");
                 let mut r = Client::connect(replica.addr()).unwrap();

@@ -9,7 +9,9 @@ use std::time::Duration;
 
 use ivme::cli::proto::{self, ReplHeader};
 use ivme::workload::{wait_for_epoch, wait_for_stat, Client};
-use ivme_server::repl::{Replica, ReplicaConfig};
+
+mod support;
+use support::start_replica;
 
 /// Writes one `round` message exactly as a primary's sender does.
 fn send_round(w: &mut TcpStream, epoch: u64, frames: &[&str]) {
@@ -28,23 +30,19 @@ fn send_round(w: &mut TcpStream, epoch: u64, frames: &[&str]) {
 #[test]
 fn a_redelivered_round_is_dropped_whole_and_a_new_one_applied_whole() {
     let primary = TcpListener::bind("127.0.0.1:0").unwrap();
-    let replica = Replica::start(ReplicaConfig {
-        primary: primary.local_addr().unwrap().to_string(),
-        listen: "127.0.0.1:0".to_owned(),
-    })
-    .unwrap();
+    let replica = start_replica(primary.local_addr().unwrap());
     let (mut stream, _) = primary.accept().unwrap();
     let mut hello = String::new();
     BufReader::new(stream.try_clone().unwrap())
         .read_line(&mut hello)
         .unwrap();
     assert_eq!(
-        hello, "hello 5 0\n",
+        hello, "hello 6 0\n",
         "a fresh follower resumes from epoch 0"
     );
 
     send_round(&mut stream, 1, &["query Q(A) :- R(A,B), S(B)"]);
-    let round_2 = ["row R 1,10\n", "row S 10\n"];
+    let round_2 = ["insert R 1,10\n", "insert S 10\n"];
     send_round(&mut stream, 2, &round_2);
     // The same round again — what a bootstrap scan overlapping the live
     // queue used to produce. Applying any of it would stage a row twice.
@@ -65,11 +63,7 @@ fn a_redelivered_round_is_dropped_whole_and_a_new_one_applied_whole() {
 #[test]
 fn a_round_that_fails_to_apply_breaks_the_replica_and_closes_the_connection() {
     let primary = TcpListener::bind("127.0.0.1:0").unwrap();
-    let replica = Replica::start(ReplicaConfig {
-        primary: primary.local_addr().unwrap().to_string(),
-        listen: "127.0.0.1:0".to_owned(),
-    })
-    .unwrap();
+    let replica = start_replica(primary.local_addr().unwrap());
     let (mut stream, _) = primary.accept().unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     reader.read_line(&mut String::new()).unwrap(); // hello
@@ -79,7 +73,7 @@ fn a_round_that_fails_to_apply_breaks_the_replica_and_closes_the_connection() {
         1,
         &[
             "query Q(A) :- R(A,B), S(B)",
-            "row R 1,10\nrow S 10\n",
+            "insert R 1,10\ninsert S 10\n",
             "build",
         ],
     );
@@ -128,11 +122,7 @@ fn a_round_that_fails_to_apply_breaks_the_replica_and_closes_the_connection() {
 #[test]
 fn an_ack_counts_the_frames_applied_on_its_own_connection() {
     let primary = TcpListener::bind("127.0.0.1:0").unwrap();
-    let replica = Replica::start(ReplicaConfig {
-        primary: primary.local_addr().unwrap().to_string(),
-        listen: "127.0.0.1:0".to_owned(),
-    })
-    .unwrap();
+    let replica = start_replica(primary.local_addr().unwrap());
     let accept = || {
         let (stream, _) = primary.accept().unwrap();
         stream
@@ -148,13 +138,13 @@ fn an_ack_counts_the_frames_applied_on_its_own_connection() {
     };
 
     let (mut stream, mut reader) = accept();
-    assert_eq!(next_line(&mut reader), "hello 5 0\n");
+    assert_eq!(next_line(&mut reader), "hello 6 0\n");
     send_round(
         &mut stream,
         1,
         &[
             "query Q(A) :- R(A,B), S(B)",
-            "row R 1,10\nrow S 10\n",
+            "insert R 1,10\ninsert S 10\n",
             "build",
         ],
     );
@@ -163,7 +153,7 @@ fn an_ack_counts_the_frames_applied_on_its_own_connection() {
     stream.shutdown(std::net::Shutdown::Both).unwrap();
 
     let (mut stream, mut reader) = accept();
-    assert_eq!(next_line(&mut reader), "hello 5 1\n");
+    assert_eq!(next_line(&mut reader), "hello 6 1\n");
     send_round(
         &mut stream,
         2,

@@ -140,7 +140,7 @@ fn readers_never_observe_torn_batches() {
         for (t, m) in db.rows(rel) {
             for _ in 0..m {
                 let vals: Vec<String> = t.values().iter().map(|v| v.to_string()).collect();
-                admin.expect_ok(&format!("row {rel} {}", vals.join(",")));
+                admin.expect_ok(&format!("insert {rel} {}", vals.join(",")));
             }
         }
     }

@@ -10,21 +10,15 @@
 use std::collections::BTreeSet;
 use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
 use std::time::Duration;
 
 use ivme::cli::proto::{self, Command};
 use ivme::cli::Shell;
 use ivme::workload::{stat_field, wait_for_epoch, Client};
-use ivme_server::repl::{Replica, ReplicaConfig};
 use ivme_server::{Server, ServerConfig, MAX_LINE};
 
-fn temp_dir(name: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("ivme_serving_{}_{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    std::fs::create_dir_all(&d).unwrap();
-    d
-}
+mod support;
+use support::{start_replica, temp_dir};
 
 /// What a table row expects of the two roles.
 #[derive(Clone, Copy, PartialEq)]
@@ -46,7 +40,6 @@ fn variant(c: &Command) -> &'static str {
         Command::Epsilon(_) => "epsilon",
         Command::Mode(_) => "mode",
         Command::Load { .. } => "load",
-        Command::Row { .. } => "row",
         Command::Build => "build",
         Command::Update { .. } => "update",
         Command::BatchBegin => "batch begin",
@@ -102,6 +95,7 @@ fn shell_reply(shell: &mut Shell, line: &str) -> Result<String, String> {
 #[test]
 fn one_script_against_a_primary_and_its_converged_replica() {
     let dir = temp_dir("table");
+    std::fs::create_dir_all(&dir).unwrap();
     let (csv_s, csv_more) = (dir.join("s.csv"), dir.join("more.csv"));
     std::fs::write(&csv_s, "10,5\n").unwrap();
     std::fs::write(&csv_more, "10,6\n10,8\n").unwrap();
@@ -112,11 +106,7 @@ fn one_script_against_a_primary_and_its_converged_replica() {
     })
     .unwrap();
     let repl_addr = primary.repl_addr().unwrap().to_string();
-    let replica = Replica::start(ReplicaConfig {
-        primary: repl_addr.clone(),
-        listen: "127.0.0.1:0".to_owned(),
-    })
-    .unwrap();
+    let replica = start_replica(repl_addr.clone());
 
     let load = format!("load S {}", csv_s.display());
     let load_more = format!("load S {}", csv_more.display());
@@ -125,15 +115,20 @@ fn one_script_against_a_primary_and_its_converged_replica() {
         ("query Q(A,C) :- R(A,B), S(B,C)", Write),
         ("epsilon 0.5", Write),
         ("mode dynamic", Write),
-        ("row R 1,10", Write),
+        // Before `build` the write verbs fill the row store, which `stats`
+        // reports.
+        ("insert R 1,10", Write),
         (&load, Write),
+        ("stats", Read),
         ("build", Write),
         ("insert R 2,10", Write),
-        // On a built engine `row` and `load` insert, and `epsilon` and a
-        // second `build` rebuild from the engine's own rows: every write
-        // above stays, on all three.
-        ("row R 3,10", Write),
+        // On a built engine `load` inserts too, a relation the query does
+        // not name is stored, and `epsilon` and a second `build` rebuild
+        // from the engine's own rows: every write above stays, on all
+        // three.
+        ("insert R 3,10", Write),
         (&load_more, Write),
+        ("insert X 8", Write),
         ("epsilon 0.25", Write),
         ("build", Write),
         (".batch begin", Write),
@@ -229,7 +224,7 @@ fn one_script_against_a_primary_and_its_converged_replica() {
     let err = shell_reply(&mut shell, "shutdown").unwrap_err();
     assert!(err.contains("server-side command"), "{err}");
     covered.insert(variant(&Command::Shutdown));
-    assert_eq!(covered.len(), 21, "the script must take every Command");
+    assert_eq!(covered.len(), 20, "the script must take every Command");
 
     drop(replica);
     drop(primary);
@@ -242,8 +237,8 @@ fn an_overlong_line_is_refused_and_the_server_keeps_serving() {
     let mut admin = Client::connect(server.addr()).unwrap();
     for line in [
         "query Q(A) :- R(A,B), S(B)",
-        "row R 1,2",
-        "row S 2",
+        "insert R 1,2",
+        "insert S 2",
         "build",
     ] {
         admin.expect_ok(line);
@@ -278,7 +273,7 @@ fn an_out_of_range_shard_count_is_refused_and_the_writer_keeps_serving() {
         let err = c.request(line).unwrap().unwrap_err();
         assert_eq!(err, "unknown command `.shards` (try `help`)", "{line}");
     }
-    for line in ["row R 1,10", "row S 10,5"] {
+    for line in ["insert R 1,10", "insert S 10,5"] {
         c.expect_ok(line);
     }
     assert_eq!(c.expect_ok("build"), "built: N = 2\n");
@@ -287,4 +282,44 @@ fn an_out_of_range_shard_count_is_refused_and_the_writer_keeps_serving() {
     }
     assert!(c.expect_ok(".batch commit").starts_with("committed "));
     assert_eq!(c.expect_ok("count"), "2\n");
+}
+
+/// `query …; insert …; build` answers, in the shell and over a socket,
+/// what `query …; row …; build` answered while `row` was the verb that
+/// stored rows before `build`: the same listing, `stats` engine lines and
+/// counters. The expected text is that older transcript.
+#[test]
+fn inserts_before_build_answer_what_row_lines_did() {
+    let script = "query Q(A,C) :- R(A,B), S(B,C)\ninsert R 1,10\ninsert R 2,10\ninsert R 2,10\n\
+                  insert S 10,5\ninsert S 10,6\ninsert T 7\nbuild\nlist\nstats\ninsert R 3,10\n\
+                  count\nstats";
+    let counters = "major rebalances = 0, minor rebalances = 0, misroutes = 0";
+    let want = [
+        "built: N = 4\n".to_owned(),
+        "(1, 5) x1\n(1, 6) x1\n(2, 6) x2\n(2, 5) x2\n(4 tuples)\n".to_owned(),
+        format!("N = 4, snapshot_epoch = 8\nupdates = 0, batches = 0, {counters}\nrelations: R=2, S=2\n"),
+        String::new(),
+        "6\n".to_owned(),
+        format!("N = 5, snapshot_epoch = 9\nupdates = 1, batches = 1, {counters}\nrelations: R=3, S=2\n"),
+    ];
+    let engine = [
+        "M = 9, θ = 3.00, views = 10, aux space = 16\n",
+        "M = 9, θ = 3.00, views = 10, aux space = 19\n",
+    ];
+    let server = Server::start(ServerConfig::default()).unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    let mut shell = Shell::new();
+    let (mut served, mut shelled) = (Vec::new(), Vec::new());
+    for line in script.lines() {
+        served.push(c.expect_ok(line));
+        shelled.push(shell_reply(&mut shell, line).unwrap());
+    }
+    assert!(served[1..7].iter().all(String::is_empty), "{served:?}");
+    assert_eq!(served[7..], want);
+    // The shell's `stats` adds the engine line.
+    let (mut shell_want, mut engine) = (want.to_vec(), engine.iter());
+    for reply in shell_want.iter_mut().filter(|r| r.starts_with("N = ")) {
+        reply.push_str(engine.next().unwrap());
+    }
+    assert_eq!(shelled[7..], shell_want);
 }

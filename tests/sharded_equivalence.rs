@@ -21,6 +21,9 @@ use ivme_core::{
 use ivme_data::Tuple;
 use ivme_query::parse_query;
 
+mod support;
+use support::{random_tuple, relations};
+
 /// The paper's example queries (single- and multi-component, bound and
 /// free roots, repeated structure).
 const QUERIES: &[&str] = &[
@@ -35,29 +38,11 @@ const QUERIES: &[&str] = &[
 
 const SHARD_GRID: &[usize] = &[1, 2, 4, 7];
 
-fn rel_names(q: &ivme_query::Query) -> Vec<(String, usize)> {
-    let mut out: Vec<(String, usize)> = Vec::new();
-    for a in &q.atoms {
-        if !out.iter().any(|(n, _)| n == &a.relation) {
-            out.push((a.relation.clone(), a.schema.arity()));
-        }
-    }
-    out
-}
-
-fn random_tuple(rng: &mut StdRng, arity: usize, domain: i64) -> Tuple {
-    Tuple::ints(
-        &(0..arity)
-            .map(|_| rng.gen_range(0..domain))
-            .collect::<Vec<i64>>(),
-    )
-}
-
 #[test]
 fn randomized_workloads_match_unsharded_engine() {
     for (qi, src) in QUERIES.iter().enumerate() {
         let q = parse_query(src).unwrap();
-        let rels = rel_names(&q);
+        let rels = relations(&q);
         for &shards in SHARD_GRID {
             let seed = 1000 * qi as u64 + shards as u64;
             let mut rng = StdRng::seed_from_u64(seed);
