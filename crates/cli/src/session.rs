@@ -274,10 +274,23 @@ impl Session {
     /// engine's own rule. A batch of the engine's relations alone — the
     /// common case once built — goes to it uncopied.
     pub fn apply(&mut self, batch: &DeltaBatch) -> Result<(), String> {
+        self.apply_with(batch, || {})
+    }
+
+    /// [`Session::apply`] with a hook between its two halves: `on_valid`
+    /// runs exactly once, after the row store's check and the engine's
+    /// validation have passed and before either side changes — never for
+    /// a refused batch. Once it runs the batch commits, so a server logs
+    /// the batch from it while the batch is applied.
+    pub fn apply_with(
+        &mut self,
+        batch: &DeltaBatch,
+        on_valid: impl FnOnce(),
+    ) -> Result<(), String> {
         let whole = batch.relations().all(|r| self.holds(r));
         let err = |e: UpdateError| e.to_string();
         if let (true, Some(eng)) = (whole, self.engine.as_mut()) {
-            return eng.apply_delta_batch(batch).map_err(err);
+            return eng.apply_delta_batch_with(batch, on_valid).map_err(err);
         }
         if let Some((rel, t)) = batch.overflow() {
             return Err(err(UpdateError::Overflow(format!(
@@ -298,8 +311,9 @@ impl Session {
                 store.push((rel, deltas));
             }
         }
-        if let (false, Some(eng)) = (held.is_empty(), self.engine.as_mut()) {
-            eng.apply_delta_batch(&held).map_err(err)?;
+        match (held.is_empty(), self.engine.as_mut()) {
+            (false, Some(eng)) => eng.apply_delta_batch_with(&held, on_valid).map_err(err)?,
+            _ => on_valid(),
         }
         for (rel, deltas) in store {
             self.staged.apply_all(rel, deltas);
@@ -714,5 +728,71 @@ mod tests {
             s.read_view(4).execute(Command::Count).unwrap_err(),
             NOT_BUILT
         );
+    }
+
+    /// `apply_with` runs its hook once for every batch that commits —
+    /// engine-only, row-store-only and mixed — and never for one the
+    /// engine or the row store refuses.
+    #[test]
+    fn the_validated_hook_runs_once_per_commit_and_never_on_a_refusal() {
+        let mut s = Session::default();
+        let q = ivme_query::parse_query("Q(A,C) :- R(A,B), S(B,C)").unwrap();
+        s.admin(AdminOp::Query(q)).unwrap();
+        let mut runs = 0;
+        // Before `build`: the row store alone.
+        s.apply_with(&batch(&[("R", &[1, 10], 1), ("T", &[7], 1)]), || runs += 1)
+            .unwrap();
+        assert_eq!(runs, 1);
+        s.admin(AdminOp::Build).unwrap();
+        // Built: the engine alone, the store alone, and both in one batch.
+        for b in [
+            batch(&[("R", &[2, 10], 1)]),
+            batch(&[("T", &[8], 1)]),
+            batch(&[("R", &[3, 10], 1), ("T", &[7], -1)]),
+        ] {
+            let before = runs;
+            s.apply_with(&b, || runs += 1).unwrap();
+            assert_eq!(runs, before + 1);
+        }
+        let mut past = batch(&[("R", &[4, 10], 1)]);
+        past.push("T", Tuple::ints(&[8]), i64::MAX);
+        past.push("T", Tuple::ints(&[8]), i64::MAX);
+        let refused = [
+            // Over-deletes: in the engine, in the store, and in the store
+            // beside an engine delta that validates.
+            (batch(&[("R", &[9, 9], -1)]), "negative multiplicity"),
+            (batch(&[("T", &[7], -1)]), "negative multiplicity"),
+            (
+                batch(&[("R", &[4, 10], 1), ("T", &[8], -2)]),
+                "negative multiplicity",
+            ),
+            // Overflows: a store count past `i64`, and deltas that sum
+            // past it.
+            (
+                batch(&[("R", &[4, 10], 1), ("T", &[8], i64::MAX)]),
+                "multiplicity overflow",
+            ),
+            (past, "multiplicity overflow"),
+            // A wrong arity, in the engine and beside a store delta.
+            (batch(&[("R", &[1, 2, 3], 1)]), "does not match schema"),
+            (
+                batch(&[("S", &[5], 1), ("T", &[9], 1)]),
+                "does not match schema",
+            ),
+        ];
+        for (b, why) in refused {
+            let err = s.apply_with(&b, || runs += 1).unwrap_err();
+            assert!(err.contains(why), "{err}");
+            assert_eq!(runs, 4, "{err}");
+        }
+        // Static mode refuses every engine batch.
+        s.admin(AdminOp::Mode(Mode::Static)).unwrap();
+        let err = s.apply_with(&batch(&[("R", &[5, 10], 1)]), || runs += 1);
+        assert!(err.unwrap_err().contains("static"));
+        assert_eq!(runs, 4);
+        let db = s.engine().unwrap().export_database();
+        assert_eq!((db.len("R"), db.len("S")), (3, 0));
+        let t = |rel: &str, v: &[i64], m| (rel.to_owned(), Tuple::ints(v), m);
+        assert_eq!(store(&s), [t("T", &[8], 1)]);
     }
 }

@@ -408,6 +408,20 @@ impl ShardedEngine {
     /// shard's part is invalid, no shard changes state, and the error is
     /// the lowest such shard's.
     pub fn apply_delta_batch(&mut self, batch: &DeltaBatch) -> Result<(), UpdateError> {
+        self.apply_delta_batch_with(batch, || {})
+    }
+
+    /// [`ShardedEngine::apply_delta_batch`] with a hook between its two
+    /// phases: `on_valid` runs exactly once, after every shard's part has
+    /// validated and before any shard applies its own — never on a
+    /// refusal. Applying a validated batch cannot fail, so once `on_valid`
+    /// runs the batch commits: a caller may log it there, while it is
+    /// being applied.
+    pub fn apply_delta_batch_with(
+        &mut self,
+        batch: &DeltaBatch,
+        on_valid: impl FnOnce(),
+    ) -> Result<(), UpdateError> {
         let split;
         // A batch whose deltas summed past `i64` goes whole to shard 0,
         // which refuses it: a split would lose the mark.
@@ -425,6 +439,7 @@ impl ShardedEngine {
                 prepared.push((s, eng.prepare_delta_batch(part)?));
             }
         }
+        on_valid();
         for (s, p) in prepared {
             self.shards[s].apply_prepared(p);
         }
@@ -1768,6 +1783,37 @@ impl Iterator for MergedResultIter {
 mod tests {
     use super::*;
     use crate::oracle::brute_force;
+
+    /// `apply_delta_batch_with` runs its hook once for a batch that
+    /// commits, and never for one any shard refuses — also when only a
+    /// later shard's part over-deletes and an earlier one validated.
+    #[test]
+    fn the_validated_hook_runs_once_per_commit_and_never_on_a_refusal() {
+        let q = ivme_query::parse_query("Q(A,C) :- R(A,B), S(B,C)").unwrap();
+        let mut db = Database::new();
+        db.insert_ints("S", &[&[10, 5]]);
+        let mut eng = ShardedEngine::new(&q, &db, EngineOptions::dynamic(0.5), 2).unwrap();
+        assert_eq!(eng.num_shards(), 2);
+        let r = |b: i64| Tuple::ints(&[1, b]);
+        let on = |s: usize, n: usize| {
+            let mut ts = (0..).map(r).filter(|t| eng.shard_of("R", t) == Some(s));
+            ts.nth(n).unwrap()
+        };
+        let (zero, other, one) = (on(0, 0), on(0, 1), on(1, 0));
+        let mut runs = 0;
+        let mut valid = DeltaBatch::new();
+        valid.insert("R", zero);
+        eng.apply_delta_batch_with(&valid, || runs += 1).unwrap();
+        assert_eq!(runs, 1);
+        // Shard 0's part inserts, shard 1's over-deletes: refused whole.
+        let mut refused = DeltaBatch::new();
+        refused.insert("R", other);
+        refused.delete("R", one);
+        assert!(eng.apply_delta_batch_with(&refused, || runs += 1).is_err());
+        assert_eq!(runs, 1);
+        assert_eq!(eng.stats().batches, 1);
+        assert_eq!(eng.export_database().len("R"), 1);
+    }
 
     /// The deterministic form of what `fig_enum_delay` can only time:
     /// successive snapshots share every component no batch touched, and a

@@ -358,7 +358,7 @@ pub fn execute_read(cmd: Command, snap: &ServeSnapshot) -> Result<String, String
     let stats = matches!(cmd, Command::Stats);
     let mut out = snap.read.execute(cmd)?;
     if stats {
-        snap.status.stats_lines(&mut out);
+        snap.status.stats_lines(snap.read.epoch, &mut out);
     }
     Ok(out)
 }

@@ -157,18 +157,17 @@ pub struct ServeStats {
     pub snapshots_published: u64,
 }
 
-/// A running server. Dropping it stops the accept loop and waits for the
-/// writer thread to exit — which happens once every open connection has
-/// disconnected — so no background thread is still touching the data dir
-/// after the drop returns.
+/// A running server. Dropping it is [`Server::stop`]: it stops the accept
+/// loop, tells the writer thread to exit and waits for it, so no
+/// background thread is still touching the data dir after the drop
+/// returns — also while clients are still connected.
 pub struct Server {
     addr: SocketAddr,
     endpoint: Arc<Endpoint>,
     accept_handle: Option<JoinHandle<()>>,
     writer_handle: Option<JoinHandle<()>>,
     /// The server's own handle into the writer channel — what
-    /// [`Server::shutdown`] submits through. Dropped by [`Server::stop`]
-    /// so the writer's channel can actually close.
+    /// [`Server::shutdown`] and [`Server::stop`] submit through.
     tx: Option<SyncSender<Request>>,
     /// Replication accept loop + follower hub (`--repl-listen` only).
     repl: Option<repl::ReplListener>,
@@ -326,26 +325,26 @@ impl Server {
         self.endpoint.is_closed()
     }
 
-    /// Stops accepting new connections, then waits for the writer thread
-    /// to exit — which it does once the last open connection disconnects
-    /// and closes its channel sender. This is the *abrupt* stop — no
-    /// final snapshot is written (committed state is still recoverable
-    /// from the WAL); see [`Server::shutdown`] for the clean path. The
-    /// join matters for durability: it guarantees no thread of this
-    /// server instance touches the data dir after `stop` returns, so a
-    /// successor can recover from the same dir immediately.
+    /// Stops accepting new connections, then tells the writer thread to
+    /// exit and waits for it. This is the *abrupt* stop — requests queued
+    /// behind it are dropped unacked, and no final snapshot is written
+    /// (committed state is still recoverable from the WAL); see
+    /// [`Server::shutdown`] for the clean path. A connection still open
+    /// answers its next write `err server is shutting down`. The join
+    /// matters for durability: the writer joins the sync and snapshot
+    /// threads before it exits, so no thread of this server instance
+    /// touches the data dir after `stop` returns, and a successor can
+    /// recover from the same dir immediately.
     pub fn stop(&mut self) {
         self.endpoint.close();
         if let Some(h) = self.accept_handle.take() {
             let _ = h.join();
         }
-        // Join the writer too: it exits when its channel closes, which
-        // needs our own sender gone (connection handlers drop theirs when
-        // their clients disconnect). Without this join, a just-stopped
-        // server could still be appending to the WAL or installing a
-        // snapshot while a successor `Server::start` recovers from the
-        // same data dir.
-        drop(self.tx.take());
+        // After `shutdown` the writer has left its loop: the request is
+        // dropped with its channel, or the send fails.
+        if let Some(tx) = self.tx.take() {
+            let _ = tx.send(Request::Stop);
+        }
         if let Some(h) = self.writer_handle.take() {
             let _ = h.join();
         }

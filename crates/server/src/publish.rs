@@ -60,14 +60,17 @@ impl Status {
     }
 
     /// The durability and replication lines this process appends to
-    /// `stats` (see docs/PROTOCOL.md). `durable` is read *before*
-    /// `inflight`: durable only ever chases inflight, so this order keeps
-    /// the reported `durable_epoch ≤ wal_epoch` even when a commit lands
-    /// between the two loads.
-    pub(crate) fn stats_lines(&self, out: &mut String) {
+    /// `stats` (see docs/PROTOCOL.md) of a reply read from the snapshot
+    /// published at `epoch`. `durable` is read *before* `inflight`:
+    /// durable only ever chases inflight, so this order keeps the reported
+    /// `durable_epoch ≤ wal_epoch` even when a commit lands between the
+    /// two loads. A round published after `epoch` may already be durable
+    /// when the tracker is read; the reply reports no durable epoch past
+    /// its own snapshot, so `durable_epoch ≤ snapshot_epoch` in it too.
+    pub(crate) fn stats_lines(&self, epoch: u64, out: &mut String) {
         use std::fmt::Write as _;
         if let Some(t) = &self.dur {
-            let durable = t.durable();
+            let durable = t.durable().min(epoch);
             let inflight = t.inflight().max(durable);
             let _ = writeln!(
                 out,
@@ -342,7 +345,7 @@ mod tests {
     #[test]
     fn stats_lines_render_the_documented_durability_line() {
         let mut out = String::new();
-        Status::default().stats_lines(&mut out);
+        Status::default().stats_lines(7, &mut out);
         assert_eq!(out, "", "a memory-only, standalone server adds nothing");
         let tracker = DurTracker::new(5, 3, 2);
         tracker.set_inflight(7);
@@ -352,12 +355,17 @@ mod tests {
             dur: Some(Arc::new(tracker)),
             ..Status::default()
         };
-        status.stats_lines(&mut out);
+        status.stats_lines(7, &mut out);
         // docs/PROTOCOL.md documents this line; ci.yml greps it.
         assert_eq!(
             out,
             "wal_epoch = 7, durable_epoch = 6, fsync_backlog = 1, wal_frames = 4, \
              last_fsync_us = 120, snapshot_in_progress = 1, recovered_groups = 2\n"
         );
+        // A reply read from an older snapshot reports no durable epoch
+        // past it.
+        out.clear();
+        status.stats_lines(5, &mut out);
+        assert!(out.starts_with("wal_epoch = 7, durable_epoch = 5, fsync_backlog = 2,"));
     }
 }

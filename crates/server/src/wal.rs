@@ -26,10 +26,12 @@
 //!
 //! # What is logged, and when
 //!
-//! One frame per **committed unit** — a client batch that applied, or a
-//! successful admin op — handed to the sync thread *after* the in-memory
-//! apply and made durable *before* the ack. Rejected batches are not
-//! logged: they changed nothing, so replay never meets them. The
+//! One frame per **committed unit** — a client batch that validated, or a
+//! successful admin op — handed to the sync thread once the round's
+//! content is final, and made durable *before* the ack. A batch is
+//! logged only after it validated: its apply cannot fail from there, so
+//! every logged round is one the writer applies. Rejected batches are
+//! not logged: they changed nothing, so replay never meets them. The
 //! durability point is therefore fsync-before-ack: an acked write is on
 //! disk (in `group` mode), an unacked write may be lost with the process
 //! — the same contract the ack already carried for visibility.
@@ -40,14 +42,19 @@
 //! only appender: `WalPipeline` moves the open [`Wal`] onto it. The writer
 //! hands each committed round over in two jobs on one FIFO queue. The
 //! round's `Job::Frames` goes first, *before* the writer freezes and
-//! publishes the round, so the sync thread appends and fsyncs (per the
-//! [`FsyncMode`]) while the publish runs. The round's `Job::Acks` — its
+//! publishes the round — when its last request is a batch, already from
+//! inside that batch's apply, once it validated — so the sync thread
+//! appends and fsyncs (per the [`FsyncMode`]) while the apply and the
+//! publish run. The round's `Job::Acks` — its
 //! held-back acks as a boxed release closure — goes after the publish; the
 //! sync thread runs it only behind that append and fsync: it records the
 //! durable epoch, fans the round out to followers, then releases the
 //! acks. What a reader, follower or client observes is therefore ordered
 //! published → durable → broadcast → acked, while the fsync of round N
-//! overlaps the publish of round N and the apply of round N+1. The same
+//! overlaps the apply of its last batch, its publish and the apply of
+//! round N+1. A crash between the hand-off and the publish can leave a
+//! logged round that was never published nor acked; recovery replays it
+//! like any other unacked round. The same
 //! queue carries the `Job::Rotate` the snapshot thread sends after an
 //! install: it arrives between appends (possibly between a round's two
 //! jobs), so the file is quiescent and already holds every frame a
@@ -511,11 +518,14 @@ pub(crate) type Release = Box<dyn FnOnce(bool) + Send>;
 
 /// What travels from the writer (and the snapshot thread) to the sync
 /// thread, in one FIFO queue. The writer hands a committed round over in
-/// two jobs — its `Frames` before the publish, its `Acks` after — so the
-/// append and fsync run while the writer freezes and publishes.
+/// two jobs — its `Frames` once the round's content is final, its `Acks`
+/// after the publish — so the append and fsync run while the writer
+/// applies the round's last batch, freezes and publishes.
 pub(crate) enum Job {
     /// One committed round's frames: append them at `epoch` and fsync per
-    /// mode.
+    /// mode. Sent before the publish: from inside the last batch's apply
+    /// once it validated, or after the round's loop when its last request
+    /// was not a batch that validated.
     Frames { epoch: u64, frames: Vec<String> },
     /// The same round's acks, queued once it is published. Runs only after
     /// its `Frames` job (FIFO): records the durable epoch, fans the round
@@ -570,11 +580,16 @@ impl WalPipeline {
         self.tracker.is_lost()
     }
 
-    /// Hands a committed round's frames over, before its publish, and
-    /// advertises `epoch` as handed to the log — so any read against the
-    /// new snapshot already sees it in `wal_epoch`. When the sync thread
-    /// is gone, durability is lost from here on, and [`WalPipeline::acks`]
-    /// releases the round as not durable.
+    /// Hands a committed round's frames over, once per round at the first
+    /// point its content is final — from inside its last batch's apply
+    /// when that batch validated, else after the round's loop — and
+    /// always before its publish; advertises `epoch` as handed to the log,
+    /// so any read against the new snapshot already sees it in
+    /// `wal_epoch`. Every frame is of a unit that validated, and its apply
+    /// cannot fail, so the writer publishes every round it logs unless the
+    /// process dies first. When the sync thread is gone, durability is
+    /// lost from here on, and [`WalPipeline::acks`] releases the round as
+    /// not durable.
     pub fn frames(&self, epoch: u64, frames: Vec<String>) {
         self.tracker.set_inflight(epoch);
         self.send(Job::Frames { epoch, frames });

@@ -7,10 +7,14 @@
 //! request channel into rounds; `process_round` applies each request on
 //! its own, in arrival order (a client batch commits or is rejected
 //! exactly as it would alone), hands the round's frames to the log
-//! (`frames`), publishes once, then hands the log
-//! the round's held-back acks (`acks`) — so the fsync runs while the
-//! round is frozen and published. `checkpoint` hands a captured state to
-//! the snapshot thread, and `flush` drains both lanes at shutdown. One
+//! (`frames`), publishes once, then hands the log the round's held-back
+//! acks (`acks`). The frames go once the round's content is final: when
+//! its last request is a batch, from inside that batch's apply, the
+//! moment it validated (`Session::apply_with`) — so the fsync runs while
+//! the batch is applied and the round is frozen and published; otherwise
+//! after the loop, before the publish. `checkpoint` hands a captured
+//! state to the snapshot thread, and `flush` drains both lanes at
+//! shutdown; a [`Request::Stop`] ends the loop without either. One
 //! failure rule: once the log has failed
 //! (`WalPipeline::lost`), every write is refused before it touches the
 //! session — see [`crate::wal`].
@@ -120,6 +124,11 @@ pub(crate) enum Request {
     Shutdown {
         ack: mpsc::Sender<Result<String, String>>,
     },
+    /// The abrupt stop ([`crate::Server::stop`]): the writer finishes the
+    /// requests ahead of it and exits with no final checkpoint. Requests
+    /// behind it are dropped unacked, and a later submit finds the
+    /// channel closed.
+    Stop,
 }
 
 /// Submits one request to the writer thread and waits for its answer on
@@ -177,10 +186,15 @@ pub(crate) fn writer_loop(rx: Receiver<Request>, endpoint: &Endpoint, mut state:
                 Err(_) => break,
             }
         }
-        let mut shutdown_acks = process_round(reqs, &mut state, endpoint);
-        if shutdown_acks.is_empty() {
-            continue;
-        }
+        let mut shutdown_acks = match process_round(reqs, &mut state, endpoint) {
+            Next::Round => continue,
+            // The abrupt path — no final snapshot, deliberately. Committed
+            // rounds are already in the WAL queue, which `state`'s drop
+            // drains; writing a snapshot here would also make in-process
+            // "kill" tests meaninglessly gentle.
+            Next::Stop => break,
+            Next::Shutdown(acks) => acks,
+        };
         // ---- clean shutdown ----
         // Drain and commit whatever else was already queued: a request
         // submitted before the shutdown ack is never dropped on the floor.
@@ -188,8 +202,8 @@ pub(crate) fn writer_loop(rx: Receiver<Request>, endpoint: &Endpoint, mut state:
         while let Ok(r) = rx.try_recv() {
             rest.push(r);
         }
-        if !rest.is_empty() {
-            shutdown_acks.extend(process_round(rest, &mut state, endpoint));
+        if let Next::Shutdown(acks) = process_round(rest, &mut state, endpoint) {
+            shutdown_acks.extend(acks);
         }
         // Drain the background lanes in dependency order: the final
         // checkpoint (behind any still in flight) installs and queues its
@@ -216,43 +230,51 @@ pub(crate) fn writer_loop(rx: Receiver<Request>, endpoint: &Endpoint, mut state:
             let _ = ack.send(Ok(msg.to_owned()));
         }
         break;
-        // Exiting without a shutdown request (channel closed: the Server
-        // and every connection are gone) is the abrupt path — no final
-        // snapshot, deliberately. Committed rounds are already durable in
-        // the WAL; writing a snapshot here would also make in-process
-        // "kill" tests meaninglessly gentle.
     }
+}
+
+/// What [`writer_loop`] does after a round.
+enum Next {
+    /// Serve the next round.
+    Round,
+    /// Run the clean shutdown sequence, then answer these acks.
+    Shutdown(Vec<mpsc::Sender<Result<String, String>>>),
+    /// Exit at once: the round met a [`Request::Stop`].
+    Stop,
 }
 
 /// One writer round: applies the drained requests one at a time, in
 /// arrival order — each client batch commits or is rejected exactly as it
-/// would alone, and is never netted against another — then hands the
-/// round's WAL frames to the log, publishes the new snapshot, hands the
-/// log the held-back acks, and checks the checkpoint cadence. What the
-/// round shares is that one publish and one fsync. Shutdown requests
-/// found in the round are returned to the caller ([`writer_loop`] runs
-/// the shutdown sequence).
-fn process_round(
-    reqs: Vec<Request>,
-    state: &mut OwnedState,
-    endpoint: &Endpoint,
-) -> Vec<mpsc::Sender<Result<String, String>>> {
+/// would alone, and is never netted against another — then publishes the
+/// new snapshot, hands the log the held-back acks, and checks the
+/// checkpoint cadence. What the round shares is that one publish and one
+/// fsync. The round's WAL frames go to the log at the first point its
+/// content is final: from inside its last request's apply, once that
+/// request is a batch that validated (the fsync then runs under the
+/// apply and the publish), else after the loop, before the publish.
+/// Shutdown requests found in the round are returned to the caller
+/// ([`writer_loop`] runs the shutdown sequence); a stop ends the round
+/// there, dropping the requests behind it.
+fn process_round(reqs: Vec<Request>, state: &mut OwnedState, endpoint: &Endpoint) -> Next {
     let status = &*endpoint.status;
     let group = reqs
         .iter()
         .filter(|r| matches!(r, Request::Batch { .. }))
         .count();
+    let last = reqs.len().saturating_sub(1);
     let mut acks: Vec<PendingAck> = Vec::with_capacity(reqs.len());
     let mut shutdown_acks = Vec::new();
+    let mut stop = false;
     let mut round = Round {
         changed: false,
         frames: state.dur.is_some().then(Vec::new),
     };
+    let epoch = state.epoch + 1;
     let mut batches = 0u64;
     // The failure rule: once the log has failed, every write is refused
     // before it touches the session.
     let lost = state.dur.as_ref().is_some_and(|d| d.pipeline.lost());
-    for req in reqs {
+    for (i, req) in reqs.into_iter().enumerate() {
         match req {
             Request::Batch { ack, .. } if lost => {
                 acks.push(PendingAck::Write(ack, Err(LOST.to_owned())));
@@ -262,14 +284,21 @@ fn process_round(
             }
             Request::Batch { batch, ack } => {
                 // A rejected batch leaves the engine unchanged; a
-                // committed one is one WAL frame.
+                // committed one is one WAL frame, rendered once the batch
+                // validated. Nothing follows the round's last request,
+                // so its frames are final there and go to the log while
+                // the batch is applied.
                 let t0 = Instant::now();
-                let res = state.session.apply(&batch).map(|()| {
-                    let secs = t0.elapsed().as_secs_f64();
+                let on_valid = || {
                     round.committed(|| proto::batch_lines(&batch));
+                    if i == last {
+                        round.log(state.dur.as_ref(), epoch);
+                    }
+                };
+                let res = state.session.apply_with(&batch, on_valid).map(|()| {
                     batches += 1;
                     Applied {
-                        secs,
+                        secs: t0.elapsed().as_secs_f64(),
                         group: Some(group),
                     }
                 });
@@ -287,25 +316,27 @@ fn process_round(
                 acks.push(PendingAck::Admin(ack, res));
             }
             Request::Shutdown { ack } => shutdown_acks.push(ack),
+            Request::Stop => {
+                stop = true;
+                break;
+            }
         }
     }
     if batches > 0 {
         status.group_commits.fetch_add(1, Ordering::Relaxed);
         status.grouped_batches.fetch_add(batches, Ordering::Relaxed);
     }
-    // Hand the round's frames to the sync thread, publish, then hand it
-    // the acks — in that order. The frames go first so their append and
-    // fsync overlap the freeze and publish; the acks go after the publish,
-    // which is the read-your-writes promise, and the sync thread runs them
-    // only after the fsync, which is the durability promise. The writer is
-    // then free to apply the next round while this one's fsync is in
-    // flight. Rejected-only rounds publish (and log) nothing — readers
-    // cannot tell a rejection happened.
+    // Hand the round's frames to the sync thread (unless its last batch
+    // already did), publish, then hand it the acks — in that order. The
+    // frames go first so their append and fsync overlap the apply, the
+    // freeze and the publish; the acks go after the publish, which is the
+    // read-your-writes promise, and the sync thread runs them only after
+    // the fsync, which is the durability promise. The writer is then free
+    // to apply the next round while this one's fsync is in flight.
+    // Rejected-only rounds publish (and log) nothing — readers cannot
+    // tell a rejection happened.
     if round.changed {
-        let epoch = state.epoch + 1;
-        if let (Some(d), Some(frames)) = (&state.dur, round.frames) {
-            d.pipeline.frames(epoch, frames);
-        }
+        round.log(state.dur.as_ref(), epoch);
         endpoint.publish(state.session.read_view(epoch));
         state.epoch = epoch;
         status.snapshots_published.fetch_add(1, Ordering::Relaxed);
@@ -320,6 +351,9 @@ fn process_round(
     }
     // What was not handed to the log acks here.
     release_acks(acks, true);
+    if stop {
+        return Next::Stop;
+    }
     // Checkpoint cadence runs after the hand-off: the WAL queue already
     // holds everything a crash needs, so the snapshot is off the ack
     // path. One still in flight just postpones the next.
@@ -329,7 +363,10 @@ fn process_round(
     if state.dur.as_ref().is_some_and(due) {
         state.checkpoint(status, false);
     }
-    shutdown_acks
+    match shutdown_acks.is_empty() {
+        true => Next::Round,
+        false => Next::Shutdown(shutdown_acks),
+    }
 }
 
 /// What a writer round has committed so far.
@@ -348,6 +385,14 @@ impl Round {
         self.changed = true;
         if let Some(frames) = &mut self.frames {
             frames.push(text());
+        }
+    }
+
+    /// Hands the frames so far to the log at `epoch`. Once per round: the
+    /// first call takes them, so a later one does nothing.
+    fn log(&mut self, dur: Option<&Durability>, epoch: u64) {
+        if let (Some(d), Some(frames)) = (dur, self.frames.take()) {
+            d.pipeline.frames(epoch, frames);
         }
     }
 }
@@ -388,19 +433,34 @@ mod tests {
         b
     }
 
-    /// What one writer round made of some client batches.
+    /// What one writer round made of some client requests.
     struct Outcome {
+        /// One answer per request; an admin op's `Ok` reads as a default
+        /// [`Applied`].
         answers: Vec<WriteAck>,
         count: String,
         epoch: u64,
         /// The frames the round logged, read back from `wal.log`.
         frames: Vec<String>,
+        /// The epoch each of `frames` was logged at.
+        frame_epochs: Vec<u64>,
+    }
+
+    /// One request of a test round.
+    enum Unit {
+        Batch(DeltaBatch),
+        Admin(AdminOp),
     }
 
     /// Submits `batches` as one writer round to a built state over
     /// `Q(A,C) :- R(A,B), S(B,C)` with `S = {(10, 5)}` and `R` empty,
     /// logging under `--fsync group` to a fresh directory.
     fn one_round(name: &str, batches: Vec<DeltaBatch>) -> Outcome {
+        round_of(name, batches.into_iter().map(Unit::Batch).collect())
+    }
+
+    /// [`one_round`] over any mix of batches and admin ops.
+    fn round_of(name: &str, units: Vec<Unit>) -> Outcome {
         let dir = std::env::temp_dir().join(format!("ivme_writer_{}_{name}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
@@ -423,16 +483,29 @@ mod tests {
         let read = state.session.read_view(0);
         let endpoint = Endpoint::new("127.0.0.1:0".parse().unwrap(), Arc::default(), read);
 
-        let (reqs, acks): (Vec<_>, Vec<_>) = batches
+        type Answer = Box<dyn FnOnce() -> WriteAck>;
+        let (reqs, answers): (Vec<_>, Vec<Answer>) = units
             .into_iter()
-            .map(|batch| {
-                let (ack, rx) = mpsc::channel();
-                (Request::Batch { batch, ack }, rx)
+            .map(|unit| match unit {
+                Unit::Batch(batch) => {
+                    let (ack, rx) = mpsc::channel::<WriteAck>();
+                    let answer: Answer = Box::new(move || rx.recv().unwrap());
+                    (Request::Batch { batch, ack }, answer)
+                }
+                Unit::Admin(op) => {
+                    let (ack, rx) = mpsc::channel::<Result<String, String>>();
+                    let answer: Answer =
+                        Box::new(move || rx.recv().unwrap().map(|_| Applied::default()));
+                    (Request::Admin { op, ack }, answer)
+                }
             })
             .unzip();
-        assert!(process_round(reqs, &mut state, &endpoint).is_empty());
+        assert!(matches!(
+            process_round(reqs, &mut state, &endpoint),
+            Next::Round
+        ));
         assert!(state.dur.as_ref().unwrap().pipeline.flush());
-        let answers = acks.iter().map(|rx| rx.recv().unwrap()).collect();
+        let answers = answers.into_iter().map(|answer| answer()).collect();
         let count = execute_read(Command::Count, endpoint.published.cache().get()).unwrap();
         drop(state);
         let (_, frames) = wal::scan(&dir.join("wal.log")).unwrap();
@@ -441,6 +514,7 @@ mod tests {
             answers,
             count,
             epoch: endpoint.published.epoch(),
+            frame_epochs: frames.iter().map(|f| f.epoch).collect(),
             frames: frames.into_iter().map(|f| f.text).collect(),
         }
     }
@@ -544,5 +618,51 @@ mod tests {
         assert_eq!(b.count, "0\n");
         assert_eq!(b.epoch, 0);
         assert!(b.frames.is_empty(), "{:?}", b.frames);
+    }
+
+    /// What a round logs: exactly its committed units, in arrival order,
+    /// all at the round's one epoch — whether the frames went to the log
+    /// from inside the last batch's apply (it validated) or after the loop
+    /// (the last request was refused, or was an admin op).
+    #[test]
+    fn a_round_logs_its_committed_units_in_order_at_one_epoch() {
+        let ins = |a: i64| batch(&[("R", [a, 10], 1)]);
+        let over = || batch(&[("R", [9, 9], -1)]);
+        let lines = |a: i64| proto::batch_lines(&ins(a));
+        let ok = |o: &Outcome, i: usize| o.answers[i].is_ok();
+        let check = |o: &Outcome, frames: Vec<String>, count: &str| {
+            assert_eq!(o.frames, frames);
+            assert_eq!(o.frame_epochs, vec![1; frames.len()]);
+            assert_eq!((o.epoch, o.count.as_str()), (1, count));
+        };
+
+        // [ok]: the frames go from the batch's own hook.
+        let o = one_round("ok", vec![ins(1)]);
+        assert!(ok(&o, 0));
+        check(&o, vec![lines(1)], "1\n");
+
+        // [ok, refused]: the last batch never validates, so the frames go
+        // after the loop, and hold the first batch alone.
+        let o = one_round("ok_refused", vec![ins(1), over()]);
+        assert!(ok(&o, 0) && rejected(&o.answers[1]));
+        check(&o, vec![lines(1)], "1\n");
+
+        // [refused, ok].
+        let o = one_round("refused_ok", vec![over(), ins(2)]);
+        assert!(rejected(&o.answers[0]) && ok(&o, 1));
+        check(&o, vec![lines(2)], "1\n");
+
+        // [ok, ok]: one round, two frames, in arrival order.
+        let o = one_round("ok_ok", vec![ins(2), ins(1)]);
+        assert!(ok(&o, 0) && ok(&o, 1));
+        check(&o, vec![lines(2), lines(1)], "2\n");
+
+        // An admin op, then a batch: the op's frame first.
+        let o = round_of(
+            "admin_ok",
+            vec![Unit::Admin(AdminOp::Epsilon(0.25)), Unit::Batch(ins(1))],
+        );
+        assert!(ok(&o, 0) && ok(&o, 1));
+        check(&o, vec!["epsilon 0.25".to_owned(), lines(1)], "1\n");
     }
 }

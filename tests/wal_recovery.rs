@@ -11,10 +11,14 @@
 //! the threads without the clean-shutdown path, so nothing is persisted
 //! beyond what the WAL already made durable (fsync-before-ack).
 
+use std::io::{BufReader, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+use ivme::cli::proto;
 use ivme::data::Tuple;
 use ivme::workload::{Client, RecoveryWorkload};
 use ivme_server::{FsyncMode, Server, ServerConfig, TestHooks};
@@ -614,6 +618,159 @@ fn a_batch_that_over_deletes_the_row_store_is_refused_whole() {
     c.expect_ok("delete T 7");
     assert!(c.request("delete T 7").unwrap().is_err());
     drop(c);
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An abrupt stop does not wait for an idle client: dropping the server
+/// returns while a connection sits open, that connection's next write is
+/// refused, and a restart on the same dir serves every acked write.
+#[test]
+fn a_stop_returns_while_a_client_sits_idle() {
+    let dir = temp_dir("idle_stop");
+    let server = start(&dir, 0);
+    let mut c = Client::connect(server.addr()).unwrap();
+    run_script(
+        &mut c,
+        "query Q(A,C) :- R(A,B), S(B,C)\ninsert S 10,5\nbuild\ninsert R 1,10\ninsert R 2,10\n",
+    );
+    let acked = listing(server.addr());
+    assert_eq!(acked.len(), 2);
+    let (done, stopped) = mpsc::channel();
+    let stopper = std::thread::spawn(move || {
+        drop(server);
+        done.send(()).unwrap();
+    });
+    stopped
+        .recv_timeout(Duration::from_secs(20))
+        .expect("dropping the server must not wait for an idle client");
+    stopper.join().unwrap();
+    let err = c.request("insert R 3,10").unwrap().unwrap_err();
+    assert_eq!(err, "server is shutting down");
+    let server = start(&dir, 0);
+    assert_eq!(listing(server.addr()), acked);
+    drop(c);
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `durable_epoch ≤ snapshot_epoch ≤ wal_epoch` in one `stats` reply.
+fn assert_epoch_order(stats: &str) {
+    let field = |key| stat_field(stats, key);
+    let (durable, served, wal) = (
+        field("durable_epoch"),
+        field("snapshot_epoch"),
+        field("wal_epoch"),
+    );
+    assert!(durable <= served && served <= wal, "{stats}");
+}
+
+/// Writes one client's batches in one burst and reads the answers back:
+/// whether each batch's `.batch commit` acked `ok`. Batch `k` inserts
+/// `R(a, 10)` for `a = base + k`; every fifth also deletes the absent
+/// `R(-a, 10)`, so the server refuses it whole.
+fn pipelined_writer(addr: SocketAddr, base: i64, batches: i64) -> Vec<(i64, bool)> {
+    let stream = TcpStream::connect(addr).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut script = String::new();
+    let mut lines = Vec::new();
+    for k in 0..batches {
+        let a = base + k;
+        let mut batch = vec![".batch begin".to_owned(), format!("insert R {a},10")];
+        if k % 5 == 4 {
+            batch.push(format!("delete R {},10", -a));
+        }
+        batch.push(".batch commit".to_owned());
+        for line in &batch {
+            script.push_str(line);
+            script.push('\n');
+        }
+        lines.push((a, batch.len()));
+    }
+    (&stream).write_all(script.as_bytes()).unwrap();
+    lines
+        .into_iter()
+        .map(|(a, n)| {
+            let answers: Vec<proto::Response> = (0..n)
+                .map(|_| proto::read_response(&mut reader).unwrap().unwrap())
+                .collect();
+            (a, answers.last().unwrap().is_ok())
+        })
+        .collect()
+}
+
+/// Crash recovery under multi-batch rounds: three clients pipeline their
+/// batches into a `--fsync group` server, every fifth batch over-deletes,
+/// so rounds end in a refusal as often as in a commit (the log hand-off
+/// then runs after the round's loop, not from its last batch). After a
+/// hard stop, the restart serves exactly what the primary served at its
+/// last epoch — every acked batch and no refused one — and every `stats`
+/// reply along the way orders the epochs.
+#[test]
+fn pipelined_rounds_with_refusals_recover_to_the_last_published_state() {
+    const WRITERS: i64 = 3;
+    const BATCHES: i64 = 40;
+    let dir = temp_dir("pipelined_rounds");
+    let server = start(&dir, 16);
+    let addr = server.addr();
+    let mut c = Client::connect(addr).unwrap();
+    run_script(
+        &mut c,
+        "query Q(A,C) :- R(A,B), S(B,C)\ninsert S 10,5\nbuild\n",
+    );
+    let writing = Arc::new(AtomicBool::new(true));
+    let poller = {
+        let writing = Arc::clone(&writing);
+        std::thread::spawn(move || {
+            let mut c = Client::connect(addr).unwrap();
+            let mut polls = 0;
+            while writing.load(Ordering::Relaxed) || polls == 0 {
+                assert_epoch_order(&c.expect_ok("stats"));
+                polls += 1;
+            }
+            polls
+        })
+    };
+    let writers: Vec<_> = (0..WRITERS)
+        .map(|w| std::thread::spawn(move || pipelined_writer(addr, 1 + w * 1000, BATCHES)))
+        .collect();
+    let answers: Vec<(i64, bool)> = writers
+        .into_iter()
+        .flat_map(|h| h.join().unwrap())
+        .collect();
+    writing.store(false, Ordering::Relaxed);
+    assert!(poller.join().unwrap() > 0);
+    let refused: Vec<i64> = answers.iter().filter(|a| !a.1).map(|a| a.0).collect();
+    let want: Vec<i64> = (0..WRITERS)
+        .flat_map(|w| {
+            (0..BATCHES)
+                .filter(|k| k % 5 == 4)
+                .map(move |k| 1 + w * 1000 + k)
+        })
+        .collect();
+    assert_eq!(
+        refused.len(),
+        want.len(),
+        "exactly the over-deletes refused"
+    );
+    assert!(refused.iter().all(|a| want.contains(a)), "{refused:?}");
+    let stats = c.expect_ok("stats");
+    assert_epoch_order(&stats);
+    let served = listing(addr);
+    let acked = |a: i64| (Tuple::ints(&[a, 5]), 1);
+    let mut expected: Vec<_> = answers.iter().filter(|a| a.1).map(|a| acked(a.0)).collect();
+    expected.sort_unstable();
+    assert_eq!(
+        served, expected,
+        "the primary serves every acked batch alone"
+    );
+    drop(c);
+    drop(server);
+
+    let server = start(&dir, 16);
+    assert_eq!(listing(server.addr()), served, "recovered");
+    let stats = Client::connect(server.addr()).unwrap().expect_ok("stats");
+    assert_epoch_order(&stats);
     drop(server);
     let _ = std::fs::remove_dir_all(&dir);
 }
