@@ -208,9 +208,18 @@ fn word_tuple<'a>(rest: &'a str, usage: &str) -> Result<(&'a str, Tuple), String
 
 /// Reads a CSV file into tuples, skipping blank lines — the loading half
 /// of `load`, shared by the shell and the server (which reads its own
-/// disk).
+/// disk). Only a regular file is read: a device such as `/dev/zero`, a
+/// FIFO or a directory is refused before a byte is read, since reading
+/// one to its end may never return.
 pub fn load_csv(path: &str) -> Result<Vec<Tuple>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    use std::io::Read;
+    let cannot = |e: &dyn std::fmt::Display| format!("cannot read {path}: {e}");
+    let mut file = std::fs::File::open(path).map_err(|e| cannot(&e))?;
+    if !file.metadata().map_err(|e| cannot(&e))?.is_file() {
+        return Err(cannot(&"not a regular file"));
+    }
+    let mut text = String::new();
+    file.read_to_string(&mut text).map_err(|e| cannot(&e))?;
     let mut rows = Vec::new();
     for (i, row) in text.lines().enumerate() {
         if row.trim().is_empty() {

@@ -26,6 +26,11 @@ use ivme_query::{classify, Query};
 use crate::proto::Command;
 use crate::render;
 
+/// How an `err` reply to a write that was applied and published, but
+/// that the log could not make durable, begins. A batch's `apply` error
+/// that begins so is passed on as it is: the engine did change.
+pub const NOT_DURABLE: &str = "applied but not durable";
+
 /// The reply to a read of the result before `build` ran.
 const NOT_BUILT: &str = "run `build` first";
 const NO_QUERY: &str = "no query registered";
@@ -450,6 +455,7 @@ impl Staging {
                         "committed {card} updates ({net} net entries){}",
                         applied.timing(card)
                     )),
+                    Err(e) if e.starts_with(NOT_DURABLE) => Err(e),
                     Err(e) => Err(format!("batch rejected (engine unchanged): {e}")),
                 }
             }

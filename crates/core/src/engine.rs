@@ -11,7 +11,7 @@
 use std::fmt;
 
 use ivme_data::fx::FxHashSet;
-use ivme_data::{DeltaBatch, NegativeMultiplicity, Tuple, Update};
+use ivme_data::{DeltaBatch, NegativeMultiplicity, Relation, SlotId, Tuple, Update};
 use ivme_plan::{Mode, Plan};
 use ivme_query::{NotHierarchical, Query};
 
@@ -19,8 +19,8 @@ use ivme_data::Value;
 
 use crate::database::Database;
 use crate::enumerate::{
-    count_component, factor_positions, freeze_component, product_size, EnumNode, EnumScratch,
-    FreezeSink, ResultIter,
+    count_component, factor_positions, freeze_component, freeze_flat, freeze_heavy, product_size,
+    verbatim_flat_tree, EnumNode, EnumScratch, FreezeSink, ResultIter,
 };
 use crate::runtime::Runtime;
 
@@ -364,6 +364,41 @@ impl IvmEngine {
     /// function of the engine's apply history alone.
     pub fn freeze_component(&self, ci: usize, sink: &mut dyn FreezeSink) {
         freeze_component(&self.rt, &self.enums[ci], self.query.free.arity(), sink)
+    }
+
+    /// [`IvmEngine::freeze_component`]'s flat trees alone: every
+    /// `flat` occurrence, no bucket.
+    pub(crate) fn freeze_flat(&self, ci: usize, sink: &mut dyn FreezeSink) {
+        freeze_flat(&self.rt, &self.enums[ci], self.query.free.arity(), sink)
+    }
+
+    /// [`IvmEngine::freeze_component`]'s heavy trees alone: every
+    /// `bucket` and its factors, no flat occurrence.
+    pub(crate) fn freeze_heavy(&self, ci: usize, sink: &mut dyn FreezeSink) {
+        freeze_heavy(&self.rt, &self.enums[ci], self.query.free.arity(), sink)
+    }
+
+    /// The relation that is component `ci`'s flat part verbatim, when
+    /// one covering root is its sole producer: the component's only tree
+    /// that is not a heavy tree, whose stored tuples are the component's
+    /// rows in order. Each live entry of its slab is one flat row. `None`
+    /// when the flat part is summed from drained or several trees.
+    /// Decided by the plan alone.
+    pub(crate) fn verbatim_flat(&self, ci: usize) -> Option<&Relation> {
+        verbatim_flat_tree(&self.rt, &self.enums[ci]).map(|t| t.storage(&self.rt))
+    }
+
+    /// The slots of [`IvmEngine::verbatim_flat`]'s relation whose entry
+    /// changed since the last call, into `out`
+    /// ([`Relation::take_changed_slots`]: `false` when no list says what
+    /// changed — the first call, or a major rebalance cleared the root).
+    /// The relation records nothing until the first call. Panics when the
+    /// component has no verbatim flat root.
+    pub(crate) fn take_flat_changes(&mut self, ci: usize, out: &mut Vec<SlotId>) -> bool {
+        let node = verbatim_flat_tree(&self.rt, &self.enums[ci])
+            .expect("a verbatim flat root")
+            .node();
+        self.rt.node_rel_mut(node).take_changed_slots(out)
     }
 
     /// The free positions each factor of component `ci`'s buckets binds,

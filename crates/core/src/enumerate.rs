@@ -32,10 +32,16 @@
 //! ([`ShardedEngine::snapshot`](crate::ShardedEngine::snapshot)) does not
 //! go through the iterators at all, and it does not materialize the
 //! result either: it keeps the parts the engine keeps. `freeze_component`
-//! pushes them into a [`FreezeSink`]. The trees the engine materializes
-//! are walked by `EnumNode::drain_each` — plain nested loops (Fig. 16
-//! written as recursion) that *push* every `(values, multiplicity)`
-//! occurrence. A heavy tree — a root indicator node, Figs. 23/24 — is
+//! pushes them into a [`FreezeSink`], in two halves the snapshot can ask
+//! for apart: `freeze_flat` and `freeze_heavy`. The trees the engine
+//! materializes are walked by `EnumNode::drain_each` — plain nested loops
+//! (Fig. 16 written as recursion) that *push* every `(values,
+//! multiplicity)` occurrence. When one covering root is a component's
+//! only flat tree and stores its rows verbatim (`verbatim_flat_tree`, the
+//! test `EnumNode::stores_rows_of` makes), a single-shard snapshot skips
+//! that walk: it keeps a mirror of the root's slab and patches it from
+//! the slots the root reports changed, and asks for the heavy half alone.
+//! A heavy tree — a root indicator node, Figs. 23/24 — is
 //! pushed per live heavy key as one drain per child: the factors of that
 //! key's bucket, whose product is left unformed, so the heavy part costs
 //! `Σ |factor|` rows where its tuples number `Π |factor|`. A tuple living
@@ -287,8 +293,14 @@ impl Runtime {
 }
 
 impl EnumNode {
-    fn storage<'r>(&self, rt: &'r Runtime) -> &'r Relation {
+    /// The relation storing this node's tuples.
+    pub(crate) fn storage<'r>(&self, rt: &'r Runtime) -> &'r Relation {
         rt.node_rel(self.mat)
+    }
+
+    /// The view-tree node this node enumerates.
+    pub(crate) fn node(&self) -> NodeId {
+        self.mat
     }
 
     fn assemble_s(&self, ctx: &Tuple, seg: &[Value]) -> Tuple {
@@ -527,21 +539,44 @@ pub(crate) fn factor_positions(trees: &[EnumNode]) -> Vec<&[usize]> {
     trees.iter().find_map(bucket_factors).unwrap_or_default()
 }
 
+/// Whether `tree` is one of the component's heavy trees: a root indicator
+/// node whose children bind the component's bucket `factors`.
+fn is_heavy(tree: &EnumNode, factors: &[&[usize]]) -> bool {
+    bucket_factors(tree).is_some_and(|f| f == factors)
+}
+
+/// The component's one tree that is not a heavy tree, when its root
+/// stores the component's rows verbatim: the component's flat part is
+/// then that root's storage, entry for entry. `None` when the flat part
+/// has another shape — several flat trees, none, or one that is drained.
+pub(crate) fn verbatim_flat_tree<'t>(rt: &Runtime, trees: &'t [EnumNode]) -> Option<&'t EnumNode> {
+    let factors = factor_positions(trees);
+    let mut flat = trees.iter().filter(|t| !is_heavy(t, &factors));
+    match (flat.next(), flat.next()) {
+        (Some(tree), None) if tree.stores_rows_of(rt, &trees[0].out_positions) => Some(tree),
+        _ => None,
+    }
+}
+
 /// The freeze of one connected component, pushed into `sink` without a
-/// lookup and without the cross-component product:
-///
-/// * every tree that is not a heavy tree is drained flat, each occurrence
-///   once; a covering root whose stored tuples are the component's rows
-///   verbatim hands them over with their cached hash;
-/// * then each heavy tree — a root indicator node whose children bind
-///   [`factor_positions`] — for each live heavy key in its indicator's
-///   storage order (the liveness test the enumerator grounds with), hands
-///   over each child's drain under that key: `O(Σ |group|)` where the
-///   product would be `O(Π |group|)`.
-///
-/// A tuple produced by several trees, buckets (or shards) arrives once
-/// per producer; the sink's owner sums.
+/// lookup and without the cross-component product: its flat trees
+/// ([`freeze_flat`]), then its heavy trees ([`freeze_heavy`]). A tuple
+/// produced by several trees, buckets (or shards) arrives once per
+/// producer; the sink's owner sums.
 pub(crate) fn freeze_component(
+    rt: &Runtime,
+    trees: &[EnumNode],
+    free_arity: usize,
+    sink: &mut dyn FreezeSink,
+) {
+    freeze_flat(rt, trees, free_arity, sink);
+    freeze_heavy(rt, trees, free_arity, sink);
+}
+
+/// Every tree of the component that is not a heavy tree, drained flat,
+/// each occurrence once; a covering root whose stored tuples are the
+/// component's rows verbatim hands them over with their cached hash.
+pub(crate) fn freeze_flat(
     rt: &Runtime,
     trees: &[EnumNode],
     free_arity: usize,
@@ -549,12 +584,11 @@ pub(crate) fn freeze_component(
 ) {
     let positions = &trees[0].out_positions;
     let factors = factor_positions(trees);
-    let heavy = |tree: &EnumNode| bucket_factors(tree).is_some_and(|f| f == factors);
     let mut buf = vec![Value::Int(0); free_arity];
     // Ascending and distinct, so covering every position is the identity.
     let covers = positions.len() == free_arity;
     let mut row = vec![Value::Int(0); positions.len()];
-    for tree in trees.iter().filter(|t| !heavy(t)) {
+    for tree in trees.iter().filter(|t| !is_heavy(t, &factors)) {
         if tree.stores_rows_of(rt, positions) {
             for (t, m) in tree.storage(rt).iter() {
                 sink.flat(t.values(), t.cached_hash(), m);
@@ -573,11 +607,27 @@ pub(crate) fn freeze_component(
             sink.flat(row, Tuple::hash_of(row), m)
         });
     }
+}
+
+/// Each heavy tree of the component — a root indicator node whose
+/// children bind [`factor_positions`] — for each live heavy key in its
+/// indicator's storage order (the liveness test the enumerator grounds
+/// with): a `bucket`, then each child's drain under that key as that
+/// factor's rows, `O(Σ |group|)` where the product would be
+/// `O(Π |group|)`.
+pub(crate) fn freeze_heavy(
+    rt: &Runtime,
+    trees: &[EnumNode],
+    free_arity: usize,
+    sink: &mut dyn FreezeSink,
+) {
+    let factors = factor_positions(trees);
+    let mut buf = vec![Value::Int(0); free_arity];
     let mut rows: Vec<Vec<Value>> = factors
         .iter()
         .map(|f| vec![Value::Int(0); f.len()])
         .collect();
-    for tree in trees.iter().filter(|t| heavy(t)) {
+    for tree in trees.iter().filter(|t| is_heavy(t, &factors)) {
         let EnumKind::Buckets {
             ind,
             h_ctx_index,

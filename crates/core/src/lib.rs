@@ -98,7 +98,7 @@ pub use enumerate::{EnumScratch, FreezeSink, ResultIter};
 pub use ivme_data::{DeltaBatch, Update};
 pub use ivme_plan::Mode;
 pub use oracle::brute_force;
-pub use sharded::{MergedResultIter, ShardedEngine, ShardedSnapshot};
+pub use sharded::{FreezeProfile, MergedResultIter, ShardedEngine, ShardedSnapshot};
 
 #[cfg(test)]
 mod tests;

@@ -338,13 +338,7 @@ impl Runtime {
 
     /// Adds an index on `key` to the relation backing node `n`.
     pub(crate) fn add_index_to_node(&mut self, n: NodeId, key: &Schema) -> IndexId {
-        match self.nodes[n].kind {
-            RtKind::LeafLight(p) => self.partitions[p].light_mut().add_index(key),
-            _ => {
-                let rel = self.nodes[n].rel;
-                self.rels[rel].add_index(key)
-            }
-        }
+        self.node_rel_mut(n).add_index(key)
     }
 
     /// Shared read access to the relation backing node `n`.
@@ -352,6 +346,14 @@ impl Runtime {
         match self.nodes[n].kind {
             RtKind::LeafLight(p) => self.partitions[p].light(),
             _ => &self.rels[self.nodes[n].rel],
+        }
+    }
+
+    /// Mutable access to the relation backing node `n`.
+    pub(crate) fn node_rel_mut(&mut self, n: NodeId) -> &mut Relation {
+        match self.nodes[n].kind {
+            RtKind::LeafLight(p) => self.partitions[p].light_mut(),
+            _ => &mut self.rels[self.nodes[n].rel],
         }
     }
 

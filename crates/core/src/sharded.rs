@@ -51,10 +51,25 @@
 //! pushes into one component:
 //!
 //! * the **flat part** `M`: the rows of the trees the engine itself
-//!   materializes, summed in one insertion-ordered table
-//!   (`MergedComponent`, bare values in one flat array — a `Tuple` is
-//!   built only for what a read returns); a covering root whose stored
-//!   tuples are rows verbatim hands over their cached hashes;
+//!   materializes, summed in one table (`MergedComponent`, bare values in
+//!   one flat array — a `Tuple` is built only for what a read returns),
+//!   built one of two ways, chosen by the plan:
+//!   * *mirrored* — at `S = 1`, when the component's flat part has one
+//!     producer, a covering root whose stored tuples are its rows
+//!     verbatim (`IvmEngine::verbatim_flat`; the light trees of both
+//!     ledger queries): the engine keeps a writer-private `Mirror` of
+//!     that root's slab beside the component's cache slot — values,
+//!     multiplicities, cached hashes, an index at load at most ½ — and a
+//!     freeze patches it from the slots the root reports changed
+//!     ([`Relation::take_changed_slots`]; the whole slab on the first
+//!     freeze and after a major rebalance cleared the root), then
+//!     publishes a verbatim copy of it, free slots included — into a
+//!     copy an earlier freeze published and no snapshot holds any more,
+//!     when there is one, rewriting only the rows changed since;
+//!   * *summed* — every other shape (`S > 1`, several flat trees, a
+//!     drained one): every shard's flat trees are walked into a fresh
+//!     insertion-ordered table, and a covering root whose stored tuples
+//!     are rows verbatim hands over their cached hashes;
 //! * one **bucket** per live heavy key of the component's heavy trees:
 //!   one summed table per child of the indicator node (its *factors*),
 //!   whose row-major product is the bucket's tuples, multiplicities
@@ -63,8 +78,10 @@
 //! * an **index** from the first binding factor's rows (the *key rows*)
 //!   to the `(bucket, row)` pairs holding them.
 //!
-//! These **parts** are all a publish writes: `O(|M| + Σ |factor|)`, with
-//! no probe between them.
+//! These **parts** are all a publish writes, with no probe between them:
+//! `O(changed slots + slab + Σ |factor|)` for a mirrored component (the
+//! patch, the verbatim copy of the mirror, the buckets), `O(|M| + Σ
+//! |factor|)` for a summed one.
 //!
 //! # Settle on first read
 //!
@@ -94,12 +111,15 @@
 //! bucket holding its key row, one probe per holder — so a key row that
 //! every bucket holds costs a probe per bucket. The positional reads use
 //! the settled layer: `count` is
-//! `|M| + Σ (Π|F| − |shared|)`; a component enumerates `M` in the order
-//! its rows first occurred (shard 0 first, then the tuples only buckets
-//! share), then the buckets in shard and heavy-key storage order,
-//! row-major, skipping shared positions — a function of the apply history
-//! alone, so engines that applied the same batches page identically,
-//! however often each was frozen or read. A seek is prefix counts plus
+//! `|M| + Σ (Π|F| − |shared|)`; a component enumerates `M` — a mirrored
+//! one in slab order from the last slot down (the root's live-list order
+//! until a freed slot is reused; the settle lists its live rows from the
+//! live bitmap published with the copy), a summed one in the order its rows first occurred, shard
+//! 0 first — then the tuples only buckets share, then the buckets in
+//! shard and heavy-key storage order, row-major, skipping shared
+//! positions. Slab order and drain order are functions of the apply
+//! history alone, so engines that applied the same batches page
+//! identically, however often each was frozen or read. A seek is prefix counts plus
 //! one binary search in a shared list, `O(log #buckets + log |shared|)`,
 //! never `O(offset)`; positions are `u128` (five factors of 8,192 rows
 //! make 2⁶⁵ of them), counts saturate, and multiplicities saturate at
@@ -124,9 +144,11 @@
 //! single shard ([`ShardedEngine::num_shards`] reports the effective
 //! count).
 
+use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 
-use ivme_data::{DeltaBatch, Tuple, Update, Value};
+use ivme_data::{DeltaBatch, Relation, SlotId, Tuple, Update, Value};
 use ivme_query::Query;
 
 use crate::database::Database;
@@ -162,6 +184,13 @@ pub struct ShardedEngine {
     /// relations, so successive snapshots re-merge only the components
     /// that actually changed.
     merge_cache: Vec<Option<CachedMerge>>,
+    /// Per component: the writer-private [`Mirror`] of its verbatim flat
+    /// root, for the components whose flat part has that one producer at
+    /// `S = 1`; `None` for every other component, whose flat part is
+    /// summed afresh by each freeze.
+    mirrors: Vec<Option<Mirror>>,
+    /// What the freezes did (profiling).
+    profile: FreezeProfile,
     /// Batches applied through this engine (per-shard counters see only
     /// their sub-batches).
     batches: u64,
@@ -197,11 +226,20 @@ impl ShardedEngine {
                 .collect::<Result<Vec<_>, _>>()?
         };
         let ncomp = built[0].num_components();
+        let mirrors = (0..ncomp)
+            .map(|ci| {
+                let arity = built[0].component_out_positions(ci).len();
+                let sole = built.len() == 1 && built[0].verbatim_flat(ci).is_some();
+                sole.then(|| Mirror::new(arity))
+            })
+            .collect();
         Ok(ShardedEngine {
             query: query.clone(),
             router,
             shards: built,
             merge_cache: (0..ncomp).map(|_| None).collect(),
+            mirrors,
+            profile: FreezeProfile::default(),
             batches: 0,
             updates: 0,
         })
@@ -456,11 +494,20 @@ impl ShardedEngine {
     /// only when some shard's version for it moved since the cached
     /// freeze was built, otherwise a version compare plus an `Arc` clone.
     ///
-    /// Every shard's [`IvmEngine::freeze_component`] feeds one
-    /// [`Freezer`]: the flat trees into one table, every live heavy key's
-    /// factors into a bucket of their own. The flat table is pre-sized
-    /// from the slot's previous freeze — its order is the drain's, so its
-    /// capacity history cannot show.
+    /// The flat part takes one of two paths, which the plan chose at
+    /// build time:
+    ///
+    /// * **mirrored** (one shard, one verbatim flat root): the component's
+    ///   [`Mirror`] is patched from the slots the root reports changed —
+    ///   or rebuilt from its slab on the first freeze and after a major
+    ///   rebalance cleared the root — and copied verbatim;
+    /// * **summed** (every other shape): every shard's flat trees are
+    ///   drained into one fresh table, pre-sized from the slot's previous
+    ///   freeze — its order is the drain's, so its capacity history
+    ///   cannot show.
+    ///
+    /// Then every shard's heavy trees push their live keys' factors into
+    /// buckets of their own.
     fn frozen_component(&mut self, ci: usize) -> Arc<FrozenComponent> {
         let versions: Vec<u64> = self
             .shards
@@ -475,19 +522,49 @@ impl ShardedEngine {
             expect = c.merged.flat.len();
         }
         let first = &self.shards[0];
-        let mut freezer = Freezer::new(
-            first.component_out_positions(ci).to_vec(),
-            first
-                .component_factor_positions(ci)
-                .into_iter()
-                .map(<[usize]>::to_vec)
-                .collect(),
-            expect,
-        );
+        let positions = first.component_out_positions(ci).to_vec();
+        let factor_positions: Vec<Vec<usize>> = first
+            .component_factor_positions(ci)
+            .into_iter()
+            .map(<[usize]>::to_vec)
+            .collect();
+        let started = Instant::now();
+        let prof = &mut self.profile;
+        let mut freezer = match &mut self.mirrors[ci] {
+            Some(mirror) => {
+                let eng = &mut self.shards[0];
+                let listed = eng.take_flat_changes(ci, &mut mirror.changed);
+                let root = eng.verbatim_flat(ci).expect("the plan chose a mirror");
+                if listed {
+                    prof.patched += 1;
+                    prof.changed_slots += mirror.changed.len() as u64;
+                    mirror.patch(root);
+                } else {
+                    prof.rebuilt += 1;
+                    mirror.rebuild(root);
+                }
+                (prof.slab_slots, prof.live_rows) = (mirror.table.len(), mirror.live);
+                let copy = mirror.publish();
+                Freezer::mirrored(positions, factor_positions, copy, mirror)
+            }
+            None => {
+                prof.summed += 1;
+                let mut freezer = Freezer::new(positions, factor_positions, expect);
+                for shard in &self.shards {
+                    shard.freeze_flat(ci, &mut freezer);
+                }
+                freezer.seal_flat();
+                freezer
+            }
+        };
+        let flat_done = Instant::now();
         for shard in &self.shards {
-            shard.freeze_component(ci, &mut freezer);
+            shard.freeze_heavy(ci, &mut freezer);
         }
         let merged = Arc::new(freezer.finish());
+        let prof = &mut self.profile;
+        prof.flat_ns += (flat_done - started).as_nanos() as u64;
+        prof.heavy_ns += flat_done.elapsed().as_nanos() as u64;
         self.merge_cache[ci] = Some(CachedMerge {
             versions,
             merged: Arc::clone(&merged),
@@ -495,19 +572,31 @@ impl ShardedEngine {
         merged
     }
 
+    /// What this engine's freezes have done since it was built: how many
+    /// component freezes took each flat-part path, the slots the patches
+    /// applied, the time split between flat and heavy parts, and the slab
+    /// of the last mirrored root. Profiling support
+    /// (`examples/profile_omv.rs --publish`).
+    pub fn freeze_profile(&self) -> FreezeProfile {
+        self.profile
+    }
+
     /// Freezes the current result into an immutable, self-contained
     /// [`ShardedSnapshot`] — the engine's only read door. The snapshot
     /// answers enumerate/count/multiplicity/page/result_sorted plus the
     /// stats the serving layer reports, without the engine and without
     /// any locking. Built from the merge cache, so the cost is the freeze
-    /// of the changed components: their flat trees' occurrences plus
-    /// their live heavy keys' groups, never a heavy bucket's product, and
+    /// of the changed components: their flat parts (a mirrored one's
+    /// changed slots plus the copy of its mirror, a summed one's flat
+    /// trees' occurrences) plus their live heavy keys' groups, never a
+    /// heavy bucket's product, and
     /// never the overlap settlement, which the first positional read of a
     /// component pays (module docs). Components untouched since the last
     /// snapshot are shared by `Arc` clone, not rebuilt, and a quiescent
     /// engine pays `O(#components)`.
-    /// Enumeration order within a component is the flat part in the order
-    /// its rows first occurred, then the buckets (module docs). Freezing
+    /// Enumeration order within a component is the flat part — in slab
+    /// order for a mirrored component, otherwise in the order its rows
+    /// first occurred — then the buckets (module docs). Freezing
     /// is something only the engine's single owner does, hence
     /// `&mut self`.
     ///
@@ -576,6 +665,12 @@ const _: () = {
 /// flat arrays), never deletes, and is immutable behind an `Arc`
 /// afterwards — and a `HashMap` cannot give the insertion order that
 /// makes the enumeration order independent of capacity.
+///
+/// A [`Mirror`]'s table is the one exception to "each row distinct and
+/// live": its rows are a relation's slab slots, a free slot is a row of
+/// multiplicity 0 that `slots` never indexes, and its copy is the flat
+/// part of a mirrored component.
+#[derive(Clone)]
 struct MergedComponent {
     /// Values per row.
     arity: usize,
@@ -649,12 +744,18 @@ impl MergedComponent {
         &self.values[i * self.arity..(i + 1) * self.arity]
     }
 
+    /// The slot where `hash`'s probe sequence starts: its high bits.
+    /// `slots` must not be empty.
+    fn home(&self, hash: u64) -> usize {
+        (hash >> (64 - self.slots.len().trailing_zeros())) as usize
+    }
+
     /// Walks `hash`'s probe sequence to the slot indexing a row that
     /// `found` accepts (`Ok`: the row's index) or to the first empty slot
     /// (`Err`: its position). `slots` must not be empty.
     fn probe(&self, hash: u64, mut found: impl FnMut(&[Value]) -> bool) -> Result<usize, usize> {
         let mask = self.slots.len() - 1;
-        let mut at = (hash >> (64 - self.slots.len().trailing_zeros())) as usize;
+        let mut at = self.home(hash);
         loop {
             let slot = self.slots[at];
             if slot.index == Slot::EMPTY.index {
@@ -706,6 +807,30 @@ impl MergedComponent {
                 index
             }
         }
+    }
+
+    /// Makes this table a copy of `src`, reusing its allocations.
+    fn copy_from(&mut self, src: &MergedComponent) {
+        self.arity = src.arity;
+        self.values.clone_from(&src.values);
+        self.mults.clone_from(&src.mults);
+        self.slots.clone_from(&src.slots);
+    }
+
+    /// [`MergedComponent::copy_from`] for a table whose rows already equal
+    /// `src`'s but for the rows `changed` and those past its end: only
+    /// those rows' values are copied, the multiplicities and the index
+    /// whole.
+    fn catch_up(&mut self, src: &MergedComponent, changed: impl Iterator<Item = usize>) {
+        let a = self.arity;
+        let kept = self.len().min(src.len());
+        self.values.truncate(kept * a);
+        self.values.extend_from_slice(&src.values[kept * a..]);
+        for i in changed.filter(|&i| i < kept) {
+            self.values[i * a..(i + 1) * a].clone_from_slice(src.row(i));
+        }
+        self.mults.clone_from(&src.mults);
+        self.slots.clone_from(&src.slots);
     }
 
     /// Drops the rows whose occurrences summed to zero, compacting in
@@ -772,6 +897,266 @@ fn project<'a>(row: &'a [Value], cols: &[usize], out: &'a mut Vec<Value>) -> &'a
     }
 }
 
+/// A writer-private copy of a mirrored component's flat part: the slab of
+/// its verbatim flat root ([`IvmEngine::verbatim_flat`]), row `i` holding
+/// slot `i`. A commit changes a few slots of that slab; a freeze patches
+/// those rows ([`Mirror::patch`]) and publishes `table` by a verbatim
+/// copy, so it never walks the root or probes its rows into a fresh
+/// table. The published copy is enumerated in slab order from the last
+/// slot down, which the apply history alone decides, as it decides the
+/// root's live list.
+///
+/// A copy no snapshot holds any more is recycled ([`Mirror::publish`]):
+/// brought up to date by rewriting the rows that changed since it was
+/// published, so a publish copies the few changed rows' values plus the
+/// multiplicities and the index, not every value of the slab.
+struct Mirror {
+    /// The slab row for row; a free slot is a row of multiplicity 0 with
+    /// `Value::Int(0)` values that the index skips. The index is kept at
+    /// load at most ½.
+    table: MergedComponent,
+    /// Per row: the cached hash of its tuple (0 for a free slot) — where
+    /// its index entry's probe sequence starts, which a removal needs.
+    hashes: Vec<u64>,
+    /// Live rows.
+    live: usize,
+    /// Bit `i` set iff row `i` is live: published with each copy, so a
+    /// reader lists the live rows without reading the multiplicities.
+    live_bits: Vec<u64>,
+    /// The slots the freeze in progress was told changed.
+    changed: Vec<SlotId>,
+    /// The slots each of the last [`Mirror::KEEP`] patches changed,
+    /// oldest first; emptied by a rebuild.
+    recent: VecDeque<Vec<SlotId>>,
+    /// Freezes so far, and the last one that rebuilt from the slab.
+    freezes: u64,
+    rebuilt: u64,
+    /// The last [`Mirror::KEEP`] published copies of `table`, oldest
+    /// first, each with the freeze it was published by.
+    published: VecDeque<(Arc<MergedComponent>, u64)>,
+}
+
+impl Mirror {
+    fn new(arity: usize) -> Mirror {
+        Mirror {
+            table: MergedComponent::with_capacity(arity, 0),
+            hashes: Vec::new(),
+            live: 0,
+            live_bits: Vec::new(),
+            changed: Vec::new(),
+            recent: VecDeque::new(),
+            freezes: 0,
+            rebuilt: 0,
+            published: VecDeque::new(),
+        }
+    }
+
+    /// Published copies kept for recycling, and patches remembered to
+    /// bring them up to date: the newest copy is still the cached one, so
+    /// two let a publish recycle the copy before it.
+    const KEEP: usize = 2;
+
+    /// Index size for `live` rows: a power of two at least twice as many.
+    fn index_len(live: usize) -> usize {
+        (live * 2).next_power_of_two().max(MIN_SLOTS)
+    }
+
+    /// Copies `rel`'s whole slab: the first freeze, and the first after a
+    /// reset.
+    fn rebuild(&mut self, rel: &Relation) {
+        self.freezes += 1;
+        self.rebuilt = self.freezes;
+        self.recent.clear();
+        self.table.values.clear();
+        self.table.mults.clear();
+        self.hashes.clear();
+        self.live_bits.clear();
+        for i in 0..rel.slot_count() {
+            self.push(rel.slot(i));
+        }
+        self.live = rel.len();
+        self.reindex();
+    }
+
+    /// Rewrites the rows of the slots in `changed` from `rel`, after
+    /// growing the table to `rel`'s slab. A slot whose tuple stayed only
+    /// takes its new multiplicity; any other change leaves the index and
+    /// enters it again.
+    fn patch(&mut self, rel: &Relation) {
+        self.freezes += 1;
+        for _ in self.table.len()..rel.slot_count() {
+            self.push(None);
+        }
+        let a = self.table.arity;
+        for k in 0..self.changed.len() {
+            let i = self.changed[k].index();
+            let entry = rel.slot(i);
+            if self.table.mults[i] != 0 {
+                if let Some((t, m)) = entry {
+                    if self.hashes[i] == t.cached_hash() && self.table.row(i) == t.values() {
+                        self.table.mults[i] = m;
+                        continue;
+                    }
+                }
+                self.unindex(i);
+                self.live -= 1;
+                self.live_bits[i / 64] &= !(1 << (i % 64));
+            }
+            let values = &mut self.table.values[i * a..(i + 1) * a];
+            match entry {
+                Some((t, m)) => {
+                    values.clone_from_slice(t.values());
+                    (self.table.mults[i], self.hashes[i]) = (m, t.cached_hash());
+                    self.live += 1;
+                    self.live_bits[i / 64] |= 1 << (i % 64);
+                    if self.live * 2 > self.table.slots.len() {
+                        self.reindex();
+                    } else {
+                        self.index(i);
+                    }
+                }
+                None => {
+                    values.fill(Value::Int(0));
+                    (self.table.mults[i], self.hashes[i]) = (0, 0);
+                }
+            }
+        }
+        if self.table.slots.len() > MIN_SLOTS && self.live * 8 < self.table.slots.len() {
+            self.reindex();
+        }
+        self.recent.push_back(std::mem::take(&mut self.changed));
+        if self.recent.len() > Mirror::KEEP {
+            self.changed = self.recent.pop_front().unwrap_or_default();
+        }
+    }
+
+    /// A copy of `table` to publish. The oldest kept copy that no
+    /// snapshot holds any more is reused: the rows that changed since it
+    /// was published are rewritten and the multiplicities and the index
+    /// copied whole, or, when those changes are no longer known (a
+    /// rebuild, or more patches than are remembered), every row is. A
+    /// new copy is allocated only when every kept copy is still read.
+    fn publish(&mut self) -> Arc<MergedComponent> {
+        let spare = self
+            .published
+            .iter()
+            .position(|(copy, _)| Arc::strong_count(copy) == 1);
+        let copy = match spare.and_then(|k| self.published.remove(k)) {
+            Some((mut copy, at)) => {
+                let stale = Arc::get_mut(&mut copy).expect("no snapshot holds it");
+                let since = (self.freezes - at) as usize;
+                if at >= self.rebuilt && since <= self.recent.len() {
+                    let changed = self.recent.iter().rev().take(since).flatten();
+                    stale.catch_up(&self.table, changed.map(|s| s.index()));
+                } else {
+                    stale.copy_from(&self.table);
+                }
+                copy
+            }
+            None => Arc::new(self.table.clone()),
+        };
+        self.published.push_back((Arc::clone(&copy), self.freezes));
+        if self.published.len() > Mirror::KEEP {
+            self.published.pop_front();
+        }
+        copy
+    }
+
+    /// Appends a row for one slab slot.
+    fn push(&mut self, entry: Option<(&Tuple, i64)>) {
+        let t = &mut self.table;
+        let i = t.len();
+        if i.is_multiple_of(64) {
+            self.live_bits.push(0);
+        }
+        match entry {
+            Some((tuple, m)) => {
+                t.values.extend_from_slice(tuple.values());
+                t.mults.push(m);
+                self.hashes.push(tuple.cached_hash());
+                self.live_bits[i / 64] |= 1 << (i % 64);
+            }
+            None => {
+                t.values.resize(t.values.len() + t.arity, Value::Int(0));
+                t.mults.push(0);
+                self.hashes.push(0);
+            }
+        }
+    }
+
+    /// Sizes the index for the live rows and enters each of them.
+    fn reindex(&mut self) {
+        self.table.slots.clear();
+        self.table
+            .slots
+            .resize(Mirror::index_len(self.live), Slot::EMPTY);
+        for i in 0..self.table.len() {
+            if self.table.mults[i] != 0 {
+                self.index(i);
+            }
+        }
+    }
+
+    /// Enters live row `i` into the index.
+    fn index(&mut self, i: usize) {
+        let hash = self.hashes[i];
+        let at = self
+            .table
+            .probe(hash, |_| false)
+            .expect_err("nothing is accepted");
+        self.table.slots[at] = Slot::of(i, hash);
+    }
+
+    /// Removes row `i`'s entry from the index, shifting back the entries
+    /// after it in its run that may move (linear probing without
+    /// tombstones).
+    fn unindex(&mut self, i: usize) {
+        let t = &mut self.table;
+        let mask = t.slots.len() - 1;
+        let mut hole = t.home(self.hashes[i]);
+        while t.slots[hole].index as usize != i {
+            hole = (hole + 1) & mask;
+        }
+        let mut at = (hole + 1) & mask;
+        while t.slots[at].index != Slot::EMPTY.index {
+            let home = t.home(self.hashes[t.slots[at].index as usize]);
+            // The entry may fill the hole when the hole lies on its probe
+            // sequence, between its home and where it sits.
+            if at.wrapping_sub(home) & mask >= at.wrapping_sub(hole) & mask {
+                t.slots[hole] = t.slots[at];
+                hole = at;
+            }
+            at = (at + 1) & mask;
+        }
+        t.slots[hole] = Slot::EMPTY;
+    }
+}
+
+/// What [`ShardedEngine::snapshot`]'s component freezes did since the
+/// engine was built ([`ShardedEngine::freeze_profile`]).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct FreezeProfile {
+    /// Freezes whose flat part was a mirror patched from the changed
+    /// slots.
+    pub patched: u64,
+    /// Freezes whose mirror was rebuilt from the whole slab: the first,
+    /// and the first after a major rebalance cleared the root.
+    pub rebuilt: u64,
+    /// Freezes whose flat part was summed from the flat trees' drains.
+    pub summed: u64,
+    /// Changed slots the patches applied, summed.
+    pub changed_slots: u64,
+    /// Time on flat parts: the patch or rebuild and the copy, or the
+    /// summing walk.
+    pub flat_ns: u64,
+    /// Time on heavy parts: the buckets' factors and their index.
+    pub heavy_ns: u64,
+    /// The last mirrored root's slab slots (its high-water mark) ...
+    pub slab_slots: usize,
+    /// ... and its live rows.
+    pub live_rows: usize,
+}
+
 /// One component of a frozen result, held the way the engine holds it
 /// (module docs), in two layers.
 ///
@@ -787,9 +1172,18 @@ fn project<'a>(row: &'a [Value], cols: &[usize], out: &'a mut Vec<Value>) -> &'a
 struct FrozenComponent {
     /// Positions of the component's variables in the query's free schema.
     positions: Vec<usize>,
-    /// The flat trees' rows, in the order they first occurred, each with
-    /// its multiplicity summed over the flat trees alone.
-    flat: MergedComponent,
+    /// The flat trees' rows, each with its multiplicity summed over the
+    /// flat trees alone: in the order they first occurred, or, for a
+    /// mirrored component, a copy of its [`Mirror`]'s table in slab
+    /// order, free slots (multiplicity 0) included.
+    flat: Arc<MergedComponent>,
+    /// Live rows of `flat`.
+    flat_rows: usize,
+    /// For a mirror's copy, bit `i` set iff row `i` of `flat` is live; it
+    /// is enumerated from its last slot down: the root's live-list order,
+    /// as long as no freed slot was reused. Empty for a summed flat part,
+    /// whose positions are its rows.
+    live_bits: Vec<u64>,
     /// Per factor: the free positions it binds.
     factor_positions: Vec<Vec<usize>>,
     /// Per factor: its columns within a row of `flat`.
@@ -829,12 +1223,17 @@ struct Bucket {
 /// part with the multiplicity summed over all of them, and every bucket
 /// producing it lists that position as shared and skips it.
 ///
-/// It is sized by what settling finds, not by `flat`: only the rows of
-/// `flat` that a bucket also produces get an entry.
+/// Beside the list of a mirror's copy's live rows (one entry per live
+/// row), it is sized by what settling finds, not by `flat`: only the rows
+/// of `flat` that a bucket also produces get an entry.
 struct Settled {
-    /// The rows of `flat` that a bucket also produces, ascending, each
-    /// with its multiplicity summed over every part producing it; every
-    /// other row of `flat` keeps its own.
+    /// For a mirror's copy, the live rows of `flat` from the last slot
+    /// down: position `p` of the flat part is row `live[p]`. Empty when
+    /// positions are rows.
+    live: Vec<u32>,
+    /// The positions of the rows of `flat` that a bucket also produces,
+    /// ascending, each with its multiplicity summed over every part
+    /// producing it; every other row of `flat` keeps its own.
     summed: Vec<(usize, i64)>,
     /// The tuples only buckets share, in the order they were found, with
     /// their summed multiplicities.
@@ -923,13 +1322,19 @@ impl Bucket {
 struct Freezer {
     positions: Vec<usize>,
     factor_positions: Vec<Vec<usize>>,
-    flat: MergedComponent,
+    /// The flat trees' rows summed so far.
+    summing: MergedComponent,
+    /// The final flat part with its live rows, and, for a mirror's copy,
+    /// which rows are live ([`Mirror::live_bits`]): sealed from `summing`,
+    /// or handed over by a mirror.
+    flat: Option<(Arc<MergedComponent>, usize, Vec<u64>)>,
     buckets: Vec<Vec<MergedComponent>>,
 }
 
 impl FreezeSink for Freezer {
     fn flat(&mut self, row: &[Value], hash: u64, m: i64) {
-        self.flat.add_hashed(row, hash, m);
+        debug_assert!(self.flat.is_none(), "the flat part is final");
+        self.summing.add_hashed(row, hash, m);
     }
 
     fn bucket(&mut self) {
@@ -953,24 +1358,55 @@ impl Freezer {
     /// rows.
     fn new(positions: Vec<usize>, factor_positions: Vec<Vec<usize>>, expect: usize) -> Freezer {
         Freezer {
-            flat: MergedComponent::with_capacity(positions.len(), expect),
+            summing: MergedComponent::with_capacity(positions.len(), expect),
+            flat: None,
             positions,
             factor_positions,
             buckets: Vec::new(),
         }
     }
 
-    /// Drops the rows that summed to zero and the buckets left empty, and
-    /// indexes the buckets by their key factor's rows. Nothing is settled
-    /// here: that waits for the component's first positional read.
-    fn finish(self) -> FrozenComponent {
+    /// A freeze whose flat part is `copy`, a copy of `mirror`'s table.
+    fn mirrored(
+        positions: Vec<usize>,
+        factor_positions: Vec<Vec<usize>>,
+        copy: Arc<MergedComponent>,
+        mirror: &Mirror,
+    ) -> Freezer {
+        Freezer {
+            summing: MergedComponent::with_capacity(positions.len(), 0),
+            flat: Some((copy, mirror.live, mirror.live_bits.clone())),
+            positions,
+            factor_positions,
+            buckets: Vec::new(),
+        }
+    }
+
+    /// Ends a summed flat part: drops the rows that summed to zero.
+    fn seal_flat(&mut self) {
+        let empty = MergedComponent::with_capacity(self.positions.len(), 0);
+        let mut flat = std::mem::replace(&mut self.summing, empty);
+        flat.drop_zero_sums();
+        let rows = flat.len();
+        self.flat = Some((Arc::new(flat), rows, Vec::new()));
+    }
+
+    /// Seals the flat part if nobody did, drops the buckets left empty,
+    /// and indexes the buckets by their key factor's rows. Nothing is
+    /// settled here: that waits for the component's first positional
+    /// read.
+    fn finish(mut self) -> FrozenComponent {
+        if self.flat.is_none() {
+            self.seal_flat();
+        }
         let Freezer {
             positions,
             factor_positions,
-            mut flat,
+            flat,
             buckets,
+            ..
         } = self;
-        flat.drop_zero_sums();
+        let (flat, flat_rows, live_bits) = flat.expect("sealed");
         let factor_cols = factor_positions
             .iter()
             .map(|fp| {
@@ -1026,6 +1462,8 @@ impl Freezer {
         FrozenComponent {
             positions,
             flat,
+            flat_rows,
+            live_bits,
             factor_positions,
             factor_cols,
             key,
@@ -1051,21 +1489,42 @@ impl FrozenComponent {
         self.settled.get_or_init(|| self.settle())
     }
 
-    /// Rows of the flat part: `flat`'s, then the tuples only buckets
-    /// share.
+    /// Rows of the flat part: `flat`'s live ones, then the tuples only
+    /// buckets share.
     fn flat_len(&self, s: &Settled) -> usize {
-        self.flat.len() + s.only.len()
+        self.flat_rows + s.only.len()
+    }
+
+    /// The row of `flat` at position `p` (`< flat_rows`) of the flat
+    /// part.
+    fn flat_index(&self, s: &Settled, p: usize) -> usize {
+        s.live.get(p).map_or(p, |&i| i as usize)
+    }
+
+    /// The position in the flat part of `flat`'s live row `i`, where
+    /// `live` is [`Settled::live`] (descending, or empty: positions are
+    /// rows).
+    fn flat_position(live: &[u32], i: usize) -> usize {
+        match live.is_empty() {
+            true => i,
+            false => live
+                .binary_search_by(|&r| (i as u32).cmp(&r))
+                .expect("a live row"),
+        }
     }
 
     /// The flat-part row under `cur` and its multiplicity summed over
     /// every part producing it.
     fn flat_row<'a>(&'a self, s: &'a Settled, cur: &Cursor) -> (&'a [Value], i64) {
-        let i = cur.row;
-        match i.checked_sub(self.flat.len()) {
-            None => match s.summed.get(cur.next_summed) {
-                Some(&(r, m)) if r == i => (self.flat.row(i), m),
-                _ => (self.flat.row(i), self.flat.mults[i]),
-            },
+        let p = cur.row;
+        match p.checked_sub(self.flat_rows) {
+            None => {
+                let i = self.flat_index(s, p);
+                match s.summed.get(cur.next_summed) {
+                    Some(&(q, m)) if q == p => (self.flat.row(i), m),
+                    _ => (self.flat.row(i), self.flat.mults[i]),
+                }
+            }
             Some(j) => (s.only.row(j), s.only.mults[j]),
         }
     }
@@ -1088,7 +1547,20 @@ impl FrozenComponent {
     /// plus one index probe per flat row. Without a bucket there is
     /// nothing to settle: only the count is taken.
     fn settle(&self) -> Settled {
+        let mut live = Vec::new();
+        if !self.live_bits.is_empty() {
+            live.reserve_exact(self.flat_rows);
+            for (w, &word) in self.live_bits.iter().enumerate().rev() {
+                let mut bits = word;
+                while bits != 0 {
+                    let b = 63 - bits.leading_zeros();
+                    live.push(w as u32 * 64 + b);
+                    bits &= !(1 << b);
+                }
+            }
+        }
         let mut s = Settled {
+            live,
             summed: Vec::new(),
             only: MergedComponent::with_capacity(self.positions.len(), 0),
             shared: vec![Vec::new(); self.buckets.len()],
@@ -1118,14 +1590,16 @@ impl FrozenComponent {
     /// The overlap passes of [`FrozenComponent::settle`], into `s`.
     fn share_overlaps(&self, s: &mut Settled) {
         let mut scratch = Vec::new();
-        // The rows of `flat` whose key row some bucket holds, with it.
+        // The positions of the rows of `flat` whose key row some bucket
+        // holds, with it.
         let mut flat_rows = vec![0; self.keys.len()];
-        let keyed: Vec<(usize, usize)> = (0..self.flat.len())
-            .filter_map(|i| {
-                let key_row = project(self.flat.row(i), &self.factor_cols[self.key], &mut scratch);
+        let keyed: Vec<(usize, usize)> = (0..self.flat_rows)
+            .filter_map(|p| {
+                let row = self.flat.row(self.flat_index(s, p));
+                let key_row = project(row, &self.factor_cols[self.key], &mut scratch);
                 let k = self.keys.find(key_row)?;
                 flat_rows[k] += 1;
-                Some((i, k))
+                Some((p, k))
             })
             .collect();
         let (mut pairs, mut sizes) = (Vec::new(), Vec::new());
@@ -1142,11 +1616,11 @@ impl FrozenComponent {
         }
         // Pass (i).
         let mut digits = vec![0; self.factor_cols.len()];
-        for &(i, k) in &keyed {
+        for &(p, k) in &keyed {
             if walked[k] {
                 continue;
             }
-            let row = self.flat.row(i);
+            let row = self.flat.row(self.flat_index(s, p));
             let mut extra = None;
             for &(b, r) in self.holders(k) {
                 digits[self.key] = r;
@@ -1161,11 +1635,11 @@ impl FrozenComponent {
                     extra = Some(extra.map_or(m, |e: i64| e.saturating_add(m)));
                 }
             }
-            s.summed.extend(extra.map(|m| (i, m)));
+            s.summed.extend(extra.map(|m| (p, m)));
         }
         self.walk_key_rows(&walked, s);
         // Each row's buckets summed, plus its own multiplicity.
-        s.summed.sort_unstable_by_key(|&(i, _)| i);
+        s.summed.sort_unstable_by_key(|&(p, _)| p);
         s.summed.dedup_by(|later, kept| {
             let same = later.0 == kept.0;
             if same {
@@ -1173,8 +1647,9 @@ impl FrozenComponent {
             }
             same
         });
-        for (i, m) in &mut s.summed {
-            *m = m.saturating_add(self.flat.mults[*i]);
+        for (p, m) in &mut s.summed {
+            let i = s.live.get(*p).map_or(*p, |&i| i as usize);
+            *m = m.saturating_add(self.flat.mults[i]);
         }
         // Pass (ii).
         self.share_pairs(pairs, s);
@@ -1251,7 +1726,8 @@ impl FrozenComponent {
                 }
             }
             for &(i, m, b, p) in &hits {
-                s.summed.push((i, m));
+                s.summed
+                    .push((FrozenComponent::flat_position(&s.live, i), m));
                 s.shared[b].extend(p);
             }
             holders_of.clear();
@@ -1394,7 +1870,7 @@ impl FrozenComponent {
             .flat_map(|b| &b.factors)
             .map(MergedComponent::len)
             .sum();
-        self.flat.len() + factors
+        self.flat_rows + factors
     }
 
     /// Distinct tuples, saturating; settles.
@@ -1412,7 +1888,7 @@ impl FrozenComponent {
         if k < self.flat_len(s) as u128 {
             cur.bucket = None;
             cur.row = k as usize;
-            cur.next_summed = s.summed.partition_point(|&(i, _)| i < cur.row);
+            cur.next_summed = s.summed.partition_point(|&(p, _)| p < cur.row);
             return true;
         }
         let b = s.starts.partition_point(|&start| start <= k) - 1;
@@ -1465,7 +1941,7 @@ impl FrozenComponent {
         let Some(b) = cur.bucket else {
             if s.summed
                 .get(cur.next_summed)
-                .is_some_and(|&(i, _)| i == cur.row)
+                .is_some_and(|&(p, _)| p == cur.row)
             {
                 cur.next_summed += 1;
             }

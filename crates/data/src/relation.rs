@@ -25,6 +25,12 @@
 //! the handle straight to the group record: no re-projection of the tuple
 //! and no re-hash into the group map (the paper's "back-pointers to its
 //! index entries", sharpened to pure pointer surgery).
+//!
+//! A relation can also report which slab slots changed since it was last
+//! asked ([`Relation::take_changed_slots`]), so a reader that copies the
+//! slab verbatim patches its copy instead of re-reading every entry. The
+//! report is off until the first ask: a relation nobody copies pays one
+//! branch per applied delta.
 
 use std::fmt;
 
@@ -38,8 +44,17 @@ const NIL: u32 = u32::MAX;
 const MIN_SWEEP: usize = 64;
 
 /// Stable handle to a stored entry; valid until that entry is deleted.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct SlotId(u32);
+
+impl SlotId {
+    /// The slot's position in the relation's slab
+    /// (`0..`[`Relation::slot_count`]).
+    #[inline]
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
 
 /// Handle to a secondary index of a relation.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -210,6 +225,36 @@ impl IndexData {
     }
 }
 
+/// The slots whose entry changed since the last
+/// [`Relation::take_changed_slots`], each listed once.
+#[derive(Default)]
+struct Changes {
+    /// The changed slots, in the order they were first marked.
+    slots: Vec<SlotId>,
+    /// Bit `s` set iff slot `s` is in `slots`.
+    marked: Vec<u64>,
+    /// A `clear` happened: slot numbers were reused from 0, so no list
+    /// describes the change, and nothing is marked until the next ask.
+    reset: bool,
+}
+
+impl Changes {
+    #[inline]
+    fn mark(&mut self, s: u32) {
+        if self.reset {
+            return;
+        }
+        let (word, bit) = ((s / 64) as usize, 1u64 << (s % 64));
+        if word >= self.marked.len() {
+            self.marked.resize(word + 1, 0);
+        }
+        if self.marked[word] & bit == 0 {
+            self.marked[word] |= bit;
+            self.slots.push(SlotId(s));
+        }
+    }
+}
+
 /// A multiset relation with multiplicities in `Z_{>0}` and O(1)-maintained
 /// secondary indexes. See the module docs for the complexity contract.
 pub struct Relation {
@@ -220,6 +265,8 @@ pub struct Relation {
     map: FxHashMap<Tuple, u32>,
     indexes: Vec<IndexData>,
     name: String,
+    /// The changed-slot report; `None` until first asked for.
+    changes: Option<Box<Changes>>,
 }
 
 impl Relation {
@@ -233,6 +280,7 @@ impl Relation {
             map: FxHashMap::default(),
             indexes: Vec::new(),
             name: name.into(),
+            changes: None,
         }
     }
 
@@ -322,6 +370,7 @@ impl Relation {
                 } else {
                     self.slots[s as usize].mult = after;
                 }
+                self.mark(s);
                 Ok(DeltaOutcome { before, after })
             }
             None => {
@@ -365,6 +414,7 @@ impl Relation {
                 for i in 0..self.indexes.len() {
                     self.index_link(i, s);
                 }
+                self.mark(s);
                 Ok(DeltaOutcome {
                     before: 0,
                     after: delta,
@@ -471,8 +521,14 @@ impl Relation {
         self.apply(tuple, -mult).expect("delete of absent tuple");
     }
 
-    /// Removes all tuples (keeps schema and index definitions).
+    /// Removes all tuples (keeps schema and index definitions). The
+    /// changed-slot report, if on, reports a reset.
     pub fn clear(&mut self) {
+        if let Some(c) = &mut self.changes {
+            c.slots.clear();
+            c.marked.clear();
+            c.reset = true;
+        }
         self.slots.clear();
         self.map.clear();
         self.free_head = NIL;
@@ -484,6 +540,55 @@ impl Relation {
             ix.dead = 0;
             ix.links.clear();
         }
+    }
+
+    /// Notes that slot `s`'s entry changed, if the report is on.
+    #[inline]
+    fn mark(&mut self, s: u32) {
+        if let Some(c) = &mut self.changes {
+            c.mark(s);
+        }
+    }
+
+    /// Moves the slots whose entry — tuple or multiplicity — changed
+    /// since the last call into `out` (cleared first), each once, in the
+    /// order they first changed; a slot that changed and changed back is
+    /// listed too. Returns `false`, with `out` empty, when no list can
+    /// say what changed: on the first call, which turns the report on,
+    /// and after a [`Relation::clear`]. The caller then reads the whole
+    /// slab ([`Relation::slot_count`], [`Relation::slot`]).
+    ///
+    /// Until the first call nothing is recorded; after it, each applied
+    /// delta marks its slot in `O(1)` (a bitmap deduplicates).
+    pub fn take_changed_slots(&mut self, out: &mut Vec<SlotId>) -> bool {
+        out.clear();
+        let Some(c) = &mut self.changes else {
+            self.changes = Some(Box::default());
+            return false;
+        };
+        if std::mem::take(&mut c.reset) {
+            return false;
+        }
+        std::mem::swap(out, &mut c.slots);
+        for s in out.iter() {
+            c.marked[s.index() / 64] &= !(1u64 << (s.index() % 64));
+        }
+        true
+    }
+
+    /// Slots in the slab: its high-water mark since the last `clear`,
+    /// live entries and free slots together.
+    #[inline]
+    pub fn slot_count(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// The entry in slab slot `index` (`< slot_count()`), `None` when the
+    /// slot is free.
+    #[inline]
+    pub fn slot(&self, index: usize) -> Option<(&Tuple, i64)> {
+        let slot = &self.slots[index];
+        (slot.mult != 0).then_some((&slot.tuple, slot.mult))
     }
 
     /// Unlinks slot `s` from the live list and every index group, then

@@ -24,7 +24,7 @@ use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::time::Instant;
 
 use ivme_cli::proto;
-use ivme_cli::session::{AdminOp, Applied, Session};
+use ivme_cli::session::{AdminOp, Applied, Session, NOT_DURABLE};
 use ivme_core::{DeltaBatch, ShardedEngine};
 
 use crate::conn::Endpoint;
@@ -172,7 +172,8 @@ pub(crate) const QUEUE_DEPTH: usize = 128;
 const GROUP_LIMIT: usize = 64;
 
 /// What a write answers once durability is lost (see [`crate::wal`]):
-/// refused up front, or released by a log that could not make it durable.
+/// refused up front, or, after [`NOT_DURABLE`], released by a log that
+/// could not make it durable.
 const LOST: &str =
     "durability lost: the write-ahead log failed and nothing more can be made durable; \
      restart the server";
@@ -397,12 +398,16 @@ impl Round {
     }
 }
 
-/// Fans a round's held-back acks out to their waiting clients. A round
-/// the log could not make `durable` answers [`LOST`] instead: it is
-/// published but unacked, which a crash may take.
+/// Fans a round's held-back acks out to their waiting clients. In a
+/// round the log could not make `durable`, a unit that committed answers
+/// [`NOT_DURABLE`] and [`LOST`] instead: it is published but unacked,
+/// which a crash may take. A refused unit keeps its refusal.
 fn release_acks(acks: Vec<PendingAck>, durable: bool) {
     fn send<T>(tx: mpsc::Sender<Result<T, String>>, res: Result<T, String>, durable: bool) {
-        let _ = tx.send(if durable { res } else { Err(LOST.to_owned()) });
+        let _ = tx.send(match res {
+            Ok(_) if !durable => Err(format!("{NOT_DURABLE}: {LOST}")),
+            res => res,
+        });
     }
     for ack in acks {
         match ack {

@@ -26,7 +26,12 @@
 //! before that first read, tuples/round, the rows the writer froze (flat rows plus factor rows),
 //! the occurrences those stand for (what a drain of every bucket's
 //! product would push) and the heavy keys, so a change to the publish
-//! path is iterated in seconds.
+//! path is iterated in seconds. A second line splits the snapshot into
+//! its flat and heavy parts (`ShardedEngine::freeze_profile`), and says
+//! how many component freezes patched a mirror of the light root, rebuilt
+//! it, or summed the flat trees afresh, the changed slots a patch
+//! applied per round, and the mirrored root's slab high-water mark over
+//! its live rows (mean, max, and rounds above 1.5×).
 //!
 //! `--publish-hub [n] [shards]` mode (default: n = 4,096, one shard): the
 //! same rounds on an adversarial two-path at ε = ¼, where one `A` value is
@@ -37,7 +42,9 @@
 
 use std::time::{Duration, Instant};
 
-use ivme_core::{Database, DeltaBatch, EngineOptions, FreezeSink, IvmEngine, ShardedEngine};
+use ivme_core::{
+    Database, DeltaBatch, EngineOptions, FreezeProfile, FreezeSink, IvmEngine, ShardedEngine,
+};
 use ivme_data::{Tuple, Value};
 use ivme_workload::{chunk_stream, two_path_db, update_stream, OmvInstance};
 
@@ -138,6 +145,8 @@ fn time_publish(label: &str, mut eng: ShardedEngine, batches: &[DeltaBatch], pro
     let (mut t_settle, mut t_lookup, mut found) = (Duration::ZERO, Duration::ZERO, 0i64);
     let (mut rounds, mut tuples, mut rows, mut heavy) = (0u64, 0usize, 0usize, 0usize);
     let mut occurrences = Occurrences::default();
+    let before = eng.freeze_profile();
+    let mut slabs = Vec::new();
     for _ in 0..3 {
         for batch in batches {
             let t0 = Instant::now();
@@ -147,6 +156,10 @@ fn time_publish(label: &str, mut eng: ShardedEngine, batches: &[DeltaBatch], pro
             let t0 = Instant::now();
             let snap = eng.snapshot(rounds);
             t_snap += t0.elapsed();
+            let p = eng.freeze_profile();
+            if p.live_rows > 0 {
+                slabs.push((p.slab_slots, p.live_rows));
+            }
             let t0 = Instant::now();
             for t in probes {
                 found = found.saturating_add(snap.multiplicity(t));
@@ -185,6 +198,48 @@ fn time_publish(label: &str, mut eng: ShardedEngine, batches: &[DeltaBatch], pro
         occurrences.total / rounds as usize,
         heavy / rounds as usize,
     );
+    print_freeze_profile(before, eng.freeze_profile(), rounds, &slabs);
+}
+
+/// The publish split of `time_publish`'s rounds: what the freezes did
+/// between the profiles `before` and `after`; `slabs` holds the mirrored
+/// root's `(slab slots, live rows)` after each round.
+fn print_freeze_profile(
+    before: FreezeProfile,
+    after: FreezeProfile,
+    rounds: u64,
+    slabs: &[(usize, usize)],
+) {
+    let us = |ns: u64| ns as f64 / 1e3 / rounds as f64;
+    let patched = after.patched - before.patched;
+    let mut line = format!(
+        "  snapshot split: flat {:.0} us/round, heavy {:.0} us/round; component freezes: \
+         {patched} patched, {} rebuilt, {} summed",
+        us(after.flat_ns - before.flat_ns),
+        us(after.heavy_ns - before.heavy_ns),
+        after.rebuilt - before.rebuilt,
+        after.summed - before.summed,
+    );
+    if let Some(changed) = (after.changed_slots - before.changed_slots).checked_div(patched) {
+        line += &format!(", {changed} changed slots/patch");
+    }
+    if !slabs.is_empty() {
+        let n = slabs.len();
+        let ratios: Vec<f64> = slabs.iter().map(|&(s, l)| s as f64 / l as f64).collect();
+        let mean = ratios.iter().sum::<f64>() / n as f64;
+        let max = ratios.iter().copied().fold(0.0, f64::max);
+        let above = ratios.iter().filter(|&&r| r > 1.5).count();
+        let (slab, live) = slabs
+            .iter()
+            .fold((0, 0), |(s, l), &(ds, dl)| (s + ds, l + dl));
+        line += &format!(
+            ", slab/live {mean:.2}x mean ({} slots over {} live rows), {max:.2}x max, \
+             above 1.5x in {above} of {n} rounds",
+            slab / n,
+            live / n,
+        );
+    }
+    println!("{line}");
 }
 
 fn main() {

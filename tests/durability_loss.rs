@@ -50,8 +50,8 @@ fn after_the_log_fails_no_write_is_acked_and_every_acked_write_survives_a_restar
     // The write in flight when the log dies, and every write after it: an
     // `err`, never an `ok` — none of them can be made durable. The panic
     // loses durability before the round is released, so the first write
-    // reads the same `err` as the rest, and the later ones are refused
-    // before they touch the session.
+    // is answered `applied but not durable: durability lost …`, and the
+    // later ones are refused before they touch the session.
     for attempt in 0..3 {
         let reply = c.request("insert S 20").unwrap();
         assert!(
@@ -233,6 +233,63 @@ fn a_checkpoint_captured_behind_a_failed_rotation_never_installs() {
     );
     assert_eq!(c.expect_ok("get 5"), "(5) x1\n");
     assert_eq!(c.expect_ok("count"), "1\n");
+    drop(c);
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The two ways a write meets a lost log, told apart. A `.batch` in
+/// flight when the log dies was applied and published: its `err` says
+/// `applied but not durable`, never `engine unchanged`, and `stats` shows
+/// its rows. A write after it is refused before it touches the session —
+/// a `.batch commit` as `batch rejected (engine unchanged): durability
+/// lost …`, a single update as `durability lost …` — and changes nothing.
+#[test]
+fn an_applied_batch_the_log_loses_is_told_apart_from_a_refused_write() {
+    let dir = temp_dir("applied");
+    let crash = Arc::new(AtomicBool::new(false));
+    let hook_crash = Arc::clone(&crash);
+    let server = Server::start(ServerConfig {
+        data_dir: Some(dir.clone()),
+        fsync: FsyncMode::Group,
+        hooks: TestHooks {
+            sync_barrier: Some(Arc::new(move |_epoch| {
+                assert!(!hook_crash.load(Ordering::SeqCst), "injected log failure");
+            })),
+            ..TestHooks::default()
+        },
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    for line in ["query Q(A) :- R(A,B), S(B)", "insert R 1,10", "build"] {
+        c.expect_ok(line);
+    }
+    crash.store(true, Ordering::SeqCst);
+    for line in [".batch begin", "insert S 10", "insert S 20"] {
+        c.expect_ok(line);
+    }
+    let applied = c.request(".batch commit").unwrap().unwrap_err();
+    assert!(
+        applied.starts_with("applied but not durable: durability lost"),
+        "{applied}"
+    );
+    assert!(!applied.contains("engine unchanged"), "{applied}");
+    let stats = c.expect_ok("stats");
+    assert!(stats.contains("relations: R=1, S=2"), "{stats}");
+    assert_eq!(c.expect_ok("count"), "1\n");
+
+    for line in [".batch begin", "insert S 30"] {
+        c.expect_ok(line);
+    }
+    let refused = c.request(".batch commit").unwrap().unwrap_err();
+    assert!(
+        refused.starts_with("batch rejected (engine unchanged): durability lost"),
+        "{refused}"
+    );
+    let refused = c.request("insert S 40").unwrap().unwrap_err();
+    assert!(refused.starts_with("durability lost"), "{refused}");
+    assert!(c.expect_ok("stats").contains("relations: R=1, S=2"));
     drop(c);
     drop(server);
     let _ = std::fs::remove_dir_all(&dir);

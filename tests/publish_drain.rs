@@ -17,7 +17,8 @@
 //!
 //! And the order rule: a snapshot enumerates in an order that is a
 //! function of the apply history alone — how often the engine was frozen
-//! along the way (which pre-sizes the flat table) must not show.
+//! along the way (which pre-sizes the flat table, or patches a mirrored
+//! component's copy of its light root) must not show.
 
 use std::collections::BTreeMap;
 
@@ -25,7 +26,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use ivme_core::{
-    brute_force, Database, DeltaBatch, EngineOptions, IvmEngine, ShardedEngine, ShardedSnapshot,
+    brute_force, Database, DeltaBatch, EngineOptions, FreezeProfile, IvmEngine, ShardedEngine,
+    ShardedSnapshot,
 };
 use ivme_data::Tuple;
 use ivme_query::{parse_query, Query};
@@ -215,4 +217,129 @@ fn enumeration_order_is_a_function_of_the_apply_history_not_of_the_freezes() {
             assert_eq!(a.enumerate_page(700, 50), sequence[700..750]);
         }
     }
+}
+
+/// What a reader reads of a snapshot: the enumeration sequence, every
+/// page of 7, and the multiplicity of every result tuple and of 50 seeded
+/// probes.
+type Reads = (Vec<(Tuple, i64)>, Vec<Vec<(Tuple, i64)>>, Vec<i64>);
+
+/// Every read a reader can make of `snap` ([`Reads`]), in a form two
+/// snapshots can be compared by.
+fn reads(snap: &ShardedSnapshot) -> Reads {
+    let seq: Vec<(Tuple, i64)> = snap.enumerate().collect();
+    let pages = (0..=seq.len())
+        .step_by(7)
+        .map(|at| snap.enumerate_page(at, 7))
+        .collect();
+    let mut rng = StdRng::seed_from_u64(5);
+    let arity = snap.free_arity();
+    let probes = (0..50).map(|_| {
+        let vals: Vec<i64> = (0..arity).map(|_| rng.gen_range(0..12)).collect();
+        Tuple::ints(&vals)
+    });
+    let lookups = seq
+        .iter()
+        .map(|(t, _)| t.clone())
+        .chain(probes)
+        .map(|t| snap.multiplicity(&t))
+        .collect();
+    (seq, pages, lookups)
+}
+
+/// The batches `(inserts, then their retraction in reverse)`: the slab
+/// of a light root grows, and then frees most of its slots.
+fn grow_and_retract(ops: &[StreamOp], size: usize) -> Vec<DeltaBatch> {
+    let forward = chunk_stream(ops, size);
+    let retract: Vec<DeltaBatch> = forward
+        .iter()
+        .rev()
+        .map(|b| {
+            let mut inv = DeltaBatch::new();
+            for rel in b.relations() {
+                inv.extend_relation(rel, b.deltas(rel).map(|(t, d)| (t.clone(), -d)));
+            }
+            inv
+        })
+        .collect();
+    forward.into_iter().chain(retract).collect()
+}
+
+/// At S = 1 a component whose flat part is one verbatim light root is
+/// frozen by patching a mirror of that root from the slots each batch
+/// changed. For every query of the table at ε ∈ {0, ½, 1}, an engine
+/// frozen after every batch (patched) must read, after every batch,
+/// exactly as a twin that replayed the same batches and is frozen only
+/// then (its first freeze rebuilds from the slab): the same sequence, the
+/// same pages and the same lookups, and the reference result. The stream
+/// grows the database past a major rebalance (which clears the root: a
+/// reset) and retracts it, which leaves the slab at twice its live rows
+/// or more, then mixes inserts and deletes, which refill freed slots. A
+/// snapshot held from the first batch reads identically after 50 later
+/// publishes, and a copy no snapshot holds is recycled by later ones.
+#[test]
+fn a_patched_freeze_equals_a_rebuilt_one_and_held_snapshots_stay_put() {
+    let mut mirrored = 0;
+    for (qi, &(src, domain, _)) in QUERIES.iter().enumerate() {
+        let q = parse_query(src).unwrap();
+        let rels = relations(&q);
+        let arities: Vec<(&str, usize)> = rels.iter().map(|(n, a)| (n.as_str(), *a)).collect();
+        let seed = 300 + qi as u64;
+        let mut db = Database::new();
+        for op in update_stream(40, &arities, domain * 2, 0.8, 0.0, seed) {
+            db.apply(&op.relation, op.tuple, op.delta);
+        }
+        let ops = update_stream(240, &arities, domain * 2, 0.8, 0.0, seed + 1);
+        let mut batches = grow_and_retract(&ops, 8);
+        // Then inserts and deletes mixed, which refill freed slots.
+        let mixed = update_stream(160, &arities, domain * 2, 0.8, 0.4, seed + 2);
+        batches.extend(chunk_stream(&mixed, 8));
+        let mut widest_of_query = 0.0f64;
+        for eps in EPS_GRID {
+            let ctx = |k: usize| format!("{src} eps {eps} batch {k}");
+            let opts = EngineOptions::dynamic(eps);
+            let mut plain = IvmEngine::new(&q, &db, opts).unwrap();
+            let mut often = ShardedEngine::new(&q, &db, opts, 1).unwrap();
+            often.snapshot(0);
+            let mut held = None;
+            let mut widest = 0.0f64;
+            for (k, batch) in batches.iter().enumerate() {
+                plain.apply_delta_batch(batch).unwrap();
+                often.apply_delta_batch(batch).unwrap();
+                let patched = often.snapshot(k as u64 + 1);
+                let mut twin = ShardedEngine::new(&q, &db, opts, 1).unwrap();
+                for b in &batches[..=k] {
+                    twin.apply_delta_batch(b).unwrap();
+                }
+                let rebuilt = twin.snapshot(k as u64 + 1);
+                let got = reads(&patched);
+                assert!(got == reads(&rebuilt), "{}: patched != rebuilt", ctx(k));
+                assert_eq!(patched.result_sorted(), plain.result_sorted(), "{}", ctx(k));
+                let p: FreezeProfile = often.freeze_profile();
+                if p.live_rows > 0 {
+                    widest = widest.max(p.slab_slots as f64 / p.live_rows as f64);
+                }
+                if k == 0 {
+                    held = Some((patched, got));
+                }
+            }
+            let (snap, first) = held.expect("a batch");
+            assert!(batches.len() > 50);
+            assert!(reads(&snap) == first, "{}: a held snapshot moved", ctx(0));
+            assert!(often.stats().major_rebalances > 0, "{}: no reset", ctx(0));
+            let p = often.freeze_profile();
+            if p.patched > 0 {
+                // The first freeze and the one after the reset rebuilt.
+                assert!(p.rebuilt >= 2, "{}: {p:?}", ctx(0));
+                widest_of_query = widest_of_query.max(widest);
+            }
+        }
+        // At ε = 0 a light root holds next to nothing; above it, the
+        // retraction leaves its slab mostly free.
+        if widest_of_query > 0.0 {
+            mirrored += 1;
+            assert!(widest_of_query >= 2.0, "{src}: slab/live {widest_of_query}");
+        }
+    }
+    assert!(mirrored >= 6, "{mirrored} queries took the mirrored path");
 }

@@ -323,3 +323,38 @@ fn inserts_before_build_answer_what_row_lines_did() {
     }
     assert_eq!(shelled[7..], shell_want);
 }
+
+/// `load` reads only a regular file. `/dev/zero` has no end and a
+/// directory no bytes: both are refused before a byte is read, with the
+/// same reply in the shell and over a socket, and the connection goes on.
+#[test]
+fn load_refuses_what_is_not_a_regular_file_in_the_shell_and_over_a_socket() {
+    let dir = temp_dir("load_not_a_file");
+    std::fs::create_dir_all(&dir).unwrap();
+    let server = Server::start(ServerConfig::default()).unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    let mut shell = Shell::new();
+    for line in ["query Q(A) :- R(A,B)", "build"] {
+        c.expect_ok(line);
+        shell_reply(&mut shell, line).unwrap();
+    }
+    for path in ["/dev/zero".to_owned(), dir.display().to_string()] {
+        let line = format!("load R {path}");
+        let want = format!("cannot read {path}: not a regular file");
+        // A read that went on would not answer within the timeout.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            let c = &mut c;
+            let line = &line;
+            s.spawn(move || tx.send(c.request(line).unwrap()).unwrap());
+            let served = rx.recv_timeout(Duration::from_secs(20)).expect("an answer");
+            assert_eq!(served, Err(want.clone()), "{line}");
+        });
+        assert_eq!(shell_reply(&mut shell, &line), Err(want), "{line}");
+    }
+    assert_eq!(c.expect_ok("count"), "0\n");
+    assert_eq!(shell_reply(&mut shell, "count").unwrap(), "0\n");
+    drop(c);
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}

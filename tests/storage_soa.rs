@@ -173,6 +173,78 @@ fn batch_apply_matches_btreemap_oracle() {
     }
 }
 
+/// The slab as `Relation::slot` reads it, slot by slot.
+fn slab(rel: &Relation) -> Vec<Option<(Tuple, i64)>> {
+    (0..rel.slot_count())
+        .map(|i| rel.slot(i).map(|(t, m)| (t.clone(), m)))
+        .collect()
+}
+
+/// Seeded interleavings of single deltas, batches (some refused) and
+/// `clear`s, with the changed-slot report taken after every step: it
+/// lists exactly the slots whose `(tuple, multiplicity)` differs from the
+/// slab at the previous report — a slot past the old high-water mark
+/// counts as changed from free — and answers `false` on the first ask and
+/// after a `clear`. Each kind of change is seen: a fill of a freed slot,
+/// a free, a change of multiplicity alone, and a reset.
+#[test]
+fn changed_slot_report_matches_a_slab_oracle() {
+    for seed in 0..4u64 {
+        let mut rng = StdRng::seed_from_u64(0x51_07 + seed);
+        let mut rel = Relation::new("R", Schema::of(&["A", "B"]));
+        rel.add_index(&Schema::of(&["B"]));
+        rel.insert(Tuple::ints(&[0, 0]), 1);
+        let mut out = Vec::new();
+        assert!(!rel.take_changed_slots(&mut out), "the first ask");
+        assert!(out.is_empty());
+        let mut last = slab(&rel);
+        // Refills of a freed slot, frees, multiplicity-only changes, resets.
+        let mut seen = [0usize; 4];
+        for step in 0..1500 {
+            let tuple =
+                |rng: &mut StdRng| Tuple::ints(&[rng.gen_range(0..8i64), rng.gen_range(0..3i64)]);
+            let cleared = step % 300 == 299;
+            if cleared {
+                rel.clear();
+            } else if rng.gen_range(0..3) == 0 {
+                let batch: Vec<(Tuple, i64)> = (0..rng.gen_range(1..12usize))
+                    .map(|_| (tuple(&mut rng), rng.gen_range(-2..=2i64)))
+                    .collect();
+                let _ = rel.apply_batch(&batch);
+            } else {
+                let t = tuple(&mut rng);
+                let _ = rel.apply(t, rng.gen_range(-2..=2i64));
+            }
+            let now = slab(&rel);
+            let listed = rel.take_changed_slots(&mut out);
+            if cleared {
+                assert!(!listed, "seed {seed} step {step}: a clear is a reset");
+                assert!(out.is_empty());
+                seen[3] += 1;
+            } else {
+                assert!(listed, "seed {seed} step {step}: no reset happened");
+                let changed: BTreeSet<usize> = (0..now.len())
+                    .filter(|&i| last.get(i).cloned().flatten() != now[i])
+                    .collect();
+                let reported: BTreeSet<usize> = out.iter().map(|s| s.index()).collect();
+                assert_eq!(reported.len(), out.len(), "a slot listed twice");
+                assert_eq!(reported, changed, "seed {seed} step {step}");
+                for &i in &changed {
+                    match (last.get(i).cloned().flatten(), &now[i]) {
+                        (None, Some(_)) if i < last.len() => seen[0] += 1,
+                        (Some(_), None) => seen[1] += 1,
+                        (Some((a, _)), Some((b, _))) if a == *b => seen[2] += 1,
+                        _ => {}
+                    }
+                }
+            }
+            rel.check_storage().expect("storage invariants");
+            last = now;
+        }
+        assert!(seen.iter().all(|&n| n > 0), "seed {seed}: {seen:?}");
+    }
+}
+
 /// Heavy↔light migration storm: one key oscillates around the 0.5·θ/1.5·θ
 /// thresholds while the engine maintains a two-atom join at small θ.
 #[test]
